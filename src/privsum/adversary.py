@@ -98,7 +98,7 @@ def build_adversary_view(record: RunRecord, members) -> AdversaryView:
     recv_log: dict[tuple[int, int], list[ShareMessage]] = {}
     for k in range(record.n_rounds):
         for m in member_set:
-            sent_shares[(m, k)] = {m: record.retained_log[k][m]}
+            sent_shares[(m, k)] = {m: record.retained(k, m)}
             sent_weights[(m, k)] = record.weight_log[k][m]
             recv_log[(m, k)] = []
         for msg in record.delivered_log[k]:
@@ -120,7 +120,7 @@ def build_adversary_view(record: RunRecord, members) -> AdversaryView:
 
 def build_eavesdropper_log(record: RunRecord) -> EavesdropperLog:
     return EavesdropperLog(
-        messages=[list(round_msgs) for round_msgs in record.wire_log],
+        messages=record.wire_log,
         topology=record.graph,
         params=record.params,
     )
@@ -475,7 +475,7 @@ def adversary_observables(
                     ((k, 0, msg.sender, msg.receiver), msg.s_share, msg.w_share)
                 )
         for m in member_set:
-            entries.append(((k, 1, m, m), *record.retained_log[k][m]))
+            entries.append(((k, 1, m, m), *record.retained(k, m)))
     for k, row in enumerate(record.trajectory.states):
         for m in member_set:
             entries.append(((k, 2, m, m), row[m].s, row[m].w))

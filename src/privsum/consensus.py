@@ -39,17 +39,15 @@ class NodeState:
     """One node's consensus variables at a given round."""
 
     node_id: int
-    x0: float
     s: float
     w: float
     pi: float
     round: int
-    params: WeightParams | None = None
 
 
-def initial_state(node_id: int, x0: float, params: WeightParams | None = None) -> NodeState:
+def initial_state(node_id: int, x0: float) -> NodeState:
     x0 = float(x0)
-    return NodeState(node_id=node_id, x0=x0, s=x0, w=1.0, pi=x0, round=0, params=params)
+    return NodeState(node_id=node_id, s=x0, w=1.0, pi=x0, round=0)
 
 
 @dataclass(frozen=True)
@@ -146,12 +144,10 @@ def apply_round(
         )
     return NodeState(
         node_id=state.node_id,
-        x0=state.x0,
         s=s_new,
         w=w_new,
         pi=s_new / w_new,
         round=state.round + 1,
-        params=state.params,
     )
 
 
@@ -218,11 +214,17 @@ class RunRecord:
     weight_log: list[dict[int, RoundWeights]]
     wire_log: list[list]
     delivered_log: list[list[ShareMessage]]
-    retained_log: list[dict[int, tuple[float, float]]]
 
     @property
     def n_rounds(self) -> int:
         return len(self.weight_log)
+
+    def retained(self, round_k: int, node: int) -> tuple[float, float]:
+        """The (s, w) self-share the node kept in a round.  Same multiply as
+        ``outgoing_shares``, so bit-equal to what the node retained."""
+        rw = self.weight_log[round_k][node]
+        st = self.trajectory.states[round_k][node]
+        return rw.s_weights[node] * st.s, rw.w_weights[node] * st.w
 
     def final_pi(self) -> np.ndarray:
         return np.array([st.pi for st in self.trajectory.final()])
@@ -252,12 +254,11 @@ def run_rounds(
     if len(x0) != graph.n_nodes:
         raise ConfigError(f"x0 has {len(x0)} entries for {graph.n_nodes} nodes")
     chan = channel if channel is not None else PlainChannel()
-    states = [initial_state(i, x0[i], params) for i in graph.nodes()]
+    states = [initial_state(i, x0[i]) for i in graph.nodes()]
     trajectory = Trajectory(states=[tuple(states)])
     weight_log: list[dict[int, RoundWeights]] = []
     wire_log: list[list] = []
     delivered_log: list[list[ShareMessage]] = []
-    retained_log: list[dict[int, tuple[float, float]]] = []
     quiet_rounds = 0
 
     for k in range(rounds):
@@ -283,7 +284,6 @@ def run_rounds(
         weight_log.append(round_weights)
         wire_log.append(wire_round)
         delivered_log.append(delivered_round)
-        retained_log.append(retained_round)
         trajectory.states.append(tuple(states))
 
         if stop_tol > 0.0:
@@ -301,7 +301,6 @@ def run_rounds(
         weight_log=weight_log,
         wire_log=wire_log,
         delivered_log=delivered_log,
-        retained_log=retained_log,
     )
 
 
@@ -381,7 +380,7 @@ def matrix_weight_source(graph: DirectedGraph, p: np.ndarray) -> WeightSource:
         weights = {node_id: float(p[node_id, node_id])}
         for i in graph.out_neighbors(node_id):
             weights[i] = float(p[i, node_id])
-        return RoundWeights(node_id, round_k, dict(weights), dict(weights))
+        return RoundWeights(node_id, round_k, weights, weights)
 
     return source
 

@@ -8,17 +8,16 @@ only synchronization is implicit: a node applies round k once it holds all
 round-k shares from its in-neighbors, and never sends round k+1 before
 that.
 
-Share payloads are either two raw float64s (plain mode) or two
+Share payloads are either two raw float64s (plain transport) or two
 length-prefixed Paillier ciphertexts encrypted under the receiver's public
-key (encrypted mode).  With identical seeds the plain-mode trajectory is
-bit-for-bit the simulator's, because both derive the same per-node weight
-streams.
+key (encrypted transport, through the simulator's ``PaillierChannel``).
+With identical seeds the plain-transport trajectory is bit-for-bit the
+simulator's, because both derive the same per-node weight streams.
 """
 from __future__ import annotations
 
 import csv
 import json
-import random
 import socket
 import struct
 import threading
@@ -28,27 +27,31 @@ from pathlib import Path
 
 import numpy as np
 
-from .consensus import apply_round, initial_state, outgoing_shares, ShareMessage
-from .errors import (
-    ConfigError,
-    DecryptFailure,
-    MalformedCiphertext,
-    PeerDisconnected,
-    ProtocolError,
-    Timeout,
+from .consensus import (
+    Channel,
+    PlainChannel,
+    ShareMessage,
+    apply_round,
+    initial_state,
+    outgoing_shares,
 )
+from .errors import ConfigError, PeerDisconnected, ProtocolError, Timeout
 from .paillier import (
     Ciphertext,
-    FixedPointCodec,
     PaillierKeypair,
-    decrypt,
-    encrypt,
-    keygen,
+    pack_uint,
     public_key_from_bytes,
     public_key_to_bytes,
+    unpack_uint,
 )
-from .sim import ExperimentConfig, resolve_x0
-from .weights import derive_seed, generate_round_weights, node_rng
+from .sim import (
+    CipherShareMessage,
+    ExperimentConfig,
+    PaillierChannel,
+    node_keypair,
+    resolve_x0,
+)
+from .weights import generate_round_weights, node_rng
 
 MAGIC = b"PSUM"
 VERSION = 1
@@ -141,31 +144,25 @@ def unpack_plain_shares(payload: bytes) -> tuple[float, float]:
     return struct.unpack(">dd", payload)
 
 
-def _pack_bigint(v: int) -> bytes:
-    raw = v.to_bytes((v.bit_length() + 7) // 8 or 1, "big")
-    return len(raw).to_bytes(4, "big") + raw
-
-
-def _unpack_bigint(payload: bytes, offset: int) -> tuple[int, int]:
-    if len(payload) < offset + 4:
-        raise ProtocolError("truncated big integer")
-    length = int.from_bytes(payload[offset : offset + 4], "big")
-    end = offset + 4 + length
-    if len(payload) < end:
-        raise ProtocolError("truncated big integer")
-    return int.from_bytes(payload[offset + 4 : end], "big"), end
-
-
 def pack_cipher_shares(s_cipher: int, w_cipher: int) -> bytes:
-    return _pack_bigint(s_cipher) + _pack_bigint(w_cipher)
+    return pack_uint(s_cipher) + pack_uint(w_cipher)
 
 
 def unpack_cipher_shares(payload: bytes) -> tuple[int, int]:
-    s_val, offset = _unpack_bigint(payload, 0)
-    w_val, offset = _unpack_bigint(payload, offset)
+    s_val, offset = unpack_uint(payload, 0, ProtocolError)
+    w_val, offset = unpack_uint(payload, offset, ProtocolError)
     if offset != len(payload):
         raise ProtocolError("trailing bytes after cipher shares")
     return s_val, w_val
+
+
+def share_frame(wire: ShareMessage | CipherShareMessage) -> WireFrame:
+    """The frame carrying one share pair as its channel put it on the wire."""
+    if isinstance(wire, CipherShareMessage):
+        payload = pack_cipher_shares(wire.s_cipher.value, wire.w_cipher.value)
+        return WireFrame(MSG_SHARE_ENC, wire.sender, wire.round, payload)
+    payload = pack_plain_shares(wire.s_share, wire.w_share)
+    return WireFrame(MSG_SHARE_PLAIN, wire.sender, wire.round, payload)
 
 
 def pack_key_announce(origin: int, public_key) -> bytes:
@@ -221,7 +218,7 @@ class NodeRuntime:
         self.in_ids = list(self.graph.in_neighbors(node_id))
 
         self._lock = threading.Condition()
-        self._shares: dict[tuple[int, int], tuple[float, float] | tuple[int, int]] = {}
+        self._shares: dict[tuple[int, int], ShareMessage | CipherShareMessage] = {}
         self._syncs: set[tuple[int, int]] = set()
         self._key_directory: dict[int, object] = {}
         # Reader threads never write to sockets; fresh keys are queued here
@@ -234,12 +231,17 @@ class NodeRuntime:
         self._sent_frames: list[bytes] = []
 
         self.keypair: PaillierKeypair | None = None
+        self.channel: Channel = PlainChannel()
         if mode == MODE_ENCRYPTED:
-            rng = random.Random(derive_seed("keygen", config.seed, node_id))
-            self.keypair = keygen(config.key_bits, rng)
+            self.keypair = node_keypair(config.key_bits, config.seed, node_id)
             self._key_directory[node_id] = self.keypair.public
-        self._enc_rng = random.Random(derive_seed("encrypt", config.seed, node_id))
-        self.encrypt_seconds: list[float] = []
+            # Reads the live directory: every key is in it before round 0.
+            self.channel = PaillierChannel(
+                self._key_directory,
+                {node_id: self.keypair},
+                config.fractional_bits,
+                config.seed,
+            )
 
     # -- wiring -----------------------------------------------------------
 
@@ -302,15 +304,10 @@ class NodeRuntime:
                     self._key_directory[origin] = key
                     self._reflood_queue.append(frame.payload)
                     self._lock.notify_all()
-        elif frame.msg_type == MSG_SHARE_PLAIN:
-            shares = unpack_plain_shares(frame.payload)
+        elif frame.msg_type in (MSG_SHARE_PLAIN, MSG_SHARE_ENC):
+            wire = self._wire_share(frame)
             with self._lock:
-                self._shares[(frame.round, frame.sender_id)] = shares
-                self._lock.notify_all()
-        elif frame.msg_type == MSG_SHARE_ENC:
-            ciphers = unpack_cipher_shares(frame.payload)
-            with self._lock:
-                self._shares[(frame.round, frame.sender_id)] = ciphers
+                self._shares[(frame.round, frame.sender_id)] = wire
                 self._lock.notify_all()
         elif frame.msg_type == MSG_ROUND_SYNC:
             with self._lock:
@@ -318,6 +315,28 @@ class NodeRuntime:
                 self._lock.notify_all()
         else:
             raise ProtocolError(f"unknown message type {frame.msg_type}")
+
+    def _wire_share(self, frame: WireFrame) -> ShareMessage | CipherShareMessage:
+        """Inverse of ``share_frame`` for a share addressed to this node."""
+        expected = MSG_SHARE_PLAIN if self.keypair is None else MSG_SHARE_ENC
+        if frame.msg_type != expected:
+            raise ProtocolError(
+                f"share frame of type {frame.msg_type} on a {self.mode} transport"
+            )
+        if self.keypair is None:
+            s_share, w_share = unpack_plain_shares(frame.payload)
+            return ShareMessage(
+                frame.sender_id, self.node_id, frame.round, s_share, w_share
+            )
+        s_val, w_val = unpack_cipher_shares(frame.payload)
+        key_id = self.keypair.public.key_id
+        return CipherShareMessage(
+            frame.sender_id,
+            self.node_id,
+            frame.round,
+            Ciphertext(s_val, key_id),
+            Ciphertext(w_val, key_id),
+        )
 
     def _send(self, peer: int, frame: WireFrame) -> None:
         data = encode_frame(frame)
@@ -400,24 +419,9 @@ class NodeRuntime:
         if self._dead is not None:
             raise PeerDisconnected(f"node {self.node_id}: {self._dead}")
 
-    def _encrypt_share(self, receiver: int, value: float) -> Ciphertext:
-        pub = self._key_directory[receiver]
-        codec = FixedPointCodec(pub.n, self.config.fractional_bits)
-        plain = codec.encode(value)
-        start = time.perf_counter()
-        cipher = encrypt(pub, plain, self._enc_rng)
-        self.encrypt_seconds.append(time.perf_counter() - start)
-        return cipher
-
-    def _decrypt_share(self, value: int) -> float:
-        assert self.keypair is not None
-        codec = FixedPointCodec(self.keypair.public.n, self.config.fractional_bits)
-        try:
-            return codec.decode(decrypt(self.keypair, Ciphertext(value, self.keypair.public.key_id)))
-        except MalformedCiphertext as exc:
-            raise DecryptFailure(str(exc)) from exc
-
-    def _await_round_shares(self, round_k: int) -> dict[int, tuple]:
+    def _receive_round(self, round_k: int) -> list[ShareMessage]:
+        """Wait for every in-neighbor's round-k share, then recover the
+        plaintext pairs through the channel."""
         deadline = time.monotonic() + self.round_timeout
         with self._lock:
             while not all((round_k, j) in self._shares for j in self.in_ids):
@@ -432,7 +436,8 @@ class NodeRuntime:
                         f"arrived from {waiting}"
                     )
                 self._lock.wait(timeout=min(remaining, 0.5))
-            return {j: self._shares.pop((round_k, j)) for j in self.in_ids}
+            wires = [self._shares.pop((round_k, j)) for j in self.in_ids]
+        return [self.channel.receive(wire) for wire in wires]
 
     # -- main driver -------------------------------------------------------
 
@@ -449,7 +454,7 @@ class NodeRuntime:
             rng = node_rng(self.config.seed, self.node_id)
             params = self.config.params
             x0 = resolve_x0(self.config)
-            state = initial_state(self.node_id, x0[self.node_id], params)
+            state = initial_state(self.node_id, x0[self.node_id])
             rows = [(0, state.s, state.w, state.pi)]
 
             for k in range(self.config.max_rounds):
@@ -458,38 +463,8 @@ class NodeRuntime:
                 )
                 msgs, retained = outgoing_shares(state, weights)
                 for msg in msgs:
-                    if self.mode == MODE_ENCRYPTED:
-                        payload = pack_cipher_shares(
-                            self._encrypt_share(msg.receiver, msg.s_share).value,
-                            self._encrypt_share(msg.receiver, msg.w_share).value,
-                        )
-                        frame = WireFrame(MSG_SHARE_ENC, self.node_id, k, payload)
-                    else:
-                        frame = WireFrame(
-                            MSG_SHARE_PLAIN,
-                            self.node_id,
-                            k,
-                            pack_plain_shares(msg.s_share, msg.w_share),
-                        )
-                    self._send(msg.receiver, frame)
-
-                raw = self._await_round_shares(k)
-                received = []
-                for j, values in raw.items():
-                    if self.mode == MODE_ENCRYPTED:
-                        s_share = self._decrypt_share(values[0])
-                        w_share = self._decrypt_share(values[1])
-                    else:
-                        s_share, w_share = values
-                    received.append(
-                        ShareMessage(
-                            sender=j,
-                            receiver=self.node_id,
-                            round=k,
-                            s_share=s_share,
-                            w_share=w_share,
-                        )
-                    )
+                    self._send(msg.receiver, share_frame(self.channel.transmit(msg)))
+                received = self._receive_round(k)
                 state = apply_round(state, received, retained, self.in_ids)
                 rows.append((state.round, state.s, state.w, state.pi))
 
@@ -500,6 +475,7 @@ class NodeRuntime:
             self._shutdown()
 
     def _finish(self, state, rows) -> dict:
+        seconds = self.channel.encrypt_seconds if self.mode == MODE_ENCRYPTED else []
         manifest = {
             "node_id": self.node_id,
             "mode": self.mode,
@@ -507,16 +483,8 @@ class NodeRuntime:
             "final_s": state.s,
             "final_w": state.w,
             "final_pi": state.pi,
-            "mean_encrypt_ms": (
-                float(np.mean(self.encrypt_seconds)) * 1e3
-                if self.encrypt_seconds
-                else None
-            ),
-            "max_encrypt_ms": (
-                float(np.max(self.encrypt_seconds)) * 1e3
-                if self.encrypt_seconds
-                else None
-            ),
+            "mean_encrypt_ms": float(np.mean(seconds)) * 1e3 if seconds else None,
+            "max_encrypt_ms": float(np.max(seconds)) * 1e3 if seconds else None,
             "outputs": [],
         }
         if self.out_dir is not None:

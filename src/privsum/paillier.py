@@ -192,21 +192,32 @@ def add_ciphertexts(public: PaillierPublicKey, a: Ciphertext, b: Ciphertext) -> 
     return Ciphertext(value=a.value * b.value % public.n_squared, key_id=public.key_id)
 
 
-def public_key_to_bytes(public: PaillierPublicKey) -> bytes:
-    """Length-prefixed big-endian serialization of n (g is implied n + 1)."""
-    raw = public.n.to_bytes((public.n.bit_length() + 7) // 8, "big")
+def pack_uint(v: int) -> bytes:
+    """Wire form of a non-negative integer: u32 byte length, then the value
+    big-endian.  Public keys and ciphertexts both travel this way."""
+    raw = v.to_bytes((v.bit_length() + 7) // 8 or 1, "big")
     return len(raw).to_bytes(4, "big") + raw
+
+
+def unpack_uint(data: bytes, offset: int, error: type[Exception]) -> tuple[int, int]:
+    """Parse one ``pack_uint`` integer at ``offset``; returns the value and
+    the offset just past it.  Truncation raises ``error``."""
+    start = offset + 4
+    end = start + int.from_bytes(data[offset:start], "big")
+    if len(data) < end:
+        raise error("truncated big integer")
+    return int.from_bytes(data[start:end], "big"), end
+
+
+def public_key_to_bytes(public: PaillierPublicKey) -> bytes:
+    """Serialization of n (g is implied n + 1)."""
+    return pack_uint(public.n)
 
 
 def public_key_from_bytes(data: bytes) -> tuple[PaillierPublicKey, bytes]:
     """Parse one serialized key; returns the key and any trailing bytes."""
-    if len(data) < 4:
-        raise MalformedCiphertext("truncated public-key serialization")
-    length = int.from_bytes(data[:4], "big")
-    if len(data) < 4 + length:
-        raise MalformedCiphertext("truncated public-key serialization")
-    n = int.from_bytes(data[4 : 4 + length], "big")
-    return PaillierPublicKey(n=n, g=n + 1), data[4 + length :]
+    n, end = unpack_uint(data, 0, MalformedCiphertext)
+    return PaillierPublicKey(n=n, g=n + 1), data[end:]
 
 
 @dataclass(frozen=True)
@@ -229,16 +240,18 @@ class FixedPointCodec:
             raise ConfigError("modulus too small for this many fractional bits")
 
     @property
-    def max_magnitude(self) -> float:
-        return float(2 ** (self.modulus.bit_length() - 2 - self.fractional_bits))
+    def max_magnitude(self) -> int:
+        """Exclusive bound on |v|, exact as an integer at any modulus size."""
+        return 2 ** (self.modulus.bit_length() - 2 - self.fractional_bits)
 
     def encode(self, v: float) -> int:
         v = float(v)
-        if not math.isfinite(v) or abs(v) >= self.max_magnitude:
-            raise MagnitudeOverflow(
-                f"value {v!r} exceeds representable magnitude {self.max_magnitude!r}"
-            )
-        q = round(v * float(2**self.fractional_bits))
+        scaled = v * float(2**self.fractional_bits)
+        # float-int comparison is exact; isfinite also rejects a scaled
+        # value that overflowed although |v| itself is in range.
+        if not math.isfinite(scaled) or abs(v) >= self.max_magnitude:
+            raise MagnitudeOverflow(f"value {v!r} outside the codec range")
+        q = round(scaled)
         return q if q >= 0 else self.modulus + q
 
     def decode(self, e: int) -> float:

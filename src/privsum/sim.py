@@ -14,7 +14,7 @@ import json
 import random
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 import yaml
@@ -26,20 +26,19 @@ from .adversary import (
     build_eavesdropper_log,
 )
 from .consensus import (
-    Channel,
     RunRecord,
     ShareMessage,
     Trajectory,
-    algorithm1_weight_source,
     run_algorithm0,
-    run_rounds,
+    run_algorithm1,
 )
-from .errors import ConfigError, RangeUncovered
+from .errors import ConfigError, DecryptFailure, MalformedCiphertext, RangeUncovered
 from .graph import DirectedGraph, is_strongly_connected, max_out_degree
 from .paillier import (
     Ciphertext,
     FixedPointCodec,
     PaillierKeypair,
+    PaillierPublicKey,
     decrypt,
     encrypt,
     keygen,
@@ -244,32 +243,42 @@ class CipherShareMessage:
 class PaillierChannel:
     """Encrypts each share under the receiver's public key in transit.
 
-    Both runs of the protocol (simulated here, networked in ``net``) encode
-    reals through the receiver's fixed-point codec first.  Per-encryption
-    wall-clock latencies are collected in ``encrypt_seconds``.
+    The one share-crypto path for both runs of the protocol: the simulator
+    holds every node's keypair, a networked node only its own, next to the
+    directory of public keys it learned.  Reals are encoded through the
+    receiver's fixed-point codec, built once per key.  Each node whose
+    keypair is held encrypts with its own seeded blinding stream.
+    Per-encryption wall-clock latencies are collected in
+    ``encrypt_seconds``.
     """
 
     def __init__(
         self,
-        keypairs: dict[int, PaillierKeypair],
+        public_keys: Mapping[int, PaillierPublicKey],
+        keypairs: Mapping[int, PaillierKeypair],
         fractional_bits: int,
         seed: int,
     ) -> None:
+        self.public_keys = public_keys
         self.keypairs = keypairs
-        self.codecs = {
-            i: FixedPointCodec(kp.public.n, fractional_bits)
-            for i, kp in keypairs.items()
-        }
+        self.fractional_bits = fractional_bits
+        self._codecs: dict[int, FixedPointCodec] = {}
         self._rngs = {
             i: random.Random(derive_seed("encrypt", seed, i)) for i in keypairs
         }
         self.encrypt_seconds: list[float] = []
 
+    def _codec(self, node: int) -> FixedPointCodec:
+        if node not in self._codecs:
+            self._codecs[node] = FixedPointCodec(
+                self.public_keys[node].n, self.fractional_bits
+            )
+        return self._codecs[node]
+
     def _encrypt(self, sender: int, receiver: int, value: float) -> Ciphertext:
-        pub = self.keypairs[receiver].public
-        plain = self.codecs[receiver].encode(value)
+        plain = self._codec(receiver).encode(value)
         start = time.perf_counter()
-        cipher = encrypt(pub, plain, self._rngs[sender])
+        cipher = encrypt(self.public_keys[receiver], plain, self._rngs[sender])
         self.encrypt_seconds.append(time.perf_counter() - start)
         return cipher
 
@@ -284,25 +293,34 @@ class PaillierChannel:
 
     def receive(self, wire: CipherShareMessage) -> ShareMessage:
         kp = self.keypairs[wire.receiver]
-        codec = self.codecs[wire.receiver]
+        codec = self._codec(wire.receiver)
+        try:
+            s_plain = decrypt(kp, wire.s_cipher)
+            w_plain = decrypt(kp, wire.w_cipher)
+        except MalformedCiphertext as exc:
+            raise DecryptFailure(
+                f"node {wire.receiver}: round-{wire.round} share from "
+                f"{wire.sender}: {exc}"
+            ) from exc
         return ShareMessage(
             sender=wire.sender,
             receiver=wire.receiver,
             round=wire.round,
-            s_share=codec.decode(decrypt(kp, wire.s_cipher)),
-            w_share=codec.decode(decrypt(kp, wire.w_cipher)),
+            s_share=codec.decode(s_plain),
+            w_share=codec.decode(w_plain),
         )
+
+
+def node_keypair(key_bits: int, seed: int, node_id: int) -> PaillierKeypair:
+    """A node's keypair, deterministically derived from the run seed so the
+    simulator and the networked runtime agree."""
+    return keygen(key_bits, random.Random(derive_seed("keygen", seed, node_id)))
 
 
 def node_keypairs(
     graph: DirectedGraph, key_bits: int, seed: int
 ) -> dict[int, PaillierKeypair]:
-    """Per-node keypairs, deterministically derived from the run seed so the
-    simulator and the networked runtime agree."""
-    return {
-        i: keygen(key_bits, random.Random(derive_seed("keygen", seed, i)))
-        for i in graph.nodes()
-    }
+    return {i: node_keypair(key_bits, seed, i) for i in graph.nodes()}
 
 
 @dataclass
@@ -332,23 +350,24 @@ def run_experiment(
             config.graph, x0, rounds=config.max_rounds, stop_tol=config.stop_tol
         )
     else:
-        channel: Channel | None = None
+        channel = None
         if config.mode == MODE_ALGORITHM2:
+            keypairs = node_keypairs(config.graph, config.key_bits, config.seed)
             channel = PaillierChannel(
-                node_keypairs(config.graph, config.key_bits, config.seed),
+                {i: kp.public for i, kp in keypairs.items()},
+                keypairs,
                 config.fractional_bits,
                 config.seed,
             )
-        source = algorithm1_weight_source(config.graph, config.params, config.seed)
-        record = run_rounds(
+        record = run_algorithm1(
             config.graph,
             x0,
-            rounds=config.max_rounds,
-            weight_source=source,
-            params=config.params,
-            mode=config.mode,
+            config.params,
+            config.seed,
+            config.max_rounds,
             channel=channel,
             stop_tol=config.stop_tol,
+            mode=config.mode,
         )
         if channel is not None and channel.encrypt_seconds:
             mean_encrypt = float(np.mean(channel.encrypt_seconds))

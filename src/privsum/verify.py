@@ -251,23 +251,18 @@ def run_all(
 ) -> list[SuiteResult]:
     """Run every invariant suite against one configuration."""
     suites = [
-        suite_mass_conservation,
-        suite_weight_floor,
-        lambda cfg: suite_column_stochastic(cfg, corrupt_weights=corrupt_weights),
-        suite_transition_products,
-        suite_witness_replay,
-        suite_crypto_roundtrip,
-    ]
-    names = [
-        "mass-conservation",
-        "weight-floor",
-        "column-stochastic",
-        "transition-products",
-        "witness-replay",
-        "crypto-roundtrip",
+        ("mass-conservation", suite_mass_conservation),
+        ("weight-floor", suite_weight_floor),
+        (
+            "column-stochastic",
+            lambda c: suite_column_stochastic(c, corrupt_weights=corrupt_weights),
+        ),
+        ("transition-products", suite_transition_products),
+        ("witness-replay", suite_witness_replay),
+        ("crypto-roundtrip", suite_crypto_roundtrip),
     ]
     results = []
-    for name, fn in zip(names, suites):
+    for name, fn in suites:
         try:
             results.append(fn(config))
         except PrivsumError as exc:

@@ -72,6 +72,8 @@ class RoundWeights:
     """One node's outgoing coupling weights for one round.
 
     Keys of both maps are the node's out-neighbors plus the node itself.
+    Where the protocol makes the two sides equal, both attributes reference
+    one map, so neither may be mutated in place.
     """
 
     node_id: int
@@ -142,7 +144,7 @@ def generate_round_weights(
     vals = phase_b_map(simplex_sample(rng, m), params.epsilon)
     s = {t: float(v) for t, v in zip(targets, vals)}
     s[node_id] = 1.0 - sum(s[t] for t in others)
-    return RoundWeights(node_id, round_k, s, dict(s))
+    return RoundWeights(node_id, round_k, s, s)
 
 
 def validate_round_weights(

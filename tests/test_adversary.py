@@ -14,7 +14,8 @@ from privsum.adversary import (
     observables_match,
     replay_with_witness,
 )
-from privsum.consensus import run_algorithm0, run_algorithm1
+from privsum import consensus
+from privsum.consensus import outgoing_shares, run_algorithm0, run_algorithm1
 from privsum.errors import (
     DegenerateDenominator,
     TopologyConditionUnmet,
@@ -240,3 +241,42 @@ def test_eavesdropper_log_plaintext_mode(demo_graph, demo_x0):
     assert all(
         len(round_msgs) == demo_graph.n_edges for round_msgs in log.messages
     )
+
+
+def _engine_retained(monkeypatch, run):
+    """Run ``run()`` and capture every retained pair the engine computed,
+    keyed (round, node)."""
+    seen = {}
+    real = consensus.outgoing_shares
+
+    def spy(state, weights):
+        msgs, retained = real(state, weights)
+        seen[(state.round, state.node_id)] = retained
+        return msgs, retained
+
+    with monkeypatch.context() as patch:
+        patch.setattr(consensus, "outgoing_shares", spy)
+        return run(), seen
+
+
+def test_derived_retained_pairs_match_the_engine_bitwise(
+    monkeypatch, demo_graph, demo_x0
+):
+    params = WeightParams(big_k=2, epsilon=0.05)
+    record, seen = _engine_retained(
+        monkeypatch,
+        lambda: run_algorithm1(
+            demo_graph, demo_x0, params, seed=5, rounds=400, stop_tol=1e-9
+        ),
+    )
+    assert record.n_rounds < 400  # stopped early
+    witness = build_indistinguishability_witness(record, 0, -7.5, 1)
+    replayed, replay_seen = _engine_retained(
+        monkeypatch, lambda: replay_with_witness(record, witness)
+    )
+    for rec, engine in ((record, seen), (replayed, replay_seen)):
+        assert len(engine) == rec.n_rounds * demo_graph.n_nodes
+        for (k, i), retained in engine.items():
+            state, weights = rec.trajectory.states[k][i], rec.weight_log[k][i]
+            assert rec.retained(k, i) == retained
+            assert rec.retained(k, i) == outgoing_shares(state, weights)[1]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privsum.consensus import run_algorithm1
-from privsum.errors import PeerDisconnected, ProtocolError, Timeout
+from privsum.errors import DecryptFailure, PeerDisconnected, ProtocolError, Timeout
 from privsum.graph import DirectedGraph, default_demo_graph
 from privsum.net import (
     MODE_ENCRYPTED,
@@ -29,7 +29,12 @@ from privsum.net import (
     unpack_plain_shares,
 )
 from privsum.paillier import FixedPointCodec, keygen
-from privsum.sim import ExperimentConfig, MODE_ALGORITHM2, run_experiment
+from privsum.sim import (
+    ExperimentConfig,
+    MODE_ALGORITHM2,
+    PaillierChannel,
+    run_experiment,
+)
 from privsum.weights import WeightParams
 
 import random
@@ -229,3 +234,32 @@ def test_key_directory_idempotent_under_redelivery():
     rt._dispatch(frame)  # re-delivery changes nothing
     assert len(rt._key_directory) == 2  # own key + node 3
     assert len(rt._reflood_queue) == 1
+
+
+def _two_node_runtime(mode):
+    g = DirectedGraph.from_edge_list(2, [[0, 1], [1, 0]])
+    config = make_config(graph=g, x0=[1.0, 2.0], key_bits=64)
+    ports = allocate_ports(2)
+    peers = {i: ("127.0.0.1", ports[i]) for i in range(2)}
+    return NodeRuntime(0, peers[0], peers, config, mode=mode, round_timeout=1.0)
+
+
+def test_malformed_share_ciphertext_raises_decrypt_failure():
+    rt = _two_node_runtime(MODE_ENCRYPTED)
+    assert isinstance(rt.channel, PaillierChannel)
+    rt._dispatch(WireFrame(MSG_SHARE_ENC, 1, 0, pack_cipher_shares(0, 5)))
+    with pytest.raises(DecryptFailure, match="round-0 share from 1"):
+        rt._receive_round(0)
+
+
+@pytest.mark.parametrize(
+    "mode, msg_type, payload",
+    [
+        (MODE_PLAIN, MSG_SHARE_ENC, pack_cipher_shares(3, 5)),
+        (MODE_ENCRYPTED, MSG_SHARE_PLAIN, pack_plain_shares(1.0, 0.5)),
+    ],
+)
+def test_share_frame_of_the_other_transport_is_rejected(mode, msg_type, payload):
+    rt = _two_node_runtime(mode)
+    with pytest.raises(ProtocolError, match="transport"):
+        rt._dispatch(WireFrame(msg_type, 1, 0, payload))

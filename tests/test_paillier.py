@@ -196,3 +196,29 @@ def test_codec_overflow_guard():
 def test_codec_rejects_oversized_fraction():
     with pytest.raises(ConfigError):
         FixedPointCodec(TOY.public.n, 32)  # 35 has nowhere near 34 bits
+
+
+# A fixed odd 2048-bit modulus: the codec only needs n, not a keypair.
+N_2048 = (1 << 2047) + 0x1D
+
+
+def test_codec_roundtrip_at_2048_bits():
+    codec = FixedPointCodec(N_2048, 48)
+    for v in (0.0, 1.5, -1.5, -(2.0**-40), 123456.789, 1e250, -1e250):
+        assert codec.decode(codec.encode(v)) == v
+    # non-finite, or |v| in range but v * 2^48 beyond the float range
+    for v in (float("inf"), float("-inf"), float("nan"), 1e308, -1e308):
+        with pytest.raises(MagnitudeOverflow):
+            codec.encode(v)
+
+
+def test_codec_range_bound_is_exact():
+    codec = FixedPointCodec((1 << 255) + 1, 32)
+    bound = 2.0 ** (256 - 2 - 32)
+    assert codec.max_magnitude == bound
+    for v in (bound, -bound):
+        with pytest.raises(MagnitudeOverflow):
+            codec.encode(v)
+    below = math.nextafter(bound, 0.0)
+    assert codec.decode(codec.encode(below)) == below
+    assert codec.decode(codec.encode(-below)) == -below
