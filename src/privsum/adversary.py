@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .consensus import RunRecord, ShareMessage, run_rounds
+from .consensus import RunRecord, ShareMessage, WeightTable, run_rounds
 from .errors import (
     ConfigError,
     DegenerateDenominator,
@@ -89,23 +89,31 @@ def build_adversary_view(record: RunRecord, members) -> AdversaryView:
     if not member_set <= set(record.graph.nodes()):
         raise ConfigError(f"adversary members {sorted(member_set)} outside the graph")
     state_log: dict[tuple[int, int], tuple[float, float]] = {}
-    for k, row in enumerate(record.trajectory.states):
-        for m in member_set:
-            st = row[m]
-            state_log[(m, k)] = (st.s, st.w)
     sent_shares: dict[tuple[int, int], dict[int, tuple[float, float]]] = {}
     sent_weights: dict[tuple[int, int], RoundWeights] = {}
     recv_log: dict[tuple[int, int], list[ShareMessage]] = {}
-    for k in range(record.n_rounds):
-        for m in member_set:
-            sent_shares[(m, k)] = {m: record.retained(k, m)}
-            sent_weights[(m, k)] = record.weight_log[k][m]
-            recv_log[(m, k)] = []
-        for msg in record.delivered_log[k]:
-            if msg.sender in member_set:
-                sent_shares[(msg.sender, k)][msg.receiver] = (msg.s_share, msg.w_share)
-            if msg.receiver in member_set:
-                recv_log[(msg.receiver, k)].append(msg)
+    rounds = range(record.n_rounds)
+    for m in sorted(member_set):
+        keys = [(m, k) for k in range(record.n_rounds + 1)]
+        history = zip(record.trajectory.s[:, m].tolist(), record.trajectory.w[:, m].tolist())
+        state_log.update(zip(keys, history))
+        sent_weights.update(zip(keys, record.node_weights(m)))
+        sent_shares.update(zip(keys, ({m: kept} for kept in record.retained(m))))
+        recv_log.update(zip(keys, ([] for _ in rounds)))
+    layout = record.weights.layout
+    edges = zip(layout.senders.tolist(), layout.receivers.tolist())
+    for e, (sender, receiver) in enumerate(edges):
+        if sender not in member_set and receiver not in member_set:
+            continue
+        shares = list(zip(record.s_shares[:, e].tolist(), record.w_shares[:, e].tolist()))
+        if sender in member_set:
+            for k, pair in enumerate(shares):
+                sent_shares[(sender, k)][receiver] = pair
+        if receiver in member_set:
+            for k, (s_share, w_share) in enumerate(shares):
+                recv_log[(receiver, k)].append(
+                    ShareMessage(sender, receiver, k, s_share, w_share)
+                )
     return AdversaryView(
         members=member_set,
         graph=record.graph,
@@ -306,51 +314,45 @@ def build_least_squares_system(
     def dw_idx(k: int) -> int:
         return n_s + n_ds + n_w + (k - big_k - 1)
 
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
+    weight_rows = m + 1         # first weight-balance row
+    ratio_rows = 2 * m - big_k + 1  # first ratio row
+    matrix = np.zeros((3 * m - 2 * big_k + 1, n_unknowns))
+    rhs = np.zeros(matrix.shape[0])
+    flows = [_net_flow_terms(view, target, k) for k in range(m + 1)]
 
     # Value balance, every round: s(k+1) - s(k) + ds(k) = observed net flow.
     for k in range(m + 1):
-        row = np.zeros(n_unknowns)
-        row[s_idx(k + 1)] = 1.0
-        row[s_idx(k)] = -1.0
-        row[ds_idx(k)] = 1.0
-        s_net, _ = _net_flow_terms(view, target, k)
-        rows.append(row)
-        rhs.append(s_net)
+        r = k
+        matrix[r, s_idx(k + 1)] = 1.0
+        matrix[r, s_idx(k)] = -1.0
+        matrix[r, ds_idx(k)] = 1.0
+        rhs[r] = flows[k][0]
 
     # Weight balance, mixing phase only; w(K+1) = 1 is public knowledge.
     for k in range(big_k + 1, m + 1):
-        row = np.zeros(n_unknowns)
-        _, w_net = _net_flow_terms(view, target, k)
-        b = w_net
+        r = weight_rows + k - big_k - 1
+        b = flows[k][1]
         if k == big_k + 1:
             b += 1.0
         else:
-            row[w_idx(k)] = -1.0
-        row[w_idx(k + 1)] = 1.0
-        row[dw_idx(k)] = 1.0
-        rows.append(row)
-        rhs.append(b)
+            matrix[r, w_idx(k)] = -1.0
+        matrix[r, w_idx(k + 1)] = 1.0
+        matrix[r, dw_idx(k)] = 1.0
+        rhs[r] = b
 
     # Ratio constraint: in the mixing phase both shares carry one weight,
     # so the observed share ratio equals s(k)/w(k).
     for k in range(big_k + 1, m + 1):
+        r = ratio_rows + k - big_k - 1
         msg = view.received_from(observer, target, k)
         ratio = msg.s_share / msg.w_share
-        row = np.zeros(n_unknowns)
-        row[s_idx(k)] = 1.0
-        b = 0.0
+        matrix[r, s_idx(k)] = 1.0
         if k == big_k + 1:
-            b = ratio
+            rhs[r] = ratio
         else:
-            row[w_idx(k)] = -ratio
-        rows.append(row)
-        rhs.append(b)
+            matrix[r, w_idx(k)] = -ratio
 
-    return LeastSquaresSystem(
-        matrix=np.array(rows), rhs=np.array(rhs), m_rounds=m, big_k=big_k
-    )
+    return LeastSquaresSystem(matrix=matrix, rhs=rhs, m_rounds=m, big_k=big_k)
 
 
 def attack_least_squares(view: AdversaryView, target: int, m_rounds: int) -> float:
@@ -360,8 +362,46 @@ def attack_least_squares(view: AdversaryView, target: int, m_rounds: int) -> flo
     subject, not an error condition.
     """
     system = build_least_squares_system(view, target, m_rounds)
-    solution, *_ = np.linalg.lstsq(system.matrix, system.rhs, rcond=None)
-    return float(solution[system.s0_index])
+    return min_norm_entry(system.matrix, system.rhs, system.s0_index)
+
+
+# Largest condition number of A A^T for which the normal-equations route
+# answers.  Its relative error grows like cond * 2^-52, so this keeps it
+# near 1e-6 at worst; on the fig3 systems (cond <= 6e7) it agrees with
+# lstsq to 1e-10.
+NORMAL_EQUATIONS_MAX_COND = 1e10
+
+# Gaussian probes behind the bound on ||(A A^T)^-1||; the bound fails with
+# probability 10^-GRAM_PROBES.
+GRAM_PROBES = 8
+
+
+def min_norm_entry(matrix: np.ndarray, rhs: np.ndarray, index: int) -> float:
+    """One entry of the minimum-norm solution of ``matrix @ x = rhs``.
+
+    For a matrix A of full row rank the minimum-norm solution is A^T y with
+    (A A^T) y = b, so the entry is A[:, index] . y: one solve of the row
+    count's size instead of an SVD of A.  The same solve maps a few
+    Gaussian probes w_i; ||G^-1|| <= 10 sqrt(2/pi) max_i ||G^-1 w_i|| then
+    holds with probability 1 - 10^-GRAM_PROBES (Halko, Martinsson & Tropp
+    2011, Lemma 4.1), which with ||G|| <= ||G||_inf bounds the condition
+    number of G = A A^T.  When G is singular (A rank-deficient) or that
+    bound exceeds ``NORMAL_EQUATIONS_MAX_COND``, the SVD-based ``lstsq``
+    answers instead.
+    """
+    gram = matrix @ matrix.T
+    probes = np.random.default_rng(0).standard_normal((gram.shape[0], GRAM_PROBES))
+    try:
+        solved = np.linalg.solve(gram, np.column_stack((rhs, probes)))
+    except np.linalg.LinAlgError:
+        solved = None
+    if solved is not None:
+        inverse_norm = 10.0 * np.sqrt(2.0 / np.pi) * np.linalg.norm(solved[:, 1:], axis=0).max()
+        cond = np.abs(gram).sum(axis=1).max() * inverse_norm
+        if cond <= NORMAL_EQUATIONS_MAX_COND:
+            return float(matrix[:, index] @ solved[:, 0])
+    solution, *_ = np.linalg.lstsq(matrix, rhs, rcond=None)
+    return float(solution[index])
 
 
 @dataclass(frozen=True)
@@ -405,8 +445,8 @@ def build_indistinguishability_witness(
     new_x0[target] = float(alt_x0)
     new_x0[helper] = den_h
 
-    w_target = record.weight_log[0][target]
-    w_helper = record.weight_log[0][helper]
+    w_target = record.node_weights(target)[0]
+    w_helper = record.node_weights(helper)[0]
     shift = float(alt_x0) - x_t
 
     new_target_s = {}
@@ -444,17 +484,13 @@ def build_indistinguishability_witness(
 def replay_with_witness(record: RunRecord, witness: Witness) -> RunRecord:
     """Re-run the recorded protocol under the witness's initial values and
     round-0 value weights, keeping every other weight draw identical."""
-
-    def source(node_id: int, round_k: int) -> RoundWeights:
-        if round_k == 0 and node_id in witness.round0_s_weights:
-            return witness.round0_s_weights[node_id]
-        return record.weight_log[round_k][node_id]
-
+    layout = record.weights.layout
+    s = record.weights.s.copy()
+    for node, rw in witness.round0_s_weights.items():
+        s[0, layout.columns(node)] = [rw.s_weights[t] for t in layout.targets(node)]
     return run_rounds(
-        record.graph,
+        WeightTable(layout, s, record.weights.w),
         list(witness.x0),
-        rounds=record.n_rounds,
-        weight_source=source,
         params=record.params,
         mode=record.mode,
     )
@@ -467,6 +503,8 @@ def adversary_observables(
     message entries keyed (round, 0, sender, receiver) and member state
     entries keyed (round, 1, member, member)."""
     member_set = frozenset(int(m) for m in members)
+    members = sorted(member_set)
+    retained = {m: record.retained(m) for m in members}
     entries: list[tuple[tuple[int, int, int, int], float, float]] = []
     for k in range(record.n_rounds):
         for msg in record.delivered_log[k]:
@@ -474,11 +512,13 @@ def adversary_observables(
                 entries.append(
                     ((k, 0, msg.sender, msg.receiver), msg.s_share, msg.w_share)
                 )
-        for m in member_set:
-            entries.append(((k, 1, m, m), *record.retained(k, m)))
-    for k, row in enumerate(record.trajectory.states):
-        for m in member_set:
-            entries.append(((k, 2, m, m), row[m].s, row[m].w))
+        for m in members:
+            entries.append(((k, 1, m, m), *retained[m][k]))
+    s_cols = record.trajectory.s[:, members].tolist()
+    w_cols = record.trajectory.w[:, members].tolist()
+    for k, (s_row, w_row) in enumerate(zip(s_cols, w_cols)):
+        for c, m in enumerate(members):
+            entries.append(((k, 2, m, m), s_row[c], w_row[c]))
     return sorted(entries, key=lambda item: item[0])
 
 

@@ -7,14 +7,21 @@ out-neighbors, then folds the received shares in.  Because each node's
 outgoing weights sum to 1, the total of ``s`` over the network never
 changes, which is what makes the final agreement the exact average.
 
-The engine here is shared by the baseline fixed-weight protocol, the
-two-phase random-weight protocol, and (through a pluggable channel) the
-encrypted transport.
+Two implementations of one round exist.  ``outgoing_shares`` and
+``apply_round`` move one node's shares as messages; the networked runtime
+uses them.  ``run_rounds`` runs every node of a simulated network at once on
+arrays, with the same multiplications and the same summation order, so the
+two agree bit for bit.  It serves the baseline fixed-weight protocol, the
+two-phase random-weight protocol, replays with rewritten weights and
+(through a pluggable channel) the encrypted transport.
 """
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from functools import cached_property
+from itertools import chain
+from typing import Protocol
 
 import numpy as np
 
@@ -26,12 +33,7 @@ from .errors import (
     RoundMismatch,
 )
 from .graph import DirectedGraph, is_strongly_connected
-from .weights import (
-    RoundWeights,
-    WeightParams,
-    generate_round_weights,
-    node_rng,
-)
+from .weights import RoundWeights, WeightParams, draw_weight_rows, node_rng
 
 
 @dataclass(frozen=True)
@@ -151,32 +153,63 @@ def apply_round(
     )
 
 
-@dataclass
 class Trajectory:
-    """Per-round snapshots of every node's state (round 0 .. final)."""
+    """Every node's state at rounds 0 .. final, as ``(rounds + 1, n)`` arrays
+    ``s``, ``w`` and ``pi``.
 
-    states: list[tuple[NodeState, ...]]
+    Built from the arrays, or from rows of ``NodeState`` as
+    ``Trajectory(states=...)``.  ``states`` is derived from the arrays the
+    first time it is read.
+    """
+
+    def __init__(
+        self,
+        states: Sequence[Sequence[NodeState]] | None = None,
+        *,
+        s: np.ndarray | None = None,
+        w: np.ndarray | None = None,
+        pi: np.ndarray | None = None,
+    ) -> None:
+        if states is not None:
+            s = [[st.s for st in row] for row in states]
+            w = [[st.w for st in row] for row in states]
+            pi = [[st.pi for st in row] for row in states]
+        self.s = np.asarray(s, dtype=float)
+        self.w = np.asarray(w, dtype=float)
+        self.pi = np.asarray(pi, dtype=float)
 
     @property
     def n_nodes(self) -> int:
-        return len(self.states[0])
+        return self.s.shape[1]
 
     @property
     def n_rounds(self) -> int:
         """Number of executed rounds (snapshots minus the initial one)."""
-        return len(self.states) - 1
+        return self.s.shape[0] - 1
 
     def s_array(self) -> np.ndarray:
-        return np.array([[st.s for st in row] for row in self.states])
+        return self.s.copy()
 
     def w_array(self) -> np.ndarray:
-        return np.array([[st.w for st in row] for row in self.states])
+        return self.w.copy()
 
     def pi_array(self) -> np.ndarray:
-        return np.array([[st.pi for st in row] for row in self.states])
+        return self.pi.copy()
+
+    def _row(self, k: int) -> tuple[NodeState, ...]:
+        return tuple(
+            NodeState(i, s, w, pi, k)
+            for i, (s, w, pi) in enumerate(
+                zip(self.s[k].tolist(), self.w[k].tolist(), self.pi[k].tolist())
+            )
+        )
+
+    @cached_property
+    def states(self) -> list[tuple[NodeState, ...]]:
+        return [self._row(k) for k in range(self.s.shape[0])]
 
     def final(self) -> tuple[NodeState, ...]:
-        return self.states[-1]
+        return self._row(self.s.shape[0] - 1)
 
 
 class Channel(Protocol):
@@ -202,122 +235,305 @@ class PlainChannel:
         return wire
 
 
+class SenderLayout:
+    """Where each node's weights and shares sit in a run's arrays.
+
+    Node j owns the columns ``columns(j)`` of a weight table, in the order
+    of ``targets(j)`` (= ``RoundWeights.targets``): its out-neighbors
+    ascending, then itself.  The columns left after dropping the self
+    columns are the edges, ordered sender ascending, then receiver
+    ascending.  That is the order of the share arrays, of the delivered and
+    wire logs, and of the channel calls.  Row i of ``in_edges`` lists node
+    i's in-edges by ascending sender, padded with the index ``n_edges``,
+    which the engine points at a -0.0 share: x + (-0.0) is x bit for bit.
+    """
+
+    def __init__(self, graph: DirectedGraph) -> None:
+        self.graph = graph
+        n = graph.n_nodes
+        sizes = np.array([graph.out_degree(j) + 1 for j in graph.nodes()])
+        self.self_cols = np.cumsum(sizes) - 1
+        targets = np.fromiter(
+            chain.from_iterable(graph.out_neighbors(j) + (j,) for j in graph.nodes()),
+            dtype=np.intp,
+            count=int(sizes.sum()),
+        )
+        is_edge = np.ones(targets.size, dtype=bool)
+        is_edge[self.self_cols] = False
+        self.edge_cols = np.flatnonzero(is_edge)
+        self.senders = np.repeat(np.arange(n), sizes)[is_edge]
+        self.receivers = targets[is_edge]
+        self.n_edges = self.senders.size
+
+        by_receiver = np.lexsort((self.senders, self.receivers))
+        grouped = self.receivers[by_receiver]
+        depth = np.arange(self.n_edges) - np.searchsorted(grouped, grouped)
+        max_in = max((graph.in_degree(i) for i in graph.nodes()), default=0)
+        self.in_edges = np.full((n, max_in), self.n_edges)
+        self.in_edges[grouped, depth] = by_receiver
+
+    def targets(self, node: int) -> list[int]:
+        return list(self.graph.out_neighbors(node)) + [node]
+
+    def columns(self, node: int) -> slice:
+        stop = int(self.self_cols[node]) + 1
+        return slice(stop - self.graph.out_degree(node) - 1, stop)
+
+
+@dataclass(frozen=True)
+class WeightTable:
+    """Every node's coupling weights for a run, one row per round.
+
+    ``s`` and ``w`` are ``(rounds, n + E)`` arrays with columns as in
+    ``layout``.  They may be one array where the protocol makes the two
+    sides equal, so neither may be written in place.
+    """
+
+    layout: SenderLayout
+    s: np.ndarray
+    w: np.ndarray
+
+    @property
+    def n_rounds(self) -> int:
+        return self.s.shape[0]
+
+
+class RoundViews(Sequence):
+    """Per-round objects of a run record, each built from the record's
+    arrays the first time its round is read."""
+
+    def __init__(self, n_rounds: int, build: Callable[[int], object]) -> None:
+        self._build = build
+        self._built: list = [None] * n_rounds
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        k = range(len(self))[k]
+        if self._built[k] is None:
+            self._built[k] = self._build(k)
+        return self._built[k]
+
+
 @dataclass
 class RunRecord:
-    """Full ground-truth trace of one synchronous run."""
+    """Ground-truth trace of one synchronous run, kept as arrays.
 
-    graph: DirectedGraph
+    ``s_shares``/``w_shares`` hold the shares each receiver applied, one row
+    per round, one column per edge in ``SenderLayout`` order.  ``wire`` holds
+    what a channel put on the links, or None when shares travelled in the
+    clear.  ``weight_log``, ``delivered_log`` and ``wire_log`` present the
+    same facts as per-round objects, built only for the rounds a consumer
+    reads.
+    """
+
     x0: list[float]
     params: WeightParams | None
     mode: str
     trajectory: Trajectory
-    weight_log: list[dict[int, RoundWeights]]
-    wire_log: list[list]
-    delivered_log: list[list[ShareMessage]]
+    weights: WeightTable
+    s_shares: np.ndarray
+    w_shares: np.ndarray
+    wire: list[list] | None = None
+
+    @property
+    def graph(self) -> DirectedGraph:
+        return self.weights.layout.graph
 
     @property
     def n_rounds(self) -> int:
-        return len(self.weight_log)
+        return self.weights.n_rounds
 
-    def retained(self, round_k: int, node: int) -> tuple[float, float]:
-        """The (s, w) self-share the node kept in a round.  Same multiply as
-        ``outgoing_shares``, so bit-equal to what the node retained."""
-        rw = self.weight_log[round_k][node]
-        st = self.trajectory.states[round_k][node]
-        return rw.s_weights[node] * st.s, rw.w_weights[node] * st.w
+    def node_weights(self, node: int) -> list[RoundWeights]:
+        """The coupling weights the node used, one entry per round."""
+        layout = self.weights.layout
+        cols = layout.columns(node)
+        targets = layout.targets(node)
+        s_block = self.weights.s[:, cols]
+        w_block = self.weights.w[:, cols]
+        # Bitwise row equality: the two sides share one map only when no
+        # weight, not even a signed zero, tells them apart.
+        shared = (s_block.view(np.int64) == w_block.view(np.int64)).all(axis=1)
+        out = []
+        for k, (s_row, w_row, same) in enumerate(
+            zip(s_block.tolist(), w_block.tolist(), shared.tolist())
+        ):
+            s = dict(zip(targets, s_row))
+            out.append(RoundWeights(node, k, s, s if same else dict(zip(targets, w_row))))
+        return out
+
+    @cached_property
+    def weight_log(self) -> list[dict[int, RoundWeights]]:
+        """Per round, ``{node: RoundWeights}``."""
+        nodes = self.graph.nodes()
+        per_node = [self.node_weights(j) for j in nodes]
+        return [dict(zip(nodes, row)) for row in zip(*per_node)]
+
+    @cached_property
+    def delivered_log(self) -> RoundViews:
+        """Per round, the applied shares as messages in edge order."""
+        layout = self.weights.layout
+        senders = layout.senders.tolist()
+        receivers = layout.receivers.tolist()
+
+        def build(k: int) -> list[ShareMessage]:
+            return [
+                ShareMessage(j, i, k, s, w)
+                for j, i, s, w in zip(
+                    senders, receivers, self.s_shares[k].tolist(), self.w_shares[k].tolist()
+                )
+            ]
+
+        return RoundViews(self.n_rounds, build)
+
+    @property
+    def wire_log(self) -> Sequence[list]:
+        """Per round, what travelled on the links, in edge order."""
+        return self.delivered_log if self.wire is None else self.wire
+
+    def retained(self, node: int) -> list[tuple[float, float]]:
+        """The (s, w) self-share the node kept, one pair per round.  Same
+        multiply as ``outgoing_shares``, so bit-equal to what it retained."""
+        col = self.weights.layout.self_cols[node]
+        rounds = self.n_rounds
+        kept_s = self.weights.s[:, col] * self.trajectory.s[:rounds, node]
+        kept_w = self.weights.w[:, col] * self.trajectory.w[:rounds, node]
+        return list(zip(kept_s.tolist(), kept_w.tolist()))
 
     def final_pi(self) -> np.ndarray:
-        return np.array([st.pi for st in self.trajectory.final()])
+        return self.trajectory.pi[-1].copy()
 
 
-WeightSource = Callable[[int, int], RoundWeights]
+def _through_channel(
+    channel: Channel,
+    layout: SenderLayout,
+    round_k: int,
+    s_shares: np.ndarray,
+    w_shares: np.ndarray,
+) -> list:
+    """Send one round's shares through the channel edge by edge, in edge
+    order, and overwrite them with what the receivers recovered.  Returns
+    the wire messages."""
+    wires = []
+    edges = zip(
+        layout.senders.tolist(),
+        layout.receivers.tolist(),
+        s_shares.tolist(),
+        w_shares.tolist(),
+    )
+    for e, (sender, receiver, s_share, w_share) in enumerate(edges):
+        wire = channel.transmit(ShareMessage(sender, receiver, round_k, s_share, w_share))
+        plain = channel.receive(wire)
+        s_shares[e] = plain.s_share
+        w_shares[e] = plain.w_share
+        wires.append(wire)
+    return wires
 
 
 def run_rounds(
-    graph: DirectedGraph,
+    weights: WeightTable,
     x0: Sequence[float],
-    rounds: int,
-    weight_source: WeightSource,
     params: WeightParams | None = None,
     mode: str = "algorithm1",
     channel: Channel | None = None,
     stop_tol: float = 0.0,
     stop_window: int = 10,
 ) -> RunRecord:
-    """Drive all nodes through synchronous rounds.
+    """Drive all nodes of ``weights.layout.graph`` through one synchronous
+    round per row of the weight table.
 
-    Every node sends, then every node applies; the global round counter
-    advances in lockstep.  If ``stop_tol`` is positive, the run ends early
-    once ``max_i |pi_i(k) - pi_i(k-1)| < stop_tol`` held for ``stop_window``
-    consecutive rounds.
+    Per round, every edge share is its weight times the sender's state, and
+    each node's new state is its retained share plus the received shares in
+    ascending sender order: ``outgoing_shares`` and ``apply_round`` for all
+    nodes at once.  With a channel, each share pair is passed through it
+    and the receiver applies what comes out.  If ``stop_tol`` is positive,
+    the run ends early once ``max_i |pi_i(k) - pi_i(k-1)| < stop_tol`` held
+    for ``stop_window`` consecutive rounds.
     """
-    if len(x0) != graph.n_nodes:
-        raise ConfigError(f"x0 has {len(x0)} entries for {graph.n_nodes} nodes")
-    chan = channel if channel is not None else PlainChannel()
-    states = [initial_state(i, x0[i]) for i in graph.nodes()]
-    trajectory = Trajectory(states=[tuple(states)])
-    weight_log: list[dict[int, RoundWeights]] = []
-    wire_log: list[list] = []
-    delivered_log: list[list[ShareMessage]] = []
+    layout = weights.layout
+    n = layout.graph.n_nodes
+    if len(x0) != n:
+        raise ConfigError(f"x0 has {len(x0)} entries for {n} nodes")
+    rounds = weights.n_rounds
+    n_edges = layout.n_edges
+    # Axis 1 of every per-round array is (s, w).
+    state = np.empty((rounds + 1, 2, n))
+    state[0, 0] = [float(v) for v in x0]
+    state[0, 1] = 1.0
+    edge_weights = np.stack(
+        (weights.s[:, layout.edge_cols], weights.w[:, layout.edge_cols]), axis=1
+    )
+    self_weights = np.stack(
+        (weights.s[:, layout.self_cols], weights.w[:, layout.self_cols]), axis=1
+    )
+    shares = np.empty((rounds, 2, n_edges + 1))
+    shares[:, :, n_edges] = -0.0
+    in_slots = layout.in_edges.T
+    wire: list[list] | None = None if channel is None else []
+    done = rounds
     quiet_rounds = 0
+    pi_prev = state[0, 0]
 
-    for k in range(rounds):
-        round_weights = {i: weight_source(i, k) for i in graph.nodes()}
-        inboxes: dict[int, list[ShareMessage]] = {i: [] for i in graph.nodes()}
-        wire_round: list = []
-        delivered_round: list[ShareMessage] = []
-        retained_round: dict[int, tuple[float, float]] = {}
-        for i in graph.nodes():
-            msgs, retained = outgoing_shares(states[i], round_weights[i])
-            retained_round[i] = retained
-            for msg in msgs:
-                wire = chan.transmit(msg)
-                wire_round.append(wire)
-                plain = chan.receive(wire)
-                delivered_round.append(plain)
-                inboxes[plain.receiver].append(plain)
-        prev_pi = [st.pi for st in states]
-        states = [
-            apply_round(states[i], inboxes[i], retained_round[i], graph.in_neighbors(i))
-            for i in graph.nodes()
-        ]
-        weight_log.append(round_weights)
-        wire_log.append(wire_round)
-        delivered_log.append(delivered_round)
-        trajectory.states.append(tuple(states))
+    per_round = zip(
+        edge_weights, self_weights, shares, shares[:, :, :n_edges], state[:-1], state[1:]
+    )
+    for k, (edge_w, self_w, round_shares, edge_shares, now, nxt) in enumerate(per_round):
+        np.multiply(edge_w, now.take(layout.senders, axis=1), out=edge_shares)
+        if channel is not None:
+            wire.append(_through_channel(channel, layout, k, *edge_shares))
+        np.multiply(self_w, now, out=nxt)
+        for received in round_shares.take(in_slots, axis=1).swapaxes(0, 1):
+            nxt += received
+        if not nxt[1].all():
+            node = int(np.flatnonzero(nxt[1] == 0.0)[0])
+            raise DivisionByZero(f"node {node}: weight sum hit zero at round {k}")
 
         if stop_tol > 0.0:
-            delta = max(abs(states[i].pi - prev_pi[i]) for i in graph.nodes())
+            pi_next = nxt[0] / nxt[1]
+            delta = np.max(np.abs(pi_next - pi_prev))
+            pi_prev = pi_next
             quiet_rounds = quiet_rounds + 1 if delta < stop_tol else 0
             if quiet_rounds >= stop_window:
+                done = k + 1
                 break
+    state = state[: done + 1]
 
     return RunRecord(
-        graph=graph,
         x0=[float(v) for v in x0],
         params=params,
         mode=mode,
-        trajectory=trajectory,
-        weight_log=weight_log,
-        wire_log=wire_log,
-        delivered_log=delivered_log,
+        trajectory=Trajectory(s=state[:, 0], w=state[:, 1], pi=state[:, 0] / state[:, 1]),
+        weights=WeightTable(layout, weights.s[:done], weights.w[:done]),
+        s_shares=shares[:done, 0, :n_edges],
+        w_shares=shares[:done, 1, :n_edges],
+        wire=wire,
     )
 
 
-def algorithm1_weight_source(
-    graph: DirectedGraph, params: WeightParams, seed: int
-) -> WeightSource:
-    """Weight stream of the two-phase protocol, one independent seeded
-    generator per node.  The networked runtime derives the identical stream,
-    so simulated and deployed runs agree bit for bit."""
-    rngs = {i: node_rng(seed, i) for i in graph.nodes()}
-
-    def source(node_id: int, round_k: int) -> RoundWeights:
-        return generate_round_weights(
-            node_id, round_k, graph.out_neighbors(node_id), params, rngs[node_id]
-        )
-
-    return source
+def algorithm1_weights(
+    graph: DirectedGraph, params: WeightParams, seed: int, rounds: int
+) -> WeightTable:
+    """Weights of the two-phase protocol for ``rounds`` rounds, one
+    independent seeded generator per node.  The networked runtime draws the
+    identical stream round by round, so simulated and deployed runs agree
+    bit for bit."""
+    layout = SenderLayout(graph)
+    s = np.concatenate(
+        [
+            draw_weight_rows(i, graph.out_neighbors(i), params, node_rng(seed, i), 0, rounds)
+            for i in graph.nodes()
+        ],
+        axis=1,
+    )
+    # Masking rounds keep the weight side at the identity.
+    w = s.copy()
+    masking = min(rounds, params.big_k + 1)
+    w[:masking] = 0.0
+    w[:masking, layout.self_cols] = 1.0
+    return WeightTable(layout, s, w)
 
 
 def run_algorithm1(
@@ -333,9 +549,12 @@ def run_algorithm1(
     """Run the two-phase random-weight protocol."""
     if not is_strongly_connected(graph):
         raise NotStronglyConnected("the protocol requires a strongly connected graph")
-    source = algorithm1_weight_source(graph, params, seed)
     return run_rounds(
-        graph, x0, rounds, source, params=params, mode=mode, channel=channel,
+        algorithm1_weights(graph, params, seed, rounds),
+        x0,
+        params=params,
+        mode=mode,
+        channel=channel,
         stop_tol=stop_tol,
     )
 
@@ -372,17 +591,13 @@ def _validate_fixed_matrix(graph: DirectedGraph, p: np.ndarray) -> None:
                 raise ConfigError(f"weight p[{i},{j}] set outside the graph support")
 
 
-def matrix_weight_source(graph: DirectedGraph, p: np.ndarray) -> WeightSource:
+def matrix_weights(graph: DirectedGraph, p: np.ndarray, rounds: int) -> WeightTable:
     """Constant weights taken from the columns of a fixed matrix; the s and
     w sides coincide as in the baseline protocol."""
-
-    def source(node_id: int, round_k: int) -> RoundWeights:
-        weights = {node_id: float(p[node_id, node_id])}
-        for i in graph.out_neighbors(node_id):
-            weights[i] = float(p[i, node_id])
-        return RoundWeights(node_id, round_k, weights, weights)
-
-    return source
+    layout = SenderLayout(graph)
+    row = np.concatenate([p[layout.targets(j), j] for j in graph.nodes()])
+    table = np.broadcast_to(row, (rounds, row.size))
+    return WeightTable(layout, table, table)
 
 
 def run_algorithm0(
@@ -404,6 +619,9 @@ def run_algorithm0(
     p = default_pushsum_matrix(graph) if fixed_weights is None else np.asarray(fixed_weights, dtype=float)
     _validate_fixed_matrix(graph, p)
     return run_rounds(
-        graph, x0, rounds, matrix_weight_source(graph, p),
-        params=None, mode="algorithm0", stop_tol=stop_tol,
+        matrix_weights(graph, p, rounds),
+        x0,
+        params=None,
+        mode="algorithm0",
+        stop_tol=stop_tol,
     )

@@ -115,12 +115,12 @@ def random_strongly_connected_graph(
         sender = int(perm[a])
         receiver = int(perm[(a + 1) % n_nodes])
         edges.add((receiver, sender))
-    for sender in range(n_nodes):
-        for receiver in range(n_nodes):
-            if sender == receiver:
-                continue
-            if rng.random() < extra_edge_prob:
-                edges.add((receiver, sender))
+    # One uniform per ordered pair, sender-major, receivers ascending with
+    # the sender skipped: the stream of one rng.random() call per pair.
+    extra = rng.random((n_nodes, n_nodes - 1)) < extra_edge_prob
+    senders, slots = np.nonzero(extra)
+    receivers = slots + (slots >= senders)
+    edges.update(zip(receivers.tolist(), senders.tolist()))
     return DirectedGraph(n_nodes, frozenset(edges))
 
 

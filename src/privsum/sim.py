@@ -3,8 +3,7 @@
 Wires graph + weights + consensus (and optionally the Paillier layer)
 together from a declarative config, records full traces, computes the
 error series against the true average, and exposes the transition-matrix
-product oracle that the invariant suites check the message-passing engine
-against.
+product oracle that the invariant suites check the round engine against.
 """
 from __future__ import annotations
 
@@ -409,8 +408,8 @@ def transition_product(
     n_nodes: int | None = None,
 ) -> np.ndarray:
     """Product P(k) ... P(t) of per-round coupling matrices over rounds
-    t..k inclusive.  This is the matrix-side oracle for the message-passing
-    engine; the protocol data path never materializes it."""
+    t..k inclusive.  This is the matrix-side oracle for the round engine,
+    which never materializes it."""
     if from_round > to_round:
         raise RangeUncovered(f"from_round {from_round} exceeds to_round {to_round}")
     if from_round < 0 or to_round >= len(weight_log):

@@ -2,7 +2,7 @@
 
 Each suite re-derives a protocol guarantee through an independent route
 (matrix products, direct sums, replays, crypto roundtrips) and checks the
-message-passing engine against it.  A corrupted-weight hook exists so tests
+round engine against it.  A corrupted-weight hook exists so tests
 can prove the suites actually bite.
 """
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .adversary import (
     observables_match,
     replay_with_witness,
 )
-from .consensus import algorithm1_weight_source, run_rounds
+from .consensus import WeightTable, algorithm1_weights, run_rounds
 from .errors import PrivsumError
 from .paillier import (
     FixedPointCodec,
@@ -48,31 +48,27 @@ class SuiteResult:
     detail: str = ""
 
 
-def _corrupting_source(source):
-    """Distort one outgoing weight per node per round without fixing the
-    self-weight, breaking column stochasticity (negative-control hook)."""
-
-    def corrupted(node_id: int, round_k: int):
-        rw = source(node_id, round_k)
-        s = dict(rw.s_weights)
-        first = min(s)
-        s[first] += 0.05
-        return replace(rw, s_weights=s)
-
-    return corrupted
+def _corrupted(weights: WeightTable) -> WeightTable:
+    """Distort one value-side weight per node per round, that of its
+    lowest-numbered target, without fixing the self-weight: column
+    stochasticity breaks (negative-control hook)."""
+    layout = weights.layout
+    s = weights.s.copy()
+    for j in layout.graph.nodes():
+        targets = layout.targets(j)
+        s[:, layout.columns(j).start + targets.index(min(targets))] += 0.05
+    return WeightTable(layout, s, weights.w)
 
 
 def _run(config: ExperimentConfig, corrupt_weights: bool = False):
     if not corrupt_weights:
         return run_experiment(config).record
-    source = _corrupting_source(
-        algorithm1_weight_source(config.graph, config.params, config.seed)
+    weights = algorithm1_weights(
+        config.graph, config.params, config.seed, config.max_rounds
     )
     return run_rounds(
-        config.graph,
+        _corrupted(weights),
         resolve_x0(config),
-        rounds=config.max_rounds,
-        weight_source=source,
         params=config.params,
         mode=MODE_ALGORITHM1,
     )
@@ -152,7 +148,7 @@ def suite_column_stochastic(
 
 
 def suite_transition_products(config: ExperimentConfig) -> SuiteResult:
-    """Matrix-product oracle agrees with the message-passing trajectory:
+    """Matrix-product oracle agrees with the round engine's trajectory:
     s(K+1) = Phi_s(K:0) s(0), w(k) = Phi_w(k-1:K+1) 1, total mass fixed,
     and every entry of Phi_w over a window of N rounds is >= epsilon^N."""
     big_k = config.big_k

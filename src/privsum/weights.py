@@ -98,14 +98,71 @@ def simplex_sample(rng: np.random.Generator, m: int) -> np.ndarray:
 
 def phase_b_map(simplex_point: Iterable[float], epsilon: float) -> np.ndarray:
     """Affine map sending the unit simplex into { x in (epsilon, 1)^m :
-    sum x = 1 }: output_j = epsilon + d_j * (1 - m * epsilon)."""
-    d = np.asarray(list(simplex_point), dtype=float)
-    m = d.size
+    sum x = 1 }: output_j = epsilon + d_j * (1 - m * epsilon).  A 2-D input
+    maps each row."""
+    if not isinstance(simplex_point, np.ndarray):
+        simplex_point = list(simplex_point)
+    d = np.asarray(simplex_point, dtype=float)
+    m = d.shape[-1]
     if m * epsilon >= 1.0:
         raise InvalidEpsilon(
             f"epsilon={epsilon} is infeasible for {m} weights; need epsilon < 1/{m}"
         )
     return epsilon + d * (1.0 - m * epsilon)
+
+
+def draw_weight_rows(
+    node_id: int,
+    out_neighbors: Iterable[int],
+    params: WeightParams,
+    rng: np.random.Generator,
+    first_round: int,
+    n_rounds: int,
+) -> np.ndarray:
+    """One node's value-side weights for ``n_rounds`` rounds from
+    ``first_round`` on, one row per round.
+
+    Columns follow ``RoundWeights.targets``: out-neighbors ascending, then
+    the node itself.  All rounds come from one ``rng.random`` call that
+    consumes the stream exactly as successive one-round draws do: m
+    uniforms per masking round, m - 1 per mixing round (m = out-degree + 1).
+    A masking row is m uniforms on (-B, B) shifted to sum to 1; a mixing row
+    is the sorted-uniform simplex gaps under ``phase_b_map``.  The
+    self-weight is then 1 minus the sequential sum of the others, so a row
+    sums to 1 exactly in floating point.
+    """
+    others = sorted(int(t) for t in out_neighbors)
+    if node_id in others:
+        raise ConfigError("node must not list itself as an out-neighbor")
+    m = len(others) + 1
+    if params.epsilon >= 1.0 / m:
+        raise InvalidEpsilon(
+            f"epsilon={params.epsilon} >= 1/{m} for node {node_id}; "
+            "mixing-phase weights cannot satisfy the (epsilon, 1) sum-1 constraint"
+        )
+    n_mask = min(n_rounds, max(0, params.big_k + 1 - first_round))
+    n_mix = n_rounds - n_mask
+    u = rng.random(n_mask * m + n_mix * (m - 1))
+    rows = np.empty((n_rounds, m))
+
+    # 2B*u - B is what rng.uniform(-B, B) computes, bit for bit, and a
+    # uniform(0, 1) cut is u itself.
+    b = params.phase_a_range
+    draws = rows[:n_mask]
+    np.multiply(2.0 * b, u[: n_mask * m].reshape(n_mask, m), out=draws)
+    draws -= b
+    draws += ((1.0 - draws.sum(axis=1)) / m)[:, None]
+
+    cuts = np.zeros((n_mix, m + 1))
+    cuts[:, -1] = 1.0
+    cuts[:, 1:-1] = np.sort(u[n_mask * m :].reshape(n_mix, m - 1), axis=1)
+    rows[n_mask:] = phase_b_map(cuts[:, 1:] - cuts[:, :-1], params.epsilon)
+
+    if m > 1:
+        rows[:, -1] = 1.0 - np.cumsum(rows[:, :-1], axis=1)[:, -1]
+    else:
+        rows[:, -1] = 1.0
+    return rows
 
 
 def generate_round_weights(
@@ -115,36 +172,17 @@ def generate_round_weights(
     params: WeightParams,
     rng: np.random.Generator,
 ) -> RoundWeights:
-    """Draw one round's coupling weights for one node.
-
-    Deterministic for a fixed rng state.  The self-weight is always computed
-    as 1 minus the other weights so the sum is exact in floating point.
-    """
+    """Draw one round's coupling weights for one node: the one-round case
+    of ``draw_weight_rows``, so a node drawing round by round consumes its
+    stream exactly as the simulator's batched draw does."""
     others = sorted(int(t) for t in out_neighbors)
-    if node_id in others:
-        raise ConfigError("node must not list itself as an out-neighbor")
-    targets = others + [node_id]
-    m = len(targets)
-    if params.epsilon >= 1.0 / m:
-        raise InvalidEpsilon(
-            f"epsilon={params.epsilon} >= 1/{m} for node {node_id}; "
-            "mixing-phase weights cannot satisfy the (epsilon, 1) sum-1 constraint"
-        )
-
-    if params.is_masking_round(round_k):
-        b = params.phase_a_range
-        draws = rng.uniform(-b, b, size=m)
-        draws += (1.0 - draws.sum()) / m
-        s = {t: float(v) for t, v in zip(targets, draws)}
-        s[node_id] = 1.0 - sum(s[t] for t in others)
-        w = {t: 0.0 for t in others}
-        w[node_id] = 1.0
-        return RoundWeights(node_id, round_k, s, w)
-
-    vals = phase_b_map(simplex_sample(rng, m), params.epsilon)
-    s = {t: float(v) for t, v in zip(targets, vals)}
-    s[node_id] = 1.0 - sum(s[t] for t in others)
-    return RoundWeights(node_id, round_k, s, s)
+    row = draw_weight_rows(node_id, others, params, rng, round_k, 1)[0]
+    s = dict(zip(others + [node_id], row.tolist()))
+    if not params.is_masking_round(round_k):
+        return RoundWeights(node_id, round_k, s, s)
+    w = {t: 0.0 for t in others}
+    w[node_id] = 1.0
+    return RoundWeights(node_id, round_k, s, w)
 
 
 def validate_round_weights(

@@ -11,11 +11,11 @@ from privsum.adversary import (
     build_eavesdropper_log,
     build_indistinguishability_witness,
     build_least_squares_system,
+    min_norm_entry,
     observables_match,
     replay_with_witness,
 )
-from privsum import consensus
-from privsum.consensus import outgoing_shares, run_algorithm0, run_algorithm1
+from privsum.consensus import run_algorithm0, run_algorithm1
 from privsum.errors import (
     DegenerateDenominator,
     TopologyConditionUnmet,
@@ -243,40 +243,39 @@ def test_eavesdropper_log_plaintext_mode(demo_graph, demo_x0):
     )
 
 
-def _engine_retained(monkeypatch, run):
-    """Run ``run()`` and capture every retained pair the engine computed,
-    keyed (round, node)."""
-    seen = {}
-    real = consensus.outgoing_shares
-
-    def spy(state, weights):
-        msgs, retained = real(state, weights)
-        seen[(state.round, state.node_id)] = retained
-        return msgs, retained
-
-    with monkeypatch.context() as patch:
-        patch.setattr(consensus, "outgoing_shares", spy)
-        return run(), seen
+def test_min_norm_entry_matches_lstsq_on_fig3_systems():
+    for seed in range(300, 340):
+        system = build_least_squares_system(
+            _fig3_style_result(seed=seed, true_x0=40.0).adversary_view, 0, 100
+        )
+        solution, *_ = np.linalg.lstsq(system.matrix, system.rhs, rcond=None)
+        got = min_norm_entry(system.matrix, system.rhs, system.s0_index)
+        assert abs(got - solution[system.s0_index]) <= 1e-9
 
 
-def test_derived_retained_pairs_match_the_engine_bitwise(
-    monkeypatch, demo_graph, demo_x0
-):
-    params = WeightParams(big_k=2, epsilon=0.05)
-    record, seen = _engine_retained(
-        monkeypatch,
-        lambda: run_algorithm1(
-            demo_graph, demo_x0, params, seed=5, rounds=400, stop_tol=1e-9
-        ),
+def _count_lstsq(monkeypatch):
+    calls = []
+    real = np.linalg.lstsq
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    return calls
+
+
+def test_min_norm_entry_falls_back_on_rank_deficient_rows(monkeypatch):
+    system = build_least_squares_system(
+        _fig3_style_result(seed=341, true_x0=-40.0).adversary_view, 0, 30
     )
-    assert record.n_rounds < 400  # stopped early
-    witness = build_indistinguishability_witness(record, 0, -7.5, 1)
-    replayed, replay_seen = _engine_retained(
-        monkeypatch, lambda: replay_with_witness(record, witness)
-    )
-    for rec, engine in ((record, seen), (replayed, replay_seen)):
-        assert len(engine) == rec.n_rounds * demo_graph.n_nodes
-        for (k, i), retained in engine.items():
-            state, weights = rec.trajectory.states[k][i], rec.weight_log[k][i]
-            assert rec.retained(k, i) == retained
-            assert rec.retained(k, i) == outgoing_shares(state, weights)[1]
+    calls = _count_lstsq(monkeypatch)
+    min_norm_entry(system.matrix, system.rhs, 0)
+    assert calls == []  # full row rank, well conditioned: no SVD
+
+    # A repeated equation leaves A A^T singular.
+    matrix = np.vstack([system.matrix, system.matrix[3]])
+    rhs = np.append(system.rhs, system.rhs[3])
+    got = min_norm_entry(matrix, rhs, 0)
+    assert len(calls) == 1
+    assert got == np.linalg.lstsq(matrix, rhs, rcond=None)[0][0]

@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
 
+from privsum.adversary import build_indistinguishability_witness, replay_with_witness
 from privsum.consensus import (
+    PlainChannel,
+    SenderLayout,
     ShareMessage,
+    WeightTable,
     apply_round,
     default_pushsum_matrix,
     initial_state,
     outgoing_shares,
     run_algorithm0,
     run_algorithm1,
+    run_rounds,
 )
 from privsum.errors import (
     ConfigError,
@@ -17,8 +22,9 @@ from privsum.errors import (
     NotStronglyConnected,
     RoundMismatch,
 )
-from privsum.graph import DirectedGraph
-from privsum.weights import RoundWeights, WeightParams
+from privsum.graph import DirectedGraph, random_strongly_connected_graph
+from privsum.sim import PaillierChannel, node_keypairs
+from privsum.weights import RoundWeights, WeightParams, generate_round_weights, node_rng
 
 
 def ring(n):
@@ -187,3 +193,161 @@ def test_early_stop_freezes_round_count(demo_graph, demo_x0):
     )
     assert rec.n_rounds < 400
     np.testing.assert_allclose(rec.final_pi(), 20.0, rtol=0.0, atol=1e-9)
+
+
+def test_run_rounds_reports_a_zero_weight_sum():
+    g = DirectedGraph.from_edge_list(2, [[0, 1], [1, 0]])
+    layout = SenderLayout(g)
+    s = np.full((3, 4), 0.5)
+    w = np.array([[0.5, 0.5, 0.5, 0.5], [0.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.5, 0.5]])
+    with pytest.raises(DivisionByZero, match="node 0: weight sum hit zero at round 1"):
+        run_rounds(WeightTable(layout, s, w), [1.0, 3.0])
+
+
+def _message_passing(graph, x0, weight_source, rounds, channel=None, stop_tol=0.0):
+    """Reference run built from the networked runtime's per-node functions:
+    every node sends through ``outgoing_shares``, every node folds its inbox
+    with ``apply_round``; shares travel sender by sender, receiver by
+    receiver.  Same stop rule as ``run_rounds`` (window 10)."""
+    chan = channel if channel is not None else PlainChannel()
+    states = [initial_state(i, x0[i]) for i in graph.nodes()]
+    out = {"states": [states], "weights": [], "retained": [], "delivered": [], "wire": []}
+    quiet = 0
+    for k in range(rounds):
+        weights = {i: weight_source(i, k) for i in graph.nodes()}
+        inboxes = {i: [] for i in graph.nodes()}
+        kept, delivered, wire = {}, [], []
+        for i in graph.nodes():
+            msgs, kept[i] = outgoing_shares(states[i], weights[i])
+            for msg in msgs:
+                wire.append(chan.transmit(msg))
+                delivered.append(chan.receive(wire[-1]))
+                inboxes[delivered[-1].receiver].append(delivered[-1])
+        prev = states
+        states = [
+            apply_round(states[i], inboxes[i], kept[i], graph.in_neighbors(i))
+            for i in graph.nodes()
+        ]
+        for key, value in (("states", states), ("weights", weights), ("retained", kept),
+                           ("delivered", delivered), ("wire", wire)):
+            out[key].append(value)
+        if stop_tol > 0.0:
+            delta = max(abs(a.pi - b.pi) for a, b in zip(states, prev))
+            quiet = quiet + 1 if delta < stop_tol else 0
+            if quiet >= 10:
+                break
+    return out
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _assert_same_run(record, ref):
+    """The array engine's record equals the reference run bit for bit."""
+    nodes = record.graph.nodes()
+    assert record.n_rounds == len(ref["weights"])
+    for name in ("s", "w", "pi"):
+        expected = [[getattr(st, name) for st in row] for row in ref["states"]]
+        assert getattr(record.trajectory, name).tobytes() == _bits(expected), name
+    assert record.trajectory.states == [tuple(row) for row in ref["states"]]
+    for i in nodes:
+        assert _bits(record.retained(i)) == _bits([kept[i] for kept in ref["retained"]])
+    for k in range(record.n_rounds):
+        got = record.delivered_log[k]
+        want = ref["delivered"][k]
+        assert [(m.sender, m.receiver, m.round) for m in got] == [
+            (m.sender, m.receiver, m.round) for m in want
+        ]
+        assert _bits([(m.s_share, m.w_share) for m in got]) == _bits(
+            [(m.s_share, m.w_share) for m in want]
+        )
+        for i in nodes:
+            a, b = record.weight_log[k][i], ref["weights"][k][i]
+            assert (a.node_id, a.round, a.targets) == (b.node_id, b.round, b.targets)
+            assert _bits([a.s_weights[t] for t in a.targets]) == _bits(
+                [b.s_weights[t] for t in b.targets]
+            )
+            assert _bits([a.w_weights[t] for t in a.targets]) == _bits(
+                [b.w_weights[t] for t in b.targets]
+            )
+
+
+def _drawn_round_by_round(graph, params, seed):
+    rngs = {i: node_rng(seed, i) for i in graph.nodes()}
+    return lambda i, k: generate_round_weights(
+        i, k, graph.out_neighbors(i), params, rngs[i]
+    )
+
+
+def _parity_graphs():
+    rng = np.random.default_rng(50)
+    g50 = random_strongly_connected_graph(50, rng, 0.08)
+    return [
+        (DirectedGraph.from_edge_list(5, [[1, 0], [4, 0], [2, 1], [3, 2], [4, 2],
+                                          [0, 3], [1, 3], [3, 4]]),
+         [10.0, 15.0, 20.0, 25.0, 30.0]),
+        (g50, rng.uniform(-50.0, 50.0, size=50).tolist()),
+    ]
+
+
+@pytest.mark.parametrize("graph_index", [0, 1], ids=["demo", "random50"])
+def test_array_engine_matches_message_passing(graph_index):
+    graph, x0 = _parity_graphs()[graph_index]
+    eps = min(0.05, 0.5 / (max(graph.out_degree(i) for i in graph.nodes()) + 1))
+    params = WeightParams(big_k=2, epsilon=eps)
+
+    # algorithm0: the fixed matrix, column by column
+    p = default_pushsum_matrix(graph)
+    record = run_algorithm0(graph, x0, rounds=25)
+
+    def matrix_column(i, k):
+        col = {t: float(p[t, i]) for t in graph.out_neighbors(i)}
+        col[i] = float(p[i, i])
+        return RoundWeights(i, k, col, col)
+
+    _assert_same_run(record, _message_passing(graph, x0, matrix_column, 25))
+
+    # algorithm1, run out and stopped early
+    record = run_algorithm1(graph, x0, params, seed=5, rounds=30)
+    ref = _message_passing(graph, x0, _drawn_round_by_round(graph, params, 5), 30)
+    _assert_same_run(record, ref)
+    early = run_algorithm1(graph, x0, params, seed=5, rounds=400, stop_tol=1e-9)
+    ref = _message_passing(
+        graph, x0, _drawn_round_by_round(graph, params, 5), 400, stop_tol=1e-9
+    )
+    assert early.n_rounds < 400
+    _assert_same_run(early, ref)
+
+    # witness replay of the early-stopped run: rewritten round-0 weights
+    witness = build_indistinguishability_witness(early, 0, -7.5, graph.out_neighbors(0)[0])
+
+    def rewritten(i, k):
+        if k == 0 and i in witness.round0_s_weights:
+            return witness.round0_s_weights[i]
+        return early.weight_log[k][i]
+
+    replayed = replay_with_witness(early, witness)
+    _assert_same_run(
+        replayed, _message_passing(graph, list(witness.x0), rewritten, early.n_rounds)
+    )
+
+
+@pytest.mark.parametrize("graph_index", [0, 1], ids=["demo", "random50"])
+def test_array_engine_matches_message_passing_encrypted(graph_index):
+    graph, x0 = _parity_graphs()[graph_index]
+    eps = 0.5 / (max(graph.out_degree(i) for i in graph.nodes()) + 1)
+    params = WeightParams(big_k=1, epsilon=eps)
+    keypairs = node_keypairs(graph, 128, 3)
+
+    def channel():
+        return PaillierChannel({i: kp.public for i, kp in keypairs.items()}, keypairs, 48, 3)
+
+    record = run_algorithm1(graph, x0, params, seed=3, rounds=4, channel=channel())
+    ref = _message_passing(
+        graph, x0, _drawn_round_by_round(graph, params, 3), 4, channel=channel()
+    )
+    _assert_same_run(record, ref)
+    assert [[(m.s_cipher.value, m.w_cipher.value) for m in r] for r in record.wire_log] == [
+        [(m.s_cipher.value, m.w_cipher.value) for m in r] for r in ref["wire"]
+    ]

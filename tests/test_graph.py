@@ -117,3 +117,20 @@ def test_demo_graph_structure():
     assert g.in_neighbors(0) == (3,)
     assert g.out_neighbors(0) == (1, 4)
     assert max_out_degree(g) == 2
+
+
+def test_random_graph_extra_edges_follow_one_draw_per_pair():
+    """The extra arcs are the pairs whose uniform, drawn one per ordered
+    pair in sender-major order, falls below the probability."""
+    for n, seed in ((2, 1), (7, 2), (30, 3)):
+        rng = np.random.default_rng(seed)
+        g = random_strongly_connected_graph(n, rng, 0.3)
+        ref_rng = np.random.default_rng(seed)
+        perm = ref_rng.permutation(n)
+        expected = {(int(perm[(a + 1) % n]), int(perm[a])) for a in range(n)}
+        for sender in range(n):
+            for receiver in range(n):
+                if sender != receiver and ref_rng.random() < 0.3:
+                    expected.add((receiver, sender))
+        assert g.edges == frozenset(expected)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state

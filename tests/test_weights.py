@@ -8,6 +8,7 @@ from privsum.sim import assemble_weight_matrix
 from privsum.weights import (
     RoundWeights,
     WeightParams,
+    draw_weight_rows,
     generate_round_weights,
     node_rng,
     phase_b_map,
@@ -143,3 +144,66 @@ def test_params_validation():
 def test_round_weights_targets_order():
     rw = RoundWeights(2, 0, {2: 0.5, 0: 0.25, 4: 0.25}, {2: 1.0, 0: 0.0, 4: 0.0})
     assert rw.targets == [0, 4, 2]
+
+
+def _reference_round(node, round_k, others, params, rng):
+    """One round drawn the way the protocol defines it, round by round:
+    uniform draws for the masking phase, sorted-uniform simplex gaps for the
+    mixing phase, and a self-weight of 1 minus the sequential sum of the
+    others."""
+    targets = others + [node]
+    m = len(targets)
+    if params.is_masking_round(round_k):
+        b = params.phase_a_range
+        vals = rng.uniform(-b, b, size=m)
+        vals += (1.0 - vals.sum()) / m
+    else:
+        vals = phase_b_map(simplex_sample(rng, m), params.epsilon)
+    s = dict(zip(targets, vals.tolist()))
+    total = 0.0
+    for t in others:
+        total += s[t]
+    s[node] = 1.0 - total
+    return [s[t] for t in targets]
+
+
+@pytest.mark.parametrize("big_k", [0, 1, 3])
+@pytest.mark.parametrize("out_degree", [*range(7), 12])
+def test_batched_draw_matches_successive_rounds(out_degree, big_k):
+    """One batched draw per node equals the node's round-by-round draws bit
+    for bit and leaves its generator in the same state, for run lengths
+    below, at and past the end of the masking phase (round K + 1)."""
+    params = WeightParams(big_k=big_k, epsilon=0.9 / (out_degree + 1), phase_a_range=7.5)
+    node = 3
+    others = [t for t in range(out_degree + 2) if t != node][:out_degree]
+    for n_rounds in sorted({1, max(big_k, 1), big_k + 1, big_k + 2, big_k + 6}):
+        seed = 100 * out_degree + 10 * big_k + n_rounds
+        batched_rng = node_rng(seed, node)
+        rows = draw_weight_rows(node, others, params, batched_rng, 0, n_rounds)
+
+        successive_rng = node_rng(seed, node)
+        successive = []
+        for k in range(n_rounds):
+            rw = generate_round_weights(node, k, others, params, successive_rng)
+            successive.append([rw.s_weights[t] for t in rw.targets])
+        reference_rng = node_rng(seed, node)
+        reference = [
+            _reference_round(node, k, others, params, reference_rng)
+            for k in range(n_rounds)
+        ]
+
+        assert rows.shape == (n_rounds, out_degree + 1)
+        assert rows.tobytes() == np.array(successive).tobytes()
+        assert rows.tobytes() == np.array(reference).tobytes()
+        state = batched_rng.bit_generator.state
+        assert state == successive_rng.bit_generator.state
+        assert state == reference_rng.bit_generator.state
+
+
+def test_batched_draw_continues_the_stream_mid_run():
+    params = WeightParams(big_k=2, epsilon=0.1)
+    whole = draw_weight_rows(0, [1, 2, 5], params, node_rng(8, 0), 0, 9)
+    rng = node_rng(8, 0)
+    head = draw_weight_rows(0, [1, 2, 5], params, rng, 0, 2)
+    tail = draw_weight_rows(0, [1, 2, 5], params, rng, 2, 7)
+    assert whole.tobytes() == np.vstack([head, tail]).tobytes()
