@@ -1,8 +1,8 @@
 """Inference tooling for honest-but-curious nodes and wiretapping outsiders.
 
 Everything an attack consumes must be reachable from an
-:class:`AdversaryView`: the members' own states, the shares they sent (with
-the weights they chose), the shares they received, the public protocol
+:class:`AdversaryView`: the members' own states, the shares on every link
+they touch (their retained self-shares included), the public protocol
 parameters, and the topology.  Attacks never touch ground-truth node state.
 
 Included capabilities:
@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .consensus import RunRecord, ShareMessage, WeightTable, run_rounds
+from .consensus import RunRecord, WeightTable, run_rounds
 from .errors import (
     ConfigError,
     DegenerateDenominator,
@@ -39,37 +39,29 @@ from .weights import RoundWeights, WeightParams
 class AdversaryView:
     """The information set of a (possibly colluding) set of protocol nodes.
 
-    All per-round logs are keyed by ``(member, round)``.  ``sent_shares``
-    maps to ``{target: (s_share, w_share)}`` including the member's retained
-    self-share; ``sent_weights`` holds the coupling weights the member chose.
-    The facts that everyone's weight sum is 1 every round and that
-    w_m(k) = 1 for k <= K+1 are public knowledge, represented by ``params``.
+    ``states`` maps each member to its (s, w) columns over rounds
+    0..n_rounds.  ``links`` maps every edge with a member at either end to
+    the (s, w) shares it carried, one entry per round; a member's ``(m, m)``
+    link holds its retained self-share.  The facts that everyone's weight
+    sum is 1 every round and that w_m(k) = 1 for k <= K+1 are public
+    knowledge, represented by ``params``.
     """
 
     members: frozenset[int]
     graph: DirectedGraph
     params: WeightParams | None
     n_rounds: int
-    state_log: dict[tuple[int, int], tuple[float, float]]
-    sent_shares: dict[tuple[int, int], dict[int, tuple[float, float]]]
-    sent_weights: dict[tuple[int, int], RoundWeights]
-    recv_log: dict[tuple[int, int], list[ShareMessage]]
+    states: dict[int, tuple[np.ndarray, np.ndarray]]
+    links: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
 
-    def received_from(self, member: int, sender: int, round_k: int) -> ShareMessage:
-        for msg in self.recv_log.get((member, round_k), []):
-            if msg.sender == sender:
-                return msg
-        raise TraceIncomplete(
-            f"member {member} holds no round-{round_k} share from {sender}"
-        )
-
-    def sent_to(self, member: int, target: int, round_k: int) -> tuple[float, float]:
-        shares = self.sent_shares.get((member, round_k))
-        if shares is None or target not in shares:
+    def link(self, sender: int, receiver: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (s, w) shares that crossed ``sender -> receiver``, per round."""
+        try:
+            return self.links[(sender, receiver)]
+        except KeyError:
             raise TraceIncomplete(
-                f"member {member} holds no round-{round_k} share sent to {target}"
-            )
-        return shares[target]
+                f"no member saw the shares node {sender} sent to node {receiver}"
+            ) from None
 
 
 @dataclass(frozen=True)
@@ -88,41 +80,24 @@ def build_adversary_view(record: RunRecord, members) -> AdversaryView:
     member_set = frozenset(int(m) for m in members)
     if not member_set <= set(record.graph.nodes()):
         raise ConfigError(f"adversary members {sorted(member_set)} outside the graph")
-    state_log: dict[tuple[int, int], tuple[float, float]] = {}
-    sent_shares: dict[tuple[int, int], dict[int, tuple[float, float]]] = {}
-    sent_weights: dict[tuple[int, int], RoundWeights] = {}
-    recv_log: dict[tuple[int, int], list[ShareMessage]] = {}
-    rounds = range(record.n_rounds)
-    for m in sorted(member_set):
-        keys = [(m, k) for k in range(record.n_rounds + 1)]
-        history = zip(record.trajectory.s[:, m].tolist(), record.trajectory.w[:, m].tolist())
-        state_log.update(zip(keys, history))
-        sent_weights.update(zip(keys, record.node_weights(m)))
-        sent_shares.update(zip(keys, ({m: kept} for kept in record.retained(m))))
-        recv_log.update(zip(keys, ([] for _ in rounds)))
+    trajectory = record.trajectory
+    states = {m: (trajectory.s[:, m], trajectory.w[:, m]) for m in sorted(member_set)}
     layout = record.weights.layout
+    links = {}
     edges = zip(layout.senders.tolist(), layout.receivers.tolist())
     for e, (sender, receiver) in enumerate(edges):
-        if sender not in member_set and receiver not in member_set:
-            continue
-        shares = list(zip(record.s_shares[:, e].tolist(), record.w_shares[:, e].tolist()))
-        if sender in member_set:
-            for k, pair in enumerate(shares):
-                sent_shares[(sender, k)][receiver] = pair
-        if receiver in member_set:
-            for k, (s_share, w_share) in enumerate(shares):
-                recv_log[(receiver, k)].append(
-                    ShareMessage(sender, receiver, k, s_share, w_share)
-                )
+        if sender in member_set or receiver in member_set:
+            links[(sender, receiver)] = (record.s_shares[:, e], record.w_shares[:, e])
+    for m in states:
+        kept = record.retained(m)
+        links[(m, m)] = (kept[:, 0], kept[:, 1])
     return AdversaryView(
         members=member_set,
         graph=record.graph,
         params=record.params,
         n_rounds=record.n_rounds,
-        state_log=state_log,
-        sent_shares=sent_shares,
-        sent_weights=sent_weights,
-        recv_log=recv_log,
+        states=states,
+        links=links,
     )
 
 
@@ -140,37 +115,36 @@ def attack_pushsum_baseline(view: AdversaryView) -> dict[int, float]:
     Works against the fixed-weight baseline, where the s and w shares of
     round 0 carry the same coupling weight: their ratio is x_j directly.
     """
+    if view.n_rounds == 0:
+        raise TraceIncomplete("no round-0 shares recorded")
     recovered: dict[int, float] = {}
     for member in sorted(view.members):
-        msgs = view.recv_log.get((member, 0))
-        if msgs is None:
-            raise TraceIncomplete(f"no round-0 messages recorded for member {member}")
-        for msg in msgs:
-            if msg.w_share == 0.0:
+        for sender in view.graph.in_neighbors(member):
+            s_shares, w_shares = view.link(sender, member)
+            if w_shares[0] == 0.0:
                 raise TraceIncomplete(
                     "round-0 w-share is zero; trace is not from the baseline protocol"
                 )
-            recovered[msg.sender] = msg.s_share / msg.w_share
+            recovered[sender] = float(s_shares[0] / w_shares[0])
     return recovered
 
 
-def _net_flow_terms(
-    view: AdversaryView, target: int, round_k: int
-) -> tuple[float, float]:
-    """Observed net (s, w) flow into the target at one round: shares sent by
-    hostile in-neighbors minus shares hostile out-neighbors received."""
-    s_net = 0.0
-    w_net = 0.0
+def _net_flows(view: AdversaryView, target: int) -> tuple[np.ndarray, np.ndarray]:
+    """Observed net (s, w) flow into the target, one entry per round: shares
+    sent by hostile in-neighbors minus shares hostile out-neighbors
+    received."""
+    s_net = np.zeros(view.n_rounds)
+    w_net = np.zeros(view.n_rounds)
     for n in view.graph.in_neighbors(target):
         if n in view.members:
-            s_sh, w_sh = view.sent_to(n, target, round_k)
+            s_sh, w_sh = view.link(n, target)
             s_net += s_sh
             w_net += w_sh
     for m in view.graph.out_neighbors(target):
         if m in view.members:
-            msg = view.received_from(m, target, round_k)
-            s_net -= msg.s_share
-            w_net -= msg.w_share
+            s_sh, w_sh = view.link(target, m)
+            s_net -= s_sh
+            w_net -= w_sh
     return s_net, w_net
 
 
@@ -192,17 +166,18 @@ def _recover_via_telescope(view: AdversaryView, target: int) -> float:
             f"attack needs at least {probe_round + 1} recorded rounds, "
             f"view has {view.n_rounds}"
         )
+    s_net, w_net = _net_flows(view, target)
     w_target = 1.0
     s_flow = 0.0
-    for k in range(probe_round):
-        s_net, w_net = _net_flow_terms(view, target, k)
-        s_flow += s_net
-        w_target += w_net
+    # Added round by round: Python's sum() would compensate the round-off.
+    for s_k, w_k in zip(s_net[:probe_round].tolist(), w_net[:probe_round].tolist()):
+        s_flow += s_k
+        w_target += w_k
     # Any hostile out-neighbor's received pair reveals s(k)/w(k) in the
     # mixing phase, where both shares carry the same weight.
     observer = min(m for m in view.graph.out_neighbors(target) if m in view.members)
-    msg = view.received_from(observer, target, probe_round)
-    s_target = msg.s_share / msg.w_share * w_target
+    s_shares, w_shares = view.link(target, observer)
+    s_target = float(s_shares[probe_round] / w_shares[probe_round]) * w_target
     return s_target - s_flow
 
 
@@ -302,55 +277,48 @@ def build_least_squares_system(
     n_dw = m - big_k     # dw(K+1..M)
     n_unknowns = n_s + n_ds + n_w + n_dw
 
-    def s_idx(k: int) -> int:
+    def s_idx(k: np.ndarray) -> np.ndarray:
         return k
 
-    def ds_idx(k: int) -> int:
+    def ds_idx(k: np.ndarray) -> np.ndarray:
         return n_s + k
 
-    def w_idx(k: int) -> int:
+    def w_idx(k: np.ndarray) -> np.ndarray:
         return n_s + n_ds + (k - big_k - 2)
 
-    def dw_idx(k: int) -> int:
+    def dw_idx(k: np.ndarray) -> np.ndarray:
         return n_s + n_ds + n_w + (k - big_k - 1)
 
     weight_rows = m + 1         # first weight-balance row
     ratio_rows = 2 * m - big_k + 1  # first ratio row
     matrix = np.zeros((3 * m - 2 * big_k + 1, n_unknowns))
     rhs = np.zeros(matrix.shape[0])
-    flows = [_net_flow_terms(view, target, k) for k in range(m + 1)]
+    s_net, w_net = _net_flows(view, target)
 
     # Value balance, every round: s(k+1) - s(k) + ds(k) = observed net flow.
-    for k in range(m + 1):
-        r = k
-        matrix[r, s_idx(k + 1)] = 1.0
-        matrix[r, s_idx(k)] = -1.0
-        matrix[r, ds_idx(k)] = 1.0
-        rhs[r] = flows[k][0]
+    k = np.arange(m + 1)
+    matrix[k, s_idx(k + 1)] = 1.0
+    matrix[k, s_idx(k)] = -1.0
+    matrix[k, ds_idx(k)] = 1.0
+    rhs[k] = s_net[k]
 
     # Weight balance, mixing phase only; w(K+1) = 1 is public knowledge.
-    for k in range(big_k + 1, m + 1):
-        r = weight_rows + k - big_k - 1
-        b = flows[k][1]
-        if k == big_k + 1:
-            b += 1.0
-        else:
-            matrix[r, w_idx(k)] = -1.0
-        matrix[r, w_idx(k + 1)] = 1.0
-        matrix[r, dw_idx(k)] = 1.0
-        rhs[r] = b
+    k = np.arange(big_k + 1, m + 1)
+    r = weight_rows + k - big_k - 1
+    matrix[r[1:], w_idx(k[1:])] = -1.0
+    matrix[r, w_idx(k + 1)] = 1.0
+    matrix[r, dw_idx(k)] = 1.0
+    rhs[r] = w_net[k]
+    rhs[r[0]] += 1.0
 
     # Ratio constraint: in the mixing phase both shares carry one weight,
     # so the observed share ratio equals s(k)/w(k).
-    for k in range(big_k + 1, m + 1):
-        r = ratio_rows + k - big_k - 1
-        msg = view.received_from(observer, target, k)
-        ratio = msg.s_share / msg.w_share
-        matrix[r, s_idx(k)] = 1.0
-        if k == big_k + 1:
-            rhs[r] = ratio
-        else:
-            matrix[r, w_idx(k)] = -ratio
+    s_obs, w_obs = view.link(target, observer)
+    ratio = s_obs[k] / w_obs[k]
+    r = ratio_rows + k - big_k - 1
+    matrix[r, s_idx(k)] = 1.0
+    rhs[r[0]] = ratio[0]
+    matrix[r[1:], w_idx(k[1:])] = -ratio[1:]
 
     return LeastSquaresSystem(matrix=matrix, rhs=rhs, m_rounds=m, big_k=big_k)
 
@@ -499,26 +467,21 @@ def replay_with_witness(record: RunRecord, witness: Witness) -> RunRecord:
 def adversary_observables(
     record: RunRecord, members
 ) -> list[tuple[tuple[int, int, int, int], float, float]]:
-    """Flatten everything the member set observes into a comparable list:
-    message entries keyed (round, 0, sender, receiver) and member state
-    entries keyed (round, 1, member, member)."""
-    member_set = frozenset(int(m) for m in members)
-    members = sorted(member_set)
-    retained = {m: record.retained(m) for m in members}
+    """Flatten the members' :class:`AdversaryView` into a comparable list:
+    link entries keyed (round, 0, sender, receiver), retained self-shares
+    keyed (round, 1, member, member) and member states keyed
+    (round, 2, member, member)."""
+    view = build_adversary_view(record, members)
     entries: list[tuple[tuple[int, int, int, int], float, float]] = []
-    for k in range(record.n_rounds):
-        for msg in record.delivered_log[k]:
-            if msg.sender in member_set or msg.receiver in member_set:
-                entries.append(
-                    ((k, 0, msg.sender, msg.receiver), msg.s_share, msg.w_share)
-                )
-        for m in members:
-            entries.append(((k, 1, m, m), *retained[m][k]))
-    s_cols = record.trajectory.s[:, members].tolist()
-    w_cols = record.trajectory.w[:, members].tolist()
-    for k, (s_row, w_row) in enumerate(zip(s_cols, w_cols)):
-        for c, m in enumerate(members):
-            entries.append(((k, 2, m, m), s_row[c], w_row[c]))
+
+    def add(kind: int, j: int, i: int, s: np.ndarray, w: np.ndarray) -> None:
+        pairs = enumerate(zip(s.tolist(), w.tolist()))
+        entries.extend(((k, kind, j, i), s_k, w_k) for k, (s_k, w_k) in pairs)
+
+    for (j, i), (s, w) in view.links.items():
+        add(1 if j == i else 0, j, i, s, w)
+    for m, (s, w) in view.states.items():
+        add(2, m, m, s, w)
     return sorted(entries, key=lambda item: item[0])
 
 

@@ -70,7 +70,7 @@ def load_raw_config(args, apply_mode: bool = True) -> dict:
 
 def _expand_big_k(raw: dict) -> list[tuple[str, ExperimentConfig]]:
     """A list-valued big_k fans out into one labelled config per value."""
-    ks = raw.get("big_k", 1)
+    ks = raw.get("big_k")
     if not isinstance(ks, (list, tuple)):
         return [("", ExperimentConfig.from_dict(raw))]
     out = []
@@ -94,7 +94,8 @@ def cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     summaries = []
-    for suffix, config in _expand_big_k(raw):
+    configs = _expand_big_k(raw)
+    for suffix, config in configs:
         result = run_experiment(config)
         csv_path = out_dir / f"series{suffix or ''}.csv"
         write_series_csv(csv_path, result.metrics)
@@ -115,7 +116,7 @@ def cmd_simulate(args) -> int:
         )
     manifest = {
         "command": "simulate",
-        "config_hash": config_hash(_expand_big_k(raw)[0][1]),
+        "config_hash": config_hash(configs[0][1]),
         "seed": raw.get("seed"),
         "mode": raw.get("mode"),
         "outputs": outputs,

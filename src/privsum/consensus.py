@@ -394,14 +394,14 @@ class RunRecord:
         """Per round, what travelled on the links, in edge order."""
         return self.delivered_log if self.wire is None else self.wire
 
-    def retained(self, node: int) -> list[tuple[float, float]]:
-        """The (s, w) self-share the node kept, one pair per round.  Same
+    def retained(self, node: int) -> np.ndarray:
+        """The (s, w) self-share the node kept, a ``(rounds, 2)`` array.  Same
         multiply as ``outgoing_shares``, so bit-equal to what it retained."""
         col = self.weights.layout.self_cols[node]
         rounds = self.n_rounds
         kept_s = self.weights.s[:, col] * self.trajectory.s[:rounds, node]
         kept_w = self.weights.w[:, col] * self.trajectory.w[:rounds, node]
-        return list(zip(kept_s.tolist(), kept_w.tolist()))
+        return np.column_stack((kept_s, kept_w))
 
     def final_pi(self) -> np.ndarray:
         return self.trajectory.pi[-1].copy()

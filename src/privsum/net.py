@@ -305,9 +305,19 @@ class NodeRuntime:
                     self._reflood_queue.append(frame.payload)
                     self._lock.notify_all()
         elif frame.msg_type in (MSG_SHARE_PLAIN, MSG_SHARE_ENC):
+            if frame.sender_id not in self.in_ids:
+                raise ProtocolError(
+                    f"share frame from node {frame.sender_id}, "
+                    f"not an in-neighbor of node {self.node_id}"
+                )
             wire = self._wire_share(frame)
+            key = (frame.round, frame.sender_id)
             with self._lock:
-                self._shares[(frame.round, frame.sender_id)] = wire
+                if key in self._shares:
+                    raise ProtocolError(
+                        f"duplicate round-{frame.round} share from node {frame.sender_id}"
+                    )
+                self._shares[key] = wire
                 self._lock.notify_all()
         elif frame.msg_type == MSG_ROUND_SYNC:
             with self._lock:

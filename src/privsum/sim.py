@@ -161,24 +161,9 @@ class ExperimentConfig:
             adversary = AdversarySpec(
                 members=tuple(int(m) for m in a["members"]),
                 target=int(a["target"]),
-                attack=a.get("attack", "least_squares"),
-                trials=int(a.get("trials", 1)),
-                target_x0=tuple(float(v) for v in a.get("target_x0", ())),
+                **_present(a, _ADVERSARY_KEYS),
             )
-        cfg = cls(
-            graph=graph,
-            x0=raw["x0"],
-            big_k=int(raw.get("big_k", 1)),
-            epsilon=float(raw.get("epsilon", 0.01)),
-            phase_a_range=float(raw.get("phase_a_range", 10.0)),
-            max_rounds=int(raw.get("max_rounds", 100)),
-            stop_tol=float(raw.get("stop_tol", 1e-12)),
-            seed=int(raw.get("seed", 1)),
-            mode=raw.get("mode", MODE_ALGORITHM1),
-            adversary=adversary,
-            key_bits=int(raw.get("key_bits", 256)),
-            fractional_bits=int(raw.get("fractional_bits", DEFAULT_FRACTIONAL_BITS)),
-        )
+        cfg = cls(graph=graph, x0=raw["x0"], adversary=adversary, **_present(raw, _CONFIG_KEYS))
         cfg.validate()
         return cfg
 
@@ -189,6 +174,21 @@ class ExperimentConfig:
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {path} does not contain a mapping")
         return cls.from_dict(raw)
+
+
+# Optional config keys and how each is read; an absent key keeps the
+# dataclass default.
+_CONFIG_KEYS = dict(
+    big_k=int, epsilon=float, phase_a_range=float, max_rounds=int, stop_tol=float,
+    seed=int, mode=str, key_bits=int, fractional_bits=int,
+)
+_ADVERSARY_KEYS = dict(
+    attack=str, trials=int, target_x0=lambda values: tuple(float(v) for v in values)
+)
+
+
+def _present(raw: dict, converters: dict) -> dict:
+    return {key: read(raw[key]) for key, read in converters.items() if key in raw}
 
 
 def config_hash(config: ExperimentConfig) -> str:

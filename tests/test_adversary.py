@@ -225,9 +225,10 @@ def test_view_contains_only_member_data(demo_graph, demo_x0):
     rec = run_algorithm1(demo_graph, demo_x0, PARAMS, seed=15, rounds=6)
     view = build_adversary_view(rec, [2])
     assert view.members == frozenset({2})
-    assert all(m == 2 for (m, _k) in view.state_log)
-    assert all(m == 2 for (m, _k) in view.sent_shares)
-    assert all(msg.receiver == 2 for msgs in view.recv_log.values() for msg in msgs)
+    assert set(view.states) == {2}
+    assert all(2 in link for link in view.links)
+    with pytest.raises(TraceIncomplete):
+        view.link(0, 4)
     # a lone node 2 saw nothing that pins down node 0's start value
     with pytest.raises(TopologyConditionUnmet):
         attack_sole_neighbor(view, 0)
