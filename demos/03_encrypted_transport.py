@@ -36,15 +36,14 @@ enc = run_experiment(config(MODE_ALGORITHM2))
 print("plain final estimates:    ", np.round(plain.metrics.pi[-1], 9))
 print("encrypted final estimates:", np.round(enc.metrics.pi[-1], 9))
 worst = max(
-    max(abs(a.s_share - b.s_share), abs(a.w_share - b.w_share))
-    for pk, ek in zip(plain.record.delivered_log, enc.record.delivered_log)
-    for a, b in zip(pk, ek)
+    np.abs(plain.record.s_shares - enc.record.s_shares).max(),
+    np.abs(plain.record.w_shares - enc.record.w_shares).max(),
 )
 print(f"worst share deviation plain vs encrypted: {worst:.2e} (codec quantization)")
 print(f"mean encryption latency: {enc.mean_encrypt_seconds * 1e3:.3f} ms per share")
 print()
 
-first = enc.eavesdropper_log.messages[0][0]
+first = enc.eavesdropper_log.wire[0][0]
 print("what the wiretapper sees on one link (round 0):")
 print(f"  sender {first.sender} -> receiver {first.receiver}")
 print(f"  s ciphertext: {str(first.s_cipher.value)[:48]}... ({first.s_cipher.value.bit_length()} bits)")
@@ -56,5 +55,5 @@ try:
 except MalformedCiphertext as exc:
     print(f"  outsider decryption attempt fails: {exc}")
 
-plain_first = plain.record.delivered_log[0][0]
-print(f"  the plaintext share it is hiding: {plain_first.s_share!r}")
+plain_first = float(plain.record.s_shares[0, 0])
+print(f"  the plaintext share it is hiding: {plain_first!r}")

@@ -20,7 +20,7 @@ Included capabilities:
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,14 +32,14 @@ from .errors import (
     TraceIncomplete,
 )
 from .graph import DirectedGraph
-from .weights import RoundWeights, WeightParams
+from .weights import WeightParams
 
 
 @dataclass(frozen=True)
 class AdversaryView:
     """The information set of a (possibly colluding) set of protocol nodes.
 
-    ``states`` maps each member to its (s, w) columns over rounds
+    ``member_states`` maps each member to its (s, w) columns over rounds
     0..n_rounds.  ``links`` maps every edge with a member at either end to
     the (s, w) shares it carried, one entry per round; a member's ``(m, m)``
     link holds its retained self-share.  The facts that everyone's weight
@@ -51,7 +51,7 @@ class AdversaryView:
     graph: DirectedGraph
     params: WeightParams | None
     n_rounds: int
-    states: dict[int, tuple[np.ndarray, np.ndarray]]
+    member_states: dict[int, tuple[np.ndarray, np.ndarray]]
     links: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
 
     def link(self, sender: int, receiver: int) -> tuple[np.ndarray, np.ndarray]:
@@ -66,13 +66,22 @@ class AdversaryView:
 
 @dataclass(frozen=True)
 class EavesdropperLog:
-    """Everything a wiretapper of all links sees: the per-round wire
-    messages (ciphertexts under the encrypted transport), the topology, and
-    the public parameters.  No private keys, no node-internal state."""
+    """Everything a wiretapper of all links sees, plus the topology and the
+    public parameters; no private keys, no node-internal state.
 
-    messages: list[list]
+    Link e runs from ``senders[e]`` to ``receivers[e]``.  Under the
+    encrypted transport ``wire`` holds each round's ciphertext messages in
+    link order and ``s_shares``/``w_shares`` are None; in the clear the
+    shares themselves are seen, ``(rounds, E)`` arrays, and ``wire`` is None.
+    """
+
     topology: DirectedGraph
     params: WeightParams | None
+    senders: np.ndarray
+    receivers: np.ndarray
+    s_shares: np.ndarray | None
+    w_shares: np.ndarray | None
+    wire: list[list] | None
 
 
 def build_adversary_view(record: RunRecord, members) -> AdversaryView:
@@ -81,14 +90,16 @@ def build_adversary_view(record: RunRecord, members) -> AdversaryView:
     if not member_set <= set(record.graph.nodes()):
         raise ConfigError(f"adversary members {sorted(member_set)} outside the graph")
     trajectory = record.trajectory
-    states = {m: (trajectory.s[:, m], trajectory.w[:, m]) for m in sorted(member_set)}
+    member_states = {
+        m: (trajectory.s[:, m], trajectory.w[:, m]) for m in sorted(member_set)
+    }
     layout = record.weights.layout
     links = {}
     edges = zip(layout.senders.tolist(), layout.receivers.tolist())
     for e, (sender, receiver) in enumerate(edges):
         if sender in member_set or receiver in member_set:
             links[(sender, receiver)] = (record.s_shares[:, e], record.w_shares[:, e])
-    for m in states:
+    for m in member_states:
         kept = record.retained(m)
         links[(m, m)] = (kept[:, 0], kept[:, 1])
     return AdversaryView(
@@ -96,16 +107,22 @@ def build_adversary_view(record: RunRecord, members) -> AdversaryView:
         graph=record.graph,
         params=record.params,
         n_rounds=record.n_rounds,
-        states=states,
+        member_states=member_states,
         links=links,
     )
 
 
 def build_eavesdropper_log(record: RunRecord) -> EavesdropperLog:
+    layout = record.weights.layout
+    clear = record.wire is None
     return EavesdropperLog(
-        messages=record.wire_log,
         topology=record.graph,
         params=record.params,
+        senders=layout.senders,
+        receivers=layout.receivers,
+        s_shares=record.s_shares if clear else None,
+        w_shares=record.w_shares if clear else None,
+        wire=record.wire,
     )
 
 
@@ -374,11 +391,13 @@ def min_norm_entry(matrix: np.ndarray, rhs: np.ndarray, index: int) -> float:
 
 @dataclass(frozen=True)
 class Witness:
-    """An alternative execution (initial values plus round-0 value-side
-    weights for two nodes) that reproduces the adversary's observations."""
+    """An alternative execution that reproduces the adversary's
+    observations: other initial values, and ``round0_s``, the round-0 row of
+    the value-side weight table with the target's and the helper's weights
+    rewritten."""
 
     x0: tuple[float, ...]
-    round0_s_weights: dict[int, RoundWeights]
+    round0_s: np.ndarray
     target: int
     helper: int
     alt_x0: float
@@ -392,13 +411,12 @@ def build_indistinguishability_witness(
 
     ``helper`` must be a neighbor of the target (and, for the construction
     to prove anything, outside the adversary set).  Only round-0 value-side
-    weights of the two nodes change; every message an outsider to the pair
-    can see is preserved.
+    weights of the two nodes change, rescaled so every share keeps its
+    value; every message an outsider to the pair can see is preserved.
     """
     g = record.graph
     out_nb = set(g.out_neighbors(target))
-    in_nb = set(g.in_neighbors(target))
-    if helper not in out_nb | in_nb:
+    if helper not in out_nb | set(g.in_neighbors(target)):
         raise ConfigError(f"node {helper} is not a neighbor of node {target}")
     x_t = record.x0[target]
     x_h = record.x0[helper]
@@ -413,36 +431,24 @@ def build_indistinguishability_witness(
     new_x0[target] = float(alt_x0)
     new_x0[helper] = den_h
 
-    w_target = record.node_weights(target)[0]
-    w_helper = record.node_weights(helper)[0]
+    # The shift rides on the shares both nodes send to one node: the
+    # helper's own retained share when it is an out-neighbor of the target,
+    # else the target's.
+    absorber = helper if helper in out_nb else target
+    layout = record.weights.layout
+    old = record.weights.s[0]
+    row = old.copy()
     shift = float(alt_x0) - x_t
-
-    new_target_s = {}
-    for dest, p in w_target.s_weights.items():
-        if helper in out_nb and dest == helper:
-            new_target_s[dest] = (p * x_t + shift) / den_t
-        elif helper not in out_nb and dest == target:
-            new_target_s[dest] = (p * x_t + shift) / den_t
-        else:
-            new_target_s[dest] = p * x_t / den_t
-
-    new_helper_s = {}
-    for dest, p in w_helper.s_weights.items():
-        if helper in out_nb:
-            changed = dest == helper  # helper's own retained share absorbs it
-        else:
-            changed = dest == target  # helper's share to the target absorbs it
-        if changed:
-            new_helper_s[dest] = (p * x_h - shift) / den_h
-        else:
-            new_helper_s[dest] = p * x_h / den_h
+    rescale = ((target, x_t, den_t, shift), (helper, x_h, den_h, -shift))
+    for node, x, den, delta in rescale:
+        cols = layout.columns(node)
+        row[cols] = old[cols] * x / den
+        col = layout.column(node, absorber)
+        row[col] = (old[col] * x + delta) / den
 
     return Witness(
         x0=tuple(new_x0),
-        round0_s_weights={
-            target: replace(w_target, s_weights=new_target_s),
-            helper: replace(w_helper, s_weights=new_helper_s),
-        },
+        round0_s=row,
         target=target,
         helper=helper,
         alt_x0=float(alt_x0),
@@ -452,12 +458,10 @@ def build_indistinguishability_witness(
 def replay_with_witness(record: RunRecord, witness: Witness) -> RunRecord:
     """Re-run the recorded protocol under the witness's initial values and
     round-0 value weights, keeping every other weight draw identical."""
-    layout = record.weights.layout
     s = record.weights.s.copy()
-    for node, rw in witness.round0_s_weights.items():
-        s[0, layout.columns(node)] = [rw.s_weights[t] for t in layout.targets(node)]
+    s[0] = witness.round0_s
     return run_rounds(
-        WeightTable(layout, s, record.weights.w),
+        WeightTable(record.weights.layout, s, record.weights.w),
         list(witness.x0),
         params=record.params,
         mode=record.mode,
@@ -480,7 +484,7 @@ def adversary_observables(
 
     for (j, i), (s, w) in view.links.items():
         add(1 if j == i else 0, j, i, s, w)
-    for m, (s, w) in view.states.items():
+    for m, (s, w) in view.member_states.items():
         add(2, m, m, s, w)
     return sorted(entries, key=lambda item: item[0])
 

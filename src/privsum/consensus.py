@@ -17,9 +17,8 @@ two-phase random-weight protocol, replays with rewritten weights and
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from typing import Protocol
 
@@ -153,30 +152,14 @@ def apply_round(
     )
 
 
+@dataclass(frozen=True)
 class Trajectory:
     """Every node's state at rounds 0 .. final, as ``(rounds + 1, n)`` arrays
-    ``s``, ``w`` and ``pi``.
+    ``s``, ``w`` and ``pi``."""
 
-    Built from the arrays, or from rows of ``NodeState`` as
-    ``Trajectory(states=...)``.  ``states`` is derived from the arrays the
-    first time it is read.
-    """
-
-    def __init__(
-        self,
-        states: Sequence[Sequence[NodeState]] | None = None,
-        *,
-        s: np.ndarray | None = None,
-        w: np.ndarray | None = None,
-        pi: np.ndarray | None = None,
-    ) -> None:
-        if states is not None:
-            s = [[st.s for st in row] for row in states]
-            w = [[st.w for st in row] for row in states]
-            pi = [[st.pi for st in row] for row in states]
-        self.s = np.asarray(s, dtype=float)
-        self.w = np.asarray(w, dtype=float)
-        self.pi = np.asarray(pi, dtype=float)
+    s: np.ndarray
+    w: np.ndarray
+    pi: np.ndarray
 
     @property
     def n_nodes(self) -> int:
@@ -187,29 +170,10 @@ class Trajectory:
         """Number of executed rounds (snapshots minus the initial one)."""
         return self.s.shape[0] - 1
 
-    def s_array(self) -> np.ndarray:
-        return self.s.copy()
-
-    def w_array(self) -> np.ndarray:
-        return self.w.copy()
-
-    def pi_array(self) -> np.ndarray:
-        return self.pi.copy()
-
-    def _row(self, k: int) -> tuple[NodeState, ...]:
-        return tuple(
-            NodeState(i, s, w, pi, k)
-            for i, (s, w, pi) in enumerate(
-                zip(self.s[k].tolist(), self.w[k].tolist(), self.pi[k].tolist())
-            )
-        )
-
-    @cached_property
-    def states(self) -> list[tuple[NodeState, ...]]:
-        return [self._row(k) for k in range(self.s.shape[0])]
-
     def final(self) -> tuple[NodeState, ...]:
-        return self._row(self.s.shape[0] - 1)
+        k = self.n_rounds
+        rows = zip(self.s[k].tolist(), self.w[k].tolist(), self.pi[k].tolist())
+        return tuple(NodeState(i, s, w, pi, k) for i, (s, w, pi) in enumerate(rows))
 
 
 class Channel(Protocol):
@@ -242,8 +206,8 @@ class SenderLayout:
     of ``targets(j)`` (= ``RoundWeights.targets``): its out-neighbors
     ascending, then itself.  The columns left after dropping the self
     columns are the edges, ordered sender ascending, then receiver
-    ascending.  That is the order of the share arrays, of the delivered and
-    wire logs, and of the channel calls.  Row i of ``in_edges`` lists node
+    ascending.  That is the order of the share arrays, of a run's wire
+    messages and of the channel calls.  Row i of ``in_edges`` lists node
     i's in-edges by ascending sender, padded with the index ``n_edges``,
     which the engine points at a -0.0 share: x + (-0.0) is x bit for bit.
     """
@@ -279,6 +243,10 @@ class SenderLayout:
         stop = int(self.self_cols[node]) + 1
         return slice(stop - self.graph.out_degree(node) - 1, stop)
 
+    def column(self, node: int, target: int) -> int:
+        """The column of the node's weight on ``target``."""
+        return self.columns(node).start + self.targets(node).index(target)
+
 
 @dataclass(frozen=True)
 class WeightTable:
@@ -297,25 +265,18 @@ class WeightTable:
     def n_rounds(self) -> int:
         return self.s.shape[0]
 
-
-class RoundViews(Sequence):
-    """Per-round objects of a run record, each built from the record's
-    arrays the first time its round is read."""
-
-    def __init__(self, n_rounds: int, build: Callable[[int], object]) -> None:
-        self._build = build
-        self._built: list = [None] * n_rounds
-
-    def __len__(self) -> int:
-        return len(self._built)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(len(self))[k]]
-        k = range(len(self))[k]
-        if self._built[k] is None:
-            self._built[k] = self._build(k)
-        return self._built[k]
+    def matrix(self, k: int, side: str) -> np.ndarray:
+        """Round k's n x n coupling matrix of the ``"s"`` or ``"w"`` side:
+        column j holds node j's weights, zero off the graph support."""
+        if side not in ("s", "w"):
+            raise ConfigError(f"side must be 's' or 'w', not {side!r}")
+        row = (self.s if side == "s" else self.w)[k]
+        layout = self.layout
+        n = layout.graph.n_nodes
+        p = np.zeros((n, n))
+        p[layout.receivers, layout.senders] = row[layout.edge_cols]
+        np.fill_diagonal(p, row[layout.self_cols])
+        return p
 
 
 @dataclass
@@ -324,10 +285,8 @@ class RunRecord:
 
     ``s_shares``/``w_shares`` hold the shares each receiver applied, one row
     per round, one column per edge in ``SenderLayout`` order.  ``wire`` holds
-    what a channel put on the links, or None when shares travelled in the
-    clear.  ``weight_log``, ``delivered_log`` and ``wire_log`` present the
-    same facts as per-round objects, built only for the rounds a consumer
-    reads.
+    what a channel put on the links, one list per round in the same order,
+    or None when shares travelled in the clear.
     """
 
     x0: list[float]
@@ -346,53 +305,6 @@ class RunRecord:
     @property
     def n_rounds(self) -> int:
         return self.weights.n_rounds
-
-    def node_weights(self, node: int) -> list[RoundWeights]:
-        """The coupling weights the node used, one entry per round."""
-        layout = self.weights.layout
-        cols = layout.columns(node)
-        targets = layout.targets(node)
-        s_block = self.weights.s[:, cols]
-        w_block = self.weights.w[:, cols]
-        # Bitwise row equality: the two sides share one map only when no
-        # weight, not even a signed zero, tells them apart.
-        shared = (s_block.view(np.int64) == w_block.view(np.int64)).all(axis=1)
-        out = []
-        for k, (s_row, w_row, same) in enumerate(
-            zip(s_block.tolist(), w_block.tolist(), shared.tolist())
-        ):
-            s = dict(zip(targets, s_row))
-            out.append(RoundWeights(node, k, s, s if same else dict(zip(targets, w_row))))
-        return out
-
-    @cached_property
-    def weight_log(self) -> list[dict[int, RoundWeights]]:
-        """Per round, ``{node: RoundWeights}``."""
-        nodes = self.graph.nodes()
-        per_node = [self.node_weights(j) for j in nodes]
-        return [dict(zip(nodes, row)) for row in zip(*per_node)]
-
-    @cached_property
-    def delivered_log(self) -> RoundViews:
-        """Per round, the applied shares as messages in edge order."""
-        layout = self.weights.layout
-        senders = layout.senders.tolist()
-        receivers = layout.receivers.tolist()
-
-        def build(k: int) -> list[ShareMessage]:
-            return [
-                ShareMessage(j, i, k, s, w)
-                for j, i, s, w in zip(
-                    senders, receivers, self.s_shares[k].tolist(), self.w_shares[k].tolist()
-                )
-            ]
-
-        return RoundViews(self.n_rounds, build)
-
-    @property
-    def wire_log(self) -> Sequence[list]:
-        """Per round, what travelled on the links, in edge order."""
-        return self.delivered_log if self.wire is None else self.wire
 
     def retained(self, node: int) -> np.ndarray:
         """The (s, w) self-share the node kept, a ``(rounds, 2)`` array.  Same

@@ -22,6 +22,7 @@ import socket
 import struct
 import threading
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -225,7 +226,10 @@ class NodeRuntime:
         # and re-flooded by the protocol driver, keeping all sends on one
         # thread per socket.
         self._reflood_queue: list[bytes] = []
-        self._dead: str | None = None
+        # The round whose shares the driver applies next; a share frame for
+        # an earlier round is stale.
+        self._round = 0
+        self._dead: Exception | None = None
         self._out_socks: dict[int, socket.socket] = {}
         self._reader_threads: list[threading.Thread] = []
         self._sent_frames: list[bytes] = []
@@ -293,7 +297,7 @@ class NodeRuntime:
                 self._dispatch(frame)
         except Exception as exc:  # noqa: BLE001 - reported to the driver
             with self._lock:
-                self._dead = f"receive loop failed: {exc}"
+                self._dead = exc
                 self._lock.notify_all()
 
     def _dispatch(self, frame: WireFrame) -> None:
@@ -313,6 +317,11 @@ class NodeRuntime:
             wire = self._wire_share(frame)
             key = (frame.round, frame.sender_id)
             with self._lock:
+                if frame.round < self._round:
+                    raise ProtocolError(
+                        f"stale round-{frame.round} share from node {frame.sender_id}: "
+                        f"node {self.node_id} is at round {self._round}"
+                    )
                 if key in self._shares:
                     raise ProtocolError(
                         f"duplicate round-{frame.round} share from node {frame.sender_id}"
@@ -383,70 +392,87 @@ class NodeRuntime:
                 pack_key_announce(self.node_id, self.keypair.public),
             )
         )
+
+        def waiting() -> list[int]:
+            # Nothing while a fresh key waits to be re-flooded.
+            if self._reflood_queue:
+                return []
+            return sorted(set(self.graph.nodes()) - set(self._key_directory))
+
         deadline = time.monotonic() + self.round_timeout
         while True:
             with self._lock:
+                self._wait(
+                    waiting,
+                    deadline,
+                    lambda left: Timeout(
+                        f"node {self.node_id}: key directory incomplete, "
+                        f"missing keys for nodes {left}"
+                    ),
+                )
                 pending = list(self._reflood_queue)
                 self._reflood_queue.clear()
+                if not pending:
+                    return dict(self._key_directory)
             for payload in pending:
-                self._flood_frame(
-                    WireFrame(MSG_KEY_ANNOUNCE, self.node_id, 0, payload)
-                )
-            with self._lock:
-                if len(self._key_directory) == self.graph.n_nodes:
-                    if not self._reflood_queue:
-                        return dict(self._key_directory)
-                    continue
-                self._raise_if_dead()
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    missing = sorted(
-                        set(self.graph.nodes()) - set(self._key_directory)
-                    )
-                    raise Timeout(
-                        f"node {self.node_id}: key directory incomplete, "
-                        f"missing keys for nodes {missing}"
-                    )
-                self._lock.wait(timeout=min(remaining, 0.5))
+                self._flood_frame(WireFrame(MSG_KEY_ANNOUNCE, self.node_id, 0, payload))
 
     def _barrier(self, tag: int) -> None:
         """Startup/shutdown alignment: exchange ROUND_SYNC frames."""
         self._flood_frame(WireFrame(MSG_ROUND_SYNC, self.node_id, tag, b""))
-        deadline = time.monotonic() + self.round_timeout
         with self._lock:
-            while not all((tag, j) in self._syncs for j in self.in_ids):
-                self._raise_if_dead()
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    waiting = [j for j in self.in_ids if (tag, j) not in self._syncs]
-                    raise Timeout(
-                        f"node {self.node_id}: sync barrier {tag} timed out "
-                        f"waiting for {waiting}"
-                    )
-                self._lock.wait(timeout=min(remaining, 0.5))
+            self._wait(
+                lambda: [j for j in self.in_ids if (tag, j) not in self._syncs],
+                time.monotonic() + self.round_timeout,
+                lambda left: Timeout(
+                    f"node {self.node_id}: sync barrier {tag} timed out "
+                    f"waiting for {left}"
+                ),
+            )
+
+    def _wait(
+        self,
+        waiting: Callable[[], list[int]],
+        deadline: float,
+        fail: Callable[[list[int]], Exception],
+    ) -> None:
+        """With ``_lock`` held, wait until ``waiting()`` names nothing left
+        to wait for.  A failed receive loop is re-raised here; past
+        ``deadline`` the error that ``fail`` builds from what is still
+        missing is raised."""
+        while left := waiting():
+            self._raise_if_dead()
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise fail(left)
+            self._lock.wait(timeout=min(remaining, 0.5))
 
     def _raise_if_dead(self) -> None:
-        if self._dead is not None:
-            raise PeerDisconnected(f"node {self.node_id}: {self._dead}")
+        """Re-raise a receive-loop failure: a bad or unexpected frame as
+        ``ProtocolError``, anything else (a socket error) as
+        ``PeerDisconnected``."""
+        exc = self._dead
+        if isinstance(exc, ProtocolError):
+            raise ProtocolError(f"node {self.node_id}: {exc}") from exc
+        if exc is not None:
+            raise PeerDisconnected(
+                f"node {self.node_id}: receive loop failed: {exc}"
+            ) from exc
 
     def _receive_round(self, round_k: int) -> list[ShareMessage]:
         """Wait for every in-neighbor's round-k share, then recover the
         plaintext pairs through the channel."""
-        deadline = time.monotonic() + self.round_timeout
         with self._lock:
-            while not all((round_k, j) in self._shares for j in self.in_ids):
-                self._raise_if_dead()
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    waiting = [
-                        j for j in self.in_ids if (round_k, j) not in self._shares
-                    ]
-                    raise PeerDisconnected(
-                        f"node {self.node_id}: round {round_k} shares never "
-                        f"arrived from {waiting}"
-                    )
-                self._lock.wait(timeout=min(remaining, 0.5))
+            self._wait(
+                lambda: [j for j in self.in_ids if (round_k, j) not in self._shares],
+                time.monotonic() + self.round_timeout,
+                lambda left: PeerDisconnected(
+                    f"node {self.node_id}: round {round_k} shares never "
+                    f"arrived from {left}"
+                ),
+            )
             wires = [self._shares.pop((round_k, j)) for j in self.in_ids]
+            self._round = round_k + 1
         return [self.channel.receive(wire) for wire in wires]
 
     # -- main driver -------------------------------------------------------

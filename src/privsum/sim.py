@@ -28,6 +28,7 @@ from .consensus import (
     RunRecord,
     ShareMessage,
     Trajectory,
+    WeightTable,
     run_algorithm0,
     run_algorithm1,
 )
@@ -42,7 +43,7 @@ from .paillier import (
     encrypt,
     keygen,
 )
-from .weights import RoundWeights, WeightParams, derive_seed
+from .weights import WeightParams, derive_seed
 
 MODE_ALGORITHM0 = "algorithm0"
 MODE_ALGORITHM1 = "algorithm1"
@@ -223,9 +224,8 @@ class MetricsSeries:
 
 def error_series(trajectory: Trajectory, x0: Sequence[float]) -> MetricsSeries:
     alpha = float(np.mean(np.asarray(x0, dtype=float)))
-    pi = trajectory.pi_array()
-    e = np.linalg.norm(pi - alpha, axis=1)
-    return MetricsSeries(e=e, pi=pi, alpha=alpha)
+    e = np.linalg.norm(trajectory.pi - alpha, axis=1)
+    return MetricsSeries(e=e, pi=trajectory.pi, alpha=alpha)
 
 
 @dataclass(frozen=True)
@@ -385,45 +385,22 @@ def run_experiment(
     )
 
 
-def assemble_weight_matrix(
-    per_node: dict[int, RoundWeights], n_nodes: int, which: str = "s"
-) -> np.ndarray:
-    """N x N coupling matrix for one round: column j holds node j's weights,
-    zero where no edge."""
-    if which not in ("s", "w"):
-        raise ConfigError(f"which must be 's' or 'w', not {which!r}")
-    p = np.zeros((n_nodes, n_nodes))
-    for j, rw in per_node.items():
-        weights = rw.s_weights if which == "s" else rw.w_weights
-        for i, v in weights.items():
-            p[i, j] = v
-    return p
-
-
 def transition_product(
-    weight_log: list[dict[int, RoundWeights]],
-    from_round: int,
-    to_round: int,
-    which: str = "s",
-    n_nodes: int | None = None,
+    table: WeightTable, from_round: int, to_round: int, side: str
 ) -> np.ndarray:
-    """Product P(k) ... P(t) of per-round coupling matrices over rounds
+    """Product P(k) ... P(t) of the ``side`` coupling matrices over rounds
     t..k inclusive.  This is the matrix-side oracle for the round engine,
     which never materializes it."""
     if from_round > to_round:
         raise RangeUncovered(f"from_round {from_round} exceeds to_round {to_round}")
-    if from_round < 0 or to_round >= len(weight_log):
+    if from_round < 0 or to_round >= table.n_rounds:
         raise RangeUncovered(
-            f"rounds [{from_round}, {to_round}] not covered by a weight log "
-            f"of length {len(weight_log)}"
+            f"rounds [{from_round}, {to_round}] not covered by a weight table "
+            f"of {table.n_rounds} rounds"
         )
-    if n_nodes is None:
-        n_nodes = 1 + max(
-            max(i for i in rw.s_weights) for rw in weight_log[from_round].values()
-        )
-    product = assemble_weight_matrix(weight_log[from_round], n_nodes, which)
+    product = table.matrix(from_round, side)
     for k in range(from_round + 1, to_round + 1):
-        product = assemble_weight_matrix(weight_log[k], n_nodes, which) @ product
+        product = table.matrix(k, side) @ product
     return product
 
 

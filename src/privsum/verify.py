@@ -33,7 +33,6 @@ from .sim import (
     MODE_ALGORITHM0,
     MODE_ALGORITHM1,
     MODE_ALGORITHM2,
-    assemble_weight_matrix,
     resolve_x0,
     run_experiment,
     transition_product,
@@ -55,8 +54,7 @@ def _corrupted(weights: WeightTable) -> WeightTable:
     layout = weights.layout
     s = weights.s.copy()
     for j in layout.graph.nodes():
-        targets = layout.targets(j)
-        s[:, layout.columns(j).start + targets.index(min(targets))] += 0.05
+        s[:, layout.column(j, min(layout.targets(j)))] += 0.05
     return WeightTable(layout, s, weights.w)
 
 
@@ -80,7 +78,7 @@ def suite_mass_conservation(config: ExperimentConfig) -> SuiteResult:
     for mode in (MODE_ALGORITHM0, MODE_ALGORITHM1, MODE_ALGORITHM2):
         cfg = replace(config, mode=mode, stop_tol=0.0, max_rounds=min(config.max_rounds, 40))
         res = run_experiment(cfg)
-        s = res.record.trajectory.s_array()
+        s = res.record.trajectory.s
         total0 = sum(res.x0)
         drift = np.max(np.abs(s.sum(axis=1) - total0)) / (1.0 + abs(total0))
         worst = max(worst, float(drift))
@@ -92,7 +90,7 @@ def suite_weight_floor(config: ExperimentConfig) -> SuiteResult:
     """w_i(k) = 1 exactly through round K+1, then never below epsilon^N."""
     cfg = replace(config, mode=MODE_ALGORITHM1, stop_tol=0.0)
     res = run_experiment(cfg)
-    w = res.record.trajectory.w_array()
+    w = res.record.trajectory.w
     big_k = config.big_k
     head_ok = bool(np.all(w[: big_k + 2] == 1.0))
     floor = config.epsilon**config.graph.n_nodes
@@ -109,16 +107,16 @@ def suite_weight_floor(config: ExperimentConfig) -> SuiteResult:
 def suite_column_stochastic(
     config: ExperimentConfig, corrupt_weights: bool = False
 ) -> SuiteResult:
-    """Every round's assembled s and w matrices have unit column sums, the
+    """Every round's s and w matrices have unit column sums, the
     w matrix is the identity through round K, and both matrices coincide
     with entries in (epsilon, 1) afterwards."""
     cfg = replace(config, stop_tol=0.0, max_rounds=min(config.max_rounds, 40))
     record = _run(cfg, corrupt_weights)
     n = config.graph.n_nodes
     eps = config.epsilon
-    for k, per_node in enumerate(record.weight_log):
-        ps = assemble_weight_matrix(per_node, n, "s")
-        pw = assemble_weight_matrix(per_node, n, "w")
+    for k in range(record.n_rounds):
+        ps = record.weights.matrix(k, "s")
+        pw = record.weights.matrix(k, "w")
         if not (
             np.allclose(ps.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
             and np.allclose(pw.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
@@ -144,7 +142,7 @@ def suite_column_stochastic(
                     False,
                     f"mixing-phase weights outside ({eps}, 1) at round {k}",
                 )
-    return SuiteResult("column-stochastic", True, f"{len(record.weight_log)} rounds checked")
+    return SuiteResult("column-stochastic", True, f"{record.n_rounds} rounds checked")
 
 
 def suite_transition_products(config: ExperimentConfig) -> SuiteResult:
@@ -157,22 +155,20 @@ def suite_transition_products(config: ExperimentConfig) -> SuiteResult:
     cfg = replace(config, mode=MODE_ALGORITHM1, stop_tol=0.0, max_rounds=rounds)
     res = run_experiment(cfg)
     record = res.record
-    s = record.trajectory.s_array()
-    w = record.trajectory.w_array()
+    s = record.trajectory.s
+    w = record.trajectory.w
 
-    phi_s = transition_product(record.weight_log, 0, big_k, "s", n)
+    phi_s = transition_product(record.weights, 0, big_k, "s")
     lhs = phi_s @ s[0]
     if not np.allclose(lhs, s[big_k + 1], rtol=1e-9, atol=1e-9 * (1 + np.abs(s).max())):
         return SuiteResult("transition-products", False, "s(K+1) mismatch")
     if abs(lhs.sum() - s[0].sum()) > 1e-9 * (1.0 + abs(s[0].sum())):
         return SuiteResult("transition-products", False, "mass not conserved by Phi_s")
     for k in range(big_k + 2, rounds + 1):
-        phi_w = transition_product(record.weight_log, big_k + 1, k - 1, "w", n)
+        phi_w = transition_product(record.weights, big_k + 1, k - 1, "w")
         if not np.allclose(phi_w @ np.ones(n), w[k], rtol=1e-12, atol=1e-12):
             return SuiteResult("transition-products", False, f"w({k}) mismatch")
-    window = transition_product(
-        record.weight_log, big_k + 1, big_k + n, "w", n
-    )
+    window = transition_product(record.weights, big_k + 1, big_k + n, "w")
     if not np.all(window >= config.epsilon**n):
         return SuiteResult(
             "transition-products", False, "window product entries below epsilon^N"

@@ -103,7 +103,7 @@ def test_criterion_02_delayed_convergence_onset():
         for config in _fig2_configs():
             res = run_experiment(config)
             assert res.metrics.e[-1] < 1e-6, (config.big_k, res.metrics.e[-1])
-            w = res.record.trajectory.w_array()
+            w = res.record.trajectory.w
             assert np.all(w[: config.big_k + 2] == 1.0), config.big_k
         assert time.perf_counter() - start < 5.0
 
@@ -126,7 +126,7 @@ def test_criterion_03_weight_lower_bound():
                 seed=int(rng.integers(0, 2**31)),
                 rounds=big_k + 2 + 12,
             )
-            w = rec.trajectory.w_array()
+            w = rec.trajectory.w
             assert np.all(w[: big_k + 2] == 1.0)
             assert w[big_k + 2 :].min() >= eps**n, (n, eps, big_k)
             runs += 1
@@ -166,7 +166,7 @@ def test_criterion_05_mass_conservation_everywhere():
             )
         for config in matrix:
             res = run_experiment(config)
-            totals = res.record.trajectory.s_array().sum(axis=1)
+            totals = res.record.trajectory.s.sum(axis=1)
             target = sum(res.x0)
             bound = 1e-9 * (1.0 + abs(target))
             assert np.max(np.abs(totals - target)) <= bound, config.mode
@@ -310,13 +310,12 @@ def test_criterion_10_encrypted_mode_tracks_plain_mode():
         plain = run_experiment(demo_config(mode=MODE_ALGORITHM1))
         enc = run_experiment(demo_config(mode=MODE_ALGORITHM2, key_bits=256))
         bound = 2.0**-30
-        for k in range(plain.record.n_rounds):
-            for a, b in zip(
-                plain.record.delivered_log[k], enc.record.delivered_log[k]
-            ):
-                assert (a.sender, a.receiver) == (b.sender, b.receiver)
-                assert abs(a.s_share - b.s_share) <= bound, k
-                assert abs(a.w_share - b.w_share) <= bound, k
+        layout = plain.record.weights.layout
+        assert np.array_equal(layout.senders, enc.record.weights.layout.senders)
+        assert np.array_equal(layout.receivers, enc.record.weights.layout.receivers)
+        assert plain.record.n_rounds == enc.record.n_rounds
+        assert np.abs(plain.record.s_shares - enc.record.s_shares).max() <= bound
+        assert np.abs(plain.record.w_shares - enc.record.w_shares).max() <= bound
 
         # the eavesdropper sees only ciphertexts under the recipients' keys
         keypairs = node_keypairs(enc.config.graph, 256, enc.config.seed)
@@ -327,7 +326,8 @@ def test_criterion_10_encrypted_mode_tracks_plain_mode():
         stranger = keygen(256, random.Random(4242))
         wire_blob = b""
         cipher_values = set()
-        for round_msgs in enc.eavesdropper_log.messages:
+        assert enc.eavesdropper_log.s_shares is None
+        for round_msgs in enc.eavesdropper_log.wire:
             for msg in round_msgs:
                 for c in (msg.s_cipher, msg.w_cipher):
                     cipher_values.add(c.value)
@@ -337,10 +337,11 @@ def test_criterion_10_encrypted_mode_tracks_plain_mode():
                 with pytest.raises(MalformedCiphertext):
                     decrypt(stranger, msg.s_cipher)
         leaked = 0
-        for round_msgs in plain.record.delivered_log:
-            for msg in round_msgs:
-                codec = codecs[msg.receiver]
-                for value in (msg.s_share, msg.w_share):
+        receivers = layout.receivers.tolist()
+        for s_row, w_row in zip(plain.record.s_shares.tolist(), plain.record.w_shares.tolist()):
+            for receiver, s_share, w_share in zip(receivers, s_row, w_row):
+                codec = codecs[receiver]
+                for value in (s_share, w_share):
                     encoded = codec.encode(value)
                     raw = encoded.to_bytes(
                         (encoded.bit_length() + 7) // 8 or 1, "big"

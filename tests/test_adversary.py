@@ -136,24 +136,19 @@ def test_least_squares_true_solution_satisfies_system():
     record = res.record
     system = build_least_squares_system(res.adversary_view, 0, 20)
     m, big_k = 20, 1
-    s = record.trajectory.s_array()[:, 0]
-    w = record.trajectory.w_array()[:, 0]
+    s = record.trajectory.s[:, 0]
+    w = record.trajectory.w[:, 0]
+    layout = record.weights.layout
+    # the link 0 -> 4: node 4 stays honest
+    (hidden,) = np.flatnonzero((layout.senders == 0) & (layout.receivers == 4))
     truth = np.zeros(system.n_unknowns)
     truth[0 : m + 2] = s[: m + 2]
     for k in range(m + 1):
-        hidden = 0.0
-        for msg in record.delivered_log[k]:
-            if msg.sender == 0 and msg.receiver == 4:  # node 4 stays honest
-                hidden += msg.s_share
-        truth[m + 2 + k] = hidden
+        truth[m + 2 + k] = record.s_shares[k, hidden]
     for k in range(big_k + 2, m + 2):
         truth[2 * m + 3 + (k - big_k - 2)] = w[k]
     for k in range(big_k + 1, m + 1):
-        hidden = 0.0
-        for msg in record.delivered_log[k]:
-            if msg.sender == 0 and msg.receiver == 4:
-                hidden += msg.w_share
-        truth[2 * m + 3 + (m - big_k) + (k - big_k - 1)] = hidden
+        truth[2 * m + 3 + (m - big_k) + (k - big_k - 1)] = record.w_shares[k, hidden]
     residual = system.matrix @ truth - system.rhs
     assert np.max(np.abs(residual)) < 1e-8
 
@@ -172,9 +167,7 @@ def test_witness_identity_perturbation(demo_graph, demo_x0):
     rec = run_algorithm1(demo_graph, demo_x0, PARAMS, seed=11, rounds=10)
     witness = build_indistinguishability_witness(rec, 0, demo_x0[0], helper=4)
     assert witness.x0 == tuple(demo_x0)
-    orig = rec.weight_log[0][0].s_weights
-    for dest, v in witness.round0_s_weights[0].s_weights.items():
-        assert v == pytest.approx(orig[dest], rel=1e-12)
+    np.testing.assert_allclose(witness.round0_s, rec.weights.s[0], rtol=1e-12, atol=0.0)
 
 
 def test_witness_preserves_total(demo_graph, demo_x0):
@@ -197,7 +190,7 @@ def test_witness_replay_preserves_adversary_view(demo_graph, demo_x0, helper, ca
     ), f"view changed for helper as {case}"
     # the witness still reaches agreement on the same average
     np.testing.assert_allclose(
-        replayed.trajectory.s_array().sum(axis=1), sum(demo_x0), rtol=1e-9
+        replayed.trajectory.s.sum(axis=1), sum(demo_x0), rtol=1e-9
     )
 
 
@@ -225,7 +218,7 @@ def test_view_contains_only_member_data(demo_graph, demo_x0):
     rec = run_algorithm1(demo_graph, demo_x0, PARAMS, seed=15, rounds=6)
     view = build_adversary_view(rec, [2])
     assert view.members == frozenset({2})
-    assert set(view.states) == {2}
+    assert set(view.member_states) == {2}
     assert all(2 in link for link in view.links)
     with pytest.raises(TraceIncomplete):
         view.link(0, 4)
@@ -238,9 +231,11 @@ def test_eavesdropper_log_plaintext_mode(demo_graph, demo_x0):
     rec = run_algorithm1(demo_graph, demo_x0, PARAMS, seed=16, rounds=4)
     log = build_eavesdropper_log(rec)
     assert log.topology is demo_graph
-    assert len(log.messages) == 4
-    assert all(
-        len(round_msgs) == demo_graph.n_edges for round_msgs in log.messages
+    assert log.wire is None
+    assert log.s_shares.shape == log.w_shares.shape == (4, demo_graph.n_edges)
+    # graph edges are (receiver, sender) pairs
+    assert sorted(zip(log.receivers.tolist(), log.senders.tolist())) == sorted(
+        demo_graph.edges
     )
 
 

@@ -10,6 +10,7 @@ from privsum.consensus import (
     apply_round,
     default_pushsum_matrix,
     initial_state,
+    matrix_weights,
     outgoing_shares,
     run_algorithm0,
     run_algorithm1,
@@ -119,7 +120,7 @@ def test_apply_round_round_mismatch_and_zero_weight():
 def test_masking_phase_keeps_w_at_one(demo_graph, demo_x0):
     params = WeightParams(big_k=3, epsilon=0.01)
     rec = run_algorithm1(demo_graph, demo_x0, params, seed=2, rounds=12)
-    w = rec.trajectory.w_array()
+    w = rec.trajectory.w
     assert np.all(w[: params.big_k + 2] == 1.0)
     assert not np.all(w[params.big_k + 2] == 1.0)
 
@@ -135,7 +136,7 @@ def test_three_node_ring_converges_to_mean():
 
 def test_algorithm0_constant_input_is_fixed_point(demo_graph):
     rec = run_algorithm0(demo_graph, [4.2] * 5, rounds=40)
-    pi = rec.trajectory.pi_array()
+    pi = rec.trajectory.pi
     np.testing.assert_allclose(pi, 4.2, rtol=0.0, atol=1e-12)
 
 
@@ -146,14 +147,14 @@ def test_algorithm0_converges_to_average(demo_graph, demo_x0):
 
 def test_algorithm0_mass_conservation(demo_graph, demo_x0):
     rec = run_algorithm0(demo_graph, demo_x0, rounds=60)
-    totals = rec.trajectory.s_array().sum(axis=1)
+    totals = rec.trajectory.s.sum(axis=1)
     np.testing.assert_allclose(totals, sum(demo_x0), rtol=1e-9)
 
 
 def test_algorithm1_mass_conservation(demo_graph, demo_x0):
     params = WeightParams(big_k=4, epsilon=0.01)
     rec = run_algorithm1(demo_graph, demo_x0, params, seed=3, rounds=60)
-    totals = rec.trajectory.s_array().sum(axis=1)
+    totals = rec.trajectory.s.sum(axis=1)
     np.testing.assert_allclose(totals, sum(demo_x0), rtol=1e-9)
 
 
@@ -204,6 +205,31 @@ def test_run_rounds_reports_a_zero_weight_sum():
         run_rounds(WeightTable(layout, s, w), [1.0, 3.0])
 
 
+def _random_support_matrix(graph, rng):
+    """A column-stochastic matrix with random positive weights on the
+    graph's edges and diagonal."""
+    p = np.zeros((graph.n_nodes, graph.n_nodes))
+    for j in graph.nodes():
+        targets = list(graph.out_neighbors(j)) + [j]
+        p[targets, j] = rng.uniform(0.1, 1.0, size=len(targets))
+    return p / p.sum(axis=0)
+
+
+@pytest.mark.parametrize("graph_index", [0, 1], ids=["demo", "random50"])
+def test_weight_table_matrix_scatters_back_the_fixed_matrix(graph_index):
+    graph = _parity_graphs()[graph_index][0]
+    if graph_index == 0:
+        p = default_pushsum_matrix(graph)
+    else:
+        p = _random_support_matrix(graph, np.random.default_rng(51))
+    table = matrix_weights(graph, p, 3)
+    for k in range(3):
+        for side in ("s", "w"):
+            assert table.matrix(k, side).tobytes() == p.tobytes(), (k, side)
+    with pytest.raises(ConfigError):
+        table.matrix(0, "x")
+
+
 def _message_passing(graph, x0, weight_source, rounds, channel=None, stop_tol=0.0):
     """Reference run built from the networked runtime's per-node functions:
     every node sends through ``outgoing_shares``, every node folds its inbox
@@ -246,29 +272,31 @@ def _bits(values) -> bytes:
 def _assert_same_run(record, ref):
     """The array engine's record equals the reference run bit for bit."""
     nodes = record.graph.nodes()
+    layout = record.weights.layout
+    links = list(zip(layout.senders.tolist(), layout.receivers.tolist()))
     assert record.n_rounds == len(ref["weights"])
     for name in ("s", "w", "pi"):
         expected = [[getattr(st, name) for st in row] for row in ref["states"]]
         assert getattr(record.trajectory, name).tobytes() == _bits(expected), name
-    assert record.trajectory.states == [tuple(row) for row in ref["states"]]
+    assert record.trajectory.final() == tuple(ref["states"][-1])
     for i in nodes:
         assert _bits(record.retained(i)) == _bits([kept[i] for kept in ref["retained"]])
     for k in range(record.n_rounds):
-        got = record.delivered_log[k]
         want = ref["delivered"][k]
-        assert [(m.sender, m.receiver, m.round) for m in got] == [
-            (m.sender, m.receiver, m.round) for m in want
+        assert [(m.sender, m.receiver, m.round) for m in want] == [
+            (j, i, k) for j, i in links
         ]
-        assert _bits([(m.s_share, m.w_share) for m in got]) == _bits(
+        assert _bits(np.column_stack((record.s_shares[k], record.w_shares[k]))) == _bits(
             [(m.s_share, m.w_share) for m in want]
         )
         for i in nodes:
-            a, b = record.weight_log[k][i], ref["weights"][k][i]
-            assert (a.node_id, a.round, a.targets) == (b.node_id, b.round, b.targets)
-            assert _bits([a.s_weights[t] for t in a.targets]) == _bits(
+            b = ref["weights"][k][i]
+            cols = layout.columns(i)
+            assert (b.node_id, b.round, b.targets) == (i, k, layout.targets(i))
+            assert _bits(record.weights.s[k, cols]) == _bits(
                 [b.s_weights[t] for t in b.targets]
             )
-            assert _bits([a.w_weights[t] for t in a.targets]) == _bits(
+            assert _bits(record.weights.w[k, cols]) == _bits(
                 [b.w_weights[t] for t in b.targets]
             )
 
@@ -322,10 +350,17 @@ def test_array_engine_matches_message_passing(graph_index):
     # witness replay of the early-stopped run: rewritten round-0 weights
     witness = build_indistinguishability_witness(early, 0, -7.5, graph.out_neighbors(0)[0])
 
+    layout = early.weights.layout
+
     def rewritten(i, k):
-        if k == 0 and i in witness.round0_s_weights:
-            return witness.round0_s_weights[i]
-        return early.weight_log[k][i]
+        cols = layout.columns(i)
+        s_row = witness.round0_s if k == 0 else early.weights.s[k]
+        return RoundWeights(
+            i,
+            k,
+            dict(zip(layout.targets(i), s_row[cols].tolist())),
+            dict(zip(layout.targets(i), early.weights.w[k, cols].tolist())),
+        )
 
     replayed = replay_with_witness(early, witness)
     _assert_same_run(
@@ -348,6 +383,6 @@ def test_array_engine_matches_message_passing_encrypted(graph_index):
         graph, x0, _drawn_round_by_round(graph, params, 3), 4, channel=channel()
     )
     _assert_same_run(record, ref)
-    assert [[(m.s_cipher.value, m.w_cipher.value) for m in r] for r in record.wire_log] == [
+    assert [[(m.s_cipher.value, m.w_cipher.value) for m in r] for r in record.wire] == [
         [(m.s_cipher.value, m.w_cipher.value) for m in r] for r in ref["wire"]
     ]

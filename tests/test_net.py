@@ -177,10 +177,11 @@ def test_encrypted_wire_carries_no_plaintext_encodings():
     assert share_frames
     keys = {i: results[i][2].keypair.public for i in range(5)}
     checked = 0
-    for round_msgs in rec.delivered_log:
-        for msg in round_msgs:
-            codec = FixedPointCodec(keys[msg.receiver].n, config.fractional_bits)
-            for value in (msg.s_share, msg.w_share):
+    receivers = rec.weights.layout.receivers.tolist()
+    for s_row, w_row in zip(rec.s_shares.tolist(), rec.w_shares.tolist()):
+        for receiver, s_share, w_share in zip(receivers, s_row, w_row):
+            codec = FixedPointCodec(keys[receiver].n, config.fractional_bits)
+            for value in (s_share, w_share):
                 encoded = codec.encode(value)
                 raw = encoded.to_bytes((encoded.bit_length() + 7) // 8 or 1, "big")
                 if len(raw) < 4:
@@ -282,3 +283,37 @@ def test_duplicate_pending_share_frame_is_rejected():
     with pytest.raises(ProtocolError, match="duplicate round-0 share from node 1"):
         rt._dispatch(WireFrame(MSG_SHARE_PLAIN, 1, 0, pack_plain_shares(9.0, 0.5)))
     assert rt._shares[(0, 1)].s_share == 1.0
+
+
+def test_stale_share_frame_is_rejected():
+    rt = _two_node_runtime(MODE_PLAIN)
+    rt._dispatch(WireFrame(MSG_SHARE_PLAIN, 1, 0, pack_plain_shares(1.0, 0.5)))
+    assert [m.s_share for m in rt._receive_round(0)] == [1.0]
+    with pytest.raises(ProtocolError, match="stale round-0 share from node 1"):
+        rt._dispatch(WireFrame(MSG_SHARE_PLAIN, 1, 0, pack_plain_shares(9.0, 0.5)))
+    assert rt._shares == {}
+
+
+def test_receive_loop_protocol_error_reaches_the_driver_as_protocol_error():
+    rt = _two_node_runtime(MODE_PLAIN)
+    frame = encode_frame(WireFrame(MSG_SHARE_PLAIN, 1, 0, pack_plain_shares(1.0, 0.5)))
+    ours, theirs = socket.socketpair()
+    theirs.sendall(frame + frame)
+    theirs.close()
+    try:
+        rt._reader(ours)
+    finally:
+        ours.close()
+    assert [m.s_share for m in rt._receive_round(0)] == [1.0]
+    with pytest.raises(ProtocolError, match="node 0: duplicate round-0 share from node 1"):
+        rt._receive_round(1)
+
+
+def test_receive_loop_socket_error_reaches_the_driver_as_peer_disconnected():
+    rt = _two_node_runtime(MODE_PLAIN)
+    ours, theirs = socket.socketpair()
+    theirs.close()
+    ours.close()
+    rt._reader(ours)  # recv on a closed socket raises OSError
+    with pytest.raises(PeerDisconnected, match="node 0: receive loop failed"):
+        rt._receive_round(0)

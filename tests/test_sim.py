@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from privsum.consensus import Trajectory, initial_state
+from privsum.consensus import Trajectory
 from privsum.errors import ConfigError, RangeUncovered
 from privsum.graph import DirectedGraph, default_demo_graph
 from privsum.sim import (
@@ -10,7 +10,6 @@ from privsum.sim import (
     MODE_ALGORITHM2,
     AdversarySpec,
     ExperimentConfig,
-    assemble_weight_matrix,
     error_series,
     fitted_contraction,
     resolve_x0,
@@ -42,14 +41,12 @@ def test_run_experiment_converges():
 
 
 def test_error_series_direct_values():
-    states = [
-        tuple(initial_state(i, v) for i, v in enumerate((21.0, 19.0))),
-    ]
-    traj = Trajectory(states=states)
+    ones = np.ones((1, 2))
+    traj = Trajectory(s=np.array([[21.0, 19.0]]), w=ones, pi=np.array([[21.0, 19.0]]))
     m = error_series(traj, [21.0, 19.0])
     assert m.alpha == 20.0
     assert m.e[0] == pytest.approx(np.sqrt(2.0), abs=1e-15)
-    flat = Trajectory(states=[tuple(initial_state(i, 20.0) for i in range(2))])
+    flat = Trajectory(s=20.0 * ones, w=ones, pi=20.0 * ones)
     assert error_series(flat, [25.0, 15.0]).e[0] == 0.0
 
 
@@ -80,51 +77,50 @@ def test_transition_product_oracle_matches_engine():
     cfg = make_config(big_k=2, max_rounds=20)
     res = run_experiment(cfg)
     record = res.record
+    table = record.weights
     n = cfg.graph.n_nodes
     k_mask = cfg.big_k
 
     # single factor
-    p0 = transition_product(record.weight_log, 3, 3, "s", n)
-    np.testing.assert_array_equal(
-        p0, assemble_weight_matrix(record.weight_log[3], n, "s")
-    )
+    p0 = transition_product(table, 3, 3, "s")
+    np.testing.assert_array_equal(p0, table.matrix(3, "s"))
     # masking phase leaves the weight side untouched
-    phi_w_mask = transition_product(record.weight_log, 0, k_mask, "w", n)
+    phi_w_mask = transition_product(table, 0, k_mask, "w")
     np.testing.assert_array_equal(phi_w_mask, np.eye(n))
     # column stochasticity of every prefix product
     for k in range(record.n_rounds):
-        phi = transition_product(record.weight_log, 0, k, "s", n)
+        phi = transition_product(table, 0, k, "s")
         np.testing.assert_allclose(phi.sum(axis=0), 1.0, atol=1e-11, rtol=0.0)
     # the matrix route reproduces the message-passing trajectory
-    s = record.trajectory.s_array()
-    w = record.trajectory.w_array()
+    s = record.trajectory.s
+    w = record.trajectory.w
     np.testing.assert_allclose(
-        transition_product(record.weight_log, 0, k_mask, "s", n) @ s[0],
+        transition_product(table, 0, k_mask, "s") @ s[0],
         s[k_mask + 1],
         rtol=1e-12,
         atol=1e-12 * np.abs(s).max(),
     )
     for k in range(k_mask + 2, record.n_rounds + 1):
-        phi_w = transition_product(record.weight_log, k_mask + 1, k - 1, "w", n)
+        phi_w = transition_product(table, k_mask + 1, k - 1, "w")
         np.testing.assert_allclose(phi_w @ np.ones(n), w[k], rtol=1e-12, atol=1e-13)
 
 
 def test_transition_product_range_errors():
     res = run_experiment(make_config(max_rounds=10))
-    log = res.record.weight_log
+    table = res.record.weights
     with pytest.raises(RangeUncovered):
-        transition_product(log, 5, 3)
+        transition_product(table, 5, 3, "s")
     with pytest.raises(RangeUncovered):
-        transition_product(log, 0, 10)
+        transition_product(table, 0, 10, "s")
     with pytest.raises(RangeUncovered):
-        transition_product(log, -1, 3)
+        transition_product(table, -1, 3, "s")
 
 
 def test_weight_window_product_floor():
     cfg = make_config(big_k=1, max_rounds=20, epsilon=0.05)
     res = run_experiment(cfg)
     n = cfg.graph.n_nodes
-    window = transition_product(res.record.weight_log, 2, 2 + n - 1, "w", n)
+    window = transition_product(res.record.weights, 2, 2 + n - 1, "w")
     assert np.all(window >= cfg.epsilon**n)
 
 
@@ -204,8 +200,8 @@ def test_encrypted_mode_close_to_plain():
     )
     assert enc.mean_encrypt_seconds is not None
     np.testing.assert_allclose(
-        enc.record.trajectory.pi_array(),
-        plain.record.trajectory.pi_array(),
+        enc.record.trajectory.pi,
+        plain.record.trajectory.pi,
         atol=1e-8,
     )
 

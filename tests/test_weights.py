@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privsum.errors import ConfigError, InvalidEpsilon
-from privsum.sim import assemble_weight_matrix
+from privsum.consensus import algorithm1_weights
 from privsum.weights import (
     RoundWeights,
     WeightParams,
@@ -111,17 +111,11 @@ def test_round_weights_invariants(round_k, big_k, n_out, seed):
 
 def test_column_stochastic_assembly_all_rounds(demo_graph):
     params = WeightParams(big_k=2, epsilon=0.05)
-    rngs = {i: node_rng(17, i) for i in demo_graph.nodes()}
+    table = algorithm1_weights(demo_graph, params, 17, 6)
     eye = np.eye(demo_graph.n_nodes)
     for k in range(6):
-        per_node = {
-            i: generate_round_weights(
-                i, k, demo_graph.out_neighbors(i), params, rngs[i]
-            )
-            for i in demo_graph.nodes()
-        }
-        p_s = assemble_weight_matrix(per_node, demo_graph.n_nodes, "s")
-        p_w = assemble_weight_matrix(per_node, demo_graph.n_nodes, "w")
+        p_s = table.matrix(k, "s")
+        p_w = table.matrix(k, "w")
         np.testing.assert_allclose(p_s.sum(axis=0), 1.0, atol=1e-12, rtol=0.0)
         np.testing.assert_allclose(p_w.sum(axis=0), 1.0, atol=1e-12, rtol=0.0)
         if k <= params.big_k:
