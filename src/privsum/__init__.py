@@ -16,7 +16,6 @@ from .graph import (
     random_strongly_connected_graph,
 )
 from .weights import (
-    RoundWeights,
     WeightParams,
     derive_seed,
     generate_round_weights,
@@ -26,12 +25,9 @@ from .weights import (
 from .consensus import (
     NodeState,
     RunRecord,
-    ShareMessage,
     Trajectory,
     apply_round,
     default_pushsum_matrix,
-    initial_state,
-    outgoing_shares,
     run_algorithm0,
     run_algorithm1,
 )

@@ -1,4 +1,4 @@
-"""Per-node push-sum state machines and the synchronous round engine.
+"""The synchronous push-sum round engine.
 
 Every node keeps a value sum ``s``, a weight sum ``w`` and the running
 estimate ``pi = s / w``.  Each round it splits (s, w) into shares using its
@@ -7,13 +7,14 @@ out-neighbors, then folds the received shares in.  Because each node's
 outgoing weights sum to 1, the total of ``s`` over the network never
 changes, which is what makes the final agreement the exact average.
 
-Two implementations of one round exist.  ``outgoing_shares`` and
-``apply_round`` move one node's shares as messages; the networked runtime
-uses them.  ``run_rounds`` runs every node of a simulated network at once on
-arrays, with the same multiplications and the same summation order, so the
-two agree bit for bit.  It serves the baseline fixed-weight protocol, the
+One round is ``apply_round``, over state columns.  ``run_rounds`` calls it
+for all nodes of a simulated network at once; a networked node
+(``net.NodeRuntime``) calls it on its own single column.  Both multiply
+each out-share as weight times state and add the received shares in
+ascending sender order, so a deployed node and the simulator agree bit for
+bit.  ``run_rounds`` serves the baseline fixed-weight protocol, the
 two-phase random-weight protocol, replays with rewritten weights and
-(through a pluggable channel) the encrypted transport.
+(through a channel) the encrypted transport.
 """
 from __future__ import annotations
 
@@ -24,15 +25,9 @@ from typing import Protocol
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DivisionByZero,
-    MissingShare,
-    NotStronglyConnected,
-    RoundMismatch,
-)
+from .errors import ConfigError, DivisionByZero, NotStronglyConnected
 from .graph import DirectedGraph, is_strongly_connected
-from .weights import RoundWeights, WeightParams, draw_weight_rows, node_rng
+from .weights import WeightParams, generate_round_weights, node_rng
 
 
 @dataclass(frozen=True)
@@ -46,110 +41,32 @@ class NodeState:
     round: int
 
 
-def initial_state(node_id: int, x0: float) -> NodeState:
-    x0 = float(x0)
-    return NodeState(node_id=node_id, s=x0, w=1.0, pi=x0, round=0)
-
-
-@dataclass(frozen=True)
-class ShareMessage:
-    """One directed share transmission for one round."""
-
-    sender: int
-    receiver: int
-    round: int
-    s_share: float
-    w_share: float
-
-
-def outgoing_shares(
-    state: NodeState, weights: RoundWeights
-) -> tuple[list[ShareMessage], tuple[float, float]]:
-    """Split the node's (s, w) into per-neighbor messages plus the retained
-    self-share pair.  The shares (self included) sum back to s and w up to
-    float rounding."""
-    if weights.node_id != state.node_id:
-        raise RoundMismatch(
-            f"weights belong to node {weights.node_id}, state to node {state.node_id}"
-        )
-    if weights.round != state.round:
-        raise RoundMismatch(
-            f"node {state.node_id}: weights are for round {weights.round}, "
-            f"state is at round {state.round}"
-        )
-    msgs = []
-    for target in weights.targets:
-        if target == state.node_id:
-            continue
-        msgs.append(
-            ShareMessage(
-                sender=state.node_id,
-                receiver=target,
-                round=state.round,
-                s_share=weights.s_weights[target] * state.s,
-                w_share=weights.w_weights[target] * state.w,
-            )
-        )
-    retained = (
-        weights.s_weights[state.node_id] * state.s,
-        weights.w_weights[state.node_id] * state.w,
-    )
-    return msgs, retained
-
-
 def apply_round(
-    state: NodeState,
-    received: Sequence[ShareMessage],
-    retained: tuple[float, float],
-    in_neighbors: Sequence[int],
-) -> NodeState:
-    """Fold one synchronous round's shares into the state.
+    state: np.ndarray,
+    self_weights: np.ndarray,
+    received: np.ndarray,
+    round_k: int,
+    nodes: Sequence[int],
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """One synchronous round for a set of nodes, one column each.
 
-    Requires exactly one message from every in-neighbor, all carrying the
-    node's current round.  Messages are summed in sender order so the result
-    is independent of arrival order.
+    ``state`` and ``self_weights`` are ``(2, c)`` arrays with rows (s, w).
+    ``received`` is ``(slots, 2, c)``: each column's in-shares in ascending
+    sender order, a column with fewer in-neighbors padded with -0.0 shares
+    (x + (-0.0) is x bit for bit).  The next state, written to ``out`` when
+    given, is the retained share ``self_weights * state`` plus the received
+    shares slot by slot, so a column's result depends neither on arrival
+    order nor on which other columns are stepped with it.  ``nodes[c]``
+    names column c in the ``DivisionByZero`` raised when a weight sum is 0.
     """
-    expected = set(in_neighbors)
-    seen: set[int] = set()
-    for msg in received:
-        if msg.receiver != state.node_id or msg.round != state.round:
-            raise RoundMismatch(
-                f"node {state.node_id} round {state.round} got message "
-                f"for node {msg.receiver} round {msg.round}"
-            )
-        if msg.sender not in expected:
-            raise MissingShare(
-                f"node {state.node_id}: share from non-in-neighbor {msg.sender}"
-            )
-        if msg.sender in seen:
-            raise MissingShare(
-                f"node {state.node_id}: duplicate share from {msg.sender} "
-                f"in round {state.round}"
-            )
-        seen.add(msg.sender)
-    if seen != expected:
-        missing = sorted(expected - seen)
-        raise MissingShare(
-            f"node {state.node_id}: round {state.round} shares missing "
-            f"from in-neighbors {missing}"
-        )
-
-    s_new = retained[0]
-    w_new = retained[1]
-    for msg in sorted(received, key=lambda m: m.sender):
-        s_new += msg.s_share
-        w_new += msg.w_share
-    if w_new == 0.0:
-        raise DivisionByZero(
-            f"node {state.node_id}: weight sum hit zero at round {state.round}"
-        )
-    return NodeState(
-        node_id=state.node_id,
-        s=s_new,
-        w=w_new,
-        pi=s_new / w_new,
-        round=state.round + 1,
-    )
+    nxt = np.multiply(self_weights, state, out=out)
+    for shares in received:
+        nxt += shares
+    if not nxt[1].all():
+        node = nodes[int(np.flatnonzero(nxt[1] == 0.0)[0])]
+        raise DivisionByZero(f"node {node}: weight sum hit zero at round {round_k}")
+    return nxt
 
 
 @dataclass(frozen=True)
@@ -177,39 +94,29 @@ class Trajectory:
 
 
 class Channel(Protocol):
-    """Transforms messages between the sender and the receiver.
+    """Carries share pairs from sender to receiver.
 
-    ``transmit`` produces whatever actually travels on the wire (and is what
-    an eavesdropper sees); ``receive`` recovers the plaintext share the
-    receiving node applies.
+    ``transmit`` returns what actually travels on the wire (and is what an
+    eavesdropper sees); ``receive`` recovers the (s, w) pair the receiving
+    node applies.  Shares in the clear need no channel.
     """
 
-    def transmit(self, msg: ShareMessage): ...
+    def transmit(self, sender: int, receiver: int, round_k: int, s: float, w: float): ...
 
-    def receive(self, wire) -> ShareMessage: ...
-
-
-class PlainChannel:
-    """Identity channel: shares travel in the clear."""
-
-    def transmit(self, msg: ShareMessage):
-        return msg
-
-    def receive(self, wire) -> ShareMessage:
-        return wire
+    def receive(self, wire) -> tuple[float, float]: ...
 
 
 class SenderLayout:
     """Where each node's weights and shares sit in a run's arrays.
 
     Node j owns the columns ``columns(j)`` of a weight table, in the order
-    of ``targets(j)`` (= ``RoundWeights.targets``): its out-neighbors
-    ascending, then itself.  The columns left after dropping the self
-    columns are the edges, ordered sender ascending, then receiver
-    ascending.  That is the order of the share arrays, of a run's wire
-    messages and of the channel calls.  Row i of ``in_edges`` lists node
-    i's in-edges by ascending sender, padded with the index ``n_edges``,
-    which the engine points at a -0.0 share: x + (-0.0) is x bit for bit.
+    of ``targets(j)``: its out-neighbors ascending, then itself.  The
+    columns left after dropping the self columns are the edges, ordered
+    sender ascending, then receiver ascending.  That is the order of the
+    share arrays, of a run's wire messages and of the channel calls.  Row
+    i of ``in_edges`` lists node i's in-edges by ascending sender, padded
+    with the index ``n_edges``, which the engine points at a -0.0 share:
+    x + (-0.0) is x bit for bit.
     """
 
     def __init__(self, graph: DirectedGraph) -> None:
@@ -308,7 +215,7 @@ class RunRecord:
 
     def retained(self, node: int) -> np.ndarray:
         """The (s, w) self-share the node kept, a ``(rounds, 2)`` array.  Same
-        multiply as ``outgoing_shares``, so bit-equal to what it retained."""
+        multiply as ``apply_round``'s retained share, so bit-equal to it."""
         col = self.weights.layout.self_cols[node]
         rounds = self.n_rounds
         kept_s = self.weights.s[:, col] * self.trajectory.s[:rounds, node]
@@ -337,10 +244,8 @@ def _through_channel(
         w_shares.tolist(),
     )
     for e, (sender, receiver, s_share, w_share) in enumerate(edges):
-        wire = channel.transmit(ShareMessage(sender, receiver, round_k, s_share, w_share))
-        plain = channel.receive(wire)
-        s_shares[e] = plain.s_share
-        w_shares[e] = plain.w_share
+        wire = channel.transmit(sender, receiver, round_k, s_share, w_share)
+        s_shares[e], w_shares[e] = channel.receive(wire)
         wires.append(wire)
     return wires
 
@@ -358,12 +263,11 @@ def run_rounds(
     round per row of the weight table.
 
     Per round, every edge share is its weight times the sender's state, and
-    each node's new state is its retained share plus the received shares in
-    ascending sender order: ``outgoing_shares`` and ``apply_round`` for all
-    nodes at once.  With a channel, each share pair is passed through it
-    and the receiver applies what comes out.  If ``stop_tol`` is positive,
-    the run ends early once ``max_i |pi_i(k) - pi_i(k-1)| < stop_tol`` held
-    for ``stop_window`` consecutive rounds.
+    ``apply_round`` steps all n columns at once.  With a channel, each share
+    pair is passed through it and the receiver applies what comes out.  If
+    ``stop_tol`` is positive, the run ends early once
+    ``max_i |pi_i(k) - pi_i(k-1)| < stop_tol`` held for ``stop_window``
+    consecutive rounds.
     """
     layout = weights.layout
     n = layout.graph.n_nodes
@@ -384,6 +288,7 @@ def run_rounds(
     shares = np.empty((rounds, 2, n_edges + 1))
     shares[:, :, n_edges] = -0.0
     in_slots = layout.in_edges.T
+    nodes = range(n)
     wire: list[list] | None = None if channel is None else []
     done = rounds
     quiet_rounds = 0
@@ -396,12 +301,8 @@ def run_rounds(
         np.multiply(edge_w, now.take(layout.senders, axis=1), out=edge_shares)
         if channel is not None:
             wire.append(_through_channel(channel, layout, k, *edge_shares))
-        np.multiply(self_w, now, out=nxt)
-        for received in round_shares.take(in_slots, axis=1).swapaxes(0, 1):
-            nxt += received
-        if not nxt[1].all():
-            node = int(np.flatnonzero(nxt[1] == 0.0)[0])
-            raise DivisionByZero(f"node {node}: weight sum hit zero at round {k}")
+        received = round_shares.take(in_slots, axis=1).swapaxes(0, 1)
+        apply_round(now, self_w, received, k, nodes, out=nxt)
 
         if stop_tol > 0.0:
             pi_next = nxt[0] / nxt[1]
@@ -429,22 +330,16 @@ def algorithm1_weights(
     graph: DirectedGraph, params: WeightParams, seed: int, rounds: int
 ) -> WeightTable:
     """Weights of the two-phase protocol for ``rounds`` rounds, one
-    independent seeded generator per node.  The networked runtime draws the
-    identical stream round by round, so simulated and deployed runs agree
-    bit for bit."""
+    independent seeded generator per node.  A networked node draws its own
+    rows with the same call, so simulated and deployed runs agree bit for
+    bit."""
     layout = SenderLayout(graph)
-    s = np.concatenate(
-        [
-            draw_weight_rows(i, graph.out_neighbors(i), params, node_rng(seed, i), 0, rounds)
-            for i in graph.nodes()
-        ],
-        axis=1,
-    )
-    # Masking rounds keep the weight side at the identity.
-    w = s.copy()
-    masking = min(rounds, params.big_k + 1)
-    w[:masking] = 0.0
-    w[:masking, layout.self_cols] = 1.0
+    s, w = np.empty((2, rounds, layout.n_edges + graph.n_nodes))
+    for i in graph.nodes():
+        cols = layout.columns(i)
+        s[:, cols], w[:, cols] = generate_round_weights(
+            i, graph.out_neighbors(i), params, node_rng(seed, i), 0, rounds
+        )
     return WeightTable(layout, s, w)
 
 

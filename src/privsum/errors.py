@@ -18,15 +18,6 @@ class NotStronglyConnected(PrivsumError):
     """The graph does not contain a directed path between every node pair."""
 
 
-class RoundMismatch(PrivsumError):
-    """A message or weight set carries a round index the node is not in."""
-
-
-class MissingShare(PrivsumError):
-    """The synchronous protocol was violated: a round's in-neighbor share
-    is absent, duplicated, or from an unexpected sender."""
-
-
 class DivisionByZero(PrivsumError):
     """A node's weight sum reached zero; fatal protocol corruption."""
 

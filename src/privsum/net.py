@@ -11,8 +11,14 @@ that.
 Share payloads are either two raw float64s (plain transport) or two
 length-prefixed Paillier ciphertexts encrypted under the receiver's public
 key (encrypted transport, through the simulator's ``PaillierChannel``).
-With identical seeds the plain-transport trajectory is bit-for-bit the
-simulator's, because both derive the same per-node weight streams.
+A node computes its rounds with the simulator's own code: it draws its
+weights with ``generate_round_weights`` and steps its single state column
+with ``consensus.apply_round``.  With identical seeds the plain-transport
+trajectory is therefore bit-for-bit the simulator's.
+
+Each inbound connection is bound to the sender id of its first frame, and
+a share frame may not run more than n - 1 rounds ahead of the receiver
+(the most an honest peer can, on a strongly connected graph of n nodes).
 """
 from __future__ import annotations
 
@@ -28,14 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .consensus import (
-    Channel,
-    PlainChannel,
-    ShareMessage,
-    apply_round,
-    initial_state,
-    outgoing_shares,
-)
+from .consensus import NodeState, apply_round
 from .errors import ConfigError, PeerDisconnected, ProtocolError, Timeout
 from .paillier import (
     Ciphertext,
@@ -157,13 +156,15 @@ def unpack_cipher_shares(payload: bytes) -> tuple[int, int]:
     return s_val, w_val
 
 
-def share_frame(wire: ShareMessage | CipherShareMessage) -> WireFrame:
-    """The frame carrying one share pair as its channel put it on the wire."""
-    if isinstance(wire, CipherShareMessage):
-        payload = pack_cipher_shares(wire.s_cipher.value, wire.w_cipher.value)
-        return WireFrame(MSG_SHARE_ENC, wire.sender, wire.round, payload)
-    payload = pack_plain_shares(wire.s_share, wire.w_share)
-    return WireFrame(MSG_SHARE_PLAIN, wire.sender, wire.round, payload)
+def share_frame(
+    sender: int, round_k: int, s: float | Ciphertext, w: float | Ciphertext
+) -> WireFrame:
+    """The frame carrying one share pair: two floats in the clear, or two
+    ciphertexts."""
+    if isinstance(s, Ciphertext):
+        payload = pack_cipher_shares(s.value, w.value)
+        return WireFrame(MSG_SHARE_ENC, sender, round_k, payload)
+    return WireFrame(MSG_SHARE_PLAIN, sender, round_k, pack_plain_shares(s, w))
 
 
 def pack_key_announce(origin: int, public_key) -> bytes:
@@ -183,10 +184,11 @@ def unpack_key_announce(payload: bytes):
 class NodeRuntime:
     """One protocol node bound to a listening TCP socket.
 
-    Drives the exact same state machine as the simulator: the weight stream
-    is derived from (seed, node id), shares are computed and applied with
-    identical float operations, and rounds advance only when every
-    in-neighbor's share for the current round has arrived.
+    Runs its own column of the simulator's round engine: the weight rows
+    come from ``generate_round_weights`` on the stream derived from (seed,
+    node id), each out-share is its weight times the node's state, and
+    ``apply_round`` folds the received shares in.  A round is applied only
+    when every in-neighbor's share for it has arrived.
     """
 
     def __init__(
@@ -219,9 +221,11 @@ class NodeRuntime:
         self.in_ids = list(self.graph.in_neighbors(node_id))
 
         self._lock = threading.Condition()
-        self._shares: dict[tuple[int, int], ShareMessage | CipherShareMessage] = {}
+        self._shares: dict[tuple[int, int], tuple[float, float] | CipherShareMessage] = {}
         self._syncs: set[tuple[int, int]] = set()
         self._key_directory: dict[int, object] = {}
+        # In-neighbors whose connection has announced itself.
+        self._claimed: set[int] = set()
         # Reader threads never write to sockets; fresh keys are queued here
         # and re-flooded by the protocol driver, keeping all sends on one
         # thread per socket.
@@ -235,7 +239,7 @@ class NodeRuntime:
         self._sent_frames: list[bytes] = []
 
         self.keypair: PaillierKeypair | None = None
-        self.channel: Channel = PlainChannel()
+        self.channel: PaillierChannel | None = None
         if mode == MODE_ENCRYPTED:
             self.keypair = node_keypair(config.key_bits, config.seed, node_id)
             self._key_directory[node_id] = self.keypair.public
@@ -289,16 +293,37 @@ class NodeRuntime:
                     time.sleep(0.05)
 
     def _reader(self, conn: socket.socket) -> None:
+        sender = None
         try:
             while True:
                 frame = read_frame(conn)
                 if frame is None:
                     return
+                if sender is None:
+                    sender = self._claim(frame.sender_id)
+                elif frame.sender_id != sender:
+                    raise ProtocolError(
+                        f"frame from node {frame.sender_id} on the connection "
+                        f"of node {sender}"
+                    )
                 self._dispatch(frame)
         except Exception as exc:  # noqa: BLE001 - reported to the driver
             with self._lock:
                 self._dead = exc
                 self._lock.notify_all()
+
+    def _claim(self, sender: int) -> int:
+        """Bind a new inbound connection to the sender of its first frame."""
+        if sender not in self.in_ids:
+            raise ProtocolError(
+                f"connection from node {sender}, "
+                f"not an in-neighbor of node {self.node_id}"
+            )
+        with self._lock:
+            if sender in self._claimed:
+                raise ProtocolError(f"second connection from node {sender}")
+            self._claimed.add(sender)
+        return sender
 
     def _dispatch(self, frame: WireFrame) -> None:
         if frame.msg_type == MSG_KEY_ANNOUNCE:
@@ -322,6 +347,18 @@ class NodeRuntime:
                         f"stale round-{frame.round} share from node {frame.sender_id}: "
                         f"node {self.node_id} is at round {self._round}"
                     )
+                if frame.round >= self.config.max_rounds:
+                    raise ProtocolError(
+                        f"round-{frame.round} share from node {frame.sender_id}: "
+                        f"the run has {self.config.max_rounds} rounds"
+                    )
+                ahead = frame.round - self._round
+                if ahead >= self.graph.n_nodes:
+                    raise ProtocolError(
+                        f"round-{frame.round} share from node {frame.sender_id} is "
+                        f"{ahead} rounds ahead of node {self.node_id}, more than "
+                        f"n - 1 = {self.graph.n_nodes - 1}"
+                    )
                 if key in self._shares:
                     raise ProtocolError(
                         f"duplicate round-{frame.round} share from node {frame.sender_id}"
@@ -335,7 +372,7 @@ class NodeRuntime:
         else:
             raise ProtocolError(f"unknown message type {frame.msg_type}")
 
-    def _wire_share(self, frame: WireFrame) -> ShareMessage | CipherShareMessage:
+    def _wire_share(self, frame: WireFrame) -> tuple[float, float] | CipherShareMessage:
         """Inverse of ``share_frame`` for a share addressed to this node."""
         expected = MSG_SHARE_PLAIN if self.keypair is None else MSG_SHARE_ENC
         if frame.msg_type != expected:
@@ -343,10 +380,7 @@ class NodeRuntime:
                 f"share frame of type {frame.msg_type} on a {self.mode} transport"
             )
         if self.keypair is None:
-            s_share, w_share = unpack_plain_shares(frame.payload)
-            return ShareMessage(
-                frame.sender_id, self.node_id, frame.round, s_share, w_share
-            )
+            return unpack_plain_shares(frame.payload)
         s_val, w_val = unpack_cipher_shares(frame.payload)
         key_id = self.keypair.public.key_id
         return CipherShareMessage(
@@ -459,9 +493,10 @@ class NodeRuntime:
                 f"node {self.node_id}: receive loop failed: {exc}"
             ) from exc
 
-    def _receive_round(self, round_k: int) -> list[ShareMessage]:
-        """Wait for every in-neighbor's round-k share, then recover the
-        plaintext pairs through the channel."""
+    def _receive_round(self, round_k: int) -> list[tuple[float, float]]:
+        """Wait for every in-neighbor's round-k share, then return the
+        (s, w) pairs by ascending sender, recovered through the channel
+        under the encrypted transport."""
         with self._lock:
             self._wait(
                 lambda: [j for j in self.in_ids if (round_k, j) not in self._shares],
@@ -473,13 +508,15 @@ class NodeRuntime:
             )
             wires = [self._shares.pop((round_k, j)) for j in self.in_ids]
             self._round = round_k + 1
+        if self.channel is None:
+            return wires
         return [self.channel.receive(wire) for wire in wires]
 
     # -- main driver -------------------------------------------------------
 
-    def run(self) -> tuple[object, dict]:
+    def run(self) -> tuple[NodeState, dict]:
         """Execute the configured number of rounds; returns the final node
-        state and a manifest of summary statistics."""
+        state (Python floats) and a manifest of summary statistics."""
         self._serve()
         try:
             self._connect_out()
@@ -487,31 +524,42 @@ class NodeRuntime:
                 self.flood_public_keys()
             self._barrier(0)
 
-            rng = node_rng(self.config.seed, self.node_id)
-            params = self.config.params
-            x0 = resolve_x0(self.config)
-            state = initial_state(self.node_id, x0[self.node_id])
-            rows = [(0, state.s, state.w, state.pi)]
+            rounds = self.config.max_rounds
+            s_rows, w_rows = generate_round_weights(
+                self.node_id,
+                self.out_ids,
+                self.config.params,
+                node_rng(self.config.seed, self.node_id),
+                0,
+                rounds,
+            )
+            # Per round a (2, targets) row: (s, w) weights, self last.
+            weights = np.stack((s_rows, w_rows), axis=1)
+            x0 = resolve_x0(self.config)[self.node_id]
+            state = np.array([[x0], [1.0]])
+            rows = [(0, x0, 1.0, x0)]
 
-            for k in range(self.config.max_rounds):
-                weights = generate_round_weights(
-                    self.node_id, k, self.out_ids, params, rng
-                )
-                msgs, retained = outgoing_shares(state, weights)
-                for msg in msgs:
-                    self._send(msg.receiver, share_frame(self.channel.transmit(msg)))
-                received = self._receive_round(k)
-                state = apply_round(state, received, retained, self.in_ids)
-                rows.append((state.round, state.s, state.w, state.pi))
+            for k, row in enumerate(weights):
+                out_shares = row[:, :-1] * state
+                for peer, s, w in zip(self.out_ids, *out_shares.tolist()):
+                    if self.channel is not None:
+                        wire = self.channel.transmit(self.node_id, peer, k, s, w)
+                        s, w = wire.s_cipher, wire.w_cipher
+                    self._send(peer, share_frame(self.node_id, k, s, w))
+                received = np.array(self._receive_round(k)).reshape(-1, 2, 1)
+                state = apply_round(state, row[:, -1:], received, k, (self.node_id,))
+                s, w = state[:, 0].tolist()
+                rows.append((k + 1, s, w, s / w))
 
-            self._barrier(self.config.max_rounds + 1)
-            manifest = self._finish(state, rows)
-            return state, manifest
+            self._barrier(rounds + 1)
+            final = NodeState(self.node_id, *rows[-1][1:], round=rounds)
+            manifest = self._finish(final, rows)
+            return final, manifest
         finally:
             self._shutdown()
 
     def _finish(self, state, rows) -> dict:
-        seconds = self.channel.encrypt_seconds if self.mode == MODE_ENCRYPTED else []
+        seconds = self.channel.encrypt_seconds if self.channel is not None else []
         manifest = {
             "node_id": self.node_id,
             "mode": self.mode,
@@ -566,7 +614,7 @@ def run_networked(
     capture_frames: bool = False,
     round_timeout: float = 60.0,
     connect_deadline: float = 20.0,
-) -> tuple[object, dict]:
+) -> tuple[NodeState, dict]:
     """Run one networked node to completion."""
     runtime = NodeRuntime(
         node_id,

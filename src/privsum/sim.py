@@ -26,7 +26,6 @@ from .adversary import (
 )
 from .consensus import (
     RunRecord,
-    ShareMessage,
     Trajectory,
     WeightTable,
     run_algorithm0,
@@ -281,16 +280,18 @@ class PaillierChannel:
         self.encrypt_seconds.append(time.perf_counter() - start)
         return cipher
 
-    def transmit(self, msg: ShareMessage) -> CipherShareMessage:
+    def transmit(
+        self, sender: int, receiver: int, round_k: int, s: float, w: float
+    ) -> CipherShareMessage:
         return CipherShareMessage(
-            sender=msg.sender,
-            receiver=msg.receiver,
-            round=msg.round,
-            s_cipher=self._encrypt(msg.sender, msg.receiver, msg.s_share),
-            w_cipher=self._encrypt(msg.sender, msg.receiver, msg.w_share),
+            sender=sender,
+            receiver=receiver,
+            round=round_k,
+            s_cipher=self._encrypt(sender, receiver, s),
+            w_cipher=self._encrypt(sender, receiver, w),
         )
 
-    def receive(self, wire: CipherShareMessage) -> ShareMessage:
+    def receive(self, wire: CipherShareMessage) -> tuple[float, float]:
         kp = self.keypairs[wire.receiver]
         codec = self._codec(wire.receiver)
         try:
@@ -301,13 +302,7 @@ class PaillierChannel:
                 f"node {wire.receiver}: round-{wire.round} share from "
                 f"{wire.sender}: {exc}"
             ) from exc
-        return ShareMessage(
-            sender=wire.sender,
-            receiver=wire.receiver,
-            round=wire.round,
-            s_share=codec.decode(s_plain),
-            w_share=codec.decode(w_plain),
-        )
+        return codec.decode(s_plain), codec.decode(w_plain)
 
 
 def node_keypair(key_bits: int, seed: int, node_id: int) -> PaillierKeypair:

@@ -67,35 +67,6 @@ class WeightParams:
         return round_k <= self.big_k
 
 
-@dataclass
-class RoundWeights:
-    """One node's outgoing coupling weights for one round.
-
-    Keys of both maps are the node's out-neighbors plus the node itself.
-    Where the protocol makes the two sides equal, both attributes reference
-    one map, so neither may be mutated in place.
-    """
-
-    node_id: int
-    round: int
-    s_weights: dict[int, float]
-    w_weights: dict[int, float]
-
-    @property
-    def targets(self) -> list[int]:
-        """Out-neighbors in ascending order, then self last."""
-        others = sorted(t for t in self.s_weights if t != self.node_id)
-        return others + [self.node_id]
-
-
-def simplex_sample(rng: np.random.Generator, m: int) -> np.ndarray:
-    """Uniform sample from the unit simplex via sorted-uniform gaps."""
-    if m == 1:
-        return np.ones(1)
-    cuts = np.sort(rng.uniform(0.0, 1.0, size=m - 1))
-    return np.diff(cuts, prepend=0.0, append=1.0)
-
-
 def phase_b_map(simplex_point: Iterable[float], epsilon: float) -> np.ndarray:
     """Affine map sending the unit simplex into { x in (epsilon, 1)^m :
     sum x = 1 }: output_j = epsilon + d_j * (1 - m * epsilon).  A 2-D input
@@ -111,25 +82,27 @@ def phase_b_map(simplex_point: Iterable[float], epsilon: float) -> np.ndarray:
     return epsilon + d * (1.0 - m * epsilon)
 
 
-def draw_weight_rows(
+def generate_round_weights(
     node_id: int,
     out_neighbors: Iterable[int],
     params: WeightParams,
     rng: np.random.Generator,
     first_round: int,
     n_rounds: int,
-) -> np.ndarray:
-    """One node's value-side weights for ``n_rounds`` rounds from
-    ``first_round`` on, one row per round.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One node's coupling weights for ``n_rounds`` rounds from
+    ``first_round`` on: the value-side and the weight-side rows, one row
+    per round.
 
-    Columns follow ``RoundWeights.targets``: out-neighbors ascending, then
-    the node itself.  All rounds come from one ``rng.random`` call that
-    consumes the stream exactly as successive one-round draws do: m
-    uniforms per masking round, m - 1 per mixing round (m = out-degree + 1).
-    A masking row is m uniforms on (-B, B) shifted to sum to 1; a mixing row
-    is the sorted-uniform simplex gaps under ``phase_b_map``.  The
-    self-weight is then 1 minus the sequential sum of the others, so a row
-    sums to 1 exactly in floating point.
+    Columns are the node's targets: out-neighbors ascending, then the node
+    itself.  All rounds come from one ``rng.random`` call that consumes the
+    stream exactly as successive one-round draws do: m uniforms per masking
+    round, m - 1 per mixing round (m = out-degree + 1).  A masking row is m
+    uniforms on (-B, B) shifted to sum to 1; a mixing row is the
+    sorted-uniform simplex gaps under ``phase_b_map``.  The self-weight is
+    then 1 minus the sequential sum of the others, so a row sums to 1
+    exactly in floating point.  The weight side is the identity row (self
+    1, others 0) in masking rounds and the value-side row in mixing rounds.
     """
     others = sorted(int(t) for t in out_neighbors)
     if node_id in others:
@@ -162,56 +135,8 @@ def draw_weight_rows(
         rows[:, -1] = 1.0 - np.cumsum(rows[:, :-1], axis=1)[:, -1]
     else:
         rows[:, -1] = 1.0
-    return rows
 
-
-def generate_round_weights(
-    node_id: int,
-    round_k: int,
-    out_neighbors: Iterable[int],
-    params: WeightParams,
-    rng: np.random.Generator,
-) -> RoundWeights:
-    """Draw one round's coupling weights for one node: the one-round case
-    of ``draw_weight_rows``, so a node drawing round by round consumes its
-    stream exactly as the simulator's batched draw does."""
-    others = sorted(int(t) for t in out_neighbors)
-    row = draw_weight_rows(node_id, others, params, rng, round_k, 1)[0]
-    s = dict(zip(others + [node_id], row.tolist()))
-    if not params.is_masking_round(round_k):
-        return RoundWeights(node_id, round_k, s, s)
-    w = {t: 0.0 for t in others}
-    w[node_id] = 1.0
-    return RoundWeights(node_id, round_k, s, w)
-
-
-def validate_round_weights(
-    rw: RoundWeights,
-    params: WeightParams,
-    sum_tol: float = 1e-12,
-) -> None:
-    """Raise ValueError if the weight set violates its invariants."""
-    s_sum = sum(rw.s_weights.values())
-    w_sum = sum(rw.w_weights.values())
-    if abs(s_sum - 1.0) > sum_tol:
-        raise ValueError(f"s-weights of node {rw.node_id} sum to {s_sum!r}, not 1")
-    if abs(w_sum - 1.0) > sum_tol:
-        raise ValueError(f"w-weights of node {rw.node_id} sum to {w_sum!r}, not 1")
-    if set(rw.s_weights) != set(rw.w_weights):
-        raise ValueError("s and w weight maps must share one key set")
-    if params.is_masking_round(rw.round):
-        for t, v in rw.w_weights.items():
-            expect = 1.0 if t == rw.node_id else 0.0
-            if v != expect:
-                raise ValueError(
-                    f"masking-phase w-weight for target {t} is {v!r}, expected {expect}"
-                )
-    else:
-        eps = params.epsilon
-        for t in rw.s_weights:
-            if rw.s_weights[t] != rw.w_weights[t]:
-                raise ValueError("mixing-phase requires identical s and w weights")
-            if not eps < rw.s_weights[t] < 1.0:
-                raise ValueError(
-                    f"mixing-phase weight {rw.s_weights[t]!r} outside ({eps}, 1)"
-                )
+    w_rows = rows.copy()
+    w_rows[:n_mask] = 0.0
+    w_rows[:n_mask, -1] = 1.0
+    return rows, w_rows

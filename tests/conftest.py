@@ -1,3 +1,10 @@
+import os
+
+# One BLAS thread, as in CI: on a small host a second OpenBLAS thread spins
+# between the attack's small solves and slows every other test process.
+# Set before anything imports numpy, which reads it once at load time.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import pytest
 
 from privsum.graph import default_demo_graph

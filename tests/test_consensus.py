@@ -3,29 +3,29 @@ import pytest
 
 from privsum.adversary import build_indistinguishability_witness, replay_with_witness
 from privsum.consensus import (
-    PlainChannel,
     SenderLayout,
-    ShareMessage,
     WeightTable,
-    apply_round,
     default_pushsum_matrix,
-    initial_state,
     matrix_weights,
-    outgoing_shares,
     run_algorithm0,
     run_algorithm1,
     run_rounds,
 )
-from privsum.errors import (
-    ConfigError,
-    DivisionByZero,
-    MissingShare,
-    NotStronglyConnected,
-    RoundMismatch,
-)
+from privsum.errors import ConfigError, DivisionByZero, NotStronglyConnected
 from privsum.graph import DirectedGraph, random_strongly_connected_graph
 from privsum.sim import PaillierChannel, node_keypairs
-from privsum.weights import RoundWeights, WeightParams, generate_round_weights, node_rng
+from privsum.weights import WeightParams, node_rng
+from reference_pushsum import (
+    MissingShare,
+    PlainChannel,
+    RoundWeights,
+    RoundMismatch,
+    ShareMessage,
+    apply_round,
+    initial_state,
+    outgoing_shares,
+    round_weights,
+)
 
 
 def ring(n):
@@ -231,10 +231,11 @@ def test_weight_table_matrix_scatters_back_the_fixed_matrix(graph_index):
 
 
 def _message_passing(graph, x0, weight_source, rounds, channel=None, stop_tol=0.0):
-    """Reference run built from the networked runtime's per-node functions:
-    every node sends through ``outgoing_shares``, every node folds its inbox
-    with ``apply_round``; shares travel sender by sender, receiver by
-    receiver.  Same stop rule as ``run_rounds`` (window 10)."""
+    """Reference run built from the message-passing functions of
+    ``reference_pushsum``: every node sends through ``outgoing_shares``,
+    every node folds its inbox with ``apply_round``; shares travel sender by
+    sender, receiver by receiver.  Same stop rule as ``run_rounds`` (window
+    10)."""
     chan = channel if channel is not None else PlainChannel()
     states = [initial_state(i, x0[i]) for i in graph.nodes()]
     out = {"states": [states], "weights": [], "retained": [], "delivered": [], "wire": []}
@@ -246,9 +247,12 @@ def _message_passing(graph, x0, weight_source, rounds, channel=None, stop_tol=0.
         for i in graph.nodes():
             msgs, kept[i] = outgoing_shares(states[i], weights[i])
             for msg in msgs:
-                wire.append(chan.transmit(msg))
-                delivered.append(chan.receive(wire[-1]))
-                inboxes[delivered[-1].receiver].append(delivered[-1])
+                wire.append(chan.transmit(msg.sender, msg.receiver, msg.round,
+                                          msg.s_share, msg.w_share))
+                s_share, w_share = chan.receive(wire[-1])
+                delivered.append(ShareMessage(msg.sender, msg.receiver, msg.round,
+                                              s_share, w_share))
+                inboxes[msg.receiver].append(delivered[-1])
         prev = states
         states = [
             apply_round(states[i], inboxes[i], kept[i], graph.in_neighbors(i))
@@ -303,9 +307,7 @@ def _assert_same_run(record, ref):
 
 def _drawn_round_by_round(graph, params, seed):
     rngs = {i: node_rng(seed, i) for i in graph.nodes()}
-    return lambda i, k: generate_round_weights(
-        i, k, graph.out_neighbors(i), params, rngs[i]
-    )
+    return lambda i, k: round_weights(i, k, graph.out_neighbors(i), params, rngs[i])
 
 
 def _parity_graphs():

@@ -1,3 +1,4 @@
+import csv
 import socket
 import threading
 
@@ -28,6 +29,7 @@ from privsum.net import (
     unpack_key_announce,
     unpack_plain_shares,
 )
+from privsum import net
 from privsum.paillier import FixedPointCodec, keygen
 from privsum.sim import (
     ExperimentConfig,
@@ -54,7 +56,7 @@ def make_config(**overrides):
     return ExperimentConfig(**base)
 
 
-def run_cluster_in_threads(config, mode, capture_frames=False):
+def run_cluster_in_threads(config, mode, capture_frames=False, out_dir=None):
     n = config.graph.n_nodes
     ports = allocate_ports(n)
     peers = {i: ("127.0.0.1", ports[i]) for i in range(n)}
@@ -65,7 +67,7 @@ def run_cluster_in_threads(config, mode, capture_frames=False):
         try:
             rt = NodeRuntime(
                 i, peers[i], peers, config, mode=mode, capture_frames=capture_frames,
-                round_timeout=30.0,
+                round_timeout=30.0, out_dir=out_dir,
             )
             state, manifest = rt.run()
             results[i] = (state, manifest, rt)
@@ -156,6 +158,55 @@ def test_encrypted_cluster_matches_simulated_encrypted_mode():
     for i in range(5):
         assert results[i][0].s == final[i].s
     assert all(results[i][1]["mean_encrypt_ms"] is not None for i in range(5))
+
+
+@pytest.mark.parametrize("mode", [MODE_PLAIN, MODE_ENCRYPTED])
+def test_every_node_csv_row_matches_the_simulator_trajectory_bitwise(mode, tmp_path):
+    config = make_config(key_bits=128)
+    run_cluster_in_threads(config, mode, out_dir=tmp_path)
+    if mode == MODE_PLAIN:
+        trajectory = run_algorithm1(
+            config.graph, config.x0, config.params, seed=config.seed, rounds=config.max_rounds
+        ).trajectory
+    else:
+        trajectory = run_experiment(
+            make_config(key_bits=128, mode=MODE_ALGORITHM2)
+        ).record.trajectory
+    for i in range(5):
+        with open(tmp_path / f"node{i}.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(row["round"]) for row in rows] == list(range(config.max_rounds + 1))
+        for name in ("s", "w", "pi"):
+            written = np.array([float(row[name]) for row in rows])
+            assert written.tobytes() == getattr(trajectory, name)[:, i].tobytes(), (i, name)
+
+
+def test_node_draws_its_weights_once_then_applies_once_per_round(monkeypatch):
+    """The stamp points of the benchmark's pair workload: one call to
+    ``net.generate_round_weights`` before the first ``net.apply_round``,
+    then one ``apply_round`` per round."""
+    calls = []
+    draw, apply = net.generate_round_weights, net.apply_round
+
+    def counted_draw(*args, **kwargs):
+        calls.append((threading.get_ident(), "draw"))
+        return draw(*args, **kwargs)
+
+    def counted_apply(*args, **kwargs):
+        calls.append((threading.get_ident(), "apply"))
+        return apply(*args, **kwargs)
+
+    monkeypatch.setattr(net, "generate_round_weights", counted_draw)
+    monkeypatch.setattr(net, "apply_round", counted_apply)
+    g = DirectedGraph.from_edge_list(2, [[0, 1], [1, 0]])
+    config = make_config(graph=g, x0=[1.0, 2.0])
+    run_cluster_in_threads(config, MODE_PLAIN)
+    per_node = {}
+    for thread, kind in calls:
+        per_node.setdefault(thread, []).append(kind)
+    assert len(per_node) == 2
+    for kinds in per_node.values():
+        assert kinds == ["draw"] + ["apply"] * config.max_rounds
 
 
 def test_encrypted_wire_carries_no_plaintext_encodings():
@@ -282,13 +333,13 @@ def test_duplicate_pending_share_frame_is_rejected():
     rt._dispatch(WireFrame(MSG_SHARE_PLAIN, 1, 0, pack_plain_shares(1.0, 0.5)))
     with pytest.raises(ProtocolError, match="duplicate round-0 share from node 1"):
         rt._dispatch(WireFrame(MSG_SHARE_PLAIN, 1, 0, pack_plain_shares(9.0, 0.5)))
-    assert rt._shares[(0, 1)].s_share == 1.0
+    assert rt._shares[(0, 1)][0] == 1.0
 
 
 def test_stale_share_frame_is_rejected():
     rt = _two_node_runtime(MODE_PLAIN)
     rt._dispatch(WireFrame(MSG_SHARE_PLAIN, 1, 0, pack_plain_shares(1.0, 0.5)))
-    assert [m.s_share for m in rt._receive_round(0)] == [1.0]
+    assert [s for s, _ in rt._receive_round(0)] == [1.0]
     with pytest.raises(ProtocolError, match="stale round-0 share from node 1"):
         rt._dispatch(WireFrame(MSG_SHARE_PLAIN, 1, 0, pack_plain_shares(9.0, 0.5)))
     assert rt._shares == {}
@@ -304,7 +355,7 @@ def test_receive_loop_protocol_error_reaches_the_driver_as_protocol_error():
         rt._reader(ours)
     finally:
         ours.close()
-    assert [m.s_share for m in rt._receive_round(0)] == [1.0]
+    assert [s for s, _ in rt._receive_round(0)] == [1.0]
     with pytest.raises(ProtocolError, match="node 0: duplicate round-0 share from node 1"):
         rt._receive_round(1)
 
@@ -317,3 +368,71 @@ def test_receive_loop_socket_error_reaches_the_driver_as_peer_disconnected():
     rt._reader(ours)  # recv on a closed socket raises OSError
     with pytest.raises(PeerDisconnected, match="node 0: receive loop failed"):
         rt._receive_round(0)
+
+
+def _read_from_peer(rt, frames):
+    """Feed the frames through a new socket pair into ``rt._reader``."""
+    ours, theirs = socket.socketpair()
+    theirs.sendall(b"".join(encode_frame(f) for f in frames))
+    theirs.close()
+    try:
+        rt._reader(ours)
+    finally:
+        ours.close()
+
+
+def _demo_runtime(node=0, **overrides):
+    config = make_config(**overrides)
+    ports = allocate_ports(5)
+    peers = {i: ("127.0.0.1", ports[i]) for i in range(5)}
+    return NodeRuntime(node, peers[node], peers, config, round_timeout=1.0)
+
+
+def test_connection_from_a_non_in_neighbor_is_rejected():
+    rt = _demo_runtime()
+    assert 2 not in rt.in_ids
+    _read_from_peer(rt, [WireFrame(MSG_ROUND_SYNC, 2, 0, b"")])
+    with pytest.raises(ProtocolError, match="node 0: connection from node 2, not an in-neighbor"):
+        rt._receive_round(0)
+    assert rt._syncs == set()
+
+
+def test_second_connection_for_one_sender_is_rejected():
+    rt = _two_node_runtime(MODE_PLAIN)
+    _read_from_peer(rt, [WireFrame(MSG_ROUND_SYNC, 1, 0, b"")])
+    assert rt._dead is None
+    _read_from_peer(rt, [WireFrame(MSG_ROUND_SYNC, 1, 1, b"")])
+    with pytest.raises(ProtocolError, match="node 0: second connection from node 1"):
+        rt._receive_round(0)
+    assert rt._syncs == {(0, 1)}
+
+
+def test_frame_under_another_sender_id_on_a_bound_connection_is_rejected():
+    rt = _demo_runtime(node=1)
+    first, other = rt.in_ids
+    _read_from_peer(
+        rt, [WireFrame(MSG_ROUND_SYNC, first, 0, b""), WireFrame(MSG_ROUND_SYNC, other, 0, b"")]
+    )
+    with pytest.raises(
+        ProtocolError, match=f"node 1: frame from node {other} on the connection of node {first}"
+    ):
+        rt._receive_round(0)
+    assert rt._syncs == {(0, first)}
+
+
+def test_share_frame_more_than_n_minus_1_rounds_ahead_is_rejected():
+    rt = _demo_runtime()
+    sender = rt.in_ids[0]
+    rt._dispatch(WireFrame(MSG_SHARE_PLAIN, sender, 4, pack_plain_shares(1.0, 0.5)))
+    with pytest.raises(ProtocolError, match="5 rounds ahead of node 0, more than n - 1 = 4"):
+        rt._dispatch(WireFrame(MSG_SHARE_PLAIN, sender, 5, pack_plain_shares(1.0, 0.5)))
+    assert list(rt._shares) == [(4, sender)]
+
+
+def test_share_frame_past_the_last_round_is_rejected():
+    rt = _demo_runtime(max_rounds=3)
+    sender = rt.in_ids[0]
+    rt._dispatch(WireFrame(MSG_SHARE_PLAIN, sender, 2, pack_plain_shares(1.0, 0.5)))
+    with pytest.raises(ProtocolError, match="round-3 share from node .*: the run has 3 rounds"):
+        rt._dispatch(WireFrame(MSG_SHARE_PLAIN, sender, 3, pack_plain_shares(1.0, 0.5)))
+    assert list(rt._shares) == [(2, sender)]

@@ -6,12 +6,14 @@ from hypothesis import strategies as st
 from privsum.errors import ConfigError, InvalidEpsilon
 from privsum.consensus import algorithm1_weights
 from privsum.weights import (
-    RoundWeights,
     WeightParams,
-    draw_weight_rows,
     generate_round_weights,
     node_rng,
     phase_b_map,
+)
+from reference_pushsum import (
+    RoundWeights,
+    round_weights,
     simplex_sample,
     validate_round_weights,
 )
@@ -53,7 +55,7 @@ def test_phase_b_map_properties(m, eps_frac, seed):
 def test_masking_round_weights_are_identity_on_w():
     params = WeightParams(big_k=1, epsilon=0.1)
     rng = node_rng(0, 0)
-    rw = generate_round_weights(0, 0, [1, 2], params, rng)
+    rw = round_weights(0, 0, [1, 2], params, rng)
     assert rw.w_weights == {0: 1.0, 1: 0.0, 2: 0.0}
     assert sum(rw.s_weights.values()) == pytest.approx(1.0, abs=1e-12)
     validate_round_weights(rw, params)
@@ -62,7 +64,7 @@ def test_masking_round_weights_are_identity_on_w():
 def test_mixing_round_weights_shared_and_bounded():
     params = WeightParams(big_k=1, epsilon=0.25)
     rng = node_rng(3, 1)
-    rw = generate_round_weights(1, 5, [4], params, rng)
+    rw = round_weights(1, 5, [4], params, rng)
     assert rw.s_weights == rw.w_weights
     for v in rw.s_weights.values():
         assert 0.25 < v < 0.75
@@ -73,23 +75,23 @@ def test_mixing_round_weights_shared_and_bounded():
 def test_generate_rejects_infeasible_epsilon():
     params = WeightParams(big_k=0, epsilon=0.4)
     with pytest.raises(InvalidEpsilon):
-        generate_round_weights(0, 1, [1, 2], params, node_rng(0, 0))
+        generate_round_weights(0, [1, 2], params, node_rng(0, 0), 1, 1)
 
 
 def test_weight_stream_deterministic_per_seed():
     params = WeightParams(big_k=2, epsilon=0.05)
     a = [
-        generate_round_weights(1, k, [0, 2], params, node_rng(9, 1)).s_weights
+        round_weights(1, k, [0, 2], params, node_rng(9, 1)).s_weights
         for k in range(1)
     ]
     for _ in range(3):
         b = [
-            generate_round_weights(1, k, [0, 2], params, node_rng(9, 1)).s_weights
+            round_weights(1, k, [0, 2], params, node_rng(9, 1)).s_weights
             for k in range(1)
         ]
         assert a == b
     # different node id gives a different stream
-    c = generate_round_weights(1, 0, [0, 2], params, node_rng(9, 2)).s_weights
+    c = round_weights(1, 0, [0, 2], params, node_rng(9, 2)).s_weights
     assert c != a[0]
 
 
@@ -103,7 +105,7 @@ def test_weight_stream_deterministic_per_seed():
 def test_round_weights_invariants(round_k, big_k, n_out, seed):
     params = WeightParams(big_k=big_k, epsilon=0.9 / (n_out + 1))
     out = list(range(1, n_out + 1))
-    rw = generate_round_weights(0, round_k, out, params, node_rng(seed, 0))
+    rw = round_weights(0, round_k, out, params, node_rng(seed, 0))
     validate_round_weights(rw, params)
     assert rw.round == round_k
     assert set(rw.s_weights) == set(out) | {0}
@@ -173,12 +175,12 @@ def test_batched_draw_matches_successive_rounds(out_degree, big_k):
     for n_rounds in sorted({1, max(big_k, 1), big_k + 1, big_k + 2, big_k + 6}):
         seed = 100 * out_degree + 10 * big_k + n_rounds
         batched_rng = node_rng(seed, node)
-        rows = draw_weight_rows(node, others, params, batched_rng, 0, n_rounds)
+        rows, w_rows = generate_round_weights(node, others, params, batched_rng, 0, n_rounds)
 
         successive_rng = node_rng(seed, node)
         successive = []
         for k in range(n_rounds):
-            rw = generate_round_weights(node, k, others, params, successive_rng)
+            rw = round_weights(node, k, others, params, successive_rng)
             successive.append([rw.s_weights[t] for t in rw.targets])
         reference_rng = node_rng(seed, node)
         reference = [
@@ -189,6 +191,11 @@ def test_batched_draw_matches_successive_rounds(out_degree, big_k):
         assert rows.shape == (n_rounds, out_degree + 1)
         assert rows.tobytes() == np.array(successive).tobytes()
         assert rows.tobytes() == np.array(reference).tobytes()
+        for k, (s_row, w_row) in enumerate(zip(rows, w_rows)):
+            if params.is_masking_round(k):
+                assert w_row.tolist() == [0.0] * out_degree + [1.0]
+            else:
+                assert w_row.tobytes() == s_row.tobytes()
         state = batched_rng.bit_generator.state
         assert state == successive_rng.bit_generator.state
         assert state == reference_rng.bit_generator.state
@@ -196,8 +203,9 @@ def test_batched_draw_matches_successive_rounds(out_degree, big_k):
 
 def test_batched_draw_continues_the_stream_mid_run():
     params = WeightParams(big_k=2, epsilon=0.1)
-    whole = draw_weight_rows(0, [1, 2, 5], params, node_rng(8, 0), 0, 9)
+    whole = generate_round_weights(0, [1, 2, 5], params, node_rng(8, 0), 0, 9)
     rng = node_rng(8, 0)
-    head = draw_weight_rows(0, [1, 2, 5], params, rng, 0, 2)
-    tail = draw_weight_rows(0, [1, 2, 5], params, rng, 2, 7)
-    assert whole.tobytes() == np.vstack([head, tail]).tobytes()
+    head = generate_round_weights(0, [1, 2, 5], params, rng, 0, 2)
+    tail = generate_round_weights(0, [1, 2, 5], params, rng, 2, 7)
+    for side in (0, 1):
+        assert whole[side].tobytes() == np.vstack([head[side], tail[side]]).tobytes()
