@@ -43,14 +43,15 @@ print(f"worst share deviation plain vs encrypted: {worst:.2e} (codec quantizatio
 print(f"mean encryption latency: {enc.mean_encrypt_seconds * 1e3:.3f} ms per share")
 print()
 
-first = enc.eavesdropper_log.wire[0][0]
+log = enc.eavesdropper_log
+s_cipher, w_cipher = log.wire[0, :, 0]  # round 0, link 0
 print("what the wiretapper sees on one link (round 0):")
-print(f"  sender {first.sender} -> receiver {first.receiver}")
-print(f"  s ciphertext: {str(first.s_cipher.value)[:48]}... ({first.s_cipher.value.bit_length()} bits)")
+print(f"  sender {log.senders[0]} -> receiver {log.receivers[0]}")
+print(f"  s ciphertext: {str(s_cipher.value)[:48]}... ({s_cipher.value.bit_length()} bits)")
 
 outsider = keygen(256, random.Random(99))
 try:
-    decrypt(outsider, first.s_cipher)
+    decrypt(outsider, s_cipher)
     print("  outsider decrypted the share (should never happen)")
 except MalformedCiphertext as exc:
     print(f"  outsider decryption attempt fails: {exc}")

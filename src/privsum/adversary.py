@@ -69,19 +69,16 @@ class EavesdropperLog:
     """Everything a wiretapper of all links sees, plus the topology and the
     public parameters; no private keys, no node-internal state.
 
-    Link e runs from ``senders[e]`` to ``receivers[e]``.  Under the
-    encrypted transport ``wire`` holds each round's ciphertext messages in
-    link order and ``s_shares``/``w_shares`` are None; in the clear the
-    shares themselves are seen, ``(rounds, E)`` arrays, and ``wire`` is None.
+    Link e runs from ``senders[e]`` to ``receivers[e]``.  ``wire[k, :, e]``
+    is the (s, w) pair that crossed link e in round k: two ciphertexts under
+    the encrypted transport, the shares themselves in the clear.
     """
 
     topology: DirectedGraph
     params: WeightParams | None
     senders: np.ndarray
     receivers: np.ndarray
-    s_shares: np.ndarray | None
-    w_shares: np.ndarray | None
-    wire: list[list] | None
+    wire: np.ndarray
 
 
 def build_adversary_view(record: RunRecord, members) -> AdversaryView:
@@ -114,14 +111,11 @@ def build_adversary_view(record: RunRecord, members) -> AdversaryView:
 
 def build_eavesdropper_log(record: RunRecord) -> EavesdropperLog:
     layout = record.weights.layout
-    clear = record.wire is None
     return EavesdropperLog(
         topology=record.graph,
         params=record.params,
         senders=layout.senders,
         receivers=layout.receivers,
-        s_shares=record.s_shares if clear else None,
-        w_shares=record.w_shares if clear else None,
         wire=record.wire,
     )
 

@@ -21,13 +21,20 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
-from typing import Protocol
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, DivisionByZero, NotStronglyConnected
 from .graph import DirectedGraph, is_strongly_connected
 from .weights import WeightParams, generate_round_weights, node_rng
+
+if TYPE_CHECKING:
+    from .sim import PaillierChannel
+
+# Rounds in a row that must each move every estimate by less than
+# ``stop_tol`` before a run ends early.
+STOP_WINDOW = 10
 
 
 @dataclass(frozen=True)
@@ -93,19 +100,6 @@ class Trajectory:
         return tuple(NodeState(i, s, w, pi, k) for i, (s, w, pi) in enumerate(rows))
 
 
-class Channel(Protocol):
-    """Carries share pairs from sender to receiver.
-
-    ``transmit`` returns what actually travels on the wire (and is what an
-    eavesdropper sees); ``receive`` recovers the (s, w) pair the receiving
-    node applies.  Shares in the clear need no channel.
-    """
-
-    def transmit(self, sender: int, receiver: int, round_k: int, s: float, w: float): ...
-
-    def receive(self, wire) -> tuple[float, float]: ...
-
-
 class SenderLayout:
     """Where each node's weights and shares sit in a run's arrays.
 
@@ -113,7 +107,7 @@ class SenderLayout:
     of ``targets(j)``: its out-neighbors ascending, then itself.  The
     columns left after dropping the self columns are the edges, ordered
     sender ascending, then receiver ascending.  That is the order of the
-    share arrays, of a run's wire messages and of the channel calls.  Row
+    share arrays, of a run's wire and of the channel calls.  Row
     i of ``in_edges`` lists node i's in-edges by ascending sender, padded
     with the index ``n_edges``, which the engine points at a -0.0 share:
     x + (-0.0) is x bit for bit.
@@ -191,9 +185,10 @@ class RunRecord:
     """Ground-truth trace of one synchronous run, kept as arrays.
 
     ``s_shares``/``w_shares`` hold the shares each receiver applied, one row
-    per round, one column per edge in ``SenderLayout`` order.  ``wire`` holds
-    what a channel put on the links, one list per round in the same order,
-    or None when shares travelled in the clear.
+    per round, one column per edge in ``SenderLayout`` order.  ``wire`` is
+    the ``(rounds, 2, E)`` array of what crossed each link, rows (s, w):
+    the channel's ciphertexts, or in the clear the shares themselves (then
+    ``wire[:, 0]`` is ``s_shares`` and ``wire[:, 1]`` is ``w_shares``).
     """
 
     x0: list[float]
@@ -203,7 +198,7 @@ class RunRecord:
     weights: WeightTable
     s_shares: np.ndarray
     w_shares: np.ndarray
-    wire: list[list] | None = None
+    wire: np.ndarray
 
     @property
     def graph(self) -> DirectedGraph:
@@ -226,48 +221,23 @@ class RunRecord:
         return self.trajectory.pi[-1].copy()
 
 
-def _through_channel(
-    channel: Channel,
-    layout: SenderLayout,
-    round_k: int,
-    s_shares: np.ndarray,
-    w_shares: np.ndarray,
-) -> list:
-    """Send one round's shares through the channel edge by edge, in edge
-    order, and overwrite them with what the receivers recovered.  Returns
-    the wire messages."""
-    wires = []
-    edges = zip(
-        layout.senders.tolist(),
-        layout.receivers.tolist(),
-        s_shares.tolist(),
-        w_shares.tolist(),
-    )
-    for e, (sender, receiver, s_share, w_share) in enumerate(edges):
-        wire = channel.transmit(sender, receiver, round_k, s_share, w_share)
-        s_shares[e], w_shares[e] = channel.receive(wire)
-        wires.append(wire)
-    return wires
-
-
 def run_rounds(
     weights: WeightTable,
     x0: Sequence[float],
     params: WeightParams | None = None,
     mode: str = "algorithm1",
-    channel: Channel | None = None,
+    channel: PaillierChannel | None = None,
     stop_tol: float = 0.0,
-    stop_window: int = 10,
 ) -> RunRecord:
     """Drive all nodes of ``weights.layout.graph`` through one synchronous
     round per row of the weight table.
 
     Per round, every edge share is its weight times the sender's state, and
-    ``apply_round`` steps all n columns at once.  With a channel, each share
-    pair is passed through it and the receiver applies what comes out.  If
-    ``stop_tol`` is positive, the run ends early once
-    ``max_i |pi_i(k) - pi_i(k-1)| < stop_tol`` held for ``stop_window``
-    consecutive rounds.
+    ``apply_round`` steps all n columns at once.  With a channel, each round's
+    shares are encrypted in one ``transmit`` call and the receivers apply
+    what one ``receive`` call recovers.  If ``stop_tol`` is positive, the
+    run ends early once ``max_i |pi_i(k) - pi_i(k-1)| < stop_tol`` held for
+    ``STOP_WINDOW`` consecutive rounds.
     """
     layout = weights.layout
     n = layout.graph.n_nodes
@@ -287,20 +257,25 @@ def run_rounds(
     )
     shares = np.empty((rounds, 2, n_edges + 1))
     shares[:, :, n_edges] = -0.0
+    edge_shares = shares[:, :, :n_edges]
+    # What crossed each link: the shares themselves, or their ciphertexts.
+    if channel is None:
+        wire = edge_shares
+    else:
+        wire = np.empty((rounds, 2, n_edges), dtype=object)
+        senders, receivers = layout.senders.tolist(), layout.receivers.tolist()
     in_slots = layout.in_edges.T
     nodes = range(n)
-    wire: list[list] | None = None if channel is None else []
     done = rounds
     quiet_rounds = 0
     pi_prev = state[0, 0]
 
-    per_round = zip(
-        edge_weights, self_weights, shares, shares[:, :, :n_edges], state[:-1], state[1:]
-    )
-    for k, (edge_w, self_w, round_shares, edge_shares, now, nxt) in enumerate(per_round):
-        np.multiply(edge_w, now.take(layout.senders, axis=1), out=edge_shares)
+    per_round = zip(edge_weights, self_weights, shares, edge_shares, state[:-1], state[1:])
+    for k, (edge_w, self_w, round_shares, sent, now, nxt) in enumerate(per_round):
+        np.multiply(edge_w, now.take(layout.senders, axis=1), out=sent)
         if channel is not None:
-            wire.append(_through_channel(channel, layout, k, *edge_shares))
+            wire[k] = channel.transmit(senders, receivers, sent)
+            sent[:] = channel.receive(senders, receivers, k, wire[k])
         received = round_shares.take(in_slots, axis=1).swapaxes(0, 1)
         apply_round(now, self_w, received, k, nodes, out=nxt)
 
@@ -309,7 +284,7 @@ def run_rounds(
             delta = np.max(np.abs(pi_next - pi_prev))
             pi_prev = pi_next
             quiet_rounds = quiet_rounds + 1 if delta < stop_tol else 0
-            if quiet_rounds >= stop_window:
+            if quiet_rounds >= STOP_WINDOW:
                 done = k + 1
                 break
     state = state[: done + 1]
@@ -320,9 +295,9 @@ def run_rounds(
         mode=mode,
         trajectory=Trajectory(s=state[:, 0], w=state[:, 1], pi=state[:, 0] / state[:, 1]),
         weights=WeightTable(layout, weights.s[:done], weights.w[:done]),
-        s_shares=shares[:done, 0, :n_edges],
-        w_shares=shares[:done, 1, :n_edges],
-        wire=wire,
+        s_shares=edge_shares[:done, 0],
+        w_shares=edge_shares[:done, 1],
+        wire=wire[:done],
     )
 
 
@@ -349,7 +324,7 @@ def run_algorithm1(
     params: WeightParams,
     seed: int,
     rounds: int,
-    channel: Channel | None = None,
+    channel: PaillierChannel | None = None,
     stop_tol: float = 0.0,
     mode: str = "algorithm1",
 ) -> RunRecord:

@@ -3,18 +3,21 @@
 Frames are length-prefixed and big-endian throughout.  Each node connects
 to its out-neighbors and accepts connections from its in-neighbors, so
 traffic follows the directed topology exactly.  Public keys reach everyone
-by flooding along graph edges before round 0.  After startup alignment the
-only synchronization is implicit: a node applies round k once it holds all
-round-k shares from its in-neighbors, and never sends round k+1 before
-that.
+by flooding along graph edges before round 0, each node forwarding them in
+ascending origin order, so two runs of one config send the same bytes.
+After startup alignment the only synchronization is implicit: a node
+applies round k once it holds all round-k shares from its in-neighbors,
+and never sends round k+1 before that.
 
 Share payloads are either two raw float64s (plain transport) or two
 length-prefixed Paillier ciphertexts encrypted under the receiver's public
-key (encrypted transport, through the simulator's ``PaillierChannel``).
-A node computes its rounds with the simulator's own code: it draws its
-weights with ``generate_round_weights`` and steps its single state column
-with ``consensus.apply_round``.  With identical seeds the plain-transport
-trajectory is therefore bit-for-bit the simulator's.
+key (encrypted transport).  A node computes its rounds with the
+simulator's own code: it draws its weights with ``generate_round_weights``,
+steps its single state column with ``consensus.apply_round`` and, under
+encryption, makes the simulator's ``PaillierChannel`` calls on its own
+links: one ``transmit`` over its out-shares and one ``receive`` over its
+in-shares per round.  With identical seeds the plain-transport trajectory
+is therefore bit-for-bit the simulator's.
 
 Each inbound connection is bound to the sender id of its first frame, and
 a share frame may not run more than n - 1 rounds ahead of the receiver
@@ -44,13 +47,7 @@ from .paillier import (
     public_key_to_bytes,
     unpack_uint,
 )
-from .sim import (
-    CipherShareMessage,
-    ExperimentConfig,
-    PaillierChannel,
-    node_keypair,
-    resolve_x0,
-)
+from .sim import ExperimentConfig, PaillierChannel, node_keypair, resolve_x0
 from .weights import generate_round_weights, node_rng
 
 MAGIC = b"PSUM"
@@ -89,17 +86,22 @@ def encode_frame(frame: WireFrame) -> bytes:
     )
 
 
-def decode_frame(data: bytes) -> WireFrame:
-    """Parse one complete frame from a byte string."""
-    if len(data) < _HEADER.size:
-        raise ProtocolError("frame shorter than its fixed header")
-    magic, version, msg_type, sender, round_k, length = _HEADER.unpack(
-        data[: _HEADER.size]
-    )
+def _parse_header(header: bytes) -> tuple[int, int, int, int]:
+    """Check a frame's fixed header; returns its (msg_type, sender, round,
+    payload length)."""
+    magic, version, *fields = _HEADER.unpack(header)
     if magic != MAGIC:
         raise ProtocolError(f"bad magic {magic!r}")
     if version != VERSION:
         raise ProtocolError(f"unsupported version {version}")
+    return tuple(fields)
+
+
+def decode_frame(data: bytes) -> WireFrame:
+    """Parse one complete frame from a byte string."""
+    if len(data) < _HEADER.size:
+        raise ProtocolError("frame shorter than its fixed header")
+    msg_type, sender, round_k, length = _parse_header(data[: _HEADER.size])
     payload = data[_HEADER.size :]
     if len(payload) != length:
         raise ProtocolError(f"payload length {len(payload)} != declared {length}")
@@ -107,13 +109,12 @@ def decode_frame(data: bytes) -> WireFrame:
 
 
 def read_frame(sock: socket.socket) -> WireFrame | None:
-    """Read one frame from a stream socket; None on clean EOF."""
+    """Read one frame from a stream socket; None on clean EOF.  A bad
+    header is rejected before any of its declared payload is read."""
     header = _read_exact(sock, _HEADER.size)
     if header is None:
         return None
-    magic, version, msg_type, sender, round_k, length = _HEADER.unpack(header)
-    if magic != MAGIC or version != VERSION:
-        raise ProtocolError("bad frame header on stream")
+    msg_type, sender, round_k, length = _parse_header(header)
     payload = b""
     if length:
         payload = _read_exact(sock, length)
@@ -187,8 +188,10 @@ class NodeRuntime:
     Runs its own column of the simulator's round engine: the weight rows
     come from ``generate_round_weights`` on the stream derived from (seed,
     node id), each out-share is its weight times the node's state, and
-    ``apply_round`` folds the received shares in.  A round is applied only
-    when every in-neighbor's share for it has arrived.
+    ``apply_round`` folds the received shares in.  Under encryption the
+    out-shares pass through one ``PaillierChannel.transmit`` call and the
+    in-shares, by ascending sender, through one ``receive`` call.  A round
+    is applied only when every in-neighbor's share for it has arrived.
     """
 
     def __init__(
@@ -221,15 +224,14 @@ class NodeRuntime:
         self.in_ids = list(self.graph.in_neighbors(node_id))
 
         self._lock = threading.Condition()
-        self._shares: dict[tuple[int, int], tuple[float, float] | CipherShareMessage] = {}
+        # (round, sender) -> the (s, w) pair as it came off the wire.
+        self._shares: dict[
+            tuple[int, int], tuple[float, float] | tuple[Ciphertext, Ciphertext]
+        ] = {}
         self._syncs: set[tuple[int, int]] = set()
         self._key_directory: dict[int, object] = {}
         # In-neighbors whose connection has announced itself.
         self._claimed: set[int] = set()
-        # Reader threads never write to sockets; fresh keys are queued here
-        # and re-flooded by the protocol driver, keeping all sends on one
-        # thread per socket.
-        self._reflood_queue: list[bytes] = []
         # The round whose shares the driver applies next; a share frame for
         # an earlier round is stale.
         self._round = 0
@@ -331,7 +333,6 @@ class NodeRuntime:
             with self._lock:
                 if origin not in self._key_directory:
                     self._key_directory[origin] = key
-                    self._reflood_queue.append(frame.payload)
                     self._lock.notify_all()
         elif frame.msg_type in (MSG_SHARE_PLAIN, MSG_SHARE_ENC):
             if frame.sender_id not in self.in_ids:
@@ -372,7 +373,9 @@ class NodeRuntime:
         else:
             raise ProtocolError(f"unknown message type {frame.msg_type}")
 
-    def _wire_share(self, frame: WireFrame) -> tuple[float, float] | CipherShareMessage:
+    def _wire_share(
+        self, frame: WireFrame
+    ) -> tuple[float, float] | tuple[Ciphertext, Ciphertext]:
         """Inverse of ``share_frame`` for a share addressed to this node."""
         expected = MSG_SHARE_PLAIN if self.keypair is None else MSG_SHARE_ENC
         if frame.msg_type != expected:
@@ -383,13 +386,7 @@ class NodeRuntime:
             return unpack_plain_shares(frame.payload)
         s_val, w_val = unpack_cipher_shares(frame.payload)
         key_id = self.keypair.public.key_id
-        return CipherShareMessage(
-            frame.sender_id,
-            self.node_id,
-            frame.round,
-            Ciphertext(s_val, key_id),
-            Ciphertext(w_val, key_id),
-        )
+        return Ciphertext(s_val, key_id), Ciphertext(w_val, key_id)
 
     def _send(self, peer: int, frame: WireFrame) -> None:
         data = encode_frame(frame)
@@ -409,47 +406,38 @@ class NodeRuntime:
     # -- protocol phases ---------------------------------------------------
 
     def flood_public_keys(self) -> dict[int, object]:
-        """Announce the local key and re-flood each newly learned key once,
-        until the directory holds every node's key.
+        """Forward every node's public key to each out-neighbor once, in
+        ascending origin order, the local key at its turn.
 
-        Re-delivered announcements are dropped (the directory is write-once
-        per origin), so flooding terminates.  Returns only after the local
-        re-flood queue is drained, which is when this node has forwarded
-        everything its successors could still be waiting on.
+        Key o is forwarded only after every key below it, so each link
+        carries the same n frames in the same order in every run.  This
+        cannot deadlock on a strongly connected graph: key 0 waits on
+        nothing and so reaches every node, and by induction so does each
+        key after it.  The reader threads only fill the directory, which is
+        write-once per origin, so a re-delivered announcement is dropped.
         """
         assert self.keypair is not None
-        self._flood_frame(
-            WireFrame(
-                MSG_KEY_ANNOUNCE,
-                self.node_id,
-                0,
-                pack_key_announce(self.node_id, self.keypair.public),
-            )
-        )
+        deadline = time.monotonic() + self.round_timeout
 
-        def waiting() -> list[int]:
-            # Nothing while a fresh key waits to be re-flooded.
-            if self._reflood_queue:
+        def missing(origin: int) -> list[int]:
+            if origin in self._key_directory:
                 return []
             return sorted(set(self.graph.nodes()) - set(self._key_directory))
 
-        deadline = time.monotonic() + self.round_timeout
-        while True:
+        for origin in self.graph.nodes():
             with self._lock:
                 self._wait(
-                    waiting,
+                    lambda: missing(origin),
                     deadline,
                     lambda left: Timeout(
                         f"node {self.node_id}: key directory incomplete, "
                         f"missing keys for nodes {left}"
                     ),
                 )
-                pending = list(self._reflood_queue)
-                self._reflood_queue.clear()
-                if not pending:
-                    return dict(self._key_directory)
-            for payload in pending:
-                self._flood_frame(WireFrame(MSG_KEY_ANNOUNCE, self.node_id, 0, payload))
+                key = self._key_directory[origin]
+            payload = pack_key_announce(origin, key)
+            self._flood_frame(WireFrame(MSG_KEY_ANNOUNCE, self.node_id, 0, payload))
+        return dict(self._key_directory)
 
     def _barrier(self, tag: int) -> None:
         """Startup/shutdown alignment: exchange ROUND_SYNC frames."""
@@ -493,10 +481,10 @@ class NodeRuntime:
                 f"node {self.node_id}: receive loop failed: {exc}"
             ) from exc
 
-    def _receive_round(self, round_k: int) -> list[tuple[float, float]]:
+    def _receive_round(self, round_k: int) -> np.ndarray:
         """Wait for every in-neighbor's round-k share, then return the
-        (s, w) pairs by ascending sender, recovered through the channel
-        under the encrypted transport."""
+        (s, w) pairs by ascending sender as an ``(in-degree, 2)`` array,
+        recovered through one channel call under the encrypted transport."""
         with self._lock:
             self._wait(
                 lambda: [j for j in self.in_ids if (round_k, j) not in self._shares],
@@ -506,11 +494,13 @@ class NodeRuntime:
                     f"arrived from {left}"
                 ),
             )
-            wires = [self._shares.pop((round_k, j)) for j in self.in_ids]
+            wire = [self._shares.pop((round_k, j)) for j in self.in_ids]
             self._round = round_k + 1
         if self.channel is None:
-            return wires
-        return [self.channel.receive(wire) for wire in wires]
+            return np.array(wire)
+        receivers = [self.node_id] * len(self.in_ids)
+        ciphers = np.array(wire, dtype=object).T
+        return self.channel.receive(self.in_ids, receivers, round_k, ciphers).T
 
     # -- main driver -------------------------------------------------------
 
@@ -538,15 +528,15 @@ class NodeRuntime:
             x0 = resolve_x0(self.config)[self.node_id]
             state = np.array([[x0], [1.0]])
             rows = [(0, x0, 1.0, x0)]
+            senders = [self.node_id] * len(self.out_ids)
 
             for k, row in enumerate(weights):
-                out_shares = row[:, :-1] * state
-                for peer, s, w in zip(self.out_ids, *out_shares.tolist()):
-                    if self.channel is not None:
-                        wire = self.channel.transmit(self.node_id, peer, k, s, w)
-                        s, w = wire.s_cipher, wire.w_cipher
+                wire = row[:, :-1] * state
+                if self.channel is not None:
+                    wire = self.channel.transmit(senders, self.out_ids, wire)
+                for peer, s, w in zip(self.out_ids, *wire.tolist()):
                     self._send(peer, share_frame(self.node_id, k, s, w))
-                received = np.array(self._receive_round(k)).reshape(-1, 2, 1)
+                received = self._receive_round(k).reshape(-1, 2, 1)
                 state = apply_round(state, row[:, -1:], received, k, (self.node_id,))
                 s, w = state[:, 0].tolist()
                 rows.append((k + 1, s, w, s / w))

@@ -188,7 +188,16 @@ _ADVERSARY_KEYS = dict(
 
 
 def _present(raw: dict, converters: dict) -> dict:
-    return {key: read(raw[key]) for key, read in converters.items() if key in raw}
+    present = {}
+    for key, read in converters.items():
+        if key in raw:
+            try:
+                present[key] = read(raw[key])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(
+                    f"config key {key!r} has unusable value {raw[key]!r}"
+                ) from exc
+    return present
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -227,19 +236,9 @@ def error_series(trajectory: Trajectory, x0: Sequence[float]) -> MetricsSeries:
     return MetricsSeries(e=e, pi=trajectory.pi, alpha=alpha)
 
 
-@dataclass(frozen=True)
-class CipherShareMessage:
-    """An encrypted share pair as it travels on a link."""
-
-    sender: int
-    receiver: int
-    round: int
-    s_cipher: Ciphertext
-    w_cipher: Ciphertext
-
-
 class PaillierChannel:
-    """Encrypts each share under the receiver's public key in transit.
+    """Encrypts each share under the receiver's public key in transit, one
+    round of links per call.
 
     The one share-crypto path for both runs of the protocol: the simulator
     holds every node's keypair, a networked node only its own, next to the
@@ -281,28 +280,45 @@ class PaillierChannel:
         return cipher
 
     def transmit(
-        self, sender: int, receiver: int, round_k: int, s: float, w: float
-    ) -> CipherShareMessage:
-        return CipherShareMessage(
-            sender=sender,
-            receiver=receiver,
-            round=round_k,
-            s_cipher=self._encrypt(sender, receiver, s),
-            w_cipher=self._encrypt(sender, receiver, w),
-        )
+        self, senders: Sequence[int], receivers: Sequence[int], shares: np.ndarray
+    ) -> np.ndarray:
+        """Encrypt one round's shares for the wire.
 
-    def receive(self, wire: CipherShareMessage) -> tuple[float, float]:
-        kp = self.keypairs[wire.receiver]
-        codec = self._codec(wire.receiver)
-        try:
-            s_plain = decrypt(kp, wire.s_cipher)
-            w_plain = decrypt(kp, wire.w_cipher)
-        except MalformedCiphertext as exc:
-            raise DecryptFailure(
-                f"node {wire.receiver}: round-{wire.round} share from "
-                f"{wire.sender}: {exc}"
-            ) from exc
-        return codec.decode(s_plain), codec.decode(w_plain)
+        ``shares`` is a ``(2, m)`` array with rows (s, w); column i crosses
+        the link ``senders[i] -> receivers[i]``.  Returns the ``(2, m)``
+        object array of ciphertexts, encrypted link by link, s before w, so
+        each sender's blinding stream is consumed in link order.
+        """
+        wire = np.empty(shares.shape, dtype=object)
+        links = zip(senders, receivers, *shares.tolist())
+        for i, (sender, receiver, s, w) in enumerate(links):
+            wire[0, i] = self._encrypt(sender, receiver, s)
+            wire[1, i] = self._encrypt(sender, receiver, w)
+        return wire
+
+    def receive(
+        self,
+        senders: Sequence[int],
+        receivers: Sequence[int],
+        round_k: int,
+        wire: np.ndarray,
+    ) -> np.ndarray:
+        """Decrypt one round's ``(2, m)`` ciphertexts, laid out as in
+        ``transmit``, into the ``(2, m)`` shares the receivers apply."""
+        s_shares, w_shares = [], []
+        for sender, receiver, s_cipher, w_cipher in zip(senders, receivers, *wire):
+            kp = self.keypairs[receiver]
+            codec = self._codec(receiver)
+            try:
+                s_plain = decrypt(kp, s_cipher)
+                w_plain = decrypt(kp, w_cipher)
+            except MalformedCiphertext as exc:
+                raise DecryptFailure(
+                    f"node {receiver}: round-{round_k} share from {sender}: {exc}"
+                ) from exc
+            s_shares.append(codec.decode(s_plain))
+            w_shares.append(codec.decode(w_plain))
+        return np.array([s_shares, w_shares], dtype=float)
 
 
 def node_keypair(key_bits: int, seed: int, node_id: int) -> PaillierKeypair:

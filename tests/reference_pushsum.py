@@ -124,17 +124,6 @@ class ShareMessage:
     w_share: float
 
 
-class PlainChannel:
-    """Identity channel with the engine's per-value interface: the share
-    pair travels in the clear as a ``ShareMessage``."""
-
-    def transmit(self, sender: int, receiver: int, round_k: int, s: float, w: float):
-        return ShareMessage(sender, receiver, round_k, s, w)
-
-    def receive(self, wire: ShareMessage) -> tuple[float, float]:
-        return wire.s_share, wire.w_share
-
-
 def outgoing_shares(
     state: NodeState, weights: RoundWeights
 ) -> tuple[list[ShareMessage], tuple[float, float]]:

@@ -326,16 +326,15 @@ def test_criterion_10_encrypted_mode_tracks_plain_mode():
         stranger = keygen(256, random.Random(4242))
         wire_blob = b""
         cipher_values = set()
-        assert enc.eavesdropper_log.s_shares is None
-        for round_msgs in enc.eavesdropper_log.wire:
-            for msg in round_msgs:
-                for c in (msg.s_cipher, msg.w_cipher):
-                    cipher_values.add(c.value)
-                    wire_blob += c.value.to_bytes(
-                        (c.value.bit_length() + 7) // 8, "big"
-                    )
-                with pytest.raises(MalformedCiphertext):
-                    decrypt(stranger, msg.s_cipher)
+        wire = enc.eavesdropper_log.wire
+        assert wire.shape == (enc.record.n_rounds, 2, layout.n_edges)
+        for c in wire.flat:
+            assert isinstance(c, Ciphertext)
+            cipher_values.add(c.value)
+            wire_blob += c.value.to_bytes((c.value.bit_length() + 7) // 8, "big")
+        for s_cipher in wire[:, 0].flat:
+            with pytest.raises(MalformedCiphertext):
+                decrypt(stranger, s_cipher)
         leaked = 0
         receivers = layout.receivers.tolist()
         for s_row, w_row in zip(plain.record.s_shares.tolist(), plain.record.w_shares.tolist()):

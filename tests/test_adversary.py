@@ -231,8 +231,10 @@ def test_eavesdropper_log_plaintext_mode(demo_graph, demo_x0):
     rec = run_algorithm1(demo_graph, demo_x0, PARAMS, seed=16, rounds=4)
     log = build_eavesdropper_log(rec)
     assert log.topology is demo_graph
-    assert log.wire is None
-    assert log.s_shares.shape == log.w_shares.shape == (4, demo_graph.n_edges)
+    # in the clear the wire carries the applied shares themselves
+    assert log.wire.shape == (4, 2, demo_graph.n_edges)
+    assert log.wire[:, 0].tobytes() == rec.s_shares.tobytes()
+    assert log.wire[:, 1].tobytes() == rec.w_shares.tobytes()
     # graph edges are (receiver, sender) pairs
     assert sorted(zip(log.receivers.tolist(), log.senders.tolist())) == sorted(
         demo_graph.edges

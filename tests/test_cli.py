@@ -67,6 +67,19 @@ def test_simulate_rejects_bad_epsilon(tmp_path, capsys):
     assert "0.3333" in err  # names the 1/(max out-degree + 1) bound
 
 
+def test_unreadable_config_value_names_its_key(tmp_path, capsys):
+    cfg = write_config(tmp_path / "bad.yaml", epsilon="abc")
+    rc = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "error: config key 'epsilon'" in capsys.readouterr().err
+
+
+def test_verify_rejects_a_list_valued_big_k(capsys):
+    # the fig2 preset sweeps big_k: [1, 5, 9], which only `simulate` fans out
+    assert main(["verify", "--preset", "fig2"]) == 2
+    assert "error: config key 'big_k'" in capsys.readouterr().err
+
+
 def test_simulate_byte_identical_reruns(tmp_path):
     cfg = write_config(tmp_path / "run.yaml")
     for sub in ("one", "two"):

@@ -3,6 +3,7 @@ import pytest
 
 from privsum.adversary import build_indistinguishability_witness, replay_with_witness
 from privsum.consensus import (
+    STOP_WINDOW,
     SenderLayout,
     WeightTable,
     default_pushsum_matrix,
@@ -17,7 +18,6 @@ from privsum.sim import PaillierChannel, node_keypairs
 from privsum.weights import WeightParams, node_rng
 from reference_pushsum import (
     MissingShare,
-    PlainChannel,
     RoundWeights,
     RoundMismatch,
     ShareMessage,
@@ -234,9 +234,9 @@ def _message_passing(graph, x0, weight_source, rounds, channel=None, stop_tol=0.
     """Reference run built from the message-passing functions of
     ``reference_pushsum``: every node sends through ``outgoing_shares``,
     every node folds its inbox with ``apply_round``; shares travel sender by
-    sender, receiver by receiver.  Same stop rule as ``run_rounds`` (window
-    10)."""
-    chan = channel if channel is not None else PlainChannel()
+    sender, receiver by receiver, in the clear or, with a channel, through
+    one-link ``transmit``/``receive`` calls whose ciphertext values are
+    kept.  Same stop rule as ``run_rounds``."""
     states = [initial_state(i, x0[i]) for i in graph.nodes()]
     out = {"states": [states], "weights": [], "retained": [], "delivered": [], "wire": []}
     quiet = 0
@@ -247,12 +247,14 @@ def _message_passing(graph, x0, weight_source, rounds, channel=None, stop_tol=0.
         for i in graph.nodes():
             msgs, kept[i] = outgoing_shares(states[i], weights[i])
             for msg in msgs:
-                wire.append(chan.transmit(msg.sender, msg.receiver, msg.round,
-                                          msg.s_share, msg.w_share))
-                s_share, w_share = chan.receive(wire[-1])
-                delivered.append(ShareMessage(msg.sender, msg.receiver, msg.round,
-                                              s_share, w_share))
-                inboxes[msg.receiver].append(delivered[-1])
+                if channel is not None:
+                    link = ([msg.sender], [msg.receiver])
+                    sent = channel.transmit(*link, np.array([[msg.s_share], [msg.w_share]]))
+                    wire.append((sent[0, 0].value, sent[1, 0].value))
+                    (s_share,), (w_share,) = channel.receive(*link, msg.round, sent).tolist()
+                    msg = ShareMessage(msg.sender, msg.receiver, msg.round, s_share, w_share)
+                delivered.append(msg)
+                inboxes[msg.receiver].append(msg)
         prev = states
         states = [
             apply_round(states[i], inboxes[i], kept[i], graph.in_neighbors(i))
@@ -264,7 +266,7 @@ def _message_passing(graph, x0, weight_source, rounds, channel=None, stop_tol=0.
         if stop_tol > 0.0:
             delta = max(abs(a.pi - b.pi) for a, b in zip(states, prev))
             quiet = quiet + 1 if delta < stop_tol else 0
-            if quiet >= 10:
+            if quiet >= STOP_WINDOW:
                 break
     return out
 
@@ -385,6 +387,8 @@ def test_array_engine_matches_message_passing_encrypted(graph_index):
         graph, x0, _drawn_round_by_round(graph, params, 3), 4, channel=channel()
     )
     _assert_same_run(record, ref)
-    assert [[(m.s_cipher.value, m.w_cipher.value) for m in r] for r in record.wire] == [
-        [(m.s_cipher.value, m.w_cipher.value) for m in r] for r in ref["wire"]
-    ]
+    n_edges = record.weights.layout.n_edges
+    assert record.wire.shape == (4, 2, n_edges)
+    for k in range(4):
+        sent = [(record.wire[k, 0, e].value, record.wire[k, 1, e].value) for e in range(n_edges)]
+        assert sent == ref["wire"][k], k
