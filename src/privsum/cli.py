@@ -76,7 +76,7 @@ def _expand_big_k(raw: dict) -> list[tuple[str, ExperimentConfig]]:
     out = []
     for k in ks:
         one = dict(raw)
-        one["big_k"] = int(k)
+        one["big_k"] = k
         out.append((f"_K{k}", ExperimentConfig.from_dict(one)))
     return out
 
@@ -107,8 +107,11 @@ def cmd_simulate(args) -> int:
             "final_e": float(result.metrics.e[-1]),
             "final_pi": [float(v) for v in result.metrics.pi[-1]],
         }
-        if result.mean_encrypt_seconds is not None:
-            summary["mean_encrypt_ms"] = result.mean_encrypt_seconds * 1e3
+        for name, seconds in (
+            ("mean_encrypt_ms", result.mean_encrypt_seconds),
+            ("mean_decrypt_ms", result.mean_decrypt_seconds),
+        ):
+            summary[name] = None if seconds is None else seconds * 1e3
         summaries.append(summary)
         print(
             f"simulate big_k={config.big_k}: rounds={summary['rounds_run']} "
@@ -215,14 +218,14 @@ def cmd_node(args) -> int:
         mode=mode,
         out_dir=out_dir,
     )
-    print(
-        f"node {args.node_id}: final pi={state.pi!r}"
-        + (
+    line = f"node {args.node_id}: final pi={state.pi!r}"
+    if manifest["mean_encrypt_ms"] is not None:
+        line += (
             f", mean encrypt {manifest['mean_encrypt_ms']:.2f} ms"
-            if manifest["mean_encrypt_ms"] is not None
-            else ""
+            f", mean decrypt {manifest['mean_decrypt_ms']:.2f} ms"
+            f", max decrypt {manifest['max_decrypt_ms']:.2f} ms"
         )
-    )
+    print(line)
     return 0
 
 

@@ -549,7 +549,9 @@ class NodeRuntime:
             self._shutdown()
 
     def _finish(self, state, rows) -> dict:
-        seconds = self.channel.encrypt_seconds if self.channel is not None else []
+        channel = self.channel
+        enc = channel.encrypt_seconds if channel is not None else []
+        dec = channel.decrypt_seconds if channel is not None else []
         manifest = {
             "node_id": self.node_id,
             "mode": self.mode,
@@ -557,8 +559,10 @@ class NodeRuntime:
             "final_s": state.s,
             "final_w": state.w,
             "final_pi": state.pi,
-            "mean_encrypt_ms": float(np.mean(seconds)) * 1e3 if seconds else None,
-            "max_encrypt_ms": float(np.max(seconds)) * 1e3 if seconds else None,
+            "mean_encrypt_ms": float(np.mean(enc)) * 1e3 if enc else None,
+            "max_encrypt_ms": float(np.max(enc)) * 1e3 if enc else None,
+            "mean_decrypt_ms": float(np.mean(dec)) * 1e3 if dec else None,
+            "max_decrypt_ms": float(np.max(dec)) * 1e3 if dec else None,
             "outputs": [],
         }
         if self.out_dir is not None:

@@ -3,15 +3,17 @@ fixed-point codec that maps protocol reals into the integer plaintext space.
 
 The construction uses g = n + 1, which turns the encryption exponentiation
 g^m mod n^2 into the exact shortcut 1 + m*n and makes lambda = phi(n) with
-mu its inverse mod n.  Arithmetic is plain bignum; no constant-time effort
-is made (wiretap confidentiality, not side channels, is the threat model).
+mu its inverse mod n.  Decryption works modulo p^2 and q^2 and recombines by
+the Chinese remainder theorem (Paillier 1999, section 7), so the keypair keeps
+its primes.  Arithmetic is plain bignum; no constant-time effort is made
+(wiretap confidentiality, not side channels, is the threat model).
 """
 from __future__ import annotations
 
 import hashlib
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     ConfigError,
@@ -89,10 +91,20 @@ class PaillierPublicKey:
 
 @dataclass(frozen=True)
 class PaillierKeypair:
+    """A private key: lambda and mu of the textbook formula, and the primes
+    with the per-prime constants that decryption uses."""
+
     public: PaillierPublicKey
     lam: int
     mu: int
     bit_length: int
+    p: int = field(repr=False)
+    q: int = field(repr=False)
+    p_squared: int = field(repr=False)
+    q_squared: int = field(repr=False)
+    h_p: int = field(repr=False)
+    h_q: int = field(repr=False)
+    q_inv_p: int = field(repr=False)
 
 
 def keypair_from_primes(p: int, q: int) -> PaillierKeypair:
@@ -109,6 +121,14 @@ def keypair_from_primes(p: int, q: int) -> PaillierKeypair:
         lam=lam,
         mu=mu,
         bit_length=n.bit_length(),
+        p=p,
+        q=q,
+        p_squared=p * p,
+        q_squared=q * q,
+        # With g = n + 1, L_p(g^(p-1) mod p^2) = (p - 1) * q = -q (mod p).
+        h_p=pow(-q, -1, p),
+        h_q=pow(-p, -1, q),
+        q_inv_p=pow(q, -1, p),
     )
 
 
@@ -171,8 +191,12 @@ def encrypt(
 
 
 def decrypt(keypair: PaillierKeypair, c: Ciphertext) -> int:
-    """Recover the plaintext via m = L(c^lambda mod n^2) * mu mod n with
-    L(u) = (u - 1) / n."""
+    """Recover the plaintext m mod p and m mod q, then recombine.
+
+    m_p = L_p(c^(p-1) mod p^2) * h_p mod p with L_p(u) = (u - 1) / p, and
+    likewise for q; two half-size exponentiations give the same integer as
+    the textbook L(c^lambda mod n^2) * mu mod n.
+    """
     n = keypair.public.n
     if c.key_id != keypair.public.key_id:
         raise MalformedCiphertext(
@@ -180,8 +204,10 @@ def decrypt(keypair: PaillierKeypair, c: Ciphertext) -> int:
         )
     if not 0 < c.value < keypair.public.n_squared or math.gcd(c.value, n) != 1:
         raise MalformedCiphertext("ciphertext is not a valid element for this key")
-    u = pow(c.value, keypair.lam, keypair.public.n_squared)
-    return (u - 1) // n * keypair.mu % n
+    p, q = keypair.p, keypair.q
+    m_p = (pow(c.value, p - 1, keypair.p_squared) - 1) // p * keypair.h_p % p
+    m_q = (pow(c.value, q - 1, keypair.q_squared) - 1) // q * keypair.h_q % q
+    return m_q + (m_p - m_q) * keypair.q_inv_p % p * q
 
 
 def add_ciphertexts(public: PaillierPublicKey, a: Ciphertext, b: Ciphertext) -> Ciphertext:

@@ -149,21 +149,25 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        try:
-            graph = DirectedGraph.from_edge_list(
-                int(raw["graph"]["n_nodes"]), raw["graph"]["edges"]
-            )
-        except KeyError as exc:
-            raise ConfigError(f"config graph section is missing key {exc}") from exc
+        section = _read(raw, "graph", dict)
+        graph = DirectedGraph.from_edge_list(
+            _read(section, "n_nodes", int),
+            _read(section, "edges", lambda pairs: [(int(i), int(j)) for i, j in pairs]),
+        )
         adversary = None
         if raw.get("adversary"):
-            a = raw["adversary"]
+            a = _read(raw, "adversary", dict)
             adversary = AdversarySpec(
-                members=tuple(int(m) for m in a["members"]),
-                target=int(a["target"]),
+                members=_read(a, "members", lambda ms: tuple(int(m) for m in ms)),
+                target=_read(a, "target", int),
                 **_present(a, _ADVERSARY_KEYS),
             )
-        cfg = cls(graph=graph, x0=raw["x0"], adversary=adversary, **_present(raw, _CONFIG_KEYS))
+        cfg = cls(
+            graph=graph,
+            x0=_read(raw, "x0", lambda v: v),
+            adversary=adversary,
+            **_present(raw, _CONFIG_KEYS),
+        )
         cfg.validate()
         return cfg
 
@@ -187,17 +191,19 @@ _ADVERSARY_KEYS = dict(
 )
 
 
+def _read(raw: dict, key: str, read):
+    """``read(raw[key])``; a missing key or an unusable value is a
+    ``ConfigError`` naming the key."""
+    if key not in raw:
+        raise ConfigError(f"config is missing key {key!r}")
+    try:
+        return read(raw[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key!r} has unusable value {raw[key]!r}") from exc
+
+
 def _present(raw: dict, converters: dict) -> dict:
-    present = {}
-    for key, read in converters.items():
-        if key in raw:
-            try:
-                present[key] = read(raw[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(
-                    f"config key {key!r} has unusable value {raw[key]!r}"
-                ) from exc
-    return present
+    return {key: _read(raw, key, read) for key, read in converters.items() if key in raw}
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -245,8 +251,8 @@ class PaillierChannel:
     directory of public keys it learned.  Reals are encoded through the
     receiver's fixed-point codec, built once per key.  Each node whose
     keypair is held encrypts with its own seeded blinding stream.
-    Per-encryption wall-clock latencies are collected in
-    ``encrypt_seconds``.
+    Per-call wall-clock latencies are collected in ``encrypt_seconds`` and
+    ``decrypt_seconds``.
     """
 
     def __init__(
@@ -264,6 +270,7 @@ class PaillierChannel:
             i: random.Random(derive_seed("encrypt", seed, i)) for i in keypairs
         }
         self.encrypt_seconds: list[float] = []
+        self.decrypt_seconds: list[float] = []
 
     def _codec(self, node: int) -> FixedPointCodec:
         if node not in self._codecs:
@@ -278,6 +285,12 @@ class PaillierChannel:
         cipher = encrypt(self.public_keys[receiver], plain, self._rngs[sender])
         self.encrypt_seconds.append(time.perf_counter() - start)
         return cipher
+
+    def _decrypt(self, receiver: int, cipher: Ciphertext) -> int:
+        start = time.perf_counter()
+        plain = decrypt(self.keypairs[receiver], cipher)
+        self.decrypt_seconds.append(time.perf_counter() - start)
+        return plain
 
     def transmit(
         self, senders: Sequence[int], receivers: Sequence[int], shares: np.ndarray
@@ -307,11 +320,10 @@ class PaillierChannel:
         ``transmit``, into the ``(2, m)`` shares the receivers apply."""
         s_shares, w_shares = [], []
         for sender, receiver, s_cipher, w_cipher in zip(senders, receivers, *wire):
-            kp = self.keypairs[receiver]
             codec = self._codec(receiver)
             try:
-                s_plain = decrypt(kp, s_cipher)
-                w_plain = decrypt(kp, w_cipher)
+                s_plain = self._decrypt(receiver, s_cipher)
+                w_plain = self._decrypt(receiver, w_cipher)
             except MalformedCiphertext as exc:
                 raise DecryptFailure(
                     f"node {receiver}: round-{round_k} share from {sender}: {exc}"
@@ -342,6 +354,7 @@ class ExperimentResult:
     adversary_view: AdversaryView | None
     eavesdropper_log: EavesdropperLog
     mean_encrypt_seconds: float | None = None
+    mean_decrypt_seconds: float | None = None
 
 
 def run_experiment(
@@ -354,7 +367,7 @@ def run_experiment(
     """
     config.validate()
     x0 = resolve_x0(config, target_override)
-    mean_encrypt = None
+    mean_encrypt = mean_decrypt = None
     if config.mode == MODE_ALGORITHM0:
         record = run_algorithm0(
             config.graph, x0, rounds=config.max_rounds, stop_tol=config.stop_tol
@@ -381,6 +394,7 @@ def run_experiment(
         )
         if channel is not None and channel.encrypt_seconds:
             mean_encrypt = float(np.mean(channel.encrypt_seconds))
+            mean_decrypt = float(np.mean(channel.decrypt_seconds))
     metrics = error_series(record.trajectory, x0)
     view = None
     if config.adversary is not None:
@@ -393,6 +407,7 @@ def run_experiment(
         adversary_view=view,
         eavesdropper_log=build_eavesdropper_log(record),
         mean_encrypt_seconds=mean_encrypt,
+        mean_decrypt_seconds=mean_decrypt,
     )
 
 

@@ -2,8 +2,10 @@ import csv
 import json
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
+import pytest
 import yaml
 
 from privsum.cli import main
@@ -72,6 +74,85 @@ def test_unreadable_config_value_names_its_key(tmp_path, capsys):
     rc = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)])
     assert rc == 2
     assert "error: config key 'epsilon'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("graph", "n_nodes", "abc", "config key 'n_nodes' has unusable value 'abc'"),
+        ("adversary", "target", "x", "config key 'target' has unusable value 'x'"),
+        ("adversary", "members", None, "config is missing key 'members'"),
+        (None, "big_k", ["a", 1], "config key 'big_k' has unusable value 'a'"),
+    ],
+)
+def test_unreadable_nested_config_key_exits_2(tmp_path, capsys, section, key, value, message):
+    cfg = write_config(tmp_path / "bad.yaml", adversary={"members": [1], "target": 0})
+    raw = yaml.safe_load(cfg.read_text())
+    keys = raw[section] if section else raw
+    if value is None:
+        del keys[key]
+    else:
+        keys[key] = value
+    cfg.write_text(yaml.safe_dump(raw))
+    rc = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_simulate_manifest_records_crypto_latency(tmp_path):
+    for mode in ("algorithm1", "algorithm2-simulated"):
+        cfg = write_config(tmp_path / f"{mode}.yaml", mode=mode, max_rounds=5, key_bits=128)
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / mode)]) == 0
+        run = json.loads((tmp_path / mode / "manifest.json").read_text())["runs"][0]
+        for key in ("mean_encrypt_ms", "mean_decrypt_ms"):
+            if mode == "algorithm1":
+                assert run[key] is None
+            else:
+                assert run[key] > 0.0
+
+
+@pytest.mark.parametrize("mode", ["plain", "encrypted"])
+def test_node_manifest_and_summary_record_decrypt_latency(tmp_path, capsys, mode):
+    """Two in-process `privsum node` commands on a two-node cycle."""
+    cfg = write_config(
+        tmp_path / "pair.yaml",
+        graph={"n_nodes": 2, "edges": [[0, 1], [1, 0]]},
+        x0=[10.0, 30.0],
+        max_rounds=4,
+        key_bits=128,
+    )
+    ports = allocate_ports(2)
+    peers_path = tmp_path / "peers.json"
+    peers_path.write_text(json.dumps({str(i): f"127.0.0.1:{ports[i]}" for i in range(2)}))
+    codes = {}
+
+    def node(i):
+        codes[i] = main(
+            [
+                "node", "--node-id", str(i), "--listen", f"127.0.0.1:{ports[i]}",
+                "--peers", str(peers_path), "--config", str(cfg), "--mode", mode,
+                "--out-dir", str(tmp_path / "out"),
+            ]
+        )
+
+    threads = [threading.Thread(target=node, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert codes == {0: 0, 1: 0}
+    lines = capsys.readouterr().out.splitlines()
+    for i in range(2):
+        manifest = json.loads((tmp_path / "out" / f"node{i}.manifest.json").read_text())
+        fields = [manifest[k] for k in ("mean_decrypt_ms", "max_decrypt_ms")]
+        summary = next(line for line in lines if line.startswith(f"node {i}:"))
+        if mode == "plain":
+            assert fields == [None, None]
+            assert "decrypt" not in summary
+        else:
+            assert 0.0 < fields[0] <= fields[1]
+            assert f"mean decrypt {fields[0]:.2f} ms" in summary
+            assert f"max decrypt {fields[1]:.2f} ms" in summary
 
 
 def test_verify_rejects_a_list_valued_big_k(capsys):

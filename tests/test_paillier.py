@@ -114,6 +114,51 @@ def test_homomorphic_addition():
         assert decrypt(kp, c) == (m1 + m2) % n
 
 
+def textbook_decrypt(keypair, c):
+    """Oracle: m = L(c^lambda mod n^2) * mu mod n with L(u) = (u - 1) / n."""
+    n = keypair.public.n
+    return (pow(c.value, keypair.lam, n * n) - 1) // n * keypair.mu % n
+
+
+def test_crt_decrypt_matches_textbook_on_every_toy_unit():
+    n2 = TOY.public.n_squared
+    units = [v for v in range(1, n2) if math.gcd(v, TOY.public.n) == 1]
+    assert len(units) == 24 * 35  # |Z*_{n^2}| = phi(n) * n
+    for v in units:
+        c = Ciphertext(value=v, key_id=TOY.public.key_id)
+        assert decrypt(TOY, c) == textbook_decrypt(TOY, c)
+
+
+def random_units(keypair, rng, count):
+    n, n2 = keypair.public.n, keypair.public.n_squared
+    units = []
+    while len(units) < count:
+        v = rng.randrange(1, n2)
+        if math.gcd(v, n) == 1:
+            units.append(Ciphertext(value=v, key_id=keypair.public.key_id))
+    return units
+
+
+def test_crt_decrypt_matches_textbook_at_256_bits():
+    rng = random.Random(13)
+    kp = keygen(256, rng)
+    for c in random_units(kp, rng, 200):
+        assert decrypt(kp, c) == textbook_decrypt(kp, c)
+
+
+def test_crt_decrypt_matches_textbook_at_2048_bits():
+    rng = random.Random(14)
+    kp = keygen(2048, rng)
+    for c in random_units(kp, rng, 3):
+        assert decrypt(kp, c) == textbook_decrypt(kp, c)
+
+
+def test_keypair_keeps_its_primes_out_of_repr():
+    kp = keygen(256, random.Random(15))
+    assert kp.p * kp.q == kp.public.n
+    assert str(kp.p) not in repr(kp) and str(kp.q) not in repr(kp)
+
+
 def test_decrypt_rejects_malformed():
     with pytest.raises(MalformedCiphertext):
         decrypt(TOY, Ciphertext(value=35, key_id=TOY.public.key_id))  # gcd(35, n) != 1

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,31 @@ def test_encrypted_mode_close_to_plain():
         plain.record.trajectory.pi,
         atol=1e-8,
     )
+
+
+def test_2048_bit_run_matches_256_bit_bitwise():
+    # The codec rounds to 2^-48 whatever the modulus, so the key size must
+    # not move a single bit of the trajectory.
+    def run(key_bits):
+        return run_experiment(
+            ExperimentConfig(
+                graph=DirectedGraph.from_edge_list(2, [[0, 1], [1, 0]]),
+                x0=[10.0, 30.0],
+                max_rounds=3,
+                stop_tol=0.0,
+                seed=1,
+                mode=MODE_ALGORITHM2,
+                key_bits=key_bits,
+            )
+        ).record.trajectory
+
+    small = run(256)
+    start = time.perf_counter()
+    large = run(2048)
+    elapsed = time.perf_counter() - start
+    assert np.array_equal(large.s, small.s)
+    assert np.array_equal(large.w, small.w)
+    assert elapsed < 10.0, f"2048-bit run took {elapsed:.1f} s"
 
 
 def test_stop_tol_shortens_run():
