@@ -33,7 +33,7 @@ from privsum import (
     run_algorithm1,
     run_experiment,
 )
-from privsum.adversary import adversary_observables, observables_match
+from privsum.adversary import views_match
 from privsum.graph import DirectedGraph
 
 graph = default_demo_graph()
@@ -86,8 +86,8 @@ rec = run_algorithm1(graph, x0, params, seed=11, rounds=30)
 witness = build_indistinguishability_witness(rec, target=0, alt_x0=-1234.5, helper=4)
 replayed = replay_with_witness(rec, witness)
 members = [1, 2, 3]
-same = observables_match(
-    adversary_observables(rec, members), adversary_observables(replayed, members)
+same = views_match(
+    build_adversary_view(rec, members), build_adversary_view(replayed, members)
 )
 print(
     f"  witness: pretend x0[0] = -1234.5 (node 4 absorbs the difference) -> "

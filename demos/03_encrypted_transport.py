@@ -35,10 +35,7 @@ enc = run_experiment(config(MODE_ALGORITHM2))
 
 print("plain final estimates:    ", np.round(plain.metrics.pi[-1], 9))
 print("encrypted final estimates:", np.round(enc.metrics.pi[-1], 9))
-worst = max(
-    np.abs(plain.record.s_shares - enc.record.s_shares).max(),
-    np.abs(plain.record.w_shares - enc.record.w_shares).max(),
-)
+worst = np.abs(plain.record.shares - enc.record.shares).max()
 print(f"worst share deviation plain vs encrypted: {worst:.2e} (codec quantization)")
 print(f"mean encryption latency: {enc.mean_encrypt_seconds * 1e3:.3f} ms per share")
 print()
@@ -56,5 +53,5 @@ try:
 except MalformedCiphertext as exc:
     print(f"  outsider decryption attempt fails: {exc}")
 
-plain_first = float(plain.record.s_shares[0, 0])
+plain_first = float(plain.record.shares[0, 0, 0])
 print(f"  the plaintext share it is hiding: {plain_first!r}")

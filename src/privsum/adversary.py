@@ -1,9 +1,11 @@
 """Inference tooling for honest-but-curious nodes and wiretapping outsiders.
 
 Everything an attack consumes must be reachable from an
-:class:`AdversaryView`: the members' own states, the shares on every link
-they touch (their retained self-shares included), the public protocol
-parameters, and the topology.  Attacks never touch ground-truth node state.
+:class:`AdversaryView`: the members' own states, the self-shares they
+kept, the shares on every link they touch, the public protocol parameters,
+and the topology.  The view is a column selection of the run record's
+``(rounds, 2, ·)`` arrays; ``views_match`` compares two views, which is
+the whole of a witness check.  Attacks never touch ground-truth node state.
 
 Included capabilities:
 
@@ -39,29 +41,37 @@ from .weights import WeightParams
 class AdversaryView:
     """The information set of a (possibly colluding) set of protocol nodes.
 
-    ``member_states`` maps each member to its (s, w) columns over rounds
-    0..n_rounds.  ``links`` maps every edge with a member at either end to
-    the (s, w) shares it carried, one entry per round; a member's ``(m, m)``
-    link holds its retained self-share.  The facts that everyone's weight
-    sum is 1 every round and that w_m(k) = 1 for k <= K+1 are public
-    knowledge, represented by ``params``.
+    Three arrays with axis 1 (s, w), as in the run record: ``states``
+    ``(rounds + 1, 2, M)`` holds the members' states, ``retained``
+    ``(rounds, 2, M)`` the self-shares they kept, and ``shares``
+    ``(rounds, 2, L)`` the shares on every edge with a member at either
+    end.  Member columns follow ascending node id; ``links`` names the
+    share columns as (sender, receiver) pairs in layout order.  The facts
+    that everyone's weight sum is 1 every round and that w_m(k) = 1 for
+    k <= K+1 are public knowledge, represented by ``params``.
     """
 
     members: frozenset[int]
+    links: tuple[tuple[int, int], ...]
     graph: DirectedGraph
     params: WeightParams | None
-    n_rounds: int
-    member_states: dict[int, tuple[np.ndarray, np.ndarray]]
-    links: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
+    states: np.ndarray
+    retained: np.ndarray
+    shares: np.ndarray
+
+    @property
+    def n_rounds(self) -> int:
+        return self.retained.shape[0]
 
     def link(self, sender: int, receiver: int) -> tuple[np.ndarray, np.ndarray]:
         """The (s, w) shares that crossed ``sender -> receiver``, per round."""
         try:
-            return self.links[(sender, receiver)]
-        except KeyError:
+            pair = self.shares[:, :, self.links.index((sender, receiver))]
+        except ValueError:
             raise TraceIncomplete(
                 f"no member saw the shares node {sender} sent to node {receiver}"
             ) from None
+        return pair[:, 0], pair[:, 1]
 
 
 @dataclass(frozen=True)
@@ -86,26 +96,21 @@ def build_adversary_view(record: RunRecord, members) -> AdversaryView:
     member_set = frozenset(int(m) for m in members)
     if not member_set <= set(record.graph.nodes()):
         raise ConfigError(f"adversary members {sorted(member_set)} outside the graph")
-    trajectory = record.trajectory
-    member_states = {
-        m: (trajectory.s[:, m], trajectory.w[:, m]) for m in sorted(member_set)
-    }
+    columns = sorted(member_set)
     layout = record.weights.layout
-    links = {}
-    edges = zip(layout.senders.tolist(), layout.receivers.tolist())
-    for e, (sender, receiver) in enumerate(edges):
-        if sender in member_set or receiver in member_set:
-            links[(sender, receiver)] = (record.s_shares[:, e], record.w_shares[:, e])
-    for m in member_states:
-        kept = record.retained(m)
-        links[(m, m)] = (kept[:, 0], kept[:, 1])
+    is_member = np.zeros(record.graph.n_nodes, dtype=bool)
+    is_member[columns] = True
+    touched = np.flatnonzero(is_member[layout.senders] | is_member[layout.receivers])
     return AdversaryView(
         members=member_set,
+        links=tuple(
+            zip(layout.senders[touched].tolist(), layout.receivers[touched].tolist())
+        ),
         graph=record.graph,
         params=record.params,
-        n_rounds=record.n_rounds,
-        member_states=member_states,
-        links=links,
+        states=record.trajectory.states[:, :, columns],
+        retained=record.retained()[:, :, columns],
+        shares=record.shares[:, :, touched],
     )
 
 
@@ -131,12 +136,12 @@ def attack_pushsum_baseline(view: AdversaryView) -> dict[int, float]:
     recovered: dict[int, float] = {}
     for member in sorted(view.members):
         for sender in view.graph.in_neighbors(member):
-            s_shares, w_shares = view.link(sender, member)
-            if w_shares[0] == 0.0:
+            s_sh, w_sh = view.link(sender, member)
+            if w_sh[0] == 0.0:
                 raise TraceIncomplete(
                     "round-0 w-share is zero; trace is not from the baseline protocol"
                 )
-            recovered[sender] = float(s_shares[0] / w_shares[0])
+            recovered[sender] = float(s_sh[0] / w_sh[0])
     return recovered
 
 
@@ -187,8 +192,8 @@ def _recover_via_telescope(view: AdversaryView, target: int) -> float:
     # Any hostile out-neighbor's received pair reveals s(k)/w(k) in the
     # mixing phase, where both shares carry the same weight.
     observer = min(m for m in view.graph.out_neighbors(target) if m in view.members)
-    s_shares, w_shares = view.link(target, observer)
-    s_target = float(s_shares[probe_round] / w_shares[probe_round]) * w_target
+    s_sh, w_sh = view.link(target, observer)
+    s_target = float(s_sh[probe_round] / w_sh[probe_round]) * w_target
     return s_target - s_flow
 
 
@@ -458,47 +463,16 @@ def replay_with_witness(record: RunRecord, witness: Witness) -> RunRecord:
         WeightTable(record.weights.layout, s, record.weights.w),
         list(witness.x0),
         params=record.params,
-        mode=record.mode,
     )
 
 
-def adversary_observables(
-    record: RunRecord, members
-) -> list[tuple[tuple[int, int, int, int], float, float]]:
-    """Flatten the members' :class:`AdversaryView` into a comparable list:
-    link entries keyed (round, 0, sender, receiver), retained self-shares
-    keyed (round, 1, member, member) and member states keyed
-    (round, 2, member, member)."""
-    view = build_adversary_view(record, members)
-    entries: list[tuple[tuple[int, int, int, int], float, float]] = []
-
-    def add(kind: int, j: int, i: int, s: np.ndarray, w: np.ndarray) -> None:
-        pairs = enumerate(zip(s.tolist(), w.tolist()))
-        entries.extend(((k, kind, j, i), s_k, w_k) for k, (s_k, w_k) in pairs)
-
-    for (j, i), (s, w) in view.links.items():
-        add(1 if j == i else 0, j, i, s, w)
-    for m, (s, w) in view.member_states.items():
-        add(2, m, m, s, w)
-    return sorted(entries, key=lambda item: item[0])
-
-
-def observables_match(
-    a: list[tuple[tuple[int, int, int, int], float, float]],
-    b: list[tuple[tuple[int, int, int, int], float, float]],
-    tol: float = 1e-9,
-) -> bool:
-    """Compare two observation lists element-wise within a tolerance."""
-    if len(a) != len(b):
+def views_match(a: AdversaryView, b: AdversaryView, tol: float = 1e-9) -> bool:
+    """True when two views show the same members and links over the same
+    rounds, every entry of ``b`` within ``tol * (1 + |a|)`` of ``a``'s."""
+    if (a.members, a.links, a.n_rounds) != (b.members, b.links, b.n_rounds):
         return False
-    for (key_a, s_a, w_a), (key_b, s_b, w_b) in zip(a, b):
-        if key_a != key_b:
-            return False
-        if abs(s_a - s_b) > tol * (1.0 + abs(s_a)) or abs(w_a - w_b) > tol * (
-            1.0 + abs(w_a)
-        ):
-            return False
-    return True
+    pairs = ((a.states, b.states), (a.retained, b.retained), (a.shares, b.shares))
+    return all(bool(np.all(np.abs(x - y) <= tol * (1.0 + np.abs(x)))) for x, y in pairs)
 
 
 def export_attack_csv(path, rows: list[dict]) -> None:

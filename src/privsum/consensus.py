@@ -15,6 +15,11 @@ ascending sender order, so a deployed node and the simulator agree bit for
 bit.  ``run_rounds`` serves the baseline fixed-weight protocol, the
 two-phase random-weight protocol, replays with rewritten weights and
 (through a channel) the encrypted transport.
+
+Every per-round array of a run shares one layout: axis 1 is (s, w), the
+last axis is the node or edge.  The state is ``(rounds + 1, 2, n)``, the
+kept self-shares ``(rounds, 2, n)``, the applied shares and the wire
+``(rounds, 2, E)``; a colluders' view selects columns of these.
 """
 from __future__ import annotations
 
@@ -94,6 +99,11 @@ class Trajectory:
         """Number of executed rounds (snapshots minus the initial one)."""
         return self.s.shape[0] - 1
 
+    @property
+    def states(self) -> np.ndarray:
+        """The ``(rounds + 1, 2, n)`` array of (s, w) states."""
+        return np.stack((self.s, self.w), axis=1)
+
     def final(self) -> tuple[NodeState, ...]:
         k = self.n_rounds
         rows = zip(self.s[k].tolist(), self.w[k].tolist(), self.pi[k].tolist())
@@ -166,6 +176,10 @@ class WeightTable:
     def n_rounds(self) -> int:
         return self.s.shape[0]
 
+    def stacked(self, cols) -> np.ndarray:
+        """The (s, w) weights of the given columns, ``(rounds, 2, len(cols))``."""
+        return np.stack((self.s[:, cols], self.w[:, cols]), axis=1)
+
     def matrix(self, k: int, side: str) -> np.ndarray:
         """Round k's n x n coupling matrix of the ``"s"`` or ``"w"`` side:
         column j holds node j's weights, zero off the graph support."""
@@ -184,20 +198,17 @@ class WeightTable:
 class RunRecord:
     """Ground-truth trace of one synchronous run, kept as arrays.
 
-    ``s_shares``/``w_shares`` hold the shares each receiver applied, one row
-    per round, one column per edge in ``SenderLayout`` order.  ``wire`` is
-    the ``(rounds, 2, E)`` array of what crossed each link, rows (s, w):
-    the channel's ciphertexts, or in the clear the shares themselves (then
-    ``wire[:, 0]`` is ``s_shares`` and ``wire[:, 1]`` is ``w_shares``).
+    ``shares`` is the ``(rounds, 2, E)`` array of the shares each receiver
+    applied, rows (s, w), one column per edge in ``SenderLayout`` order.
+    ``wire`` is what crossed each link, laid out alike: the channel's
+    ciphertexts, or in the clear ``shares`` itself.
     """
 
     x0: list[float]
     params: WeightParams | None
-    mode: str
     trajectory: Trajectory
     weights: WeightTable
-    s_shares: np.ndarray
-    w_shares: np.ndarray
+    shares: np.ndarray
     wire: np.ndarray
 
     @property
@@ -208,14 +219,12 @@ class RunRecord:
     def n_rounds(self) -> int:
         return self.weights.n_rounds
 
-    def retained(self, node: int) -> np.ndarray:
-        """The (s, w) self-share the node kept, a ``(rounds, 2)`` array.  Same
-        multiply as ``apply_round``'s retained share, so bit-equal to it."""
-        col = self.weights.layout.self_cols[node]
-        rounds = self.n_rounds
-        kept_s = self.weights.s[:, col] * self.trajectory.s[:rounds, node]
-        kept_w = self.weights.w[:, col] * self.trajectory.w[:rounds, node]
-        return np.column_stack((kept_s, kept_w))
+    def retained(self) -> np.ndarray:
+        """Every node's kept (s, w) self-share, a ``(rounds, 2, n)`` array.
+        Same multiply as ``apply_round``'s retained share, so bit-equal to
+        it."""
+        self_weights = self.weights.stacked(self.weights.layout.self_cols)
+        return self_weights * self.trajectory.states[: self.n_rounds]
 
     def final_pi(self) -> np.ndarray:
         return self.trajectory.pi[-1].copy()
@@ -225,7 +234,6 @@ def run_rounds(
     weights: WeightTable,
     x0: Sequence[float],
     params: WeightParams | None = None,
-    mode: str = "algorithm1",
     channel: PaillierChannel | None = None,
     stop_tol: float = 0.0,
 ) -> RunRecord:
@@ -249,19 +257,12 @@ def run_rounds(
     state = np.empty((rounds + 1, 2, n))
     state[0, 0] = [float(v) for v in x0]
     state[0, 1] = 1.0
-    edge_weights = np.stack(
-        (weights.s[:, layout.edge_cols], weights.w[:, layout.edge_cols]), axis=1
-    )
-    self_weights = np.stack(
-        (weights.s[:, layout.self_cols], weights.w[:, layout.self_cols]), axis=1
-    )
+    edge_weights = weights.stacked(layout.edge_cols)
+    self_weights = weights.stacked(layout.self_cols)
     shares = np.empty((rounds, 2, n_edges + 1))
     shares[:, :, n_edges] = -0.0
     edge_shares = shares[:, :, :n_edges]
-    # What crossed each link: the shares themselves, or their ciphertexts.
-    if channel is None:
-        wire = edge_shares
-    else:
+    if channel is not None:
         wire = np.empty((rounds, 2, n_edges), dtype=object)
         senders, receivers = layout.senders.tolist(), layout.receivers.tolist()
     in_slots = layout.in_edges.T
@@ -288,16 +289,16 @@ def run_rounds(
                 done = k + 1
                 break
     state = state[: done + 1]
+    applied = edge_shares[:done]
 
     return RunRecord(
         x0=[float(v) for v in x0],
         params=params,
-        mode=mode,
         trajectory=Trajectory(s=state[:, 0], w=state[:, 1], pi=state[:, 0] / state[:, 1]),
         weights=WeightTable(layout, weights.s[:done], weights.w[:done]),
-        s_shares=edge_shares[:done, 0],
-        w_shares=edge_shares[:done, 1],
-        wire=wire[:done],
+        shares=applied,
+        # In the clear the shares themselves crossed the links.
+        wire=applied if channel is None else wire[:done],
     )
 
 
@@ -326,7 +327,6 @@ def run_algorithm1(
     rounds: int,
     channel: PaillierChannel | None = None,
     stop_tol: float = 0.0,
-    mode: str = "algorithm1",
 ) -> RunRecord:
     """Run the two-phase random-weight protocol."""
     if not is_strongly_connected(graph):
@@ -335,7 +335,6 @@ def run_algorithm1(
         algorithm1_weights(graph, params, seed, rounds),
         x0,
         params=params,
-        mode=mode,
         channel=channel,
         stop_tol=stop_tol,
     )
@@ -404,6 +403,5 @@ def run_algorithm0(
         matrix_weights(graph, p, rounds),
         x0,
         params=None,
-        mode="algorithm0",
         stop_tol=stop_tol,
     )

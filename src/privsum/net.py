@@ -313,6 +313,8 @@ class NodeRuntime:
             with self._lock:
                 self._dead = exc
                 self._lock.notify_all()
+        finally:
+            conn.close()
 
     def _claim(self, sender: int) -> int:
         """Bind a new inbound connection to the sender of its first frame."""

@@ -127,15 +127,7 @@ class ExperimentConfig:
         d: dict = {
             "graph": {"n_nodes": self.graph.n_nodes, "edges": self.graph.edge_list()},
             "x0": self.x0 if isinstance(self.x0, dict) else [float(v) for v in self.x0],
-            "big_k": self.big_k,
-            "epsilon": self.epsilon,
-            "phase_a_range": self.phase_a_range,
-            "max_rounds": self.max_rounds,
-            "stop_tol": self.stop_tol,
-            "seed": self.seed,
-            "mode": self.mode,
-            "key_bits": self.key_bits,
-            "fractional_bits": self.fractional_bits,
+            **{key: getattr(self, key) for key in _CONFIG_KEYS},
         }
         if self.adversary is not None:
             d["adversary"] = {
@@ -318,7 +310,7 @@ class PaillierChannel:
     ) -> np.ndarray:
         """Decrypt one round's ``(2, m)`` ciphertexts, laid out as in
         ``transmit``, into the ``(2, m)`` shares the receivers apply."""
-        s_shares, w_shares = [], []
+        s_values, w_values = [], []
         for sender, receiver, s_cipher, w_cipher in zip(senders, receivers, *wire):
             codec = self._codec(receiver)
             try:
@@ -328,9 +320,9 @@ class PaillierChannel:
                 raise DecryptFailure(
                     f"node {receiver}: round-{round_k} share from {sender}: {exc}"
                 ) from exc
-            s_shares.append(codec.decode(s_plain))
-            w_shares.append(codec.decode(w_plain))
-        return np.array([s_shares, w_shares], dtype=float)
+            s_values.append(codec.decode(s_plain))
+            w_values.append(codec.decode(w_plain))
+        return np.array([s_values, w_values], dtype=float)
 
 
 def node_keypair(key_bits: int, seed: int, node_id: int) -> PaillierKeypair:
@@ -390,7 +382,6 @@ def run_experiment(
             config.max_rounds,
             channel=channel,
             stop_tol=config.stop_tol,
-            mode=config.mode,
         )
         if channel is not None and channel.encrypt_seconds:
             mean_encrypt = float(np.mean(channel.encrypt_seconds))

@@ -2,8 +2,8 @@
 
 Each suite re-derives a protocol guarantee through an independent route
 (matrix products, direct sums, replays, crypto roundtrips) and checks the
-round engine against it.  A corrupted-weight hook exists so tests
-can prove the suites actually bite.
+round engine against it.  ``check_column_stochastic`` takes a weight
+table directly, so tests can show it rejects a corrupted one.
 """
 from __future__ import annotations
 
@@ -13,12 +13,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .adversary import (
-    adversary_observables,
+    build_adversary_view,
     build_indistinguishability_witness,
-    observables_match,
     replay_with_witness,
+    views_match,
 )
-from .consensus import WeightTable, algorithm1_weights, run_rounds
+from .consensus import WeightTable, algorithm1_weights
 from .errors import PrivsumError
 from .paillier import (
     FixedPointCodec,
@@ -33,11 +33,10 @@ from .sim import (
     MODE_ALGORITHM0,
     MODE_ALGORITHM1,
     MODE_ALGORITHM2,
-    resolve_x0,
     run_experiment,
     transition_product,
 )
-from .weights import derive_seed
+from .weights import WeightParams, derive_seed
 
 
 @dataclass
@@ -45,31 +44,6 @@ class SuiteResult:
     name: str
     passed: bool
     detail: str = ""
-
-
-def _corrupted(weights: WeightTable) -> WeightTable:
-    """Distort one value-side weight per node per round, that of its
-    lowest-numbered target, without fixing the self-weight: column
-    stochasticity breaks (negative-control hook)."""
-    layout = weights.layout
-    s = weights.s.copy()
-    for j in layout.graph.nodes():
-        s[:, layout.column(j, min(layout.targets(j)))] += 0.05
-    return WeightTable(layout, s, weights.w)
-
-
-def _run(config: ExperimentConfig, corrupt_weights: bool = False):
-    if not corrupt_weights:
-        return run_experiment(config).record
-    weights = algorithm1_weights(
-        config.graph, config.params, config.seed, config.max_rounds
-    )
-    return run_rounds(
-        _corrupted(weights),
-        resolve_x0(config),
-        params=config.params,
-        mode=MODE_ALGORITHM1,
-    )
 
 
 def suite_mass_conservation(config: ExperimentConfig) -> SuiteResult:
@@ -104,19 +78,15 @@ def suite_weight_floor(config: ExperimentConfig) -> SuiteResult:
     )
 
 
-def suite_column_stochastic(
-    config: ExperimentConfig, corrupt_weights: bool = False
-) -> SuiteResult:
+def check_column_stochastic(table: WeightTable, params: WeightParams) -> SuiteResult:
     """Every round's s and w matrices have unit column sums, the
     w matrix is the identity through round K, and both matrices coincide
     with entries in (epsilon, 1) afterwards."""
-    cfg = replace(config, stop_tol=0.0, max_rounds=min(config.max_rounds, 40))
-    record = _run(cfg, corrupt_weights)
-    n = config.graph.n_nodes
-    eps = config.epsilon
-    for k in range(record.n_rounds):
-        ps = record.weights.matrix(k, "s")
-        pw = record.weights.matrix(k, "w")
+    n = table.layout.graph.n_nodes
+    eps = params.epsilon
+    for k in range(table.n_rounds):
+        ps = table.matrix(k, "s")
+        pw = table.matrix(k, "w")
         if not (
             np.allclose(ps.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
             and np.allclose(pw.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
@@ -124,7 +94,7 @@ def suite_column_stochastic(
             return SuiteResult(
                 "column-stochastic", False, f"column sums broken at round {k}"
             )
-        if k <= config.big_k:
+        if k <= params.big_k:
             if not np.array_equal(pw, np.eye(n)):
                 return SuiteResult(
                     "column-stochastic", False, f"w matrix not identity at round {k}"
@@ -142,7 +112,15 @@ def suite_column_stochastic(
                     False,
                     f"mixing-phase weights outside ({eps}, 1) at round {k}",
                 )
-    return SuiteResult("column-stochastic", True, f"{record.n_rounds} rounds checked")
+    return SuiteResult("column-stochastic", True, f"{table.n_rounds} rounds checked")
+
+
+def suite_column_stochastic(config: ExperimentConfig) -> SuiteResult:
+    """The two-phase weight table the config draws passes
+    ``check_column_stochastic``, whatever mode the config runs."""
+    rounds = min(config.max_rounds, 40)
+    table = algorithm1_weights(config.graph, config.params, config.seed, rounds)
+    return check_column_stochastic(table, config.params)
 
 
 def suite_transition_products(config: ExperimentConfig) -> SuiteResult:
@@ -196,9 +174,8 @@ def suite_witness_replay(config: ExperimentConfig) -> SuiteResult:
         witness = build_indistinguishability_witness(record, target, alt, helper)
         repl = replay_with_witness(record, witness)
         members = [v for v in g.nodes() if v not in (target, helper)]
-        if not observables_match(
-            adversary_observables(record, members),
-            adversary_observables(repl, members),
+        if not views_match(
+            build_adversary_view(record, members), build_adversary_view(repl, members)
         ):
             return SuiteResult(
                 "witness-replay",
@@ -238,17 +215,12 @@ def suite_crypto_roundtrip(config: ExperimentConfig) -> SuiteResult:
     return SuiteResult("crypto-roundtrip", True, "keygen, roundtrip, homomorphism, codec")
 
 
-def run_all(
-    config: ExperimentConfig, corrupt_weights: bool = False
-) -> list[SuiteResult]:
+def run_all(config: ExperimentConfig) -> list[SuiteResult]:
     """Run every invariant suite against one configuration."""
     suites = [
         ("mass-conservation", suite_mass_conservation),
         ("weight-floor", suite_weight_floor),
-        (
-            "column-stochastic",
-            lambda c: suite_column_stochastic(c, corrupt_weights=corrupt_weights),
-        ),
+        ("column-stochastic", suite_column_stochastic),
         ("transition-products", suite_transition_products),
         ("witness-replay", suite_witness_replay),
         ("crypto-roundtrip", suite_crypto_roundtrip),

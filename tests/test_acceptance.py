@@ -10,15 +10,14 @@ import pytest
 import yaml
 
 from privsum.adversary import (
-    adversary_observables,
     attack_colluding_full_neighborhood,
     attack_least_squares,
     attack_sole_neighbor,
     build_adversary_view,
     build_indistinguishability_witness,
     build_least_squares_system,
-    observables_match,
     replay_with_witness,
+    views_match,
 )
 from privsum.consensus import run_algorithm1
 from privsum.errors import MalformedCiphertext
@@ -275,9 +274,9 @@ def test_criterion_08_witness_replay_indistinguishability():
             witness = build_indistinguishability_witness(rec, target, alt, helper)
             replayed = replay_with_witness(rec, witness)
             members = [v for v in g.nodes() if v not in (target, helper)]
-            assert observables_match(
-                adversary_observables(rec, members),
-                adversary_observables(replayed, members),
+            assert views_match(
+                build_adversary_view(rec, members),
+                build_adversary_view(replayed, members),
                 tol=1e-9,
             ), (target, helper, alt)
             done += 1
@@ -314,8 +313,7 @@ def test_criterion_10_encrypted_mode_tracks_plain_mode():
         assert np.array_equal(layout.senders, enc.record.weights.layout.senders)
         assert np.array_equal(layout.receivers, enc.record.weights.layout.receivers)
         assert plain.record.n_rounds == enc.record.n_rounds
-        assert np.abs(plain.record.s_shares - enc.record.s_shares).max() <= bound
-        assert np.abs(plain.record.w_shares - enc.record.w_shares).max() <= bound
+        assert np.abs(plain.record.shares - enc.record.shares).max() <= bound
 
         # the eavesdropper sees only ciphertexts under the recipients' keys
         keypairs = node_keypairs(enc.config.graph, 256, enc.config.seed)
@@ -337,7 +335,7 @@ def test_criterion_10_encrypted_mode_tracks_plain_mode():
                 decrypt(stranger, s_cipher)
         leaked = 0
         receivers = layout.receivers.tolist()
-        for s_row, w_row in zip(plain.record.s_shares.tolist(), plain.record.w_shares.tolist()):
+        for s_row, w_row in plain.record.shares.tolist():
             for receiver, s_share, w_share in zip(receivers, s_row, w_row):
                 codec = codecs[receiver]
                 for value in (s_share, w_share):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from privsum.adversary import (
-    adversary_observables,
     attack_colluding_full_neighborhood,
     attack_least_squares,
     attack_pushsum_baseline,
@@ -12,8 +11,8 @@ from privsum.adversary import (
     build_indistinguishability_witness,
     build_least_squares_system,
     min_norm_entry,
-    observables_match,
     replay_with_witness,
+    views_match,
 )
 from privsum.consensus import run_algorithm0, run_algorithm1
 from privsum.errors import (
@@ -144,11 +143,11 @@ def test_least_squares_true_solution_satisfies_system():
     truth = np.zeros(system.n_unknowns)
     truth[0 : m + 2] = s[: m + 2]
     for k in range(m + 1):
-        truth[m + 2 + k] = record.s_shares[k, hidden]
+        truth[m + 2 + k] = record.shares[k, 0, hidden]
     for k in range(big_k + 2, m + 2):
         truth[2 * m + 3 + (k - big_k - 2)] = w[k]
     for k in range(big_k + 1, m + 1):
-        truth[2 * m + 3 + (m - big_k) + (k - big_k - 1)] = record.w_shares[k, hidden]
+        truth[2 * m + 3 + (m - big_k) + (k - big_k - 1)] = record.shares[k, 1, hidden]
     residual = system.matrix @ truth - system.rhs
     assert np.max(np.abs(residual)) < 1e-8
 
@@ -183,14 +182,27 @@ def test_witness_replay_preserves_adversary_view(demo_graph, demo_x0, helper, ca
     witness = build_indistinguishability_witness(rec, 0, 23.0, helper=helper)
     replayed = replay_with_witness(rec, witness)
     members = [v for v in demo_graph.nodes() if v not in (0, helper)]
-    assert observables_match(
-        adversary_observables(rec, members),
-        adversary_observables(replayed, members),
+    assert views_match(
+        build_adversary_view(rec, members),
+        build_adversary_view(replayed, members),
         tol=1e-9,
     ), f"view changed for helper as {case}"
     # the witness still reaches agreement on the same average
     np.testing.assert_allclose(
         replayed.trajectory.s.sum(axis=1), sum(demo_x0), rtol=1e-9
+    )
+
+
+@pytest.mark.parametrize("helper", [4, 3])
+def test_witness_replay_shows_in_helpers_view(demo_graph, demo_x0, helper):
+    """Once the helper colludes too, the rewrite of its weights is in plain
+    sight: the witness check must fail."""
+    rec = run_algorithm1(demo_graph, demo_x0, PARAMS, seed=13, rounds=25)
+    witness = build_indistinguishability_witness(rec, 0, 23.0, helper=helper)
+    replayed = replay_with_witness(rec, witness)
+    members = [v for v in demo_graph.nodes() if v != 0]
+    assert not views_match(
+        build_adversary_view(rec, members), build_adversary_view(replayed, members)
     )
 
 
@@ -200,8 +212,8 @@ def test_witness_handles_zero_valued_target(demo_graph):
     witness = build_indistinguishability_witness(rec, 0, 55.5, helper=4)
     replayed = replay_with_witness(rec, witness)
     members = [1, 2, 3]
-    assert observables_match(
-        adversary_observables(rec, members), adversary_observables(replayed, members)
+    assert views_match(
+        build_adversary_view(rec, members), build_adversary_view(replayed, members)
     )
 
 
@@ -218,7 +230,7 @@ def test_view_contains_only_member_data(demo_graph, demo_x0):
     rec = run_algorithm1(demo_graph, demo_x0, PARAMS, seed=15, rounds=6)
     view = build_adversary_view(rec, [2])
     assert view.members == frozenset({2})
-    assert set(view.member_states) == {2}
+    assert view.states.shape[2] == view.retained.shape[2] == 1
     assert all(2 in link for link in view.links)
     with pytest.raises(TraceIncomplete):
         view.link(0, 4)
@@ -233,8 +245,7 @@ def test_eavesdropper_log_plaintext_mode(demo_graph, demo_x0):
     assert log.topology is demo_graph
     # in the clear the wire carries the applied shares themselves
     assert log.wire.shape == (4, 2, demo_graph.n_edges)
-    assert log.wire[:, 0].tobytes() == rec.s_shares.tobytes()
-    assert log.wire[:, 1].tobytes() == rec.w_shares.tobytes()
+    assert log.wire is rec.shares
     # graph edges are (receiver, sender) pairs
     assert sorted(zip(log.receivers.tolist(), log.senders.tolist())) == sorted(
         demo_graph.edges

@@ -11,8 +11,9 @@ import yaml
 from privsum.cli import main
 from privsum.graph import default_demo_graph
 from privsum.net import allocate_ports
+from privsum.consensus import WeightTable, algorithm1_weights
 from privsum.sim import ExperimentConfig
-from privsum.verify import run_all
+from privsum.verify import check_column_stochastic
 
 
 def write_config(path, **overrides):
@@ -249,12 +250,28 @@ def test_verify_command_passes(tmp_path, capsys):
     assert "FAIL" not in out
 
 
+def test_verify_passes_on_a_baseline_mode_config(tmp_path, capsys):
+    cfg = write_config(tmp_path / "a0.yaml", mode="algorithm0", max_rounds=40, key_bits=128)
+    assert main(["verify", "--config", str(cfg)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def _corrupted(weights: WeightTable) -> WeightTable:
+    """Distort one value-side weight per node per round, that of its
+    lowest-numbered target, without fixing the self-weight: column
+    stochasticity breaks."""
+    layout = weights.layout
+    s = weights.s.copy()
+    for j in layout.graph.nodes():
+        s[:, layout.column(j, min(layout.targets(j)))] += 0.05
+    return WeightTable(layout, s, weights.w)
+
+
 def test_verify_detects_corrupted_weights(tmp_path):
     cfg_path = write_config(tmp_path / "v.yaml", max_rounds=40, key_bits=128)
     config = ExperimentConfig.from_yaml(cfg_path)
-    results = run_all(config, corrupt_weights=True)
-    by_name = {r.name: r for r in results}
-    assert not by_name["column-stochastic"].passed
+    weights = algorithm1_weights(config.graph, config.params, config.seed, 40)
+    assert not check_column_stochastic(_corrupted(weights), config.params).passed
 
 
 def test_verify_k_zero(tmp_path, capsys):

@@ -286,13 +286,15 @@ def _assert_same_run(record, ref):
         assert getattr(record.trajectory, name).tobytes() == _bits(expected), name
     assert record.trajectory.final() == tuple(ref["states"][-1])
     for i in nodes:
-        assert _bits(record.retained(i)) == _bits([kept[i] for kept in ref["retained"]])
+        assert _bits(record.retained()[:, :, i]) == _bits(
+            [kept[i] for kept in ref["retained"]]
+        )
     for k in range(record.n_rounds):
         want = ref["delivered"][k]
         assert [(m.sender, m.receiver, m.round) for m in want] == [
             (j, i, k) for j, i in links
         ]
-        assert _bits(np.column_stack((record.s_shares[k], record.w_shares[k]))) == _bits(
+        assert _bits(record.shares[k].T) == _bits(
             [(m.s_share, m.w_share) for m in want]
         )
         for i in nodes:

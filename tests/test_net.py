@@ -229,7 +229,7 @@ def test_encrypted_wire_carries_no_plaintext_encodings():
     keys = {i: results[i][2].keypair.public for i in range(5)}
     checked = 0
     receivers = rec.weights.layout.receivers.tolist()
-    for s_row, w_row in zip(rec.s_shares.tolist(), rec.w_shares.tolist()):
+    for s_row, w_row in rec.shares.tolist():
         for receiver, s_share, w_share in zip(receivers, s_row, w_row):
             codec = FixedPointCodec(keys[receiver].n, config.fractional_bits)
             for value in (s_share, w_share):

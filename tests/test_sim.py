@@ -1,7 +1,9 @@
 import time
+from importlib import resources
 
 import numpy as np
 import pytest
+import yaml
 
 from privsum.consensus import Trajectory
 from privsum.errors import ConfigError, RangeUncovered
@@ -12,6 +14,7 @@ from privsum.sim import (
     MODE_ALGORITHM2,
     AdversarySpec,
     ExperimentConfig,
+    config_hash,
     error_series,
     fitted_contraction,
     resolve_x0,
@@ -168,6 +171,14 @@ def test_config_dict_roundtrip():
     cfg = make_config(adversary=AdversarySpec(members=(1, 2, 3), target=0, trials=7))
     again = ExperimentConfig.from_dict(cfg.to_dict())
     assert again.to_dict() == cfg.to_dict()
+
+
+@pytest.mark.parametrize(
+    "preset,digest", [("fig3", "cbe6bfa499c03dfa"), ("fig7", "dbb1062fc40a70a8")]
+)
+def test_preset_config_hash_is_stable(preset, digest):
+    text = resources.files("privsum").joinpath(f"presets/{preset}.yaml").read_text()
+    assert config_hash(ExperimentConfig.from_dict(yaml.safe_load(text))) == digest
 
 
 def test_csv_outputs_byte_identical(tmp_path):
