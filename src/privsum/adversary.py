@@ -392,7 +392,8 @@ def min_norm_entry(matrix: np.ndarray, rhs: np.ndarray, index: int) -> float:
 class Witness:
     """An alternative execution that reproduces the adversary's
     observations: other initial values, and ``round0_s``, the round-0 row of
-    the value-side weight table with the target's and the helper's weights
+    the value-side weight table (edge columns, then self columns, as in
+    ``SenderLayout``) with the target's and the helper's weights
     rewritten."""
 
     x0: tuple[float, ...]
@@ -457,10 +458,10 @@ def build_indistinguishability_witness(
 def replay_with_witness(record: RunRecord, witness: Witness) -> RunRecord:
     """Re-run the recorded protocol under the witness's initial values and
     round-0 value weights, keeping every other weight draw identical."""
-    s = record.weights.s.copy()
-    s[0] = witness.round0_s
+    table = record.weights.table.copy()
+    table[0, 0] = witness.round0_s
     return run_rounds(
-        WeightTable(record.weights.layout, s, record.weights.w),
+        WeightTable(record.weights.layout, table),
         list(witness.x0),
         params=record.params,
     )

@@ -19,7 +19,10 @@ two-phase random-weight protocol, replays with rewritten weights and
 Every per-round array of a run shares one layout: axis 1 is (s, w), the
 last axis is the node or edge.  The state is ``(rounds + 1, 2, n)``, the
 kept self-shares ``(rounds, 2, n)``, the applied shares and the wire
-``(rounds, 2, E)``; a colluders' view selects columns of these.
+``(rounds, 2, E)``; a colluders' view selects columns of these.  The
+weight table is ``(rounds, 2, E + n)``, edge first: the E edge weights in
+edge order, then the n self-weights, so the engine reads both blocks as
+views.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ import numpy as np
 
 from .errors import ConfigError, DivisionByZero, NotStronglyConnected
 from .graph import DirectedGraph, is_strongly_connected
-from .weights import WeightParams, generate_round_weights, node_rng
+from .weights import WeightParams, degree_class_weights
 
 if TYPE_CHECKING:
     from .sim import PaillierChannel
@@ -113,31 +116,29 @@ class Trajectory:
 class SenderLayout:
     """Where each node's weights and shares sit in a run's arrays.
 
-    Node j owns the columns ``columns(j)`` of a weight table, in the order
-    of ``targets(j)``: its out-neighbors ascending, then itself.  The
-    columns left after dropping the self columns are the edges, ordered
-    sender ascending, then receiver ascending.  That is the order of the
-    share arrays, of a run's wire and of the channel calls.  Row
-    i of ``in_edges`` lists node i's in-edges by ascending sender, padded
-    with the index ``n_edges``, which the engine points at a -0.0 share:
+    The edges are ordered sender ascending, then receiver ascending.  That
+    is the order of the share arrays, of a run's wire, of the channel calls
+    and of the first E columns of a weight table, whose last n columns are
+    the nodes' self-weights.  Node j owns the columns ``columns(j)``, an
+    index array in the order of ``targets(j)``: its edge block (its
+    out-neighbors ascending), then its self column E + j.  Row i of
+    ``in_edges`` lists node i's in-edges by ascending sender, padded with
+    the index ``n_edges``, which the engine points at a -0.0 share:
     x + (-0.0) is x bit for bit.
     """
 
     def __init__(self, graph: DirectedGraph) -> None:
         self.graph = graph
         n = graph.n_nodes
-        sizes = np.array([graph.out_degree(j) + 1 for j in graph.nodes()])
-        self.self_cols = np.cumsum(sizes) - 1
-        targets = np.fromiter(
-            chain.from_iterable(graph.out_neighbors(j) + (j,) for j in graph.nodes()),
+        degrees = np.array([graph.out_degree(j) for j in graph.nodes()], dtype=np.intp)
+        # Node j's edges are edge_start[j] .. edge_start[j + 1] - 1.
+        self.edge_start = np.concatenate(([0], np.cumsum(degrees)))
+        self.senders = np.repeat(np.arange(n), degrees)
+        self.receivers = np.fromiter(
+            chain.from_iterable(graph.out_neighbors(j) for j in graph.nodes()),
             dtype=np.intp,
-            count=int(sizes.sum()),
+            count=int(self.edge_start[-1]),
         )
-        is_edge = np.ones(targets.size, dtype=bool)
-        is_edge[self.self_cols] = False
-        self.edge_cols = np.flatnonzero(is_edge)
-        self.senders = np.repeat(np.arange(n), sizes)[is_edge]
-        self.receivers = targets[is_edge]
         self.n_edges = self.senders.size
 
         by_receiver = np.lexsort((self.senders, self.receivers))
@@ -150,47 +151,57 @@ class SenderLayout:
     def targets(self, node: int) -> list[int]:
         return list(self.graph.out_neighbors(node)) + [node]
 
-    def columns(self, node: int) -> slice:
-        stop = int(self.self_cols[node]) + 1
-        return slice(stop - self.graph.out_degree(node) - 1, stop)
+    def columns(self, node: int) -> np.ndarray:
+        return self.class_columns(np.array([node]), self.graph.out_degree(node) + 1)[0]
+
+    def class_columns(self, nodes: np.ndarray, m: int) -> np.ndarray:
+        """``columns`` of nodes that all have m targets, one row each."""
+        cols = np.empty((nodes.size, m), dtype=np.intp)
+        cols[:, :-1] = self.edge_start[nodes, None] + np.arange(m - 1)
+        cols[:, -1] = self.n_edges + nodes
+        return cols
 
     def column(self, node: int, target: int) -> int:
         """The column of the node's weight on ``target``."""
-        return self.columns(node).start + self.targets(node).index(target)
+        return int(self.columns(node)[self.targets(node).index(target)])
 
 
 @dataclass(frozen=True)
 class WeightTable:
     """Every node's coupling weights for a run, one row per round.
 
-    ``s`` and ``w`` are ``(rounds, n + E)`` arrays with columns as in
-    ``layout``.  They may be one array where the protocol makes the two
-    sides equal, so neither may be written in place.
+    ``table`` is a ``(rounds, 2, E + n)`` array: axis 1 is (s, w), and the
+    columns are the edges then the self-weights, as in ``layout``.  ``s``
+    and ``w`` are views of its two sides.  The table may be a broadcast
+    view, so it may not be written in place.
     """
 
     layout: SenderLayout
-    s: np.ndarray
-    w: np.ndarray
+    table: np.ndarray
+
+    @property
+    def s(self) -> np.ndarray:
+        return self.table[:, 0]
+
+    @property
+    def w(self) -> np.ndarray:
+        return self.table[:, 1]
 
     @property
     def n_rounds(self) -> int:
-        return self.s.shape[0]
-
-    def stacked(self, cols) -> np.ndarray:
-        """The (s, w) weights of the given columns, ``(rounds, 2, len(cols))``."""
-        return np.stack((self.s[:, cols], self.w[:, cols]), axis=1)
+        return self.table.shape[0]
 
     def matrix(self, k: int, side: str) -> np.ndarray:
         """Round k's n x n coupling matrix of the ``"s"`` or ``"w"`` side:
         column j holds node j's weights, zero off the graph support."""
         if side not in ("s", "w"):
             raise ConfigError(f"side must be 's' or 'w', not {side!r}")
-        row = (self.s if side == "s" else self.w)[k]
+        row = self.table[k, "sw".index(side)]
         layout = self.layout
         n = layout.graph.n_nodes
         p = np.zeros((n, n))
-        p[layout.receivers, layout.senders] = row[layout.edge_cols]
-        np.fill_diagonal(p, row[layout.self_cols])
+        p[layout.receivers, layout.senders] = row[: layout.n_edges]
+        np.fill_diagonal(p, row[layout.n_edges :])
         return p
 
 
@@ -223,7 +234,7 @@ class RunRecord:
         """Every node's kept (s, w) self-share, a ``(rounds, 2, n)`` array.
         Same multiply as ``apply_round``'s retained share, so bit-equal to
         it."""
-        self_weights = self.weights.stacked(self.weights.layout.self_cols)
+        self_weights = self.weights.table[:, :, self.weights.layout.n_edges :]
         return self_weights * self.trajectory.states[: self.n_rounds]
 
     def final_pi(self) -> np.ndarray:
@@ -257,8 +268,8 @@ def run_rounds(
     state = np.empty((rounds + 1, 2, n))
     state[0, 0] = [float(v) for v in x0]
     state[0, 1] = 1.0
-    edge_weights = weights.stacked(layout.edge_cols)
-    self_weights = weights.stacked(layout.self_cols)
+    edge_weights = weights.table[:, :, :n_edges]
+    self_weights = weights.table[:, :, n_edges:]
     shares = np.empty((rounds, 2, n_edges + 1))
     shares[:, :, n_edges] = -0.0
     edge_shares = shares[:, :, :n_edges]
@@ -295,7 +306,7 @@ def run_rounds(
         x0=[float(v) for v in x0],
         params=params,
         trajectory=Trajectory(s=state[:, 0], w=state[:, 1], pi=state[:, 0] / state[:, 1]),
-        weights=WeightTable(layout, weights.s[:done], weights.w[:done]),
+        weights=WeightTable(layout, weights.table[:done]),
         shares=applied,
         # In the clear the shares themselves crossed the links.
         wire=applied if channel is None else wire[:done],
@@ -306,17 +317,31 @@ def algorithm1_weights(
     graph: DirectedGraph, params: WeightParams, seed: int, rounds: int
 ) -> WeightTable:
     """Weights of the two-phase protocol for ``rounds`` rounds, one
-    independent seeded generator per node.  A networked node draws its own
-    rows with the same call, so simulated and deployed runs agree bit for
-    bit."""
+    independent seeded generator per node.
+
+    Nodes are drawn one out-degree class at a time by
+    ``degree_class_weights``, which gives each node the rows a networked
+    node draws for itself with ``generate_round_weights``, so simulated
+    and deployed runs agree bit for bit.  Classes go in order of their
+    lowest node, so an infeasible epsilon names the lowest infeasible
+    node.  The value rows are scattered into the s side of one
+    ``(rounds, 2, E + n)`` table; the w side is the identity (0 on edges,
+    1 on self) in masking rounds and a copy of the s side after.
+    """
     layout = SenderLayout(graph)
-    s, w = np.empty((2, rounds, layout.n_edges + graph.n_nodes))
+    n_edges = layout.n_edges
+    table = np.empty((rounds, 2, n_edges + graph.n_nodes))
+    classes: dict[int, list[int]] = {}
     for i in graph.nodes():
-        cols = layout.columns(i)
-        s[:, cols], w[:, cols] = generate_round_weights(
-            i, graph.out_neighbors(i), params, node_rng(seed, i), 0, rounds
-        )
-    return WeightTable(layout, s, w)
+        classes.setdefault(graph.out_degree(i) + 1, []).append(i)
+    for m, nodes in classes.items():
+        rows = degree_class_weights(nodes, m, params, seed, rounds)
+        table[:, 0, layout.class_columns(np.array(nodes), m)] = rows.swapaxes(0, 1)
+    n_mask = params.masking_rounds(0, rounds)
+    table[:n_mask, 1, :n_edges] = 0.0
+    table[:n_mask, 1, n_edges:] = 1.0
+    table[n_mask:, 1] = table[n_mask:, 0]
+    return WeightTable(layout, table)
 
 
 def run_algorithm1(
@@ -376,9 +401,8 @@ def matrix_weights(graph: DirectedGraph, p: np.ndarray, rounds: int) -> WeightTa
     """Constant weights taken from the columns of a fixed matrix; the s and
     w sides coincide as in the baseline protocol."""
     layout = SenderLayout(graph)
-    row = np.concatenate([p[layout.targets(j), j] for j in graph.nodes()])
-    table = np.broadcast_to(row, (rounds, row.size))
-    return WeightTable(layout, table, table)
+    row = np.concatenate((p[layout.receivers, layout.senders], p.diagonal()))
+    return WeightTable(layout, np.broadcast_to(row, (rounds, 2, row.size)))
 
 
 def run_algorithm0(

@@ -130,12 +130,11 @@ class ExperimentConfig:
             **{key: getattr(self, key) for key in _CONFIG_KEYS},
         }
         if self.adversary is not None:
+            # Tuple fields are written as lists, the way a config spells them.
+            keys = ("members", "target", *_ADVERSARY_KEYS)
+            fields = {key: getattr(self.adversary, key) for key in keys}
             d["adversary"] = {
-                "members": list(self.adversary.members),
-                "target": self.adversary.target,
-                "attack": self.adversary.attack,
-                "trials": self.adversary.trials,
-                "target_x0": list(self.adversary.target_x0),
+                key: list(v) if isinstance(v, tuple) else v for key, v in fields.items()
             }
         return d
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -66,11 +66,16 @@ class WeightParams:
     def is_masking_round(self, round_k: int) -> bool:
         return round_k <= self.big_k
 
+    def masking_rounds(self, first_round: int, n_rounds: int) -> int:
+        """How many of the ``n_rounds`` rounds from ``first_round`` on are
+        masking rounds; they come first."""
+        return min(n_rounds, max(0, self.big_k + 1 - first_round))
+
 
 def phase_b_map(simplex_point: Iterable[float], epsilon: float) -> np.ndarray:
     """Affine map sending the unit simplex into { x in (epsilon, 1)^m :
-    sum x = 1 }: output_j = epsilon + d_j * (1 - m * epsilon).  A 2-D input
-    maps each row."""
+    sum x = 1 }: output_j = epsilon + d_j * (1 - m * epsilon).  An input of
+    more dimensions maps each point along its last axis."""
     if not isinstance(simplex_point, np.ndarray):
         simplex_point = list(simplex_point)
     d = np.asarray(simplex_point, dtype=float)
@@ -97,46 +102,88 @@ def generate_round_weights(
     Columns are the node's targets: out-neighbors ascending, then the node
     itself.  All rounds come from one ``rng.random`` call that consumes the
     stream exactly as successive one-round draws do: m uniforms per masking
-    round, m - 1 per mixing round (m = out-degree + 1).  A masking row is m
-    uniforms on (-B, B) shifted to sum to 1; a mixing row is the
-    sorted-uniform simplex gaps under ``phase_b_map``.  The self-weight is
-    then 1 minus the sequential sum of the others, so a row sums to 1
-    exactly in floating point.  The weight side is the identity row (self
-    1, others 0) in masking rounds and the value-side row in mixing rounds.
+    round, m - 1 per mixing round (m = out-degree + 1).  The rows are
+    ``_value_rows`` of those uniforms.  The weight side is the identity row
+    (self 1, others 0) in masking rounds and the value-side row in mixing
+    rounds.
     """
     others = sorted(int(t) for t in out_neighbors)
     if node_id in others:
         raise ConfigError("node must not list itself as an out-neighbor")
     m = len(others) + 1
+    _require_feasible(node_id, m, params)
+    n_mask = params.masking_rounds(first_round, n_rounds)
+    u = rng.random(_uniform_count(m, n_mask, n_rounds))
+    rows = _value_rows(u[None], m, n_mask, n_rounds, params)[0]
+    w_rows = rows.copy()
+    w_rows[:n_mask] = 0.0
+    w_rows[:n_mask, -1] = 1.0
+    return rows, w_rows
+
+
+def degree_class_weights(
+    nodes: Sequence[int], m: int, params: WeightParams, seed: int, n_rounds: int
+) -> np.ndarray:
+    """Value-side rows of rounds 0 .. n_rounds - 1 for a non-empty list of
+    nodes that all have m targets, as a ``(len(nodes), n_rounds, m)`` array.
+
+    Row block r is bit for bit what ``generate_round_weights`` draws for
+    ``nodes[r]`` from ``node_rng(seed, nodes[r])``: each node's uniforms
+    come from its own stream, and one ``_value_rows`` call transforms the
+    whole class.  An infeasible epsilon names ``nodes[0]``.
+    """
+    _require_feasible(nodes[0], m, params)
+    n_mask = params.masking_rounds(0, n_rounds)
+    u = np.empty((len(nodes), _uniform_count(m, n_mask, n_rounds)))
+    for row, node in zip(u, nodes):
+        node_rng(seed, node).random(out=row)
+    return _value_rows(u, m, n_mask, n_rounds, params)
+
+
+def _require_feasible(node_id: int, m: int, params: WeightParams) -> None:
     if params.epsilon >= 1.0 / m:
         raise InvalidEpsilon(
             f"epsilon={params.epsilon} >= 1/{m} for node {node_id}; "
             "mixing-phase weights cannot satisfy the (epsilon, 1) sum-1 constraint"
         )
-    n_mask = min(n_rounds, max(0, params.big_k + 1 - first_round))
+
+
+def _uniform_count(m: int, n_mask: int, n_rounds: int) -> int:
+    return n_mask * m + (n_rounds - n_mask) * (m - 1)
+
+
+def _value_rows(
+    u: np.ndarray, m: int, n_mask: int, n_rounds: int, params: WeightParams
+) -> np.ndarray:
+    """Turn a ``(g, count)`` block of uniforms, one stream's draw per row,
+    into ``(g, n_rounds, m)`` value-side rows whose first ``n_mask`` rounds
+    mask.
+
+    A masking row is m uniforms on (-B, B) shifted to sum to 1; a mixing
+    row is the sorted-uniform simplex gaps under ``phase_b_map``.  The
+    self-weight is then 1 minus the sequential sum of the others, so a row
+    sums to 1 exactly in floating point.  Every reduction runs along the
+    last axis, so a row's bits do not depend on g or on the other rows.
+    """
+    g = u.shape[0]
     n_mix = n_rounds - n_mask
-    u = rng.random(n_mask * m + n_mix * (m - 1))
-    rows = np.empty((n_rounds, m))
+    rows = np.empty((g, n_rounds, m))
 
     # 2B*u - B is what rng.uniform(-B, B) computes, bit for bit, and a
     # uniform(0, 1) cut is u itself.
     b = params.phase_a_range
-    draws = rows[:n_mask]
-    np.multiply(2.0 * b, u[: n_mask * m].reshape(n_mask, m), out=draws)
+    draws = rows[:, :n_mask]
+    np.multiply(2.0 * b, u[:, : n_mask * m].reshape(g, n_mask, m), out=draws)
     draws -= b
-    draws += ((1.0 - draws.sum(axis=1)) / m)[:, None]
+    draws += ((1.0 - draws.sum(axis=-1)) / m)[..., None]
 
-    cuts = np.zeros((n_mix, m + 1))
-    cuts[:, -1] = 1.0
-    cuts[:, 1:-1] = np.sort(u[n_mask * m :].reshape(n_mix, m - 1), axis=1)
-    rows[n_mask:] = phase_b_map(cuts[:, 1:] - cuts[:, :-1], params.epsilon)
+    cuts = np.zeros((g, n_mix, m + 1))
+    cuts[..., -1] = 1.0
+    cuts[..., 1:-1] = np.sort(u[:, n_mask * m :].reshape(g, n_mix, m - 1), axis=-1)
+    rows[:, n_mask:] = phase_b_map(cuts[..., 1:] - cuts[..., :-1], params.epsilon)
 
     if m > 1:
-        rows[:, -1] = 1.0 - np.cumsum(rows[:, :-1], axis=1)[:, -1]
+        rows[..., -1] = 1.0 - np.cumsum(rows[..., :-1], axis=-1)[..., -1]
     else:
-        rows[:, -1] = 1.0
-
-    w_rows = rows.copy()
-    w_rows[:n_mask] = 0.0
-    w_rows[:n_mask, -1] = 1.0
-    return rows, w_rows
+        rows[..., -1] = 1.0
+    return rows

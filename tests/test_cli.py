@@ -261,10 +261,10 @@ def _corrupted(weights: WeightTable) -> WeightTable:
     lowest-numbered target, without fixing the self-weight: column
     stochasticity breaks."""
     layout = weights.layout
-    s = weights.s.copy()
+    table = weights.table.copy()
     for j in layout.graph.nodes():
-        s[:, layout.column(j, min(layout.targets(j)))] += 0.05
-    return WeightTable(layout, s, weights.w)
+        table[:, 0, layout.column(j, min(layout.targets(j)))] += 0.05
+    return WeightTable(layout, table)
 
 
 def test_verify_detects_corrupted_weights(tmp_path):

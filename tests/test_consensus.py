@@ -202,7 +202,7 @@ def test_run_rounds_reports_a_zero_weight_sum():
     s = np.full((3, 4), 0.5)
     w = np.array([[0.5, 0.5, 0.5, 0.5], [0.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.5, 0.5]])
     with pytest.raises(DivisionByZero, match="node 0: weight sum hit zero at round 1"):
-        run_rounds(WeightTable(layout, s, w), [1.0, 3.0])
+        run_rounds(WeightTable(layout, np.stack((s, w), axis=1)), [1.0, 3.0])
 
 
 def _random_support_matrix(graph, rng):

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from privsum import weights as weights_module
 from privsum.errors import ConfigError, InvalidEpsilon
 from privsum.consensus import algorithm1_weights
+from privsum.graph import DirectedGraph
 from privsum.weights import (
     WeightParams,
     generate_round_weights,
@@ -209,3 +211,72 @@ def test_batched_draw_continues_the_stream_mid_run():
     tail = generate_round_weights(0, [1, 2, 5], params, rng, 2, 7)
     for side in (0, 1):
         assert whole[side].tobytes() == np.vstack([head[side], tail[side]]).tobytes()
+
+
+def _graph_of_out_degrees(degrees, rng):
+    """A strongly connected graph on len(degrees) nodes: the ring i -> i + 1
+    plus random extra targets, so node i has out-degree degrees[i]."""
+    n = len(degrees)
+    edges = []
+    for i, d in enumerate(degrees):
+        ring = (i + 1) % n
+        others = [t for t in range(n) if t not in (i, ring)]
+        extra = rng.choice(others, size=d - 1, replace=False).tolist()
+        edges += [(t, i) for t in [ring, *extra]]
+    return DirectedGraph.from_edge_list(n, edges)
+
+
+def _degree_spread_graph():
+    rng = np.random.default_rng(61)
+    degrees = rng.permutation(np.resize(np.arange(1, 14), 60))
+    return _graph_of_out_degrees(degrees.tolist(), rng)
+
+
+@pytest.mark.parametrize("big_k", [0, 1, 3])
+@pytest.mark.parametrize("graph_name", ["degrees-1-to-13", "single-node"])
+def test_table_holds_each_nodes_own_draw(graph_name, big_k, monkeypatch):
+    """The table drawn one out-degree class at a time holds, in every
+    node's columns, the rows the node draws for itself, bit for bit, and
+    leaves every node's generator where that one draw leaves it.  Rows of 8
+    or more weights take numpy's unrolled pairwise sums."""
+    if graph_name == "single-node":
+        graph = DirectedGraph.from_edge_list(1, [])
+    else:
+        graph = _degree_spread_graph()
+        assert {graph.out_degree(i) for i in graph.nodes()} == set(range(1, 14))
+    params = WeightParams(big_k=big_k, epsilon=0.05, phase_a_range=7.5)
+    created = {}
+
+    def recorded_rng(seed, node):
+        created[node] = node_rng(seed, node)
+        return created[node]
+
+    monkeypatch.setattr(weights_module, "node_rng", recorded_rng)
+    for rounds in sorted({1, big_k + 1, big_k + 2, 40}):
+        seed = 1000 * big_k + rounds
+        created.clear()
+        table = algorithm1_weights(graph, params, seed, rounds)
+        layout = table.layout
+        assert table.table.shape == (rounds, 2, layout.n_edges + graph.n_nodes)
+        assert sorted(created) == list(graph.nodes())
+        for i in graph.nodes():
+            rng = node_rng(seed, i)
+            s_rows, w_rows = generate_round_weights(
+                i, graph.out_neighbors(i), params, rng, 0, rounds
+            )
+            cols = layout.columns(i)
+            assert table.s[:, cols].tobytes() == s_rows.tobytes(), (i, rounds)
+            assert table.w[:, cols].tobytes() == w_rows.tobytes(), (i, rounds)
+            assert created[i].bit_generator.state == rng.bit_generator.state
+
+
+def test_table_draw_names_the_node_with_an_infeasible_epsilon():
+    """An epsilon feasible for every node but one high-degree node fails
+    in the draw itself, naming that node, also without config validation."""
+    degrees = [2] * 20
+    degrees[7] = 12
+    graph = _graph_of_out_degrees(degrees, np.random.default_rng(62))
+    # 1/3 > 0.08 >= 1/13: feasible for 3 weights, not for 13.
+    params = WeightParams(big_k=1, epsilon=0.08)
+    with pytest.raises(InvalidEpsilon, match="for node 7;"):
+        algorithm1_weights(graph, params, 3, 10)
