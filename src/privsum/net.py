@@ -108,13 +108,30 @@ def decode_frame(data: bytes) -> WireFrame:
     return WireFrame(msg_type=msg_type, sender_id=sender, round=round_k, payload=payload)
 
 
-def read_frame(sock: socket.socket) -> WireFrame | None:
+def max_payload(mode: str, key_bits: int) -> int:
+    """The longest legal frame payload on a transport: two float64s in the
+    clear; under encryption with ``key_bits``-bit keys, the longer of a key
+    announcement (origin, length, n) and a pair of length-prefixed
+    ciphertexts below n^2."""
+    if mode == MODE_PLAIN:
+        return 16
+    key_announce = 8 + -(-key_bits // 8)
+    cipher_pair = 2 * (4 + -(-2 * key_bits // 8))
+    return max(key_announce, cipher_pair)
+
+
+def read_frame(sock: socket.socket, max_length: int) -> WireFrame | None:
     """Read one frame from a stream socket; None on clean EOF.  A bad
-    header is rejected before any of its declared payload is read."""
+    header, or one declaring a payload longer than ``max_length`` bytes, is
+    rejected before any of its declared payload is read."""
     header = _read_exact(sock, _HEADER.size)
     if header is None:
         return None
     msg_type, sender, round_k, length = _parse_header(header)
+    if length > max_length:
+        raise ProtocolError(
+            f"frame declares a {length}-byte payload, over the {max_length}-byte limit"
+        )
     payload = b""
     if length:
         payload = _read_exact(sock, length)
@@ -218,6 +235,7 @@ class NodeRuntime:
         self.connect_deadline = connect_deadline
         self.round_timeout = round_timeout
         self.capture_frames = capture_frames
+        self._max_payload = max_payload(mode, config.key_bits)
 
         self.graph = config.graph
         self.out_ids = list(self.graph.out_neighbors(node_id))
@@ -298,7 +316,7 @@ class NodeRuntime:
         sender = None
         try:
             while True:
-                frame = read_frame(conn)
+                frame = read_frame(conn, self._max_payload)
                 if frame is None:
                     return
                 if sender is None:
@@ -554,6 +572,7 @@ class NodeRuntime:
         channel = self.channel
         enc = channel.encrypt_seconds if channel is not None else []
         dec = channel.decrypt_seconds if channel is not None else []
+        tables = channel.table_build_seconds if channel is not None else []
         manifest = {
             "node_id": self.node_id,
             "mode": self.mode,
@@ -563,6 +582,7 @@ class NodeRuntime:
             "final_pi": state.pi,
             "mean_encrypt_ms": float(np.mean(enc)) * 1e3 if enc else None,
             "max_encrypt_ms": float(np.max(enc)) * 1e3 if enc else None,
+            "blinding_table_ms": sum(tables) * 1e3 if tables else None,
             "mean_decrypt_ms": float(np.mean(dec)) * 1e3 if dec else None,
             "max_decrypt_ms": float(np.max(dec)) * 1e3 if dec else None,
             "outputs": [],

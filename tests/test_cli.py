@@ -149,9 +149,13 @@ def test_node_manifest_and_summary_record_decrypt_latency(tmp_path, capsys, mode
         summary = next(line for line in lines if line.startswith(f"node {i}:"))
         if mode == "plain":
             assert fields == [None, None]
+            assert manifest["blinding_table_ms"] is None
             assert "decrypt" not in summary
         else:
             assert 0.0 < fields[0] <= fields[1]
+            # the one out-neighbor key's table build, timed apart from the encryptions
+            assert manifest["blinding_table_ms"] > 0.0
+            assert 0.0 < manifest["mean_encrypt_ms"] <= manifest["max_encrypt_ms"]
             assert f"mean decrypt {fields[0]:.2f} ms" in summary
             assert f"max decrypt {fields[1]:.2f} ms" in summary
 

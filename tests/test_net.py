@@ -23,14 +23,16 @@ from privsum.net import (
     decode_frame,
     encode_frame,
     pack_key_announce,
+    max_payload,
     pack_plain_shares,
+    read_frame,
     unpack_cipher_shares,
     pack_cipher_shares,
     unpack_key_announce,
     unpack_plain_shares,
 )
 from privsum import net
-from privsum.paillier import FixedPointCodec, keygen
+from privsum.paillier import FixedPointCodec, PaillierPublicKey, keygen
 from privsum.sim import (
     ExperimentConfig,
     MODE_ALGORITHM2,
@@ -128,6 +130,49 @@ def test_key_announce_roundtrip():
     origin, parsed = unpack_key_announce(pack_key_announce(9, kp.public))
     assert origin == 9
     assert parsed.n == kp.public.n
+
+
+@pytest.mark.parametrize("key_bits", [35, 64, 256, 2048])
+def test_payload_bound_is_the_largest_legal_payload(key_bits):
+    n = (1 << key_bits) - 1  # the largest modulus a key of this size has
+    key = pack_key_announce(2**32 - 1, PaillierPublicKey(n=n, g=n + 1))
+    pair = pack_cipher_shares(n * n - 1, n * n - 1)
+    assert max_payload(MODE_ENCRYPTED, key_bits) == max(len(key), len(pair))
+    assert max_payload(MODE_PLAIN, key_bits) == len(pack_plain_shares(1.0, 2.0))
+
+
+def _oversized_header(msg_type, length):
+    return net._HEADER.pack(net.MAGIC, net.VERSION, msg_type, 1, 0, length)
+
+
+def test_read_frame_rejects_an_oversized_length_before_its_payload():
+    ours, theirs = socket.socketpair()
+    # A reader that waits for the payload fails on the timeout, not hangs.
+    ours.settimeout(5.0)
+    try:
+        theirs.sendall(_oversized_header(MSG_SHARE_ENC, 2**31))
+        with pytest.raises(ProtocolError, match="2147483648-byte payload"):
+            read_frame(ours, max_payload(MODE_ENCRYPTED, 2048))
+    finally:
+        ours.close()
+        theirs.close()
+
+
+@pytest.mark.parametrize(
+    "mode, msg_type", [(MODE_PLAIN, MSG_SHARE_PLAIN), (MODE_ENCRYPTED, MSG_SHARE_ENC)]
+)
+def test_receive_loop_rejects_a_payload_one_byte_over_its_transport_bound(mode, msg_type):
+    rt = _two_node_runtime(mode)
+    bound = max_payload(mode, rt.config.key_bits)
+    ours, theirs = socket.socketpair()
+    ours.settimeout(5.0)
+    try:
+        theirs.sendall(_oversized_header(msg_type, bound + 1))
+        rt._reader(ours)
+    finally:
+        theirs.close()
+    with pytest.raises(ProtocolError, match=f"node 0: .*{bound}-byte limit"):
+        rt._receive_round(0)
 
 
 # -- live clusters ------------------------------------------------------------

@@ -12,8 +12,10 @@ from privsum.errors import (
     PlaintextOutOfRange,
 )
 from privsum.paillier import (
+    BLINDING_WINDOW,
     Ciphertext,
     FixedPointCodec,
+    PaillierPublicKey,
     add_ciphertexts,
     decrypt,
     encrypt,
@@ -59,7 +61,7 @@ def test_keygen_rejects_tiny_keys():
 def test_encrypt_forced_r_matches_definition():
     # direct modular-exponentiation oracle, no g = n+1 shortcut
     expected = pow(36, 3, 35 * 35) * pow(2, 35, 35 * 35) % (35 * 35)
-    c = encrypt(TOY.public, 3, r=2)
+    c = textbook_encrypt(TOY.public, 3, 2)
     assert c.value == expected
     assert decrypt(TOY, c) == 3
 
@@ -118,6 +120,80 @@ def textbook_decrypt(keypair, c):
     """Oracle: m = L(c^lambda mod n^2) * mu mod n with L(u) = (u - 1) / n."""
     n = keypair.public.n
     return (pow(c.value, keypair.lam, n * n) - 1) // n * keypair.mu % n
+
+
+def textbook_encrypt(public, m, r):
+    """Oracle: c = g^m * r^n mod n^2 with a blinding r from Z*_n."""
+    n2 = public.n_squared
+    value = pow(public.g, m, n2) * pow(r, public.n, n2) % n2
+    return Ciphertext(value=value, key_id=public.key_id)
+
+
+def test_textbook_encrypt_roundtrips_through_decrypt():
+    for m in range(35):
+        for r in (1, 2, 4, 34):
+            assert decrypt(TOY, textbook_encrypt(TOY.public, m, r)) == m
+    rng = random.Random(16)
+    n = KP256.public.n
+    for _ in range(50):
+        m, r = rng.randrange(n), rng.randrange(1, n)
+        assert decrypt(KP256, textbook_encrypt(KP256.public, m, r)) == m
+
+
+@pytest.mark.parametrize("bits, count", [(64, 50), (256, 50), (2048, 3)])
+def test_encrypt_is_the_fixed_base_formula(bits, count):
+    rng = random.Random(bits)
+    kp = keygen(bits, rng)
+    public = kp.public
+    n2 = public.n_squared
+    for _ in range(count):
+        m = rng.randrange(public.n)
+        clone = random.Random()
+        clone.setstate(rng.getstate())
+        alpha = clone.getrandbits(public.alpha_bits)
+        c = encrypt(public, m, rng)
+        assert c.value == pow(public.n + 1, m, n2) * pow(public.h, alpha, n2) % n2
+        assert rng.getstate() == clone.getstate()  # alpha is all encrypt draws
+        assert decrypt(kp, c) == m
+
+
+def test_blinding_base_is_an_nth_residue_derived_from_n_alone():
+    for kp in (TOY, KP256):
+        public = kp.public
+        assert decrypt(kp, Ciphertext(value=public.h, key_id=public.key_id)) == 0
+        twin = PaillierPublicKey(n=public.n, g=public.n + 1)
+        assert twin.h == public.h
+    assert KP256.public.h != 1
+
+
+def test_blinding_table_holds_the_powers_of_h():
+    public = KP256.public
+    n2 = public.n_squared
+    table = public.blinding_table
+    assert len(table) == math.ceil(public.alpha_bits / BLINDING_WINDOW) == 27
+    assert {len(row) for row in table} == {2**BLINDING_WINDOW}
+    for i in (0, 13, 26):
+        for d in (0, 1, 37, 63):
+            assert table[i][d] == pow(public.h, d << (BLINDING_WINDOW * i), n2)
+    assert public.blinding_table is table  # built once per key object
+
+
+@pytest.mark.parametrize(
+    "n, alpha_bits",
+    [
+        (35, 6),  # the toy key: capped at the modulus size
+        ((1 << 34) + 1, 35),
+        ((1 << 63) + 1, 64),
+        ((1 << 254) + 1, 160),  # a 256-bit key whose modulus has 255 bits
+        ((1 << 255) + 1, 160),
+        ((1 << 2044) + 1, 160),  # a 2046-bit key, still 80-bit strength
+        ((1 << 2046) + 1, 224),  # a 2048-bit key whose modulus has 2047 bits
+        ((1 << 2047) + 1, 224),
+        ((1 << 3071) + 1, 256),
+    ],
+)
+def test_alpha_bits_is_twice_the_key_strength(n, alpha_bits):
+    assert PaillierPublicKey(n=n, g=n + 1).alpha_bits == alpha_bits
 
 
 def test_crt_decrypt_matches_textbook_on_every_toy_unit():

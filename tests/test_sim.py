@@ -1,3 +1,4 @@
+import random
 import time
 from importlib import resources
 
@@ -8,12 +9,14 @@ import yaml
 from privsum.consensus import Trajectory
 from privsum.errors import ConfigError, RangeUncovered
 from privsum.graph import DirectedGraph, default_demo_graph
+from privsum.paillier import keygen
 from privsum.sim import (
     MODE_ALGORITHM0,
     MODE_ALGORITHM1,
     MODE_ALGORITHM2,
     AdversarySpec,
     ExperimentConfig,
+    PaillierChannel,
     config_hash,
     error_series,
     fitted_contraction,
@@ -242,6 +245,22 @@ def test_2048_bit_run_matches_256_bit_bitwise():
     assert np.array_equal(large.s, small.s)
     assert np.array_equal(large.w, small.w)
     assert elapsed < 10.0, f"2048-bit run took {elapsed:.1f} s"
+
+
+def test_channel_times_each_receiver_table_apart_from_the_encryptions():
+    keypairs = {i: keygen(64, random.Random(i)) for i in range(3)}
+    channel = PaillierChannel(
+        {i: kp.public for i, kp in keypairs.items()}, keypairs, 16, seed=1
+    )
+    senders, receivers = [0, 1, 2, 0], [1, 2, 0, 2]
+    shares = np.array([[1.0, -2.0, 3.5, 4.0], [0.5, 0.25, 0.125, 1.0]])
+    for round_k in range(2):
+        wire = channel.transmit(senders, receivers, shares)
+        assert np.array_equal(channel.receive(senders, receivers, round_k, wire), shares)
+    assert len(channel.encrypt_seconds) == 2 * 2 * len(senders)
+    # one build per receiver key, in its first round, kept by the key object
+    assert len(channel.table_build_seconds) == 3
+    assert all("blinding_table" in vars(kp.public) for kp in keypairs.values())
 
 
 def test_stop_tol_shortens_run():
