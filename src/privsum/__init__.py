@@ -37,9 +37,11 @@ from .paillier import (
     PaillierKeypair,
     PaillierPublicKey,
     decrypt,
+    decrypt_small,
     encrypt,
     keygen,
     keypair_from_primes,
+    smallest_key_bits,
 )
 from .adversary import (
     AdversaryView,

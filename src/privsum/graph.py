@@ -9,6 +9,7 @@ so the raw pair order never leaks past this file.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -74,6 +75,18 @@ class DirectedGraph:
         """Config-serializable sorted edge list (receiver, sender pairs)."""
         return [list(e) for e in sorted(self.edges)]
 
+    @functools.cached_property
+    def strongly_connected(self) -> bool:
+        """True iff every ordered node pair is joined by a directed path.
+
+        Searched once per graph object: a run's config validation and its
+        protocol entry point both ask, and the topology cannot change.
+        """
+        if self.n_nodes == 1:
+            return True
+        full = set(self.nodes())
+        return _reachable(self, 0, True) == full and _reachable(self, 0, False) == full
+
 
 def _reachable(g: DirectedGraph, start: int, forward: bool) -> set[int]:
     step = g.out_neighbors if forward else g.in_neighbors
@@ -92,10 +105,7 @@ def _reachable(g: DirectedGraph, start: int, forward: bool) -> set[int]:
 
 def is_strongly_connected(g: DirectedGraph) -> bool:
     """True iff every ordered node pair is joined by a directed path."""
-    if g.n_nodes == 1:
-        return True
-    full = set(g.nodes())
-    return _reachable(g, 0, True) == full and _reachable(g, 0, False) == full
+    return g.strongly_connected
 
 
 def max_out_degree(g: DirectedGraph) -> int:

@@ -5,8 +5,11 @@ The construction uses g = n + 1, which turns the encryption exponentiation
 g^m mod n^2 into the exact shortcut 1 + m*n and makes lambda = phi(n) with
 mu its inverse mod n.  Decryption works modulo p^2 and q^2 and recombines by
 the Chinese remainder theorem (Paillier 1999, section 7), so the keypair keeps
-its primes.  Arithmetic is plain bignum; no constant-time effort is made
-(wiretap confidentiality, not side channels, is the threat model).
+its primes.  A protocol share needs only half of that: its plaintext is a
+signed fixed-point integer below P/2, P = max(p, q), so ``decrypt_small``
+reads it from its residue modulo P alone.  Arithmetic is plain bignum; no
+constant-time effort is made (wiretap confidentiality, not side channels,
+is the threat model).
 
 Encryption is the short-exponent, fixed-base variant of Damgard, Jurik and
 Nielsen (2010): c = (1 + m*n) * h^alpha mod n^2 in place of the textbook
@@ -226,14 +229,17 @@ def keypair_from_primes(p: int, q: int) -> PaillierKeypair:
     )
 
 
+MIN_KEY_BITS = 16
+
+
 def keygen(bit_length: int = 256, rng: random.Random | None = None) -> PaillierKeypair:
     """Generate a keypair with two equal-bit-length primes.
 
     ``bit_length`` is the target modulus size; 256 is the package default.
     Retries until the primes are distinct and gcd(n, lambda) = 1.
     """
-    if bit_length < 16:
-        raise ConfigError("key size below 16 bits is not supported")
+    if bit_length < MIN_KEY_BITS:
+        raise ConfigError(f"key size below {MIN_KEY_BITS} bits is not supported")
     if rng is None:
         rng = random.SystemRandom()
     half = bit_length // 2
@@ -287,24 +293,51 @@ def encrypt(
     return Ciphertext(value=c, key_id=public.key_id)
 
 
+def _check_ciphertext(keypair: PaillierKeypair, c: Ciphertext) -> None:
+    """Raise ``MalformedCiphertext`` unless ``c`` is a unit mod n^2 under
+    this keypair's key."""
+    public = keypair.public
+    if c.key_id != public.key_id:
+        raise MalformedCiphertext(
+            f"ciphertext was produced under key {c.key_id}, not {public.key_id}"
+        )
+    if not 0 < c.value < public.n_squared or math.gcd(c.value, public.n) != 1:
+        raise MalformedCiphertext("ciphertext is not a valid element for this key")
+
+
 def decrypt(keypair: PaillierKeypair, c: Ciphertext) -> int:
     """Recover the plaintext m mod p and m mod q, then recombine.
 
     m_p = L_p(c^(p-1) mod p^2) * h_p mod p with L_p(u) = (u - 1) / p, and
     likewise for q; two half-size exponentiations give the same integer as
-    the textbook L(c^lambda mod n^2) * mu mod n.
+    the textbook L(c^lambda mod n^2) * mu mod n, for any plaintext in
+    [0, n).
     """
-    n = keypair.public.n
-    if c.key_id != keypair.public.key_id:
-        raise MalformedCiphertext(
-            f"ciphertext was produced under key {c.key_id}, not {keypair.public.key_id}"
-        )
-    if not 0 < c.value < keypair.public.n_squared or math.gcd(c.value, n) != 1:
-        raise MalformedCiphertext("ciphertext is not a valid element for this key")
+    _check_ciphertext(keypair, c)
     p, q = keypair.p, keypair.q
     m_p = (pow(c.value, p - 1, keypair.p_squared) - 1) // p * keypair.h_p % p
     m_q = (pow(c.value, q - 1, keypair.q_squared) - 1) // q * keypair.h_q % q
     return m_q + (m_p - m_q) * keypair.q_inv_p % p * q
+
+
+def decrypt_small(keypair: PaillierKeypair, c: Ciphertext) -> int:
+    """Recover a signed plaintext m with |m| < P/2, P = max(p, q), from m
+    mod P alone: one half-size exponentiation instead of ``decrypt``'s two.
+
+    m_P = L_P(c^(P-1) mod P^2) * h_P mod P, lifted to (-P/2, P/2].  A
+    plaintext stored as n - |m| has the same residue, since P divides n.
+    Only a plaintext that small comes back as itself; ``FixedPointCodec``
+    keeps every encoding within 2^((bits(n) - 1) // 2 - 1) <= sqrt(n)/2
+    <= P/2.  The checks on ``c`` are ``decrypt``'s.
+    """
+    _check_ciphertext(keypair, c)
+    if keypair.p > keypair.q:
+        big, big_squared, h_big = keypair.p, keypair.p_squared, keypair.h_p
+    else:
+        big, big_squared, h_big = keypair.q, keypair.q_squared, keypair.h_q
+    m = (pow(c.value, big - 1, big_squared) - 1) // big * h_big % big
+    # P is odd, so (-P/2, P/2] holds exactly the residues up to P // 2.
+    return m - big if m > big // 2 else m
 
 
 def add_ciphertexts(public: PaillierPublicKey, a: Ciphertext, b: Ciphertext) -> Ciphertext:
@@ -348,9 +381,12 @@ class FixedPointCodec:
     """Signed fixed-point embedding of reals into Z_n.
 
     encode(v) = round(v * 2^f), with negative values wrapped to n - |.|;
-    decode treats residues above n/2 as negative.  Values must satisfy
-    |v| < 2^(bits(n) - 2 - f), which keeps positive and negative ranges
-    disjoint with headroom.
+    decode treats residues above n/2 as negative, and ``decode_signed``
+    takes the signed integer that ``decrypt_small`` returns.  Values must
+    satisfy |v| < 2^((bits(n) - 1) // 2 - 1 - f), so every encoding lies
+    within 2^((bits(n) - 1) // 2 - 1) <= sqrt(n)/2 <= max(p, q)/2: a sender
+    who knows only n keeps its shares inside the range that the receiver
+    decrypts modulo one prime.
     """
 
     modulus: int
@@ -359,13 +395,21 @@ class FixedPointCodec:
     def __post_init__(self) -> None:
         if self.fractional_bits <= 0:
             raise ConfigError("fractional_bits must be positive")
-        if self.modulus.bit_length() <= self.fractional_bits + 2:
-            raise ConfigError("modulus too small for this many fractional bits")
+        if self._range_bits <= self.fractional_bits:
+            raise ConfigError(
+                f"a {self.modulus.bit_length()}-bit modulus is too small for "
+                f"{self.fractional_bits} fractional bits"
+            )
+
+    @property
+    def _range_bits(self) -> int:
+        """log2 of the bound on |encoded|: (bits(n) - 1) // 2 - 1."""
+        return (self.modulus.bit_length() - 1) // 2 - 1
 
     @property
     def max_magnitude(self) -> int:
         """Exclusive bound on |v|, exact as an integer at any modulus size."""
-        return 2 ** (self.modulus.bit_length() - 2 - self.fractional_bits)
+        return 2 ** (self._range_bits - self.fractional_bits)
 
     def encode(self, v: float) -> int:
         v = float(v)
@@ -380,6 +424,20 @@ class FixedPointCodec:
     def decode(self, e: int) -> float:
         if not 0 <= e < self.modulus:
             raise MagnitudeOverflow(f"encoded value {e} outside [0, n)")
-        if e > self.modulus // 2:
-            e -= self.modulus
-        return e / 2**self.fractional_bits
+        return self.decode_signed(e - self.modulus if e > self.modulus // 2 else e)
+
+    def decode_signed(self, m: int) -> float:
+        """The real whose encoding is congruent to the signed integer m."""
+        return m / 2**self.fractional_bits
+
+
+def smallest_key_bits(fractional_bits: int) -> int:
+    """Smallest ``keygen`` size whose every modulus admits a codec with
+    ``fractional_bits`` fractional bits.
+
+    keygen multiplies two (key_bits // 2)-bit primes, so n has
+    2 * (key_bits // 2) bits or one fewer; the codec needs
+    (bits(n) - 1) // 2 - 1 > fractional_bits, which the shorter n meets
+    exactly from key_bits // 2 = fractional_bits + 3 on.
+    """
+    return max(MIN_KEY_BITS, 2 * (fractional_bits + 3))

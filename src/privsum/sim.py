@@ -38,9 +38,10 @@ from .paillier import (
     FixedPointCodec,
     PaillierKeypair,
     PaillierPublicKey,
-    decrypt,
+    decrypt_small,
     encrypt,
     keygen,
+    smallest_key_bits,
 )
 from .weights import WeightParams, derive_seed
 
@@ -108,6 +109,15 @@ class ExperimentConfig:
                 f"max_rounds={self.max_rounds} must be at least K+2={self.big_k + 2}"
             )
         self.params  # triggers WeightParams validation
+        if self.mode == MODE_ALGORITHM2:
+            if self.fractional_bits <= 0:
+                raise ConfigError("fractional_bits must be positive")
+            smallest = smallest_key_bits(self.fractional_bits)
+            if self.key_bits < smallest:
+                raise ConfigError(
+                    f"key_bits={self.key_bits} cannot hold fractional_bits="
+                    f"{self.fractional_bits}; the smallest usable key size is {smallest}"
+                )
         if isinstance(self.x0, dict):
             if set(self.x0) != {"low", "high"} or not self.x0["low"] < self.x0["high"]:
                 raise ConfigError("x0 range must be {'low': a, 'high': b} with a < b")
@@ -240,8 +250,11 @@ class PaillierChannel:
     The one share-crypto path for both runs of the protocol: the simulator
     holds every node's keypair, a networked node only its own, next to the
     directory of public keys it learned.  Reals are encoded through the
-    receiver's fixed-point codec, built once per key.  Each node whose
-    keypair is held encrypts with its own seeded blinding stream.
+    receiver's fixed-point codec, built once per key, whose range keeps
+    every encoding below max(p, q)/2 of the receiver's key; each share is
+    then decrypted modulo that one prime (``decrypt_small``), one
+    half-size exponentiation per value.  Each node whose keypair is held
+    encrypts with its own seeded blinding stream.
     Per-call wall-clock latencies are collected in ``encrypt_seconds`` and
     ``decrypt_seconds``.  A receiver key's blinding table is built on its
     first use and timed on its own, in ``table_build_seconds``, so that
@@ -289,7 +302,7 @@ class PaillierChannel:
 
     def _decrypt(self, receiver: int, cipher: Ciphertext) -> int:
         start = time.perf_counter()
-        plain = decrypt(self.keypairs[receiver], cipher)
+        plain = decrypt_small(self.keypairs[receiver], cipher)
         self.decrypt_seconds.append(time.perf_counter() - start)
         return plain
 
@@ -329,8 +342,8 @@ class PaillierChannel:
                 raise DecryptFailure(
                     f"node {receiver}: round-{round_k} share from {sender}: {exc}"
                 ) from exc
-            s_values.append(codec.decode(s_plain))
-            w_values.append(codec.decode(w_plain))
+            s_values.append(codec.decode_signed(s_plain))
+            w_values.append(codec.decode_signed(w_plain))
         return np.array([s_values, w_values], dtype=float)
 
 

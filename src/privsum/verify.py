@@ -7,6 +7,7 @@ table directly, so tests can show it rejects a corrupted one.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 
@@ -24,6 +25,7 @@ from .paillier import (
     FixedPointCodec,
     add_ciphertexts,
     decrypt,
+    decrypt_small,
     encrypt,
     keygen,
     keypair_from_primes,
@@ -188,7 +190,9 @@ def suite_witness_replay(config: ExperimentConfig) -> SuiteResult:
 
 def suite_crypto_roundtrip(config: ExperimentConfig) -> SuiteResult:
     """Key generation, encrypt/decrypt identity, homomorphic addition, the
-    small reference key vector, and codec roundtrips."""
+    small reference key vector, codec roundtrips, and the share path
+    (encode, encrypt, ``decrypt_small``, decode) at the edges of the codec
+    range."""
     toy = keypair_from_primes(5, 7)
     if (toy.public.n, toy.public.g, toy.lam, toy.mu) != (35, 36, 24, 19):
         return SuiteResult("crypto-roundtrip", False, "reference key vector mismatch")
@@ -212,7 +216,20 @@ def suite_crypto_roundtrip(config: ExperimentConfig) -> SuiteResult:
             1.0 + abs(v)
         ):
             return SuiteResult("crypto-roundtrip", False, f"codec roundtrip failed for {v}")
-    return SuiteResult("crypto-roundtrip", True, "keygen, roundtrip, homomorphism, codec")
+    top = math.nextafter(float(codec.max_magnitude), 0.0)
+    tiny = 2.0**-config.fractional_bits
+    edges = (top, top / 2, tiny, 0.0, -tiny, -top / 2, -top)
+    for v in edges:
+        encoded = codec.encode(v)
+        back = codec.decode_signed(decrypt_small(kp, encrypt(kp.public, encoded, rng)))
+        if back != codec.decode(encoded):
+            return SuiteResult("crypto-roundtrip", False, f"share path failed for {v!r}")
+    return SuiteResult(
+        "crypto-roundtrip",
+        True,
+        f"keygen, roundtrip, homomorphism, codec; {len(edges)} codec-edge values "
+        f"through the one-prime share path",
+    )
 
 
 def run_all(config: ExperimentConfig) -> list[SuiteResult]:

@@ -13,6 +13,7 @@ from privsum.graph import default_demo_graph
 from privsum.net import allocate_ports
 from privsum.consensus import WeightTable, algorithm1_weights
 from privsum.sim import ExperimentConfig
+from privsum import verify
 from privsum.verify import check_column_stochastic
 
 
@@ -252,6 +253,19 @@ def test_verify_command_passes(tmp_path, capsys):
     assert rc == 0
     assert out.count("PASS") == 6
     assert "FAIL" not in out
+
+
+def test_crypto_roundtrip_suite_sends_the_codec_edges_through_the_share_path(
+    tmp_path, monkeypatch
+):
+    config = ExperimentConfig.from_yaml(write_config(tmp_path / "c.yaml", key_bits=128))
+    result = verify.suite_crypto_roundtrip(config)
+    assert result.passed
+    assert "7 codec-edge values through the one-prime share path" in result.detail
+    # a share decrypted without the signed lift breaks the negative edges
+    monkeypatch.setattr(verify, "decrypt_small", verify.decrypt)
+    result = verify.suite_crypto_roundtrip(config)
+    assert not result.passed and "share path failed" in result.detail
 
 
 def test_verify_passes_on_a_baseline_mode_config(tmp_path, capsys):

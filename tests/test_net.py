@@ -288,7 +288,7 @@ def test_encrypted_wire_carries_no_plaintext_encodings():
 
 
 def test_encrypted_cluster_sends_the_same_bytes_in_every_run(tmp_path):
-    config = make_config(key_bits=64, max_rounds=3)
+    config = make_config(key_bits=128, max_rounds=3)
     runs = {
         run: run_cluster_in_threads(
             config, MODE_ENCRYPTED, capture_frames=True, out_dir=tmp_path / run
@@ -347,16 +347,16 @@ def test_key_directory_idempotent_under_redelivery():
     assert len(rt._key_directory) == 2  # own key + node 3
 
 
-def _two_node_runtime(mode):
+def _two_node_runtime(mode, key_bits=64):
     g = DirectedGraph.from_edge_list(2, [[0, 1], [1, 0]])
-    config = make_config(graph=g, x0=[1.0, 2.0], key_bits=64)
+    config = make_config(graph=g, x0=[1.0, 2.0], key_bits=key_bits)
     ports = allocate_ports(2)
     peers = {i: ("127.0.0.1", ports[i]) for i in range(2)}
     return NodeRuntime(0, peers[0], peers, config, mode=mode, round_timeout=1.0)
 
 
 def test_malformed_share_ciphertext_raises_decrypt_failure():
-    rt = _two_node_runtime(MODE_ENCRYPTED)
+    rt = _two_node_runtime(MODE_ENCRYPTED, key_bits=128)
     assert isinstance(rt.channel, PaillierChannel)
     rt._dispatch(WireFrame(MSG_SHARE_ENC, 1, 0, pack_cipher_shares(0, 5)))
     with pytest.raises(DecryptFailure, match="round-0 share from 1"):

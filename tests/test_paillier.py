@@ -18,6 +18,7 @@ from privsum.paillier import (
     PaillierPublicKey,
     add_ciphertexts,
     decrypt,
+    decrypt_small,
     encrypt,
     generate_prime,
     is_probable_prime,
@@ -25,6 +26,7 @@ from privsum.paillier import (
     keypair_from_primes,
     public_key_from_bytes,
     public_key_to_bytes,
+    smallest_key_bits,
 )
 
 TOY = keypair_from_primes(5, 7)
@@ -335,7 +337,7 @@ def test_codec_roundtrip_at_2048_bits():
 
 def test_codec_range_bound_is_exact():
     codec = FixedPointCodec((1 << 255) + 1, 32)
-    bound = 2.0 ** (256 - 2 - 32)
+    bound = 2.0 ** ((256 - 1) // 2 - 1 - 32)  # 2^94
     assert codec.max_magnitude == bound
     for v in (bound, -bound):
         with pytest.raises(MagnitudeOverflow):
@@ -343,3 +345,105 @@ def test_codec_range_bound_is_exact():
     below = math.nextafter(bound, 0.0)
     assert codec.decode(codec.encode(below)) == below
     assert codec.decode(codec.encode(-below)) == -below
+
+
+def test_codec_rejects_a_64_bit_modulus_at_48_fractional_bits():
+    # 2^((64 - 1) // 2 - 1) = 2^30 leaves no room for 48 fractional bits.
+    with pytest.raises(ConfigError):
+        FixedPointCodec((1 << 64) - 1, 48)
+
+
+@pytest.mark.parametrize("fractional_bits", [5, 32, 48])
+def test_smallest_key_bits_is_the_first_size_whose_every_modulus_fits(fractional_bits):
+    def shortest_modulus(key_bits):
+        # keygen's n has 2 * (key_bits // 2) bits or one fewer
+        return (1 << (2 * (key_bits // 2) - 2)) + 1
+
+    smallest = smallest_key_bits(fractional_bits)
+    FixedPointCodec(shortest_modulus(smallest), fractional_bits)
+    kp = keygen(smallest, random.Random(fractional_bits))
+    FixedPointCodec(kp.public.n, fractional_bits)
+    if smallest > 16:
+        with pytest.raises(ConfigError):
+            FixedPointCodec(shortest_modulus(smallest - 1), fractional_bits)
+    else:
+        with pytest.raises(ConfigError):
+            keygen(smallest - 1)
+
+
+# -- one-prime decryption ---------------------------------------------------
+
+# Primes of very different sizes, so that only the larger one can hold the
+# codec's range: a decryption modulo the smaller prime fails on it.
+P_LARGE = generate_prime(100, random.Random(41))
+P_SMALL = generate_prime(60, random.Random(42))
+SMALL_PLAINTEXT_KEYS = (
+    keygen(128, random.Random(43)),
+    KP256,
+    keypair_from_primes(P_LARGE, P_SMALL),
+    keypair_from_primes(P_SMALL, P_LARGE),
+)
+
+
+def codec_edge(keypair):
+    """The largest |integer| the codec encodes under this key."""
+    codec = FixedPointCodec(keypair.public.n, 48)
+    return codec.max_magnitude * 2**48
+
+
+def centred(m, n):
+    return m - n if m > n // 2 else m
+
+
+def assert_small_roundtrip(keypair, m, rng):
+    public, n = keypair.public, keypair.public.n
+    c = encrypt(public, m % n, rng)
+    assert decrypt_small(keypair, c) == m
+    assert centred(decrypt(keypair, c), n) == m
+    half = m // 2
+    total = add_ciphertexts(
+        public, encrypt(public, half % n, rng), encrypt(public, (m - half) % n, rng)
+    )
+    assert decrypt_small(keypair, total) == m
+    assert centred(decrypt(keypair, total), n) == m
+
+
+def test_codec_edge_stays_below_half_the_larger_prime():
+    for kp in SMALL_PLAINTEXT_KEYS:
+        assert 2 * codec_edge(kp) < max(kp.p, kp.q)
+    assert 2 * codec_edge(SMALL_PLAINTEXT_KEYS[2]) > P_SMALL
+
+
+def test_decrypt_small_recovers_both_codec_edges():
+    rng = random.Random(44)
+    for kp in SMALL_PLAINTEXT_KEYS:
+        edge = codec_edge(kp)
+        for m in (-edge, -edge + 1, -1, 0, 1, edge - 1, edge):
+            assert_small_roundtrip(kp, m, rng)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_decrypt_small_recovers_every_codec_integer(data):
+    kp = data.draw(st.sampled_from(SMALL_PLAINTEXT_KEYS))
+    edge = codec_edge(kp)
+    m = data.draw(st.sampled_from([-edge, edge]) | st.integers(-edge, edge))
+    assert_small_roundtrip(kp, m, random.Random(m))
+
+
+def test_decrypt_small_makes_the_checks_decrypt_makes():
+    kp = SMALL_PLAINTEXT_KEYS[0]
+    n, key_id = kp.public.n, kp.public.key_id
+    bad = (
+        Ciphertext(value=0, key_id=key_id),
+        Ciphertext(value=kp.public.n_squared, key_id=key_id),
+        Ciphertext(value=kp.p * 7, key_id=key_id),  # gcd with n is p
+        Ciphertext(value=2, key_id="deadbeef"),
+        encrypt(KP256.public, 5, random.Random(45)),  # another key's
+    )
+    for c in bad:
+        with pytest.raises(MalformedCiphertext):
+            decrypt(kp, c)
+        with pytest.raises(MalformedCiphertext):
+            decrypt_small(kp, c)
+    assert decrypt_small(kp, encrypt(kp.public, n - 3, random.Random(46))) == -3

@@ -9,7 +9,7 @@ import yaml
 from privsum.consensus import Trajectory
 from privsum.errors import ConfigError, RangeUncovered
 from privsum.graph import DirectedGraph, default_demo_graph
-from privsum.paillier import keygen
+from privsum.paillier import FixedPointCodec, keygen
 from privsum.sim import (
     MODE_ALGORITHM0,
     MODE_ALGORITHM1,
@@ -20,6 +20,7 @@ from privsum.sim import (
     config_hash,
     error_series,
     fitted_contraction,
+    node_keypairs,
     resolve_x0,
     run_experiment,
     theoretical_rate,
@@ -149,6 +150,38 @@ def test_config_validation_messages():
         make_config(
             adversary=AdversarySpec(members=(0, 1), target=0)
         ).validate()
+
+
+def test_encrypted_config_rejects_a_key_too_small_for_its_fractional_bits():
+    with pytest.raises(
+        ConfigError,
+        match="key_bits=64 cannot hold fractional_bits=48; the smallest usable key size is 102",
+    ):
+        make_config(mode=MODE_ALGORITHM2, key_bits=64).validate()
+    with pytest.raises(ConfigError, match="smallest usable key size is 70"):
+        make_config(mode=MODE_ALGORITHM2, key_bits=69, fractional_bits=32).validate()
+    with pytest.raises(ConfigError, match="fractional_bits must be positive"):
+        make_config(mode=MODE_ALGORITHM2, fractional_bits=0).validate()
+    make_config(key_bits=64).validate()  # unencrypted: the key size is unused
+    config = make_config(mode=MODE_ALGORITHM2, key_bits=102)
+    config.validate()
+    for kp in node_keypairs(config.graph, config.key_bits, config.seed).values():
+        assert FixedPointCodec(kp.public.n, 48).max_magnitude == 2
+
+
+def test_run_experiment_checks_strong_connectivity_once(monkeypatch):
+    from privsum import graph
+
+    searches = []
+    search = graph._reachable
+    monkeypatch.setattr(
+        graph, "_reachable", lambda *args: searches.append(args[2]) or search(*args)
+    )
+    fresh = DirectedGraph.from_edge_list(5, default_demo_graph().edge_list())
+    run_experiment(make_config(graph=fresh, max_rounds=10))
+    assert searches == [True, False]  # one forward and one backward search
+    run_experiment(make_config(graph=fresh, mode=MODE_ALGORITHM0, max_rounds=10))
+    assert searches == [True, False]
 
 
 def test_config_k_zero_supported():
