@@ -12,27 +12,30 @@ and never sends round k+1 before that.
 Share payloads are either two raw float64s (plain transport) or two
 length-prefixed Paillier ciphertexts encrypted under the receiver's public
 key (encrypted transport).  A node computes its rounds with the
-simulator's own code: it draws its weights with ``generate_round_weights``,
-steps its single state column with ``consensus.apply_round`` and, under
-encryption, makes the simulator's ``PaillierChannel`` calls on its own
-links: one ``transmit`` over its out-shares and one ``receive`` over its
-in-shares per round.  With identical seeds the plain-transport trajectory
-is therefore bit-for-bit the simulator's.
+simulator's own code (see ``NodeRuntime``), so with identical seeds the
+plain-transport trajectory is bit-for-bit the simulator's.
 
+A node runs one ``selectors`` loop on the thread that calls ``run``, and
+only while the driver waits.  The loop accepts connections, reads each into a buffer that
+``read_frame`` takes whole frames off, and writes the per-peer outboxes
+that sends queue into, so a send never blocks.  A bad frame raises
+``ProtocolError`` where it is parsed, a socket error ``PeerDisconnected``.
 Each inbound connection is bound to the sender id of its first frame, and
 a share frame may not run more than n - 1 rounds ahead of the receiver
 (the most an honest peer can, on a strongly connected graph of n nodes).
+A connection that ends inside a frame is a ``ProtocolError``; one that
+ends while the driver still waits on its sender, a ``PeerDisconnected``.
 """
 from __future__ import annotations
 
 import csv
 import json
+import selectors
 import socket
 import struct
-import threading
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +50,9 @@ from .paillier import (
     public_key_to_bytes,
     unpack_uint,
 )
-from .sim import ExperimentConfig, PaillierChannel, node_keypair, resolve_x0
+from .sim import (
+    ExperimentConfig, PaillierChannel, check_key_bits, node_keypair, resolve_x0,
+)
 from .weights import generate_round_weights, node_rng
 
 MAGIC = b"PSUM"
@@ -73,39 +78,17 @@ class WireFrame:
 
 
 def encode_frame(frame: WireFrame) -> bytes:
-    return (
-        _HEADER.pack(
-            MAGIC,
-            VERSION,
-            frame.msg_type,
-            frame.sender_id,
-            frame.round,
-            len(frame.payload),
-        )
-        + frame.payload
-    )
-
-
-def _parse_header(header: bytes) -> tuple[int, int, int, int]:
-    """Check a frame's fixed header; returns its (msg_type, sender, round,
-    payload length)."""
-    magic, version, *fields = _HEADER.unpack(header)
-    if magic != MAGIC:
-        raise ProtocolError(f"bad magic {magic!r}")
-    if version != VERSION:
-        raise ProtocolError(f"unsupported version {version}")
-    return tuple(fields)
+    fields = (frame.msg_type, frame.sender_id, frame.round, len(frame.payload))
+    return _HEADER.pack(MAGIC, VERSION, *fields) + frame.payload
 
 
 def decode_frame(data: bytes) -> WireFrame:
     """Parse one complete frame from a byte string."""
-    if len(data) < _HEADER.size:
-        raise ProtocolError("frame shorter than its fixed header")
-    msg_type, sender, round_k, length = _parse_header(data[: _HEADER.size])
-    payload = data[_HEADER.size :]
-    if len(payload) != length:
-        raise ProtocolError(f"payload length {len(payload)} != declared {length}")
-    return WireFrame(msg_type=msg_type, sender_id=sender, round=round_k, payload=payload)
+    buffer = bytearray(data)
+    frame = read_frame(buffer, len(data))
+    if frame is None or buffer:
+        raise ProtocolError(f"{len(data)} bytes are not exactly one frame")
+    return frame
 
 
 def max_payload(mode: str, key_bits: int) -> int:
@@ -120,36 +103,28 @@ def max_payload(mode: str, key_bits: int) -> int:
     return max(key_announce, cipher_pair)
 
 
-def read_frame(sock: socket.socket, max_length: int) -> WireFrame | None:
-    """Read one frame from a stream socket; None on clean EOF.  A bad
-    header, or one declaring a payload longer than ``max_length`` bytes, is
-    rejected before any of its declared payload is read."""
-    header = _read_exact(sock, _HEADER.size)
-    if header is None:
+def read_frame(buffer: bytearray, max_length: int) -> WireFrame | None:
+    """Take the next complete frame off the front of a receive buffer; None
+    while it is incomplete.  A bad header, or one declaring a payload longer
+    than ``max_length`` bytes, is rejected as soon as the header is in,
+    before any of its declared payload arrives."""
+    if len(buffer) < _HEADER.size:
         return None
-    msg_type, sender, round_k, length = _parse_header(header)
+    magic, version, msg_type, sender, round_k, length = _HEADER.unpack_from(buffer)
+    if magic != MAGIC:
+        raise ProtocolError(f"bad magic {magic!r}")
+    if version != VERSION:
+        raise ProtocolError(f"unsupported version {version}")
     if length > max_length:
         raise ProtocolError(
             f"frame declares a {length}-byte payload, over the {max_length}-byte limit"
         )
-    payload = b""
-    if length:
-        payload = _read_exact(sock, length)
-        if payload is None:
-            raise ProtocolError("stream ended inside a frame payload")
+    end = _HEADER.size + length
+    if len(buffer) < end:
+        return None
+    payload = bytes(buffer[_HEADER.size : end])
+    del buffer[:end]
     return WireFrame(msg_type=msg_type, sender_id=sender, round=round_k, payload=payload)
-
-
-def _read_exact(sock: socket.socket, count: int) -> bytes | None:
-    buf = b""
-    while len(buf) < count:
-        chunk = sock.recv(count - len(buf))
-        if not chunk:
-            if buf:
-                raise ProtocolError("stream ended in the middle of a frame")
-            return None
-        buf += chunk
-    return buf
 
 
 def pack_plain_shares(s_share: float, w_share: float) -> bytes:
@@ -193,10 +168,19 @@ def unpack_key_announce(payload: bytes):
     if len(payload) < 4:
         raise ProtocolError("truncated key announcement")
     origin = int.from_bytes(payload[:4], "big")
-    key, rest = public_key_from_bytes(payload[4:])
+    key, rest = public_key_from_bytes(payload[4:], ProtocolError)
     if rest:
         raise ProtocolError("trailing bytes after key announcement")
     return origin, key
+
+
+@dataclass(eq=False)
+class _Inbound:
+    """An accepted connection, its unframed bytes and its bound sender."""
+
+    sock: socket.socket
+    buffer: bytearray = field(default_factory=bytearray)
+    sender: int | None = None
 
 
 class NodeRuntime:
@@ -209,6 +193,11 @@ class NodeRuntime:
     out-shares pass through one ``PaillierChannel.transmit`` call and the
     in-shares, by ascending sender, through one ``receive`` call.  A round
     is applied only when every in-neighbor's share for it has arrived.
+
+    Its one selector covers the listener, every accepted connection and
+    every out-socket with queued bytes; ``_wait`` runs it until what the
+    driver waits for is in, a node it waits on has closed its connection,
+    or the deadline passes.  The run empties every outbox before closing.
     """
 
     def __init__(
@@ -226,6 +215,8 @@ class NodeRuntime:
         if mode not in (MODE_PLAIN, MODE_ENCRYPTED):
             raise ConfigError(f"mode must be '{MODE_PLAIN}' or '{MODE_ENCRYPTED}'")
         config.validate()
+        if mode == MODE_ENCRYPTED:
+            check_key_bits(config.key_bits, config.fractional_bits)
         self.node_id = node_id
         self.listen = listen
         self.peers = peers
@@ -241,22 +232,26 @@ class NodeRuntime:
         self.out_ids = list(self.graph.out_neighbors(node_id))
         self.in_ids = list(self.graph.in_neighbors(node_id))
 
-        self._lock = threading.Condition()
         # (round, sender) -> the (s, w) pair as it came off the wire.
         self._shares: dict[
             tuple[int, int], tuple[float, float] | tuple[Ciphertext, Ciphertext]
         ] = {}
         self._syncs: set[tuple[int, int]] = set()
         self._key_directory: dict[int, object] = {}
-        # In-neighbors whose connection has announced itself.
+        # In-neighbors whose connection has announced itself, and those
+        # whose connection has since ended.
         self._claimed: set[int] = set()
+        self._ended: set[int] = set()
         # The round whose shares the driver applies next; a share frame for
         # an earlier round is stale.
         self._round = 0
-        self._dead: Exception | None = None
+        self._selector: selectors.BaseSelector | None = None
+        # Every socket opened, for ``_shutdown`` to close.
+        self._sockets: list[socket.socket] = []
         self._out_socks: dict[int, socket.socket] = {}
-        self._reader_threads: list[threading.Thread] = []
+        self._outboxes = {peer: bytearray() for peer in self.out_ids}
         self._sent_frames: list[bytes] = []
+        self._wait_seconds: list[float] = []
 
         self.keypair: PaillierKeypair | None = None
         self.channel: PaillierChannel | None = None
@@ -274,25 +269,23 @@ class NodeRuntime:
     # -- wiring -----------------------------------------------------------
 
     def _serve(self) -> None:
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind(self.listen)
-        self._listener.listen(len(self.in_ids) + 4)
+        self._selector = selectors.DefaultSelector()
+        listener = socket.create_server(self.listen, backlog=len(self.in_ids) + 4)
+        self._sockets.append(listener)
+        listener.setblocking(False)
+        self._selector.register(
+            listener, selectors.EVENT_READ, lambda: self._accept(listener)
+        )
 
-        def accept_loop() -> None:
-            expected = len(self.in_ids)
-            accepted = 0
-            while accepted < expected:
-                try:
-                    conn, _ = self._listener.accept()
-                except OSError:
-                    return
-                accepted += 1
-                t = threading.Thread(target=self._reader, args=(conn,), daemon=True)
-                t.start()
-                self._reader_threads.append(t)
-
-        threading.Thread(target=accept_loop, daemon=True).start()
+    def _accept(self, listener: socket.socket) -> None:
+        try:
+            conn, _ = listener.accept()
+        except (BlockingIOError, ConnectionAbortedError):
+            return
+        self._sockets.append(conn)
+        conn.setblocking(False)
+        link = _Inbound(conn)
+        self._selector.register(conn, selectors.EVENT_READ, lambda: self._receive(link))
 
     def _connect_out(self) -> None:
         deadline = time.monotonic() + self.connect_deadline
@@ -301,8 +294,6 @@ class NodeRuntime:
             while True:
                 try:
                     sock = socket.create_connection((host, port), timeout=2.0)
-                    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                    self._out_socks[peer] = sock
                     break
                 except OSError:
                     if time.monotonic() > deadline:
@@ -311,28 +302,43 @@ class NodeRuntime:
                             f"at {host}:{port} within {self.connect_deadline}s"
                         )
                     time.sleep(0.05)
+            self._sockets.append(sock)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.setblocking(False)
+            self._out_socks[peer] = sock
 
-    def _reader(self, conn: socket.socket) -> None:
-        sender = None
+    def _receive(self, link: _Inbound) -> None:
+        """Read what an inbound connection holds and dispatch each complete
+        frame in it."""
         try:
-            while True:
-                frame = read_frame(conn, self._max_payload)
-                if frame is None:
-                    return
-                if sender is None:
-                    sender = self._claim(frame.sender_id)
-                elif frame.sender_id != sender:
+            chunk = link.sock.recv(1 << 16)
+        except BlockingIOError:
+            return
+        except OSError as exc:
+            raise PeerDisconnected(
+                f"node {self.node_id}: receive loop failed: {exc}"
+            ) from exc
+        try:
+            if not chunk:
+                self._selector.unregister(link.sock)
+                link.sock.close()
+                if link.buffer:
+                    raise ProtocolError("stream ended inside a frame")
+                if link.sender is not None:
+                    self._ended.add(link.sender)
+                return
+            link.buffer += chunk
+            while (frame := read_frame(link.buffer, self._max_payload)) is not None:
+                if link.sender is None:
+                    link.sender = self._claim(frame.sender_id)
+                elif frame.sender_id != link.sender:
                     raise ProtocolError(
                         f"frame from node {frame.sender_id} on the connection "
-                        f"of node {sender}"
+                        f"of node {link.sender}"
                     )
                 self._dispatch(frame)
-        except Exception as exc:  # noqa: BLE001 - reported to the driver
-            with self._lock:
-                self._dead = exc
-                self._lock.notify_all()
-        finally:
-            conn.close()
+        except ProtocolError as exc:
+            raise ProtocolError(f"node {self.node_id}: {exc}") from exc
 
     def _claim(self, sender: int) -> int:
         """Bind a new inbound connection to the sender of its first frame."""
@@ -341,19 +347,15 @@ class NodeRuntime:
                 f"connection from node {sender}, "
                 f"not an in-neighbor of node {self.node_id}"
             )
-        with self._lock:
-            if sender in self._claimed:
-                raise ProtocolError(f"second connection from node {sender}")
-            self._claimed.add(sender)
+        if sender in self._claimed:
+            raise ProtocolError(f"second connection from node {sender}")
+        self._claimed.add(sender)
         return sender
 
     def _dispatch(self, frame: WireFrame) -> None:
         if frame.msg_type == MSG_KEY_ANNOUNCE:
             origin, key = unpack_key_announce(frame.payload)
-            with self._lock:
-                if origin not in self._key_directory:
-                    self._key_directory[origin] = key
-                    self._lock.notify_all()
+            self._key_directory.setdefault(origin, key)
         elif frame.msg_type in (MSG_SHARE_PLAIN, MSG_SHARE_ENC):
             if frame.sender_id not in self.in_ids:
                 raise ProtocolError(
@@ -362,34 +364,30 @@ class NodeRuntime:
                 )
             wire = self._wire_share(frame)
             key = (frame.round, frame.sender_id)
-            with self._lock:
-                if frame.round < self._round:
-                    raise ProtocolError(
-                        f"stale round-{frame.round} share from node {frame.sender_id}: "
-                        f"node {self.node_id} is at round {self._round}"
-                    )
-                if frame.round >= self.config.max_rounds:
-                    raise ProtocolError(
-                        f"round-{frame.round} share from node {frame.sender_id}: "
-                        f"the run has {self.config.max_rounds} rounds"
-                    )
-                ahead = frame.round - self._round
-                if ahead >= self.graph.n_nodes:
-                    raise ProtocolError(
-                        f"round-{frame.round} share from node {frame.sender_id} is "
-                        f"{ahead} rounds ahead of node {self.node_id}, more than "
-                        f"n - 1 = {self.graph.n_nodes - 1}"
-                    )
-                if key in self._shares:
-                    raise ProtocolError(
-                        f"duplicate round-{frame.round} share from node {frame.sender_id}"
-                    )
-                self._shares[key] = wire
-                self._lock.notify_all()
+            if frame.round < self._round:
+                raise ProtocolError(
+                    f"stale round-{frame.round} share from node {frame.sender_id}: "
+                    f"node {self.node_id} is at round {self._round}"
+                )
+            if frame.round >= self.config.max_rounds:
+                raise ProtocolError(
+                    f"round-{frame.round} share from node {frame.sender_id}: "
+                    f"the run has {self.config.max_rounds} rounds"
+                )
+            ahead = frame.round - self._round
+            if ahead >= self.graph.n_nodes:
+                raise ProtocolError(
+                    f"round-{frame.round} share from node {frame.sender_id} is "
+                    f"{ahead} rounds ahead of node {self.node_id}, more than "
+                    f"n - 1 = {self.graph.n_nodes - 1}"
+                )
+            if key in self._shares:
+                raise ProtocolError(
+                    f"duplicate round-{frame.round} share from node {frame.sender_id}"
+                )
+            self._shares[key] = wire
         elif frame.msg_type == MSG_ROUND_SYNC:
-            with self._lock:
-                self._syncs.add((frame.round, frame.sender_id))
-                self._lock.notify_all()
+            self._syncs.add((frame.round, frame.sender_id))
         else:
             raise ProtocolError(f"unknown message type {frame.msg_type}")
 
@@ -409,15 +407,33 @@ class NodeRuntime:
         return Ciphertext(s_val, key_id), Ciphertext(w_val, key_id)
 
     def _send(self, peer: int, frame: WireFrame) -> None:
+        """Queue a frame behind the peer's unsent bytes and write what the
+        socket takes now; never blocks."""
         data = encode_frame(frame)
         if self.capture_frames:
             self._sent_frames.append(data)
+        self._outboxes[peer] += data
+        self._flush(peer)
+
+    def _flush(self, peer: int) -> None:
+        """Write what the socket takes of the peer's outbox; the socket is
+        registered for writing exactly while bytes are left."""
+        outbox, sock = self._outboxes[peer], self._out_socks[peer]
         try:
-            self._out_socks[peer].sendall(data)
+            del outbox[: sock.send(outbox)]
+        except BlockingIOError:
+            pass
         except OSError as exc:
             raise PeerDisconnected(
                 f"node {self.node_id} lost its link to peer {peer}: {exc}"
             ) from exc
+        registered = sock in self._selector.get_map()
+        if registered and not outbox:
+            self._selector.unregister(sock)
+        elif outbox and not registered:
+            self._selector.register(
+                sock, selectors.EVENT_WRITE, lambda: self._flush(peer)
+            )
 
     def _flood_frame(self, frame: WireFrame) -> None:
         for peer in self.out_ids:
@@ -433,8 +449,8 @@ class NodeRuntime:
         carries the same n frames in the same order in every run.  This
         cannot deadlock on a strongly connected graph: key 0 waits on
         nothing and so reaches every node, and by induction so does each
-        key after it.  The reader threads only fill the directory, which is
-        write-once per origin, so a re-delivered announcement is dropped.
+        key after it.  The directory is write-once per origin, so a
+        re-delivered announcement is dropped.
         """
         assert self.keypair is not None
         deadline = time.monotonic() + self.round_timeout
@@ -445,32 +461,40 @@ class NodeRuntime:
             return sorted(set(self.graph.nodes()) - set(self._key_directory))
 
         for origin in self.graph.nodes():
-            with self._lock:
-                self._wait(
-                    lambda: missing(origin),
-                    deadline,
-                    lambda left: Timeout(
-                        f"node {self.node_id}: key directory incomplete, "
-                        f"missing keys for nodes {left}"
-                    ),
-                )
-                key = self._key_directory[origin]
-            payload = pack_key_announce(origin, key)
+            self._wait(
+                lambda: missing(origin),
+                deadline,
+                lambda left: Timeout(
+                    f"node {self.node_id}: key directory incomplete, "
+                    f"missing keys for nodes {left}"
+                ),
+            )
+            payload = pack_key_announce(origin, self._key_directory[origin])
             self._flood_frame(WireFrame(MSG_KEY_ANNOUNCE, self.node_id, 0, payload))
         return dict(self._key_directory)
 
     def _barrier(self, tag: int) -> None:
         """Startup/shutdown alignment: exchange ROUND_SYNC frames."""
         self._flood_frame(WireFrame(MSG_ROUND_SYNC, self.node_id, tag, b""))
-        with self._lock:
-            self._wait(
-                lambda: [j for j in self.in_ids if (tag, j) not in self._syncs],
-                time.monotonic() + self.round_timeout,
-                lambda left: Timeout(
-                    f"node {self.node_id}: sync barrier {tag} timed out "
-                    f"waiting for {left}"
-                ),
-            )
+        self._wait(
+            lambda: [j for j in self.in_ids if (tag, j) not in self._syncs],
+            time.monotonic() + self.round_timeout,
+            lambda left: Timeout(
+                f"node {self.node_id}: sync barrier {tag} timed out "
+                f"waiting for {left}"
+            ),
+        )
+
+    def _drain(self) -> None:
+        """Run the loop until every outbox is empty."""
+        self._wait(
+            lambda: [peer for peer in self.out_ids if self._outboxes[peer]],
+            time.monotonic() + self.round_timeout,
+            lambda left: PeerDisconnected(
+                f"node {self.node_id}: frames to {left} still unsent after "
+                f"{self.round_timeout}s"
+            ),
+        )
 
     def _wait(
         self,
@@ -478,44 +502,39 @@ class NodeRuntime:
         deadline: float,
         fail: Callable[[list[int]], Exception],
     ) -> None:
-        """With ``_lock`` held, wait until ``waiting()`` names nothing left
-        to wait for.  A failed receive loop is re-raised here; past
-        ``deadline`` the error that ``fail`` builds from what is still
-        missing is raised."""
+        """Run the event loop until ``waiting()`` names no node left to
+        wait for.  A named node whose inbound connection has ended raises
+        ``PeerDisconnected`` at once; past ``deadline`` the error that
+        ``fail`` builds from what is still missing is raised."""
         while left := waiting():
-            self._raise_if_dead()
+            if ended := [j for j in left if j in self._ended]:
+                raise PeerDisconnected(
+                    f"node {self.node_id}: node {ended[0]} closed its connection "
+                    f"while its frames were still awaited"
+                )
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise fail(left)
-            self._lock.wait(timeout=min(remaining, 0.5))
-
-    def _raise_if_dead(self) -> None:
-        """Re-raise a receive-loop failure: a bad or unexpected frame as
-        ``ProtocolError``, anything else (a socket error) as
-        ``PeerDisconnected``."""
-        exc = self._dead
-        if isinstance(exc, ProtocolError):
-            raise ProtocolError(f"node {self.node_id}: {exc}") from exc
-        if exc is not None:
-            raise PeerDisconnected(
-                f"node {self.node_id}: receive loop failed: {exc}"
-            ) from exc
+            for key, _ in self._selector.select(remaining):
+                key.data()  # accept, read or write
 
     def _receive_round(self, round_k: int) -> np.ndarray:
         """Wait for every in-neighbor's round-k share, then return the
         (s, w) pairs by ascending sender as an ``(in-degree, 2)`` array,
-        recovered through one channel call under the encrypted transport."""
-        with self._lock:
-            self._wait(
-                lambda: [j for j in self.in_ids if (round_k, j) not in self._shares],
-                time.monotonic() + self.round_timeout,
-                lambda left: PeerDisconnected(
-                    f"node {self.node_id}: round {round_k} shares never "
-                    f"arrived from {left}"
-                ),
-            )
-            wire = [self._shares.pop((round_k, j)) for j in self.in_ids]
-            self._round = round_k + 1
+        recovered through one channel call under the encrypted transport.
+        The time spent waiting is recorded per round."""
+        start = time.perf_counter()
+        self._wait(
+            lambda: [j for j in self.in_ids if (round_k, j) not in self._shares],
+            time.monotonic() + self.round_timeout,
+            lambda left: PeerDisconnected(
+                f"node {self.node_id}: round {round_k} shares never "
+                f"arrived from {left}"
+            ),
+        )
+        self._wait_seconds.append(time.perf_counter() - start)
+        wire = [self._shares.pop((round_k, j)) for j in self.in_ids]
+        self._round = round_k + 1
         if self.channel is None:
             return np.array(wire)
         receivers = [self.node_id] * len(self.in_ids)
@@ -527,21 +546,17 @@ class NodeRuntime:
     def run(self) -> tuple[NodeState, dict]:
         """Execute the configured number of rounds; returns the final node
         state (Python floats) and a manifest of summary statistics."""
-        self._serve()
         try:
+            self._serve()
             self._connect_out()
             if self.mode == MODE_ENCRYPTED:
                 self.flood_public_keys()
             self._barrier(0)
 
             rounds = self.config.max_rounds
+            rng = node_rng(self.config.seed, self.node_id)
             s_rows, w_rows = generate_round_weights(
-                self.node_id,
-                self.out_ids,
-                self.config.params,
-                node_rng(self.config.seed, self.node_id),
-                0,
-                rounds,
+                self.node_id, self.out_ids, self.config.params, rng, 0, rounds
             )
             # Per round a (2, targets) row: (s, w) weights, self last.
             weights = np.stack((s_rows, w_rows), axis=1)
@@ -562,6 +577,7 @@ class NodeRuntime:
                 rows.append((k + 1, s, w, s / w))
 
             self._barrier(rounds + 1)
+            self._drain()
             final = NodeState(self.node_id, *rows[-1][1:], round=rounds)
             manifest = self._finish(final, rows)
             return final, manifest
@@ -585,6 +601,8 @@ class NodeRuntime:
             "blinding_table_ms": sum(tables) * 1e3 if tables else None,
             "mean_decrypt_ms": float(np.mean(dec)) * 1e3 if dec else None,
             "max_decrypt_ms": float(np.max(dec)) * 1e3 if dec else None,
+            "mean_wait_ms": float(np.mean(self._wait_seconds)) * 1e3,
+            "max_wait_ms": float(np.max(self._wait_seconds)) * 1e3,
             "outputs": [],
         }
         if self.out_dir is not None:
@@ -598,9 +616,7 @@ class NodeRuntime:
             manifest["outputs"].append(str(csv_path))
             if self.capture_frames:
                 frames_path = self.out_dir / f"node{self.node_id}.frames"
-                with open(frames_path, "wb") as fh:
-                    for data in self._sent_frames:
-                        fh.write(data)
+                frames_path.write_bytes(b"".join(self._sent_frames))
                 manifest["outputs"].append(str(frames_path))
             manifest_path = self.out_dir / f"node{self.node_id}.manifest.json"
             with open(manifest_path, "w") as fh:
@@ -608,16 +624,10 @@ class NodeRuntime:
         return manifest
 
     def _shutdown(self) -> None:
-        for sock in self._out_socks.values():
-            try:
-                sock.shutdown(socket.SHUT_WR)
-            except OSError:
-                pass
+        for sock in self._sockets:
             sock.close()
-        try:
-            self._listener.close()
-        except (AttributeError, OSError):
-            pass
+        if self._selector is not None:
+            self._selector.close()
 
 
 def run_networked(
@@ -632,18 +642,11 @@ def run_networked(
     connect_deadline: float = 20.0,
 ) -> tuple[NodeState, dict]:
     """Run one networked node to completion."""
-    runtime = NodeRuntime(
-        node_id,
-        listen,
-        peers,
-        config,
-        mode=mode,
-        out_dir=out_dir,
-        capture_frames=capture_frames,
-        round_timeout=round_timeout,
+    return NodeRuntime(
+        node_id, listen, peers, config, mode=mode, out_dir=out_dir,
+        capture_frames=capture_frames, round_timeout=round_timeout,
         connect_deadline=connect_deadline,
-    )
-    return runtime.run()
+    ).run()
 
 
 def allocate_ports(count: int, host: str = "127.0.0.1") -> list[int]:
@@ -703,8 +706,4 @@ def run_local_cluster(
             p.terminate()
     if failed:
         raise PeerDisconnected(f"cluster nodes {failed} exited abnormally or hung")
-    manifests = []
-    for i in range(n):
-        with open(out_dir / f"node{i}.manifest.json") as fh:
-            manifests.append(json.load(fh))
-    return manifests
+    return [json.loads((out_dir / f"node{i}.manifest.json").read_text()) for i in range(n)]

@@ -370,9 +370,12 @@ def public_key_to_bytes(public: PaillierPublicKey) -> bytes:
     return pack_uint(public.n)
 
 
-def public_key_from_bytes(data: bytes) -> tuple[PaillierPublicKey, bytes]:
-    """Parse one serialized key; returns the key and any trailing bytes."""
-    n, end = unpack_uint(data, 0, MalformedCiphertext)
+def public_key_from_bytes(
+    data: bytes, error: type[Exception] = MalformedCiphertext
+) -> tuple[PaillierPublicKey, bytes]:
+    """Parse one serialized key; returns the key and any trailing bytes.
+    Truncation raises ``error``."""
+    n, end = unpack_uint(data, 0, error)
     return PaillierPublicKey(n=n, g=n + 1), data[end:]
 
 

@@ -53,6 +53,19 @@ MODES = (MODE_ALGORITHM0, MODE_ALGORITHM1, MODE_ALGORITHM2)
 DEFAULT_FRACTIONAL_BITS = 48
 
 
+def check_key_bits(key_bits: int, fractional_bits: int) -> None:
+    """Raise ``ConfigError`` unless ``key_bits``-bit Paillier keys can carry
+    shares with ``fractional_bits`` fractional bits."""
+    if fractional_bits <= 0:
+        raise ConfigError("fractional_bits must be positive")
+    smallest = smallest_key_bits(fractional_bits)
+    if key_bits < smallest:
+        raise ConfigError(
+            f"key_bits={key_bits} cannot hold fractional_bits="
+            f"{fractional_bits}; the smallest usable key size is {smallest}"
+        )
+
+
 @dataclass(frozen=True)
 class AdversarySpec:
     """Which nodes collude, whom they attack, and how."""
@@ -110,14 +123,7 @@ class ExperimentConfig:
             )
         self.params  # triggers WeightParams validation
         if self.mode == MODE_ALGORITHM2:
-            if self.fractional_bits <= 0:
-                raise ConfigError("fractional_bits must be positive")
-            smallest = smallest_key_bits(self.fractional_bits)
-            if self.key_bits < smallest:
-                raise ConfigError(
-                    f"key_bits={self.key_bits} cannot hold fractional_bits="
-                    f"{self.fractional_bits}; the smallest usable key size is {smallest}"
-                )
+            check_key_bits(self.key_bits, self.fractional_bits)
         if isinstance(self.x0, dict):
             if set(self.x0) != {"low", "high"} or not self.x0["low"] < self.x0["high"]:
                 raise ConfigError("x0 range must be {'low': a, 'high': b} with a < b")

@@ -148,6 +148,7 @@ def test_node_manifest_and_summary_record_decrypt_latency(tmp_path, capsys, mode
         manifest = json.loads((tmp_path / "out" / f"node{i}.manifest.json").read_text())
         fields = [manifest[k] for k in ("mean_decrypt_ms", "max_decrypt_ms")]
         summary = next(line for line in lines if line.startswith(f"node {i}:"))
+        assert 0.0 <= manifest["mean_wait_ms"] <= manifest["max_wait_ms"]
         if mode == "plain":
             assert fields == [None, None]
             assert manifest["blinding_table_ms"] is None

@@ -1,6 +1,9 @@
+import contextlib
 import csv
 import socket
+import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privsum.consensus import run_algorithm1
-from privsum.errors import DecryptFailure, PeerDisconnected, ProtocolError, Timeout
+from privsum.errors import ConfigError, DecryptFailure, PeerDisconnected, ProtocolError, Timeout
 from privsum.graph import DirectedGraph, default_demo_graph
 from privsum.net import (
     MODE_ENCRYPTED,
@@ -26,6 +29,7 @@ from privsum.net import (
     max_payload,
     pack_plain_shares,
     read_frame,
+    share_frame,
     unpack_cipher_shares,
     pack_cipher_shares,
     unpack_key_announce,
@@ -34,6 +38,7 @@ from privsum.net import (
 from privsum import net
 from privsum.paillier import FixedPointCodec, PaillierPublicKey, keygen
 from privsum.sim import (
+    DEFAULT_FRACTIONAL_BITS,
     ExperimentConfig,
     MODE_ALGORITHM2,
     PaillierChannel,
@@ -42,6 +47,7 @@ from privsum.sim import (
 from privsum.weights import WeightParams
 
 import random
+import re
 
 
 def make_config(**overrides):
@@ -55,6 +61,11 @@ def make_config(**overrides):
         seed=7,
     )
     base.update(overrides)
+    # An encrypted node refuses keys too small for its fractional bits, so
+    # the 64-bit keys that keep key generation fast here get the most they
+    # can carry; keys of 102 bits and up keep the default.
+    key_bits = base.get("key_bits", 256)
+    base.setdefault("fractional_bits", min(DEFAULT_FRACTIONAL_BITS, key_bits // 2 - 3))
     return ExperimentConfig(**base)
 
 
@@ -132,6 +143,12 @@ def test_key_announce_roundtrip():
     assert parsed.n == kp.public.n
 
 
+def test_truncated_key_in_a_key_announcement_is_a_protocol_error():
+    payload = pack_key_announce(9, keygen(64, random.Random(3)).public)
+    with pytest.raises(ProtocolError, match="truncated big integer"):
+        unpack_key_announce(payload[:-1])
+
+
 @pytest.mark.parametrize("key_bits", [35, 64, 256, 2048])
 def test_payload_bound_is_the_largest_legal_payload(key_bits):
     n = (1 << key_bits) - 1  # the largest modulus a key of this size has
@@ -146,16 +163,46 @@ def _oversized_header(msg_type, length):
 
 
 def test_read_frame_rejects_an_oversized_length_before_its_payload():
-    ours, theirs = socket.socketpair()
-    # A reader that waits for the payload fails on the timeout, not hangs.
-    ours.settimeout(5.0)
+    buffer = bytearray(_oversized_header(MSG_SHARE_ENC, 2**31))
+    with pytest.raises(ProtocolError, match="2147483648-byte payload"):
+        read_frame(buffer, max_payload(MODE_ENCRYPTED, 2048))
+
+
+def test_read_frame_takes_exactly_one_complete_frame_off_its_buffer():
+    first = encode_frame(WireFrame(MSG_SHARE_PLAIN, 1, 0, pack_plain_shares(1.0, 0.5)))
+    second = encode_frame(WireFrame(MSG_ROUND_SYNC, 1, 2, b""))
+    for partial in (first[:5], first[:-1]):  # a partial header, a partial payload
+        buffer = bytearray(partial)
+        assert read_frame(buffer, 16) is None
+        assert buffer == partial
+    buffer = bytearray(first + second[:3])
+    assert read_frame(buffer, 16) == decode_frame(first)
+    assert buffer == second[:3]
+    buffer += second[3:]
+    assert read_frame(buffer, 16) == decode_frame(second)
+    assert buffer == b""
+
+
+@contextlib.contextmanager
+def _serving(rt):
+    """Open ``rt``'s listener; yields ``connect(data)``, which opens a new
+    connection to it and sends ``data`` (frames or raw bytes).  The
+    connections stay open until the block ends."""
+    conns = []
+
+    def connect(data):
+        if not isinstance(data, bytes):
+            data = b"".join(encode_frame(f) for f in data)
+        conns.append(socket.create_connection(rt.listen))
+        conns[-1].sendall(data)
+
+    rt._serve()
     try:
-        theirs.sendall(_oversized_header(MSG_SHARE_ENC, 2**31))
-        with pytest.raises(ProtocolError, match="2147483648-byte payload"):
-            read_frame(ours, max_payload(MODE_ENCRYPTED, 2048))
+        yield connect
     finally:
-        ours.close()
-        theirs.close()
+        for conn in conns:
+            conn.close()
+        rt._shutdown()
 
 
 @pytest.mark.parametrize(
@@ -164,15 +211,10 @@ def test_read_frame_rejects_an_oversized_length_before_its_payload():
 def test_receive_loop_rejects_a_payload_one_byte_over_its_transport_bound(mode, msg_type):
     rt = _two_node_runtime(mode)
     bound = max_payload(mode, rt.config.key_bits)
-    ours, theirs = socket.socketpair()
-    ours.settimeout(5.0)
-    try:
-        theirs.sendall(_oversized_header(msg_type, bound + 1))
-        rt._reader(ours)
-    finally:
-        theirs.close()
-    with pytest.raises(ProtocolError, match=f"node 0: .*{bound}-byte limit"):
-        rt._receive_round(0)
+    with _serving(rt) as connect:
+        connect(_oversized_header(msg_type, bound + 1))
+        with pytest.raises(ProtocolError, match=f"node 0: .*{bound}-byte limit"):
+            rt._receive_round(0)
 
 
 # -- live clusters ------------------------------------------------------------
@@ -406,38 +448,23 @@ def test_stale_share_frame_is_rejected():
 
 def test_receive_loop_protocol_error_reaches_the_driver_as_protocol_error():
     rt = _two_node_runtime(MODE_PLAIN)
-    frame = encode_frame(WireFrame(MSG_SHARE_PLAIN, 1, 0, pack_plain_shares(1.0, 0.5)))
-    ours, theirs = socket.socketpair()
-    theirs.sendall(frame + frame)
-    theirs.close()
-    try:
-        rt._reader(ours)
-    finally:
-        ours.close()
-    assert [s for s, _ in rt._receive_round(0)] == [1.0]
-    with pytest.raises(ProtocolError, match="node 0: duplicate round-0 share from node 1"):
-        rt._receive_round(1)
+    frame = WireFrame(MSG_SHARE_PLAIN, 1, 0, pack_plain_shares(1.0, 0.5))
+    with _serving(rt) as connect:
+        # both frames arrive in one read, so the duplicate fails the round-0 wait
+        connect([frame, frame])
+        with pytest.raises(ProtocolError, match="node 0: duplicate round-0 share from node 1"):
+            rt._receive_round(0)
 
 
 def test_receive_loop_socket_error_reaches_the_driver_as_peer_disconnected():
     rt = _two_node_runtime(MODE_PLAIN)
-    ours, theirs = socket.socketpair()
-    theirs.close()
-    ours.close()
-    rt._reader(ours)  # recv on a closed socket raises OSError
-    with pytest.raises(PeerDisconnected, match="node 0: receive loop failed"):
-        rt._receive_round(0)
-
-
-def _read_from_peer(rt, frames):
-    """Feed the frames through a new socket pair into ``rt._reader``."""
-    ours, theirs = socket.socketpair()
-    theirs.sendall(b"".join(encode_frame(f) for f in frames))
-    theirs.close()
-    try:
-        rt._reader(ours)
-    finally:
-        ours.close()
+    with _serving(rt):
+        peer = socket.create_connection(rt.listen)
+        # closing with a zero linger time resets the connection
+        peer.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        peer.close()
+        with pytest.raises(PeerDisconnected, match="node 0: receive loop failed"):
+            rt._receive_round(0)
 
 
 def _demo_runtime(node=0, **overrides):
@@ -450,32 +477,41 @@ def _demo_runtime(node=0, **overrides):
 def test_connection_from_a_non_in_neighbor_is_rejected():
     rt = _demo_runtime()
     assert 2 not in rt.in_ids
-    _read_from_peer(rt, [WireFrame(MSG_ROUND_SYNC, 2, 0, b"")])
-    with pytest.raises(ProtocolError, match="node 0: connection from node 2, not an in-neighbor"):
-        rt._receive_round(0)
+    with _serving(rt) as connect:
+        connect([WireFrame(MSG_ROUND_SYNC, 2, 0, b"")])
+        with pytest.raises(
+            ProtocolError, match="node 0: connection from node 2, not an in-neighbor"
+        ):
+            rt._receive_round(0)
     assert rt._syncs == set()
 
 
 def test_second_connection_for_one_sender_is_rejected():
     rt = _two_node_runtime(MODE_PLAIN)
-    _read_from_peer(rt, [WireFrame(MSG_ROUND_SYNC, 1, 0, b"")])
-    assert rt._dead is None
-    _read_from_peer(rt, [WireFrame(MSG_ROUND_SYNC, 1, 1, b"")])
-    with pytest.raises(ProtocolError, match="node 0: second connection from node 1"):
+    share = WireFrame(MSG_SHARE_PLAIN, 1, 0, pack_plain_shares(1.0, 0.5))
+    with _serving(rt) as connect:
+        connect([WireFrame(MSG_ROUND_SYNC, 1, 0, b""), share])
         rt._receive_round(0)
+        # the first connection's sync is recorded before the second is read
+        assert rt._syncs == {(0, 1)}
+        connect([WireFrame(MSG_ROUND_SYNC, 1, 1, b"")])
+        with pytest.raises(ProtocolError, match="node 0: second connection from node 1"):
+            rt._receive_round(1)
     assert rt._syncs == {(0, 1)}
 
 
 def test_frame_under_another_sender_id_on_a_bound_connection_is_rejected():
     rt = _demo_runtime(node=1)
     first, other = rt.in_ids
-    _read_from_peer(
-        rt, [WireFrame(MSG_ROUND_SYNC, first, 0, b""), WireFrame(MSG_ROUND_SYNC, other, 0, b"")]
-    )
-    with pytest.raises(
-        ProtocolError, match=f"node 1: frame from node {other} on the connection of node {first}"
-    ):
-        rt._receive_round(0)
+    with _serving(rt) as connect:
+        connect(
+            [WireFrame(MSG_ROUND_SYNC, first, 0, b""), WireFrame(MSG_ROUND_SYNC, other, 0, b"")]
+        )
+        with pytest.raises(
+            ProtocolError,
+            match=f"node 1: frame from node {other} on the connection of node {first}",
+        ):
+            rt._receive_round(0)
     assert rt._syncs == {(0, first)}
 
 
@@ -495,3 +531,125 @@ def test_share_frame_past_the_last_round_is_rejected():
     with pytest.raises(ProtocolError, match="round-3 share from node .*: the run has 3 rounds"):
         rt._dispatch(WireFrame(MSG_SHARE_PLAIN, sender, 3, pack_plain_shares(1.0, 0.5)))
     assert list(rt._shares) == [(2, sender)]
+
+
+def test_encrypted_node_rejects_keys_too_small_for_its_fractional_bits():
+    g = DirectedGraph.from_edge_list(2, [[0, 1], [1, 0]])
+    config = make_config(graph=g, x0=[1.0, 2.0], key_bits=64, fractional_bits=48)
+    ports = allocate_ports(2)
+    peers = {i: ("127.0.0.1", ports[i]) for i in range(2)}
+    NodeRuntime(0, peers[0], peers, config, mode=MODE_PLAIN)  # plain: keys unused
+    with pytest.raises(ConfigError, match="the smallest usable key size is 102"):
+        NodeRuntime(0, peers[0], peers, config, mode=MODE_ENCRYPTED)
+    # raised before any socket opened: the listen port is still free
+    socket.create_server(peers[0]).close()
+
+
+# -- live fault injection ------------------------------------------------------
+
+
+def _run_against_a_hand_rolled_peer(data, close=False):
+    """Run node 0 of a two-node cycle (round_timeout 10 s) against a test
+    peer playing node 1: it accepts node 0's connection, sends ``data`` on
+    its own connection to node 0 and, with ``close``, then closes that
+    connection.  Returns the error ``run()`` raised and its seconds."""
+    g = DirectedGraph.from_edge_list(2, [[0, 1], [1, 0]])
+    config = make_config(graph=g, x0=[1.0, 2.0])
+    ports = allocate_ports(2)
+    peers = {i: ("127.0.0.1", ports[i]) for i in range(2)}
+    rt = NodeRuntime(0, peers[0], peers, config, round_timeout=10.0)
+    socks = [socket.create_server(peers[1])]
+
+    def node_1():
+        socks.append(socks[0].accept()[0])
+        socks.append(socket.create_connection(peers[0]))
+        socks[-1].sendall(data)
+        if close:
+            socks[-1].close()
+
+    peer = threading.Thread(target=node_1)
+    peer.start()
+    start = time.monotonic()
+    try:
+        with pytest.raises(Exception) as raised:
+            rt.run()
+        return raised.value, time.monotonic() - start
+    finally:
+        peer.join(timeout=10)
+        assert not peer.is_alive()
+        for sock in socks:
+            sock.close()
+
+
+def _frames(*frames):
+    return b"".join(encode_frame(f) for f in frames)
+
+
+_SYNC = WireFrame(MSG_ROUND_SYNC, 1, 0, b"")
+
+
+def _share(round_k):
+    return WireFrame(MSG_SHARE_PLAIN, 1, round_k, pack_plain_shares(1.0, 0.5))
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"JUNK" + _frames(_SYNC)[4:], "node 0: bad magic b'JUNK'"),
+        (_oversized_header(MSG_SHARE_PLAIN, 1 << 20), "node 0: .*1048576-byte payload"),
+        (_frames(WireFrame(MSG_ROUND_SYNC, 7, 0, b"")), "node 0: connection from node 7"),
+        (_frames(_SYNC, _share(2)), "node 0: round-2 share from node 1 is 2 rounds ahead"),
+    ],
+    ids=["garbage-header", "oversized-length", "impostor-sender", "too-far-ahead"],
+)
+def test_live_node_fails_fast_with_protocol_error_on_a_faulty_peer(data, message):
+    error, seconds = _run_against_a_hand_rolled_peer(data)
+    assert isinstance(error, ProtocolError), error
+    assert re.search(message, str(error)), error
+    assert seconds < 2.0
+
+
+def test_live_node_fails_fast_when_a_peer_dies_mid_round():
+    error, seconds = _run_against_a_hand_rolled_peer(_frames(_SYNC, _share(0)), close=True)
+    assert isinstance(error, PeerDisconnected), error
+    assert "node 0: node 1 closed its connection" in str(error)
+    assert seconds < 2.0
+
+
+def test_send_never_blocks_and_a_wait_delivers_the_queued_bytes_in_order():
+    rt = _two_node_runtime(MODE_PLAIN)
+    far_end = socket.socket()
+    # small buffers at both ends, so the frames below cannot all fit in them
+    far_end.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 16)
+    far_end.bind(rt.peers[1])
+    far_end.listen()
+    frames = [share_frame(0, k, float(k), 0.5) for k in range(1 << 17)]  # 4.5 MB
+    expected = _frames(*frames)
+    received = bytearray()
+    socks = [far_end]
+    try:
+        rt._serve()
+        rt._connect_out()
+        rt._out_socks[1].setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 1 << 16)
+        socks.append(far_end.accept()[0])
+        # the far end reads nothing yet, so a blocking send would never return
+        sender = threading.Thread(target=lambda: [rt._send(1, f) for f in frames], daemon=True)
+        sender.start()
+        sender.join(timeout=20)
+        assert not sender.is_alive()
+        assert len(rt._outboxes[1]) > len(expected) // 2
+
+        def read():
+            while len(received) < len(expected) and (chunk := socks[1].recv(1 << 16)):
+                received.extend(chunk)
+
+        reader = threading.Thread(target=read)
+        reader.start()
+        rt._drain()
+        reader.join(timeout=20)
+        assert not reader.is_alive()
+        assert received == expected
+    finally:
+        rt._shutdown()
+        for sock in socks:
+            sock.close()
