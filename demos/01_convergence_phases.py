@@ -34,7 +34,7 @@ for big_k in (1, 5, 9):
     result = run_experiment(config)
     e = result.metrics.e
     csv_path = f"convergence_K{big_k}.csv"
-    write_series_csv(csv_path, result.metrics)
+    write_series_csv(csv_path, result)
     checkpoints = [0, big_k, big_k + 1, big_k + 10, 50, 200]
     trace = "  ".join(f"e({k})={e[k]:.2e}" for k in checkpoints)
     print(f"K={big_k}: {trace}")

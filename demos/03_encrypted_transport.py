@@ -33,17 +33,19 @@ def config(mode):
 plain = run_experiment(config(MODE_ALGORITHM1))
 enc = run_experiment(config(MODE_ALGORITHM2))
 
-print("plain final estimates:    ", np.round(plain.metrics.pi[-1], 9))
-print("encrypted final estimates:", np.round(enc.metrics.pi[-1], 9))
+print("plain final estimates:    ", np.round(plain.record.final_pi(), 9))
+print("encrypted final estimates:", np.round(enc.record.final_pi(), 9))
 worst = np.abs(plain.record.shares - enc.record.shares).max()
 print(f"worst share deviation plain vs encrypted: {worst:.2e} (codec quantization)")
 print(f"mean encryption latency: {enc.mean_encrypt_seconds * 1e3:.3f} ms per share")
 print()
 
-log = enc.eavesdropper_log
-s_cipher, w_cipher = log.wire[0, :, 0]  # round 0, link 0
+# The wire holds what crossed each link, one column per edge in the
+# layout's (sender, receiver) order; the topology and parameters are public.
+layout = enc.record.weights.layout
+s_cipher, w_cipher = enc.record.wire[0, :, 0]  # round 0, link 0
 print("what the wiretapper sees on one link (round 0):")
-print(f"  sender {log.senders[0]} -> receiver {log.receivers[0]}")
+print(f"  sender {layout.senders[0]} -> receiver {layout.receivers[0]}")
 print(f"  s ciphertext: {str(s_cipher.value)[:48]}... ({s_cipher.value.bit_length()} bits)")
 
 outsider = keygen(256, random.Random(99))

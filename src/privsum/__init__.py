@@ -45,13 +45,11 @@ from .paillier import (
 )
 from .adversary import (
     AdversaryView,
-    EavesdropperLog,
     attack_colluding_full_neighborhood,
     attack_least_squares,
     attack_pushsum_baseline,
     attack_sole_neighbor,
     build_adversary_view,
-    build_eavesdropper_log,
     build_indistinguishability_witness,
     build_least_squares_system,
     replay_with_witness,

@@ -74,23 +74,6 @@ class AdversaryView:
         return pair[:, 0], pair[:, 1]
 
 
-@dataclass(frozen=True)
-class EavesdropperLog:
-    """Everything a wiretapper of all links sees, plus the topology and the
-    public parameters; no private keys, no node-internal state.
-
-    Link e runs from ``senders[e]`` to ``receivers[e]``.  ``wire[k, :, e]``
-    is the (s, w) pair that crossed link e in round k: two ciphertexts under
-    the encrypted transport, the shares themselves in the clear.
-    """
-
-    topology: DirectedGraph
-    params: WeightParams | None
-    senders: np.ndarray
-    receivers: np.ndarray
-    wire: np.ndarray
-
-
 def build_adversary_view(record: RunRecord, members) -> AdversaryView:
     """Project a ground-truth run record onto what the given nodes saw."""
     member_set = frozenset(int(m) for m in members)
@@ -111,17 +94,6 @@ def build_adversary_view(record: RunRecord, members) -> AdversaryView:
         states=record.trajectory.states[:, :, columns],
         retained=record.retained()[:, :, columns],
         shares=record.shares[:, :, touched],
-    )
-
-
-def build_eavesdropper_log(record: RunRecord) -> EavesdropperLog:
-    layout = record.weights.layout
-    return EavesdropperLog(
-        topology=record.graph,
-        params=record.params,
-        senders=layout.senders,
-        receivers=layout.receivers,
-        wire=record.wire,
     )
 
 

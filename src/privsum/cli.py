@@ -3,12 +3,14 @@
 Subcommands:
 
 * ``simulate`` - run the configured protocol, write the error-series CSV(s)
-  and a run manifest.  A config whose ``big_k`` is a list produces one CSV
-  per value.
+  and a run manifest.
 * ``attack`` - run the adversary trials from the config's adversary section
   and write (trial, seed, true_x0, estimate) rows.
 * ``node`` - run one networked protocol node to completion.
 * ``verify`` - execute the invariant suites; exit code 0 iff all pass.
+
+A config whose ``big_k`` is a list runs once per value: ``simulate``
+writes one CSV per value, ``verify`` runs every suite per value.
 
 Configs are YAML files; ``--preset`` loads one of the packaged presets
 (fig2, fig3, fig7) instead.
@@ -98,14 +100,14 @@ def cmd_simulate(args) -> int:
     for suffix, config in configs:
         result = run_experiment(config)
         csv_path = out_dir / f"series{suffix or ''}.csv"
-        write_series_csv(csv_path, result.metrics)
+        write_series_csv(csv_path, result)
         outputs.append(str(csv_path))
         summary = {
             "big_k": config.big_k,
             "rounds_run": result.record.n_rounds,
             "alpha": result.metrics.alpha,
             "final_e": float(result.metrics.e[-1]),
-            "final_pi": [float(v) for v in result.metrics.pi[-1]],
+            "final_pi": result.record.final_pi().tolist(),
         }
         for name, seconds in (
             ("mean_encrypt_ms", result.mean_encrypt_seconds),
@@ -130,10 +132,9 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-ATTACKS = ("least_squares", "sole_neighbor", "full_neighborhood", "baseline_leak")
-
-
 def _run_attack(result, spec, m_rounds: int) -> float:
+    """The estimate of ``spec.attack``, one of ``sim.ATTACKS`` (the config
+    validator has checked that)."""
     view = result.adversary_view
     if spec.attack == "least_squares":
         return attack_least_squares(view, spec.target, m_rounds)
@@ -141,9 +142,7 @@ def _run_attack(result, spec, m_rounds: int) -> float:
         return attack_sole_neighbor(view, spec.target)
     if spec.attack == "full_neighborhood":
         return attack_colluding_full_neighborhood(view, spec.target)
-    if spec.attack == "baseline_leak":
-        return attack_pushsum_baseline(view)[spec.target]
-    raise ConfigError(f"unknown attack {spec.attack!r}; choose from {ATTACKS}")
+    return attack_pushsum_baseline(view)[spec.target]
 
 
 def cmd_attack(args) -> int:
@@ -168,7 +167,7 @@ def cmd_attack(args) -> int:
                 {
                     "trial": trial_no,
                     "seed": seed,
-                    "true_x0": result.x0[spec.target],
+                    "true_x0": result.record.x0[spec.target],
                     "estimate": estimate,
                 }
             )
@@ -199,7 +198,6 @@ def cmd_attack(args) -> int:
 def cmd_node(args) -> int:
     # --mode here selects the share transport, not the simulation mode.
     raw = load_raw_config(args, apply_mode=False)
-    raw["mode"] = "algorithm1"
     config = ExperimentConfig.from_dict(raw)
     with open(args.peers) as fh:
         peer_raw = json.load(fh)
@@ -230,14 +228,12 @@ def cmd_node(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    raw = load_raw_config(args)
-    config = ExperimentConfig.from_dict(raw)
-    results = run_all(config)
     failed = 0
-    for res in results:
-        tag = "PASS" if res.passed else "FAIL"
-        print(f"{tag} {res.name}: {res.detail}")
-        failed += 0 if res.passed else 1
+    for _, config in _expand_big_k(load_raw_config(args)):
+        for res in run_all(config):
+            tag = "PASS" if res.passed else "FAIL"
+            print(f"{tag} K={config.big_k} {res.name}: {res.detail}")
+            failed += 0 if res.passed else 1
     if failed:
         print(f"{failed} suite(s) failed")
         return 1

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import TYPE_CHECKING
 
@@ -86,26 +87,32 @@ def apply_round(
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Every node's state at rounds 0 .. final, as ``(rounds + 1, n)`` arrays
-    ``s``, ``w`` and ``pi``."""
+    """Every node's state at rounds 0 .. final: ``states`` is the engine's
+    ``(rounds + 1, 2, n)`` array of (s, w); ``s``, ``w`` and ``pi`` are
+    ``(rounds + 1, n)``."""
 
-    s: np.ndarray
-    w: np.ndarray
-    pi: np.ndarray
+    states: np.ndarray
+
+    @property
+    def s(self) -> np.ndarray:
+        return self.states[:, 0]
+
+    @property
+    def w(self) -> np.ndarray:
+        return self.states[:, 1]
+
+    @cached_property
+    def pi(self) -> np.ndarray:
+        return self.s / self.w
 
     @property
     def n_nodes(self) -> int:
-        return self.s.shape[1]
+        return self.states.shape[2]
 
     @property
     def n_rounds(self) -> int:
         """Number of executed rounds (snapshots minus the initial one)."""
-        return self.s.shape[0] - 1
-
-    @property
-    def states(self) -> np.ndarray:
-        """The ``(rounds + 1, 2, n)`` array of (s, w) states."""
-        return np.stack((self.s, self.w), axis=1)
+        return self.states.shape[0] - 1
 
     def final(self) -> tuple[NodeState, ...]:
         k = self.n_rounds
@@ -215,7 +222,6 @@ class RunRecord:
     ciphertexts, or in the clear ``shares`` itself.
     """
 
-    x0: list[float]
     params: WeightParams | None
     trajectory: Trajectory
     weights: WeightTable
@@ -229,6 +235,11 @@ class RunRecord:
     @property
     def n_rounds(self) -> int:
         return self.weights.n_rounds
+
+    @property
+    def x0(self) -> list[float]:
+        """The initial values, the s side of the round-0 state."""
+        return self.trajectory.s[0].tolist()
 
     def retained(self) -> np.ndarray:
         """Every node's kept (s, w) self-share, a ``(rounds, 2, n)`` array.
@@ -299,13 +310,11 @@ def run_rounds(
             if quiet_rounds >= STOP_WINDOW:
                 done = k + 1
                 break
-    state = state[: done + 1]
     applied = edge_shares[:done]
 
     return RunRecord(
-        x0=[float(v) for v in x0],
         params=params,
-        trajectory=Trajectory(s=state[:, 0], w=state[:, 1], pi=state[:, 0] / state[:, 1]),
+        trajectory=Trajectory(state[: done + 1]),
         weights=WeightTable(layout, weights.table[:done]),
         shares=applied,
         # In the clear the shares themselves crossed the links.
@@ -378,25 +387,6 @@ def default_pushsum_matrix(graph: DirectedGraph) -> np.ndarray:
     return p
 
 
-def _validate_fixed_matrix(graph: DirectedGraph, p: np.ndarray) -> None:
-    n = graph.n_nodes
-    if p.shape != (n, n):
-        raise ConfigError(f"weight matrix shape {p.shape} does not match {n} nodes")
-    col_sums = p.sum(axis=0)
-    if not np.allclose(col_sums, 1.0, rtol=0.0, atol=1e-12):
-        raise ConfigError("weight matrix columns must sum to 1")
-    for i in range(n):
-        for j in range(n):
-            on_support = i == j or (i, j) in graph.edges
-            if on_support:
-                if not 0.0 < p[i, j] < 1.0:
-                    raise ConfigError(
-                        f"supported weight p[{i},{j}]={p[i, j]!r} must lie in (0, 1)"
-                    )
-            elif p[i, j] != 0.0:
-                raise ConfigError(f"weight p[{i},{j}] set outside the graph support")
-
-
 def matrix_weights(graph: DirectedGraph, p: np.ndarray, rounds: int) -> WeightTable:
     """Constant weights taken from the columns of a fixed matrix; the s and
     w sides coincide as in the baseline protocol."""
@@ -408,11 +398,11 @@ def matrix_weights(graph: DirectedGraph, p: np.ndarray, rounds: int) -> WeightTa
 def run_algorithm0(
     graph: DirectedGraph,
     x0: Sequence[float],
-    fixed_weights: np.ndarray | None = None,
     rounds: int = 100,
     stop_tol: float = 0.0,
 ) -> RunRecord:
-    """Run the baseline push-sum protocol with fixed coupling weights.
+    """Run the baseline push-sum protocol with the fixed weights of
+    ``default_pushsum_matrix``.
 
     Refuses non-strongly-connected graphs, for which the convergence
     guarantee is void.
@@ -421,11 +411,8 @@ def run_algorithm0(
         raise NotStronglyConnected(
             "baseline push-sum requires a strongly connected graph"
         )
-    p = default_pushsum_matrix(graph) if fixed_weights is None else np.asarray(fixed_weights, dtype=float)
-    _validate_fixed_matrix(graph, p)
     return run_rounds(
-        matrix_weights(graph, p, rounds),
+        matrix_weights(graph, default_pushsum_matrix(graph), rounds),
         x0,
-        params=None,
         stop_tol=stop_tol,
     )

@@ -51,7 +51,8 @@ from .paillier import (
     unpack_uint,
 )
 from .sim import (
-    ExperimentConfig, PaillierChannel, check_key_bits, node_keypair, resolve_x0,
+    MODE_ALGORITHM0, ExperimentConfig, PaillierChannel, check_key_bits, node_keypair,
+    resolve_x0,
 )
 from .weights import generate_round_weights, node_rng
 
@@ -80,15 +81,6 @@ class WireFrame:
 def encode_frame(frame: WireFrame) -> bytes:
     fields = (frame.msg_type, frame.sender_id, frame.round, len(frame.payload))
     return _HEADER.pack(MAGIC, VERSION, *fields) + frame.payload
-
-
-def decode_frame(data: bytes) -> WireFrame:
-    """Parse one complete frame from a byte string."""
-    buffer = bytearray(data)
-    frame = read_frame(buffer, len(data))
-    if frame is None or buffer:
-        raise ProtocolError(f"{len(data)} bytes are not exactly one frame")
-    return frame
 
 
 def max_payload(mode: str, key_bits: int) -> int:
@@ -215,6 +207,20 @@ class NodeRuntime:
         if mode not in (MODE_PLAIN, MODE_ENCRYPTED):
             raise ConfigError(f"mode must be '{MODE_PLAIN}' or '{MODE_ENCRYPTED}'")
         config.validate()
+        # A node runs the two-phase protocol for all max_rounds rounds; a
+        # config asking otherwise is refused rather than run differently
+        # from the simulator.
+        if config.mode == MODE_ALGORITHM0:
+            raise ConfigError(
+                f"mode {MODE_ALGORITHM0!r} runs only in the simulator; a node "
+                f"runs the two-phase protocol"
+            )
+        if config.stop_tol > 0.0:
+            raise ConfigError(
+                f"stop_tol={config.stop_tol}: a node runs all "
+                f"max_rounds={config.max_rounds} rounds and cannot stop early; "
+                f"set stop_tol to 0"
+            )
         if mode == MODE_ENCRYPTED:
             check_key_bits(config.key_bits, config.fractional_bits)
         self.node_id = node_id
@@ -637,15 +643,13 @@ def run_networked(
     config: ExperimentConfig,
     mode: str = MODE_PLAIN,
     out_dir: str | Path | None = None,
-    capture_frames: bool = False,
     round_timeout: float = 60.0,
     connect_deadline: float = 20.0,
 ) -> tuple[NodeState, dict]:
     """Run one networked node to completion."""
     return NodeRuntime(
         node_id, listen, peers, config, mode=mode, out_dir=out_dir,
-        capture_frames=capture_frames, round_timeout=round_timeout,
-        connect_deadline=connect_deadline,
+        round_timeout=round_timeout, connect_deadline=connect_deadline,
     ).run()
 
 
@@ -663,12 +667,9 @@ def allocate_ports(count: int, host: str = "127.0.0.1") -> list[int]:
     return ports
 
 
-def _cluster_child(node_id, listen, peers, config_dict, mode, out_dir, capture) -> None:
+def _cluster_child(node_id, listen, peers, config_dict, mode, out_dir) -> None:
     config = ExperimentConfig.from_dict(config_dict)
-    run_networked(
-        node_id, listen, peers, config, mode=mode, out_dir=out_dir,
-        capture_frames=capture,
-    )
+    run_networked(node_id, listen, peers, config, mode=mode, out_dir=out_dir)
 
 
 def run_local_cluster(
@@ -676,7 +677,6 @@ def run_local_cluster(
     mode: str = MODE_PLAIN,
     out_dir: str | Path = ".",
     host: str = "127.0.0.1",
-    capture_frames: bool = False,
     timeout: float = 300.0,
 ) -> list[dict]:
     """Launch one local process per node, wait for completion, and return
@@ -693,7 +693,7 @@ def run_local_cluster(
     for i in range(n):
         p = ctx.Process(
             target=_cluster_child,
-            args=(i, peers[i], peers, config.to_dict(), mode, str(out_dir), capture_frames),
+            args=(i, peers[i], peers, config.to_dict(), mode, str(out_dir)),
         )
         p.start()
         procs.append(p)

@@ -194,7 +194,6 @@ class PaillierKeypair:
     public: PaillierPublicKey
     lam: int
     mu: int
-    bit_length: int
     p: int = field(repr=False)
     q: int = field(repr=False)
     p_squared: int = field(repr=False)
@@ -217,7 +216,6 @@ def keypair_from_primes(p: int, q: int) -> PaillierKeypair:
         public=PaillierPublicKey(n=n, g=n + 1),
         lam=lam,
         mu=mu,
-        bit_length=n.bit_length(),
         p=p,
         q=q,
         p_squared=p * p,

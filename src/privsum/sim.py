@@ -18,12 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 import yaml
 
-from .adversary import (
-    AdversaryView,
-    EavesdropperLog,
-    build_adversary_view,
-    build_eavesdropper_log,
-)
+from .adversary import AdversaryView, build_adversary_view
 from .consensus import (
     RunRecord,
     Trajectory,
@@ -64,6 +59,9 @@ def check_key_bits(key_bits: int, fractional_bits: int) -> None:
             f"key_bits={key_bits} cannot hold fractional_bits="
             f"{fractional_bits}; the smallest usable key size is {smallest}"
         )
+
+
+ATTACKS = ("least_squares", "sole_neighbor", "full_neighborhood", "baseline_leak")
 
 
 @dataclass(frozen=True)
@@ -138,6 +136,14 @@ class ExperimentConfig:
                 raise ConfigError("adversary spec references nodes outside the graph")
             if self.adversary.target in members:
                 raise ConfigError("adversary target cannot be a member")
+            if self.adversary.attack not in ATTACKS:
+                raise ConfigError(
+                    f"unknown attack {self.adversary.attack!r}; choose from {ATTACKS}"
+                )
+            if self.adversary.trials < 1:
+                raise ConfigError(
+                    f"adversary trials={self.adversary.trials} must be at least 1"
+                )
 
     def to_dict(self) -> dict:
         d: dict = {
@@ -156,6 +162,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        _check_keys(raw, {"graph", "x0", "adversary", *_CONFIG_KEYS}, "config")
         section = _read(raw, "graph", dict)
         graph = DirectedGraph.from_edge_list(
             _read(section, "n_nodes", int),
@@ -164,6 +171,7 @@ class ExperimentConfig:
         adversary = None
         if raw.get("adversary"):
             a = _read(raw, "adversary", dict)
+            _check_keys(a, {"members", "target", *_ADVERSARY_KEYS}, "adversary")
             adversary = AdversarySpec(
                 members=_read(a, "members", lambda ms: tuple(int(m) for m in ms)),
                 target=_read(a, "target", int),
@@ -209,6 +217,16 @@ def _read(raw: dict, key: str, read):
         raise ConfigError(f"config key {key!r} has unusable value {raw[key]!r}") from exc
 
 
+def _check_keys(raw: dict, known: set, section: str) -> None:
+    """A key outside ``known`` is a ``ConfigError``: a misspelt key would
+    otherwise leave its default in force without a word."""
+    unknown = sorted(str(key) for key in raw if key not in known)
+    if unknown:
+        raise ConfigError(
+            f"unknown {section} key(s) {unknown}; known keys are {sorted(known)}"
+        )
+
+
 def _present(raw: dict, converters: dict) -> dict:
     return {key: _read(raw, key, read) for key, read in converters.items() if key in raw}
 
@@ -236,17 +254,17 @@ def resolve_x0(config: ExperimentConfig, target_override: float | None = None) -
 
 @dataclass
 class MetricsSeries:
-    """Per-round distance of the estimate vector from the true average."""
+    """Per-round distance ``e`` of the estimate vector from the true
+    average ``alpha``."""
 
     e: np.ndarray
-    pi: np.ndarray
     alpha: float
 
 
 def error_series(trajectory: Trajectory, x0: Sequence[float]) -> MetricsSeries:
     alpha = float(np.mean(np.asarray(x0, dtype=float)))
     e = np.linalg.norm(trajectory.pi - alpha, axis=1)
-    return MetricsSeries(e=e, pi=trajectory.pi, alpha=alpha)
+    return MetricsSeries(e=e, alpha=alpha)
 
 
 class PaillierChannel:
@@ -367,12 +385,14 @@ def node_keypairs(
 
 @dataclass
 class ExperimentResult:
+    """One run: its record (``record.x0`` holds the initial values and
+    ``record.wire`` what a wiretapper of every link saw), its error series,
+    and the adversary view when the config names colluders."""
+
     config: ExperimentConfig
-    x0: list[float]
     record: RunRecord
     metrics: MetricsSeries
     adversary_view: AdversaryView | None
-    eavesdropper_log: EavesdropperLog
     mean_encrypt_seconds: float | None = None
     mean_decrypt_seconds: float | None = None
 
@@ -383,7 +403,7 @@ def run_experiment(
     """Full synchronous execution of the configured protocol.
 
     Deterministic per seed; the adversary view is populated when the config
-    carries an adversary spec, and the eavesdropper log always is.
+    carries an adversary spec.
     """
     config.validate()
     x0 = resolve_x0(config, target_override)
@@ -420,11 +440,9 @@ def run_experiment(
         view = build_adversary_view(record, config.adversary.members)
     return ExperimentResult(
         config=config,
-        x0=x0,
         record=record,
         metrics=metrics,
         adversary_view=view,
-        eavesdropper_log=build_eavesdropper_log(record),
         mean_encrypt_seconds=mean_encrypt,
         mean_decrypt_seconds=mean_decrypt,
     )
@@ -481,14 +499,11 @@ def theoretical_rate(n_nodes: int, epsilon: float) -> float:
     return (1.0 - epsilon ** (n_nodes - 1)) ** (1.0 / (n_nodes - 1))
 
 
-def write_series_csv(path, metrics: MetricsSeries) -> None:
+def write_series_csv(path, result: ExperimentResult) -> None:
     """CSV with columns round, e, pi_0..pi_{N-1}; byte-stable per config."""
-    n = metrics.pi.shape[1]
+    pi, e = result.record.trajectory.pi, result.metrics.e
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["round", "e"] + [f"pi_{i}" for i in range(n)])
-        for k in range(metrics.pi.shape[0]):
-            writer.writerow(
-                [k, repr(float(metrics.e[k]))]
-                + [repr(float(v)) for v in metrics.pi[k]]
-            )
+        writer.writerow(["round", "e"] + [f"pi_{i}" for i in range(pi.shape[1])])
+        for k in range(pi.shape[0]):
+            writer.writerow([k, repr(float(e[k]))] + [repr(float(v)) for v in pi[k]])

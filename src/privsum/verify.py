@@ -55,7 +55,7 @@ def suite_mass_conservation(config: ExperimentConfig) -> SuiteResult:
         cfg = replace(config, mode=mode, stop_tol=0.0, max_rounds=min(config.max_rounds, 40))
         res = run_experiment(cfg)
         s = res.record.trajectory.s
-        total0 = sum(res.x0)
+        total0 = sum(res.record.x0)
         drift = np.max(np.abs(s.sum(axis=1) - total0)) / (1.0 + abs(total0))
         worst = max(worst, float(drift))
     ok = worst <= 1e-9

@@ -84,7 +84,7 @@ def test_criterion_01_convergence_to_exact_average():
         res = run_experiment(demo_config())
         elapsed = time.perf_counter() - start
         assert res.record.n_rounds == 100
-        final_pi = res.metrics.pi[-1]
+        final_pi = res.record.final_pi()
         assert np.all(np.abs(final_pi - 20.0) < 1e-6), final_pi
         assert elapsed < 1.0, f"took {elapsed:.2f}s"
 
@@ -166,7 +166,7 @@ def test_criterion_05_mass_conservation_everywhere():
         for config in matrix:
             res = run_experiment(config)
             totals = res.record.trajectory.s.sum(axis=1)
-            target = sum(res.x0)
+            target = sum(res.record.x0)
             bound = 1e-9 * (1.0 + abs(target))
             assert np.max(np.abs(totals - target)) <= bound, config.mode
 
@@ -324,7 +324,7 @@ def test_criterion_10_encrypted_mode_tracks_plain_mode():
         stranger = keygen(256, random.Random(4242))
         wire_blob = b""
         cipher_values = set()
-        wire = enc.eavesdropper_log.wire
+        wire = enc.record.wire
         assert wire.shape == (enc.record.n_rounds, 2, layout.n_edges)
         for c in wire.flat:
             assert isinstance(c, Ciphertext)

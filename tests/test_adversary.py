@@ -7,7 +7,6 @@ from privsum.adversary import (
     attack_pushsum_baseline,
     attack_sole_neighbor,
     build_adversary_view,
-    build_eavesdropper_log,
     build_indistinguishability_witness,
     build_least_squares_system,
     min_norm_entry,
@@ -237,19 +236,6 @@ def test_view_contains_only_member_data(demo_graph, demo_x0):
     # a lone node 2 saw nothing that pins down node 0's start value
     with pytest.raises(TopologyConditionUnmet):
         attack_sole_neighbor(view, 0)
-
-
-def test_eavesdropper_log_plaintext_mode(demo_graph, demo_x0):
-    rec = run_algorithm1(demo_graph, demo_x0, PARAMS, seed=16, rounds=4)
-    log = build_eavesdropper_log(rec)
-    assert log.topology is demo_graph
-    # in the clear the wire carries the applied shares themselves
-    assert log.wire.shape == (4, 2, demo_graph.n_edges)
-    assert log.wire is rec.shares
-    # graph edges are (receiver, sender) pairs
-    assert sorted(zip(log.receivers.tolist(), log.senders.tolist())) == sorted(
-        demo_graph.edges
-    )
 
 
 def test_min_norm_entry_matches_lstsq_on_fig3_systems():

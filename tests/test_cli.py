@@ -85,6 +85,9 @@ def test_unreadable_config_value_names_its_key(tmp_path, capsys):
         ("adversary", "target", "x", "config key 'target' has unusable value 'x'"),
         ("adversary", "members", None, "config is missing key 'members'"),
         (None, "big_k", ["a", 1], "config key 'big_k' has unusable value 'a'"),
+        # a misspelt key would otherwise leave its default in force
+        (None, "stop_tolerance", 0.0, "unknown config key(s) ['stop_tolerance']"),
+        ("adversary", "trial", 3, "unknown adversary key(s) ['trial']"),
     ],
 )
 def test_unreadable_nested_config_key_exits_2(tmp_path, capsys, section, key, value, message):
@@ -162,10 +165,49 @@ def test_node_manifest_and_summary_record_decrypt_latency(tmp_path, capsys, mode
             assert f"max decrypt {fields[1]:.2f} ms" in summary
 
 
-def test_verify_rejects_a_list_valued_big_k(capsys):
-    # the fig2 preset sweeps big_k: [1, 5, 9], which only `simulate` fans out
-    assert main(["verify", "--preset", "fig2"]) == 2
-    assert "error: config key 'big_k'" in capsys.readouterr().err
+def test_verify_fans_out_a_list_valued_big_k(capsys):
+    # the fig2 preset sweeps big_k: [1, 5, 9]; every suite runs once per value
+    assert main(["verify", "--preset", "fig2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for k in (1, 5, 9):
+        assert sum(line.startswith(f"PASS K={k} ") for line in lines) == 6, k
+    assert not any(line.startswith("FAIL") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "adversary, message",
+    [
+        ({"attack": "bogus"}, "unknown attack 'bogus'"),
+        ({"trials": 0}, "adversary trials=0 must be at least 1"),
+    ],
+)
+def test_attack_with_an_unusable_adversary_section_exits_2(
+    tmp_path, capsys, monkeypatch, adversary, message
+):
+    from privsum import cli
+
+    runs = []
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **kw: runs.append(a))
+    cfg = write_config(
+        tmp_path / "atk.yaml", adversary={"members": [1, 2, 3], "target": 0, **adversary}
+    )
+    assert main(["attack", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert runs == []  # refused before any experiment ran
+
+
+def test_node_refuses_a_baseline_mode_config(tmp_path, capsys):
+    cfg = write_config(tmp_path / "a0.yaml", mode="algorithm0", max_rounds=4)
+    peers_path = tmp_path / "peers.json"
+    peers_path.write_text(json.dumps({str(i): f"127.0.0.1:{i + 1}" for i in range(5)}))
+    rc = main(
+        [
+            "node", "--node-id", "0", "--listen", "127.0.0.1:0",
+            "--peers", str(peers_path), "--config", str(cfg),
+        ]
+    )
+    assert rc == 2
+    assert "mode 'algorithm0' runs only in the simulator" in capsys.readouterr().err
 
 
 def test_simulate_byte_identical_reruns(tmp_path):

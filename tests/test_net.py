@@ -23,7 +23,6 @@ from privsum.net import (
     NodeRuntime,
     WireFrame,
     allocate_ports,
-    decode_frame,
     encode_frame,
     pack_key_announce,
     max_payload,
@@ -98,6 +97,15 @@ def run_cluster_in_threads(config, mode, capture_frames=False, out_dir=None):
 
 
 # -- frame codec -------------------------------------------------------------
+
+
+def decode_frame(data: bytes) -> WireFrame:
+    """Parse a byte string that must hold exactly one complete frame."""
+    buffer = bytearray(data)
+    frame = read_frame(buffer, len(data))
+    if frame is None or buffer:
+        raise ProtocolError(f"{len(data)} bytes are not exactly one frame")
+    return frame
 
 
 @settings(max_examples=200, deadline=None)
@@ -541,6 +549,26 @@ def test_encrypted_node_rejects_keys_too_small_for_its_fractional_bits():
     NodeRuntime(0, peers[0], peers, config, mode=MODE_PLAIN)  # plain: keys unused
     with pytest.raises(ConfigError, match="the smallest usable key size is 102"):
         NodeRuntime(0, peers[0], peers, config, mode=MODE_ENCRYPTED)
+    # raised before any socket opened: the listen port is still free
+    socket.create_server(peers[0]).close()
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"stop_tol": 1e-12}, "cannot stop early; set stop_tol to 0"),
+        ({"mode": "algorithm0"}, "mode 'algorithm0' runs only in the simulator"),
+    ],
+)
+def test_node_refuses_a_config_it_would_run_differently_from_the_simulator(
+    overrides, message
+):
+    g = DirectedGraph.from_edge_list(2, [[0, 1], [1, 0]])
+    config = make_config(graph=g, x0=[1.0, 2.0], **overrides)
+    ports = allocate_ports(2)
+    peers = {i: ("127.0.0.1", ports[i]) for i in range(2)}
+    with pytest.raises(ConfigError, match=message):
+        NodeRuntime(0, peers[0], peers, config)
     # raised before any socket opened: the listen port is still free
     socket.create_server(peers[0]).close()
 

@@ -46,16 +46,15 @@ def test_run_experiment_converges():
     res = run_experiment(make_config(max_rounds=100))
     assert res.metrics.alpha == 20.0
     assert res.metrics.e[-1] < 1e-9
-    np.testing.assert_allclose(res.metrics.pi[-1], 20.0, atol=1e-9)
+    np.testing.assert_allclose(res.record.final_pi(), 20.0, atol=1e-9)
 
 
 def test_error_series_direct_values():
-    ones = np.ones((1, 2))
-    traj = Trajectory(s=np.array([[21.0, 19.0]]), w=ones, pi=np.array([[21.0, 19.0]]))
+    traj = Trajectory(np.array([[[21.0, 19.0], [1.0, 1.0]]]))
     m = error_series(traj, [21.0, 19.0])
     assert m.alpha == 20.0
     assert m.e[0] == pytest.approx(np.sqrt(2.0), abs=1e-15)
-    flat = Trajectory(s=20.0 * ones, w=ones, pi=20.0 * ones)
+    flat = Trajectory(np.array([[[40.0, 10.0], [2.0, 0.5]]]))
     assert error_series(flat, [25.0, 15.0]).e[0] == 0.0
 
 
@@ -150,6 +149,11 @@ def test_config_validation_messages():
         make_config(
             adversary=AdversarySpec(members=(0, 1), target=0)
         ).validate()
+    # the adversary section is checked whether or not a command attacks
+    with pytest.raises(ConfigError, match="unknown attack 'bogus'"):
+        make_config(adversary=AdversarySpec(members=(1,), target=0, attack="bogus")).validate()
+    with pytest.raises(ConfigError, match="trials=0 must be at least 1"):
+        make_config(adversary=AdversarySpec(members=(1,), target=0, trials=0)).validate()
 
 
 def test_encrypted_config_rejects_a_key_too_small_for_its_fractional_bits():
@@ -220,14 +224,14 @@ def test_preset_config_hash_is_stable(preset, digest):
 def test_csv_outputs_byte_identical(tmp_path):
     for name in ("a.csv", "b.csv"):
         res = run_experiment(make_config(max_rounds=30))
-        write_series_csv(tmp_path / name, res.metrics)
+        write_series_csv(tmp_path / name, res)
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_seed_changes_trajectory():
     r1 = run_experiment(make_config(seed=1, max_rounds=20))
     r2 = run_experiment(make_config(seed=2, max_rounds=20))
-    assert not np.array_equal(r1.metrics.pi, r2.metrics.pi)
+    assert not np.array_equal(r1.record.trajectory.pi, r2.record.trajectory.pi)
 
 
 def test_fitted_contraction_bounds():
