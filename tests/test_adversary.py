@@ -1,5 +1,9 @@
+from dataclasses import replace
+from importlib import resources
+
 import numpy as np
 import pytest
+import yaml
 
 from privsum.adversary import (
     attack_colluding_full_neighborhood,
@@ -9,7 +13,6 @@ from privsum.adversary import (
     build_adversary_view,
     build_indistinguishability_witness,
     build_least_squares_system,
-    min_norm_entry,
     replay_with_witness,
     views_match,
 )
@@ -238,14 +241,20 @@ def test_view_contains_only_member_data(demo_graph, demo_x0):
         attack_sole_neighbor(view, 0)
 
 
-def test_min_norm_entry_matches_lstsq_on_fig3_systems():
+@pytest.mark.parametrize("m_rounds,big_k", [(100, 1), (60, 3), (30, 0)])
+def test_least_squares_attack_matches_lstsq_on_the_explicit_system(m_rounds, big_k):
+    """The reduced solve returns the s0 entry of the SVD's minimum-norm
+    solution: within 1e-9 on fig3's (100, 1), elsewhere within 1e-9
+    relative to |s0| (the masking phase makes s0 reach the thousands)."""
     for seed in range(300, 340):
-        system = build_least_squares_system(
-            _fig3_style_result(seed=seed, true_x0=40.0).adversary_view, 0, 100
-        )
+        view = _fig3_style_result(
+            seed=seed, true_x0=40.0, m_rounds=m_rounds, big_k=big_k
+        ).adversary_view
+        system = build_least_squares_system(view, 0, m_rounds)
         solution, *_ = np.linalg.lstsq(system.matrix, system.rhs, rcond=None)
-        got = min_norm_entry(system.matrix, system.rhs, system.s0_index)
-        assert abs(got - solution[system.s0_index]) <= 1e-9
+        s0 = solution[system.s0_index]
+        tol = 1e-9 if (m_rounds, big_k) == (100, 1) else 1e-9 * max(1.0, abs(s0))
+        assert abs(attack_least_squares(view, 0, m_rounds) - s0) <= tol, seed
 
 
 def _count_lstsq(monkeypatch):
@@ -260,17 +269,39 @@ def _count_lstsq(monkeypatch):
     return calls
 
 
-def test_min_norm_entry_falls_back_on_rank_deficient_rows(monkeypatch):
-    system = build_least_squares_system(
-        _fig3_style_result(seed=341, true_x0=-40.0).adversary_view, 0, 30
-    )
+def test_least_squares_attack_falls_back_to_lstsq_when_ill_conditioned(monkeypatch):
     calls = _count_lstsq(monkeypatch)
-    min_norm_entry(system.matrix, system.rhs, 0)
-    assert calls == []  # full row rank, well conditioned: no SVD
+    fig3 = _fig3_style_result(seed=341, true_x0=-40.0).adversary_view
+    attack_least_squares(fig3, 0, 100)
+    assert calls == []  # the reduced normal matrix is well conditioned: no SVD
 
-    # A repeated equation leaves A A^T singular.
-    matrix = np.vstack([system.matrix, system.matrix[3]])
-    rhs = np.append(system.rhs, system.rhs[3])
-    got = min_norm_entry(matrix, rhs, 0)
+    # K = 15: the masking phase blows the share ratios up, and with them
+    # the bound on the reduced system's condition number.
+    view = _fig3_style_result(seed=341, true_x0=-40.0, m_rounds=30, big_k=15).adversary_view
+    got = attack_least_squares(view, 0, 30)
     assert len(calls) == 1
-    assert got == np.linalg.lstsq(matrix, rhs, rcond=None)[0][0]
+    system = build_least_squares_system(view, 0, 30)
+    assert got == np.linalg.lstsq(system.matrix, system.rhs, rcond=None)[0][0]
+
+
+def test_least_squares_certificate_ignores_the_topology():
+    """On fig3 (seed 77) s0 lies outside the row space of the colluders'
+    system, both when node 4 stays honest and when the colluders are all
+    of node 0's neighbours: the equations never use the topology.  The
+    telescope attack, which does, decides the leaking side."""
+    text = resources.files("privsum").joinpath("presets/fig3.yaml").read_text()
+    fig3 = ExperimentConfig.from_dict(yaml.safe_load(text))
+    m_rounds = fig3.max_rounds - 1
+    for members in ((1, 2, 3), (1, 3, 4)):
+        config = replace(fig3, seed=77, adversary=AdversarySpec(members=members, target=0))
+        view = run_experiment(config, target_override=40.0).adversary_view
+        system = build_least_squares_system(view, 0, m_rounds)
+        e_s0 = np.zeros(system.n_unknowns)
+        e_s0[system.s0_index] = 1.0
+        assert np.linalg.matrix_rank(system.matrix) == system.n_equations == 299, members
+        assert np.linalg.matrix_rank(np.vstack((system.matrix, e_s0))) == 300, members
+        if 4 in members:
+            assert attack_colluding_full_neighborhood(view, 0) == pytest.approx(40.0, abs=1e-9)
+        else:
+            with pytest.raises(TopologyConditionUnmet):
+                attack_colluding_full_neighborhood(view, 0)

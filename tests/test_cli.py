@@ -311,6 +311,16 @@ def test_crypto_roundtrip_suite_sends_the_codec_edges_through_the_share_path(
     assert not result.passed and "share path failed" in result.detail
 
 
+def test_mass_conservation_reports_the_tolerance_it_checks(tmp_path, monkeypatch):
+    config = ExperimentConfig.from_yaml(write_config(tmp_path / "m.yaml", max_rounds=40))
+    result = verify.suite_mass_conservation(config)
+    assert result.passed and result.detail.endswith("(tolerance 1e-09)")
+    # a nonzero round-off drift fails a zero tolerance, and says so
+    monkeypatch.setattr(verify, "MASS_DRIFT_TOL", 0.0)
+    result = verify.suite_mass_conservation(config)
+    assert not result.passed and result.detail.endswith("(tolerance 0)")
+
+
 def test_verify_passes_on_a_baseline_mode_config(tmp_path, capsys):
     cfg = write_config(tmp_path / "a0.yaml", mode="algorithm0", max_rounds=40, key_bits=128)
     assert main(["verify", "--config", str(cfg)]) == 0
