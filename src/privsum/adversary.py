@@ -209,15 +209,13 @@ class LeastSquaresSystem:
     ds(0..M), then w(K+2..M+1), then the unobserved net w-outflow
     dw(K+1..M).  Row count 3M-2K+1, unknown count 4M-2K+3: strictly
     underdetermined, and the estimate is its minimum-norm solution.  These
-    are the explicit equations; ``attack_least_squares`` solves the same
-    problem in reduced form and falls back to ``lstsq`` on this matrix only
-    when that form is ill-conditioned.
+    are the explicit equations, the reference for the rank audit and the
+    tests; ``attack_least_squares`` solves the block of them that s(0)
+    depends on.
     """
 
     matrix: np.ndarray
     rhs: np.ndarray
-    m_rounds: int
-    big_k: int
 
     @property
     def n_equations(self) -> int:
@@ -325,80 +323,35 @@ def build_least_squares_system(
     rhs[r[0]] = ratio[0]
     matrix[r[1:], w_idx(k[1:])] = -ratio[1:]
 
-    return LeastSquaresSystem(matrix=matrix, rhs=rhs, m_rounds=m, big_k=big_k)
-
-
-# Largest bound on the condition number of the reduced normal matrix
-# F^T F for which ``attack_least_squares`` solves it.  The solve's
-# relative error grows like cond * 2^-52, so this keeps it near 1e-6 at
-# worst.  Over 2000 fig3 trials the bound stays below 3e8 and the estimate
-# agrees with ``lstsq`` within 2e-10.
-NORMAL_EQUATIONS_MAX_COND = 1e10
+    return LeastSquaresSystem(matrix=matrix, rhs=rhs)
 
 
 def attack_least_squares(view: AdversaryView, target: int, m_rounds: int) -> float:
     """Minimum-norm least-squares estimate of the target's initial value.
 
-    Solves the system of ``build_least_squares_system`` in reduced form
-    (Björck 1996, ch. 5).  Each slack ds(k), dw(k) sits in one balance row
-    with coefficient 1, and the ratio rows give s(k) = ratio_k w(k) for
-    k = K+1..M with w(K+1) = 1.  Substituting both leaves M+2 free
-    unknowns z = (s(0..K), w(K+2..M+1), s(M+1)); every unknown of the full
-    system is then an affine function F z + c of z, with at most two terms
-    per row, and the minimum-norm solution is F z* + c for
-    z* = argmin ||F z + c||^2: one (M+2)-sized solve of the normal
-    equations F^T F z = -F^T c, whose first entry is s(0).  F holds an
-    identity row for every entry of z, so lambda_min(F^T F) >= 1 and
-    cond(F^T F) is at most ||F^T F||_inf, exactly.  When that bound exceeds
-    ``NORMAL_EQUATIONS_MAX_COND`` (large K, where the masking phase blows
-    the ratios up) the SVD-based ``lstsq`` on the explicit system answers
-    instead.
+    The minimum-norm solution of ``build_least_squares_system`` separates
+    (Björck 1996, ch. 1-2).  The ratio row of round K+1 alone fixes
+    s(K+1) = ratio_{K+1}; after that, s(0..K) and ds(0..K) appear only in
+    value-balance rows 0..K, and no other unknown does.  So s(0) is the
+    minimum-norm s(0) of those K+1 rows, A x = b with A = [D | I]:
+    -s(k) + s(k+1) + ds(k) = s_net(k) for k < K, and
+    -s(K) + ds(K) = s_net(K) - ratio_{K+1}.  That is s(0) = -y(0) for
+    A A^T y = b, where A A^T = D D^T + I is tridiagonal (3 on the
+    diagonal, 2 in its last entry, -1 beside it) with eigenvalues in
+    [1, 5]: one well-conditioned solve at every K.
 
-    Always returns a number; how badly it scatters is the experiment's
-    subject, not an error condition.
+    The estimate reads only rounds 0..K+1, so it is the same for every
+    ``m_rounds`` the view supports; ``m_rounds`` is still checked as
+    ``_least_squares_inputs`` does.  Always returns a number; how badly it
+    scatters is the experiment's subject, not an error condition.
     """
-    m, big_k, s_net, w_net, ratio = _least_squares_inputs(view, target, m_rounds)
-    n_free = m + 2
-    n_mixing = m - big_k
-    # Every level s(0..M+1), then w(K+1..M+1), as coef * z[col] + const,
-    # where w(k) is z[k-1]; s(K+1) = ratio_{K+1} and w(K+1) = 1 are
-    # constants (coef 0).
-    col = np.concatenate((
-        np.arange(big_k + 1), [0], np.arange(big_k + 1, m), [m + 1],
-        [0], np.arange(big_k + 1, m + 1),
-    ))
-    coef = np.concatenate((
-        np.ones(big_k + 1), [0.0], ratio[1:], [1.0], [0.0], np.ones(n_mixing),
-    ))
-    const = np.zeros(col.size)
-    const[big_k + 1] = ratio[0]
-    const[m + 2] = 1.0
-    # A slack is the level before it minus the level after it plus the
-    # observed net flow: ds(0..M) on the s levels, dw(K+1..M) on the w levels.
-    before = np.concatenate((np.arange(m + 1), m + 2 + np.arange(n_mixing)))
-    after = before + 1
-    # F and c, one row per unknown of the full system (plus the constant
-    # w(K+1)), each row two terms: every level, then every slack.
-    cols = np.column_stack((
-        np.concatenate((col, col[before])),
-        np.concatenate((np.zeros_like(col), col[after])),
-    ))
-    coefs = np.column_stack((
-        np.concatenate((coef, coef[before])),
-        np.concatenate((np.zeros_like(coef), -coef[after])),
-    ))
-    c = np.concatenate((const, const[before] - const[after] + np.concatenate((s_net, w_net))))
-    gram = np.bincount(
-        (cols[:, :, None] * n_free + cols[:, None, :]).ravel(),
-        (coefs[:, :, None] * coefs[:, None, :]).ravel(),
-        minlength=n_free * n_free,
-    ).reshape(n_free, n_free)
-    if np.abs(gram).sum(axis=1).max() <= NORMAL_EQUATIONS_MAX_COND:
-        projected = np.bincount(cols.ravel(), (coefs * c[:, None]).ravel(), minlength=n_free)
-        return float(np.linalg.solve(gram, -projected)[0])
-    system = build_least_squares_system(view, target, m_rounds)
-    solution, *_ = np.linalg.lstsq(system.matrix, system.rhs, rcond=None)
-    return float(solution[system.s0_index])
+    _, big_k, s_net, _, ratio = _least_squares_inputs(view, target, m_rounds)
+    n = big_k + 1
+    gram = 3.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    gram[-1, -1] = 2.0
+    rhs = s_net[:n].copy()
+    rhs[-1] -= ratio[0]
+    return float(-np.linalg.solve(gram, rhs)[0])
 
 
 @dataclass(frozen=True)

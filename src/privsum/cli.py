@@ -153,7 +153,9 @@ def cmd_attack(args) -> int:
     spec = config.adversary
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    m_rounds = config.max_rounds - 1  # equations consume shares up to round m
+    # The last recorded exchange round, the widest system the view supports;
+    # the least-squares estimate reads only rounds 0..K+1 of it.
+    m_rounds = config.max_rounds - 1
     rows = []
     targets = spec.target_x0 or (None,)
     trial_no = 0

@@ -87,21 +87,30 @@ def suite_weight_floor(config: ExperimentConfig) -> SuiteResult:
     )
 
 
+# Largest deviation of a weight matrix's column sum from 1 that the
+# column-stochastic check tolerates.
+COLUMN_SUM_TOL = 1e-12
+
+
 def check_column_stochastic(table: WeightTable, params: WeightParams) -> SuiteResult:
     """Every round's s and w matrices have unit column sums, the
     w matrix is the identity through round K, and both matrices coincide
     with entries in (epsilon, 1) afterwards."""
     n = table.layout.graph.n_nodes
     eps = params.epsilon
+    worst = 0.0
     for k in range(table.n_rounds):
         ps = table.matrix(k, "s")
         pw = table.matrix(k, "w")
-        if not (
-            np.allclose(ps.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
-            and np.allclose(pw.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
-        ):
+        sums = np.concatenate((ps.sum(axis=0), pw.sum(axis=0)))
+        deviation = float(np.abs(sums - 1.0).max())
+        worst = max(worst, deviation)
+        if not deviation <= COLUMN_SUM_TOL:
             return SuiteResult(
-                "column-stochastic", False, f"column sums broken at round {k}"
+                "column-stochastic",
+                False,
+                f"column sums broken at round {k}: deviation {deviation:.3e} "
+                f"(tolerance {COLUMN_SUM_TOL:g})",
             )
         if k <= params.big_k:
             if not np.array_equal(pw, np.eye(n)):
@@ -121,7 +130,12 @@ def check_column_stochastic(table: WeightTable, params: WeightParams) -> SuiteRe
                     False,
                     f"mixing-phase weights outside ({eps}, 1) at round {k}",
                 )
-    return SuiteResult("column-stochastic", True, f"{table.n_rounds} rounds checked")
+    return SuiteResult(
+        "column-stochastic",
+        True,
+        f"{table.n_rounds} rounds checked, worst column-sum deviation {worst:.3e} "
+        f"(tolerance {COLUMN_SUM_TOL:g})",
+    )
 
 
 def suite_column_stochastic(config: ExperimentConfig) -> SuiteResult:

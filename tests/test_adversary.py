@@ -1,4 +1,5 @@
 from dataclasses import replace
+from fractions import Fraction
 from importlib import resources
 
 import numpy as np
@@ -269,19 +270,49 @@ def _count_lstsq(monkeypatch):
     return calls
 
 
-def test_least_squares_attack_falls_back_to_lstsq_when_ill_conditioned(monkeypatch):
-    calls = _count_lstsq(monkeypatch)
-    fig3 = _fig3_style_result(seed=341, true_x0=-40.0).adversary_view
-    attack_least_squares(fig3, 0, 100)
-    assert calls == []  # the reduced normal matrix is well conditioned: no SVD
+def _exact_min_norm_s0(system):
+    """s(0) of the minimum-norm solution A^T y, (A A^T) y = b, in exact
+    rational arithmetic on the system's float entries."""
+    a = [[Fraction(v) for v in row] for row in system.matrix.tolist()]
+    b = [Fraction(v) for v in system.rhs.tolist()]
+    n = len(a)
+    support = [[j for j, v in enumerate(row) if v] for row in a]
+    gram = [[sum((a[i][j] * a[r][j] for j in support[i]), Fraction(0)) for r in range(n)]
+            for i in range(n)]
+    for p in range(n):
+        for r in range(p + 1, n):
+            f = gram[r][p] / gram[p][p]
+            if f:
+                for c in range(p, n):
+                    gram[r][c] -= f * gram[p][c]
+                b[r] -= f * b[p]
+    y = [Fraction(0)] * n
+    for p in reversed(range(n)):
+        tail = sum((gram[p][c] * y[c] for c in range(p + 1, n)), Fraction(0))
+        y[p] = (b[p] - tail) / gram[p][p]
+    return float(sum((a[i][0] * y[i] for i in range(n)), Fraction(0)))
 
-    # K = 15: the masking phase blows the share ratios up, and with them
-    # the bound on the reduced system's condition number.
+
+def test_least_squares_attack_matches_the_exact_minimum_norm_s0(monkeypatch):
+    """At large K the masking phase inflates the share ratios, and with
+    them the explicit system's condition number; the attack's (K+1)-unknown
+    solve stays within round-off of the exact answer, and never calls
+    ``lstsq``."""
+    calls = _count_lstsq(monkeypatch)
+    for m_rounds, big_k in ((17, 15), (20, 9)):
+        for seed in (300, 301, 302):
+            view = _fig3_style_result(
+                seed=seed, true_x0=40.0, m_rounds=m_rounds, big_k=big_k
+            ).adversary_view
+            exact = _exact_min_norm_s0(build_least_squares_system(view, 0, m_rounds))
+            got = attack_least_squares(view, 0, m_rounds)
+            assert abs(got - exact) <= 1e-12 * abs(exact), (m_rounds, big_k, seed)
+    attack_least_squares(_fig3_style_result(seed=341, true_x0=-40.0).adversary_view, 0, 100)
+    assert calls == []
+
+    # The estimate reads rounds 0..K+1 only: every valid m_rounds agrees.
     view = _fig3_style_result(seed=341, true_x0=-40.0, m_rounds=30, big_k=15).adversary_view
-    got = attack_least_squares(view, 0, 30)
-    assert len(calls) == 1
-    system = build_least_squares_system(view, 0, 30)
-    assert got == np.linalg.lstsq(system.matrix, system.rhs, rcond=None)[0][0]
+    assert attack_least_squares(view, 0, 17) == attack_least_squares(view, 0, 30)
 
 
 def test_least_squares_certificate_ignores_the_topology():

@@ -321,6 +321,17 @@ def test_mass_conservation_reports_the_tolerance_it_checks(tmp_path, monkeypatch
     assert not result.passed and result.detail.endswith("(tolerance 0)")
 
 
+def test_column_stochastic_reports_the_tolerance_it_checks(tmp_path, monkeypatch):
+    config = ExperimentConfig.from_yaml(write_config(tmp_path / "c.yaml", max_rounds=40))
+    result = verify.suite_column_stochastic(config)
+    assert result.passed and result.detail.endswith("(tolerance 1e-12)")
+    # a nonzero round-off deviation fails a zero tolerance, and says so
+    monkeypatch.setattr(verify, "COLUMN_SUM_TOL", 0.0)
+    result = verify.suite_column_stochastic(config)
+    assert not result.passed and result.detail.endswith("(tolerance 0)")
+    assert result.detail.startswith("column sums broken at round")
+
+
 def test_verify_passes_on_a_baseline_mode_config(tmp_path, capsys):
     cfg = write_config(tmp_path / "a0.yaml", mode="algorithm0", max_rounds=40, key_bits=128)
     assert main(["verify", "--config", str(cfg)]) == 0
