@@ -433,13 +433,26 @@ def replay_with_witness(record: RunRecord, witness: Witness) -> RunRecord:
     )
 
 
-def views_match(a: AdversaryView, b: AdversaryView, tol: float = 1e-9) -> bool:
+# Largest relative deviation between two views that ``views_match`` calls
+# the same view.
+VIEW_TOL = 1e-9
+
+
+def view_deviation(a: AdversaryView, b: AdversaryView) -> float:
+    """The largest ``|b - a| / (1 + |a|)`` over the states, retained shares
+    and shares of two views of the same members, links and rounds (nan when
+    an entry is nan)."""
+    pairs = ((a.states, b.states), (a.retained, b.retained), (a.shares, b.shares))
+    worst = [np.max(np.abs(x - y) / (1.0 + np.abs(x)), initial=0.0) for x, y in pairs]
+    return float(np.max(worst))
+
+
+def views_match(a: AdversaryView, b: AdversaryView, tol: float = VIEW_TOL) -> bool:
     """True when two views show the same members and links over the same
     rounds, every entry of ``b`` within ``tol * (1 + |a|)`` of ``a``'s."""
     if (a.members, a.links, a.n_rounds) != (b.members, b.links, b.n_rounds):
         return False
-    pairs = ((a.states, b.states), (a.retained, b.retained), (a.shares, b.shares))
-    return all(bool(np.all(np.abs(x - y) <= tol * (1.0 + np.abs(x)))) for x, y in pairs)
+    return view_deviation(a, b) <= tol
 
 
 def export_attack_csv(path, rows: list[dict]) -> None:

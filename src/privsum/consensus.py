@@ -7,14 +7,16 @@ out-neighbors, then folds the received shares in.  Because each node's
 outgoing weights sum to 1, the total of ``s`` over the network never
 changes, which is what makes the final agreement the exact average.
 
-One round is ``apply_round``, over state columns.  ``run_rounds`` calls it
-for all nodes of a simulated network at once; a networked node
-(``net.NodeRuntime``) calls it on its own single column.  Both multiply
-each out-share as weight times state and add the received shares in
-ascending sender order, so a deployed node and the simulator agree bit for
-bit.  ``run_rounds`` serves the baseline fixed-weight protocol, the
-two-phase random-weight protocol, replays with rewritten weights and
-(through a channel) the encrypted transport.
+Every share a node adds up goes through one function, ``fold_shares``: a
+column's retained share first, then its in-shares by ascending sender,
+summed slot by slot from -0.0.  ``run_rounds`` folds all n columns of a
+simulated network in one call per round; a networked node
+(``net.NodeRuntime``) folds its own column through ``apply_round``.  Both
+multiply each share as weight times state, so a deployed node and the
+simulator agree bit for bit because they run the same fold.
+``run_rounds`` serves the baseline fixed-weight protocol, the two-phase
+random-weight protocol, replays with rewritten weights and (through a
+channel) the encrypted transport.
 
 Every per-round array of a run shares one layout: axis 1 is (s, w), the
 last axis is the node or edge.  The state is ``(rounds + 1, 2, n)``, the
@@ -57,31 +59,53 @@ class NodeState:
     round: int
 
 
+def fold_shares(stack: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Sum a ``(slots, 2, c)`` stack of shares over its slots, one column
+    per node, written to ``out`` when given.
+
+    Each column is a left fold in slot order that starts from -0.0, the
+    one start that leaves every term's bits alone (-0.0 + x is x, the sign
+    of a zero included); numpy's default start, +0.0, turns a column whose
+    terms are all -0.0 into +0.0.  The engine and a networked node put a
+    column's retained share in slot 0 and its in-shares by ascending sender
+    after it, so a column's sum depends neither on arrival order nor on
+    which other columns are folded with it.
+    """
+    return np.add.reduce(stack, axis=0, out=out, initial=-0.0)
+
+
+def _check_weight_sums(w: np.ndarray, first_round: int, nodes: Sequence[int]) -> None:
+    """Raise ``DivisionByZero`` for the first zero in ``w``, whose row r
+    holds the weight sums after round ``first_round + r`` and whose column
+    c is node ``nodes[c]``."""
+    if w.all():
+        return
+    r, c = np.argwhere(w == 0.0)[0]
+    raise DivisionByZero(
+        f"node {nodes[c]}: weight sum hit zero at round {first_round + int(r)}"
+    )
+
+
 def apply_round(
     state: np.ndarray,
     self_weights: np.ndarray,
     received: np.ndarray,
     round_k: int,
     nodes: Sequence[int],
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """One synchronous round for a set of nodes, one column each.
 
     ``state`` and ``self_weights`` are ``(2, c)`` arrays with rows (s, w).
     ``received`` is ``(slots, 2, c)``: each column's in-shares in ascending
-    sender order, a column with fewer in-neighbors padded with -0.0 shares
-    (x + (-0.0) is x bit for bit).  The next state, written to ``out`` when
-    given, is the retained share ``self_weights * state`` plus the received
-    shares slot by slot, so a column's result depends neither on arrival
-    order nor on which other columns are stepped with it.  ``nodes[c]``
-    names column c in the ``DivisionByZero`` raised when a weight sum is 0.
+    sender order, a column with fewer in-neighbors padded with -0.0 shares.
+    The next state is ``fold_shares`` of the retained share
+    ``self_weights * state`` followed by the received shares, the sum
+    ``run_rounds`` takes for every column.  ``nodes[c]`` names column c in
+    the ``DivisionByZero`` raised when a weight sum is 0.
     """
-    nxt = np.multiply(self_weights, state, out=out)
-    for shares in received:
-        nxt += shares
-    if not nxt[1].all():
-        node = nodes[int(np.flatnonzero(nxt[1] == 0.0)[0])]
-        raise DivisionByZero(f"node {node}: weight sum hit zero at round {round_k}")
+    kept = self_weights * state
+    nxt = fold_shares(np.concatenate((kept[None], received)))
+    _check_weight_sums(nxt[1:], round_k, nodes)
     return nxt
 
 
@@ -128,10 +152,17 @@ class SenderLayout:
     and of the first E columns of a weight table, whose last n columns are
     the nodes' self-weights.  Node j owns the columns ``columns(j)``, an
     index array in the order of ``targets(j)``: its edge block (its
-    out-neighbors ascending), then its self column E + j.  Row i of
-    ``in_edges`` lists node i's in-edges by ascending sender, padded with
-    the index ``n_edges``, which the engine points at a -0.0 share:
-    x + (-0.0) is x bit for bit.
+    out-neighbors ascending), then its self column E + j.
+
+    The engine writes one round's shares to a flat scratch row of
+    2 (E + n) + 1 entries: the s side's E edge shares and n retained
+    shares, the w side's alike, then one -0.0 pad.  ``holders`` names the
+    node whose state each of a side's E + n columns multiplies: the
+    senders, then 0 .. n - 1.  ``fold_order`` is the ``(1 + max_in, 2, n)``
+    index into that row that ``fold_shares`` sums over: node i's retained
+    share, then its in-shares by ascending sender, then the pad until every
+    node has 1 + max_in slots.  The pad is -0.0 because x + (-0.0) is x bit
+    for bit.
     """
 
     def __init__(self, graph: DirectedGraph) -> None:
@@ -152,8 +183,13 @@ class SenderLayout:
         grouped = self.receivers[by_receiver]
         depth = np.arange(self.n_edges) - np.searchsorted(grouped, grouped)
         max_in = max((graph.in_degree(i) for i in graph.nodes()), default=0)
-        self.in_edges = np.full((n, max_in), self.n_edges)
-        self.in_edges[grouped, depth] = by_receiver
+        width = self.n_edges + n
+        slots = np.full((1 + max_in, n), -1)
+        slots[0] = self.n_edges + np.arange(n)
+        slots[1 + depth, grouped] = by_receiver
+        flat = slots[:, None, :] + np.array([[0], [width]])
+        self.fold_order = np.where(slots[:, None, :] < 0, 2 * width, flat)
+        self.holders = np.concatenate((self.senders, np.arange(n)))
 
     def targets(self, node: int) -> list[int]:
         return list(self.graph.out_neighbors(node)) + [node]
@@ -242,9 +278,9 @@ class RunRecord:
         return self.trajectory.s[0].tolist()
 
     def retained(self) -> np.ndarray:
-        """Every node's kept (s, w) self-share, a ``(rounds, 2, n)`` array.
-        Same multiply as ``apply_round``'s retained share, so bit-equal to
-        it."""
+        """Every node's kept (s, w) self-share, a ``(rounds, 2, n)`` array,
+        recomputed with the engine's multiply (self-weight times state), so
+        bit-equal to the retained share each round folded."""
         self_weights = self.weights.table[:, :, self.weights.layout.n_edges :]
         return self_weights * self.trajectory.states[: self.n_rounds]
 
@@ -262,12 +298,15 @@ def run_rounds(
     """Drive all nodes of ``weights.layout.graph`` through one synchronous
     round per row of the weight table.
 
-    Per round, every edge share is its weight times the sender's state, and
-    ``apply_round`` steps all n columns at once.  With a channel, each round's
-    shares are encrypted in one ``transmit`` call and the receivers apply
-    what one ``receive`` call recovers.  If ``stop_tol`` is positive, the
-    run ends early once ``max_i |pi_i(k) - pi_i(k-1)| < stop_tol`` held for
-    ``STOP_WINDOW`` consecutive rounds.
+    Per round, one product writes every edge share and every retained share
+    (weight times the holder's state) into a scratch row laid out as in
+    ``SenderLayout``, and one ``fold_shares`` call sums each node's retained
+    share and in-shares into its next state.  With a channel, each round's
+    edge shares are encrypted in one ``transmit`` call and the receivers
+    fold what one ``receive`` call recovers.  A weight sum of zero raises
+    ``DivisionByZero`` naming the first such round and node.  If
+    ``stop_tol`` is positive, the run ends early once ``max_i |pi_i(k) -
+    pi_i(k-1)| < stop_tol`` held for ``STOP_WINDOW`` consecutive rounds.
     """
     layout = weights.layout
     n = layout.graph.n_nodes
@@ -275,34 +314,35 @@ def run_rounds(
         raise ConfigError(f"x0 has {len(x0)} entries for {n} nodes")
     rounds = weights.n_rounds
     n_edges = layout.n_edges
+    nodes = range(n)
     # Axis 1 of every per-round array is (s, w).
     state = np.empty((rounds + 1, 2, n))
     state[0, 0] = [float(v) for v in x0]
     state[0, 1] = 1.0
-    edge_weights = weights.table[:, :, :n_edges]
-    self_weights = weights.table[:, :, n_edges:]
-    shares = np.empty((rounds, 2, n_edges + 1))
-    shares[:, :, n_edges] = -0.0
-    edge_shares = shares[:, :, :n_edges]
+    shares = np.empty((rounds, 2, n_edges))
+    every = np.empty(2 * (n_edges + n) + 1)
+    every[-1] = -0.0
+    products = every[:-1].reshape(2, n_edges + n)
+    sent = products[:, :n_edges]
+    holders, order = layout.holders, layout.fold_order
     if channel is not None:
         wire = np.empty((rounds, 2, n_edges), dtype=object)
         senders, receivers = layout.senders.tolist(), layout.receivers.tolist()
-    in_slots = layout.in_edges.T
-    nodes = range(n)
     done = rounds
     quiet_rounds = 0
     pi_prev = state[0, 0]
 
-    per_round = zip(edge_weights, self_weights, shares, edge_shares, state[:-1], state[1:])
-    for k, (edge_w, self_w, round_shares, sent, now, nxt) in enumerate(per_round):
-        np.multiply(edge_w, now.take(layout.senders, axis=1), out=sent)
+    per_round = zip(weights.table, shares, state[:-1], state[1:])
+    for k, (row, round_shares, now, nxt) in enumerate(per_round):
+        np.multiply(row, now.take(holders, axis=1), out=products)
         if channel is not None:
             wire[k] = channel.transmit(senders, receivers, sent)
             sent[:] = channel.receive(senders, receivers, k, wire[k])
-        received = round_shares.take(in_slots, axis=1).swapaxes(0, 1)
-        apply_round(now, self_w, received, k, nodes, out=nxt)
+        round_shares[:] = sent
+        fold_shares(every.take(order), out=nxt)
 
         if stop_tol > 0.0:
+            _check_weight_sums(nxt[1:], k, nodes)
             pi_next = nxt[0] / nxt[1]
             delta = np.max(np.abs(pi_next - pi_prev))
             pi_prev = pi_next
@@ -310,7 +350,8 @@ def run_rounds(
             if quiet_rounds >= STOP_WINDOW:
                 done = k + 1
                 break
-    applied = edge_shares[:done]
+    _check_weight_sums(state[1 : done + 1, 1], 0, nodes)
+    applied = shares[:done]
 
     return RunRecord(
         params=params,

@@ -181,7 +181,9 @@ class NodeRuntime:
     Runs its own column of the simulator's round engine: the weight rows
     come from ``generate_round_weights`` on the stream derived from (seed,
     node id), each out-share is its weight times the node's state, and
-    ``apply_round`` folds the received shares in.  Under encryption the
+    ``apply_round`` sums the retained share and the received shares, by
+    ascending sender, with ``consensus.fold_shares``, the one fold
+    ``run_rounds`` applies to every column.  Under encryption the
     out-shares pass through one ``PaillierChannel.transmit`` call and the
     in-shares, by ascending sender, through one ``receive`` call.  A round
     is applied only when every in-neighbor's share for it has arrived.

@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import json
+import re
 import subprocess
 import sys
 import threading
@@ -61,6 +63,29 @@ def test_simulate_preset_fig2(tmp_path):
         assert run["big_k"] == k
         assert run["final_e"] < 1e-6
         assert (tmp_path / f"series_K{k}.csv").exists()
+
+
+# SHA-256 of every preset's simulate CSV.  A change to the engine, the
+# weight draw or the CSV writer that moves a single bit shows here; a
+# change that moves them by intent updates these digests and says why.
+PRESET_CSV_SHA256 = {
+    ("fig2", "series_K1.csv"): "9a5d889881d45f351bb646c3995b368afacea7a28eb567b50d9086ef19636dbe",
+    ("fig2", "series_K5.csv"): "89d065330f59b582093390dd586de97aaad28872b5beb4961e111fbb50604e44",
+    ("fig2", "series_K9.csv"): "3d02520b30005e2cc8657b32591a1771214917492f9f7d1a1021b42efe9d779b",
+    ("fig3", "series.csv"): "4dc2d14469882ad49fa6ec6175bf335615406b2999a7d667c7ab26ad66a99620",
+    ("fig7", "series.csv"): "4d3bad456ea8bfd10bcdb5241d320f30b872220e1912f0f3287fe566eec54c4c",
+}
+
+
+@pytest.mark.parametrize("preset", ["fig2", "fig3", "fig7"])
+def test_preset_csvs_match_their_pinned_digests(tmp_path, preset):
+    assert main(["simulate", "--preset", preset, "--out-dir", str(tmp_path)]) == 0
+    written = sorted(p.name for p in tmp_path.glob("*.csv"))
+    pinned = sorted(name for key, name in PRESET_CSV_SHA256 if key == preset)
+    assert written == pinned
+    for name in written:
+        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest == PRESET_CSV_SHA256[preset, name], name
 
 
 def test_simulate_rejects_bad_epsilon(tmp_path, capsys):
@@ -330,6 +355,40 @@ def test_column_stochastic_reports_the_tolerance_it_checks(tmp_path, monkeypatch
     result = verify.suite_column_stochastic(config)
     assert not result.passed and result.detail.endswith("(tolerance 0)")
     assert result.detail.startswith("column sums broken at round")
+
+
+def test_transition_products_report_the_tolerances_they_check(tmp_path, monkeypatch):
+    config = ExperimentConfig.from_yaml(write_config(tmp_path / "t.yaml", max_rounds=40))
+    result = verify.suite_transition_products(config)
+    assert result.passed
+    assert "(tolerance 1e-09), worst w deviation" in result.detail
+    assert result.detail.endswith("(tolerance 1e-12)")
+    # each side's nonzero round-off deviation fails a zero tolerance, and says so
+    sides = (
+        ("PRODUCT_S_TOL", r"s\(K\+1\) mismatch: "),
+        ("PRODUCT_W_TOL", r"w\(\d+\) mismatch: "),
+    )
+    for name, failure in sides:
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, name, 0.0)
+            result = verify.suite_transition_products(config)
+        assert not result.passed and re.match(failure, result.detail)
+        assert "(tolerance 0)" in result.detail
+
+
+def test_witness_replay_reports_the_tolerance_it_checks(tmp_path, monkeypatch):
+    # at seed 3 every replayed view is bit-equal to the original; seed 7's
+    # differ by round-off, which a zero tolerance must catch
+    config = ExperimentConfig.from_yaml(
+        write_config(tmp_path / "w.yaml", max_rounds=40, seed=7)
+    )
+    result = verify.suite_witness_replay(config)
+    assert result.passed and result.detail.endswith("(tolerance 1e-09)")
+    # a nonzero round-off deviation fails a zero tolerance, and says so
+    monkeypatch.setattr(verify, "VIEW_TOL", 0.0)
+    result = verify.suite_witness_replay(config)
+    assert not result.passed and result.detail.endswith("(tolerance 0)")
+    assert result.detail.startswith("view changed for target")
 
 
 def test_verify_passes_on_a_baseline_mode_config(tmp_path, capsys):

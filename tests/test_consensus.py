@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from privsum.consensus import (
     SenderLayout,
     WeightTable,
     default_pushsum_matrix,
+    fold_shares,
     matrix_weights,
     run_algorithm0,
     run_algorithm1,
@@ -192,6 +195,53 @@ def test_run_rounds_reports_a_zero_weight_sum():
         run_rounds(WeightTable(layout, np.stack((s, w), axis=1)), [1.0, 3.0])
 
 
+def test_run_rounds_reports_a_zero_weight_sum_before_dividing():
+    """With early stopping the engine divides s by w every round; a zero
+    weight sum is named before that division can warn."""
+    g = DirectedGraph.from_edge_list(2, [[0, 1], [1, 0]])
+    layout = SenderLayout(g)
+    s = np.full((3, 4), 0.5)
+    w = np.array([[0.5, 0.5, 0.5, 0.5], [0.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.5, 0.5]])
+    table = WeightTable(layout, np.stack((s, w), axis=1))
+    named = "node 0: weight sum hit zero at round 1"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivisionByZero, match=named):
+            run_rounds(table, [1.0, 3.0], stop_tol=1e-12)
+
+
+def _left_fold(stack):
+    """Each column of a ``(slots, 2, c)`` stack summed slot by slot in
+    Python floats, from the first slot on."""
+    out = np.empty(stack.shape[1:])
+    for side in range(stack.shape[1]):
+        for col in range(stack.shape[2]):
+            total = float(stack[0, side, col])
+            for value in stack[1:, side, col].tolist():
+                total += value
+            out[side, col] = total
+    return out
+
+
+def test_fold_shares_is_a_left_fold_that_keeps_zero_signs():
+    rng = np.random.default_rng(18)
+    # one column of -0.0 terms, as a node whose every share is -0.0 folds it
+    stack = np.full((4, 2, 1), -0.0)
+    assert fold_shares(stack).tobytes() == _left_fold(stack).tobytes()
+    assert np.signbit(fold_shares(stack)).all()
+    for _ in range(400):
+        slots, cols = int(rng.integers(1, 40)), int(rng.integers(1, 6))
+        stack = rng.standard_normal((slots, 2, cols)) * 10.0 ** rng.integers(
+            -5, 6, size=(slots, 2, cols)
+        )
+        zeros = rng.random(stack.shape) < 0.5
+        stack[zeros] = np.where(rng.random(stack.shape) < 0.5, 0.0, -0.0)[zeros]
+        want = _left_fold(stack).tobytes()
+        assert fold_shares(stack).tobytes() == want
+        out = np.empty((2, cols))
+        assert fold_shares(stack, out=out) is out and out.tobytes() == want
+
+
 def _random_support_matrix(graph, rng):
     """A column-stochastic matrix with random positive weights on the
     graph's edges and diagonal."""
@@ -366,6 +416,28 @@ def test_array_engine_matches_message_passing(graph_index):
     _assert_same_run(
         replayed, _message_passing(graph, list(witness.x0), rewritten, early.n_rounds)
     )
+
+
+@pytest.mark.parametrize("graph_index", [0, 1], ids=["demo", "random50"])
+@pytest.mark.parametrize("zeros", ["all", "half"])
+def test_array_engine_keeps_the_sign_of_zero_shares(graph_index, zeros):
+    """Zero initial values make zero shares of both signs, since masking
+    weights may be negative; every -0.0 the message-passing reference
+    computes, the engine computes too."""
+    graph, x0 = _parity_graphs()[graph_index]
+    x0 = [0.0 if zeros == "all" or i % 2 == 0 else v for i, v in enumerate(x0)]
+    eps = min(0.05, 0.5 / (max(graph.out_degree(i) for i in graph.nodes()) + 1))
+    params = WeightParams(big_k=3, epsilon=eps)
+    record = run_algorithm1(graph, x0, params, seed=7, rounds=12)
+    _assert_same_run(
+        record, _message_passing(graph, x0, _drawn_round_by_round(graph, params, 7), 12)
+    )
+    assert np.signbit(record.shares[record.shares == 0.0]).any()
+    if zeros == "all":
+        # some node's every term is -0.0, so its state is -0.0 only if the
+        # fold starts from -0.0
+        s = record.trajectory.s
+        assert np.signbit(s[s == 0.0]).any()
 
 
 @pytest.mark.parametrize("graph_index", [0, 1], ids=["demo", "random50"])
