@@ -6,6 +6,10 @@ kept, the shares on every link they touch, the public protocol parameters,
 and the topology.  The view is a column selection of the run record's
 ``(rounds, 2, ·)`` arrays; ``views_match`` compares two views, which is
 the whole of a witness check.  Attacks never touch ground-truth node state.
+``view.links`` is the one statement of which links the members saw: the
+attacks on one target take its net flows and its share ratio from those
+links, and consult the graph only for the topology conditions the exact
+attacks need.  ``ATTACKS`` names every attack the ``attack`` command runs.
 
 Included capabilities:
 
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -117,23 +122,39 @@ def attack_pushsum_baseline(view: AdversaryView) -> dict[int, float]:
     return recovered
 
 
-def _net_flows(view: AdversaryView, target: int) -> tuple[np.ndarray, np.ndarray]:
-    """Observed net (s, w) flow into the target, one entry per round: shares
-    sent by hostile in-neighbors minus shares hostile out-neighbors
-    received."""
-    s_net = np.zeros(view.n_rounds)
-    w_net = np.zeros(view.n_rounds)
-    for n in view.graph.in_neighbors(target):
-        if n in view.members:
-            s_sh, w_sh = view.link(n, target)
-            s_net += s_sh
-            w_net += w_sh
-    for m in view.graph.out_neighbors(target):
-        if m in view.members:
-            s_sh, w_sh = view.link(target, m)
-            s_net -= s_sh
-            w_net -= w_sh
-    return s_net, w_net
+def _observations(
+    view: AdversaryView, target: int, rounds: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What the view's links show of the target over rounds 0..rounds-1:
+    ``(s_net, w_net, ratio)``, the net (s, w) flow into it each round
+    (in-links by ascending sender, then out-links by ascending receiver,
+    added one by one), and the share ratio s(k)/w(k) on its lowest observed
+    out-link in the mixing rounds K+1..rounds-1, where both shares of a
+    link carry the same weight.
+    """
+    if target in view.members:
+        raise TopologyConditionUnmet("target must not belong to the colluding set")
+    if view.params is None:
+        raise TraceIncomplete("view lacks protocol parameters")
+    if view.n_rounds < rounds:
+        raise TraceIncomplete(
+            f"attack needs at least {rounds} recorded rounds, view has {view.n_rounds}"
+        )
+    ins = sorted((s, c) for c, (s, r) in enumerate(view.links) if r == target)
+    outs = sorted((r, c) for c, (s, r) in enumerate(view.links) if s == target)
+    if not outs:
+        raise TraceIncomplete(
+            f"no observed out-link of node {target}; its share ratio is unseen"
+        )
+    shares = view.shares[:rounds]
+    net = np.zeros(shares.shape[:2])
+    for _, column in ins:
+        net += shares[:, :, column]
+    for _, column in outs:
+        net -= shares[:, :, column]
+    # The w shares are 0 in the masking rounds: divide only the mixing ones.
+    mixing = shares[view.params.big_k + 1 :, :, outs[0][1]]
+    return net[:, 0], net[:, 1], mixing[:, 0] / mixing[:, 1]
 
 
 def _recover_via_telescope(view: AdversaryView, target: int) -> float:
@@ -143,30 +164,19 @@ def _recover_via_telescope(view: AdversaryView, target: int) -> float:
     The target's state change each round equals observed in-flows minus
     observed out-flows (its outgoing weights sum to 1).  Telescoping from
     w(0) = 1 rebuilds w(k) for all k; in the mixing phase the s/w share
-    ratio then exposes s(k); telescoping back down recovers s(0) = x0.
+    ratio on any observed out-link then exposes s(k); telescoping back down
+    recovers s(0) = x0.
     """
-    if view.params is None:
-        raise TraceIncomplete("view lacks protocol parameters")
-    big_k = view.params.big_k
-    probe_round = big_k + 1
-    if view.n_rounds < probe_round + 1:
-        raise TraceIncomplete(
-            f"attack needs at least {probe_round + 1} recorded rounds, "
-            f"view has {view.n_rounds}"
-        )
-    s_net, w_net = _net_flows(view, target)
+    # Rounds 0..K+1; ``_observations`` refuses a view without parameters.
+    probe_round = 0 if view.params is None else view.params.big_k + 1
+    s_net, w_net, ratio = _observations(view, target, probe_round + 1)
     w_target = 1.0
     s_flow = 0.0
     # Added round by round: Python's sum() would compensate the round-off.
     for s_k, w_k in zip(s_net[:probe_round].tolist(), w_net[:probe_round].tolist()):
         s_flow += s_k
         w_target += w_k
-    # Any hostile out-neighbor's received pair reveals s(k)/w(k) in the
-    # mixing phase, where both shares carry the same weight.
-    observer = min(m for m in view.graph.out_neighbors(target) if m in view.members)
-    s_sh, w_sh = view.link(target, observer)
-    s_target = float(s_sh[probe_round] / w_sh[probe_round]) * w_target
-    return s_target - s_flow
+    return float(ratio[0]) * w_target - s_flow
 
 
 def attack_sole_neighbor(view: AdversaryView, target: int) -> float:
@@ -188,8 +198,6 @@ def attack_sole_neighbor(view: AdversaryView, target: int) -> float:
 def attack_colluding_full_neighborhood(view: AdversaryView, target: int) -> float:
     """Exact recovery by a colluding set containing every in- and
     out-neighbor of the target."""
-    if target in view.members:
-        raise TopologyConditionUnmet("target must not belong to the colluding set")
     neighborhood = set(view.graph.out_neighbors(target)) | set(
         view.graph.in_neighbors(target)
     )
@@ -234,37 +242,15 @@ def _least_squares_inputs(
     view: AdversaryView, target: int, m_rounds: int
 ) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray]:
     """What the colluders' equations over rounds 0..m_rounds consume:
-    ``(M, K, s_net, w_net, ratio)`` with the observed net s-flow into the
-    target for rounds 0..M, its net w-flow for rounds K+1..M, and the share
-    ratio s(k)/w(k) a hostile out-neighbor saw in rounds K+1..M.
-
-    Needs the view to cover M + 1 exchange rounds and at least one hostile
-    out-neighbor of the target (whose received share pair provides the
-    mixing-phase ratio).
+    ``(M, K, s_net, w_net, ratio)``, the observations of rounds 0..M with
+    the net w-flow cut to the mixing rounds K+1..M.
     """
-    if view.params is None:
-        raise TraceIncomplete("view lacks protocol parameters")
-    big_k = view.params.big_k
     m = int(m_rounds)
+    s_net, w_net, ratio = _observations(view, target, m + 1)
+    big_k = view.params.big_k
     if m < big_k + 2:
         raise ConfigError(f"m_rounds={m} must be at least K+2={big_k + 2}")
-    if view.n_rounds < m + 1:
-        raise TraceIncomplete(
-            f"system over {m + 1} rounds needs {m + 1} recorded rounds, "
-            f"view has {view.n_rounds}"
-        )
-    observed_out = [
-        o for o in view.graph.out_neighbors(target) if o in view.members
-    ]
-    if not observed_out:
-        raise TraceIncomplete(
-            "no hostile out-neighbor of the target; the ratio equations "
-            "cannot be formed"
-        )
-    s_net, w_net = _net_flows(view, target)
-    s_obs, w_obs = view.link(target, min(observed_out))
-    mixing = slice(big_k + 1, m + 1)
-    return m, big_k, s_net[: m + 1], w_net[mixing], s_obs[mixing] / w_obs[mixing]
+    return m, big_k, s_net, w_net[big_k + 1 :], ratio
 
 
 def build_least_squares_system(
@@ -352,6 +338,18 @@ def attack_least_squares(view: AdversaryView, target: int, m_rounds: int) -> flo
     rhs = s_net[:n].copy()
     rhs[-1] -= ratio[0]
     return float(-np.linalg.solve(gram, rhs)[0])
+
+
+# The attacks by config name, each as (view, target, m_rounds) -> the
+# estimate of the target's initial value.
+ATTACKS: dict[str, Callable[[AdversaryView, int, int], float]] = {
+    "least_squares": attack_least_squares,
+    "sole_neighbor": lambda view, target, _: attack_sole_neighbor(view, target),
+    "full_neighborhood": lambda view, target, _: attack_colluding_full_neighborhood(
+        view, target
+    ),
+    "baseline_leak": lambda view, target, _: attack_pushsum_baseline(view)[target],
+}
 
 
 @dataclass(frozen=True)

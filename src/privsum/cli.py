@@ -27,13 +27,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .adversary import (
-    attack_colluding_full_neighborhood,
-    attack_least_squares,
-    attack_pushsum_baseline,
-    attack_sole_neighbor,
-    export_attack_csv,
-)
+from .adversary import ATTACKS, export_attack_csv
 from .errors import ConfigError, PrivsumError
 from .net import MODE_ENCRYPTED, MODE_PLAIN, run_networked
 from .sim import (
@@ -119,11 +113,12 @@ def cmd_simulate(args) -> int:
             f"simulate big_k={config.big_k}: rounds={summary['rounds_run']} "
             f"final_e={summary['final_e']:.3e} -> {csv_path}"
         )
+    _, first = configs[0]
     manifest = {
         "command": "simulate",
-        "config_hash": config_hash(configs[0][1]),
-        "seed": raw.get("seed"),
-        "mode": raw.get("mode"),
+        "config_hash": config_hash(first),
+        "seed": first.seed,
+        "mode": first.mode,
         "outputs": outputs,
         "runs": summaries,
     }
@@ -132,25 +127,13 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _run_attack(result, spec, m_rounds: int) -> float:
-    """The estimate of ``spec.attack``, one of ``sim.ATTACKS`` (the config
-    validator has checked that)."""
-    view = result.adversary_view
-    if spec.attack == "least_squares":
-        return attack_least_squares(view, spec.target, m_rounds)
-    if spec.attack == "sole_neighbor":
-        return attack_sole_neighbor(view, spec.target)
-    if spec.attack == "full_neighborhood":
-        return attack_colluding_full_neighborhood(view, spec.target)
-    return attack_pushsum_baseline(view)[spec.target]
-
-
 def cmd_attack(args) -> int:
     raw = load_raw_config(args)
     config = ExperimentConfig.from_dict(raw)
     if config.adversary is None:
         raise ConfigError("attack command needs an adversary section in the config")
     spec = config.adversary
+    attack = ATTACKS[spec.attack]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # The last recorded exchange round, the widest system the view supports;
@@ -164,7 +147,7 @@ def cmd_attack(args) -> int:
             seed = config.seed + t
             cfg = replace(config, seed=seed)
             result = run_experiment(cfg, target_override=true_x0)
-            estimate = _run_attack(result, spec, m_rounds)
+            estimate = attack(result.adversary_view, spec.target, m_rounds)
             rows.append(
                 {
                     "trial": trial_no,

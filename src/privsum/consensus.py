@@ -130,10 +130,6 @@ class Trajectory:
         return self.s / self.w
 
     @property
-    def n_nodes(self) -> int:
-        return self.states.shape[2]
-
-    @property
     def n_rounds(self) -> int:
         """Number of executed rounds (snapshots minus the initial one)."""
         return self.states.shape[0] - 1

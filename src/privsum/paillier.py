@@ -391,7 +391,7 @@ class FixedPointCodec:
     """
 
     modulus: int
-    fractional_bits: int = 32
+    fractional_bits: int
 
     def __post_init__(self) -> None:
         if self.fractional_bits <= 0:

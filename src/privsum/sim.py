@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 import yaml
 
-from .adversary import AdversaryView, build_adversary_view
+from .adversary import ATTACKS, AdversaryView, build_adversary_view
 from .consensus import (
     RunRecord,
     Trajectory,
@@ -59,9 +59,6 @@ def check_key_bits(key_bits: int, fractional_bits: int) -> None:
             f"key_bits={key_bits} cannot hold fractional_bits="
             f"{fractional_bits}; the smallest usable key size is {smallest}"
         )
-
-
-ATTACKS = ("least_squares", "sole_neighbor", "full_neighborhood", "baseline_leak")
 
 
 @dataclass(frozen=True)
@@ -138,7 +135,8 @@ class ExperimentConfig:
                 raise ConfigError("adversary target cannot be a member")
             if self.adversary.attack not in ATTACKS:
                 raise ConfigError(
-                    f"unknown attack {self.adversary.attack!r}; choose from {ATTACKS}"
+                    f"unknown attack {self.adversary.attack!r}; "
+                    f"choose from {tuple(ATTACKS)}"
                 )
             if self.adversary.trials < 1:
                 raise ConfigError(

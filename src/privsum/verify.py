@@ -27,7 +27,6 @@ from .paillier import (
     FixedPointCodec,
     add_ciphertexts,
     decrypt,
-    decrypt_small,
     encrypt,
     keygen,
     keypair_from_primes,
@@ -37,6 +36,7 @@ from .sim import (
     MODE_ALGORITHM0,
     MODE_ALGORITHM1,
     MODE_ALGORITHM2,
+    PaillierChannel,
     run_experiment,
     transition_product,
 )
@@ -247,9 +247,9 @@ def suite_witness_replay(config: ExperimentConfig) -> SuiteResult:
 
 def suite_crypto_roundtrip(config: ExperimentConfig) -> SuiteResult:
     """Key generation, encrypt/decrypt identity, homomorphic addition, the
-    small reference key vector, codec roundtrips, and the share path
-    (encode, encrypt, ``decrypt_small``, decode) at the edges of the codec
-    range."""
+    small reference key vector, codec roundtrips, and the edges of the
+    codec range sent through a ``PaillierChannel``, the share path that
+    runs use."""
     toy = keypair_from_primes(5, 7)
     if (toy.public.n, toy.public.g, toy.lam, toy.mu) != (35, 36, 24, 19):
         return SuiteResult("crypto-roundtrip", False, "reference key vector mismatch")
@@ -275,11 +275,15 @@ def suite_crypto_roundtrip(config: ExperimentConfig) -> SuiteResult:
             return SuiteResult("crypto-roundtrip", False, f"codec roundtrip failed for {v}")
     top = math.nextafter(float(codec.max_magnitude), 0.0)
     tiny = 2.0**-config.fractional_bits
-    edges = (top, top / 2, tiny, 0.0, -tiny, -top / 2, -top)
-    for v in edges:
-        encoded = codec.encode(v)
-        back = codec.decode_signed(decrypt_small(kp, encrypt(kp.public, encoded, rng)))
-        if back != codec.decode(encoded):
+    edges = [top, top / 2, tiny, 0.0, -tiny, -top / 2, -top]
+    # As the s and the w shares of one round of self-links of a one-node
+    # channel: the share path a run ships.
+    channel = PaillierChannel({0: kp.public}, {0: kp}, config.fractional_bits, config.seed)
+    links = [0] * len(edges)
+    sent = np.array([edges, edges])
+    back = channel.receive(links, links, 0, channel.transmit(links, links, sent))
+    for v, got in zip(sent.ravel().tolist(), back.ravel().tolist()):
+        if got != codec.decode(codec.encode(v)):
             return SuiteResult("crypto-roundtrip", False, f"share path failed for {v!r}")
     return SuiteResult(
         "crypto-roundtrip",

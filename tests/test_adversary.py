@@ -240,6 +240,19 @@ def test_view_contains_only_member_data(demo_graph, demo_x0):
     # a lone node 2 saw nothing that pins down node 0's start value
     with pytest.raises(TopologyConditionUnmet):
         attack_sole_neighbor(view, 0)
+    with pytest.raises(TraceIncomplete, match="no observed out-link of node 0"):
+        attack_least_squares(view, 0, 5)
+
+
+def test_exact_recovery_refuses_a_view_it_cannot_read(demo_graph, demo_x0):
+    # the telescope reads rounds 0..K+1: with K = 1, two rounds are too few
+    rec = run_algorithm1(TWO_NODE, [40.0, 3.0], PARAMS, seed=5, rounds=2)
+    with pytest.raises(TraceIncomplete, match="at least 3 recorded rounds"):
+        attack_sole_neighbor(build_adversary_view(rec, [1]), 0)
+    # the baseline protocol's record carries no protocol parameters
+    rec = run_algorithm0(demo_graph, demo_x0, rounds=5)
+    with pytest.raises(TraceIncomplete, match="lacks protocol parameters"):
+        attack_colluding_full_neighborhood(build_adversary_view(rec, [1, 3, 4]), 0)
 
 
 @pytest.mark.parametrize("m_rounds,big_k", [(100, 1), (60, 3), (30, 0)])

@@ -14,8 +14,9 @@ from privsum.cli import main
 from privsum.graph import default_demo_graph
 from privsum.net import allocate_ports
 from privsum.consensus import WeightTable, algorithm1_weights
+from privsum.paillier import decrypt_small
 from privsum.sim import ExperimentConfig
-from privsum import verify
+from privsum import sim, verify
 from privsum.verify import check_column_stochastic
 
 
@@ -40,6 +41,10 @@ def write_config(path, **overrides):
     return path
 
 
+# 0 <-> 1 <-> 2: node 1 is the sole neighbor of node 0.
+CHAIN = {"n_nodes": 3, "edges": [[0, 1], [1, 0], [1, 2], [2, 1]]}
+
+
 def test_simulate_with_config_file(tmp_path, capsys):
     cfg = write_config(tmp_path / "run.yaml")
     rc = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
@@ -52,6 +57,19 @@ def test_simulate_with_config_file(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0][:2] == ["round", "e"]
     assert len(rows) == 62  # header + rounds 0..60
+
+
+def test_simulate_manifest_records_the_seed_and_mode_it_ran(tmp_path):
+    cfg = write_config(tmp_path / "run.yaml", max_rounds=5)
+    raw = yaml.safe_load(cfg.read_text())
+    del raw["seed"], raw["mode"]
+    cfg.write_text(yaml.safe_dump(raw))
+    runs = (([], 1, "algorithm1"), (["--seed", "5", "--mode", "algorithm0"], 5, "algorithm0"))
+    for flags, seed, mode in runs:
+        out = tmp_path / mode
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out), *flags]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["seed"], manifest["mode"]) == (seed, mode)
 
 
 def test_simulate_preset_fig2(tmp_path):
@@ -286,6 +304,26 @@ def test_attack_command_exact_recovery_variants(tmp_path):
         rows = list(csv.DictReader(fh))
     assert all(abs(float(r["estimate"]) - 40.0) < 1e-6 for r in rows)
 
+    # on the chain 0 <-> 1 <-> 2, node 1 alone is node 0's sole neighbor
+    cfg = write_config(
+        tmp_path / "sole.yaml",
+        graph=CHAIN,
+        x0=[13.5, -2.0, 88.0],
+        max_rounds=12,
+        adversary={
+            "members": [1],
+            "target": 0,
+            "attack": "sole_neighbor",
+            "trials": 2,
+            "target_x0": [40.0],
+        },
+    )
+    assert main(["attack", "--config", str(cfg), "--out-dir", str(tmp_path / "s")]) == 0
+    with open(tmp_path / "s" / "attack.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2
+    assert all(abs(float(r["estimate"]) - 40.0) < 1e-6 for r in rows)
+
     # in baseline mode, in-neighbor 1 reads node 0's value off round 0
     cfg = write_config(
         tmp_path / "leak.yaml",
@@ -303,6 +341,37 @@ def test_attack_command_exact_recovery_variants(tmp_path):
     with open(tmp_path / "b" / "attack.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert float(rows[0]["estimate"]) == 40.0
+
+
+# SHA-256 of the ``attack`` CSV of every attack that uses only elementwise
+# arithmetic.  least_squares is not pinned: its solve goes through LAPACK,
+# whose last bits may differ between machines.
+ATTACK_CSV_SHA256 = {
+    "full_neighborhood": "2a2c6ff9f61d449ffc6a7fb623b5acebf67509a105485d4ea35c65bb28475cb1",
+    "sole_neighbor": "fbc62ab93df2c66bc9f917fdcefff07c3bece958a3774f22ec16c9cbf405913b",
+    "baseline_leak": "342bd1fbd983422abe2251b74e7cb4345a5f62fe7dcb6fefbbd79eb692a5736c",
+}
+
+
+@pytest.mark.parametrize(
+    "attack, members, overrides",
+    [
+        ("full_neighborhood", [1, 3, 4], {}),
+        ("sole_neighbor", [1], {"graph": CHAIN}),
+        ("baseline_leak", [1], {"mode": "algorithm0"}),
+    ],
+)
+def test_attack_csvs_match_their_pinned_digests(tmp_path, attack, members, overrides):
+    cfg = write_config(
+        tmp_path / "a.yaml",
+        x0={"low": -50.0, "high": 50.0},
+        max_rounds=12,
+        adversary={"members": members, "target": 0, "attack": attack, "trials": 4},
+        **overrides,
+    )
+    assert main(["attack", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "attack.csv").read_bytes()).hexdigest()
+    assert digest == ATTACK_CSV_SHA256[attack]
 
 
 def test_manifest_outputs_exist_and_are_nonempty(tmp_path):
@@ -331,7 +400,11 @@ def test_crypto_roundtrip_suite_sends_the_codec_edges_through_the_share_path(
     assert result.passed
     assert "7 codec-edge values through the one-prime share path" in result.detail
     # a share decrypted without the signed lift breaks the negative edges
-    monkeypatch.setattr(verify, "decrypt_small", verify.decrypt)
+    monkeypatch.setattr(sim, "decrypt_small", verify.decrypt)
+    result = verify.suite_crypto_roundtrip(config)
+    assert not result.passed and "share path failed" in result.detail
+    # and the channel's own decryption is the one checked: off by one fails
+    monkeypatch.setattr(sim, "decrypt_small", lambda kp, c: decrypt_small(kp, c) + 1)
     result = verify.suite_crypto_roundtrip(config)
     assert not result.passed and "share path failed" in result.detail
 
