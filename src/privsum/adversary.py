@@ -340,6 +340,16 @@ def attack_least_squares(view: AdversaryView, target: int, m_rounds: int) -> flo
     return float(-np.linalg.solve(gram, rhs)[0])
 
 
+def _baseline_leak(view: AdversaryView, target: int, _m_rounds: int) -> float:
+    recovered = attack_pushsum_baseline(view)
+    if target not in recovered:
+        raise TraceIncomplete(
+            f"node {target} sends to no member of {sorted(view.members)}; "
+            "its round-0 shares are unseen"
+        )
+    return recovered[target]
+
+
 # The attacks by config name, each as (view, target, m_rounds) -> the
 # estimate of the target's initial value.
 ATTACKS: dict[str, Callable[[AdversaryView, int, int], float]] = {
@@ -348,7 +358,7 @@ ATTACKS: dict[str, Callable[[AdversaryView, int, int], float]] = {
     "full_neighborhood": lambda view, target, _: attack_colluding_full_neighborhood(
         view, target
     ),
-    "baseline_leak": lambda view, target, _: attack_pushsum_baseline(view)[target],
+    "baseline_leak": _baseline_leak,
 }
 
 

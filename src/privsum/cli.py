@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -92,13 +93,16 @@ def cmd_simulate(args) -> int:
     summaries = []
     configs = _expand_big_k(raw)
     for suffix, config in configs:
+        start = time.perf_counter()
         result = run_experiment(config)
+        run_s = time.perf_counter() - start
         csv_path = out_dir / f"series{suffix or ''}.csv"
         write_series_csv(csv_path, result)
         outputs.append(str(csv_path))
         summary = {
             "big_k": config.big_k,
             "rounds_run": result.record.n_rounds,
+            "run_s": run_s,
             "alpha": result.metrics.alpha,
             "final_e": float(result.metrics.e[-1]),
             "final_pi": result.record.final_pi().tolist(),

@@ -24,7 +24,10 @@ kept self-shares ``(rounds, 2, n)``, the applied shares and the wire
 ``(rounds, 2, E)``; a colluders' view selects columns of these.  The
 weight table is ``(rounds, 2, E + n)``, edge first: the E edge weights in
 edge order, then the n self-weights, so the engine reads both blocks as
-views.
+views.  A run keeps only the table and the states: in the clear every
+share is weight times state, so the record recomputes the shares with
+the engine's multiply when they are read.  Only a channel's decoded
+shares and its ciphertexts, which no multiply gives back, are stored.
 """
 from __future__ import annotations
 
@@ -250,15 +253,20 @@ class RunRecord:
 
     ``shares`` is the ``(rounds, 2, E)`` array of the shares each receiver
     applied, rows (s, w), one column per edge in ``SenderLayout`` order.
-    ``wire`` is what crossed each link, laid out alike: the channel's
-    ciphertexts, or in the clear ``shares`` itself.
+    In the clear it is computed on first read, with the engine's multiply
+    (edge weight times sender state), so bit-equal to what each round
+    folded; under a channel it is the stored ``decoded`` array.  ``wire``
+    is what crossed each link, laid out alike: the channel's
+    ``ciphertexts``, or in the clear ``shares`` itself.
     """
 
     params: WeightParams | None
     trajectory: Trajectory
     weights: WeightTable
-    shares: np.ndarray
-    wire: np.ndarray
+    # Under a channel, what the receivers decoded and what crossed the
+    # links; None in the clear.
+    decoded: np.ndarray | None = None
+    ciphertexts: np.ndarray | None = None
 
     @property
     def graph(self) -> DirectedGraph:
@@ -267,6 +275,18 @@ class RunRecord:
     @property
     def n_rounds(self) -> int:
         return self.weights.n_rounds
+
+    @cached_property
+    def shares(self) -> np.ndarray:
+        if self.decoded is not None:
+            return self.decoded
+        layout = self.weights.layout
+        sent = self.trajectory.states[: self.n_rounds].take(layout.senders, axis=2)
+        return self.weights.table[:, :, : layout.n_edges] * sent
+
+    @property
+    def wire(self) -> np.ndarray:
+        return self.shares if self.ciphertexts is None else self.ciphertexts
 
     @property
     def x0(self) -> list[float]:
@@ -299,10 +319,12 @@ def run_rounds(
     ``SenderLayout``, and one ``fold_shares`` call sums each node's retained
     share and in-shares into its next state.  With a channel, each round's
     edge shares are encrypted in one ``transmit`` call and the receivers
-    fold what one ``receive`` call recovers.  A weight sum of zero raises
-    ``DivisionByZero`` naming the first such round and node.  If
-    ``stop_tol`` is positive, the run ends early once ``max_i |pi_i(k) -
-    pi_i(k-1)| < stop_tol`` held for ``STOP_WINDOW`` consecutive rounds.
+    fold what one ``receive`` call recovers; only then are the shares
+    stored, since in the clear the record recomputes them.  A weight sum
+    of zero raises ``DivisionByZero`` naming the first such round and
+    node.  If ``stop_tol`` is positive, the run ends early once
+    ``max_i |pi_i(k) - pi_i(k-1)| < stop_tol`` held for ``STOP_WINDOW``
+    consecutive rounds.
     """
     layout = weights.layout
     n = layout.graph.n_nodes
@@ -315,26 +337,26 @@ def run_rounds(
     state = np.empty((rounds + 1, 2, n))
     state[0, 0] = [float(v) for v in x0]
     state[0, 1] = 1.0
-    shares = np.empty((rounds, 2, n_edges))
     every = np.empty(2 * (n_edges + n) + 1)
     every[-1] = -0.0
     products = every[:-1].reshape(2, n_edges + n)
     sent = products[:, :n_edges]
     holders, order = layout.holders, layout.fold_order
     if channel is not None:
+        decoded = np.empty((rounds, 2, n_edges))
         wire = np.empty((rounds, 2, n_edges), dtype=object)
         senders, receivers = layout.senders.tolist(), layout.receivers.tolist()
     done = rounds
     quiet_rounds = 0
     pi_prev = state[0, 0]
 
-    per_round = zip(weights.table, shares, state[:-1], state[1:])
-    for k, (row, round_shares, now, nxt) in enumerate(per_round):
+    per_round = zip(weights.table, state[:-1], state[1:])
+    for k, (row, now, nxt) in enumerate(per_round):
         np.multiply(row, now.take(holders, axis=1), out=products)
         if channel is not None:
             wire[k] = channel.transmit(senders, receivers, sent)
-            sent[:] = channel.receive(senders, receivers, k, wire[k])
-        round_shares[:] = sent
+            decoded[k] = channel.receive(senders, receivers, k, wire[k])
+            sent[:] = decoded[k]
         fold_shares(every.take(order), out=nxt)
 
         if stop_tol > 0.0:
@@ -347,15 +369,12 @@ def run_rounds(
                 done = k + 1
                 break
     _check_weight_sums(state[1 : done + 1, 1], 0, nodes)
-    applied = shares[:done]
-
     return RunRecord(
         params=params,
         trajectory=Trajectory(state[: done + 1]),
         weights=WeightTable(layout, weights.table[:done]),
-        shares=applied,
-        # In the clear the shares themselves crossed the links.
-        wire=applied if channel is None else wire[:done],
+        decoded=None if channel is None else decoded[:done],
+        ciphertexts=None if channel is None else wire[:done],
     )
 
 
@@ -370,23 +389,25 @@ def algorithm1_weights(
     node draws for itself with ``generate_round_weights``, so simulated
     and deployed runs agree bit for bit.  Classes go in order of their
     lowest node, so an infeasible epsilon names the lowest infeasible
-    node.  The value rows are scattered into the s side of one
-    ``(rounds, 2, E + n)`` table; the w side is the identity (0 on edges,
-    1 on self) in masking rounds and a copy of the s side after.
+    node.  Each class's value rows are scattered into the s side of one
+    ``(rounds, 2, E + n)`` table and, for the mixing rounds, into the w
+    side too; the w side of the masking rounds is the identity (0 on
+    edges, 1 on self).  Nothing table-sized is allocated but the table.
     """
     layout = SenderLayout(graph)
     n_edges = layout.n_edges
+    n_mask = params.masking_rounds(0, rounds)
     table = np.empty((rounds, 2, n_edges + graph.n_nodes))
+    table[:n_mask, 1, :n_edges] = 0.0
+    table[:n_mask, 1, n_edges:] = 1.0
     classes: dict[int, list[int]] = {}
     for i in graph.nodes():
         classes.setdefault(graph.out_degree(i) + 1, []).append(i)
     for m, nodes in classes.items():
         rows = degree_class_weights(nodes, m, params, seed, rounds)
-        table[:, 0, layout.class_columns(np.array(nodes), m)] = rows.swapaxes(0, 1)
-    n_mask = params.masking_rounds(0, rounds)
-    table[:n_mask, 1, :n_edges] = 0.0
-    table[:n_mask, 1, n_edges:] = 1.0
-    table[n_mask:, 1] = table[n_mask:, 0]
+        cols = layout.class_columns(np.array(nodes), m)
+        table[:, 0, cols] = rows
+        table[n_mask:, 1, cols] = rows[n_mask:]
     return WeightTable(layout, table)
 
 

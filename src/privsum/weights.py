@@ -114,7 +114,7 @@ def generate_round_weights(
     _require_feasible(node_id, m, params)
     n_mask = params.masking_rounds(first_round, n_rounds)
     u = rng.random(_uniform_count(m, n_mask, n_rounds))
-    rows = _value_rows(u[None], m, n_mask, n_rounds, params)[0]
+    rows = _value_rows(u[None], m, n_mask, n_rounds, params)[:, 0]
     w_rows = rows.copy()
     w_rows[:n_mask] = 0.0
     w_rows[:n_mask, -1] = 1.0
@@ -125,12 +125,13 @@ def degree_class_weights(
     nodes: Sequence[int], m: int, params: WeightParams, seed: int, n_rounds: int
 ) -> np.ndarray:
     """Value-side rows of rounds 0 .. n_rounds - 1 for a non-empty list of
-    nodes that all have m targets, as a ``(len(nodes), n_rounds, m)`` array.
+    nodes that all have m targets, as a round-major ``(n_rounds,
+    len(nodes), m)`` array.
 
-    Row block r is bit for bit what ``generate_round_weights`` draws for
-    ``nodes[r]`` from ``node_rng(seed, nodes[r])``: each node's uniforms
-    come from its own stream, and one ``_value_rows`` call transforms the
-    whole class.  An infeasible epsilon names ``nodes[0]``.
+    Column block ``[:, r]`` is bit for bit what ``generate_round_weights``
+    draws for ``nodes[r]`` from ``node_rng(seed, nodes[r])``: each node's
+    uniforms come from its own stream, and one ``_value_rows`` call
+    transforms the whole class.  An infeasible epsilon names ``nodes[0]``.
     """
     _require_feasible(nodes[0], m, params)
     n_mask = params.masking_rounds(0, n_rounds)
@@ -156,34 +157,47 @@ def _value_rows(
     u: np.ndarray, m: int, n_mask: int, n_rounds: int, params: WeightParams
 ) -> np.ndarray:
     """Turn a ``(g, count)`` block of uniforms, one stream's draw per row,
-    into ``(g, n_rounds, m)`` value-side rows whose first ``n_mask`` rounds
-    mask.
+    into round-major ``(n_rounds, g, m)`` value-side rows whose first
+    ``n_mask`` rounds mask.  The mixing uniforms are sorted in place, so
+    ``u`` must be the caller's own buffer.
 
     A masking row is m uniforms on (-B, B) shifted to sum to 1; a mixing
-    row is the sorted-uniform simplex gaps under ``phase_b_map``.  The
-    self-weight is then 1 minus the sequential sum of the others, so a row
-    sums to 1 exactly in floating point.  Every reduction runs along the
-    last axis, so a row's bits do not depend on g or on the other rows.
+    row is the sorted-uniform simplex gaps under ``phase_b_map``, written
+    straight into the output.  The self-weight is then 1 minus the others
+    added left to right, the order of ``cumsum``, so a row sums to 1
+    exactly in floating point.  Every reduction runs along the last axis,
+    so a row's bits do not depend on g or on the other rows.
     """
     g = u.shape[0]
+    if m == 1:
+        return np.ones((n_rounds, g, 1))
     n_mix = n_rounds - n_mask
-    rows = np.empty((g, n_rounds, m))
+    rows = np.empty((n_rounds, g, m))
 
-    # 2B*u - B is what rng.uniform(-B, B) computes, bit for bit, and a
-    # uniform(0, 1) cut is u itself.
+    # 2B*u - B is what rng.uniform(-B, B) computes, bit for bit.
     b = params.phase_a_range
-    draws = rows[:, :n_mask]
-    np.multiply(2.0 * b, u[:, : n_mask * m].reshape(g, n_mask, m), out=draws)
+    draws = rows[:n_mask]
+    uniforms = u[:, : n_mask * m].reshape(g, n_mask, m)
+    np.multiply(2.0 * b, uniforms.swapaxes(0, 1), out=draws)
     draws -= b
     draws += ((1.0 - draws.sum(axis=-1)) / m)[..., None]
 
-    cuts = np.zeros((g, n_mix, m + 1))
-    cuts[..., -1] = 1.0
-    cuts[..., 1:-1] = np.sort(u[:, n_mask * m :].reshape(g, n_mix, m - 1), axis=-1)
-    rows[:, n_mask:] = phase_b_map(cuts[..., 1:] - cuts[..., :-1], params.epsilon)
+    # A uniform(0, 1) cut is u itself.  The gaps between the sorted cuts,
+    # from 0 up, are the mixing row's first m - 1 weights, mapped as
+    # ``phase_b_map`` maps them; the last gap, up to 1, is not needed,
+    # since the self-weight is 1 minus the others.
+    cuts = u[:, n_mask * m :].reshape(g, n_mix, m - 1)
+    cuts.sort(axis=-1)
+    cuts = cuts.swapaxes(0, 1)
+    gaps = rows[n_mask:, :, :-1]
+    gaps[..., 0] = cuts[..., 0]
+    np.subtract(cuts[..., 1:], cuts[..., :-1], out=gaps[..., 1:])
+    gaps *= 1.0 - m * params.epsilon
+    gaps += params.epsilon
 
-    if m > 1:
-        rows[..., -1] = 1.0 - np.cumsum(rows[..., :-1], axis=-1)[..., -1]
-    else:
-        rows[..., -1] = 1.0
+    own = rows[..., -1]
+    own[...] = rows[..., 0]
+    for j in range(1, m - 1):
+        own += rows[..., j]
+    np.subtract(1.0, own, out=own)
     return rows

@@ -80,6 +80,8 @@ def test_simulate_preset_fig2(tmp_path):
     for run, k in zip(manifest["runs"], (1, 5, 9)):
         assert run["big_k"] == k
         assert run["final_e"] < 1e-6
+        # each run's own run_experiment wall time, next to its round count
+        assert run["rounds_run"] > 0 and run["run_s"] > 0.0
         assert (tmp_path / f"series_K{k}.csv").exists()
 
 
@@ -341,6 +343,19 @@ def test_attack_command_exact_recovery_variants(tmp_path):
     with open(tmp_path / "b" / "attack.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert float(rows[0]["estimate"]) == 40.0
+
+
+def test_baseline_leak_of_an_unseen_target_exits_2(tmp_path, capsys):
+    # node 0 does not send to node 2, so member 2 sees none of its shares
+    assert 2 not in default_demo_graph().out_neighbors(0)
+    cfg = write_config(
+        tmp_path / "leak.yaml",
+        mode="algorithm0",
+        max_rounds=5,
+        adversary={"members": [2], "target": 0, "attack": "baseline_leak", "trials": 1},
+    )
+    assert main(["attack", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert "node 0 sends to no member of [2]" in capsys.readouterr().err
 
 
 # SHA-256 of the ``attack`` CSV of every attack that uses only elementwise

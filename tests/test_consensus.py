@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -460,3 +461,53 @@ def test_array_engine_matches_message_passing_encrypted(graph_index):
     for k in range(4):
         sent = [(record.wire[k, 0, e].value, record.wire[k, 1, e].value) for e in range(n_edges)]
         assert sent == ref["wire"][k], k
+
+
+def _products(record):
+    """Every edge share as the engine multiplies it: weight times the
+    sender's state."""
+    layout = record.weights.layout
+    sent = record.trajectory.states[: record.n_rounds].take(layout.senders, axis=2)
+    return record.weights.table[:, :, : layout.n_edges] * sent
+
+
+def test_plain_trace_holds_only_the_weight_table_and_the_states():
+    """A plain 1000-node, 100-round run keeps no share array: its traced
+    peak stays within 1.3 times the table and the states, and the shares
+    exist only once read."""
+    rng = np.random.default_rng(1000)
+    graph = random_strongly_connected_graph(1000, rng, 0.006)
+    x0 = rng.uniform(0.0, 50.0, size=1000).tolist()
+    eps = 0.5 / (max(graph.out_degree(i) for i in graph.nodes()) + 1)
+    params = WeightParams(big_k=1, epsilon=eps)
+    tracemalloc.start()
+    try:
+        record = run_algorithm1(graph, x0, params, seed=4, rounds=100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = record.weights.table.nbytes + record.trajectory.states.nbytes
+    assert peak <= 1.3 * kept, peak / kept
+    assert "shares" not in record.__dict__
+    assert record.wire is record.shares
+    assert "shares" in record.__dict__
+
+
+def test_every_record_keeps_its_shares_right(demo_graph, demo_x0):
+    params = WeightParams(big_k=2, epsilon=0.05)
+    full = run_algorithm1(demo_graph, demo_x0, params, seed=9, rounds=400)
+    early = run_algorithm1(demo_graph, demo_x0, params, seed=9, rounds=400, stop_tol=1e-9)
+    done = early.n_rounds
+    assert done < 400
+    assert early.shares.shape == (done, 2, early.weights.layout.n_edges)
+    assert early.shares.tobytes() == full.shares[:done].tobytes()
+
+    # under a channel the receivers fold the decoded shares, which the
+    # record stores: they are not the products of weights and states
+    keypairs = node_keypairs(demo_graph, 128, 3)
+    channel = PaillierChannel({i: kp.public for i, kp in keypairs.items()}, keypairs, 48, 3)
+    encrypted = run_algorithm1(demo_graph, demo_x0, params, seed=9, rounds=6, channel=channel)
+    assert encrypted.shares is encrypted.decoded
+    assert encrypted.wire is encrypted.ciphertexts
+    assert encrypted.shares.tobytes() != _products(encrypted).tobytes()
+    np.testing.assert_allclose(encrypted.shares, _products(encrypted), rtol=0, atol=1e-12)
