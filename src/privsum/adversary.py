@@ -97,8 +97,8 @@ def build_adversary_view(record: RunRecord, members) -> AdversaryView:
         graph=record.graph,
         params=record.params,
         states=record.trajectory.states[:, :, columns],
-        retained=record.retained()[:, :, columns],
-        shares=record.shares[:, :, touched],
+        retained=record.retained(columns),
+        shares=record.edge_shares(touched),
     )
 
 

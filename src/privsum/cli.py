@@ -140,16 +140,17 @@ def cmd_attack(args) -> int:
     attack = ATTACKS[spec.attack]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # The last recorded exchange round, the widest system the view supports;
-    # the least-squares estimate reads only rounds 0..K+1 of it.
-    m_rounds = config.max_rounds - 1
+    # No attack reads past round K+1, so a trial of K+3 rounds gives the
+    # estimate a run of the config's max_rounds gives.
+    rounds = config.big_k + 3
+    m_rounds = rounds - 1
     rows = []
     targets = spec.target_x0 or (None,)
     trial_no = 0
     for true_x0 in targets:
         for t in range(spec.trials):
             seed = config.seed + t
-            cfg = replace(config, seed=seed)
+            cfg = replace(config, seed=seed, max_rounds=rounds)
             result = run_experiment(cfg, target_override=true_x0)
             estimate = attack(result.adversary_view, spec.target, m_rounds)
             rows.append(
@@ -171,6 +172,7 @@ def cmd_attack(args) -> int:
         "mode": config.mode,
         "outputs": [str(csv_path)],
         "trials": len(rows),
+        "rounds_per_trial": rounds,
         "estimate_mean": float(estimates.mean()),
         "estimate_std": float(estimates.std(ddof=1)) if len(rows) > 1 else 0.0,
         "estimate_min": float(estimates.min()),

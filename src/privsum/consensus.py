@@ -12,8 +12,10 @@ column's retained share first, then its in-shares by ascending sender,
 summed slot by slot from -0.0.  ``run_rounds`` folds all n columns of a
 simulated network in one call per round; a networked node
 (``net.NodeRuntime``) folds its own column through ``apply_round``.  Both
-multiply each share as weight times state, so a deployed node and the
-simulator agree bit for bit because they run the same fold.
+multiply each share as weight times state, and both draw their weights
+with ``weights.generate_round_weights`` (the simulator per out-degree
+class, a node for a class of one), so a deployed node and the simulator
+agree bit for bit because they run the same draw and the same fold.
 ``run_rounds`` serves the baseline fixed-weight protocol, the two-phase
 random-weight protocol, replays with rewritten weights and (through a
 channel) the encrypted transport.
@@ -26,8 +28,9 @@ weight table is ``(rounds, 2, E + n)``, edge first: the E edge weights in
 edge order, then the n self-weights, so the engine reads both blocks as
 views.  A run keeps only the table and the states: in the clear every
 share is weight times state, so the record recomputes the shares with
-the engine's multiply when they are read.  Only a channel's decoded
-shares and its ciphertexts, which no multiply gives back, are stored.
+the engine's multiply when they are read, only the columns asked for.
+Only a channel's decoded shares and its ciphertexts, which no multiply
+gives back, are stored.
 """
 from __future__ import annotations
 
@@ -41,7 +44,7 @@ import numpy as np
 
 from .errors import ConfigError, DivisionByZero, NotStronglyConnected
 from .graph import DirectedGraph, is_strongly_connected
-from .weights import WeightParams, degree_class_weights
+from .weights import WeightParams, generate_round_weights, node_rng
 
 if TYPE_CHECKING:
     from .sim import PaillierChannel
@@ -278,11 +281,16 @@ class RunRecord:
 
     @cached_property
     def shares(self) -> np.ndarray:
+        return self.decoded if self.decoded is not None else self.edge_shares(slice(None))
+
+    def edge_shares(self, edges) -> np.ndarray:
+        """``shares[:, :, edges]``, computing (in the clear) only those
+        columns and caching nothing."""
         if self.decoded is not None:
-            return self.decoded
+            return self.decoded[:, :, edges]
         layout = self.weights.layout
-        sent = self.trajectory.states[: self.n_rounds].take(layout.senders, axis=2)
-        return self.weights.table[:, :, : layout.n_edges] * sent
+        sent = self.trajectory.states[: self.n_rounds].take(layout.senders[edges], axis=2)
+        return self.weights.table[:, :, : layout.n_edges][:, :, edges] * sent
 
     @property
     def wire(self) -> np.ndarray:
@@ -293,12 +301,13 @@ class RunRecord:
         """The initial values, the s side of the round-0 state."""
         return self.trajectory.s[0].tolist()
 
-    def retained(self) -> np.ndarray:
-        """Every node's kept (s, w) self-share, a ``(rounds, 2, n)`` array,
-        recomputed with the engine's multiply (self-weight times state), so
-        bit-equal to the retained share each round folded."""
+    def retained(self, nodes=slice(None)) -> np.ndarray:
+        """The kept (s, w) self-share of the given nodes (all by default),
+        a ``(rounds, 2, len(nodes))`` array, recomputed with the engine's
+        multiply (self-weight times state), so bit-equal to the retained
+        share each round folded."""
         self_weights = self.weights.table[:, :, self.weights.layout.n_edges :]
-        return self_weights * self.trajectory.states[: self.n_rounds]
+        return self_weights[:, :, nodes] * self.trajectory.states[: self.n_rounds, :, nodes]
 
     def final_pi(self) -> np.ndarray:
         return self.trajectory.pi[-1].copy()
@@ -384,30 +393,23 @@ def algorithm1_weights(
     """Weights of the two-phase protocol for ``rounds`` rounds, one
     independent seeded generator per node.
 
-    Nodes are drawn one out-degree class at a time by
-    ``degree_class_weights``, which gives each node the rows a networked
-    node draws for itself with ``generate_round_weights``, so simulated
-    and deployed runs agree bit for bit.  Classes go in order of their
-    lowest node, so an infeasible epsilon names the lowest infeasible
-    node.  Each class's value rows are scattered into the s side of one
-    ``(rounds, 2, E + n)`` table and, for the mixing rounds, into the w
-    side too; the w side of the masking rounds is the identity (0 on
-    edges, 1 on self).  Nothing table-sized is allocated but the table.
+    One ``generate_round_weights`` call per out-degree class, with each
+    node on its ``node_rng(seed, node)`` stream, writes both sides of the
+    class's columns of one ``(rounds, 2, E + n)`` table.  A networked node
+    makes the same call for a class of one, so simulated and deployed runs
+    agree bit for bit.  Classes go in order of their lowest node, so an
+    infeasible epsilon names the lowest infeasible node.  Nothing
+    table-sized is allocated but the table.
     """
     layout = SenderLayout(graph)
-    n_edges = layout.n_edges
-    n_mask = params.masking_rounds(0, rounds)
-    table = np.empty((rounds, 2, n_edges + graph.n_nodes))
-    table[:n_mask, 1, :n_edges] = 0.0
-    table[:n_mask, 1, n_edges:] = 1.0
+    table = np.empty((rounds, 2, layout.n_edges + graph.n_nodes))
     classes: dict[int, list[int]] = {}
     for i in graph.nodes():
         classes.setdefault(graph.out_degree(i) + 1, []).append(i)
     for m, nodes in classes.items():
-        rows = degree_class_weights(nodes, m, params, seed, rounds)
+        rngs = {i: node_rng(seed, i) for i in nodes}
         cols = layout.class_columns(np.array(nodes), m)
-        table[:, 0, cols] = rows
-        table[n_mask:, 1, cols] = rows[n_mask:]
+        generate_round_weights(rngs, params, 0, table, cols)
     return WeightTable(layout, table)
 
 

@@ -11,8 +11,8 @@ and never sends round k+1 before that.
 
 Share payloads are either two raw float64s (plain transport) or two
 length-prefixed Paillier ciphertexts encrypted under the receiver's public
-key (encrypted transport).  A node computes its rounds with the
-simulator's own code (see ``NodeRuntime``), so with identical seeds the
+key (encrypted transport).  A node draws and folds with the simulator's
+own functions (see ``NodeRuntime``), so with identical seeds the
 plain-transport trajectory is bit-for-bit the simulator's.
 
 A node runs one ``selectors`` loop on the thread that calls ``run``, and
@@ -178,9 +178,11 @@ class _Inbound:
 class NodeRuntime:
     """One protocol node bound to a listening TCP socket.
 
-    Runs its own column of the simulator's round engine: the weight rows
-    come from ``generate_round_weights`` on the stream derived from (seed,
-    node id), each out-share is its weight times the node's state, and
+    Runs its own column of the simulator's round engine: one
+    ``generate_round_weights`` call draws every round's weight rows into
+    the node's own ``(rounds, 2, targets)`` block, as the simulator draws
+    an out-degree class, from the stream derived from (seed, node id);
+    each out-share is its weight times the node's state, and
     ``apply_round`` sums the retained share and the received shares, by
     ascending sender, with ``consensus.fold_shares``, the one fold
     ``run_rounds`` applies to every column.  Under encryption the
@@ -562,12 +564,11 @@ class NodeRuntime:
             self._barrier(0)
 
             rounds = self.config.max_rounds
-            rng = node_rng(self.config.seed, self.node_id)
-            s_rows, w_rows = generate_round_weights(
-                self.node_id, self.out_ids, self.config.params, rng, 0, rounds
-            )
+            m = len(self.out_ids) + 1
             # Per round a (2, targets) row: (s, w) weights, self last.
-            weights = np.stack((s_rows, w_rows), axis=1)
+            weights = np.empty((rounds, 2, m))
+            rngs = {self.node_id: node_rng(self.config.seed, self.node_id)}
+            generate_round_weights(rngs, self.config.params, 0, weights, np.arange(m)[None])
             x0 = resolve_x0(self.config)[self.node_id]
             state = np.array([[x0], [1.0]])
             rows = [(0, x0, 1.0, x0)]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -120,12 +121,16 @@ class ExperimentConfig:
         if self.mode == MODE_ALGORITHM2:
             check_key_bits(self.key_bits, self.fractional_bits)
         if isinstance(self.x0, dict):
-            if set(self.x0) != {"low", "high"} or not self.x0["low"] < self.x0["high"]:
+            if set(self.x0) != {"low", "high"} or not _finite(self.x0.values()):
+                raise ConfigError("x0 range must be {'low': a, 'high': b}, both finite")
+            if not self.x0["low"] < self.x0["high"]:
                 raise ConfigError("x0 range must be {'low': a, 'high': b} with a < b")
         elif len(list(self.x0)) != self.graph.n_nodes:
             raise ConfigError(
                 f"x0 has {len(list(self.x0))} entries for {self.graph.n_nodes} nodes"
             )
+        elif not _finite(self.x0):
+            raise ConfigError("x0 entries must be finite numbers")
         if self.adversary is not None:
             members = set(self.adversary.members)
             nodes = set(self.graph.nodes())
@@ -142,6 +147,8 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"adversary trials={self.adversary.trials} must be at least 1"
                 )
+            if not _finite(self.adversary.target_x0):
+                raise ConfigError("adversary target_x0 entries must be finite numbers")
 
     def to_dict(self) -> dict:
         d: dict = {
@@ -213,6 +220,15 @@ def _read(raw: dict, key: str, read):
         return read(raw[key])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config key {key!r} has unusable value {raw[key]!r}") from exc
+
+
+def _finite(values) -> bool:
+    """Whether every value is a finite number: an inf or nan input turns
+    every estimate into nan."""
+    try:
+        return all(math.isfinite(float(v)) for v in values)
+    except (TypeError, ValueError):
+        return False
 
 
 def _check_keys(raw: dict, known: set, section: str) -> None:

@@ -11,12 +11,17 @@ out-neighbors plus itself.  Two regimes exist:
 
 Assembling all nodes' weights for one round into an N x N matrix (column j =
 node j's weights) always yields a column-stochastic matrix.
+
+``generate_round_weights`` is the one draw: the simulator calls it per
+out-degree class and a deployed node for a class of one, so both hold the
+same bits.
 """
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -60,8 +65,8 @@ class WeightParams:
             raise ConfigError("big_k must be a non-negative integer")
         if not 0.0 < self.epsilon < 1.0:
             raise ConfigError("epsilon must lie in (0, 1)")
-        if self.phase_a_range <= 0.0:
-            raise ConfigError("phase_a_range must be positive")
+        if not 0.0 < self.phase_a_range < math.inf:
+            raise ConfigError("phase_a_range must be positive and finite")
 
     def is_masking_round(self, round_k: int) -> bool:
         return round_k <= self.big_k
@@ -88,57 +93,40 @@ def phase_b_map(simplex_point: Iterable[float], epsilon: float) -> np.ndarray:
 
 
 def generate_round_weights(
-    node_id: int,
-    out_neighbors: Iterable[int],
+    rngs: Mapping[int, np.random.Generator],
     params: WeightParams,
-    rng: np.random.Generator,
     first_round: int,
-    n_rounds: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One node's coupling weights for ``n_rounds`` rounds from
-    ``first_round`` on: the value-side and the weight-side rows, one row
-    per round.
+    table: np.ndarray,
+    columns: np.ndarray,
+) -> None:
+    """Draw rounds ``first_round`` .. ``first_round + len(table) - 1`` for a
+    class of nodes that all have m targets, into the caller's table.
 
-    Columns are the node's targets: out-neighbors ascending, then the node
-    itself.  All rounds come from one ``rng.random`` call that consumes the
-    stream exactly as successive one-round draws do: m uniforms per masking
-    round, m - 1 per mixing round (m = out-degree + 1).  The rows are
-    ``_value_rows`` of those uniforms.  The weight side is the identity row
-    (self 1, others 0) in masking rounds and the value-side row in mixing
-    rounds.
+    ``rngs`` maps each node of the class to its own generator; the caller
+    keeps it, and a later call with the next ``first_round`` continues the
+    stream.  ``table`` is ``(rounds, 2, width)`` with axis 1 (s, w), and
+    row r of the ``(g, m)`` index array ``columns`` holds the r-th node's
+    columns: its out-neighbors ascending, then itself.  A deployed node is
+    a class of one writing its own ``(rounds, 2, m)`` block.
+
+    Each node's uniforms come from one ``random`` call on its stream, m per
+    masking round and m - 1 per mixing round, consumed exactly as
+    successive one-round draws consume them; one ``_value_rows`` call
+    transforms the whole class into the s rows.  The w rows are the
+    identity (self 1, others 0) in masking rounds and the s row in mixing
+    rounds.  An infeasible epsilon names the class's first node.
     """
-    others = sorted(int(t) for t in out_neighbors)
-    if node_id in others:
-        raise ConfigError("node must not list itself as an out-neighbor")
-    m = len(others) + 1
-    _require_feasible(node_id, m, params)
-    n_mask = params.masking_rounds(first_round, n_rounds)
-    u = rng.random(_uniform_count(m, n_mask, n_rounds))
-    rows = _value_rows(u[None], m, n_mask, n_rounds, params)[:, 0]
-    w_rows = rows.copy()
-    w_rows[:n_mask] = 0.0
-    w_rows[:n_mask, -1] = 1.0
-    return rows, w_rows
-
-
-def degree_class_weights(
-    nodes: Sequence[int], m: int, params: WeightParams, seed: int, n_rounds: int
-) -> np.ndarray:
-    """Value-side rows of rounds 0 .. n_rounds - 1 for a non-empty list of
-    nodes that all have m targets, as a round-major ``(n_rounds,
-    len(nodes), m)`` array.
-
-    Column block ``[:, r]`` is bit for bit what ``generate_round_weights``
-    draws for ``nodes[r]`` from ``node_rng(seed, nodes[r])``: each node's
-    uniforms come from its own stream, and one ``_value_rows`` call
-    transforms the whole class.  An infeasible epsilon names ``nodes[0]``.
-    """
-    _require_feasible(nodes[0], m, params)
-    n_mask = params.masking_rounds(0, n_rounds)
-    u = np.empty((len(nodes), _uniform_count(m, n_mask, n_rounds)))
-    for row, node in zip(u, nodes):
-        node_rng(seed, node).random(out=row)
-    return _value_rows(u, m, n_mask, n_rounds, params)
+    rounds, m = table.shape[0], columns.shape[1]
+    _require_feasible(next(iter(rngs)), m, params)
+    n_mask = params.masking_rounds(first_round, rounds)
+    u = np.empty((len(rngs), _uniform_count(m, n_mask, rounds)))
+    for row, rng in zip(u, rngs.values()):
+        rng.random(out=row)
+    s_rows = _value_rows(u, m, n_mask, rounds, params)
+    table[:, 0, columns] = s_rows
+    table[n_mask:, 1, columns] = s_rows[n_mask:]
+    table[:n_mask, 1, columns[:, :-1]] = 0.0
+    table[:n_mask, 1, columns[:, -1]] = 1.0
 
 
 def _require_feasible(node_id: int, m: int, params: WeightParams) -> None:

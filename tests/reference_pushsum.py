@@ -65,15 +65,17 @@ def round_weights(
     rng: np.random.Generator,
 ) -> RoundWeights:
     """One round's weights as maps: the one-round case of
-    ``generate_round_weights``, so drawing round by round consumes the
-    stream exactly as one batched draw does."""
-    others = sorted(int(t) for t in out_neighbors)
-    s_rows, w_rows = generate_round_weights(node_id, others, params, rng, round_k, 1)
-    targets = others + [node_id]
-    s = dict(zip(targets, s_rows[0].tolist()))
+    ``generate_round_weights`` for a class of one, so drawing round by
+    round consumes the stream exactly as one batched draw does."""
+    targets = sorted(int(t) for t in out_neighbors) + [node_id]
+    block = np.empty((1, 2, len(targets)))
+    generate_round_weights(
+        {node_id: rng}, params, round_k, block, np.arange(len(targets))[None]
+    )
+    s, w = (dict(zip(targets, side.tolist())) for side in block[0])
     if not params.is_masking_round(round_k):
         return RoundWeights(node_id, round_k, s, s)
-    return RoundWeights(node_id, round_k, s, dict(zip(targets, w_rows[0].tolist())))
+    return RoundWeights(node_id, round_k, s, w)
 
 
 def validate_round_weights(

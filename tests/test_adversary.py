@@ -349,3 +349,23 @@ def test_least_squares_certificate_ignores_the_topology():
         else:
             with pytest.raises(TopologyConditionUnmet):
                 attack_colluding_full_neighborhood(view, 0)
+
+
+@pytest.mark.parametrize("mode", ["algorithm1", "algorithm2-simulated"])
+def test_a_view_computes_only_its_own_columns(demo_graph, demo_x0, mode):
+    """A view holds bit for bit the slices of the record's full share and
+    retained arrays, and building one leaves a plain record's shares
+    uncomputed."""
+    config = ExperimentConfig(
+        graph=demo_graph, x0=demo_x0, max_rounds=6, stop_tol=0.0, seed=4,
+        mode=mode, key_bits=128, fractional_bits=32,
+    )
+    record = run_experiment(config).record
+    view = build_adversary_view(record, [3, 1])
+    if mode == "algorithm1":
+        assert "shares" not in record.__dict__
+    layout = record.weights.layout
+    touched = [layout.column(s, r) for s, r in view.links]
+    assert view.shares.tobytes() == record.shares[:, :, touched].tobytes()
+    assert view.retained.tobytes() == record.retained()[:, :, [1, 3]].tobytes()
+    assert view.states.tobytes() == record.trajectory.states[:, :, [1, 3]].tobytes()

@@ -1,15 +1,19 @@
 import csv
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 import yaml
 
+import privsum
+from privsum.adversary import attack_least_squares
 from privsum.cli import main
 from privsum.graph import default_demo_graph
 from privsum.net import allocate_ports
@@ -121,6 +125,13 @@ def test_unreadable_config_value_names_its_key(tmp_path, capsys):
     rc = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)])
     assert rc == 2
     assert "error: config key 'epsilon'" in capsys.readouterr().err
+
+
+def test_non_finite_x0_range_exits_2_naming_the_key(tmp_path, capsys):
+    cfg = write_config(tmp_path / "bad.yaml", x0={"low": float("-inf"), "high": 0.0})
+    rc = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "error: x0 range" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -286,6 +297,15 @@ def test_attack_command_writes_trials(tmp_path):
     assert trues == {40.0, -40.0}
     manifest = json.loads((tmp_path / "attack_manifest.json").read_text())
     assert manifest["trials"] == 6
+    # Each trial runs K+3 rounds, and gives the estimate of a full-length run.
+    assert manifest["rounds_per_trial"] == 4
+    config = ExperimentConfig.from_yaml(cfg)
+    for row in rows:
+        full = sim.run_experiment(
+            replace(config, seed=int(row["seed"])), target_override=float(row["true_x0"])
+        )
+        estimate = attack_least_squares(full.adversary_view, 0, config.max_rounds - 1)
+        assert repr(estimate) == row["estimate"]
 
 
 def test_attack_command_exact_recovery_variants(tmp_path):
@@ -516,6 +536,22 @@ def test_requires_exactly_one_source(tmp_path, capsys):
         ["simulate", "--config", str(cfg), "--preset", "fig2", "--out-dir", str(tmp_path)]
     )
     assert rc == 2
+
+
+def test_python_dash_m_privsum_runs_the_cli(tmp_path):
+    env = dict(os.environ)
+    package_root = str(Path(privsum.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "privsum", "--help"],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: privsum ")
 
 
 def test_node_subprocesses_run_cluster(tmp_path):

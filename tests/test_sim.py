@@ -156,6 +156,28 @@ def test_config_validation_messages():
         make_config(adversary=AdversarySpec(members=(1,), target=0, trials=0)).validate()
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"phase_a_range": float("nan")}, "phase_a_range must be positive and finite"),
+        ({"phase_a_range": float("inf")}, "phase_a_range must be positive and finite"),
+        ({"x0": [10.0, float("nan"), 20.0, 25.0, 30.0]}, "x0 entries must be finite"),
+        ({"x0": [10.0, 15.0, 20.0, 25.0, float("-inf")]}, "x0 entries must be finite"),
+        ({"x0": {"low": float("-inf"), "high": 0.0}}, "x0 range .* both finite"),
+        ({"x0": {"low": 0.0, "high": float("nan")}}, "x0 range .* both finite"),
+        (
+            {"adversary": AdversarySpec(members=(1,), target=0, target_x0=(float("inf"),))},
+            "target_x0 entries must be finite",
+        ),
+    ],
+)
+def test_config_refuses_non_finite_inputs(overrides, message):
+    """An inf or nan input would end the run with every estimate nan, or
+    overflow in the x0 draw; validation names the key instead."""
+    with pytest.raises(ConfigError, match=message):
+        make_config(**overrides).validate()
+
+
 def test_encrypted_config_rejects_a_key_too_small_for_its_fractional_bits():
     with pytest.raises(
         ConfigError,

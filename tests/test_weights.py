@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privsum import weights as weights_module
+from privsum import consensus as consensus_module
 from privsum.errors import ConfigError, InvalidEpsilon
 from privsum.consensus import algorithm1_weights
 from privsum.graph import DirectedGraph
@@ -19,6 +19,16 @@ from reference_pushsum import (
     simplex_sample,
     validate_round_weights,
 )
+
+
+def _own_draw(node, others, params, rng, first_round, n_rounds):
+    """A node's ``(s_rows, w_rows)`` for ``n_rounds`` rounds from
+    ``first_round`` on, drawn as a class of one into its own block;
+    ``others`` are its out-neighbors ascending."""
+    m = len(others) + 1
+    block = np.empty((n_rounds, 2, m))
+    generate_round_weights({node: rng}, params, first_round, block, np.arange(m)[None])
+    return block[:, 0], block[:, 1]
 
 
 def test_phase_b_map_direct_evaluations():
@@ -77,7 +87,7 @@ def test_mixing_round_weights_shared_and_bounded():
 def test_generate_rejects_infeasible_epsilon():
     params = WeightParams(big_k=0, epsilon=0.4)
     with pytest.raises(InvalidEpsilon):
-        generate_round_weights(0, [1, 2], params, node_rng(0, 0), 1, 1)
+        _own_draw(0, [1, 2], params, node_rng(0, 0), 1, 1)
 
 
 def test_weight_stream_deterministic_per_seed():
@@ -177,7 +187,7 @@ def test_batched_draw_matches_successive_rounds(out_degree, big_k):
     for n_rounds in sorted({1, max(big_k, 1), big_k + 1, big_k + 2, big_k + 6}):
         seed = 100 * out_degree + 10 * big_k + n_rounds
         batched_rng = node_rng(seed, node)
-        rows, w_rows = generate_round_weights(node, others, params, batched_rng, 0, n_rounds)
+        rows, w_rows = _own_draw(node, others, params, batched_rng, 0, n_rounds)
 
         successive_rng = node_rng(seed, node)
         successive = []
@@ -204,13 +214,29 @@ def test_batched_draw_matches_successive_rounds(out_degree, big_k):
 
 
 def test_batched_draw_continues_the_stream_mid_run():
-    params = WeightParams(big_k=2, epsilon=0.1)
-    whole = generate_round_weights(0, [1, 2, 5], params, node_rng(8, 0), 0, 9)
-    rng = node_rng(8, 0)
-    head = generate_round_weights(0, [1, 2, 5], params, rng, 0, 2)
-    tail = generate_round_weights(0, [1, 2, 5], params, rng, 2, 7)
-    for side in (0, 1):
-        assert whole[side].tobytes() == np.vstack([head[side], tail[side]]).tobytes()
+    """A class drawn as a head block that ends inside the masking phase and
+    a tail block from the next round on fills, bit for bit, the columns one
+    whole draw fills, and leaves each node's generator where the whole draw
+    leaves it; each node's columns hold its own draw as a class of one."""
+    params = WeightParams(big_k=3, epsilon=0.1)
+    nodes = [2, 5, 7]
+    # Every column of a 12-wide table, scattered over the three nodes.
+    columns = np.array([[0, 4, 9, 1], [3, 8, 2, 6], [10, 5, 11, 7]])
+    whole_rngs = {i: node_rng(8, i) for i in nodes}
+    whole = np.full((9, 2, 12), np.nan)
+    generate_round_weights(whole_rngs, params, 0, whole, columns)
+    rngs = {i: node_rng(8, i) for i in nodes}
+    head, tail = np.full((2, 2, 12), np.nan), np.full((7, 2, 12), np.nan)
+    generate_round_weights(rngs, params, 0, head, columns)
+    generate_round_weights(rngs, params, 2, tail, columns)
+
+    assert not np.isnan(whole).any()
+    assert np.concatenate((head, tail)).tobytes() == whole.tobytes()
+    for i, cols in zip(nodes, columns):
+        assert rngs[i].bit_generator.state == whole_rngs[i].bit_generator.state
+        own = _own_draw(i, [0, 1, 3], params, node_rng(8, i), 0, 9)
+        for side in (0, 1):
+            assert whole[:, side, cols].tobytes() == own[side].tobytes(), (i, side)
 
 
 def _graph_of_out_degrees(degrees, rng):
@@ -251,7 +277,7 @@ def test_table_holds_each_nodes_own_draw(graph_name, big_k, monkeypatch):
         created[node] = node_rng(seed, node)
         return created[node]
 
-    monkeypatch.setattr(weights_module, "node_rng", recorded_rng)
+    monkeypatch.setattr(consensus_module, "node_rng", recorded_rng)
     for rounds in sorted({1, big_k + 1, big_k + 2, 40}):
         seed = 1000 * big_k + rounds
         created.clear()
@@ -261,9 +287,7 @@ def test_table_holds_each_nodes_own_draw(graph_name, big_k, monkeypatch):
         assert sorted(created) == list(graph.nodes())
         for i in graph.nodes():
             rng = node_rng(seed, i)
-            s_rows, w_rows = generate_round_weights(
-                i, graph.out_neighbors(i), params, rng, 0, rounds
-            )
+            s_rows, w_rows = _own_draw(i, graph.out_neighbors(i), params, rng, 0, rounds)
             cols = layout.columns(i)
             assert table.s[:, cols].tobytes() == s_rows.tobytes(), (i, rounds)
             assert table.w[:, cols].tobytes() == w_rows.tobytes(), (i, rounds)
