@@ -51,7 +51,6 @@ from .adversary import (
     attack_sole_neighbor,
     build_adversary_view,
     build_indistinguishability_witness,
-    build_least_squares_system,
     replay_with_witness,
 )
 from .sim import (

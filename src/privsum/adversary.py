@@ -209,35 +209,6 @@ def attack_colluding_full_neighborhood(view: AdversaryView, target: int) -> floa
     return _recover_via_telescope(view, target)
 
 
-@dataclass
-class LeastSquaresSystem:
-    """The colluders' linear system in the target's hidden quantities.
-
-    Unknown layout: s(0..M+1), then the per-round unobserved net s-outflow
-    ds(0..M), then w(K+2..M+1), then the unobserved net w-outflow
-    dw(K+1..M).  Row count 3M-2K+1, unknown count 4M-2K+3: strictly
-    underdetermined, and the estimate is its minimum-norm solution.  These
-    are the explicit equations, the reference for the rank audit and the
-    tests; ``attack_least_squares`` solves the block of them that s(0)
-    depends on.
-    """
-
-    matrix: np.ndarray
-    rhs: np.ndarray
-
-    @property
-    def n_equations(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n_unknowns(self) -> int:
-        return self.matrix.shape[1]
-
-    @property
-    def s0_index(self) -> int:
-        return 0
-
-
 def _least_squares_inputs(
     view: AdversaryView, target: int, m_rounds: int
 ) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray]:
@@ -253,69 +224,11 @@ def _least_squares_inputs(
     return m, big_k, s_net, w_net[big_k + 1 :], ratio
 
 
-def build_least_squares_system(
-    view: AdversaryView, target: int, m_rounds: int
-) -> LeastSquaresSystem:
-    """Assemble the colluders' equations over rounds 0..m_rounds.
-
-    Raises as ``_least_squares_inputs`` does when the view cannot support
-    them.
-    """
-    m, big_k, s_net, w_net, ratio = _least_squares_inputs(view, target, m_rounds)
-
-    n_s = m + 2          # s(0..M+1)
-    n_ds = m + 1         # ds(0..M)
-    n_w = m - big_k      # w(K+2..M+1)
-    n_dw = m - big_k     # dw(K+1..M)
-    n_unknowns = n_s + n_ds + n_w + n_dw
-
-    def s_idx(k: np.ndarray) -> np.ndarray:
-        return k
-
-    def ds_idx(k: np.ndarray) -> np.ndarray:
-        return n_s + k
-
-    def w_idx(k: np.ndarray) -> np.ndarray:
-        return n_s + n_ds + (k - big_k - 2)
-
-    def dw_idx(k: np.ndarray) -> np.ndarray:
-        return n_s + n_ds + n_w + (k - big_k - 1)
-
-    weight_rows = m + 1         # first weight-balance row
-    ratio_rows = 2 * m - big_k + 1  # first ratio row
-    matrix = np.zeros((3 * m - 2 * big_k + 1, n_unknowns))
-    rhs = np.zeros(matrix.shape[0])
-
-    # Value balance, every round: s(k+1) - s(k) + ds(k) = observed net flow.
-    k = np.arange(m + 1)
-    matrix[k, s_idx(k + 1)] = 1.0
-    matrix[k, s_idx(k)] = -1.0
-    matrix[k, ds_idx(k)] = 1.0
-    rhs[k] = s_net
-
-    # Weight balance, mixing phase only; w(K+1) = 1 is public knowledge.
-    k = np.arange(big_k + 1, m + 1)
-    r = weight_rows + k - big_k - 1
-    matrix[r[1:], w_idx(k[1:])] = -1.0
-    matrix[r, w_idx(k + 1)] = 1.0
-    matrix[r, dw_idx(k)] = 1.0
-    rhs[r] = w_net
-    rhs[r[0]] += 1.0
-
-    # Ratio constraint: in the mixing phase both shares carry one weight,
-    # so the observed share ratio equals s(k)/w(k).
-    r = ratio_rows + k - big_k - 1
-    matrix[r, s_idx(k)] = 1.0
-    rhs[r[0]] = ratio[0]
-    matrix[r[1:], w_idx(k[1:])] = -ratio[1:]
-
-    return LeastSquaresSystem(matrix=matrix, rhs=rhs)
-
-
 def attack_least_squares(view: AdversaryView, target: int, m_rounds: int) -> float:
     """Minimum-norm least-squares estimate of the target's initial value.
 
-    The minimum-norm solution of ``build_least_squares_system`` separates
+    The minimum-norm solution of the colluders' explicit system (kept as
+    a reference in ``tests/reference_least_squares.py``) separates
     (Björck 1996, ch. 1-2).  The ratio row of round K+1 alone fixes
     s(K+1) = ratio_{K+1}; after that, s(0..K) and ds(0..K) appear only in
     value-balance rows 0..K, and no other unknown does.  So s(0) is the
@@ -435,7 +348,7 @@ def replay_with_witness(record: RunRecord, witness: Witness) -> RunRecord:
     table = record.weights.table.copy()
     table[0, 0] = witness.round0_s
     return run_rounds(
-        WeightTable(record.weights.layout, table),
+        WeightTable(record.graph, table),
         list(witness.x0),
         params=record.params,
     )

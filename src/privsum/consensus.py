@@ -14,8 +14,10 @@ simulated network in one call per round; a networked node
 (``net.NodeRuntime``) folds its own column through ``apply_round``.  Both
 multiply each share as weight times state, and both draw their weights
 with ``weights.generate_round_weights`` (the simulator per out-degree
-class, a node for a class of one), so a deployed node and the simulator
-agree bit for bit because they run the same draw and the same fold.
+class, a node for a class of one) into the w half of their table, class
+after class, and place them with ``weights.place_round_weights``, one
+gather per block of rounds; so a deployed node and the simulator agree
+bit for bit because they run the same draw, placement and fold.
 ``run_rounds`` serves the baseline fixed-weight protocol, the two-phase
 random-weight protocol, replays with rewritten weights and (through a
 channel) the encrypted transport.
@@ -26,9 +28,11 @@ kept self-shares ``(rounds, 2, n)``, the applied shares and the wire
 ``(rounds, 2, E)``; a colluders' view selects columns of these.  The
 weight table is ``(rounds, 2, E + n)``, edge first: the E edge weights in
 edge order, then the n self-weights, so the engine reads both blocks as
-views.  A run keeps only the table and the states: in the clear every
-share is weight times state, so the record recomputes the shares with
-the engine's multiply when they are read, only the columns asked for.
+views.  ``graph.SenderLayout`` fixes these columns; each graph object
+builds its layout once (``DirectedGraph.layout``).  A run keeps only the
+table and the states: in the clear every share is weight times state, so
+the record recomputes the shares with the engine's multiply when they are
+read, only the columns asked for.
 Only a channel's decoded shares and its ciphertexts, which no multiply
 gives back, are stored.
 """
@@ -37,14 +41,13 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, DivisionByZero, NotStronglyConnected
-from .graph import DirectedGraph, is_strongly_connected
-from .weights import WeightParams, generate_round_weights, node_rng
+from .graph import DirectedGraph, SenderLayout, is_strongly_connected
+from .weights import WeightParams, generate_round_weights, node_rng, place_round_weights
 
 if TYPE_CHECKING:
     from .sim import PaillierChannel
@@ -146,83 +149,22 @@ class Trajectory:
         return tuple(NodeState(i, s, w, pi, k) for i, (s, w, pi) in enumerate(rows))
 
 
-class SenderLayout:
-    """Where each node's weights and shares sit in a run's arrays.
-
-    The edges are ordered sender ascending, then receiver ascending.  That
-    is the order of the share arrays, of a run's wire, of the channel calls
-    and of the first E columns of a weight table, whose last n columns are
-    the nodes' self-weights.  Node j owns the columns ``columns(j)``, an
-    index array in the order of ``targets(j)``: its edge block (its
-    out-neighbors ascending), then its self column E + j.
-
-    The engine writes one round's shares to a flat scratch row of
-    2 (E + n) + 1 entries: the s side's E edge shares and n retained
-    shares, the w side's alike, then one -0.0 pad.  ``holders`` names the
-    node whose state each of a side's E + n columns multiplies: the
-    senders, then 0 .. n - 1.  ``fold_order`` is the ``(1 + max_in, 2, n)``
-    index into that row that ``fold_shares`` sums over: node i's retained
-    share, then its in-shares by ascending sender, then the pad until every
-    node has 1 + max_in slots.  The pad is -0.0 because x + (-0.0) is x bit
-    for bit.
-    """
-
-    def __init__(self, graph: DirectedGraph) -> None:
-        self.graph = graph
-        n = graph.n_nodes
-        degrees = np.array([graph.out_degree(j) for j in graph.nodes()], dtype=np.intp)
-        # Node j's edges are edge_start[j] .. edge_start[j + 1] - 1.
-        self.edge_start = np.concatenate(([0], np.cumsum(degrees)))
-        self.senders = np.repeat(np.arange(n), degrees)
-        self.receivers = np.fromiter(
-            chain.from_iterable(graph.out_neighbors(j) for j in graph.nodes()),
-            dtype=np.intp,
-            count=int(self.edge_start[-1]),
-        )
-        self.n_edges = self.senders.size
-
-        by_receiver = np.lexsort((self.senders, self.receivers))
-        grouped = self.receivers[by_receiver]
-        depth = np.arange(self.n_edges) - np.searchsorted(grouped, grouped)
-        max_in = max((graph.in_degree(i) for i in graph.nodes()), default=0)
-        width = self.n_edges + n
-        slots = np.full((1 + max_in, n), -1)
-        slots[0] = self.n_edges + np.arange(n)
-        slots[1 + depth, grouped] = by_receiver
-        flat = slots[:, None, :] + np.array([[0], [width]])
-        self.fold_order = np.where(slots[:, None, :] < 0, 2 * width, flat)
-        self.holders = np.concatenate((self.senders, np.arange(n)))
-
-    def targets(self, node: int) -> list[int]:
-        return list(self.graph.out_neighbors(node)) + [node]
-
-    def columns(self, node: int) -> np.ndarray:
-        return self.class_columns(np.array([node]), self.graph.out_degree(node) + 1)[0]
-
-    def class_columns(self, nodes: np.ndarray, m: int) -> np.ndarray:
-        """``columns`` of nodes that all have m targets, one row each."""
-        cols = np.empty((nodes.size, m), dtype=np.intp)
-        cols[:, :-1] = self.edge_start[nodes, None] + np.arange(m - 1)
-        cols[:, -1] = self.n_edges + nodes
-        return cols
-
-    def column(self, node: int, target: int) -> int:
-        """The column of the node's weight on ``target``."""
-        return int(self.columns(node)[self.targets(node).index(target)])
-
-
 @dataclass(frozen=True)
 class WeightTable:
     """Every node's coupling weights for a run, one row per round.
 
     ``table`` is a ``(rounds, 2, E + n)`` array: axis 1 is (s, w), and the
-    columns are the edges then the self-weights, as in ``layout``.  ``s``
-    and ``w`` are views of its two sides.  The table may be a broadcast
-    view, so it may not be written in place.
+    columns are the edges then the self-weights, as in the graph's
+    ``layout``.  ``s`` and ``w`` are views of its two sides.  The table may
+    be a broadcast view, so it may not be written in place.
     """
 
-    layout: SenderLayout
+    graph: DirectedGraph
     table: np.ndarray
+
+    @property
+    def layout(self) -> SenderLayout:
+        return self.graph.layout
 
     @property
     def s(self) -> np.ndarray:
@@ -243,7 +185,7 @@ class WeightTable:
             raise ConfigError(f"side must be 's' or 'w', not {side!r}")
         row = self.table[k, "sw".index(side)]
         layout = self.layout
-        n = layout.graph.n_nodes
+        n = self.graph.n_nodes
         p = np.zeros((n, n))
         p[layout.receivers, layout.senders] = row[: layout.n_edges]
         np.fill_diagonal(p, row[layout.n_edges :])
@@ -273,7 +215,7 @@ class RunRecord:
 
     @property
     def graph(self) -> DirectedGraph:
-        return self.weights.layout.graph
+        return self.weights.graph
 
     @property
     def n_rounds(self) -> int:
@@ -320,7 +262,7 @@ def run_rounds(
     channel: PaillierChannel | None = None,
     stop_tol: float = 0.0,
 ) -> RunRecord:
-    """Drive all nodes of ``weights.layout.graph`` through one synchronous
+    """Drive all nodes of ``weights.graph`` through one synchronous
     round per row of the weight table.
 
     Per round, one product writes every edge share and every retained share
@@ -336,7 +278,7 @@ def run_rounds(
     consecutive rounds.
     """
     layout = weights.layout
-    n = layout.graph.n_nodes
+    n = weights.graph.n_nodes
     if len(x0) != n:
         raise ConfigError(f"x0 has {len(x0)} entries for {n} nodes")
     rounds = weights.n_rounds
@@ -381,7 +323,7 @@ def run_rounds(
     return RunRecord(
         params=params,
         trajectory=Trajectory(state[: done + 1]),
-        weights=WeightTable(layout, weights.table[:done]),
+        weights=WeightTable(weights.graph, weights.table[:done]),
         decoded=None if channel is None else decoded[:done],
         ciphertexts=None if channel is None else wire[:done],
     )
@@ -393,24 +335,26 @@ def algorithm1_weights(
     """Weights of the two-phase protocol for ``rounds`` rounds, one
     independent seeded generator per node.
 
-    One ``generate_round_weights`` call per out-degree class, with each
-    node on its ``node_rng(seed, node)`` stream, writes both sides of the
-    class's columns of one ``(rounds, 2, E + n)`` table.  A networked node
-    makes the same call for a class of one, so simulated and deployed runs
-    agree bit for bit.  Classes go in order of their lowest node, so an
-    infeasible epsilon names the lowest infeasible node.  Nothing
-    table-sized is allocated but the table.
+    One ``generate_round_weights`` call per out-degree class of the
+    graph's layout, with each node on its ``node_rng(seed, node)`` stream
+    (made as the draw reaches the node and dropped after it), writes the
+    class's value rows into its stretch of the ``(rounds, 2, E + n)``
+    table's w half, class after class; ``place_round_weights`` then
+    gathers them into the layout's columns and sets the w half.  A
+    networked node makes the same two calls for a class of one, so
+    simulated and deployed runs agree bit for bit.  Classes go in order of
+    their lowest node, so an infeasible epsilon names the lowest infeasible
+    node.  Nothing table-sized is allocated but the table.
     """
-    layout = SenderLayout(graph)
+    layout = graph.layout
     table = np.empty((rounds, 2, layout.n_edges + graph.n_nodes))
-    classes: dict[int, list[int]] = {}
-    for i in graph.nodes():
-        classes.setdefault(graph.out_degree(i) + 1, []).append(i)
-    for m, nodes in classes.items():
-        rngs = {i: node_rng(seed, i) for i in nodes}
-        cols = layout.class_columns(np.array(nodes), m)
-        generate_round_weights(rngs, params, 0, table, cols)
-    return WeightTable(layout, table)
+    for nodes, m, span in layout.draw_classes:
+        rows = table[:, 1, span].reshape(rounds, nodes.size, m)
+        streams = ((i, node_rng(seed, i)) for i in nodes.tolist())
+        generate_round_weights(streams, params, 0, rows)
+    n_mask = params.masking_rounds(0, rounds)
+    place_round_weights(table, layout.draw_order, graph.n_nodes, n_mask)
+    return WeightTable(graph, table)
 
 
 def run_algorithm1(
@@ -450,9 +394,9 @@ def default_pushsum_matrix(graph: DirectedGraph) -> np.ndarray:
 def matrix_weights(graph: DirectedGraph, p: np.ndarray, rounds: int) -> WeightTable:
     """Constant weights taken from the columns of a fixed matrix; the s and
     w sides coincide as in the baseline protocol."""
-    layout = SenderLayout(graph)
+    layout = graph.layout
     row = np.concatenate((p[layout.receivers, layout.senders], p.diagonal()))
-    return WeightTable(layout, np.broadcast_to(row, (rounds, 2, row.size)))
+    return WeightTable(graph, np.broadcast_to(row, (rounds, 2, row.size)))
 
 
 def run_algorithm0(

@@ -54,10 +54,14 @@ from .sim import (
     MODE_ALGORITHM0, ExperimentConfig, PaillierChannel, check_key_bits, node_keypair,
     resolve_x0,
 )
-from .weights import generate_round_weights, node_rng
+from .weights import generate_round_weights, node_rng, place_round_weights
 
 MAGIC = b"PSUM"
 VERSION = 1
+# Seconds between refused connection attempts: peers start at about the
+# same time, so most listeners are up within milliseconds of the first try.
+CONNECT_RETRY_FIRST = 0.001
+CONNECT_RETRY_MAX = 0.05
 
 MSG_KEY_ANNOUNCE = 1
 MSG_SHARE_PLAIN = 2
@@ -179,16 +183,18 @@ class NodeRuntime:
     """One protocol node bound to a listening TCP socket.
 
     Runs its own column of the simulator's round engine: one
-    ``generate_round_weights`` call draws every round's weight rows into
-    the node's own ``(rounds, 2, targets)`` block, as the simulator draws
-    an out-degree class, from the stream derived from (seed, node id);
-    each out-share is its weight times the node's state, and
-    ``apply_round`` sums the retained share and the received shares, by
-    ascending sender, with ``consensus.fold_shares``, the one fold
-    ``run_rounds`` applies to every column.  Under encryption the
-    out-shares pass through one ``PaillierChannel.transmit`` call and the
-    in-shares, by ascending sender, through one ``receive`` call.  A round
-    is applied only when every in-neighbor's share for it has arrived.
+    ``generate_round_weights`` call draws every round's value rows into
+    the w half of the node's own ``(rounds, 2, targets)`` block, as the
+    simulator draws an out-degree class, from the stream derived from
+    (seed, node id), and ``place_round_weights`` finishes the block as it
+    finishes the simulator's table; each out-share is its weight times the
+    node's state, and ``apply_round`` sums the retained share and the
+    received shares, by ascending sender, with ``consensus.fold_shares``,
+    the one fold ``run_rounds`` applies to every column.  Under encryption
+    the out-shares pass through one ``PaillierChannel.transmit`` call and
+    the in-shares, by ascending sender, through one ``receive`` call.  A
+    round is applied only when every in-neighbor's share for it has
+    arrived.
 
     Its one selector covers the listener, every accepted connection and
     every out-socket with queued bytes; ``_wait`` runs it until what the
@@ -298,9 +304,13 @@ class NodeRuntime:
         self._selector.register(conn, selectors.EVENT_READ, lambda: self._receive(link))
 
     def _connect_out(self) -> None:
+        """Connect to every out-neighbor, retrying a refused peer after
+        ``CONNECT_RETRY_FIRST`` seconds, twice as long after each further
+        refusal, up to ``CONNECT_RETRY_MAX``, until ``connect_deadline``."""
         deadline = time.monotonic() + self.connect_deadline
         for peer in self.out_ids:
             host, port = self.peers[peer]
+            delay = CONNECT_RETRY_FIRST
             while True:
                 try:
                     sock = socket.create_connection((host, port), timeout=2.0)
@@ -311,7 +321,8 @@ class NodeRuntime:
                             f"node {self.node_id} could not reach peer {peer} "
                             f"at {host}:{port} within {self.connect_deadline}s"
                         )
-                    time.sleep(0.05)
+                    time.sleep(delay)
+                    delay = min(2 * delay, CONNECT_RETRY_MAX)
             self._sockets.append(sock)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.setblocking(False)
@@ -567,8 +578,10 @@ class NodeRuntime:
             m = len(self.out_ids) + 1
             # Per round a (2, targets) row: (s, w) weights, self last.
             weights = np.empty((rounds, 2, m))
-            rngs = {self.node_id: node_rng(self.config.seed, self.node_id)}
-            generate_round_weights(rngs, self.config.params, 0, weights, np.arange(m)[None])
+            params = self.config.params
+            stream = [(self.node_id, node_rng(self.config.seed, self.node_id))]
+            generate_round_weights(stream, params, 0, weights[:, 1, None])
+            place_round_weights(weights, np.arange(m), 1, params.masking_rounds(0, rounds))
             x0 = resolve_x0(self.config)[self.node_id]
             state = np.array([[x0], [1.0]])
             rows = [(0, x0, 1.0, x0)]

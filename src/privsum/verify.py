@@ -98,7 +98,7 @@ def check_column_stochastic(table: WeightTable, params: WeightParams) -> SuiteRe
     """Every round's s and w matrices have unit column sums, the
     w matrix is the identity through round K, and both matrices coincide
     with entries in (epsilon, 1) afterwards."""
-    n = table.layout.graph.n_nodes
+    n = table.graph.n_nodes
     eps = params.epsilon
     worst = 0.0
     for k in range(table.n_rounds):

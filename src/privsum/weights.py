@@ -14,18 +14,28 @@ node j's weights) always yields a column-stochastic matrix.
 
 ``generate_round_weights`` is the one draw: the simulator calls it per
 out-degree class and a deployed node for a class of one, so both hold the
-same bits.
+same bits.  It writes a class's value rows, node after node, into a
+contiguous stretch of the table's own w half, with no scatter.  Once every
+class is drawn, ``place_round_weights`` gathers the rows into the s half's
+column order, one ``take`` per block of rounds, and then sets the w half:
+the identity in masking rounds, a copy of the s half in mixing rounds.
+Nothing table-sized is allocated besides the table.
 """
 from __future__ import annotations
 
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
 from .errors import ConfigError, InvalidEpsilon
+
+# Entries a gather of ``place_round_weights`` moves at once: a block of
+# rounds small enough that the gather's temporaries stay far below the
+# table's size.
+GATHER_BLOCK = 1 << 15
 
 
 def derive_seed(*parts) -> int:
@@ -93,40 +103,59 @@ def phase_b_map(simplex_point: Iterable[float], epsilon: float) -> np.ndarray:
 
 
 def generate_round_weights(
-    rngs: Mapping[int, np.random.Generator],
+    streams: Iterable[tuple[int, np.random.Generator]],
     params: WeightParams,
     first_round: int,
-    table: np.ndarray,
-    columns: np.ndarray,
+    rows: np.ndarray,
 ) -> None:
-    """Draw rounds ``first_round`` .. ``first_round + len(table) - 1`` for a
-    class of nodes that all have m targets, into the caller's table.
+    """Draw into ``rows`` the value-side weights of rounds ``first_round``
+    .. ``first_round + len(rows) - 1`` for a class of g nodes that all have
+    m targets.  ``rows`` is a ``(rounds, g, m)`` array, and ``rows[k, r]``
+    is the r-th node's weights on its out-neighbors ascending, then itself.
 
-    ``rngs`` maps each node of the class to its own generator; the caller
-    keeps it, and a later call with the next ``first_round`` continues the
-    stream.  ``table`` is ``(rounds, 2, width)`` with axis 1 (s, w), and
-    row r of the ``(g, m)`` index array ``columns`` holds the r-th node's
-    columns: its out-neighbors ascending, then itself.  A deployed node is
-    a class of one writing its own ``(rounds, 2, m)`` block.
-
-    Each node's uniforms come from one ``random`` call on its stream, m per
-    masking round and m - 1 per mixing round, consumed exactly as
-    successive one-round draws consume them; one ``_value_rows`` call
-    transforms the whole class into the s rows.  The w rows are the
-    identity (self 1, others 0) in masking rounds and the s row in mixing
-    rounds.  An infeasible epsilon names the class's first node.
+    ``streams`` yields each node's ``(node_id, generator)`` in row order.
+    Each generator gives one ``random`` call, m uniforms per masking round
+    and m - 1 per mixing round, consumed exactly as successive one-round
+    draws consume them, and is not used again: a caller that makes it on
+    the way holds one at a time, and a caller that keeps it continues the
+    stream with the next ``first_round``.  An infeasible epsilon names the
+    class's first node.  ``place_round_weights`` puts the rows of every
+    class where the rounds read them.
     """
-    rounds, m = table.shape[0], columns.shape[1]
-    _require_feasible(next(iter(rngs)), m, params)
+    rounds, g, m = rows.shape
     n_mask = params.masking_rounds(first_round, rounds)
-    u = np.empty((len(rngs), _uniform_count(m, n_mask, rounds)))
-    for row, rng in zip(u, rngs.values()):
+    u = np.empty((g, _uniform_count(m, n_mask, rounds)))
+    for row, (node, rng) in zip(u, streams):
+        _require_feasible(node, m, params)
         rng.random(out=row)
-    s_rows = _value_rows(u, m, n_mask, rounds, params)
-    table[:, 0, columns] = s_rows
-    table[n_mask:, 1, columns] = s_rows[n_mask:]
-    table[:n_mask, 1, columns[:, :-1]] = 0.0
-    table[:n_mask, 1, columns[:, -1]] = 1.0
+    _value_rows(u, n_mask, rows, params)
+
+
+def place_round_weights(
+    table: np.ndarray, order: np.ndarray, n_self: int, n_mask: int
+) -> None:
+    """Finish a ``(rounds, 2, width)`` table whose w half holds every
+    class's rows as ``generate_round_weights`` drew them, class-major.
+
+    One block of rounds at a time, at most ``GATHER_BLOCK`` entries, the s
+    half takes the rows in column order, column c from entry ``order[c]``
+    of the drawn row, and the block's mixing rounds, those from
+    ``n_mask`` on, copy it into their w half.  The w half of the masking
+    rounds then becomes the identity: 1 in the last ``n_self`` columns,
+    the self-weights, and 0 elsewhere.  Numpy copies an operand that
+    shares memory with the output, so working block by block keeps those
+    copies block-sized too.
+    """
+    rounds, _, width = table.shape
+    step = max(1, GATHER_BLOCK // width)
+    for start in range(0, rounds, step):
+        block = table[start : start + step]
+        np.take(block[:, 1], order, axis=1, out=block[:, 0])
+        mixing = block[max(0, n_mask - start) :]
+        mixing[:, 1] = mixing[:, 0]
+    identity = table[:n_mask, 1]
+    identity[:, : width - n_self] = 0.0
+    identity[:, width - n_self :] = 1.0
 
 
 def _require_feasible(node_id: int, m: int, params: WeightParams) -> None:
@@ -142,50 +171,58 @@ def _uniform_count(m: int, n_mask: int, n_rounds: int) -> int:
 
 
 def _value_rows(
-    u: np.ndarray, m: int, n_mask: int, n_rounds: int, params: WeightParams
-) -> np.ndarray:
+    u: np.ndarray, n_mask: int, rows: np.ndarray, params: WeightParams
+) -> None:
     """Turn a ``(g, count)`` block of uniforms, one stream's draw per row,
-    into round-major ``(n_rounds, g, m)`` value-side rows whose first
-    ``n_mask`` rounds mask.  The mixing uniforms are sorted in place, so
-    ``u`` must be the caller's own buffer.
+    into the ``(n_rounds, g, m)`` value-side ``rows``, whose first
+    ``n_mask`` rounds mask.  The arithmetic runs in place on ``u``, node
+    by node, so ``u`` must be the caller's own buffer; one copy per phase
+    moves the result into ``rows``.
 
     A masking row is m uniforms on (-B, B) shifted to sum to 1; a mixing
-    row is the sorted-uniform simplex gaps under ``phase_b_map``, written
-    straight into the output.  The self-weight is then 1 minus the others
-    added left to right, the order of ``cumsum``, so a row sums to 1
-    exactly in floating point.  Every reduction runs along the last axis,
-    so a row's bits do not depend on g or on the other rows.
+    row is the sorted-uniform simplex gaps under ``phase_b_map``.  The
+    self-weight is then 1 minus the others added left to right, the order
+    of ``cumsum``, so a row sums to 1 exactly in floating point.  Every
+    reduction runs along a row's own entries, so a row's bits do not
+    depend on g, on the other rows or on the layout of ``rows``.
     """
-    g = u.shape[0]
+    n_rounds, g, m = rows.shape
     if m == 1:
-        return np.ones((n_rounds, g, 1))
+        rows[...] = 1.0
+        return
     n_mix = n_rounds - n_mask
-    rows = np.empty((n_rounds, g, m))
 
     # 2B*u - B is what rng.uniform(-B, B) computes, bit for bit.
     b = params.phase_a_range
-    draws = rows[:n_mask]
-    uniforms = u[:, : n_mask * m].reshape(g, n_mask, m)
-    np.multiply(2.0 * b, uniforms.swapaxes(0, 1), out=draws)
+    draws = u[:, : n_mask * m].reshape(g, n_mask, m)
+    draws *= 2.0 * b
     draws -= b
     draws += ((1.0 - draws.sum(axis=-1)) / m)[..., None]
+    _own_weight(draws[..., :-1], out=draws[..., -1])
+    rows[:n_mask] = draws.swapaxes(0, 1)
 
     # A uniform(0, 1) cut is u itself.  The gaps between the sorted cuts,
     # from 0 up, are the mixing row's first m - 1 weights, mapped as
     # ``phase_b_map`` maps them; the last gap, up to 1, is not needed,
     # since the self-weight is 1 minus the others.
-    cuts = u[:, n_mask * m :].reshape(g, n_mix, m - 1)
-    cuts.sort(axis=-1)
-    cuts = cuts.swapaxes(0, 1)
-    gaps = rows[n_mask:, :, :-1]
-    gaps[..., 0] = cuts[..., 0]
-    np.subtract(cuts[..., 1:], cuts[..., :-1], out=gaps[..., 1:])
+    gaps = u[:, n_mask * m :].reshape(g, n_mix, m - 1)
+    gaps.sort(axis=-1)
+    # Numpy reads inputs that overlap the output from a copy, so these are
+    # the differences of the sorted cuts.
+    np.subtract(gaps[..., 1:], gaps[..., :-1], out=gaps[..., 1:])
     gaps *= 1.0 - m * params.epsilon
     gaps += params.epsilon
+    mixing = rows[n_mask:].swapaxes(0, 1)
+    mixing[..., :-1] = gaps
+    own = np.empty((g, n_mix))
+    _own_weight(gaps, out=own)
+    mixing[..., -1] = own
 
-    own = rows[..., -1]
-    own[...] = rows[..., 0]
-    for j in range(1, m - 1):
-        own += rows[..., j]
-    np.subtract(1.0, own, out=own)
-    return rows
+
+def _own_weight(others: np.ndarray, out: np.ndarray) -> None:
+    """1 minus the weights on the last axis of ``others``, added left to
+    right, into ``out``."""
+    out[...] = others[..., 0]
+    for j in range(1, others.shape[-1]):
+        out += others[..., j]
+    np.subtract(1.0, out, out=out)

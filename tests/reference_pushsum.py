@@ -16,7 +16,7 @@ import numpy as np
 
 from privsum.consensus import NodeState
 from privsum.errors import DivisionByZero, PrivsumError
-from privsum.weights import WeightParams, generate_round_weights
+from privsum.weights import WeightParams, generate_round_weights, place_round_weights
 
 
 class RoundMismatch(PrivsumError):
@@ -57,6 +57,23 @@ def simplex_sample(rng: np.random.Generator, m: int) -> np.ndarray:
     return np.diff(cuts, prepend=0.0, append=1.0)
 
 
+def own_block(
+    node_id: int,
+    m: int,
+    params: WeightParams,
+    rng: np.random.Generator,
+    first_round: int,
+    n_rounds: int,
+) -> np.ndarray:
+    """A node's ``(n_rounds, 2, m)`` weight block from ``first_round`` on,
+    drawn and placed as a networked node does, as a class of one."""
+    block = np.empty((n_rounds, 2, m))
+    generate_round_weights([(node_id, rng)], params, first_round, block[:, 1, None])
+    n_mask = params.masking_rounds(first_round, n_rounds)
+    place_round_weights(block, np.arange(m), 1, n_mask)
+    return block
+
+
 def round_weights(
     node_id: int,
     round_k: int,
@@ -68,10 +85,7 @@ def round_weights(
     ``generate_round_weights`` for a class of one, so drawing round by
     round consumes the stream exactly as one batched draw does."""
     targets = sorted(int(t) for t in out_neighbors) + [node_id]
-    block = np.empty((1, 2, len(targets)))
-    generate_round_weights(
-        {node_id: rng}, params, round_k, block, np.arange(len(targets))[None]
-    )
+    block = own_block(node_id, len(targets), params, rng, round_k, 1)
     s, w = (dict(zip(targets, side.tolist())) for side in block[0])
     if not params.is_masking_round(round_k):
         return RoundWeights(node_id, round_k, s, s)

@@ -15,7 +15,6 @@ from privsum.adversary import (
     attack_sole_neighbor,
     build_adversary_view,
     build_indistinguishability_witness,
-    build_least_squares_system,
     replay_with_witness,
     views_match,
 )
@@ -48,6 +47,7 @@ from privsum.sim import (
     theoretical_rate,
 )
 from privsum.weights import WeightParams
+from reference_least_squares import build_least_squares_system
 
 X0 = [10.0, 15.0, 20.0, 25.0, 30.0]
 

@@ -13,7 +13,6 @@ from privsum.adversary import (
     attack_sole_neighbor,
     build_adversary_view,
     build_indistinguishability_witness,
-    build_least_squares_system,
     replay_with_witness,
     views_match,
 )
@@ -26,6 +25,7 @@ from privsum.errors import (
 from privsum.graph import DirectedGraph, default_demo_graph
 from privsum.sim import AdversarySpec, ExperimentConfig, run_experiment
 from privsum.weights import WeightParams
+from reference_least_squares import build_least_squares_system
 
 TWO_NODE = DirectedGraph.from_edge_list(2, [[0, 1], [1, 0]])
 PARAMS = WeightParams(big_k=1, epsilon=0.05)

@@ -511,9 +511,9 @@ def _corrupted(weights: WeightTable) -> WeightTable:
     stochasticity breaks."""
     layout = weights.layout
     table = weights.table.copy()
-    for j in layout.graph.nodes():
+    for j in weights.graph.nodes():
         table[:, 0, layout.column(j, min(layout.targets(j)))] += 0.05
-    return WeightTable(layout, table)
+    return WeightTable(weights.graph, table)
 
 
 def test_verify_detects_corrupted_weights(tmp_path):

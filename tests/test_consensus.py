@@ -7,7 +7,6 @@ import pytest
 from privsum.adversary import build_indistinguishability_witness, replay_with_witness
 from privsum.consensus import (
     STOP_WINDOW,
-    SenderLayout,
     WeightTable,
     default_pushsum_matrix,
     fold_shares,
@@ -189,21 +188,19 @@ def test_early_stop_freezes_round_count(demo_graph, demo_x0):
 
 def test_run_rounds_reports_a_zero_weight_sum():
     g = DirectedGraph.from_edge_list(2, [[0, 1], [1, 0]])
-    layout = SenderLayout(g)
     s = np.full((3, 4), 0.5)
     w = np.array([[0.5, 0.5, 0.5, 0.5], [0.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.5, 0.5]])
     with pytest.raises(DivisionByZero, match="node 0: weight sum hit zero at round 1"):
-        run_rounds(WeightTable(layout, np.stack((s, w), axis=1)), [1.0, 3.0])
+        run_rounds(WeightTable(g, np.stack((s, w), axis=1)), [1.0, 3.0])
 
 
 def test_run_rounds_reports_a_zero_weight_sum_before_dividing():
     """With early stopping the engine divides s by w every round; a zero
     weight sum is named before that division can warn."""
     g = DirectedGraph.from_edge_list(2, [[0, 1], [1, 0]])
-    layout = SenderLayout(g)
     s = np.full((3, 4), 0.5)
     w = np.array([[0.5, 0.5, 0.5, 0.5], [0.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.5, 0.5]])
-    table = WeightTable(layout, np.stack((s, w), axis=1))
+    table = WeightTable(g, np.stack((s, w), axis=1))
     named = "node 0: weight sum hit zero at round 1"
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -363,6 +363,48 @@ def test_unreachable_peer_raises_peer_disconnected():
         rt.run()
 
 
+def test_refused_connect_retries_after_a_growing_delay(monkeypatch):
+    """A refused peer is tried again after 1 ms, then 2, 4, ... ms, capped
+    at 50 ms; the connect succeeds once its listener is up."""
+    rt = _two_node_runtime(MODE_PLAIN)
+    delays = []
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+
+    def recorded_sleep(seconds):
+        delays.append(seconds)
+        if len(delays) == 8:
+            listener.bind(rt.peers[1])
+            listener.listen(1)
+
+    monkeypatch.setattr(net.time, "sleep", recorded_sleep)
+    try:
+        rt._connect_out()
+    finally:
+        listener.close()
+        rt._shutdown()
+    assert delays == [0.001, 0.002, 0.004, 0.008, 0.016, 0.032, 0.05, 0.05]
+    assert set(rt._out_socks) == {1}
+
+
+def test_refused_connect_still_ends_at_the_deadline(monkeypatch):
+    rt = _two_node_runtime(MODE_PLAIN)
+    rt.connect_deadline = 0.2
+    delays = []
+    sleep = time.sleep
+
+    def recorded_sleep(seconds):
+        delays.append(seconds)
+        sleep(seconds)
+
+    monkeypatch.setattr(net.time, "sleep", recorded_sleep)
+    start = time.monotonic()
+    with pytest.raises(PeerDisconnected, match="could not reach peer 1 .* within 0.2s"):
+        rt._connect_out()
+    assert 0.2 <= time.monotonic() - start < 2.0
+    assert max(delays) == 0.05
+
+
 def test_key_flood_timeout_names_missing_node():
     g = DirectedGraph.from_edge_list(2, [[0, 1], [1, 0]])
     config = make_config(graph=g, x0=[1.0, 2.0], key_bits=64)

@@ -1,12 +1,17 @@
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privsum import consensus as consensus_module
+from privsum import weights as weights_module
 from privsum.errors import ConfigError, InvalidEpsilon
 from privsum.consensus import algorithm1_weights
-from privsum.graph import DirectedGraph
+from privsum.graph import DirectedGraph, random_strongly_connected_graph
 from privsum.weights import (
     WeightParams,
     generate_round_weights,
@@ -15,6 +20,7 @@ from privsum.weights import (
 )
 from reference_pushsum import (
     RoundWeights,
+    own_block,
     round_weights,
     simplex_sample,
     validate_round_weights,
@@ -25,9 +31,7 @@ def _own_draw(node, others, params, rng, first_round, n_rounds):
     """A node's ``(s_rows, w_rows)`` for ``n_rounds`` rounds from
     ``first_round`` on, drawn as a class of one into its own block;
     ``others`` are its out-neighbors ascending."""
-    m = len(others) + 1
-    block = np.empty((n_rounds, 2, m))
-    generate_round_weights({node: rng}, params, first_round, block, np.arange(m)[None])
+    block = own_block(node, len(others) + 1, params, rng, first_round, n_rounds)
     return block[:, 0], block[:, 1]
 
 
@@ -215,28 +219,25 @@ def test_batched_draw_matches_successive_rounds(out_degree, big_k):
 
 def test_batched_draw_continues_the_stream_mid_run():
     """A class drawn as a head block that ends inside the masking phase and
-    a tail block from the next round on fills, bit for bit, the columns one
+    a tail block from the next round on fills, bit for bit, the rows one
     whole draw fills, and leaves each node's generator where the whole draw
-    leaves it; each node's columns hold its own draw as a class of one."""
+    leaves it; each node's rows are its own draw as a class of one."""
     params = WeightParams(big_k=3, epsilon=0.1)
     nodes = [2, 5, 7]
-    # Every column of a 12-wide table, scattered over the three nodes.
-    columns = np.array([[0, 4, 9, 1], [3, 8, 2, 6], [10, 5, 11, 7]])
     whole_rngs = {i: node_rng(8, i) for i in nodes}
-    whole = np.full((9, 2, 12), np.nan)
-    generate_round_weights(whole_rngs, params, 0, whole, columns)
+    whole = np.full((9, 3, 4), np.nan)
+    generate_round_weights(whole_rngs.items(), params, 0, whole)
     rngs = {i: node_rng(8, i) for i in nodes}
-    head, tail = np.full((2, 2, 12), np.nan), np.full((7, 2, 12), np.nan)
-    generate_round_weights(rngs, params, 0, head, columns)
-    generate_round_weights(rngs, params, 2, tail, columns)
+    head, tail = np.full((2, 3, 4), np.nan), np.full((7, 3, 4), np.nan)
+    generate_round_weights(rngs.items(), params, 0, head)
+    generate_round_weights(rngs.items(), params, 2, tail)
 
     assert not np.isnan(whole).any()
     assert np.concatenate((head, tail)).tobytes() == whole.tobytes()
-    for i, cols in zip(nodes, columns):
+    for r, i in enumerate(nodes):
         assert rngs[i].bit_generator.state == whole_rngs[i].bit_generator.state
         own = _own_draw(i, [0, 1, 3], params, node_rng(8, i), 0, 9)
-        for side in (0, 1):
-            assert whole[:, side, cols].tobytes() == own[side].tobytes(), (i, side)
+        assert whole[:, r].tobytes() == own[0].tobytes(), i
 
 
 def _graph_of_out_degrees(degrees, rng):
@@ -264,7 +265,10 @@ def test_table_holds_each_nodes_own_draw(graph_name, big_k, monkeypatch):
     """The table drawn one out-degree class at a time holds, in every
     node's columns, the rows the node draws for itself, bit for bit, and
     leaves every node's generator where that one draw leaves it.  Rows of 8
-    or more weights take numpy's unrolled pairwise sums."""
+    or more weights take numpy's unrolled pairwise sums.  The placement
+    gathers three rounds at a time, so on 40 rounds with K = 3 one gather
+    crosses round boundaries inside the masking rounds, one spans the
+    phases' border and the rest cross boundaries inside the mixing rounds."""
     if graph_name == "single-node":
         graph = DirectedGraph.from_edge_list(1, [])
     else:
@@ -278,6 +282,8 @@ def test_table_holds_each_nodes_own_draw(graph_name, big_k, monkeypatch):
         return created[node]
 
     monkeypatch.setattr(consensus_module, "node_rng", recorded_rng)
+    width = graph.n_edges + graph.n_nodes
+    monkeypatch.setattr(weights_module, "GATHER_BLOCK", 3 * width)
     for rounds in sorted({1, big_k + 1, big_k + 2, 40}):
         seed = 1000 * big_k + rounds
         created.clear()
@@ -304,3 +310,51 @@ def test_table_draw_names_the_node_with_an_infeasible_epsilon():
     params = WeightParams(big_k=1, epsilon=0.08)
     with pytest.raises(InvalidEpsilon, match="for node 7;"):
         algorithm1_weights(graph, params, 3, 10)
+
+
+def test_draw_allocates_nothing_table_sized_but_the_table():
+    """On a 500-node, 150-round graph the whole draw, the graph's layout
+    included, peaks under tracemalloc within 1.25 times the table: the
+    classes are drawn into the table's own w half and placed a small block
+    at a time, where one more table-sized buffer would pass 1.5 times."""
+    graph = random_strongly_connected_graph(500, np.random.default_rng(311), 0.01)
+    params = WeightParams(big_k=1, epsilon=0.01)
+    tracemalloc.start()
+    try:
+        table = algorithm1_weights(graph, params, 311, 150).table
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * table.nbytes, peak / table.nbytes
+
+
+def test_layout_and_class_plan_are_built_once_per_graph(demo_graph):
+    """Every draw on one graph object shares its layout, its out-degree
+    classes and its gather order."""
+    params = WeightParams(big_k=1, epsilon=0.05)
+    first = algorithm1_weights(demo_graph, params, 1, 4).layout
+    second = algorithm1_weights(demo_graph, params, 2, 4).layout
+    assert first is second is demo_graph.layout
+    assert first.draw_order is second.draw_order
+    assert [(nodes.tolist(), m, span) for nodes, m, span in first.draw_classes] == [
+        ([0, 2, 3], 3, slice(0, 9)), ([1, 4], 2, slice(9, 13))
+    ]
+    # Node 0's columns are edges 0 and 1, then self column 8; they come
+    # first in the drawn row, node 2's (edges 3, 4, self 10) after them.
+    assert first.draw_order.tolist()[:2] == [0, 1]
+    assert first.draw_order[8] == 2
+
+
+def test_a_graph_and_its_layout_need_no_cycle_collector():
+    """The layout a graph keeps does not refer back to the graph, so a graph
+    whose last run is dropped is freed at once, not left for the cyclic
+    garbage collector as attack trials on fresh configs would leave it."""
+    graph = DirectedGraph.from_edge_list(2, [[0, 1], [1, 0]])
+    algorithm1_weights(graph, WeightParams(big_k=1, epsilon=0.05), 1, 4)
+    freed = weakref.ref(graph)
+    gc.disable()
+    try:
+        del graph
+        assert freed() is None
+    finally:
+        gc.enable()
