@@ -6,8 +6,9 @@ leaves the consensus result untouched (shares ride through a fixed-point
 codec, so the two trajectories agree to ~2^-48) while the wire carries only
 ciphertexts that fail to decrypt without the right private key.
 
-The same encrypted transport also runs as five real TCP processes; see the
-README's `privsum node` example or `run_local_cluster`.
+The same encrypted transport also runs as five real TCP processes: an
+`algorithm2-simulated` config such as the fig7 preset picks it, in the
+README's `privsum node --preset fig7` example or in `run_local_cluster`.
 
 Run:  python demos/03_encrypted_transport.py
 """

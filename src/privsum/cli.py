@@ -30,7 +30,7 @@ import yaml
 
 from .adversary import ATTACKS, export_attack_csv
 from .errors import ConfigError, PrivsumError
-from .net import MODE_ENCRYPTED, MODE_PLAIN, run_networked
+from .net import run_networked
 from .sim import (
     ExperimentConfig,
     MODES,
@@ -43,7 +43,7 @@ from .verify import run_all
 PRESETS = ("fig2", "fig3", "fig7")
 
 
-def load_raw_config(args, apply_mode: bool = True) -> dict:
+def load_raw_config(args) -> dict:
     if bool(args.config) == bool(args.preset):
         raise ConfigError("exactly one of --config or --preset is required")
     if args.preset:
@@ -60,7 +60,7 @@ def load_raw_config(args, apply_mode: bool = True) -> dict:
         raise ConfigError("config must be a YAML mapping")
     if getattr(args, "seed", None) is not None:
         raw["seed"] = args.seed
-    if apply_mode and getattr(args, "mode", None) is not None:
+    if getattr(args, "mode", None) is not None:
         raw["mode"] = args.mode
     return raw
 
@@ -186,26 +186,31 @@ def cmd_attack(args) -> int:
     return 0
 
 
+def _address(text, what: str) -> tuple[str, int]:
+    """Parse a ``host:port`` given on the command line or in a peers file."""
+    host, _, port = str(text).rpartition(":")
+    if not host or not port.isdecimal() or int(port) > 65535:
+        raise ConfigError(f"{what} is {text!r}, not host:port")
+    return host, int(port)
+
+
 def cmd_node(args) -> int:
-    # --mode here selects the share transport, not the simulation mode.
-    raw = load_raw_config(args, apply_mode=False)
-    config = ExperimentConfig.from_dict(raw)
-    with open(args.peers) as fh:
-        peer_raw = json.load(fh)
+    config = ExperimentConfig.from_dict(load_raw_config(args))
+    listen = _address(args.listen, "--listen")
+    try:
+        with open(args.peers) as fh:
+            peer_raw = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read peers file {args.peers}: {exc}") from exc
+    if not isinstance(peer_raw, dict):
+        raise ConfigError(f"peers file {args.peers} must map node ids to host:port")
     peers = {}
     for key, addr in peer_raw.items():
-        host, port = addr.rsplit(":", 1)
-        peers[int(key)] = (host, int(port))
-    host, port = args.listen.rsplit(":", 1)
-    mode = MODE_ENCRYPTED if args.mode == "encrypted" else MODE_PLAIN
-    out_dir = Path(args.out_dir)
+        if not key.isdecimal():
+            raise ConfigError(f"peers key {key!r} is not a node id")
+        peers[int(key)] = _address(addr, f"peers entry {key!r}")
     state, manifest = run_networked(
-        args.node_id,
-        (host, int(port)),
-        peers,
-        config,
-        mode=mode,
-        out_dir=out_dir,
+        args.node_id, listen, peers, config, out_dir=Path(args.out_dir)
     )
     line = f"node {args.node_id}: final pi={state.pi!r}"
     if manifest["mean_encrypt_ms"] is not None:
@@ -256,17 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_att.set_defaults(func=cmd_attack)
 
     p_node = sub.add_parser("node", help="run one networked protocol node")
+    add_common(p_node)
     p_node.add_argument("--node-id", type=int, required=True)
     p_node.add_argument("--listen", required=True, help="host:port to bind")
     p_node.add_argument("--peers", required=True, help="JSON file: node id -> host:port")
-    p_node.add_argument("--config", help="YAML config file")
-    p_node.add_argument("--preset", help=f"packaged preset: {', '.join(PRESETS)}")
-    p_node.add_argument("--seed", type=int, default=None)
-    p_node.add_argument("--out-dir", default=".")
-    p_node.add_argument(
-        "--mode", choices=["plain", "encrypted"], default="plain",
-        help="share transport",
-    )
     p_node.set_defaults(func=cmd_node)
 
     p_ver = sub.add_parser("verify", help="run the invariant suites")

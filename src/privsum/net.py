@@ -9,9 +9,10 @@ After startup alignment the only synchronization is implicit: a node
 applies round k once it holds all round-k shares from its in-neighbors,
 and never sends round k+1 before that.
 
-Share payloads are either two raw float64s (plain transport) or two
-length-prefixed Paillier ciphertexts encrypted under the receiver's public
-key (encrypted transport).  A node draws and folds with the simulator's
+Share payloads are either two raw float64s (plain transport, an
+``algorithm1`` config) or two length-prefixed Paillier ciphertexts
+encrypted under the receiver's public key (encrypted transport, an
+``algorithm2-simulated`` config).  A node draws and folds with the simulator's
 own functions (see ``NodeRuntime``), so with identical seeds the
 plain-transport trajectory is bit-for-bit the simulator's.
 
@@ -35,7 +36,7 @@ import socket
 import struct
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,8 +52,8 @@ from .paillier import (
     unpack_uint,
 )
 from .sim import (
-    MODE_ALGORITHM0, ExperimentConfig, PaillierChannel, check_key_bits, node_keypair,
-    resolve_x0,
+    MODE_ALGORITHM0, MODE_ALGORITHM1, MODE_ALGORITHM2, ExperimentConfig, PaillierChannel,
+    node_keypair, resolve_x0,
 )
 from .weights import generate_round_weights, node_rng, place_round_weights
 
@@ -208,14 +209,11 @@ class NodeRuntime:
         listen: tuple[str, int],
         peers: dict[int, tuple[str, int]],
         config: ExperimentConfig,
-        mode: str = MODE_PLAIN,
         out_dir: str | Path | None = None,
         connect_deadline: float = 20.0,
         round_timeout: float = 60.0,
         capture_frames: bool = False,
     ) -> None:
-        if mode not in (MODE_PLAIN, MODE_ENCRYPTED):
-            raise ConfigError(f"mode must be '{MODE_PLAIN}' or '{MODE_ENCRYPTED}'")
         config.validate()
         # A node runs the two-phase protocol for all max_rounds rounds; a
         # config asking otherwise is refused rather than run differently
@@ -231,18 +229,23 @@ class NodeRuntime:
                 f"max_rounds={config.max_rounds} rounds and cannot stop early; "
                 f"set stop_tol to 0"
             )
-        if mode == MODE_ENCRYPTED:
-            check_key_bits(config.key_bits, config.fractional_bits)
+        n = config.graph.n_nodes
+        if not 0 <= node_id < n:
+            raise ConfigError(f"node id {node_id} is not a node of the {n}-node graph")
+        if missing := [j for j in config.graph.out_neighbors(node_id) if j not in peers]:
+            raise ConfigError(
+                f"peers give no address for out-neighbor(s) {missing} of node {node_id}"
+            )
         self.node_id = node_id
         self.listen = listen
         self.peers = peers
         self.config = config
-        self.mode = mode
+        self.mode = MODE_ENCRYPTED if config.mode == MODE_ALGORITHM2 else MODE_PLAIN
         self.out_dir = Path(out_dir) if out_dir is not None else None
         self.connect_deadline = connect_deadline
         self.round_timeout = round_timeout
         self.capture_frames = capture_frames
-        self._max_payload = max_payload(mode, config.key_bits)
+        self._max_payload = max_payload(self.mode, config.key_bits)
 
         self.graph = config.graph
         self.out_ids = list(self.graph.out_neighbors(node_id))
@@ -271,7 +274,7 @@ class NodeRuntime:
 
         self.keypair: PaillierKeypair | None = None
         self.channel: PaillierChannel | None = None
-        if mode == MODE_ENCRYPTED:
+        if self.mode == MODE_ENCRYPTED:
             self.keypair = node_keypair(config.key_bits, config.seed, node_id)
             self._key_directory[node_id] = self.keypair.public
             # Reads the live directory: every key is in it before round 0.
@@ -657,14 +660,22 @@ def run_networked(
     listen: tuple[str, int],
     peers: dict[int, tuple[str, int]],
     config: ExperimentConfig,
-    mode: str = MODE_PLAIN,
+    mode: str | None = None,
     out_dir: str | Path | None = None,
     round_timeout: float = 60.0,
     connect_deadline: float = 20.0,
 ) -> tuple[NodeState, dict]:
-    """Run one networked node to completion."""
+    """Run one networked node to completion on the transport the config's
+    mode names.  ``mode=MODE_ENCRYPTED`` runs an ``algorithm1`` config as its
+    ``algorithm2-simulated`` twin; no other ``mode`` is accepted, so no
+    caller can run a config in the clear that names encryption."""
+    if mode is not None:
+        if mode != MODE_ENCRYPTED:
+            raise ConfigError(f"mode must be None or {MODE_ENCRYPTED!r}, not {mode!r}")
+        if config.mode == MODE_ALGORITHM1:
+            config = replace(config, mode=MODE_ALGORITHM2)
     return NodeRuntime(
-        node_id, listen, peers, config, mode=mode, out_dir=out_dir,
+        node_id, listen, peers, config, out_dir=out_dir,
         round_timeout=round_timeout, connect_deadline=connect_deadline,
     ).run()
 
@@ -683,14 +694,13 @@ def allocate_ports(count: int, host: str = "127.0.0.1") -> list[int]:
     return ports
 
 
-def _cluster_child(node_id, listen, peers, config_dict, mode, out_dir) -> None:
+def _cluster_child(node_id, listen, peers, config_dict, out_dir) -> None:
     config = ExperimentConfig.from_dict(config_dict)
-    run_networked(node_id, listen, peers, config, mode=mode, out_dir=out_dir)
+    run_networked(node_id, listen, peers, config, out_dir=out_dir)
 
 
 def run_local_cluster(
     config: ExperimentConfig,
-    mode: str = MODE_PLAIN,
     out_dir: str | Path = ".",
     host: str = "127.0.0.1",
     timeout: float = 300.0,
@@ -709,7 +719,7 @@ def run_local_cluster(
     for i in range(n):
         p = ctx.Process(
             target=_cluster_child,
-            args=(i, peers[i], peers, config.to_dict(), mode, str(out_dir)),
+            args=(i, peers[i], peers, config.to_dict(), str(out_dir)),
         )
         p.start()
         procs.append(p)

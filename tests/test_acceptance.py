@@ -25,7 +25,7 @@ from privsum.graph import (
     default_demo_graph,
     random_strongly_connected_graph,
 )
-from privsum.net import MODE_ENCRYPTED, run_local_cluster
+from privsum.net import run_local_cluster
 from privsum.paillier import (
     Ciphertext,
     FixedPointCodec,
@@ -354,10 +354,8 @@ def test_criterion_11_networked_cluster_converges(tmp_path):
         11,
         "five local processes with 256-bit keys agree on 20; latency under 100 ms",
     ):
-        config = demo_config(mode=MODE_ALGORITHM1, key_bits=256)
-        manifests = run_local_cluster(
-            config, mode=MODE_ENCRYPTED, out_dir=tmp_path, timeout=240.0
-        )
+        config = demo_config(mode=MODE_ALGORITHM2, key_bits=256)
+        manifests = run_local_cluster(config, out_dir=tmp_path, timeout=240.0)
         assert len(manifests) == 5
         for manifest in manifests:
             assert abs(manifest["final_pi"] - 20.0) < 1e-6

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import socket
 import subprocess
 import sys
 import threading
@@ -175,12 +176,14 @@ def test_simulate_manifest_records_crypto_latency(tmp_path):
 @pytest.mark.parametrize("mode", ["plain", "encrypted"])
 def test_node_manifest_and_summary_record_decrypt_latency(tmp_path, capsys, mode):
     """Two in-process `privsum node` commands on a two-node cycle."""
+    # the config's mode picks the transport
     cfg = write_config(
         tmp_path / "pair.yaml",
         graph={"n_nodes": 2, "edges": [[0, 1], [1, 0]]},
         x0=[10.0, 30.0],
         max_rounds=4,
         key_bits=128,
+        mode={"plain": "algorithm1", "encrypted": "algorithm2-simulated"}[mode],
     )
     ports = allocate_ports(2)
     peers_path = tmp_path / "peers.json"
@@ -191,7 +194,7 @@ def test_node_manifest_and_summary_record_decrypt_latency(tmp_path, capsys, mode
         codes[i] = main(
             [
                 "node", "--node-id", str(i), "--listen", f"127.0.0.1:{ports[i]}",
-                "--peers", str(peers_path), "--config", str(cfg), "--mode", mode,
+                "--peers", str(peers_path), "--config", str(cfg),
                 "--out-dir", str(tmp_path / "out"),
             ]
         )
@@ -264,6 +267,42 @@ def test_node_refuses_a_baseline_mode_config(tmp_path, capsys):
     )
     assert rc == 2
     assert "mode 'algorithm0' runs only in the simulator" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "node_id, listen, peers, message",
+    [
+        ("0", "127.0.0.1", None, "--listen is '127.0.0.1', not host:port"),
+        ("0", None, {"0": "127.0.0.1"}, "peers entry '0' is '127.0.0.1', not host:port"),
+        ("0", None, {"x": "127.0.0.1:1"}, "peers key 'x' is not a node id"),
+        ("0", None, "{", "cannot read peers file .*peers.json"),
+        ("0", None, [], "peers file .*peers.json must map node ids to host:port"),
+        ("0", None, {"0": "127.0.0.1:1"}, r"no address for out-neighbor\(s\) \[1, 4\] of node 0"),
+        ("9", None, None, "node id 9 is not a node of the 5-node graph"),
+    ],
+    ids=[
+        "listen-without-port", "peer-without-port", "peer-key", "peers-not-json",
+        "peers-not-a-mapping", "peer-missing", "node-id",
+    ],
+)
+def test_node_with_bad_outside_input_exits_2_before_opening_a_socket(
+    tmp_path, capsys, node_id, listen, peers, message
+):
+    port = allocate_ports(1)[0]
+    if peers is None:
+        peers = {str(i): f"127.0.0.1:{port + 1 + i}" for i in range(5)}
+    peers_path = tmp_path / "peers.json"
+    peers_path.write_text(peers if isinstance(peers, str) else json.dumps(peers))
+    rc = main(
+        [
+            "node", "--node-id", node_id, "--listen", listen or f"127.0.0.1:{port}",
+            "--peers", str(peers_path), "--preset", "fig7",
+        ]
+    )
+    assert rc == 2
+    assert re.search(f"^error: .*{message}", capsys.readouterr().err)
+    # refused before any socket opened: the listen port is still free
+    socket.create_server(("127.0.0.1", port)).close()
 
 
 def test_simulate_byte_identical_reruns(tmp_path):
@@ -576,8 +615,6 @@ def test_node_subprocesses_run_cluster(tmp_path):
                 str(peers_path),
                 "--config",
                 str(cfg_path),
-                "--mode",
-                "plain",
                 "--out-dir",
                 str(tmp_path / "out"),
             ],

@@ -4,6 +4,7 @@ import socket
 import struct
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from privsum.paillier import FixedPointCodec, PaillierPublicKey, keygen
 from privsum.sim import (
     DEFAULT_FRACTIONAL_BITS,
     ExperimentConfig,
+    MODE_ALGORITHM1,
     MODE_ALGORITHM2,
     PaillierChannel,
     run_experiment,
@@ -68,7 +70,15 @@ def make_config(**overrides):
     return ExperimentConfig(**base)
 
 
-def run_cluster_in_threads(config, mode, capture_frames=False, out_dir=None):
+# A node takes its transport from the config's mode.
+CONFIG_MODE = {MODE_PLAIN: MODE_ALGORITHM1, MODE_ENCRYPTED: MODE_ALGORITHM2}
+
+
+def run_cluster_in_threads(config, mode=None, capture_frames=False, out_dir=None):
+    """One thread per node, over the transport ``mode`` names or, with
+    ``mode=None``, over the config's own."""
+    if mode is not None:
+        config = replace(config, mode=CONFIG_MODE[mode])
     n = config.graph.n_nodes
     ports = allocate_ports(n)
     peers = {i: ("127.0.0.1", ports[i]) for i in range(n)}
@@ -78,7 +88,7 @@ def run_cluster_in_threads(config, mode, capture_frames=False, out_dir=None):
     def worker(i):
         try:
             rt = NodeRuntime(
-                i, peers[i], peers, config, mode=mode, capture_frames=capture_frames,
+                i, peers[i], peers, config, capture_frames=capture_frames,
                 round_timeout=30.0, out_dir=out_dir,
             )
             state, manifest = rt.run()
@@ -353,6 +363,57 @@ def test_encrypted_cluster_sends_the_same_bytes_in_every_run(tmp_path):
         assert (tmp_path / "b" / f"node{i}.frames").read_bytes() == first, i
 
 
+def test_an_algorithm2_config_alone_puts_only_ciphertexts_on_the_wire():
+    """No transport argument: the config's mode picks encryption."""
+    config = make_config(key_bits=128, max_rounds=4, mode=MODE_ALGORITHM2)
+    results = run_cluster_in_threads(config, capture_frames=True)
+    for i in range(5):
+        _, manifest, rt = results[i]
+        sent = {decode_frame(data).msg_type for data in rt._sent_frames}
+        assert sent & {MSG_SHARE_PLAIN, MSG_SHARE_ENC} == {MSG_SHARE_ENC}, i
+        assert manifest["mode"] == MODE_ENCRYPTED
+        assert manifest["mean_encrypt_ms"] is not None
+
+
+def test_run_networked_encrypted_keyword_runs_an_algorithm1_config_encrypted():
+    """The benchmark's pair workload enters here, with an algorithm1 config."""
+    g = DirectedGraph.from_edge_list(2, [[0, 1], [1, 0]])
+    config = make_config(graph=g, x0=[1.0, 2.0], key_bits=128, max_rounds=6)
+    ports = allocate_ports(2)
+    peers = {i: ("127.0.0.1", ports[i]) for i in range(2)}
+    results, errors = {}, {}
+
+    def worker(i):
+        try:
+            results[i] = net.run_networked(i, peers[i], peers, config, mode=MODE_ENCRYPTED)
+        except Exception as exc:  # noqa: BLE001
+            errors[i] = exc
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    assert not errors, errors
+    final = run_experiment(replace(config, mode=MODE_ALGORITHM2)).record.trajectory.final()
+    for i in range(2):
+        state, manifest = results[i]
+        assert state.s == final[i].s
+        assert manifest["mean_encrypt_ms"] is not None
+
+
+def test_run_networked_refuses_to_run_an_encrypted_config_in_the_clear():
+    g = DirectedGraph.from_edge_list(2, [[0, 1], [1, 0]])
+    config = make_config(graph=g, x0=[1.0, 2.0], key_bits=128, mode=MODE_ALGORITHM2)
+    ports = allocate_ports(2)
+    peers = {i: ("127.0.0.1", ports[i]) for i in range(2)}
+    with pytest.raises(ConfigError, match="mode must be None or 'encrypted', not 'plain'"):
+        net.run_networked(0, peers[0], peers, config, mode=MODE_PLAIN, connect_deadline=0.5)
+    # raised before any socket opened: the listen port is still free
+    socket.create_server(peers[0]).close()
+
+
 def test_unreachable_peer_raises_peer_disconnected():
     g = DirectedGraph.from_edge_list(2, [[0, 1], [1, 0]])
     config = make_config(graph=g, x0=[1.0, 2.0])
@@ -407,7 +468,7 @@ def test_refused_connect_still_ends_at_the_deadline(monkeypatch):
 
 def test_key_flood_timeout_names_missing_node():
     g = DirectedGraph.from_edge_list(2, [[0, 1], [1, 0]])
-    config = make_config(graph=g, x0=[1.0, 2.0], key_bits=64)
+    config = make_config(graph=g, x0=[1.0, 2.0], key_bits=64, mode=MODE_ALGORITHM2)
     ports = allocate_ports(2)
     peers = {i: ("127.0.0.1", ports[i]) for i in range(2)}
     # peer 1 accepts the connection but never announces a key
@@ -415,9 +476,7 @@ def test_key_flood_timeout_names_missing_node():
     silent.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     silent.bind(peers[1])
     silent.listen(1)
-    rt = NodeRuntime(
-        0, peers[0], peers, config, mode=MODE_ENCRYPTED, round_timeout=1.0
-    )
+    rt = NodeRuntime(0, peers[0], peers, config, round_timeout=1.0)
     try:
         with pytest.raises(Timeout, match="missing keys for nodes \\[1\\]"):
             rt.run()
@@ -426,10 +485,10 @@ def test_key_flood_timeout_names_missing_node():
 
 
 def test_key_directory_idempotent_under_redelivery():
-    config = make_config(key_bits=64)
+    config = make_config(key_bits=64, mode=MODE_ALGORITHM2)
     ports = allocate_ports(5)
     peers = {i: ("127.0.0.1", ports[i]) for i in range(5)}
-    rt = NodeRuntime(1, peers[1], peers, config, mode=MODE_ENCRYPTED)
+    rt = NodeRuntime(1, peers[1], peers, config)
     other = keygen(64, random.Random(1))
     payload = pack_key_announce(3, other.public)
     frame = WireFrame(MSG_KEY_ANNOUNCE, 0, 0, payload)
@@ -441,10 +500,10 @@ def test_key_directory_idempotent_under_redelivery():
 
 def _two_node_runtime(mode, key_bits=64):
     g = DirectedGraph.from_edge_list(2, [[0, 1], [1, 0]])
-    config = make_config(graph=g, x0=[1.0, 2.0], key_bits=key_bits)
+    config = make_config(graph=g, x0=[1.0, 2.0], key_bits=key_bits, mode=CONFIG_MODE[mode])
     ports = allocate_ports(2)
     peers = {i: ("127.0.0.1", ports[i]) for i in range(2)}
-    return NodeRuntime(0, peers[0], peers, config, mode=mode, round_timeout=1.0)
+    return NodeRuntime(0, peers[0], peers, config, round_timeout=1.0)
 
 
 def test_malformed_share_ciphertext_raises_decrypt_failure():
@@ -588,9 +647,9 @@ def test_encrypted_node_rejects_keys_too_small_for_its_fractional_bits():
     config = make_config(graph=g, x0=[1.0, 2.0], key_bits=64, fractional_bits=48)
     ports = allocate_ports(2)
     peers = {i: ("127.0.0.1", ports[i]) for i in range(2)}
-    NodeRuntime(0, peers[0], peers, config, mode=MODE_PLAIN)  # plain: keys unused
+    NodeRuntime(0, peers[0], peers, config)  # algorithm1, plain: keys unused
     with pytest.raises(ConfigError, match="the smallest usable key size is 102"):
-        NodeRuntime(0, peers[0], peers, config, mode=MODE_ENCRYPTED)
+        NodeRuntime(0, peers[0], peers, replace(config, mode=MODE_ALGORITHM2))
     # raised before any socket opened: the listen port is still free
     socket.create_server(peers[0]).close()
 
