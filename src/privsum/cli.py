@@ -26,7 +26,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .adversary import ATTACKS, export_attack_csv
 from .errors import ConfigError, PrivsumError
@@ -35,6 +34,7 @@ from .sim import (
     ExperimentConfig,
     MODES,
     config_hash,
+    read_config_file,
     run_experiment,
     write_series_csv,
 )
@@ -49,15 +49,10 @@ def load_raw_config(args) -> dict:
     if args.preset:
         if args.preset not in PRESETS:
             raise ConfigError(f"unknown preset {args.preset!r}; choose from {PRESETS}")
-        text = (
-            resources.files("privsum").joinpath(f"presets/{args.preset}.yaml").read_text()
-        )
-        raw = yaml.safe_load(text)
+        preset = resources.files("privsum") / "presets" / f"{args.preset}.yaml"
+        raw = read_config_file(preset)
     else:
-        with open(args.config) as fh:
-            raw = yaml.safe_load(fh)
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a YAML mapping")
+        raw = read_config_file(args.config)
     if getattr(args, "seed", None) is not None:
         raw["seed"] = args.seed
     if getattr(args, "mode", None) is not None:

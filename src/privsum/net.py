@@ -5,9 +5,9 @@ to its out-neighbors and accepts connections from its in-neighbors, so
 traffic follows the directed topology exactly.  Public keys reach everyone
 by flooding along graph edges before round 0, each node forwarding them in
 ascending origin order, so two runs of one config send the same bytes.
-After startup alignment the only synchronization is implicit: a node
-applies round k once it holds all round-k shares from its in-neighbors,
-and never sends round k+1 before that.
+The only synchronization is the data dependency of synchronous push-sum:
+a node applies round k once it holds all round-k shares from its
+in-neighbors, and never sends round k+1 before that.
 
 Share payloads are either two raw float64s (plain transport, an
 ``algorithm1`` config) or two length-prefixed Paillier ciphertexts
@@ -58,7 +58,7 @@ from .sim import (
 from .weights import generate_round_weights, node_rng, place_round_weights
 
 MAGIC = b"PSUM"
-VERSION = 1
+VERSION = 2
 # Seconds between refused connection attempts: peers start at about the
 # same time, so most listeners are up within milliseconds of the first try.
 CONNECT_RETRY_FIRST = 0.001
@@ -67,7 +67,6 @@ CONNECT_RETRY_MAX = 0.05
 MSG_KEY_ANNOUNCE = 1
 MSG_SHARE_PLAIN = 2
 MSG_SHARE_ENC = 3
-MSG_ROUND_SYNC = 4
 
 _HEADER = struct.Struct(">4sBBIII")
 
@@ -195,7 +194,8 @@ class NodeRuntime:
     the out-shares pass through one ``PaillierChannel.transmit`` call and
     the in-shares, by ascending sender, through one ``receive`` call.  A
     round is applied only when every in-neighbor's share for it has
-    arrived.
+    arrived; there is no other synchronization, at startup or at the end.
+    ``channel`` is None exactly on the plain transport.
 
     Its one selector covers the listener, every accepted connection and
     every out-socket with queued bytes; ``_wait`` runs it until what the
@@ -240,12 +240,10 @@ class NodeRuntime:
         self.listen = listen
         self.peers = peers
         self.config = config
-        self.mode = MODE_ENCRYPTED if config.mode == MODE_ALGORITHM2 else MODE_PLAIN
         self.out_dir = Path(out_dir) if out_dir is not None else None
         self.connect_deadline = connect_deadline
         self.round_timeout = round_timeout
         self.capture_frames = capture_frames
-        self._max_payload = max_payload(self.mode, config.key_bits)
 
         self.graph = config.graph
         self.out_ids = list(self.graph.out_neighbors(node_id))
@@ -255,7 +253,6 @@ class NodeRuntime:
         self._shares: dict[
             tuple[int, int], tuple[float, float] | tuple[Ciphertext, Ciphertext]
         ] = {}
-        self._syncs: set[tuple[int, int]] = set()
         self._key_directory: dict[int, object] = {}
         # In-neighbors whose connection has announced itself, and those
         # whose connection has since ended.
@@ -274,7 +271,7 @@ class NodeRuntime:
 
         self.keypair: PaillierKeypair | None = None
         self.channel: PaillierChannel | None = None
-        if self.mode == MODE_ENCRYPTED:
+        if config.mode == MODE_ALGORITHM2:
             self.keypair = node_keypair(config.key_bits, config.seed, node_id)
             self._key_directory[node_id] = self.keypair.public
             # Reads the live directory: every key is in it before round 0.
@@ -284,12 +281,20 @@ class NodeRuntime:
                 config.fractional_bits,
                 config.seed,
             )
+        self.mode = MODE_PLAIN if self.channel is None else MODE_ENCRYPTED
+        self._max_payload = max_payload(self.mode, config.key_bits)
 
     # -- wiring -----------------------------------------------------------
 
     def _serve(self) -> None:
         self._selector = selectors.DefaultSelector()
-        listener = socket.create_server(self.listen, backlog=len(self.in_ids) + 4)
+        try:
+            listener = socket.create_server(self.listen, backlog=len(self.in_ids) + 4)
+        except OSError as exc:
+            host, port = self.listen
+            raise ConfigError(
+                f"node {self.node_id} cannot listen on {host}:{port}: {exc}"
+            ) from exc
         self._sockets.append(listener)
         listener.setblocking(False)
         self._selector.register(
@@ -410,8 +415,6 @@ class NodeRuntime:
                     f"duplicate round-{frame.round} share from node {frame.sender_id}"
                 )
             self._shares[key] = wire
-        elif frame.msg_type == MSG_ROUND_SYNC:
-            self._syncs.add((frame.round, frame.sender_id))
         else:
             raise ProtocolError(f"unknown message type {frame.msg_type}")
 
@@ -419,12 +422,12 @@ class NodeRuntime:
         self, frame: WireFrame
     ) -> tuple[float, float] | tuple[Ciphertext, Ciphertext]:
         """Inverse of ``share_frame`` for a share addressed to this node."""
-        expected = MSG_SHARE_PLAIN if self.keypair is None else MSG_SHARE_ENC
+        expected = MSG_SHARE_PLAIN if self.channel is None else MSG_SHARE_ENC
         if frame.msg_type != expected:
             raise ProtocolError(
                 f"share frame of type {frame.msg_type} on a {self.mode} transport"
             )
-        if self.keypair is None:
+        if self.channel is None:
             return unpack_plain_shares(frame.payload)
         s_val, w_val = unpack_cipher_shares(frame.payload)
         key_id = self.keypair.public.key_id
@@ -465,7 +468,7 @@ class NodeRuntime:
 
     # -- protocol phases ---------------------------------------------------
 
-    def flood_public_keys(self) -> dict[int, object]:
+    def flood_public_keys(self) -> None:
         """Forward every node's public key to each out-neighbor once, in
         ascending origin order, the local key at its turn.
 
@@ -476,7 +479,6 @@ class NodeRuntime:
         key after it.  The directory is write-once per origin, so a
         re-delivered announcement is dropped.
         """
-        assert self.keypair is not None
         deadline = time.monotonic() + self.round_timeout
 
         def missing(origin: int) -> list[int]:
@@ -495,19 +497,6 @@ class NodeRuntime:
             )
             payload = pack_key_announce(origin, self._key_directory[origin])
             self._flood_frame(WireFrame(MSG_KEY_ANNOUNCE, self.node_id, 0, payload))
-        return dict(self._key_directory)
-
-    def _barrier(self, tag: int) -> None:
-        """Startup/shutdown alignment: exchange ROUND_SYNC frames."""
-        self._flood_frame(WireFrame(MSG_ROUND_SYNC, self.node_id, tag, b""))
-        self._wait(
-            lambda: [j for j in self.in_ids if (tag, j) not in self._syncs],
-            time.monotonic() + self.round_timeout,
-            lambda left: Timeout(
-                f"node {self.node_id}: sync barrier {tag} timed out "
-                f"waiting for {left}"
-            ),
-        )
 
     def _drain(self) -> None:
         """Run the loop until every outbox is empty."""
@@ -573,9 +562,8 @@ class NodeRuntime:
         try:
             self._serve()
             self._connect_out()
-            if self.mode == MODE_ENCRYPTED:
+            if self.channel is not None:
                 self.flood_public_keys()
-            self._barrier(0)
 
             rounds = self.config.max_rounds
             m = len(self.out_ids) + 1
@@ -601,7 +589,12 @@ class NodeRuntime:
                 s, w = state[:, 0].tolist()
                 rows.append((k + 1, s, w, s / w))
 
-            self._barrier(rounds + 1)
+            # No end-of-run handshake is needed.  The last round took every
+            # in-neighbor's last share, and on each link their keys and
+            # earlier shares came before it, so every frame sent to this
+            # node is read and closing leaves no unread byte to reset the
+            # connection.  Once the outboxes are empty the kernel holds
+            # every frame this node sends, so no peer is left waiting.
             self._drain()
             final = NodeState(self.node_id, *rows[-1][1:], round=rounds)
             manifest = self._finish(final, rows)
@@ -610,10 +603,10 @@ class NodeRuntime:
             self._shutdown()
 
     def _finish(self, state, rows) -> dict:
-        channel = self.channel
-        enc = channel.encrypt_seconds if channel is not None else []
-        dec = channel.decrypt_seconds if channel is not None else []
-        tables = channel.table_build_seconds if channel is not None else []
+        enc = dec = tables = []
+        if (channel := self.channel) is not None:
+            enc, dec = channel.encrypt_seconds, channel.decrypt_seconds
+            tables = channel.table_build_seconds
         manifest = {
             "node_id": self.node_id,
             "mode": self.mode,

@@ -193,11 +193,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_yaml(cls, path) -> "ExperimentConfig":
+        return cls.from_dict(read_config_file(path))
+
+
+def read_config_file(path) -> dict:
+    """The mapping a YAML config file holds.  A file that cannot be read,
+    a YAML syntax error and a document that is not a mapping are each a
+    one-line ``ConfigError`` naming the file."""
+    try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config file {path} does not contain a mapping")
-        return cls.from_dict(raw)
+    except (OSError, yaml.YAMLError) as exc:
+        detail = " ".join(str(exc).split())  # a YAML error spans lines
+        raise ConfigError(f"cannot read config file {path}: {detail}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config file {path} does not contain a mapping")
+    return raw
 
 
 # Optional config keys and how each is read; an absent key keeps the

@@ -16,6 +16,7 @@ import yaml
 import privsum
 from privsum.adversary import attack_least_squares
 from privsum.cli import main
+from privsum.errors import ConfigError
 from privsum.graph import default_demo_graph
 from privsum.net import allocate_ports
 from privsum.consensus import WeightTable, algorithm1_weights
@@ -126,6 +127,29 @@ def test_unreadable_config_value_names_its_key(tmp_path, capsys):
     rc = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)])
     assert rc == 2
     assert "error: config key 'epsilon'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "cannot read config file .*c.yaml: .*No such file or directory"),
+        ("graph: [unclosed\nx0: 1\n", "cannot read config file .*c.yaml: while parsing"),
+        ("- not\n- a mapping\n", "config file .*c.yaml does not contain a mapping"),
+    ],
+    ids=["missing-file", "yaml-syntax-error", "not-a-mapping"],
+)
+def test_unusable_config_file_exits_2_with_one_error_line(tmp_path, capsys, text, message):
+    path = tmp_path / "c.yaml"
+    if text is not None:
+        path.write_text(text)
+    rc = main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert re.match(f"error: {message}", err), err
+    assert err.count("\n") == 1, err
+    # the library entry point reads the file through the same reader
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig.from_yaml(path)
 
 
 def test_non_finite_x0_range_exits_2_naming_the_key(tmp_path, capsys):
@@ -303,6 +327,23 @@ def test_node_with_bad_outside_input_exits_2_before_opening_a_socket(
     assert re.search(f"^error: .*{message}", capsys.readouterr().err)
     # refused before any socket opened: the listen port is still free
     socket.create_server(("127.0.0.1", port)).close()
+
+
+def test_node_on_a_busy_listen_port_exits_2(tmp_path, capsys):
+    port = allocate_ports(1)[0]
+    peers_path = tmp_path / "peers.json"
+    peers_path.write_text(json.dumps({str(i): f"127.0.0.1:{port + 1 + i}" for i in range(5)}))
+    with socket.create_server(("127.0.0.1", port)):
+        rc = main(
+            [
+                "node", "--node-id", "0", "--listen", f"127.0.0.1:{port}",
+                "--peers", str(peers_path), "--preset", "fig3",
+            ]
+        )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert re.match(f"error: node 0 cannot listen on 127.0.0.1:{port}: ", err), err
+    assert err.count("\n") == 1, err
 
 
 def test_simulate_byte_identical_reruns(tmp_path):

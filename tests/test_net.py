@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import csv
 import socket
@@ -18,7 +19,6 @@ from privsum.net import (
     MODE_ENCRYPTED,
     MODE_PLAIN,
     MSG_KEY_ANNOUNCE,
-    MSG_ROUND_SYNC,
     MSG_SHARE_ENC,
     MSG_SHARE_PLAIN,
     NodeRuntime,
@@ -120,7 +120,7 @@ def decode_frame(data: bytes) -> WireFrame:
 
 @settings(max_examples=200, deadline=None)
 @given(
-    msg_type=st.sampled_from([MSG_KEY_ANNOUNCE, MSG_SHARE_PLAIN, MSG_SHARE_ENC, MSG_ROUND_SYNC]),
+    msg_type=st.sampled_from([MSG_KEY_ANNOUNCE, MSG_SHARE_PLAIN, MSG_SHARE_ENC]),
     sender=st.integers(min_value=0, max_value=2**32 - 1),
     round_k=st.integers(min_value=0, max_value=2**32 - 1),
     payload=st.binary(max_size=256),
@@ -133,7 +133,7 @@ def test_frame_roundtrip(msg_type, sender, round_k, payload):
 def test_frame_rejects_garbage():
     with pytest.raises(ProtocolError):
         decode_frame(b"nope")
-    good = encode_frame(WireFrame(MSG_ROUND_SYNC, 1, 2, b""))
+    good = encode_frame(WireFrame(MSG_SHARE_PLAIN, 1, 2, pack_plain_shares(1.0, 0.5)))
     with pytest.raises(ProtocolError):
         decode_frame(b"XXXX" + good[4:])
     with pytest.raises(ProtocolError):
@@ -188,7 +188,7 @@ def test_read_frame_rejects_an_oversized_length_before_its_payload():
 
 def test_read_frame_takes_exactly_one_complete_frame_off_its_buffer():
     first = encode_frame(WireFrame(MSG_SHARE_PLAIN, 1, 0, pack_plain_shares(1.0, 0.5)))
-    second = encode_frame(WireFrame(MSG_ROUND_SYNC, 1, 2, b""))
+    second = encode_frame(WireFrame(MSG_SHARE_PLAIN, 1, 1, pack_plain_shares(2.0, 0.25)))
     for partial in (first[:5], first[:-1]):  # a partial header, a partial payload
         buffer = bytearray(partial)
         assert read_frame(buffer, 16) is None
@@ -361,6 +361,21 @@ def test_encrypted_cluster_sends_the_same_bytes_in_every_run(tmp_path):
         assert sent.count(MSG_KEY_ANNOUNCE) == 5 * config.graph.out_degree(i)
         first = (tmp_path / "a" / f"node{i}.frames").read_bytes()
         assert (tmp_path / "b" / f"node{i}.frames").read_bytes() == first, i
+
+
+def test_a_node_sends_only_key_and_share_frames():
+    """Rounds are the only synchronization: on each out-link a node sends
+    the n keys, then one share per round, and nothing else."""
+    config = make_config(key_bits=128, max_rounds=4)
+    results = run_cluster_in_threads(config, MODE_ENCRYPTED, capture_frames=True)
+    n = config.graph.n_nodes
+    for i in range(n):
+        d_out = config.graph.out_degree(i)
+        sent = collections.Counter(
+            decode_frame(data).msg_type for data in results[i][2]._sent_frames
+        )
+        expected = {MSG_KEY_ANNOUNCE: n * d_out, MSG_SHARE_ENC: config.max_rounds * d_out}
+        assert sent == expected, i
 
 
 def test_an_algorithm2_config_alone_puts_only_ciphertexts_on_the_wire():
@@ -587,26 +602,24 @@ def test_connection_from_a_non_in_neighbor_is_rejected():
     rt = _demo_runtime()
     assert 2 not in rt.in_ids
     with _serving(rt) as connect:
-        connect([WireFrame(MSG_ROUND_SYNC, 2, 0, b"")])
+        connect([WireFrame(MSG_SHARE_PLAIN, 2, 0, pack_plain_shares(1.0, 0.5))])
         with pytest.raises(
             ProtocolError, match="node 0: connection from node 2, not an in-neighbor"
         ):
             rt._receive_round(0)
-    assert rt._syncs == set()
+    assert rt._shares == {}
 
 
 def test_second_connection_for_one_sender_is_rejected():
     rt = _two_node_runtime(MODE_PLAIN)
-    share = WireFrame(MSG_SHARE_PLAIN, 1, 0, pack_plain_shares(1.0, 0.5))
     with _serving(rt) as connect:
-        connect([WireFrame(MSG_ROUND_SYNC, 1, 0, b""), share])
-        rt._receive_round(0)
-        # the first connection's sync is recorded before the second is read
-        assert rt._syncs == {(0, 1)}
-        connect([WireFrame(MSG_ROUND_SYNC, 1, 1, b"")])
+        connect([WireFrame(MSG_SHARE_PLAIN, 1, 0, pack_plain_shares(1.0, 0.5))])
+        # the first connection's share is applied before the second is read
+        assert [s for s, _ in rt._receive_round(0)] == [1.0]
+        connect([WireFrame(MSG_SHARE_PLAIN, 1, 1, pack_plain_shares(2.0, 0.5))])
         with pytest.raises(ProtocolError, match="node 0: second connection from node 1"):
             rt._receive_round(1)
-    assert rt._syncs == {(0, 1)}
+    assert rt._shares == {}
 
 
 def test_frame_under_another_sender_id_on_a_bound_connection_is_rejected():
@@ -614,14 +627,17 @@ def test_frame_under_another_sender_id_on_a_bound_connection_is_rejected():
     first, other = rt.in_ids
     with _serving(rt) as connect:
         connect(
-            [WireFrame(MSG_ROUND_SYNC, first, 0, b""), WireFrame(MSG_ROUND_SYNC, other, 0, b"")]
+            [
+                WireFrame(MSG_SHARE_PLAIN, first, 0, pack_plain_shares(1.0, 0.5)),
+                WireFrame(MSG_SHARE_PLAIN, other, 0, pack_plain_shares(2.0, 0.5)),
+            ]
         )
         with pytest.raises(
             ProtocolError,
             match=f"node 1: frame from node {other} on the connection of node {first}",
         ):
             rt._receive_round(0)
-    assert rt._syncs == {(0, first)}
+    assert rt._shares == {(0, first): (1.0, 0.5)}
 
 
 def test_share_frame_more_than_n_minus_1_rounds_ahead_is_rejected():
@@ -714,22 +730,20 @@ def _frames(*frames):
     return b"".join(encode_frame(f) for f in frames)
 
 
-_SYNC = WireFrame(MSG_ROUND_SYNC, 1, 0, b"")
-
-
-def _share(round_k):
-    return WireFrame(MSG_SHARE_PLAIN, 1, round_k, pack_plain_shares(1.0, 0.5))
+def _share(round_k, sender=1):
+    return WireFrame(MSG_SHARE_PLAIN, sender, round_k, pack_plain_shares(1.0, 0.5))
 
 
 @pytest.mark.parametrize(
     "data, message",
     [
-        (b"JUNK" + _frames(_SYNC)[4:], "node 0: bad magic b'JUNK'"),
+        (b"JUNK" + _frames(_share(0))[4:], "node 0: bad magic b'JUNK'"),
+        (b"PSUM\x01" + _frames(_share(0))[5:], "node 0: unsupported version 1"),
         (_oversized_header(MSG_SHARE_PLAIN, 1 << 20), "node 0: .*1048576-byte payload"),
-        (_frames(WireFrame(MSG_ROUND_SYNC, 7, 0, b"")), "node 0: connection from node 7"),
-        (_frames(_SYNC, _share(2)), "node 0: round-2 share from node 1 is 2 rounds ahead"),
+        (_frames(_share(0, sender=7)), "node 0: connection from node 7"),
+        (_frames(_share(2)), "node 0: round-2 share from node 1 is 2 rounds ahead"),
     ],
-    ids=["garbage-header", "oversized-length", "impostor-sender", "too-far-ahead"],
+    ids=["garbage-header", "old-version", "oversized-length", "impostor-sender", "too-far-ahead"],
 )
 def test_live_node_fails_fast_with_protocol_error_on_a_faulty_peer(data, message):
     error, seconds = _run_against_a_hand_rolled_peer(data)
@@ -739,7 +753,7 @@ def test_live_node_fails_fast_with_protocol_error_on_a_faulty_peer(data, message
 
 
 def test_live_node_fails_fast_when_a_peer_dies_mid_round():
-    error, seconds = _run_against_a_hand_rolled_peer(_frames(_SYNC, _share(0)), close=True)
+    error, seconds = _run_against_a_hand_rolled_peer(_frames(_share(0)), close=True)
     assert isinstance(error, PeerDisconnected), error
     assert "node 0: node 1 closed its connection" in str(error)
     assert seconds < 2.0
