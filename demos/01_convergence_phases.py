@@ -28,7 +28,6 @@ for big_k in (1, 5, 9):
         epsilon=0.01,
         phase_a_range=2.0,
         max_rounds=200,
-        stop_tol=0.0,
         seed=1,
     )
     result = run_experiment(config)

@@ -69,7 +69,6 @@ for trial in range(60):
         big_k=1,
         epsilon=0.01,
         max_rounds=101,
-        stop_tol=0.0,
         seed=4000 + trial,
         adversary=AdversarySpec(members=(1, 2, 3), target=0),
     )

@@ -27,7 +27,7 @@ x0 = [10.0, 15.0, 20.0, 25.0, 30.0]
 def config(mode):
     return ExperimentConfig(
         graph=graph, x0=list(x0), big_k=1, epsilon=0.01, max_rounds=100,
-        stop_tol=0.0, seed=1, mode=mode, key_bits=256,
+        seed=1, mode=mode, key_bits=256,
     )
 
 

@@ -209,21 +209,6 @@ def attack_colluding_full_neighborhood(view: AdversaryView, target: int) -> floa
     return _recover_via_telescope(view, target)
 
 
-def _least_squares_inputs(
-    view: AdversaryView, target: int, m_rounds: int
-) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray]:
-    """What the colluders' equations over rounds 0..m_rounds consume:
-    ``(M, K, s_net, w_net, ratio)``, the observations of rounds 0..M with
-    the net w-flow cut to the mixing rounds K+1..M.
-    """
-    m = int(m_rounds)
-    s_net, w_net, ratio = _observations(view, target, m + 1)
-    big_k = view.params.big_k
-    if m < big_k + 2:
-        raise ConfigError(f"m_rounds={m} must be at least K+2={big_k + 2}")
-    return m, big_k, s_net, w_net[big_k + 1 :], ratio
-
-
 def attack_least_squares(view: AdversaryView, target: int, m_rounds: int) -> float:
     """Minimum-norm least-squares estimate of the target's initial value.
 
@@ -240,11 +225,15 @@ def attack_least_squares(view: AdversaryView, target: int, m_rounds: int) -> flo
     [1, 5]: one well-conditioned solve at every K.
 
     The estimate reads only rounds 0..K+1, so it is the same for every
-    ``m_rounds`` the view supports; ``m_rounds`` is still checked as
-    ``_least_squares_inputs`` does.  Always returns a number; how badly it
+    ``m_rounds`` the view supports, at least K+2 and at most the rounds the
+    view recorded minus one.  Always returns a number; how badly it
     scatters is the experiment's subject, not an error condition.
     """
-    _, big_k, s_net, _, ratio = _least_squares_inputs(view, target, m_rounds)
+    m = int(m_rounds)
+    s_net, _, ratio = _observations(view, target, m + 1)
+    big_k = view.params.big_k
+    if m < big_k + 2:
+        raise ConfigError(f"m_rounds={m} must be at least K+2={big_k + 2}")
     n = big_k + 1
     gram = 3.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
     gram[-1, -1] = 2.0

@@ -382,15 +382,12 @@ class NodeRuntime:
         return sender
 
     def _dispatch(self, frame: WireFrame) -> None:
+        """Take in one frame; ``_receive`` has checked that its sender is
+        the in-neighbor its connection is bound to."""
         if frame.msg_type == MSG_KEY_ANNOUNCE:
             origin, key = unpack_key_announce(frame.payload)
             self._key_directory.setdefault(origin, key)
         elif frame.msg_type in (MSG_SHARE_PLAIN, MSG_SHARE_ENC):
-            if frame.sender_id not in self.in_ids:
-                raise ProtocolError(
-                    f"share frame from node {frame.sender_id}, "
-                    f"not an in-neighbor of node {self.node_id}"
-                )
             wire = self._wire_share(frame)
             key = (frame.round, frame.sender_id)
             if frame.round < self._round:

@@ -87,7 +87,7 @@ class ExperimentConfig:
     epsilon: float = 0.01
     phase_a_range: float = 10.0
     max_rounds: int = 100
-    stop_tol: float = 1e-12
+    stop_tol: float = 0.0
     seed: int = 1
     mode: str = MODE_ALGORITHM1
     adversary: AdversarySpec | None = None

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from privsum.adversary import AdversaryView, _least_squares_inputs
+from privsum.adversary import AdversaryView, _observations
+from privsum.errors import ConfigError
 
 
 @dataclass
@@ -48,10 +49,15 @@ def build_least_squares_system(
 ) -> LeastSquaresSystem:
     """Assemble the colluders' equations over rounds 0..m_rounds.
 
-    Raises as ``_least_squares_inputs`` does when the view cannot support
-    them.
+    Raises as ``attack_least_squares`` does when the view cannot support
+    them.  The net w-flow enters only in the mixing rounds K+1..M.
     """
-    m, big_k, s_net, w_net, ratio = _least_squares_inputs(view, target, m_rounds)
+    m = int(m_rounds)
+    s_net, w_net, ratio = _observations(view, target, m + 1)
+    big_k = view.params.big_k
+    if m < big_k + 2:
+        raise ConfigError(f"m_rounds={m} must be at least K+2={big_k + 2}")
+    w_net = w_net[big_k + 1 :]
 
     n_s = m + 2          # s(0..M+1)
     n_ds = m + 1         # ds(0..M)

@@ -618,14 +618,20 @@ def test_requires_exactly_one_source(tmp_path, capsys):
     assert rc == 2
 
 
-def test_python_dash_m_privsum_runs_the_cli(tmp_path):
+def _child_env():
+    """The environment for a `python -m privsum` child process, with this
+    package first on its path."""
     env = dict(os.environ)
     package_root = str(Path(privsum.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_python_dash_m_privsum_runs_the_cli(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "privsum", "--help"],
         cwd=tmp_path,
-        env=env,
+        env=_child_env(),
         capture_output=True,
         text=True,
         timeout=60,
@@ -634,39 +640,60 @@ def test_python_dash_m_privsum_runs_the_cli(tmp_path):
     assert proc.stdout.startswith("usage: privsum ")
 
 
-def test_node_subprocesses_run_cluster(tmp_path):
-    """End-to-end CLI check: five `privsum node` processes agree on 20."""
-    cfg_path = write_config(tmp_path / "net.yaml", max_rounds=40)
+@pytest.mark.parametrize("case", ["fig7", "fig3", "config-without-stop_tol"])
+def test_node_subprocesses_run_cluster(tmp_path, case):
+    """Five `python -m privsum node` processes run a config end to end.  The
+    encrypted fig7 nodes report their encryption time and reach the average;
+    a plain node's pi column is the simulator's, string for string."""
+    if case == "config-without-stop_tol":
+        cfg = write_config(tmp_path / "run.yaml", max_rounds=100, seed=1)
+        raw = yaml.safe_load(cfg.read_text())
+        del raw["stop_tol"]
+        cfg.write_text(yaml.safe_dump(raw))
+        source, max_rounds = ["--config", str(cfg)], 100
+    else:
+        # fig3 runs 101 rounds; fig7 is checked by its manifests instead
+        source, max_rounds = ["--preset", case], 101
     ports = allocate_ports(5)
     peers = {str(i): f"127.0.0.1:{ports[i]}" for i in range(5)}
     peers_path = tmp_path / "peers.json"
     peers_path.write_text(json.dumps(peers))
-    procs = [
-        subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "privsum.cli",
-                "node",
-                "--node-id",
-                str(i),
-                "--listen",
-                peers[str(i)],
-                "--peers",
-                str(peers_path),
-                "--config",
-                str(cfg_path),
-                "--out-dir",
-                str(tmp_path / "out"),
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-        )
-        for i in range(5)
-    ]
-    for p in procs:
-        out, _ = p.communicate(timeout=120)
-        assert p.returncode == 0, out.decode()
+    nodes = tmp_path / "nodes"
+    procs = []
+    try:
+        for i in range(5):
+            procs.append(
+                subprocess.Popen(
+                    [
+                        sys.executable, "-m", "privsum", "node", "--node-id", str(i),
+                        "--listen", peers[str(i)], "--peers", str(peers_path),
+                        *source, "--out-dir", str(nodes),
+                    ],
+                    env=_child_env(),
+                    stdout=subprocess.PIPE,
+                    stderr=subprocess.STDOUT,
+                )
+            )
+        for p in procs:
+            out, _ = p.communicate(timeout=120)
+            assert p.returncode == 0, out.decode()
+    finally:
+        for p in procs:
+            if p.poll() is None:
+                p.kill()
+                p.communicate()
+    if case == "fig7":
+        for i in range(5):
+            manifest = json.loads((nodes / f"node{i}.manifest.json").read_text())
+            assert manifest["mean_encrypt_ms"] is not None
+            assert abs(manifest["final_pi"] - 20.0) <= 1e-6
+        return
+    assert main(["simulate", *source, "--out-dir", str(tmp_path / "sim")]) == 0
+    with open(tmp_path / "sim" / "series.csv", newline="") as fh:
+        series = list(csv.DictReader(fh))
+    assert len(series) == max_rounds + 1
     for i in range(5):
-        manifest = json.loads((tmp_path / "out" / f"node{i}.manifest.json").read_text())
-        assert abs(manifest["final_pi"] - 20.0) < 1e-3  # 40 rounds gets close
+        with open(nodes / f"node{i}.csv", newline="") as fh:
+            assert [row["pi"] for row in csv.DictReader(fh)] == [
+                row[f"pi_{i}"] for row in series
+            ]

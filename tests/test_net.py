@@ -542,17 +542,6 @@ def test_share_frame_of_the_other_transport_is_rejected(mode, msg_type, payload)
         rt._dispatch(WireFrame(msg_type, 1, 0, payload))
 
 
-def test_share_frame_from_a_non_in_neighbor_is_rejected():
-    config = make_config()
-    ports = allocate_ports(5)
-    peers = {i: ("127.0.0.1", ports[i]) for i in range(5)}
-    rt = NodeRuntime(0, peers[0], peers, config)
-    assert 2 not in rt.in_ids
-    with pytest.raises(ProtocolError, match="not an in-neighbor"):
-        rt._dispatch(WireFrame(MSG_SHARE_PLAIN, 2, 0, pack_plain_shares(1.0, 0.5)))
-    assert rt._shares == {}
-
-
 def test_duplicate_pending_share_frame_is_rejected():
     rt = _two_node_runtime(MODE_PLAIN)
     rt._dispatch(WireFrame(MSG_SHARE_PLAIN, 1, 0, pack_plain_shares(1.0, 0.5)))

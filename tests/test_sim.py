@@ -326,3 +326,14 @@ def test_stop_tol_shortens_run():
     res = run_experiment(make_config(max_rounds=500, stop_tol=1e-12))
     assert res.record.n_rounds < 500
     assert res.metrics.e[-1] < 1e-9
+
+
+def test_a_config_without_stop_tol_runs_all_max_rounds():
+    # Early stopping is opt-in: with stop_tol=1e-12 this config would stop
+    # after 81 rounds, and a node would refuse it.
+    config = ExperimentConfig(
+        graph=default_demo_graph(), x0=[10.0, 15.0, 20.0, 25.0, 30.0],
+        big_k=1, max_rounds=100, seed=1,
+    )
+    assert config.stop_tol == 0.0
+    assert run_experiment(config).record.n_rounds == 100
