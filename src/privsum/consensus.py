@@ -52,11 +52,6 @@ from .weights import WeightParams, generate_round_weights, node_rng, place_round
 if TYPE_CHECKING:
     from .sim import PaillierChannel
 
-# Rounds in a row that must each move every estimate by less than
-# ``stop_tol`` before a run ends early.
-STOP_WINDOW = 10
-
-
 @dataclass(frozen=True)
 class NodeState:
     """One node's consensus variables at a given round."""
@@ -260,7 +255,6 @@ def run_rounds(
     x0: Sequence[float],
     params: WeightParams | None = None,
     channel: PaillierChannel | None = None,
-    stop_tol: float = 0.0,
 ) -> RunRecord:
     """Drive all nodes of ``weights.graph`` through one synchronous
     round per row of the weight table.
@@ -273,9 +267,7 @@ def run_rounds(
     fold what one ``receive`` call recovers; only then are the shares
     stored, since in the clear the record recomputes them.  A weight sum
     of zero raises ``DivisionByZero`` naming the first such round and
-    node.  If ``stop_tol`` is positive, the run ends early once
-    ``max_i |pi_i(k) - pi_i(k-1)| < stop_tol`` held for ``STOP_WINDOW``
-    consecutive rounds.
+    node.
     """
     layout = weights.layout
     n = weights.graph.n_nodes
@@ -297,10 +289,6 @@ def run_rounds(
         decoded = np.empty((rounds, 2, n_edges))
         wire = np.empty((rounds, 2, n_edges), dtype=object)
         senders, receivers = layout.senders.tolist(), layout.receivers.tolist()
-    done = rounds
-    quiet_rounds = 0
-    pi_prev = state[0, 0]
-
     per_round = zip(weights.table, state[:-1], state[1:])
     for k, (row, now, nxt) in enumerate(per_round):
         np.multiply(row, now.take(holders, axis=1), out=products)
@@ -309,23 +297,13 @@ def run_rounds(
             decoded[k] = channel.receive(senders, receivers, k, wire[k])
             sent[:] = decoded[k]
         fold_shares(every.take(order), out=nxt)
-
-        if stop_tol > 0.0:
-            _check_weight_sums(nxt[1:], k, nodes)
-            pi_next = nxt[0] / nxt[1]
-            delta = np.max(np.abs(pi_next - pi_prev))
-            pi_prev = pi_next
-            quiet_rounds = quiet_rounds + 1 if delta < stop_tol else 0
-            if quiet_rounds >= STOP_WINDOW:
-                done = k + 1
-                break
-    _check_weight_sums(state[1 : done + 1, 1], 0, nodes)
+    _check_weight_sums(state[1:, 1], 0, nodes)
     return RunRecord(
         params=params,
-        trajectory=Trajectory(state[: done + 1]),
-        weights=WeightTable(weights.graph, weights.table[:done]),
-        decoded=None if channel is None else decoded[:done],
-        ciphertexts=None if channel is None else wire[:done],
+        trajectory=Trajectory(state),
+        weights=weights,
+        decoded=None if channel is None else decoded,
+        ciphertexts=None if channel is None else wire,
     )
 
 
@@ -364,17 +342,12 @@ def run_algorithm1(
     seed: int,
     rounds: int,
     channel: PaillierChannel | None = None,
-    stop_tol: float = 0.0,
 ) -> RunRecord:
     """Run the two-phase random-weight protocol."""
     if not is_strongly_connected(graph):
         raise NotStronglyConnected("the protocol requires a strongly connected graph")
     return run_rounds(
-        algorithm1_weights(graph, params, seed, rounds),
-        x0,
-        params=params,
-        channel=channel,
-        stop_tol=stop_tol,
+        algorithm1_weights(graph, params, seed, rounds), x0, params=params, channel=channel
     )
 
 
@@ -403,7 +376,6 @@ def run_algorithm0(
     graph: DirectedGraph,
     x0: Sequence[float],
     rounds: int = 100,
-    stop_tol: float = 0.0,
 ) -> RunRecord:
     """Run the baseline push-sum protocol with the fixed weights of
     ``default_pushsum_matrix``.
@@ -415,8 +387,4 @@ def run_algorithm0(
         raise NotStronglyConnected(
             "baseline push-sum requires a strongly connected graph"
         )
-    return run_rounds(
-        matrix_weights(graph, default_pushsum_matrix(graph), rounds),
-        x0,
-        stop_tol=stop_tol,
-    )
+    return run_rounds(matrix_weights(graph, default_pushsum_matrix(graph), rounds), x0)

@@ -215,19 +215,12 @@ class NodeRuntime:
         capture_frames: bool = False,
     ) -> None:
         config.validate()
-        # A node runs the two-phase protocol for all max_rounds rounds; a
-        # config asking otherwise is refused rather than run differently
-        # from the simulator.
+        # A node runs the two-phase protocol; a config asking for the
+        # baseline is refused rather than run differently from the simulator.
         if config.mode == MODE_ALGORITHM0:
             raise ConfigError(
                 f"mode {MODE_ALGORITHM0!r} runs only in the simulator; a node "
                 f"runs the two-phase protocol"
-            )
-        if config.stop_tol > 0.0:
-            raise ConfigError(
-                f"stop_tol={config.stop_tol}: a node runs all "
-                f"max_rounds={config.max_rounds} rounds and cannot stop early; "
-                f"set stop_tol to 0"
             )
         n = config.graph.n_nodes
         if not 0 <= node_id < n:
@@ -696,7 +689,12 @@ def run_local_cluster(
     timeout: float = 300.0,
 ) -> list[dict]:
     """Launch one local process per node, wait for completion, and return
-    the per-node manifests (read back from disk)."""
+    the per-node manifests (read back from disk).
+
+    A node still running at ``timeout`` is terminated, and killed if it
+    outlives a short join, so no child survives the call; any failed node
+    raises ``PeerDisconnected`` naming each one with its exit code or
+    "hung"."""
     import multiprocessing as mp
 
     out_dir = Path(out_dir)
@@ -716,10 +714,18 @@ def run_local_cluster(
     deadline = time.monotonic() + timeout
     for p in procs:
         p.join(timeout=max(0.1, deadline - time.monotonic()))
-    failed = [i for i, p in enumerate(procs) if p.exitcode != 0]
+    failed = [
+        f"node {i} {'hung' if p.exitcode is None else f'exit code {p.exitcode}'}"
+        for i, p in enumerate(procs)
+        if p.exitcode != 0
+    ]
     for p in procs:
         if p.is_alive():
             p.terminate()
+            p.join(timeout=1.0)
+        if p.is_alive():
+            p.kill()
+            p.join()
     if failed:
-        raise PeerDisconnected(f"cluster nodes {failed} exited abnormally or hung")
+        raise PeerDisconnected(f"cluster nodes failed: {', '.join(failed)}")
     return [json.loads((out_dir / f"node{i}.manifest.json").read_text()) for i in range(n)]

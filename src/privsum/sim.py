@@ -87,6 +87,8 @@ class ExperimentConfig:
     epsilon: float = 0.01
     phase_a_range: float = 10.0
     max_rounds: int = 100
+    # Kept only because the benchmark's workloads still pass stop_tol=0.0;
+    # 0 is the only value ``validate`` accepts.
     stop_tol: float = 0.0
     seed: int = 1
     mode: str = MODE_ALGORITHM1
@@ -116,6 +118,11 @@ class ExperimentConfig:
         if self.max_rounds < self.big_k + 2:
             raise ConfigError(
                 f"max_rounds={self.max_rounds} must be at least K+2={self.big_k + 2}"
+            )
+        if self.stop_tol != 0.0:
+            raise ConfigError(
+                f"stop_tol={self.stop_tol}: a run lasts all max_rounds={self.max_rounds} "
+                f"rounds and cannot stop early; set stop_tol to 0"
             )
         self.params  # triggers WeightParams validation
         if self.mode == MODE_ALGORITHM2:
@@ -434,9 +441,7 @@ def run_experiment(
     x0 = resolve_x0(config, target_override)
     mean_encrypt = mean_decrypt = None
     if config.mode == MODE_ALGORITHM0:
-        record = run_algorithm0(
-            config.graph, x0, rounds=config.max_rounds, stop_tol=config.stop_tol
-        )
+        record = run_algorithm0(config.graph, x0, rounds=config.max_rounds)
     else:
         channel = None
         if config.mode == MODE_ALGORITHM2:
@@ -448,13 +453,7 @@ def run_experiment(
                 config.seed,
             )
         record = run_algorithm1(
-            config.graph,
-            x0,
-            config.params,
-            config.seed,
-            config.max_rounds,
-            channel=channel,
-            stop_tol=config.stop_tol,
+            config.graph, x0, config.params, config.seed, config.max_rounds, channel=channel
         )
         if channel is not None and channel.encrypt_seconds:
             mean_encrypt = float(np.mean(channel.encrypt_seconds))

@@ -58,7 +58,7 @@ def suite_mass_conservation(config: ExperimentConfig) -> SuiteResult:
     """sum_i s_i(k) stays at sum_i x_i for every round of every mode."""
     worst = 0.0
     for mode in (MODE_ALGORITHM0, MODE_ALGORITHM1, MODE_ALGORITHM2):
-        cfg = replace(config, mode=mode, stop_tol=0.0, max_rounds=min(config.max_rounds, 40))
+        cfg = replace(config, mode=mode, max_rounds=min(config.max_rounds, 40))
         res = run_experiment(cfg)
         s = res.record.trajectory.s
         total0 = sum(res.record.x0)
@@ -73,7 +73,7 @@ def suite_mass_conservation(config: ExperimentConfig) -> SuiteResult:
 
 def suite_weight_floor(config: ExperimentConfig) -> SuiteResult:
     """w_i(k) = 1 exactly through round K+1, then never below epsilon^N."""
-    cfg = replace(config, mode=MODE_ALGORITHM1, stop_tol=0.0)
+    cfg = replace(config, mode=MODE_ALGORITHM1)
     res = run_experiment(cfg)
     w = res.record.trajectory.w
     big_k = config.big_k
@@ -163,7 +163,7 @@ def suite_transition_products(config: ExperimentConfig) -> SuiteResult:
     big_k = config.big_k
     n = config.graph.n_nodes
     rounds = max(big_k + n + 4, 12)
-    cfg = replace(config, mode=MODE_ALGORITHM1, stop_tol=0.0, max_rounds=rounds)
+    cfg = replace(config, mode=MODE_ALGORITHM1, max_rounds=rounds)
     res = run_experiment(cfg)
     record = res.record
     s = record.trajectory.s
@@ -205,9 +205,7 @@ def suite_transition_products(config: ExperimentConfig) -> SuiteResult:
 
 def suite_witness_replay(config: ExperimentConfig) -> SuiteResult:
     """Alternative initial values replay to identical adversary views."""
-    cfg = replace(
-        config, mode=MODE_ALGORITHM1, stop_tol=0.0, max_rounds=min(config.max_rounds, 30)
-    )
+    cfg = replace(config, mode=MODE_ALGORITHM1, max_rounds=min(config.max_rounds, 30))
     res = run_experiment(cfg)
     record = res.record
     g = config.graph
@@ -267,12 +265,20 @@ def suite_crypto_roundtrip(config: ExperimentConfig) -> SuiteResult:
         if decrypt(kp, add_ciphertexts(kp.public, c, d)) != (m1 + m2) % kp.public.n:
             return SuiteResult("crypto-roundtrip", False, "homomorphic add failed")
     codec = FixedPointCodec(kp.public.n, config.fractional_bits)
-    for _ in range(200):
-        v = rng.uniform(-1e3, 1e3)
-        if abs(codec.decode(codec.encode(v)) - v) > 2.0 ** (-config.fractional_bits - 1) * (
-            1.0 + abs(v)
-        ):
-            return SuiteResult("crypto-roundtrip", False, f"codec roundtrip failed for {v}")
+    # Encoding rounds to the nearest multiple of 2^-f, an error of at most
+    # half of it; decoding's division adds at most half an ulp of v.
+    # Values span six decades, so most of them lose bits below 2^-f.
+    tol = 2.0 ** (-config.fractional_bits - 1)
+    values = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randrange(-3, 4) for _ in range(200)]
+    errors = [abs(codec.decode(codec.encode(v)) - v) / (1.0 + abs(v)) for v in values]
+    # np.argmax, unlike max(), stops at a nan error
+    worst_at = int(np.argmax(errors))
+    worst = errors[worst_at]
+    margin = f"worst codec roundtrip error {worst:.3e} x (1 + |v|) (tolerance {tol:g})"
+    if not worst <= tol:
+        return SuiteResult(
+            "crypto-roundtrip", False, f"codec roundtrip failed for {values[worst_at]}: {margin}"
+        )
     top = math.nextafter(float(codec.max_magnitude), 0.0)
     tiny = 2.0**-config.fractional_bits
     edges = [top, top / 2, tiny, 0.0, -tiny, -top / 2, -top]
@@ -288,8 +294,8 @@ def suite_crypto_roundtrip(config: ExperimentConfig) -> SuiteResult:
     return SuiteResult(
         "crypto-roundtrip",
         True,
-        f"keygen, roundtrip, homomorphism, codec; {len(edges)} codec-edge values "
-        f"through the one-prime share path",
+        f"keygen, roundtrip, homomorphism; {len(edges)} codec-edge values "
+        f"through the one-prime share path; {len(values)} codec values, {margin}",
     )
 
 

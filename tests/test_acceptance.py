@@ -70,7 +70,6 @@ def demo_config(**overrides):
         epsilon=0.01,
         phase_a_range=10.0,
         max_rounds=100,
-        stop_tol=0.0,
         seed=1,
         mode=MODE_ALGORITHM1,
     )

@@ -109,7 +109,6 @@ def _fig3_style_result(seed, true_x0, m_rounds=100, big_k=1):
         big_k=big_k,
         epsilon=0.01,
         max_rounds=m_rounds + 1,
-        stop_tol=0.0,
         seed=seed,
         adversary=AdversarySpec(members=(1, 2, 3), target=0),
     )
@@ -357,7 +356,7 @@ def test_a_view_computes_only_its_own_columns(demo_graph, demo_x0, mode):
     retained arrays, and building one leaves a plain record's shares
     uncomputed."""
     config = ExperimentConfig(
-        graph=demo_graph, x0=demo_x0, max_rounds=6, stop_tol=0.0, seed=4,
+        graph=demo_graph, x0=demo_x0, max_rounds=6, seed=4,
         mode=mode, key_bits=128, fractional_bits=32,
     )
     record = run_experiment(config).record

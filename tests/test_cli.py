@@ -37,7 +37,6 @@ def write_config(path, **overrides):
         "epsilon": 0.01,
         "phase_a_range": 10.0,
         "max_rounds": 60,
-        "stop_tol": 0.0,
         "seed": 3,
         "mode": "algorithm1",
     }
@@ -150,6 +149,15 @@ def test_unusable_config_file_exits_2_with_one_error_line(tmp_path, capsys, text
     # the library entry point reads the file through the same reader
     with pytest.raises(ConfigError, match=message):
         ExperimentConfig.from_yaml(path)
+
+
+def test_a_config_that_asks_for_an_early_stop_exits_2_with_one_error_line(tmp_path, capsys):
+    cfg = write_config(tmp_path / "stop.yaml", stop_tol=1e-9)
+    rc = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert re.match("error: stop_tol=1e-09: .*cannot stop early; set stop_tol to 0", err), err
+    assert err.count("\n") == 1, err
 
 
 def test_non_finite_x0_range_exits_2_naming_the_key(tmp_path, capsys):
@@ -524,6 +532,24 @@ def test_crypto_roundtrip_suite_sends_the_codec_edges_through_the_share_path(
     assert not result.passed and "share path failed" in result.detail
 
 
+def test_crypto_roundtrip_reports_the_tolerance_it_checks(tmp_path, monkeypatch):
+    config = ExperimentConfig.from_yaml(write_config(tmp_path / "c.yaml", key_bits=128))
+    result = verify.suite_crypto_roundtrip(config)
+    assert result.passed and result.detail.endswith("(tolerance 1.77636e-15)")
+    worst = float(re.search(r"worst codec roundtrip error (\S+)", result.detail)[1])
+    assert 0.0 < worst <= 2.0**-49
+
+    # a decode that errs by one part in 1e9 fails the bound, and says so
+    class SkewedCodec(verify.FixedPointCodec):
+        def decode(self, e):
+            return super().decode(e) * (1.0 + 1e-9)
+
+    monkeypatch.setattr(verify, "FixedPointCodec", SkewedCodec)
+    result = verify.suite_crypto_roundtrip(config)
+    assert not result.passed and result.detail.endswith("(tolerance 1.77636e-15)")
+    assert result.detail.startswith("codec roundtrip failed for ")
+
+
 def test_mass_conservation_reports_the_tolerance_it_checks(tmp_path, monkeypatch):
     config = ExperimentConfig.from_yaml(write_config(tmp_path / "m.yaml", max_rounds=40))
     result = verify.suite_mass_conservation(config)
@@ -640,16 +666,13 @@ def test_python_dash_m_privsum_runs_the_cli(tmp_path):
     assert proc.stdout.startswith("usage: privsum ")
 
 
-@pytest.mark.parametrize("case", ["fig7", "fig3", "config-without-stop_tol"])
+@pytest.mark.parametrize("case", ["fig7", "fig3", "config-file"])
 def test_node_subprocesses_run_cluster(tmp_path, case):
     """Five `python -m privsum node` processes run a config end to end.  The
     encrypted fig7 nodes report their encryption time and reach the average;
     a plain node's pi column is the simulator's, string for string."""
-    if case == "config-without-stop_tol":
+    if case == "config-file":
         cfg = write_config(tmp_path / "run.yaml", max_rounds=100, seed=1)
-        raw = yaml.safe_load(cfg.read_text())
-        del raw["stop_tol"]
-        cfg.write_text(yaml.safe_dump(raw))
         source, max_rounds = ["--config", str(cfg)], 100
     else:
         # fig3 runs 101 rounds; fig7 is checked by its manifests instead

@@ -1,12 +1,10 @@
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
 
 from privsum.adversary import build_indistinguishability_witness, replay_with_witness
 from privsum.consensus import (
-    STOP_WINDOW,
     WeightTable,
     default_pushsum_matrix,
     fold_shares,
@@ -177,35 +175,12 @@ def test_default_matrix_matches_out_degrees(demo_graph):
     np.testing.assert_allclose(p.sum(axis=0), 1.0, atol=1e-12, rtol=0.0)
 
 
-def test_early_stop_freezes_round_count(demo_graph, demo_x0):
-    params = WeightParams(big_k=1, epsilon=0.01)
-    rec = run_algorithm1(
-        demo_graph, demo_x0, params, seed=8, rounds=400, stop_tol=1e-12
-    )
-    assert rec.n_rounds < 400
-    np.testing.assert_allclose(rec.final_pi(), 20.0, rtol=0.0, atol=1e-9)
-
-
 def test_run_rounds_reports_a_zero_weight_sum():
     g = DirectedGraph.from_edge_list(2, [[0, 1], [1, 0]])
     s = np.full((3, 4), 0.5)
     w = np.array([[0.5, 0.5, 0.5, 0.5], [0.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.5, 0.5]])
     with pytest.raises(DivisionByZero, match="node 0: weight sum hit zero at round 1"):
         run_rounds(WeightTable(g, np.stack((s, w), axis=1)), [1.0, 3.0])
-
-
-def test_run_rounds_reports_a_zero_weight_sum_before_dividing():
-    """With early stopping the engine divides s by w every round; a zero
-    weight sum is named before that division can warn."""
-    g = DirectedGraph.from_edge_list(2, [[0, 1], [1, 0]])
-    s = np.full((3, 4), 0.5)
-    w = np.array([[0.5, 0.5, 0.5, 0.5], [0.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.5, 0.5]])
-    table = WeightTable(g, np.stack((s, w), axis=1))
-    named = "node 0: weight sum hit zero at round 1"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DivisionByZero, match=named):
-            run_rounds(table, [1.0, 3.0], stop_tol=1e-12)
 
 
 def _left_fold(stack):
@@ -265,16 +240,15 @@ def test_weight_table_matrix_scatters_back_the_fixed_matrix(graph_index):
         table.matrix(0, "x")
 
 
-def _message_passing(graph, x0, weight_source, rounds, channel=None, stop_tol=0.0):
+def _message_passing(graph, x0, weight_source, rounds, channel=None):
     """Reference run built from the message-passing functions of
     ``reference_pushsum``: every node sends through ``outgoing_shares``,
     every node folds its inbox with ``apply_round``; shares travel sender by
     sender, receiver by receiver, in the clear or, with a channel, through
     one-link ``transmit``/``receive`` calls whose ciphertext values are
-    kept.  Same stop rule as ``run_rounds``."""
+    kept."""
     states = [initial_state(i, x0[i]) for i in graph.nodes()]
     out = {"states": [states], "weights": [], "retained": [], "delivered": [], "wire": []}
-    quiet = 0
     for k in range(rounds):
         weights = {i: weight_source(i, k) for i in graph.nodes()}
         inboxes = {i: [] for i in graph.nodes()}
@@ -290,7 +264,6 @@ def _message_passing(graph, x0, weight_source, rounds, channel=None, stop_tol=0.
                     msg = ShareMessage(msg.sender, msg.receiver, msg.round, s_share, w_share)
                 delivered.append(msg)
                 inboxes[msg.receiver].append(msg)
-        prev = states
         states = [
             apply_round(states[i], inboxes[i], kept[i], graph.in_neighbors(i))
             for i in graph.nodes()
@@ -298,11 +271,6 @@ def _message_passing(graph, x0, weight_source, rounds, channel=None, stop_tol=0.
         for key, value in (("states", states), ("weights", weights), ("retained", kept),
                            ("delivered", delivered), ("wire", wire)):
             out[key].append(value)
-        if stop_tol > 0.0:
-            delta = max(abs(a.pi - b.pi) for a, b in zip(states, prev))
-            quiet = quiet + 1 if delta < stop_tol else 0
-            if quiet >= STOP_WINDOW:
-                break
     return out
 
 
@@ -377,7 +345,7 @@ def test_array_engine_matches_message_passing(graph_index):
 
     _assert_same_run(record, _message_passing(graph, x0, matrix_column, 25))
 
-    # algorithm1, run out and stopped early
+    # algorithm1
     record = run_algorithm1(graph, x0, params, seed=5, rounds=30)
     ref = _message_passing(graph, x0, _drawn_round_by_round(graph, params, 5), 30)
     _assert_same_run(record, ref)
@@ -388,31 +356,23 @@ def test_array_engine_matches_message_passing(graph_index):
     assert sorted(zip(layout.receivers.tolist(), layout.senders.tolist())) == sorted(
         graph.edges
     )
-    early = run_algorithm1(graph, x0, params, seed=5, rounds=400, stop_tol=1e-9)
-    ref = _message_passing(
-        graph, x0, _drawn_round_by_round(graph, params, 5), 400, stop_tol=1e-9
-    )
-    assert early.n_rounds < 400
-    _assert_same_run(early, ref)
 
-    # witness replay of the early-stopped run: rewritten round-0 weights
-    witness = build_indistinguishability_witness(early, 0, -7.5, graph.out_neighbors(0)[0])
-
-    layout = early.weights.layout
+    # witness replay of the run: rewritten round-0 weights
+    witness = build_indistinguishability_witness(record, 0, -7.5, graph.out_neighbors(0)[0])
 
     def rewritten(i, k):
         cols = layout.columns(i)
-        s_row = witness.round0_s if k == 0 else early.weights.s[k]
+        s_row = witness.round0_s if k == 0 else record.weights.s[k]
         return RoundWeights(
             i,
             k,
             dict(zip(layout.targets(i), s_row[cols].tolist())),
-            dict(zip(layout.targets(i), early.weights.w[k, cols].tolist())),
+            dict(zip(layout.targets(i), record.weights.w[k, cols].tolist())),
         )
 
-    replayed = replay_with_witness(early, witness)
+    replayed = replay_with_witness(record, witness)
     _assert_same_run(
-        replayed, _message_passing(graph, list(witness.x0), rewritten, early.n_rounds)
+        replayed, _message_passing(graph, list(witness.x0), rewritten, record.n_rounds)
     )
 
 
@@ -492,13 +452,6 @@ def test_plain_trace_holds_only_the_weight_table_and_the_states():
 
 def test_every_record_keeps_its_shares_right(demo_graph, demo_x0):
     params = WeightParams(big_k=2, epsilon=0.05)
-    full = run_algorithm1(demo_graph, demo_x0, params, seed=9, rounds=400)
-    early = run_algorithm1(demo_graph, demo_x0, params, seed=9, rounds=400, stop_tol=1e-9)
-    done = early.n_rounds
-    assert done < 400
-    assert early.shares.shape == (done, 2, early.weights.layout.n_edges)
-    assert early.shares.tobytes() == full.shares[:done].tobytes()
-
     # under a channel the receivers fold the decoded shares, which the
     # record stores: they are not the products of weights and states
     keypairs = node_keypairs(demo_graph, 128, 3)

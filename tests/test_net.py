@@ -1,6 +1,7 @@
 import collections
 import contextlib
 import csv
+import multiprocessing
 import socket
 import struct
 import threading
@@ -58,7 +59,6 @@ def make_config(**overrides):
         big_k=1,
         epsilon=0.01,
         max_rounds=12,
-        stop_tol=0.0,
         seed=7,
     )
     base.update(overrides)
@@ -677,6 +677,26 @@ def test_node_refuses_a_config_it_would_run_differently_from_the_simulator(
         NodeRuntime(0, peers[0], peers, config)
     # raised before any socket opened: the listen port is still free
     socket.create_server(peers[0]).close()
+
+
+@pytest.mark.parametrize(
+    "overrides, timeout, failure",
+    [
+        # a node of an algorithm0 config refuses it and exits 1
+        ({"mode": "algorithm0"}, 120.0, "exit code 1"),
+        # 5000 rounds outlast the 0.3 s deadline
+        ({"max_rounds": 5000}, 0.3, "hung"),
+    ],
+    ids=["exit-code", "hung"],
+)
+def test_a_failed_local_cluster_names_each_node_and_leaves_no_child_running(
+    tmp_path, overrides, timeout, failure
+):
+    config = make_config(**overrides)
+    nodes = ", ".join(f"node {i} {failure}" for i in range(5))
+    with pytest.raises(PeerDisconnected, match=f"^cluster nodes failed: {nodes}$"):
+        net.run_local_cluster(config, out_dir=tmp_path, timeout=timeout)
+    assert multiprocessing.active_children() == []
 
 
 # -- live fault injection ------------------------------------------------------

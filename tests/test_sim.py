@@ -35,7 +35,6 @@ def make_config(**overrides):
         big_k=1,
         epsilon=0.01,
         max_rounds=60,
-        stop_tol=0.0,
         seed=4,
     )
     base.update(overrides)
@@ -154,6 +153,10 @@ def test_config_validation_messages():
         make_config(adversary=AdversarySpec(members=(1,), target=0, attack="bogus")).validate()
     with pytest.raises(ConfigError, match="trials=0 must be at least 1"):
         make_config(adversary=AdversarySpec(members=(1,), target=0, trials=0)).validate()
+    # no run stops early, and a negative tolerance is no exception
+    for stop_tol in (1e-9, -1.0):
+        with pytest.raises(ConfigError, match="cannot stop early; set stop_tol to 0"):
+            make_config(stop_tol=stop_tol).validate()
 
 
 @pytest.mark.parametrize(
@@ -290,7 +293,6 @@ def test_2048_bit_run_matches_256_bit_bitwise():
                 graph=DirectedGraph.from_edge_list(2, [[0, 1], [1, 0]]),
                 x0=[10.0, 30.0],
                 max_rounds=3,
-                stop_tol=0.0,
                 seed=1,
                 mode=MODE_ALGORITHM2,
                 key_bits=key_bits,
@@ -320,20 +322,3 @@ def test_channel_times_each_receiver_table_apart_from_the_encryptions():
     # one build per receiver key, in its first round, kept by the key object
     assert len(channel.table_build_seconds) == 3
     assert all("blinding_table" in vars(kp.public) for kp in keypairs.values())
-
-
-def test_stop_tol_shortens_run():
-    res = run_experiment(make_config(max_rounds=500, stop_tol=1e-12))
-    assert res.record.n_rounds < 500
-    assert res.metrics.e[-1] < 1e-9
-
-
-def test_a_config_without_stop_tol_runs_all_max_rounds():
-    # Early stopping is opt-in: with stop_tol=1e-12 this config would stop
-    # after 81 rounds, and a node would refuse it.
-    config = ExperimentConfig(
-        graph=default_demo_graph(), x0=[10.0, 15.0, 20.0, 25.0, 30.0],
-        big_k=1, max_rounds=100, seed=1,
-    )
-    assert config.stop_tol == 0.0
-    assert run_experiment(config).record.n_rounds == 100
