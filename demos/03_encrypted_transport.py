@@ -8,7 +8,8 @@ ciphertexts that fail to decrypt without the right private key.
 
 The same encrypted transport also runs as five real TCP processes: an
 `algorithm2-simulated` config such as the fig7 preset picks it, in the
-README's `privsum node --preset fig7` example or in `run_local_cluster`.
+README's `privsum node --preset fig7` example or through
+`run_local_cluster`, which starts those five `privsum node` processes.
 
 Run:  python demos/03_encrypted_transport.py
 """

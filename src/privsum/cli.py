@@ -81,12 +81,11 @@ def _write_manifest(out_dir: Path, name: str, manifest: dict) -> Path:
 
 
 def cmd_simulate(args) -> int:
-    raw = load_raw_config(args)
+    configs = _expand_big_k(load_raw_config(args))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     summaries = []
-    configs = _expand_big_k(raw)
     for suffix, config in configs:
         start = time.perf_counter()
         result = run_experiment(config)

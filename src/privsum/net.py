@@ -29,17 +29,22 @@ ends while the driver still waits on its sender, a ``PeerDisconnected``.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import os
 import selectors
 import socket
 import struct
+import subprocess
+import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
+import yaml
 
 from .consensus import NodeState, apply_round
 from .errors import ConfigError, PeerDisconnected, ProtocolError, Timeout
@@ -452,10 +457,6 @@ class NodeRuntime:
                 sock, selectors.EVENT_WRITE, lambda: self._flush(peer)
             )
 
-    def _flood_frame(self, frame: WireFrame) -> None:
-        for peer in self.out_ids:
-            self._send(peer, frame)
-
     # -- protocol phases ---------------------------------------------------
 
     def flood_public_keys(self) -> None:
@@ -486,7 +487,8 @@ class NodeRuntime:
                 ),
             )
             payload = pack_key_announce(origin, self._key_directory[origin])
-            self._flood_frame(WireFrame(MSG_KEY_ANNOUNCE, self.node_id, 0, payload))
+            for peer in self.out_ids:
+                self._send(peer, WireFrame(MSG_KEY_ANNOUNCE, self.node_id, 0, payload))
 
     def _drain(self) -> None:
         """Run the loop until every outbox is empty."""
@@ -665,21 +667,11 @@ def run_networked(
 
 def allocate_ports(count: int, host: str = "127.0.0.1") -> list[int]:
     """Grab ephemeral ports by binding and releasing them."""
-    socks = []
-    ports = []
-    for _ in range(count):
-        s = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        s.bind((host, 0))
-        ports.append(s.getsockname()[1])
-        socks.append(s)
-    for s in socks:
-        s.close()
-    return ports
-
-
-def _cluster_child(node_id, listen, peers, config_dict, out_dir) -> None:
-    config = ExperimentConfig.from_dict(config_dict)
-    run_networked(node_id, listen, peers, config, out_dir=out_dir)
+    with contextlib.ExitStack() as stack:
+        socks = [stack.enter_context(socket.socket()) for _ in range(count)]
+        for s in socks:
+            s.bind((host, 0))
+        return [s.getsockname()[1] for s in socks]
 
 
 def run_local_cluster(
@@ -688,44 +680,50 @@ def run_local_cluster(
     host: str = "127.0.0.1",
     timeout: float = 300.0,
 ) -> list[dict]:
-    """Launch one local process per node, wait for completion, and return
-    the per-node manifests (read back from disk).
-
-    A node still running at ``timeout`` is terminated, and killed if it
-    outlives a short join, so no child survives the call; any failed node
-    raises ``PeerDisconnected`` naming each one with its exit code or
-    "hung"."""
-    import multiprocessing as mp
-
+    """Run each node as a ``python -m privsum node`` process of this copy of
+    privsum, wait, and return the per-node manifests read back from disk.
+    ``out_dir`` gets the nodes' ``config.yaml`` and ``peers.json`` and each
+    node's output, its stdout and stderr in ``node<i>.log``.  A node still
+    running at ``timeout`` is killed, so no child survives the call; any
+    failed node raises ``PeerDisconnected`` naming each one with its exit
+    code or "hung" and its log's path and last line."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     n = config.graph.n_nodes
-    ports = allocate_ports(n, host)
-    peers = {i: (host, ports[i]) for i in range(n)}
-    ctx = mp.get_context("spawn")
+    peers = {str(i): f"{host}:{port}" for i, port in enumerate(allocate_ports(n, host))}
+    # YAML, which reads back every float it writes; PyYAML reads JSON's 1e-05 as text.
+    (out_dir / "config.yaml").write_text(yaml.safe_dump(config.to_dict()))
+    (out_dir / "peers.json").write_text(json.dumps(peers))
+    package_root = str(Path(__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    logs = [out_dir / f"node{i}.log" for i in range(n)]
     procs = []
-    for i in range(n):
-        p = ctx.Process(
-            target=_cluster_child,
-            args=(i, peers[i], peers, config.to_dict(), str(out_dir)),
-        )
-        p.start()
-        procs.append(p)
-    deadline = time.monotonic() + timeout
-    for p in procs:
-        p.join(timeout=max(0.1, deadline - time.monotonic()))
+    try:
+        for i, log in enumerate(logs):
+            # A file, not a pipe, which a chatty node could fill and block on.
+            with open(log, "wb") as fh:
+                procs.append(subprocess.Popen(
+                    [sys.executable, "-m", "privsum", "node", "--node-id", str(i),
+                     "--listen", peers[str(i)], "--peers", str(out_dir / "peers.json"),
+                     "--config", str(out_dir / "config.yaml"), "--out-dir", str(out_dir)],
+                    env={**os.environ, "PYTHONPATH": path}, stdout=fh, stderr=subprocess.STDOUT,
+                ))
+        deadline = time.monotonic() + timeout
+        for p in procs:
+            with contextlib.suppress(subprocess.TimeoutExpired):
+                p.wait(max(0.0, deadline - time.monotonic()))
+        codes = [p.poll() for p in procs]
+    finally:
+        for p in procs:
+            if p.poll() is None:
+                p.kill()
+            p.wait()
     failed = [
-        f"node {i} {'hung' if p.exitcode is None else f'exit code {p.exitcode}'}"
-        for i, p in enumerate(procs)
-        if p.exitcode != 0
+        f"node {i} {'hung' if code is None else f'exit code {code}'} ({log}: "
+        f"{(log.read_text(errors='replace').splitlines() or ['no output'])[-1]})"
+        for i, (code, log) in enumerate(zip(codes, logs))
+        if code != 0
     ]
-    for p in procs:
-        if p.is_alive():
-            p.terminate()
-            p.join(timeout=1.0)
-        if p.is_alive():
-            p.kill()
-            p.join()
     if failed:
-        raise PeerDisconnected(f"cluster nodes failed: {', '.join(failed)}")
+        raise PeerDisconnected(f"cluster nodes failed: {'; '.join(failed)}")
     return [json.loads((out_dir / f"node{i}.manifest.json").read_text()) for i in range(n)]

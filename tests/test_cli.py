@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 from dataclasses import replace
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from privsum.adversary import attack_least_squares
 from privsum.cli import main
 from privsum.errors import ConfigError
 from privsum.graph import default_demo_graph
-from privsum.net import allocate_ports
+from privsum.net import allocate_ports, run_local_cluster
 from privsum.consensus import WeightTable, algorithm1_weights
 from privsum.paillier import decrypt_small
 from privsum.sim import ExperimentConfig
@@ -153,8 +154,10 @@ def test_unusable_config_file_exits_2_with_one_error_line(tmp_path, capsys, text
 
 def test_a_config_that_asks_for_an_early_stop_exits_2_with_one_error_line(tmp_path, capsys):
     cfg = write_config(tmp_path / "stop.yaml", stop_tol=1e-9)
-    rc = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", str(cfg), "--out-dir", str(out)])
     assert rc == 2
+    assert not out.exists()
     err = capsys.readouterr().err
     assert re.match("error: stop_tol=1e-09: .*cannot stop early; set stop_tol to 0", err), err
     assert err.count("\n") == 1, err
@@ -666,45 +669,43 @@ def test_python_dash_m_privsum_runs_the_cli(tmp_path):
     assert proc.stdout.startswith("usage: privsum ")
 
 
+def test_local_cluster_runs_from_a_script_piped_to_python(tmp_path):
+    """The nodes are `privsum node` processes, so they do not re-run the
+    caller's `__main__`, here `<stdin>`."""
+    script = """
+import sys
+from importlib import resources
+from privsum.net import run_local_cluster
+from privsum.sim import ExperimentConfig
+config = ExperimentConfig.from_yaml(resources.files("privsum") / "presets" / "fig3.yaml")
+print(len(run_local_cluster(config, out_dir=sys.argv[1], timeout=120)))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-", str(tmp_path)],
+        input=script,
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+        timeout=180,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "5\n"
+
+
 @pytest.mark.parametrize("case", ["fig7", "fig3", "config-file"])
 def test_node_subprocesses_run_cluster(tmp_path, case):
     """Five `python -m privsum node` processes run a config end to end.  The
     encrypted fig7 nodes report their encryption time and reach the average;
     a plain node's pi column is the simulator's, string for string."""
     if case == "config-file":
-        cfg = write_config(tmp_path / "run.yaml", max_rounds=100, seed=1)
-        source, max_rounds = ["--config", str(cfg)], 100
+        path = write_config(tmp_path / "run.yaml", max_rounds=100, seed=1)
+        source, max_rounds = ["--config", str(path)], 100
     else:
         # fig3 runs 101 rounds; fig7 is checked by its manifests instead
+        path = resources.files("privsum") / "presets" / f"{case}.yaml"
         source, max_rounds = ["--preset", case], 101
-    ports = allocate_ports(5)
-    peers = {str(i): f"127.0.0.1:{ports[i]}" for i in range(5)}
-    peers_path = tmp_path / "peers.json"
-    peers_path.write_text(json.dumps(peers))
     nodes = tmp_path / "nodes"
-    procs = []
-    try:
-        for i in range(5):
-            procs.append(
-                subprocess.Popen(
-                    [
-                        sys.executable, "-m", "privsum", "node", "--node-id", str(i),
-                        "--listen", peers[str(i)], "--peers", str(peers_path),
-                        *source, "--out-dir", str(nodes),
-                    ],
-                    env=_child_env(),
-                    stdout=subprocess.PIPE,
-                    stderr=subprocess.STDOUT,
-                )
-            )
-        for p in procs:
-            out, _ = p.communicate(timeout=120)
-            assert p.returncode == 0, out.decode()
-    finally:
-        for p in procs:
-            if p.poll() is None:
-                p.kill()
-                p.communicate()
+    run_local_cluster(ExperimentConfig.from_yaml(path), out_dir=nodes, timeout=120)
     if case == "fig7":
         for i in range(5):
             manifest = json.loads((nodes / f"node{i}.manifest.json").read_text())

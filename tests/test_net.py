@@ -1,7 +1,7 @@
 import collections
 import contextlib
 import csv
-import multiprocessing
+import json
 import socket
 import struct
 import threading
@@ -680,23 +680,44 @@ def test_node_refuses_a_config_it_would_run_differently_from_the_simulator(
 
 
 @pytest.mark.parametrize(
-    "overrides, timeout, failure",
+    "overrides, timeout, failure, last_line",
     [
-        # a node of an algorithm0 config refuses it and exits 1
-        ({"mode": "algorithm0"}, 120.0, "exit code 1"),
-        # 5000 rounds outlast the 0.3 s deadline
-        ({"max_rounds": 5000}, 0.3, "hung"),
+        # a node refuses an algorithm0 config and exits 2, the CLI's code for
+        # a ConfigError, after printing the error
+        (
+            {"mode": "algorithm0"}, 120.0, "exit code 2",
+            "error: mode 'algorithm0' runs only in the simulator; "
+            "a node runs the two-phase protocol",
+        ),
+        # 5000 rounds outlast the 0.3 s deadline, before a node prints anything
+        ({"max_rounds": 5000}, 0.3, "hung", "no output"),
     ],
     ids=["exit-code", "hung"],
 )
 def test_a_failed_local_cluster_names_each_node_and_leaves_no_child_running(
-    tmp_path, overrides, timeout, failure
+    tmp_path, overrides, timeout, failure, last_line
 ):
     config = make_config(**overrides)
-    nodes = ", ".join(f"node {i} {failure}" for i in range(5))
+    nodes = "; ".join(
+        re.escape(f"node {i} {failure} ({tmp_path / f'node{i}.log'}: {last_line})")
+        for i in range(5)
+    )
     with pytest.raises(PeerDisconnected, match=f"^cluster nodes failed: {nodes}$"):
         net.run_local_cluster(config, out_dir=tmp_path, timeout=timeout)
-    assert multiprocessing.active_children() == []
+    # a node still running would still hold its listen port
+    for address in json.loads((tmp_path / "peers.json").read_text()).values():
+        host, _, port = address.rpartition(":")
+        socket.create_server((host, int(port))).close()
+
+
+def test_a_local_cluster_runs_the_config_it_was_given(tmp_path):
+    """The nodes read back the config file the launcher writes, so floats
+    that JSON would spell 1e-05, which YAML reads as text, arrive unchanged."""
+    config = make_config(x0={"low": 1e-5, "high": 2e-5}, epsilon=1e-3, max_rounds=4)
+    manifests = net.run_local_cluster(config, out_dir=tmp_path, timeout=120.0)
+    assert ExperimentConfig.from_yaml(tmp_path / "config.yaml") == config
+    final = run_experiment(config).record.trajectory.final()
+    assert [m["final_s"] for m in manifests] == [final[i].s for i in range(5)]
 
 
 # -- live fault injection ------------------------------------------------------
