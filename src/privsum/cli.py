@@ -29,7 +29,7 @@ import numpy as np
 
 from .adversary import ATTACKS, export_attack_csv
 from .errors import ConfigError, PrivsumError
-from .net import run_networked
+from .net import NodeRuntime
 from .sim import (
     ExperimentConfig,
     MODES,
@@ -73,13 +73,6 @@ def _expand_big_k(raw: dict) -> list[tuple[str, ExperimentConfig]]:
     return out
 
 
-def _write_manifest(out_dir: Path, name: str, manifest: dict) -> Path:
-    path = out_dir / name
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
-    return path
-
-
 def cmd_simulate(args) -> int:
     configs = _expand_big_k(load_raw_config(args))
     out_dir = Path(args.out_dir)
@@ -120,7 +113,8 @@ def cmd_simulate(args) -> int:
         "outputs": outputs,
         "runs": summaries,
     }
-    path = _write_manifest(out_dir, "manifest.json", manifest)
+    path = out_dir / "manifest.json"
+    path.write_text(json.dumps(manifest, indent=2))
     print(f"manifest -> {path}")
     return 0
 
@@ -172,7 +166,8 @@ def cmd_attack(args) -> int:
         "estimate_min": float(estimates.min()),
         "estimate_max": float(estimates.max()),
     }
-    path = _write_manifest(out_dir, "attack_manifest.json", manifest)
+    path = out_dir / "attack_manifest.json"
+    path.write_text(json.dumps(manifest, indent=2))
     print(
         f"attack: {len(rows)} trials, estimate std={manifest['estimate_std']:.3f} "
         f"-> {csv_path}\nmanifest -> {path}"
@@ -203,9 +198,7 @@ def cmd_node(args) -> int:
         if not key.isdecimal():
             raise ConfigError(f"peers key {key!r} is not a node id")
         peers[int(key)] = _address(addr, f"peers entry {key!r}")
-    state, manifest = run_networked(
-        args.node_id, listen, peers, config, out_dir=Path(args.out_dir)
-    )
+    state, manifest = NodeRuntime(args.node_id, listen, peers, config, args.out_dir).run()
     line = f"node {args.node_id}: final pi={state.pi!r}"
     if manifest["mean_encrypt_ms"] is not None:
         line += (

@@ -68,6 +68,9 @@ VERSION = 2
 # same time, so most listeners are up within milliseconds of the first try.
 CONNECT_RETRY_FIRST = 0.001
 CONNECT_RETRY_MAX = 0.05
+# Seconds to reach the out-neighbors, and for each key flood, round and drain.
+CONNECT_DEADLINE = 20.0
+ROUND_TIMEOUT = 60.0
 
 MSG_KEY_ANNOUNCE = 1
 MSG_SHARE_PLAIN = 2
@@ -206,6 +209,8 @@ class NodeRuntime:
     every out-socket with queued bytes; ``_wait`` runs it until what the
     driver waits for is in, a node it waits on has closed its connection,
     or the deadline passes.  The run empties every outbox before closing.
+    An ``out_dir`` gets ``node<i>.csv``, the trajectory, ``node<i>.frames``,
+    every frame sent, and ``node<i>.manifest.json``, which lists both.
     """
 
     def __init__(
@@ -215,9 +220,6 @@ class NodeRuntime:
         peers: dict[int, tuple[str, int]],
         config: ExperimentConfig,
         out_dir: str | Path | None = None,
-        connect_deadline: float = 20.0,
-        round_timeout: float = 60.0,
-        capture_frames: bool = False,
     ) -> None:
         config.validate()
         # A node runs the two-phase protocol; a config asking for the
@@ -239,9 +241,8 @@ class NodeRuntime:
         self.peers = peers
         self.config = config
         self.out_dir = Path(out_dir) if out_dir is not None else None
-        self.connect_deadline = connect_deadline
-        self.round_timeout = round_timeout
-        self.capture_frames = capture_frames
+        self.connect_deadline = CONNECT_DEADLINE
+        self.round_timeout = ROUND_TIMEOUT
 
         self.graph = config.graph
         self.out_ids = list(self.graph.out_neighbors(node_id))
@@ -432,7 +433,7 @@ class NodeRuntime:
         """Queue a frame behind the peer's unsent bytes and write what the
         socket takes now; never blocks."""
         data = encode_frame(frame)
-        if self.capture_frames:
+        if self.out_dir is not None:
             self._sent_frames.append(data)
         self._outboxes[peer] += data
         self._flush(peer)
@@ -623,14 +624,11 @@ class NodeRuntime:
                 writer.writerow(["round", "s", "w", "pi"])
                 for row in rows:
                     writer.writerow([row[0]] + [repr(v) for v in row[1:]])
-            manifest["outputs"].append(str(csv_path))
-            if self.capture_frames:
-                frames_path = self.out_dir / f"node{self.node_id}.frames"
-                frames_path.write_bytes(b"".join(self._sent_frames))
-                manifest["outputs"].append(str(frames_path))
+            frames_path = self.out_dir / f"node{self.node_id}.frames"
+            frames_path.write_bytes(b"".join(self._sent_frames))
+            manifest["outputs"] += [str(csv_path), str(frames_path)]
             manifest_path = self.out_dir / f"node{self.node_id}.manifest.json"
-            with open(manifest_path, "w") as fh:
-                json.dump(manifest, fh, indent=2)
+            manifest_path.write_text(json.dumps(manifest, indent=2))
         return manifest
 
     def _shutdown(self) -> None:
@@ -646,23 +644,17 @@ def run_networked(
     peers: dict[int, tuple[str, int]],
     config: ExperimentConfig,
     mode: str | None = None,
-    out_dir: str | Path | None = None,
-    round_timeout: float = 60.0,
-    connect_deadline: float = 20.0,
 ) -> tuple[NodeState, dict]:
-    """Run one networked node to completion on the transport the config's
-    mode names.  ``mode=MODE_ENCRYPTED`` runs an ``algorithm1`` config as its
-    ``algorithm2-simulated`` twin; no other ``mode`` is accepted, so no
+    """Run one networked node, with no outputs, to completion on the
+    transport the config's mode names.  ``mode=MODE_ENCRYPTED`` runs an
+    ``algorithm1`` config as its ``algorithm2-simulated`` twin, which is what
+    the benchmark's pair node needs; no other ``mode`` is accepted, so no
     caller can run a config in the clear that names encryption."""
-    if mode is not None:
-        if mode != MODE_ENCRYPTED:
-            raise ConfigError(f"mode must be None or {MODE_ENCRYPTED!r}, not {mode!r}")
-        if config.mode == MODE_ALGORITHM1:
-            config = replace(config, mode=MODE_ALGORITHM2)
-    return NodeRuntime(
-        node_id, listen, peers, config, out_dir=out_dir,
-        round_timeout=round_timeout, connect_deadline=connect_deadline,
-    ).run()
+    if mode not in (None, MODE_ENCRYPTED):
+        raise ConfigError(f"mode must be None or {MODE_ENCRYPTED!r}, not {mode!r}")
+    if mode is not None and config.mode == MODE_ALGORITHM1:
+        config = replace(config, mode=MODE_ALGORITHM2)
+    return NodeRuntime(node_id, listen, peers, config).run()
 
 
 def allocate_ports(count: int, host: str = "127.0.0.1") -> list[int]:

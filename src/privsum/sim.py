@@ -160,7 +160,7 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         d: dict = {
             "graph": {"n_nodes": self.graph.n_nodes, "edges": self.graph.edge_list()},
-            "x0": self.x0 if isinstance(self.x0, dict) else [float(v) for v in self.x0],
+            "x0": _float_x0(self.x0),
             **{key: getattr(self, key) for key in _CONFIG_KEYS},
         }
         if self.adversary is not None:
@@ -177,21 +177,21 @@ class ExperimentConfig:
         _check_keys(raw, {"graph", "x0", "adversary", *_CONFIG_KEYS}, "config")
         section = _read(raw, "graph", dict)
         graph = DirectedGraph.from_edge_list(
-            _read(section, "n_nodes", int),
-            _read(section, "edges", lambda pairs: [(int(i), int(j)) for i, j in pairs]),
+            _read(section, "n_nodes", _int),
+            _read(section, "edges", lambda pairs: [(_int(i), _int(j)) for i, j in pairs]),
         )
         adversary = None
         if raw.get("adversary"):
             a = _read(raw, "adversary", dict)
             _check_keys(a, {"members", "target", *_ADVERSARY_KEYS}, "adversary")
             adversary = AdversarySpec(
-                members=_read(a, "members", lambda ms: tuple(int(m) for m in ms)),
-                target=_read(a, "target", int),
+                members=_read(a, "members", lambda ms: tuple(_int(m) for m in ms)),
+                target=_read(a, "target", _int),
                 **_present(a, _ADVERSARY_KEYS),
             )
         cfg = cls(
             graph=graph,
-            x0=_read(raw, "x0", lambda v: v),
+            x0=_read(raw, "x0", _float_x0),
             adversary=adversary,
             **_present(raw, _CONFIG_KEYS),
         )
@@ -218,14 +218,28 @@ def read_config_file(path) -> dict:
     return raw
 
 
+def _int(value) -> int:
+    """An integer, refusing the bools and fractional floats int() truncates."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    return int(value)
+
+
+def _float_x0(x0) -> dict | list:
+    """``x0`` with float values: YAML reads 1e-5 as text."""
+    if isinstance(x0, dict):
+        return {key: float(v) for key, v in x0.items()}
+    return [float(v) for v in x0]
+
+
 # Optional config keys and how each is read; an absent key keeps the
 # dataclass default.
 _CONFIG_KEYS = dict(
-    big_k=int, epsilon=float, phase_a_range=float, max_rounds=int, stop_tol=float,
-    seed=int, mode=str, key_bits=int, fractional_bits=int,
+    big_k=_int, epsilon=float, phase_a_range=float, max_rounds=_int, stop_tol=float,
+    seed=_int, mode=str, key_bits=_int, fractional_bits=_int,
 )
 _ADVERSARY_KEYS = dict(
-    attack=str, trials=int, target_x0=lambda values: tuple(float(v) for v in values)
+    attack=str, trials=_int, target_x0=lambda values: tuple(float(v) for v in values)
 )
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import socket
+import statistics
 import subprocess
 import sys
 import threading
@@ -177,6 +178,18 @@ def test_non_finite_x0_range_exits_2_naming_the_key(tmp_path, capsys):
         ("adversary", "target", "x", "config key 'target' has unusable value 'x'"),
         ("adversary", "members", None, "config is missing key 'members'"),
         (None, "big_k", ["a", 1], "config key 'big_k' has unusable value 'a'"),
+        # an integer key refuses what int() would truncate
+        (None, "big_k", 1.9, "config key 'big_k' has unusable value 1.9"),
+        (None, "max_rounds", 40.7, "config key 'max_rounds' has unusable value 40.7"),
+        (None, "seed", 2.5, "config key 'seed' has unusable value 2.5"),
+        (None, "seed", True, "config key 'seed' has unusable value True"),
+        ("graph", "n_nodes", 5.5, "config key 'n_nodes' has unusable value 5.5"),
+        ("graph", "edges", [[0, 1.5]], "config key 'edges' has unusable value [[0, 1.5]]"),
+        ("adversary", "members", [1.5], "config key 'members' has unusable value [1.5]"),
+        ("adversary", "target", False, "config key 'target' has unusable value False"),
+        ("adversary", "trials", 2.5, "config key 'trials' has unusable value 2.5"),
+        (None, "x0", ["a", 1, 2, 3, 4], "config key 'x0' has unusable value ['a', 1, 2, 3, 4]"),
+        (None, "x0", {"high": 1, "low": "a"}, "config key 'x0' has unusable value {'high': 1,"),
         # a misspelt key would otherwise leave its default in force
         (None, "stop_tolerance", 0.0, "unknown config key(s) ['stop_tolerance']"),
         ("adversary", "trial", 3, "unknown adversary key(s) ['trial']"),
@@ -194,6 +207,32 @@ def test_unreadable_nested_config_key_exits_2(tmp_path, capsys, section, key, va
     rc = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)])
     assert rc == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, x0",
+    [
+        ("{low: 1e-5, high: 2e-5}", {"low": 1e-5, "high": 2e-5}),
+        ("[1e-5, 2e-5, 3e-5, 4e-5, 5e-5]", [1e-5, 2e-5, 3e-5, 4e-5, 5e-5]),
+    ],
+    ids=["range", "list"],
+)
+def test_exponent_floats_in_x0_run_as_the_same_config_built_in_python(tmp_path, text, x0):
+    """YAML reads 1e-5, which has no dot, as text; x0 reads it as a float."""
+    cfg = write_config(tmp_path / "run.yaml", x0="X0", max_rounds=10)
+    cfg.write_text(cfg.read_text().replace("x0: X0", f"x0: {text}"))
+    raw_x0 = yaml.safe_load(cfg.read_text())["x0"]
+    assert (raw_x0["low"] if isinstance(raw_x0, dict) else raw_x0[0]) == "1e-5"
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "yaml")]) == 0
+    config = ExperimentConfig(
+        graph=default_demo_graph(), x0=x0, big_k=1, epsilon=0.01, phase_a_range=10.0,
+        max_rounds=10, seed=3, mode="algorithm1",
+    )
+    sim.write_series_csv(tmp_path / "python.csv", sim.run_experiment(config))
+    written = (tmp_path / "yaml" / "series.csv").read_bytes()
+    assert written == (tmp_path / "python.csv").read_bytes()
+    manifest = json.loads((tmp_path / "yaml" / "manifest.json").read_text())
+    assert manifest["config_hash"] == sim.config_hash(config)
 
 
 def test_simulate_manifest_records_crypto_latency(tmp_path):
@@ -266,6 +305,29 @@ def test_verify_fans_out_a_list_valued_big_k(capsys):
     for k in (1, 5, 9):
         assert sum(line.startswith(f"PASS K={k} ") for line in lines) == 6, k
     assert not any(line.startswith("FAIL") for line in lines)
+
+
+@pytest.mark.parametrize("preset", ["fig3", "fig7"])
+def test_verify_passes_every_suite_on_a_preset(capsys, preset):
+    assert main(["verify", "--preset", preset]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("PASS K=") for line in lines) == 6
+    assert not any(line.startswith("FAIL") for line in lines)
+
+
+def test_fig3_attack_estimates_scatter_with_both_signs(tmp_path):
+    """Per true x0, the fig3 colluders' 1000 minimum-norm estimates are
+    spread out and take both signs: node 0's value is not recovered."""
+    assert main(["attack", "--preset", "fig3", "--out-dir", str(tmp_path)]) == 0
+    estimates = {}
+    with open(tmp_path / "attack.csv") as fh:
+        for row in csv.DictReader(fh):
+            estimates.setdefault(float(row["true_x0"]), []).append(float(row["estimate"]))
+    assert sorted(estimates) == [-40.0, 40.0]
+    for true_x0, values in estimates.items():
+        assert len(values) == 1000, true_x0
+        assert statistics.stdev(values) > 1, true_x0
+        assert min(values) < 0 < max(values), true_x0
 
 
 @pytest.mark.parametrize(
@@ -711,6 +773,8 @@ def test_node_subprocesses_run_cluster(tmp_path, case):
             manifest = json.loads((nodes / f"node{i}.manifest.json").read_text())
             assert manifest["mean_encrypt_ms"] is not None
             assert abs(manifest["final_pi"] - 20.0) <= 1e-6
+            frames = nodes / f"node{i}.frames"
+            assert str(frames) in manifest["outputs"] and frames.stat().st_size > 0
         return
     assert main(["simulate", *source, "--out-dir", str(tmp_path / "sim")]) == 0
     with open(tmp_path / "sim" / "series.csv", newline="") as fh:

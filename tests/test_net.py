@@ -1,12 +1,14 @@
 import collections
 import contextlib
 import csv
+import itertools
 import json
 import socket
 import struct
 import threading
 import time
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -74,9 +76,10 @@ def make_config(**overrides):
 CONFIG_MODE = {MODE_PLAIN: MODE_ALGORITHM1, MODE_ENCRYPTED: MODE_ALGORITHM2}
 
 
-def run_cluster_in_threads(config, mode=None, capture_frames=False, out_dir=None):
+def run_cluster_in_threads(config, mode=None, out_dir=None):
     """One thread per node, over the transport ``mode`` names or, with
-    ``mode=None``, over the config's own."""
+    ``mode=None``, over the config's own.  With ``out_dir`` each node keeps
+    the frames it sends."""
     if mode is not None:
         config = replace(config, mode=CONFIG_MODE[mode])
     n = config.graph.n_nodes
@@ -87,10 +90,8 @@ def run_cluster_in_threads(config, mode=None, capture_frames=False, out_dir=None
 
     def worker(i):
         try:
-            rt = NodeRuntime(
-                i, peers[i], peers, config, capture_frames=capture_frames,
-                round_timeout=30.0, out_dir=out_dir,
-            )
+            rt = NodeRuntime(i, peers[i], peers, config, out_dir=out_dir)
+            rt.round_timeout = 30.0
             state, manifest = rt.run()
             results[i] = (state, manifest, rt)
         except Exception as exc:  # noqa: BLE001
@@ -314,9 +315,9 @@ def test_node_draws_its_weights_once_then_applies_once_per_round(monkeypatch):
         assert kinds == ["draw"] + ["apply"] * config.max_rounds
 
 
-def test_encrypted_wire_carries_no_plaintext_encodings():
+def test_encrypted_wire_carries_no_plaintext_encodings(tmp_path):
     config = make_config(key_bits=128, max_rounds=6)
-    results = run_cluster_in_threads(config, MODE_ENCRYPTED, capture_frames=True)
+    results = run_cluster_in_threads(config, MODE_ENCRYPTED, out_dir=tmp_path)
     # ground truth shares from the bit-identical plaintext run
     rec = run_algorithm1(
         config.graph,
@@ -350,9 +351,7 @@ def test_encrypted_wire_carries_no_plaintext_encodings():
 def test_encrypted_cluster_sends_the_same_bytes_in_every_run(tmp_path):
     config = make_config(key_bits=128, max_rounds=3)
     runs = {
-        run: run_cluster_in_threads(
-            config, MODE_ENCRYPTED, capture_frames=True, out_dir=tmp_path / run
-        )
+        run: run_cluster_in_threads(config, MODE_ENCRYPTED, out_dir=tmp_path / run)
         for run in ("a", "b")
     }
     for i in range(5):
@@ -363,11 +362,11 @@ def test_encrypted_cluster_sends_the_same_bytes_in_every_run(tmp_path):
         assert (tmp_path / "b" / f"node{i}.frames").read_bytes() == first, i
 
 
-def test_a_node_sends_only_key_and_share_frames():
+def test_a_node_sends_only_key_and_share_frames(tmp_path):
     """Rounds are the only synchronization: on each out-link a node sends
     the n keys, then one share per round, and nothing else."""
     config = make_config(key_bits=128, max_rounds=4)
-    results = run_cluster_in_threads(config, MODE_ENCRYPTED, capture_frames=True)
+    results = run_cluster_in_threads(config, MODE_ENCRYPTED, out_dir=tmp_path)
     n = config.graph.n_nodes
     for i in range(n):
         d_out = config.graph.out_degree(i)
@@ -378,10 +377,10 @@ def test_a_node_sends_only_key_and_share_frames():
         assert sent == expected, i
 
 
-def test_an_algorithm2_config_alone_puts_only_ciphertexts_on_the_wire():
+def test_an_algorithm2_config_alone_puts_only_ciphertexts_on_the_wire(tmp_path):
     """No transport argument: the config's mode picks encryption."""
     config = make_config(key_bits=128, max_rounds=4, mode=MODE_ALGORITHM2)
-    results = run_cluster_in_threads(config, capture_frames=True)
+    results = run_cluster_in_threads(config, out_dir=tmp_path)
     for i in range(5):
         _, manifest, rt = results[i]
         sent = {decode_frame(data).msg_type for data in rt._sent_frames}
@@ -424,7 +423,7 @@ def test_run_networked_refuses_to_run_an_encrypted_config_in_the_clear():
     ports = allocate_ports(2)
     peers = {i: ("127.0.0.1", ports[i]) for i in range(2)}
     with pytest.raises(ConfigError, match="mode must be None or 'encrypted', not 'plain'"):
-        net.run_networked(0, peers[0], peers, config, mode=MODE_PLAIN, connect_deadline=0.5)
+        net.run_networked(0, peers[0], peers, config, mode=MODE_PLAIN)
     # raised before any socket opened: the listen port is still free
     socket.create_server(peers[0]).close()
 
@@ -434,7 +433,8 @@ def test_unreachable_peer_raises_peer_disconnected():
     config = make_config(graph=g, x0=[1.0, 2.0])
     ports = allocate_ports(2)
     peers = {i: ("127.0.0.1", ports[i]) for i in range(2)}
-    rt = NodeRuntime(0, peers[0], peers, config, connect_deadline=0.6)
+    rt = NodeRuntime(0, peers[0], peers, config)
+    rt.connect_deadline = 0.6
     with pytest.raises(PeerDisconnected):
         rt.run()
 
@@ -491,7 +491,8 @@ def test_key_flood_timeout_names_missing_node():
     silent.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     silent.bind(peers[1])
     silent.listen(1)
-    rt = NodeRuntime(0, peers[0], peers, config, round_timeout=1.0)
+    rt = NodeRuntime(0, peers[0], peers, config)
+    rt.round_timeout = 1.0
     try:
         with pytest.raises(Timeout, match="missing keys for nodes \\[1\\]"):
             rt.run()
@@ -518,7 +519,9 @@ def _two_node_runtime(mode, key_bits=64):
     config = make_config(graph=g, x0=[1.0, 2.0], key_bits=key_bits, mode=CONFIG_MODE[mode])
     ports = allocate_ports(2)
     peers = {i: ("127.0.0.1", ports[i]) for i in range(2)}
-    return NodeRuntime(0, peers[0], peers, config, round_timeout=1.0)
+    rt = NodeRuntime(0, peers[0], peers, config)
+    rt.round_timeout = 1.0
+    return rt
 
 
 def test_malformed_share_ciphertext_raises_decrypt_failure():
@@ -584,7 +587,9 @@ def _demo_runtime(node=0, **overrides):
     config = make_config(**overrides)
     ports = allocate_ports(5)
     peers = {i: ("127.0.0.1", ports[i]) for i in range(5)}
-    return NodeRuntime(node, peers[node], peers, config, round_timeout=1.0)
+    rt = NodeRuntime(node, peers[node], peers, config)
+    rt.round_timeout = 1.0
+    return rt
 
 
 def test_connection_from_a_non_in_neighbor_is_rejected():
@@ -720,6 +725,29 @@ def test_a_local_cluster_runs_the_config_it_was_given(tmp_path):
     assert [m["final_s"] for m in manifests] == [final[i].s for i in range(5)]
 
 
+def test_local_cluster_frames_are_the_simulators_wire(tmp_path):
+    """Each plain node's ``node<i>.frames`` holds one share frame per round
+    and out-link, in sending order, each payload the (s, w) pair the
+    simulator's run puts on that link, bit for bit."""
+    preset = resources.files("privsum") / "presets" / "fig3.yaml"
+    config = replace(ExperimentConfig.from_yaml(preset), max_rounds=20)
+    manifests = net.run_local_cluster(config, out_dir=tmp_path, timeout=120.0)
+    wire = run_experiment(config).record.wire
+    edge_start = config.graph.layout.edge_start
+    for i, manifest in enumerate(manifests):
+        path = tmp_path / f"node{i}.frames"
+        assert str(path) in manifest["outputs"]
+        buffer = bytearray(path.read_bytes())
+        frames = list(iter(lambda: read_frame(buffer, 16), None))
+        assert not buffer
+        assert len(frames) == config.max_rounds * config.graph.out_degree(i)
+        edges = range(edge_start[i], edge_start[i + 1])
+        sends = itertools.product(range(config.max_rounds), edges)
+        for frame, (k, edge) in zip(frames, sends):
+            assert (frame.msg_type, frame.sender_id, frame.round) == (MSG_SHARE_PLAIN, i, k)
+            assert frame.payload == pack_plain_shares(*wire[k, :, edge].tolist()), (i, k, edge)
+
+
 # -- live fault injection ------------------------------------------------------
 
 
@@ -732,7 +760,8 @@ def _run_against_a_hand_rolled_peer(data, close=False):
     config = make_config(graph=g, x0=[1.0, 2.0])
     ports = allocate_ports(2)
     peers = {i: ("127.0.0.1", ports[i]) for i in range(2)}
-    rt = NodeRuntime(0, peers[0], peers, config, round_timeout=10.0)
+    rt = NodeRuntime(0, peers[0], peers, config)
+    rt.round_timeout = 10.0
     socks = [socket.create_server(peers[1])]
 
     def node_1():
