@@ -39,23 +39,24 @@ print("plain final estimates:    ", np.round(plain.record.final_pi(), 9))
 print("encrypted final estimates:", np.round(enc.record.final_pi(), 9))
 worst = np.abs(plain.record.shares - enc.record.shares).max()
 print(f"worst share deviation plain vs encrypted: {worst:.2e} (codec quantization)")
-print(f"mean encryption latency: {enc.mean_encrypt_seconds * 1e3:.3f} ms per share")
+print(f"mean encryption latency: {enc.mean_encrypt_seconds * 1e3:.3f} ms per share pair")
 print()
 
-# The wire holds what crossed each link, one column per edge in the
-# layout's (sender, receiver) order; the topology and parameters are public.
+# The wire holds what crossed each link, one ciphertext of the packed
+# (s, w) pair per round and edge, edges in the layout's (sender, receiver)
+# order; the topology and parameters are public.
 layout = enc.record.weights.layout
-s_cipher, w_cipher = enc.record.wire[0, :, 0]  # round 0, link 0
+cipher = enc.record.wire[0, 0]  # round 0, link 0
 print("what the wiretapper sees on one link (round 0):")
 print(f"  sender {layout.senders[0]} -> receiver {layout.receivers[0]}")
-print(f"  s ciphertext: {str(s_cipher.value)[:48]}... ({s_cipher.value.bit_length()} bits)")
+print(f"  (s, w) ciphertext: {str(cipher.value)[:48]}... ({cipher.value.bit_length()} bits)")
 
 outsider = keygen(256, random.Random(99))
 try:
-    decrypt(outsider, s_cipher)
+    decrypt(outsider, cipher)
     print("  outsider decrypted the share (should never happen)")
 except MalformedCiphertext as exc:
     print(f"  outsider decryption attempt fails: {exc}")
 
-plain_first = float(plain.record.shares[0, 0, 0])
-print(f"  the plaintext share it is hiding: {plain_first!r}")
+plain_first = plain.record.shares[0, :, 0].tolist()
+print(f"  the plaintext shares it is hiding: {plain_first!r}")

@@ -37,7 +37,6 @@ from .paillier import (
     PaillierKeypair,
     PaillierPublicKey,
     decrypt,
-    decrypt_small,
     encrypt,
     keygen,
     keypair_from_primes,

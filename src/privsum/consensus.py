@@ -24,8 +24,10 @@ channel) the encrypted transport.
 
 Every per-round array of a run shares one layout: axis 1 is (s, w), the
 last axis is the node or edge.  The state is ``(rounds + 1, 2, n)``, the
-kept self-shares ``(rounds, 2, n)``, the applied shares and the wire
-``(rounds, 2, E)``; a colluders' view selects columns of these.  The
+kept self-shares ``(rounds, 2, n)``, the applied shares ``(rounds, 2, E)``;
+a colluders' view selects columns of these.  What crossed the links is
+the shares themselves in the clear, and under a channel ``(rounds, E)``
+ciphertexts, one per link-round holding both shares.  The
 weight table is ``(rounds, 2, E + n)``, edge first: the E edge weights in
 edge order, then the n self-weights, so the engine reads both blocks as
 views.  ``graph.SenderLayout`` fixes these columns; each graph object
@@ -196,8 +198,8 @@ class RunRecord:
     In the clear it is computed on first read, with the engine's multiply
     (edge weight times sender state), so bit-equal to what each round
     folded; under a channel it is the stored ``decoded`` array.  ``wire``
-    is what crossed each link, laid out alike: the channel's
-    ``ciphertexts``, or in the clear ``shares`` itself.
+    is what crossed each link: in the clear ``shares`` itself, under a
+    channel its ``(rounds, E)`` ``ciphertexts``, one per link-round.
     """
 
     params: WeightParams | None
@@ -287,7 +289,7 @@ def run_rounds(
     holders, order = layout.holders, layout.fold_order
     if channel is not None:
         decoded = np.empty((rounds, 2, n_edges))
-        wire = np.empty((rounds, 2, n_edges), dtype=object)
+        wire = np.empty((rounds, n_edges), dtype=object)
         senders, receivers = layout.senders.tolist(), layout.receivers.tolist()
     per_round = zip(weights.table, state[:-1], state[1:])
     for k, (row, now, nxt) in enumerate(per_round):

@@ -10,11 +10,12 @@ a node applies round k once it holds all round-k shares from its
 in-neighbors, and never sends round k+1 before that.
 
 Share payloads are either two raw float64s (plain transport, an
-``algorithm1`` config) or two length-prefixed Paillier ciphertexts
-encrypted under the receiver's public key (encrypted transport, an
-``algorithm2-simulated`` config).  A node draws and folds with the simulator's
-own functions (see ``NodeRuntime``), so with identical seeds the
-plain-transport trajectory is bit-for-bit the simulator's.
+``algorithm1`` config) or one length-prefixed Paillier ciphertext under
+the receiver's public key, of the (s, w) pair packed into one plaintext
+(encrypted transport, an ``algorithm2-simulated`` config).  A node draws
+and folds with the simulator's own functions (see ``NodeRuntime``), so
+with identical seeds the plain-transport trajectory is bit-for-bit the
+simulator's.
 
 A node runs one ``selectors`` loop on the thread that calls ``run``, and
 only while the driver waits.  The loop accepts connections, reads each into a buffer that
@@ -63,7 +64,7 @@ from .sim import (
 from .weights import generate_round_weights, node_rng, place_round_weights
 
 MAGIC = b"PSUM"
-VERSION = 2
+VERSION = 3
 # Seconds between refused connection attempts: peers start at about the
 # same time, so most listeners are up within milliseconds of the first try.
 CONNECT_RETRY_FIRST = 0.001
@@ -98,13 +99,13 @@ def encode_frame(frame: WireFrame) -> bytes:
 def max_payload(mode: str, key_bits: int) -> int:
     """The longest legal frame payload on a transport: two float64s in the
     clear; under encryption with ``key_bits``-bit keys, the longer of a key
-    announcement (origin, length, n) and a pair of length-prefixed
-    ciphertexts below n^2."""
+    announcement (origin, length, n) and one length-prefixed ciphertext
+    below n^2."""
     if mode == MODE_PLAIN:
         return 16
     key_announce = 8 + -(-key_bits // 8)
-    cipher_pair = 2 * (4 + -(-2 * key_bits // 8))
-    return max(key_announce, cipher_pair)
+    cipher = 4 + -(-2 * key_bits // 8)
+    return max(key_announce, cipher)
 
 
 def read_frame(buffer: bytearray, max_length: int) -> WireFrame | None:
@@ -141,27 +142,21 @@ def unpack_plain_shares(payload: bytes) -> tuple[float, float]:
     return struct.unpack(">dd", payload)
 
 
-def pack_cipher_shares(s_cipher: int, w_cipher: int) -> bytes:
-    return pack_uint(s_cipher) + pack_uint(w_cipher)
-
-
-def unpack_cipher_shares(payload: bytes) -> tuple[int, int]:
-    s_val, offset = unpack_uint(payload, 0, ProtocolError)
-    w_val, offset = unpack_uint(payload, offset, ProtocolError)
-    if offset != len(payload):
-        raise ProtocolError("trailing bytes after cipher shares")
-    return s_val, w_val
+def unpack_cipher_share(payload: bytes) -> int:
+    value, end = unpack_uint(payload, 0, ProtocolError)
+    if end != len(payload):
+        raise ProtocolError("trailing bytes after the share ciphertext")
+    return value
 
 
 def share_frame(
-    sender: int, round_k: int, s: float | Ciphertext, w: float | Ciphertext
+    sender: int, round_k: int, share: tuple[float, float] | Ciphertext
 ) -> WireFrame:
-    """The frame carrying one share pair: two floats in the clear, or two
-    ciphertexts."""
-    if isinstance(s, Ciphertext):
-        payload = pack_cipher_shares(s.value, w.value)
-        return WireFrame(MSG_SHARE_ENC, sender, round_k, payload)
-    return WireFrame(MSG_SHARE_PLAIN, sender, round_k, pack_plain_shares(s, w))
+    """The frame carrying one share pair: two floats in the clear, or the
+    one ciphertext of the packed pair."""
+    if isinstance(share, Ciphertext):
+        return WireFrame(MSG_SHARE_ENC, sender, round_k, pack_uint(share.value))
+    return WireFrame(MSG_SHARE_PLAIN, sender, round_k, pack_plain_shares(*share))
 
 
 def pack_key_announce(origin: int, public_key) -> bytes:
@@ -209,8 +204,9 @@ class NodeRuntime:
     every out-socket with queued bytes; ``_wait`` runs it until what the
     driver waits for is in, a node it waits on has closed its connection,
     or the deadline passes.  The run empties every outbox before closing.
-    An ``out_dir`` gets ``node<i>.csv``, the trajectory, ``node<i>.frames``,
-    every frame sent, and ``node<i>.manifest.json``, which lists both.
+    The manifest counts every frame sent and its bytes.  An ``out_dir``
+    gets ``node<i>.csv``, the trajectory, ``node<i>.frames``, every frame
+    sent, and ``node<i>.manifest.json``, which lists both.
     """
 
     def __init__(
@@ -248,10 +244,9 @@ class NodeRuntime:
         self.out_ids = list(self.graph.out_neighbors(node_id))
         self.in_ids = list(self.graph.in_neighbors(node_id))
 
-        # (round, sender) -> the (s, w) pair as it came off the wire.
-        self._shares: dict[
-            tuple[int, int], tuple[float, float] | tuple[Ciphertext, Ciphertext]
-        ] = {}
+        # (round, sender) -> the (s, w) pair or its ciphertext as it came
+        # off the wire.
+        self._shares: dict[tuple[int, int], tuple[float, float] | Ciphertext] = {}
         self._key_directory: dict[int, object] = {}
         # In-neighbors whose connection has announced itself, and those
         # whose connection has since ended.
@@ -265,7 +260,10 @@ class NodeRuntime:
         self._sockets: list[socket.socket] = []
         self._out_socks: dict[int, socket.socket] = {}
         self._outboxes = {peer: bytearray() for peer in self.out_ids}
+        # Out-sockets registered with the selector for writing.
+        self._writing: set[socket.socket] = set()
         self._sent_frames: list[bytes] = []
+        self._frames_sent = self._bytes_sent = 0
         self._wait_seconds: list[float] = []
 
         self.keypair: PaillierKeypair | None = None
@@ -414,9 +412,7 @@ class NodeRuntime:
         else:
             raise ProtocolError(f"unknown message type {frame.msg_type}")
 
-    def _wire_share(
-        self, frame: WireFrame
-    ) -> tuple[float, float] | tuple[Ciphertext, Ciphertext]:
+    def _wire_share(self, frame: WireFrame) -> tuple[float, float] | Ciphertext:
         """Inverse of ``share_frame`` for a share addressed to this node."""
         expected = MSG_SHARE_PLAIN if self.channel is None else MSG_SHARE_ENC
         if frame.msg_type != expected:
@@ -425,14 +421,14 @@ class NodeRuntime:
             )
         if self.channel is None:
             return unpack_plain_shares(frame.payload)
-        s_val, w_val = unpack_cipher_shares(frame.payload)
-        key_id = self.keypair.public.key_id
-        return Ciphertext(s_val, key_id), Ciphertext(w_val, key_id)
+        return Ciphertext(unpack_cipher_share(frame.payload), self.keypair.public.key_id)
 
     def _send(self, peer: int, frame: WireFrame) -> None:
         """Queue a frame behind the peer's unsent bytes and write what the
         socket takes now; never blocks."""
         data = encode_frame(frame)
+        self._frames_sent += 1
+        self._bytes_sent += len(data)
         if self.out_dir is not None:
             self._sent_frames.append(data)
         self._outboxes[peer] += data
@@ -450,10 +446,11 @@ class NodeRuntime:
             raise PeerDisconnected(
                 f"node {self.node_id} lost its link to peer {peer}: {exc}"
             ) from exc
-        registered = sock in self._selector.get_map()
-        if registered and not outbox:
+        if not outbox and sock in self._writing:
+            self._writing.remove(sock)
             self._selector.unregister(sock)
-        elif outbox and not registered:
+        elif outbox and sock not in self._writing:
+            self._writing.add(sock)
             self._selector.register(
                 sock, selectors.EVENT_WRITE, lambda: self._flush(peer)
             )
@@ -544,8 +541,7 @@ class NodeRuntime:
         if self.channel is None:
             return np.array(wire)
         receivers = [self.node_id] * len(self.in_ids)
-        ciphers = np.array(wire, dtype=object).T
-        return self.channel.receive(self.in_ids, receivers, round_k, ciphers).T
+        return self.channel.receive(self.in_ids, receivers, round_k, wire).T
 
     # -- main driver -------------------------------------------------------
 
@@ -572,11 +568,13 @@ class NodeRuntime:
             senders = [self.node_id] * len(self.out_ids)
 
             for k, row in enumerate(weights):
-                wire = row[:, :-1] * state
-                if self.channel is not None:
-                    wire = self.channel.transmit(senders, self.out_ids, wire)
-                for peer, s, w in zip(self.out_ids, *wire.tolist()):
-                    self._send(peer, share_frame(self.node_id, k, s, w))
+                shares = row[:, :-1] * state
+                if self.channel is None:
+                    wire = zip(*shares.tolist())
+                else:
+                    wire = self.channel.transmit(senders, self.out_ids, shares)
+                for peer, share in zip(self.out_ids, wire):
+                    self._send(peer, share_frame(self.node_id, k, share))
                 received = self._receive_round(k).reshape(-1, 2, 1)
                 state = apply_round(state, row[:, -1:], received, k, (self.node_id,))
                 s, w = state[:, 0].tolist()
@@ -614,6 +612,8 @@ class NodeRuntime:
             "max_decrypt_ms": float(np.max(dec)) * 1e3 if dec else None,
             "mean_wait_ms": float(np.mean(self._wait_seconds)) * 1e3,
             "max_wait_ms": float(np.max(self._wait_seconds)) * 1e3,
+            "frames_sent": self._frames_sent,
+            "bytes_sent": self._bytes_sent,
             "outputs": [],
         }
         if self.out_dir is not None:

@@ -5,11 +5,9 @@ The construction uses g = n + 1, which turns the encryption exponentiation
 g^m mod n^2 into the exact shortcut 1 + m*n and makes lambda = phi(n) with
 mu its inverse mod n.  Decryption works modulo p^2 and q^2 and recombines by
 the Chinese remainder theorem (Paillier 1999, section 7), so the keypair keeps
-its primes.  A protocol share needs only half of that: its plaintext is a
-signed fixed-point integer below P/2, P = max(p, q), so ``decrypt_small``
-reads it from its residue modulo P alone.  Arithmetic is plain bignum; no
-constant-time effort is made (wiretap confidentiality, not side channels,
-is the threat model).
+its primes; every plaintext, a packed share pair included, decrypts through
+that one function.  Arithmetic is plain bignum; no constant-time effort is
+made (wiretap confidentiality, not side channels, is the threat model).
 
 Encryption is the short-exponent, fixed-base variant of Damgard, Jurik and
 Nielsen (2010): c = (1 + m*n) * h^alpha mod n^2 in place of the textbook
@@ -158,7 +156,7 @@ class PaillierPublicKey:
     def n_squared(self) -> int:
         return self.n * self.n
 
-    @property
+    @functools.cached_property
     def alpha_bits(self) -> int:
         """Length of the blinding exponent: twice the key's security
         strength, capped at the modulus size."""
@@ -318,26 +316,6 @@ def decrypt(keypair: PaillierKeypair, c: Ciphertext) -> int:
     return m_q + (m_p - m_q) * keypair.q_inv_p % p * q
 
 
-def decrypt_small(keypair: PaillierKeypair, c: Ciphertext) -> int:
-    """Recover a signed plaintext m with |m| < P/2, P = max(p, q), from m
-    mod P alone: one half-size exponentiation instead of ``decrypt``'s two.
-
-    m_P = L_P(c^(P-1) mod P^2) * h_P mod P, lifted to (-P/2, P/2].  A
-    plaintext stored as n - |m| has the same residue, since P divides n.
-    Only a plaintext that small comes back as itself; ``FixedPointCodec``
-    keeps every encoding within 2^((bits(n) - 1) // 2 - 1) <= sqrt(n)/2
-    <= P/2.  The checks on ``c`` are ``decrypt``'s.
-    """
-    _check_ciphertext(keypair, c)
-    if keypair.p > keypair.q:
-        big, big_squared, h_big = keypair.p, keypair.p_squared, keypair.h_p
-    else:
-        big, big_squared, h_big = keypair.q, keypair.q_squared, keypair.h_q
-    m = (pow(c.value, big - 1, big_squared) - 1) // big * h_big % big
-    # P is odd, so (-P/2, P/2] holds exactly the residues up to P // 2.
-    return m - big if m > big // 2 else m
-
-
 def add_ciphertexts(public: PaillierPublicKey, a: Ciphertext, b: Ciphertext) -> Ciphertext:
     """Homomorphic addition: the product of ciphertexts decrypts to the sum
     of plaintexts mod n."""
@@ -379,15 +357,24 @@ def public_key_from_bytes(
 
 @dataclass(frozen=True)
 class FixedPointCodec:
-    """Signed fixed-point embedding of reals into Z_n.
+    """Signed fixed-point embedding of reals into Z_n, one value or one
+    (s, w) share pair per plaintext.
 
     encode(v) = round(v * 2^f), with negative values wrapped to n - |.|;
-    decode treats residues above n/2 as negative, and ``decode_signed``
-    takes the signed integer that ``decrypt_small`` returns.  Values must
-    satisfy |v| < 2^((bits(n) - 1) // 2 - 1 - f), so every encoding lies
-    within 2^((bits(n) - 1) // 2 - 1) <= sqrt(n)/2 <= max(p, q)/2: a sender
-    who knows only n keeps its shares inside the range that the receiver
-    decrypts modulo one prime.
+    decode treats residues above n/2 as negative.  Values must satisfy
+    |v| < 2^(R - f) with R = (bits(n) - 1) // 2 - 1, so every encoding lies
+    in [-2^R, 2^R]; a sender who knows only n checks that.
+
+    ``encode_pair`` packs the encodings of a share pair into one plaintext,
+    as in Bianchi, Piva and Barni (IEEE TIFS 2010): each is offset by 2^R
+    into a slot of [0, 2^(R+1)], and the two slots are the digits of radix
+    B = 2^(R+1) + 1, s the high one.  An encoding can be exactly 2^R (the
+    largest |v| below the bound rounds up to it), so a slot holds 2^(R+1) + 1
+    values and B is the smallest exact radix.  The largest packed plaintext
+    is B^2 - 1.  Every modulus keygen makes lies above it: an odd-length n
+    is a product of two k-bit primes with their top bit set, at least
+    (2^(k-1) + 1)^2 = B^2, and an even-length n is at least 2^(2R + 3).
+    A modulus below B^2 is refused.
     """
 
     modulus: int
@@ -401,13 +388,23 @@ class FixedPointCodec:
                 f"a {self.modulus.bit_length()}-bit modulus is too small for "
                 f"{self.fractional_bits} fractional bits"
             )
+        if self._radix**2 > self.modulus:
+            raise ConfigError(
+                f"a modulus below (2^{self._range_bits + 1} + 1)^2 cannot hold "
+                f"the (s, w) pair layout"
+            )
 
-    @property
+    @functools.cached_property
     def _range_bits(self) -> int:
-        """log2 of the bound on |encoded|: (bits(n) - 1) // 2 - 1."""
+        """R, log2 of the bound on |encoded|: (bits(n) - 1) // 2 - 1."""
         return (self.modulus.bit_length() - 1) // 2 - 1
 
-    @property
+    @functools.cached_property
+    def _radix(self) -> int:
+        """B = 2^(R+1) + 1, the radix of the pair layout."""
+        return (1 << (self._range_bits + 1)) + 1
+
+    @functools.cached_property
     def max_magnitude(self) -> int:
         """Exclusive bound on |v|, exact as an integer at any modulus size."""
         return 2 ** (self._range_bits - self.fractional_bits)
@@ -425,11 +422,26 @@ class FixedPointCodec:
     def decode(self, e: int) -> float:
         if not 0 <= e < self.modulus:
             raise MagnitudeOverflow(f"encoded value {e} outside [0, n)")
-        return self.decode_signed(e - self.modulus if e > self.modulus // 2 else e)
+        signed = e - self.modulus if e > self.modulus // 2 else e
+        return signed / 2**self.fractional_bits
 
-    def decode_signed(self, m: int) -> float:
-        """The real whose encoding is congruent to the signed integer m."""
-        return m / 2**self.fractional_bits
+    def encode_pair(self, s: float, w: float) -> int:
+        """One plaintext in [0, B^2) holding ``encode(s)`` and
+        ``encode(w)``, each moved from its residue into its slot."""
+        offset, n = 1 << self._range_bits, self.modulus
+        high, low = ((self.encode(v) + offset) % n for v in (s, w))
+        return high * self._radix + low
+
+    def decode_pair(self, m: int) -> tuple[float, float]:
+        """The (s, w) pair that ``encode_pair`` packed into m, each slot
+        decoded as ``decode`` decodes its residue; a plaintext outside
+        [0, B^2) raises ``MagnitudeOverflow``."""
+        radix = self._radix
+        if not 0 <= m < radix * radix:
+            raise MagnitudeOverflow(f"plaintext {m} outside the pair layout")
+        offset, n = 1 << self._range_bits, self.modulus
+        high, low = ((slot - offset) % n for slot in divmod(m, radix))
+        return self.decode(high), self.decode(low)
 
 
 def smallest_key_bits(fractional_bits: int) -> int:
@@ -439,6 +451,7 @@ def smallest_key_bits(fractional_bits: int) -> int:
     keygen multiplies two (key_bits // 2)-bit primes, so n has
     2 * (key_bits // 2) bits or one fewer; the codec needs
     (bits(n) - 1) // 2 - 1 > fractional_bits, which the shorter n meets
-    exactly from key_bits // 2 = fractional_bits + 3 on.
+    exactly from key_bits // 2 = fractional_bits + 3 on.  The pair layout
+    fits every such n (see ``FixedPointCodec``).
     """
     return max(MIN_KEY_BITS, 2 * (fractional_bits + 3))

@@ -27,14 +27,20 @@ from .consensus import (
     run_algorithm0,
     run_algorithm1,
 )
-from .errors import ConfigError, DecryptFailure, MalformedCiphertext, RangeUncovered
+from .errors import (
+    ConfigError,
+    DecryptFailure,
+    MagnitudeOverflow,
+    MalformedCiphertext,
+    RangeUncovered,
+)
 from .graph import DirectedGraph, is_strongly_connected, max_out_degree
 from .paillier import (
     Ciphertext,
     FixedPointCodec,
     PaillierKeypair,
     PaillierPublicKey,
-    decrypt_small,
+    decrypt,
     encrypt,
     keygen,
     smallest_key_bits,
@@ -314,20 +320,20 @@ def error_series(trajectory: Trajectory, x0: Sequence[float]) -> MetricsSeries:
 
 
 class PaillierChannel:
-    """Encrypts each share under the receiver's public key in transit, one
-    round of links per call.
+    """Encrypts each link's share pair under the receiver's public key in
+    transit, one round of links per call.
 
     The one share-crypto path for both runs of the protocol: the simulator
     holds every node's keypair, a networked node only its own, next to the
-    directory of public keys it learned.  Reals are encoded through the
-    receiver's fixed-point codec, built once per key, whose range keeps
-    every encoding below max(p, q)/2 of the receiver's key; each share is
-    then decrypted modulo that one prime (``decrypt_small``), one
-    half-size exponentiation per value.  Each node whose keypair is held
-    encrypts with its own seeded blinding stream.
-    Per-call wall-clock latencies are collected in ``encrypt_seconds`` and
-    ``decrypt_seconds``.  A receiver key's blinding table is built on its
-    first use and timed on its own, in ``table_build_seconds``, so that
+    directory of public keys it learned.  The receiver's fixed-point codec,
+    built once per key, packs a link's (s, w) pair into one plaintext
+    (``encode_pair``), which is encrypted as one ciphertext, decrypted with
+    the CRT ``decrypt`` and unpacked (``decode_pair``): per link-round one
+    encryption and two half-size exponentiations.  Each node whose keypair
+    is held encrypts with its own seeded blinding stream.
+    Per-ciphertext wall-clock latencies are collected in ``encrypt_seconds``
+    and ``decrypt_seconds``.  A receiver key's blinding table is built on
+    its first use and timed on its own, in ``table_build_seconds``, so that
     ``encrypt_seconds`` holds single encryptions only.
     """
 
@@ -357,8 +363,8 @@ class PaillierChannel:
             )
         return self._codecs[node]
 
-    def _encrypt(self, sender: int, receiver: int, value: float) -> Ciphertext:
-        plain = self._codec(receiver).encode(value)
+    def _encrypt(self, sender: int, receiver: int, s: float, w: float) -> Ciphertext:
+        plain = self._codec(receiver).encode_pair(s, w)
         public = self.public_keys[receiver]
         if receiver not in self._tabled:
             start = time.perf_counter()
@@ -370,11 +376,11 @@ class PaillierChannel:
         self.encrypt_seconds.append(time.perf_counter() - start)
         return cipher
 
-    def _decrypt(self, receiver: int, cipher: Ciphertext) -> int:
+    def _decrypt(self, receiver: int, cipher: Ciphertext) -> tuple[float, float]:
         start = time.perf_counter()
-        plain = decrypt_small(self.keypairs[receiver], cipher)
+        plain = decrypt(self.keypairs[receiver], cipher)
         self.decrypt_seconds.append(time.perf_counter() - start)
-        return plain
+        return self._codec(receiver).decode_pair(plain)
 
     def transmit(
         self, senders: Sequence[int], receivers: Sequence[int], shares: np.ndarray
@@ -382,15 +388,15 @@ class PaillierChannel:
         """Encrypt one round's shares for the wire.
 
         ``shares`` is a ``(2, m)`` array with rows (s, w); column i crosses
-        the link ``senders[i] -> receivers[i]``.  Returns the ``(2, m)``
-        object array of ciphertexts, encrypted link by link, s before w, so
-        each sender's blinding stream is consumed in link order.
+        the link ``senders[i] -> receivers[i]``.  Returns the ``(m,)``
+        object array of ciphertexts, one per link, each the link's packed
+        pair, encrypted in link order, so each sender's blinding stream is
+        consumed in link order.
         """
-        wire = np.empty(shares.shape, dtype=object)
+        wire = np.empty(len(senders), dtype=object)
         links = zip(senders, receivers, *shares.tolist())
         for i, (sender, receiver, s, w) in enumerate(links):
-            wire[0, i] = self._encrypt(sender, receiver, s)
-            wire[1, i] = self._encrypt(sender, receiver, w)
+            wire[i] = self._encrypt(sender, receiver, s, w)
         return wire
 
     def receive(
@@ -398,23 +404,21 @@ class PaillierChannel:
         senders: Sequence[int],
         receivers: Sequence[int],
         round_k: int,
-        wire: np.ndarray,
+        wire: Sequence[Ciphertext],
     ) -> np.ndarray:
-        """Decrypt one round's ``(2, m)`` ciphertexts, laid out as in
-        ``transmit``, into the ``(2, m)`` shares the receivers apply."""
-        s_values, w_values = [], []
-        for sender, receiver, s_cipher, w_cipher in zip(senders, receivers, *wire):
-            codec = self._codec(receiver)
+        """Decrypt one round's ciphertexts, laid out as in ``transmit``,
+        into the ``(2, m)`` shares the receivers apply.  A ciphertext that
+        is malformed, or whose plaintext is no packed pair, raises
+        ``DecryptFailure``."""
+        shares = np.empty((2, len(wire)))
+        for i, (sender, receiver, cipher) in enumerate(zip(senders, receivers, wire)):
             try:
-                s_plain = self._decrypt(receiver, s_cipher)
-                w_plain = self._decrypt(receiver, w_cipher)
-            except MalformedCiphertext as exc:
+                shares[:, i] = self._decrypt(receiver, cipher)
+            except (MalformedCiphertext, MagnitudeOverflow) as exc:
                 raise DecryptFailure(
                     f"node {receiver}: round-{round_k} share from {sender}: {exc}"
                 ) from exc
-            s_values.append(codec.decode_signed(s_plain))
-            w_values.append(codec.decode_signed(w_plain))
-        return np.array([s_values, w_values], dtype=float)
+        return shares
 
 
 def node_keypair(key_bits: int, seed: int, node_id: int) -> PaillierKeypair:

@@ -245,9 +245,9 @@ def suite_witness_replay(config: ExperimentConfig) -> SuiteResult:
 
 def suite_crypto_roundtrip(config: ExperimentConfig) -> SuiteResult:
     """Key generation, encrypt/decrypt identity, homomorphic addition, the
-    small reference key vector, codec roundtrips, and the edges of the
-    codec range sent through a ``PaillierChannel``, the share path that
-    runs use."""
+    small reference key vector, codec roundtrips, and pairs of the edges
+    of the codec range sent through a ``PaillierChannel``, the packed
+    share path that runs use."""
     toy = keypair_from_primes(5, 7)
     if (toy.public.n, toy.public.g, toy.lam, toy.mu) != (35, 36, 24, 19):
         return SuiteResult("crypto-roundtrip", False, "reference key vector mismatch")
@@ -282,11 +282,12 @@ def suite_crypto_roundtrip(config: ExperimentConfig) -> SuiteResult:
     top = math.nextafter(float(codec.max_magnitude), 0.0)
     tiny = 2.0**-config.fractional_bits
     edges = [top, top / 2, tiny, 0.0, -tiny, -top / 2, -top]
-    # As the s and the w shares of one round of self-links of a one-node
-    # channel: the share path a run ships.
+    # As the (s, w) pairs of one round of self-links of a one-node channel,
+    # the share path a run ships; w runs the edges backwards, so the pairs
+    # mix signs and a slot mix-up shows.
     channel = PaillierChannel({0: kp.public}, {0: kp}, config.fractional_bits, config.seed)
     links = [0] * len(edges)
-    sent = np.array([edges, edges])
+    sent = np.array([edges, edges[::-1]])
     back = channel.receive(links, links, 0, channel.transmit(links, links, sent))
     for v, got in zip(sent.ravel().tolist(), back.ravel().tolist()):
         if got != codec.decode(codec.encode(v)):
@@ -294,8 +295,8 @@ def suite_crypto_roundtrip(config: ExperimentConfig) -> SuiteResult:
     return SuiteResult(
         "crypto-roundtrip",
         True,
-        f"keygen, roundtrip, homomorphism; {len(edges)} codec-edge values "
-        f"through the one-prime share path; {len(values)} codec values, {margin}",
+        f"keygen, roundtrip, homomorphism; {len(edges)} codec-edge pairs "
+        f"through the packed share path; {len(values)} codec values, {margin}",
     )
 
 

@@ -324,21 +324,22 @@ def test_criterion_10_encrypted_mode_tracks_plain_mode():
         wire_blob = b""
         cipher_values = set()
         wire = enc.record.wire
-        assert wire.shape == (enc.record.n_rounds, 2, layout.n_edges)
+        # one ciphertext per link-round, holding the packed (s, w) pair
+        assert wire.shape == (enc.record.n_rounds, layout.n_edges)
         for c in wire.flat:
             assert isinstance(c, Ciphertext)
             cipher_values.add(c.value)
             wire_blob += c.value.to_bytes((c.value.bit_length() + 7) // 8, "big")
-        for s_cipher in wire[:, 0].flat:
+        for c in wire.flat:
             with pytest.raises(MalformedCiphertext):
-                decrypt(stranger, s_cipher)
+                decrypt(stranger, c)
         leaked = 0
         receivers = layout.receivers.tolist()
         for s_row, w_row in plain.record.shares.tolist():
             for receiver, s_share, w_share in zip(receivers, s_row, w_row):
                 codec = codecs[receiver]
-                for value in (s_share, w_share):
-                    encoded = codec.encode(value)
+                packed = codec.encode_pair(s_share, w_share)
+                for encoded in (codec.encode(s_share), codec.encode(w_share), packed):
                     raw = encoded.to_bytes(
                         (encoded.bit_length() + 7) // 8 or 1, "big"
                     )

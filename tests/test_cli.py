@@ -22,7 +22,7 @@ from privsum.errors import ConfigError
 from privsum.graph import default_demo_graph
 from privsum.net import allocate_ports, run_local_cluster
 from privsum.consensus import WeightTable, algorithm1_weights
-from privsum.paillier import decrypt_small
+from privsum.paillier import FixedPointCodec, decrypt
 from privsum.sim import ExperimentConfig
 from privsum import sim, verify
 from privsum.verify import check_column_stochastic
@@ -583,16 +583,20 @@ def test_verify_command_passes(tmp_path, capsys):
 def test_crypto_roundtrip_suite_sends_the_codec_edges_through_the_share_path(
     tmp_path, monkeypatch
 ):
+    unpack = FixedPointCodec.decode_pair
     config = ExperimentConfig.from_yaml(write_config(tmp_path / "c.yaml", key_bits=128))
     result = verify.suite_crypto_roundtrip(config)
     assert result.passed
-    assert "7 codec-edge values through the one-prime share path" in result.detail
-    # a share decrypted without the signed lift breaks the negative edges
-    monkeypatch.setattr(sim, "decrypt_small", verify.decrypt)
-    result = verify.suite_crypto_roundtrip(config)
+    assert "7 codec-edge pairs through the packed share path" in result.detail
+    # a pair unpacked with its slots swapped breaks every mixed-sign pair
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            FixedPointCodec, "decode_pair", lambda self, m: unpack(self, m)[::-1]
+        )
+        result = verify.suite_crypto_roundtrip(config)
     assert not result.passed and "share path failed" in result.detail
     # and the channel's own decryption is the one checked: off by one fails
-    monkeypatch.setattr(sim, "decrypt_small", lambda kp, c: decrypt_small(kp, c) + 1)
+    monkeypatch.setattr(sim, "decrypt", lambda kp, c: decrypt(kp, c) + 1)
     result = verify.suite_crypto_roundtrip(config)
     assert not result.passed and "share path failed" in result.detail
 

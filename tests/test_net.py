@@ -3,6 +3,7 @@ import contextlib
 import csv
 import itertools
 import json
+import selectors
 import socket
 import struct
 import threading
@@ -33,13 +34,12 @@ from privsum.net import (
     pack_plain_shares,
     read_frame,
     share_frame,
-    unpack_cipher_shares,
-    pack_cipher_shares,
+    unpack_cipher_share,
     unpack_key_announce,
     unpack_plain_shares,
 )
 from privsum import net
-from privsum.paillier import FixedPointCodec, PaillierPublicKey, keygen
+from privsum.paillier import FixedPointCodec, PaillierPublicKey, encrypt, keygen, pack_uint
 from privsum.sim import (
     DEFAULT_FRACTIONAL_BITS,
     ExperimentConfig,
@@ -150,9 +150,10 @@ def test_plain_share_payload_is_exact():
 
 def test_cipher_share_payload_roundtrip():
     big = 2**511 + 12345
-    assert unpack_cipher_shares(pack_cipher_shares(big, 7)) == (big, 7)
-    with pytest.raises(ProtocolError):
-        unpack_cipher_shares(pack_cipher_shares(1, 2) + b"!")
+    assert unpack_cipher_share(pack_uint(big)) == big
+    for bad in (pack_uint(1) + b"!", pack_uint(big)[:-1]):
+        with pytest.raises(ProtocolError):
+            unpack_cipher_share(bad)
 
 
 def test_key_announce_roundtrip():
@@ -172,8 +173,8 @@ def test_truncated_key_in_a_key_announcement_is_a_protocol_error():
 def test_payload_bound_is_the_largest_legal_payload(key_bits):
     n = (1 << key_bits) - 1  # the largest modulus a key of this size has
     key = pack_key_announce(2**32 - 1, PaillierPublicKey(n=n, g=n + 1))
-    pair = pack_cipher_shares(n * n - 1, n * n - 1)
-    assert max_payload(MODE_ENCRYPTED, key_bits) == max(len(key), len(pair))
+    cipher = pack_uint(n * n - 1)
+    assert max_payload(MODE_ENCRYPTED, key_bits) == max(len(key), len(cipher))
     assert max_payload(MODE_PLAIN, key_bits) == len(pack_plain_shares(1.0, 2.0))
 
 
@@ -338,8 +339,8 @@ def test_encrypted_wire_carries_no_plaintext_encodings(tmp_path):
     for s_row, w_row in rec.shares.tolist():
         for receiver, s_share, w_share in zip(receivers, s_row, w_row):
             codec = FixedPointCodec(keys[receiver].n, config.fractional_bits)
-            for value in (s_share, w_share):
-                encoded = codec.encode(value)
+            packed = codec.encode_pair(s_share, w_share)
+            for encoded in (codec.encode(s_share), codec.encode(w_share), packed):
                 raw = encoded.to_bytes((encoded.bit_length() + 7) // 8 or 1, "big")
                 if len(raw) < 4:
                     continue  # zero shares encode to one byte; matching is noise
@@ -527,15 +528,22 @@ def _two_node_runtime(mode, key_bits=64):
 def test_malformed_share_ciphertext_raises_decrypt_failure():
     rt = _two_node_runtime(MODE_ENCRYPTED, key_bits=128)
     assert isinstance(rt.channel, PaillierChannel)
-    rt._dispatch(WireFrame(MSG_SHARE_ENC, 1, 0, pack_cipher_shares(0, 5)))
+    rt._dispatch(WireFrame(MSG_SHARE_ENC, 1, 0, pack_uint(0)))
     with pytest.raises(DecryptFailure, match="round-0 share from 1"):
         rt._receive_round(0)
+    # a valid ciphertext of a plaintext above the pair layout is refused,
+    # not decoded into garbage shares
+    public = rt.keypair.public
+    cipher = encrypt(public, public.n - 1, random.Random(1))
+    rt._dispatch(WireFrame(MSG_SHARE_ENC, 1, 1, pack_uint(cipher.value)))
+    with pytest.raises(DecryptFailure, match="round-1 share from 1: .*pair layout"):
+        rt._receive_round(1)
 
 
 @pytest.mark.parametrize(
     "mode, msg_type, payload",
     [
-        (MODE_PLAIN, MSG_SHARE_ENC, pack_cipher_shares(3, 5)),
+        (MODE_PLAIN, MSG_SHARE_ENC, pack_uint(3)),
         (MODE_ENCRYPTED, MSG_SHARE_PLAIN, pack_plain_shares(1.0, 0.5)),
     ],
 )
@@ -825,7 +833,7 @@ def test_send_never_blocks_and_a_wait_delivers_the_queued_bytes_in_order():
     far_end.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 16)
     far_end.bind(rt.peers[1])
     far_end.listen()
-    frames = [share_frame(0, k, float(k), 0.5) for k in range(1 << 17)]  # 4.5 MB
+    frames = [share_frame(0, k, (float(k), 0.5)) for k in range(1 << 17)]  # 4.5 MB
     expected = _frames(*frames)
     received = bytearray()
     socks = [far_end]
@@ -855,3 +863,72 @@ def test_send_never_blocks_and_a_wait_delivers_the_queued_bytes_in_order():
         rt._shutdown()
         for sock in socks:
             sock.close()
+
+
+def test_an_out_socket_is_registered_for_writing_only_while_bytes_wait():
+    rt = _two_node_runtime(MODE_PLAIN)
+    far_end = socket.socket()
+    far_end.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 16)
+    far_end.bind(rt.peers[1])
+    far_end.listen()
+    socks = [far_end]
+
+    def registered(sock):
+        key = rt._selector.get_map().get(sock)
+        return key is not None and key.events == selectors.EVENT_WRITE
+
+    try:
+        rt._serve()
+        rt._connect_out()
+        out = rt._out_socks[1]
+        out.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 1 << 16)
+        socks.append(far_end.accept()[0])
+        # a frame the socket takes whole leaves nothing to write later
+        rt._send(1, share_frame(0, 0, (1.0, 0.5)))
+        assert not rt._outboxes[1] and not registered(out)
+        # the far end reads nothing, so the buffers fill and a send is partial
+        k = 0
+        while not rt._outboxes[1]:
+            k += 1
+            rt._send(1, share_frame(0, k, (float(k), 0.5)))
+        assert registered(out)
+        expected = (k + 1) * len(encode_frame(share_frame(0, 0, (1.0, 0.5))))
+        received = bytearray()
+
+        def read():
+            while len(received) < expected and (chunk := socks[1].recv(1 << 16)):
+                received.extend(chunk)
+
+        reader = threading.Thread(target=read)
+        reader.start()
+        rt._drain()
+        reader.join(timeout=20)
+        assert not reader.is_alive()
+        assert len(received) == expected
+        assert not rt._outboxes[1] and not registered(out)
+    finally:
+        rt._shutdown()
+        for sock in socks:
+            sock.close()
+
+
+def test_fig7_manifests_count_the_frames_and_bytes_each_node_sent(tmp_path):
+    """On each out-link a node sends the n keys, then one share frame per
+    round; the counts match its ``node<i>.frames``, and an encrypted share
+    frame at 256-bit keys is at most 18 + 68 bytes: one ciphertext below n^2."""
+    preset = resources.files("privsum") / "presets" / "fig7.yaml"
+    config = ExperimentConfig.from_yaml(preset)
+    manifests = net.run_local_cluster(config, out_dir=tmp_path, timeout=120.0)
+    n, bound = config.graph.n_nodes, max_payload(MODE_ENCRYPTED, config.key_bits)
+    assert manifests[0]["frames_sent"] == 2 * (5 + 100)
+    for i, manifest in enumerate(manifests):
+        data = (tmp_path / f"node{i}.frames").read_bytes()
+        assert manifest["bytes_sent"] == len(data)
+        buffer = bytearray(data)
+        frames = list(iter(lambda: read_frame(buffer, bound), None))
+        assert not buffer
+        d_out = config.graph.out_degree(i)
+        assert manifest["frames_sent"] == len(frames) == d_out * (n + config.max_rounds)
+        shares = [f for f in frames if f.msg_type == MSG_SHARE_ENC]
+        assert len(shares) == d_out * config.max_rounds
+        assert max(len(encode_frame(f)) for f in shares) <= 18 + 68

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from privsum import paillier
 from privsum.errors import (
     ConfigError,
     MagnitudeOverflow,
@@ -18,7 +19,6 @@ from privsum.paillier import (
     PaillierPublicKey,
     add_ciphertexts,
     decrypt,
-    decrypt_small,
     encrypt,
     generate_prime,
     is_probable_prime,
@@ -198,6 +198,17 @@ def test_alpha_bits_is_twice_the_key_strength(n, alpha_bits):
     assert PaillierPublicKey(n=n, g=n + 1).alpha_bits == alpha_bits
 
 
+def test_alpha_bits_is_computed_once_per_key_object(monkeypatch):
+    calls = []
+    strength = paillier._security_bits
+    monkeypatch.setattr(paillier, "_security_bits", lambda n: calls.append(n) or strength(n))
+    public = keygen(64, random.Random(5)).public
+    rng = random.Random(6)
+    for m in range(5):
+        encrypt(public, m, rng)
+    assert calls == [public.n]
+
+
 def test_crt_decrypt_matches_textbook_on_every_toy_unit():
     n2 = TOY.public.n_squared
     units = [v for v in range(1, n2) if math.gcd(v, TOY.public.n) == 1]
@@ -356,8 +367,10 @@ def test_codec_rejects_a_64_bit_modulus_at_48_fractional_bits():
 @pytest.mark.parametrize("fractional_bits", [5, 32, 48])
 def test_smallest_key_bits_is_the_first_size_whose_every_modulus_fits(fractional_bits):
     def shortest_modulus(key_bits):
-        # keygen's n has 2 * (key_bits // 2) bits or one fewer
-        return (1 << (2 * (key_bits // 2) - 2)) + 1
+        # keygen's n has 2k or 2k - 1 bits for k = key_bits // 2, and is a
+        # product of two k-bit primes with their top bit set
+        half = 1 << (key_bits // 2 - 1)
+        return (half + 1) ** 2
 
     smallest = smallest_key_bits(fractional_bits)
     FixedPointCodec(shortest_modulus(smallest), fractional_bits)
@@ -371,79 +384,96 @@ def test_smallest_key_bits_is_the_first_size_whose_every_modulus_fits(fractional
             keygen(smallest - 1)
 
 
-# -- one-prime decryption ---------------------------------------------------
+# -- the (s, w) pair layout -----------------------------------------------
 
-# Primes of very different sizes, so that only the larger one can hold the
-# codec's range: a decryption modulo the smaller prime fails on it.
-P_LARGE = generate_prime(100, random.Random(41))
-P_SMALL = generate_prime(60, random.Random(42))
-SMALL_PLAINTEXT_KEYS = (
-    keygen(128, random.Random(43)),
-    KP256,
-    keypair_from_primes(P_LARGE, P_SMALL),
-    keypair_from_primes(P_SMALL, P_LARGE),
-)
-
-
-def codec_edge(keypair):
-    """The largest |integer| the codec encodes under this key."""
-    codec = FixedPointCodec(keypair.public.n, 48)
-    return codec.max_magnitude * 2**48
+# Keys of 102 bits (the smallest f = 48 admits, R = 49) and of 256 bits,
+# each with an odd-length and an even-length modulus.
+def _keys_of_both_parities(bits, seed):
+    found = {}
+    rng = random.Random(seed)
+    while len(found) < 2:
+        kp = keygen(bits, rng)
+        found.setdefault(kp.public.n.bit_length() % 2, kp)
+    return [found[0], found[1]]
 
 
-def centred(m, n):
-    return m - n if m > n // 2 else m
+PAIR_KEYS = _keys_of_both_parities(102, 47) + _keys_of_both_parities(256, 48)
 
 
-def assert_small_roundtrip(keypair, m, rng):
-    public, n = keypair.public, keypair.public.n
-    c = encrypt(public, m % n, rng)
-    assert decrypt_small(keypair, c) == m
-    assert centred(decrypt(keypair, c), n) == m
-    half = m // 2
-    total = add_ciphertexts(
-        public, encrypt(public, half % n, rng), encrypt(public, (m - half) % n, rng)
-    )
-    assert decrypt_small(keypair, total) == m
-    assert centred(decrypt(keypair, total), n) == m
+def test_the_largest_value_below_the_bound_encodes_to_the_slot_edge():
+    """At the smallest key, encode returns +-2^R exactly for the largest
+    |v| below the bound, so a slot must hold 2^(R+1) + 1 values: with a
+    radix of 2^(R+1) the pair would overflow."""
+    assert sorted(kp.public.n.bit_length() for kp in PAIR_KEYS) == [101, 102, 255, 256]
+    for kp in PAIR_KEYS[:2]:
+        codec = FixedPointCodec(kp.public.n, 48)
+        assert codec._range_bits == 49
+        top = math.nextafter(float(codec.max_magnitude), 0.0)
+        edge = 2**codec._range_bits
+        assert (codec.encode(top), codec.encode(-top)) == (edge, kp.public.n - edge)
+        m = codec.encode_pair(top, top)
+        assert m == codec._radix**2 - 1 < kp.public.n
+        assert codec.decode_pair(m) == (2.0, 2.0)
+        assert codec.decode_pair(codec.encode_pair(-top, top)) == (-2.0, 2.0)
 
 
-def test_codec_edge_stays_below_half_the_larger_prime():
-    for kp in SMALL_PLAINTEXT_KEYS:
-        assert 2 * codec_edge(kp) < max(kp.p, kp.q)
-    assert 2 * codec_edge(SMALL_PLAINTEXT_KEYS[2]) > P_SMALL
+def _codec_value(q, codec):
+    """A float whose encoding is the integer q, or the nearest integer
+    encode returns: the largest |v| below the bound stands in for an
+    |q| that rounds to the bound itself."""
+    v = float(q) / 2**codec.fractional_bits
+    if abs(v) >= codec.max_magnitude:
+        v = math.copysign(math.nextafter(float(codec.max_magnitude), 0.0), q)
+    return v
 
 
-def test_decrypt_small_recovers_both_codec_edges():
-    rng = random.Random(44)
-    for kp in SMALL_PLAINTEXT_KEYS:
-        edge = codec_edge(kp)
-        for m in (-edge, -edge + 1, -1, 0, 1, edge - 1, edge):
-            assert_small_roundtrip(kp, m, rng)
-
-
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_decrypt_small_recovers_every_codec_integer(data):
-    kp = data.draw(st.sampled_from(SMALL_PLAINTEXT_KEYS))
-    edge = codec_edge(kp)
-    m = data.draw(st.sampled_from([-edge, edge]) | st.integers(-edge, edge))
-    assert_small_roundtrip(kp, m, random.Random(m))
-
-
-def test_decrypt_small_makes_the_checks_decrypt_makes():
-    kp = SMALL_PLAINTEXT_KEYS[0]
-    n, key_id = kp.public.n, kp.public.key_id
-    bad = (
-        Ciphertext(value=0, key_id=key_id),
-        Ciphertext(value=kp.public.n_squared, key_id=key_id),
-        Ciphertext(value=kp.p * 7, key_id=key_id),  # gcd with n is p
-        Ciphertext(value=2, key_id="deadbeef"),
-        encrypt(KP256.public, 5, random.Random(45)),  # another key's
+def test_pair_layout_holds_every_pair_encode_can_return(data):
+    kp = data.draw(st.sampled_from(PAIR_KEYS))
+    n = kp.public.n
+    codec = FixedPointCodec(n, 48)
+    edge = 2**codec._range_bits
+    ints = st.sampled_from([-edge, -edge + 1, -1, 0, 1, edge - 1, edge]) | st.integers(
+        -edge, edge
     )
-    for c in bad:
-        with pytest.raises(MalformedCiphertext):
-            decrypt(kp, c)
-        with pytest.raises(MalformedCiphertext):
-            decrypt_small(kp, c)
-    assert decrypt_small(kp, encrypt(kp.public, n - 3, random.Random(46))) == -3
+    s, w = (_codec_value(data.draw(ints), codec) for _ in range(2))
+    m = codec.encode_pair(s, w)
+    assert 0 <= m < n
+    # each slot is the signed encoding offset by 2^R
+    signed = [e - n if e > n // 2 else e for e in (codec.encode(s), codec.encode(w))]
+    assert divmod(m, codec._radix) == (signed[0] + edge, signed[1] + edge)
+    assert codec.decode_pair(m) == (codec.decode(codec.encode(s)), codec.decode(codec.encode(w)))
+    c = encrypt(kp.public, m, random.Random(m))
+    assert decrypt(kp, c) == m
+
+
+def test_pair_layout_checks_both_values_and_the_packed_plaintext():
+    codec = FixedPointCodec(KP256.public.n, 48)
+    for pair in ((codec.max_magnitude, 0.0), (0.0, -codec.max_magnitude), (float("nan"), 1.0)):
+        with pytest.raises(MagnitudeOverflow):
+            codec.encode_pair(*pair)
+    for m in (-1, codec._radix**2, KP256.public.n - 1):
+        with pytest.raises(MagnitudeOverflow, match="outside the pair layout"):
+            codec.decode_pair(m)
+
+
+def test_codec_refuses_a_modulus_below_the_pair_layout():
+    # 101 bits, R = 49: (2^50 + 1)^2 is the least modulus that holds the
+    # layout, and 2^100 + 1, a valid range for one value, falls short
+    FixedPointCodec((2**50 + 1) ** 2, 48)
+    with pytest.raises(ConfigError, match="pair layout"):
+        FixedPointCodec(2**100 + 1, 48)
+    with pytest.raises(ConfigError, match="pair layout"):
+        FixedPointCodec((2**50 + 1) ** 2 - 1, 48)
+
+
+@pytest.mark.parametrize("bits", [102, 103, 128])
+def test_every_keygen_modulus_holds_the_pair_layout(bits):
+    rng = random.Random(bits)
+    lengths = set()
+    for _ in range(60):
+        n = keygen(bits, rng).public.n
+        lengths.add(n.bit_length() % 2)
+        assert FixedPointCodec(n, 48)._radix ** 2 <= n
+    assert lengths == {0, 1}

@@ -318,7 +318,8 @@ def test_channel_times_each_receiver_table_apart_from_the_encryptions():
     for round_k in range(2):
         wire = channel.transmit(senders, receivers, shares)
         assert np.array_equal(channel.receive(senders, receivers, round_k, wire), shares)
-    assert len(channel.encrypt_seconds) == 2 * 2 * len(senders)
+    # one encryption and one decryption per link-round
+    assert len(channel.encrypt_seconds) == len(channel.decrypt_seconds) == 2 * len(senders)
     # one build per receiver key, in its first round, kept by the key object
     assert len(channel.table_build_seconds) == 3
     assert all("blinding_table" in vars(kp.public) for kp in keypairs.values())
