@@ -362,19 +362,21 @@ class FixedPointCodec:
 
     encode(v) = round(v * 2^f), with negative values wrapped to n - |.|;
     decode treats residues above n/2 as negative.  Values must satisfy
-    |v| < 2^(R - f) with R = (bits(n) - 1) // 2 - 1, so every encoding lies
-    in [-2^R, 2^R]; a sender who knows only n checks that.
+    |v| <= 2^(R - f) with R = (bits(n) - 1) // 2 - 1, so every encoding lies
+    in [-2^R, 2^R]; a sender who knows only n checks that.  The bound is
+    inclusive because decode can return it: below about 205-bit keys the
+    largest float under 2^(R - f) encodes to 2^R, which decodes to the
+    bound itself, and a decoded share must encode again unchanged.
 
     ``encode_pair`` packs the encodings of a share pair into one plaintext,
     as in Bianchi, Piva and Barni (IEEE TIFS 2010): each is offset by 2^R
     into a slot of [0, 2^(R+1)], and the two slots are the digits of radix
-    B = 2^(R+1) + 1, s the high one.  An encoding can be exactly 2^R (the
-    largest |v| below the bound rounds up to it), so a slot holds 2^(R+1) + 1
-    values and B is the smallest exact radix.  The largest packed plaintext
-    is B^2 - 1.  Every modulus keygen makes lies above it: an odd-length n
-    is a product of two k-bit primes with their top bit set, at least
-    (2^(k-1) + 1)^2 = B^2, and an even-length n is at least 2^(2R + 3).
-    A modulus below B^2 is refused.
+    B = 2^(R+1) + 1, s the high one.  An encoding can be exactly 2^R, so a
+    slot holds 2^(R+1) + 1 values and B is the smallest exact radix.  The
+    largest packed plaintext is B^2 - 1.  Every modulus keygen makes lies
+    above it: an odd-length n is a product of two k-bit primes with their
+    top bit set, at least (2^(k-1) + 1)^2 = B^2, and an even-length n is at
+    least 2^(2R + 3).  A modulus below B^2 is refused.
     """
 
     modulus: int
@@ -406,7 +408,7 @@ class FixedPointCodec:
 
     @functools.cached_property
     def max_magnitude(self) -> int:
-        """Exclusive bound on |v|, exact as an integer at any modulus size."""
+        """Inclusive bound on |v|, exact as an integer at any modulus size."""
         return 2 ** (self._range_bits - self.fractional_bits)
 
     def encode(self, v: float) -> int:
@@ -414,7 +416,7 @@ class FixedPointCodec:
         scaled = v * float(2**self.fractional_bits)
         # float-int comparison is exact; isfinite also rejects a scaled
         # value that overflowed although |v| itself is in range.
-        if not math.isfinite(scaled) or abs(v) >= self.max_magnitude:
+        if not math.isfinite(scaled) or abs(v) > self.max_magnitude:
             raise MagnitudeOverflow(f"value {v!r} outside the codec range")
         q = round(scaled)
         return q if q >= 0 else self.modulus + q

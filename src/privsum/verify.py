@@ -279,9 +279,10 @@ def suite_crypto_roundtrip(config: ExperimentConfig) -> SuiteResult:
         return SuiteResult(
             "crypto-roundtrip", False, f"codec roundtrip failed for {values[worst_at]}: {margin}"
         )
-    top = math.nextafter(float(codec.max_magnitude), 0.0)
+    bound = float(codec.max_magnitude)
+    top = math.nextafter(bound, 0.0)
     tiny = 2.0**-config.fractional_bits
-    edges = [top, top / 2, tiny, 0.0, -tiny, -top / 2, -top]
+    edges = [bound, top, top / 2, tiny, 0.0, -tiny, -top / 2, -top, -bound]
     # As the (s, w) pairs of one round of self-links of a one-node channel,
     # the share path a run ships; w runs the edges backwards, so the pairs
     # mix signs and a slot mix-up shows.

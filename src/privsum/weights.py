@@ -175,9 +175,10 @@ def _value_rows(
 ) -> None:
     """Turn a ``(g, count)`` block of uniforms, one stream's draw per row,
     into the ``(n_rounds, g, m)`` value-side ``rows``, whose first
-    ``n_mask`` rounds mask.  The arithmetic runs in place on ``u``, node
-    by node, so ``u`` must be the caller's own buffer; one copy per phase
-    moves the result into ``rows``.
+    ``n_mask`` rounds mask.  The masking arithmetic and the sort of the
+    cuts run in place on ``u``, node by node, so ``u`` must be the
+    caller's own buffer; one copy per phase moves the result into
+    ``rows``.
 
     A masking row is m uniforms on (-B, B) shifted to sum to 1; a mixing
     row is the sorted-uniform simplex gaps under ``phase_b_map``.  The
@@ -205,11 +206,15 @@ def _value_rows(
     # from 0 up, are the mixing row's first m - 1 weights, mapped as
     # ``phase_b_map`` maps them; the last gap, up to 1, is not needed,
     # since the self-weight is 1 minus the others.
-    gaps = u[:, n_mask * m :].reshape(g, n_mix, m - 1)
-    gaps.sort(axis=-1)
-    # Numpy reads inputs that overlap the output from a copy, so these are
-    # the differences of the sorted cuts.
-    np.subtract(gaps[..., 1:], gaps[..., :-1], out=gaps[..., 1:])
+    cuts = u[:, n_mask * m :]
+    cuts.reshape(g, n_mix, m - 1).sort(axis=-1)
+    # One subtraction along each node's flat row of cuts, into a fresh
+    # buffer: an output overlapping its inputs would make numpy copy them
+    # and loop once per round.  Each round's first gap is its first cut.
+    gaps = np.empty_like(cuts)
+    np.subtract(cuts[:, 1:], cuts[:, :-1], out=gaps[:, 1:])
+    gaps[:, :: m - 1] = cuts[:, :: m - 1]
+    gaps = gaps.reshape(g, n_mix, m - 1)
     gaps *= 1.0 - m * params.epsilon
     gaps += params.epsilon
     mixing = rows[n_mask:].swapaxes(0, 1)

@@ -17,7 +17,7 @@ import yaml
 
 import privsum
 from privsum.adversary import attack_least_squares
-from privsum.cli import main
+from privsum.cli import PRESETS, main
 from privsum.errors import ConfigError
 from privsum.graph import default_demo_graph
 from privsum.net import allocate_ports, run_local_cluster
@@ -134,15 +134,21 @@ def test_unreadable_config_value_names_its_key(tmp_path, capsys):
     "text, message",
     [
         (None, "cannot read config file .*c.yaml: .*No such file or directory"),
-        ("graph: [unclosed\nx0: 1\n", "cannot read config file .*c.yaml: while parsing"),
-        ("- not\n- a mapping\n", "config file .*c.yaml does not contain a mapping"),
+        (b"graph: [unclosed\nx0: 1\n", "cannot read config file .*c.yaml: while parsing"),
+        (b"- not\n- a mapping\n", "config file .*c.yaml does not contain a mapping"),
+        # a Latin-1 e-acute in a comment; libyaml and PyYAML name different
+        # offending bytes, but both call them unacceptable
+        (
+            b"graph: 1\n# caf\xe9\nx0: 1\n",
+            "cannot read config file .*c.yaml: unacceptable character",
+        ),
     ],
-    ids=["missing-file", "yaml-syntax-error", "not-a-mapping"],
+    ids=["missing-file", "yaml-syntax-error", "not-a-mapping", "not-utf-8"],
 )
 def test_unusable_config_file_exits_2_with_one_error_line(tmp_path, capsys, text, message):
     path = tmp_path / "c.yaml"
     if text is not None:
-        path.write_text(text)
+        path.write_bytes(text)
     rc = main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err
@@ -151,6 +157,52 @@ def test_unusable_config_file_exits_2_with_one_error_line(tmp_path, capsys, text
     # the library entry point reads the file through the same reader
     with pytest.raises(ConfigError, match=message):
         ExperimentConfig.from_yaml(path)
+
+
+PRESET_FILES = [resources.files("privsum") / "presets" / f"{p}.yaml" for p in PRESETS]
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML was built without libyaml")
+def test_libyaml_and_pure_python_parsers_read_every_config_alike(tmp_path, monkeypatch):
+    # libyaml is the default; its error text differs from PyYAML's own
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("graph: [unclosed\nx0: 1\n")
+    with pytest.raises(ConfigError, match="did not find expected ',' or ']'"):
+        sim.read_config_file(bad)
+    exponent = write_config(tmp_path / "exp.yaml", x0="X0")
+    exponent.write_text(exponent.read_text().replace("x0: X0", "x0: {low: 1e-5, high: 2e-5}"))
+    paths = [
+        *PRESET_FILES,
+        exponent,
+        write_config(tmp_path / "run.yaml"),
+        write_config(tmp_path / "enc.yaml", mode="algorithm2-simulated", key_bits=128),
+        write_config(
+            tmp_path / "atk.yaml",
+            graph=CHAIN,
+            x0={"low": 0.0, "high": 50.0},
+            adversary={"members": [1], "target": 0, "trials": 3},
+        ),
+    ]
+    read = {}
+    for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+        monkeypatch.setattr(sim, "_YAML_LOADER", loader)
+        read[loader] = {path.name: sim.read_config_file(path) for path in paths}
+    assert read[yaml.CSafeLoader] == read[yaml.SafeLoader]
+    # both resolvers leave an exponent float without a dot as text
+    assert read[yaml.SafeLoader]["exp.yaml"]["x0"] == {"low": "1e-5", "high": "2e-5"}
+
+
+def test_configs_read_without_libyaml(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sim, "_YAML_LOADER", yaml.SafeLoader)
+    for path in PRESET_FILES:
+        assert "graph" in sim.read_config_file(path)
+    path = tmp_path / "c.yaml"
+    path.write_text("graph: [unclosed\nx0: 1\n")
+    assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert re.match("error: cannot read config file .*c.yaml: while parsing", err), err
+    assert "expected ',' or ']', but got ':'" in err  # PyYAML's wording, not libyaml's
+    assert err.count("\n") == 1, err
 
 
 def test_a_config_that_asks_for_an_early_stop_exits_2_with_one_error_line(tmp_path, capsys):
@@ -587,7 +639,7 @@ def test_crypto_roundtrip_suite_sends_the_codec_edges_through_the_share_path(
     config = ExperimentConfig.from_yaml(write_config(tmp_path / "c.yaml", key_bits=128))
     result = verify.suite_crypto_roundtrip(config)
     assert result.passed
-    assert "7 codec-edge pairs through the packed share path" in result.detail
+    assert "9 codec-edge pairs through the packed share path" in result.detail
     # a pair unpacked with its slots swapped breaks every mixed-sign pair
     with monkeypatch.context() as patch:
         patch.setattr(

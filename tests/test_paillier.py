@@ -350,12 +350,13 @@ def test_codec_range_bound_is_exact():
     codec = FixedPointCodec((1 << 255) + 1, 32)
     bound = 2.0 ** ((256 - 1) // 2 - 1 - 32)  # 2^94
     assert codec.max_magnitude == bound
-    for v in (bound, -bound):
+    # the bound is inclusive: +-bound round-trip, the next float past it fails
+    for v in (bound, -bound, math.nextafter(bound, 0.0), -math.nextafter(bound, 0.0)):
+        assert codec.decode(codec.encode(v)) == v
+    past = math.nextafter(bound, math.inf)
+    for v in (past, -past):
         with pytest.raises(MagnitudeOverflow):
             codec.encode(v)
-    below = math.nextafter(bound, 0.0)
-    assert codec.decode(codec.encode(below)) == below
-    assert codec.decode(codec.encode(-below)) == -below
 
 
 def test_codec_rejects_a_64_bit_modulus_at_48_fractional_bits():
@@ -411,6 +412,7 @@ def test_the_largest_value_below_the_bound_encodes_to_the_slot_edge():
         top = math.nextafter(float(codec.max_magnitude), 0.0)
         edge = 2**codec._range_bits
         assert (codec.encode(top), codec.encode(-top)) == (edge, kp.public.n - edge)
+        assert codec.encode(codec.decode(edge)) == edge
         m = codec.encode_pair(top, top)
         assert m == codec._radix**2 - 1 < kp.public.n
         assert codec.decode_pair(m) == (2.0, 2.0)
@@ -419,12 +421,9 @@ def test_the_largest_value_below_the_bound_encodes_to_the_slot_edge():
 
 def _codec_value(q, codec):
     """A float whose encoding is the integer q, or the nearest integer
-    encode returns: the largest |v| below the bound stands in for an
-    |q| that rounds to the bound itself."""
-    v = float(q) / 2**codec.fractional_bits
-    if abs(v) >= codec.max_magnitude:
-        v = math.copysign(math.nextafter(float(codec.max_magnitude), 0.0), q)
-    return v
+    encode returns: float(q) rounds an |q| beyond 2^53, at most up to the
+    bound 2^R, which the codec admits."""
+    return float(q) / 2**codec.fractional_bits
 
 
 @settings(max_examples=300, deadline=None)
@@ -444,13 +443,17 @@ def test_pair_layout_holds_every_pair_encode_can_return(data):
     signed = [e - n if e > n // 2 else e for e in (codec.encode(s), codec.encode(w))]
     assert divmod(m, codec._radix) == (signed[0] + edge, signed[1] + edge)
     assert codec.decode_pair(m) == (codec.decode(codec.encode(s)), codec.decode(codec.encode(w)))
+    # a decoded value encodes again unchanged, the edges +-2^R included
+    for e in (codec.encode(s), codec.encode(w)):
+        assert codec.encode(codec.decode(e)) == e
     c = encrypt(kp.public, m, random.Random(m))
     assert decrypt(kp, c) == m
 
 
 def test_pair_layout_checks_both_values_and_the_packed_plaintext():
     codec = FixedPointCodec(KP256.public.n, 48)
-    for pair in ((codec.max_magnitude, 0.0), (0.0, -codec.max_magnitude), (float("nan"), 1.0)):
+    past = math.nextafter(float(codec.max_magnitude), math.inf)
+    for pair in ((past, 0.0), (0.0, -past), (float("nan"), 1.0)):
         with pytest.raises(MagnitudeOverflow):
             codec.encode_pair(*pair)
     for m in (-1, codec._radix**2, KP256.public.n - 1):
