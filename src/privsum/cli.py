@@ -93,6 +93,7 @@ def cmd_simulate(args) -> int:
             "alpha": result.metrics.alpha,
             "final_e": float(result.metrics.e[-1]),
             "final_pi": result.record.final_pi().tolist(),
+            "decrypts": result.decrypts,
         }
         for name, seconds in (
             ("mean_encrypt_ms", result.mean_encrypt_seconds),

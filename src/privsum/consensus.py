@@ -24,7 +24,7 @@ channel) the encrypted transport.
 
 Every per-round array of a run shares one layout: axis 1 is (s, w), the
 last axis is the node or edge.  The state is ``(rounds + 1, 2, n)``, the
-kept self-shares ``(rounds, 2, n)``, the applied shares ``(rounds, 2, E)``;
+kept self-shares ``(rounds, 2, n)``, the link shares ``(rounds, 2, E)``;
 a colluders' view selects columns of these.  What crossed the links is
 the shares themselves in the clear, and under a channel ``(rounds, E)``
 ciphertexts, one per link-round holding both shares.  The
@@ -36,7 +36,8 @@ table and the states: in the clear every share is weight times state, so
 the record recomputes the shares with the engine's multiply when they are
 read, only the columns asked for.
 Only a channel's decoded shares and its ciphertexts, which no multiply
-gives back, are stored.
+gives back, are stored.  Under a channel a receiver folds the decrypted
+sum of its in-links' pairs, not each pair.
 """
 from __future__ import annotations
 
@@ -193,11 +194,13 @@ class WeightTable:
 class RunRecord:
     """Ground-truth trace of one synchronous run, kept as arrays.
 
-    ``shares`` is the ``(rounds, 2, E)`` array of the shares each receiver
-    applied, rows (s, w), one column per edge in ``SenderLayout`` order.
-    In the clear it is computed on first read, with the engine's multiply
-    (edge weight times sender state), so bit-equal to what each round
-    folded; under a channel it is the stored ``decoded`` array.  ``wire``
+    ``shares`` is the ``(rounds, 2, E)`` array of the share pair each
+    link delivered, rows (s, w), one column per edge in ``SenderLayout``
+    order.  In the clear it is computed on first read, with the engine's
+    multiply (edge weight times sender state), so bit-equal to what each
+    round folded.  Under a channel it is the stored ``decoded`` array, the
+    pair each link's ciphertext decrypts to; the receiver held each
+    ciphertext but folded the one decrypted sum of its in-links.  ``wire``
     is what crossed each link: in the clear ``shares`` itself, under a
     channel its ``(rounds, E)`` ``ciphertexts``, one per link-round.
     """
@@ -205,8 +208,8 @@ class RunRecord:
     params: WeightParams | None
     trajectory: Trajectory
     weights: WeightTable
-    # Under a channel, what the receivers decoded and what crossed the
-    # links; None in the clear.
+    # Under a channel, what each link's ciphertext decrypts to and what
+    # crossed the links; None in the clear.
     decoded: np.ndarray | None = None
     ciphertexts: np.ndarray | None = None
 
@@ -265,9 +268,11 @@ def run_rounds(
     (weight times the holder's state) into a scratch row laid out as in
     ``SenderLayout``, and one ``fold_shares`` call sums each node's retained
     share and in-shares into its next state.  With a channel, each round's
-    edge shares are encrypted in one ``transmit`` call and the receivers
-    fold what one ``receive`` call recovers; only then are the shares
-    stored, since in the clear the record recomputes them.  A weight sum
+    edge shares are encrypted in one ``transmit`` call, which also stores
+    the pair each ciphertext decrypts to, since in the clear the record
+    recomputes them.  One ``receive`` call decrypts each receiver's sum
+    into the slot of its lowest sender, -0.0 into its other slots, and the
+    receivers fold that.  A weight sum
     of zero raises ``DivisionByZero`` naming the first such round and
     node.
     """
@@ -295,9 +300,10 @@ def run_rounds(
     for k, (row, now, nxt) in enumerate(per_round):
         np.multiply(row, now.take(holders, axis=1), out=products)
         if channel is not None:
-            wire[k] = channel.transmit(senders, receivers, sent)
-            decoded[k] = channel.receive(senders, receivers, k, wire[k])
-            sent[:] = decoded[k]
+            wire[k] = channel.transmit(senders, receivers, sent, decoded[k])
+            # Each receiver's decrypted sum sits in its lowest sender's
+            # slot, -0.0 in its other slots, so the fold adds the sum alone.
+            sent[:] = channel.receive(senders, receivers, k, wire[k])
         fold_shares(every.take(order), out=nxt)
     _check_weight_sums(state[1:, 1], 0, nodes)
     return RunRecord(

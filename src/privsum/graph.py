@@ -215,6 +215,10 @@ def max_out_degree(g: DirectedGraph) -> int:
     return max(g.out_degree(i) for i in g.nodes())
 
 
+def max_in_degree(g: DirectedGraph) -> int:
+    return max(g.in_degree(i) for i in g.nodes())
+
+
 def random_strongly_connected_graph(
     n_nodes: int,
     rng: np.random.Generator,

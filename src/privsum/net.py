@@ -12,10 +12,12 @@ in-neighbors, and never sends round k+1 before that.
 Share payloads are either two raw float64s (plain transport, an
 ``algorithm1`` config) or one length-prefixed Paillier ciphertext under
 the receiver's public key, of the (s, w) pair packed into one plaintext
-(encrypted transport, an ``algorithm2-simulated`` config).  A node draws
-and folds with the simulator's own functions (see ``NodeRuntime``), so
-with identical seeds the plain-transport trajectory is bit-for-bit the
-simulator's.
+(encrypted transport, an ``algorithm2-simulated`` config).  The packing
+leaves headroom for the receiver's in-degree: a receiver multiplies a
+round's ciphertexts and decrypts their sum once.  A node draws and folds
+with the simulator's own functions (see ``NodeRuntime``), so with
+identical seeds the plain-transport trajectory is bit-for-bit the
+simulator's, and the encrypted one the encrypted simulation's.
 
 A node runs one ``selectors`` loop on the thread that calls ``run``, and
 only while the driver waits.  The loop accepts connections, reads each into a buffer that
@@ -64,7 +66,9 @@ from .sim import (
 from .weights import generate_round_weights, node_rng, place_round_weights
 
 MAGIC = b"PSUM"
-VERSION = 3
+# 4: a receiver of more than one in-link decodes its links' pairs as one
+# sum, in a layout with headroom for its in-degree.
+VERSION = 4
 # Seconds between refused connection attempts: peers start at about the
 # same time, so most listeners are up within milliseconds of the first try.
 CONNECT_RETRY_FIRST = 0.001
@@ -194,8 +198,10 @@ class NodeRuntime:
     node's state, and ``apply_round`` sums the retained share and the
     received shares, by ascending sender, with ``consensus.fold_shares``,
     the one fold ``run_rounds`` applies to every column.  Under encryption
-    the out-shares pass through one ``PaillierChannel.transmit`` call and
-    the in-shares, by ascending sender, through one ``receive`` call.  A
+    the out-shares pass through one ``PaillierChannel.transmit`` call, and
+    one ``receive`` call multiplies the in-links' ciphertexts and decrypts
+    their sum once; the fold then adds that sum in the lowest sender's
+    slot and -0.0 in the others, as the simulator folds it.  A
     round is applied only when every in-neighbor's share for it has
     arrived; there is no other synchronization, at startup or at the end.
     ``channel`` is None exactly on the plain transport.
@@ -277,6 +283,7 @@ class NodeRuntime:
                 {node_id: self.keypair},
                 config.fractional_bits,
                 config.seed,
+                {j: self.graph.in_degree(j) for j in self.graph.nodes()},
             )
         self.mode = MODE_PLAIN if self.channel is None else MODE_ENCRYPTED
         self._max_payload = max_payload(self.mode, config.key_bits)
@@ -523,9 +530,10 @@ class NodeRuntime:
 
     def _receive_round(self, round_k: int) -> np.ndarray:
         """Wait for every in-neighbor's round-k share, then return the
-        (s, w) pairs by ascending sender as an ``(in-degree, 2)`` array,
-        recovered through one channel call under the encrypted transport.
-        The time spent waiting is recorded per round."""
+        (s, w) pairs by ascending sender as an ``(in-degree, 2)`` array.
+        Under the encrypted transport one channel call decrypts their sum,
+        which fills the first row, and the other rows are -0.0.  The time
+        spent waiting is recorded per round."""
         start = time.perf_counter()
         self._wait(
             lambda: [j for j in self.in_ids if (round_k, j) not in self._shares],
@@ -610,6 +618,7 @@ class NodeRuntime:
             "blinding_table_ms": sum(tables) * 1e3 if tables else None,
             "mean_decrypt_ms": float(np.mean(dec)) * 1e3 if dec else None,
             "max_decrypt_ms": float(np.max(dec)) * 1e3 if dec else None,
+            "decrypts": len(dec),
             "mean_wait_ms": float(np.mean(self._wait_seconds)) * 1e3,
             "max_wait_ms": float(np.max(self._wait_seconds)) * 1e3,
             "frames_sent": self._frames_sent,

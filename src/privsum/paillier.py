@@ -289,7 +289,7 @@ def encrypt(
     return Ciphertext(value=c, key_id=public.key_id)
 
 
-def _check_ciphertext(keypair: PaillierKeypair, c: Ciphertext) -> None:
+def check_ciphertext(keypair: PaillierKeypair, c: Ciphertext) -> None:
     """Raise ``MalformedCiphertext`` unless ``c`` is a unit mod n^2 under
     this keypair's key."""
     public = keypair.public
@@ -309,7 +309,7 @@ def decrypt(keypair: PaillierKeypair, c: Ciphertext) -> int:
     the textbook L(c^lambda mod n^2) * mu mod n, for any plaintext in
     [0, n).
     """
-    _check_ciphertext(keypair, c)
+    check_ciphertext(keypair, c)
     p, q = keypair.p, keypair.q
     m_p = (pow(c.value, p - 1, keypair.p_squared) - 1) // p * keypair.h_p % p
     m_q = (pow(c.value, q - 1, keypair.q_squared) - 1) // q * keypair.h_q % q
@@ -358,12 +358,14 @@ def public_key_from_bytes(
 @dataclass(frozen=True)
 class FixedPointCodec:
     """Signed fixed-point embedding of reals into Z_n, one value or one
-    (s, w) share pair per plaintext.
+    (s, w) share pair per plaintext, laid out so that the product of up to
+    ``fan_in`` ciphertexts of packed pairs decrypts to their exact sum.
 
     encode(v) = round(v * 2^f), with negative values wrapped to n - |.|;
     decode treats residues above n/2 as negative.  Values must satisfy
-    |v| <= 2^(R - f) with R = (bits(n) - 1) // 2 - 1, so every encoding lies
-    in [-2^R, 2^R]; a sender who knows only n checks that.  The bound is
+    |v| <= 2^(R - f) with R = (bits(n) - 1) // 2 - 1 - c and
+    c = ceil(log2(fan_in)), so every encoding lies in [-2^R, 2^R]; a sender
+    who knows only n and the receiver's fan-in checks that.  The bound is
     inclusive because decode can return it: below about 205-bit keys the
     largest float under 2^(R - f) encodes to 2^R, which decodes to the
     bound itself, and a decoded share must encode again unchanged.
@@ -371,40 +373,52 @@ class FixedPointCodec:
     ``encode_pair`` packs the encodings of a share pair into one plaintext,
     as in Bianchi, Piva and Barni (IEEE TIFS 2010): each is offset by 2^R
     into a slot of [0, 2^(R+1)], and the two slots are the digits of radix
-    B = 2^(R+1) + 1, s the high one.  An encoding can be exactly 2^R, so a
-    slot holds 2^(R+1) + 1 values and B is the smallest exact radix.  The
-    largest packed plaintext is B^2 - 1.  Every modulus keygen makes lies
-    above it: an odd-length n is a product of two k-bit primes with their
-    top bit set, at least (2^(k-1) + 1)^2 = B^2, and an even-length n is at
-    least 2^(2R + 3).  A modulus below B^2 is refused.
+    B = fan_in * 2^(R+1) + 1, s the high one.  A sum of d <= fan_in packed
+    pairs, which is what the product of their ciphertexts decrypts to, has
+    digit sums in [0, d * 2^(R+1)], below B, so the sum is again a two-digit
+    number of radix B: the high digit is the s slots' sum, the low digit
+    the w slots', and each minus d * 2^R is the exact sum of the d
+    encodings (``decode_sum``).  The largest such sum is B^2 - 1.  Since
+    fan_in <= 2^c, B is at most 2^(R+c+1) + 1, the radix at fan-in 1, and
+    every modulus keygen makes lies above that radix squared: an
+    odd-length n is a product of two k-bit primes with their top bit set,
+    at least (2^(k-1) + 1)^2, and an even-length n is at least
+    2^(2(R+c) + 3).  A modulus below B^2 is refused.  At fan-in 1 the
+    layout is the plain pair layout: R = (bits(n) - 1) // 2 - 1 and
+    B = 2^(R+1) + 1; an encoding can be exactly 2^R, so a slot holds
+    2^(R+1) + 1 values and B is the smallest exact radix.
     """
 
     modulus: int
     fractional_bits: int
+    fan_in: int = 1
 
     def __post_init__(self) -> None:
         if self.fractional_bits <= 0:
             raise ConfigError("fractional_bits must be positive")
+        if self.fan_in < 1:
+            raise ConfigError(f"fan_in={self.fan_in} must be at least 1")
         if self._range_bits <= self.fractional_bits:
             raise ConfigError(
                 f"a {self.modulus.bit_length()}-bit modulus is too small for "
-                f"{self.fractional_bits} fractional bits"
+                f"{self.fractional_bits} fractional bits at fan-in {self.fan_in}"
             )
         if self._radix**2 > self.modulus:
             raise ConfigError(
-                f"a modulus below (2^{self._range_bits + 1} + 1)^2 cannot hold "
-                f"the (s, w) pair layout"
+                f"a modulus below ({self.fan_in} * 2^{self._range_bits + 1} + 1)^2 "
+                f"cannot hold the (s, w) pair layout"
             )
 
     @functools.cached_property
     def _range_bits(self) -> int:
-        """R, log2 of the bound on |encoded|: (bits(n) - 1) // 2 - 1."""
-        return (self.modulus.bit_length() - 1) // 2 - 1
+        """R, log2 of the bound on |encoded|:
+        (bits(n) - 1) // 2 - 1 - ceil(log2(fan_in))."""
+        return (self.modulus.bit_length() - 1) // 2 - 1 - (self.fan_in - 1).bit_length()
 
     @functools.cached_property
     def _radix(self) -> int:
-        """B = 2^(R+1) + 1, the radix of the pair layout."""
-        return (1 << (self._range_bits + 1)) + 1
+        """B = fan_in * 2^(R+1) + 1, the radix of the pair layout."""
+        return (self.fan_in << (self._range_bits + 1)) + 1
 
     @functools.cached_property
     def max_magnitude(self) -> int:
@@ -436,24 +450,43 @@ class FixedPointCodec:
 
     def decode_pair(self, m: int) -> tuple[float, float]:
         """The (s, w) pair that ``encode_pair`` packed into m, each slot
-        decoded as ``decode`` decodes its residue; a plaintext outside
-        [0, B^2) raises ``MagnitudeOverflow``."""
+        decoded as ``decode`` decodes its residue: ``decode_sum`` of a sum
+        of one pair."""
+        return self.decode_sum(m, 1)
+
+    def decode_sum(self, m: int, count: int) -> tuple[float, float]:
+        """The (s, w) sums of the ``count`` packed pairs whose plaintexts
+        add up to m: each slot's digit minus count * 2^R, the exact sum of
+        the encodings, divided by 2^f with one rounding.  A count above
+        the fan-in, a plaintext outside [0, B^2) or a digit above
+        count * 2^(R+1), which no sum of ``count`` pairs makes, raises
+        ``MagnitudeOverflow``."""
+        if not 1 <= count <= self.fan_in:
+            raise MagnitudeOverflow(
+                f"a sum of {count} pairs is outside the pair layout of fan-in {self.fan_in}"
+            )
         radix = self._radix
         if not 0 <= m < radix * radix:
             raise MagnitudeOverflow(f"plaintext {m} outside the pair layout")
-        offset, n = 1 << self._range_bits, self.modulus
-        high, low = ((slot - offset) % n for slot in divmod(m, radix))
-        return self.decode(high), self.decode(low)
+        digits = divmod(m, radix)
+        if max(digits) > count << (self._range_bits + 1):
+            raise MagnitudeOverflow(
+                f"plaintext {m} outside the pair layout of a sum of {count} pairs"
+            )
+        offset, scale = count << self._range_bits, 2**self.fractional_bits
+        high, low = ((digit - offset) / scale for digit in digits)
+        return high, low
 
 
-def smallest_key_bits(fractional_bits: int) -> int:
+def smallest_key_bits(fractional_bits: int, fan_in: int = 1) -> int:
     """Smallest ``keygen`` size whose every modulus admits a codec with
-    ``fractional_bits`` fractional bits.
+    ``fractional_bits`` fractional bits and fan-in ``fan_in``.
 
     keygen multiplies two (key_bits // 2)-bit primes, so n has
     2 * (key_bits // 2) bits or one fewer; the codec needs
-    (bits(n) - 1) // 2 - 1 > fractional_bits, which the shorter n meets
-    exactly from key_bits // 2 = fractional_bits + 3 on.  The pair layout
-    fits every such n (see ``FixedPointCodec``).
+    (bits(n) - 1) // 2 - 1 - ceil(log2(fan_in)) > fractional_bits, which
+    the shorter n meets exactly from
+    key_bits // 2 = fractional_bits + 3 + ceil(log2(fan_in)) on.  The pair
+    layout fits every such n (see ``FixedPointCodec``).
     """
-    return max(MIN_KEY_BITS, 2 * (fractional_bits + 3))
+    return max(MIN_KEY_BITS, 2 * (fractional_bits + 3 + (fan_in - 1).bit_length()))

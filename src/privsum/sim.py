@@ -13,6 +13,7 @@ import json
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -34,12 +35,13 @@ from .errors import (
     MalformedCiphertext,
     RangeUncovered,
 )
-from .graph import DirectedGraph, is_strongly_connected, max_out_degree
+from .graph import DirectedGraph, is_strongly_connected, max_in_degree, max_out_degree
 from .paillier import (
     Ciphertext,
     FixedPointCodec,
     PaillierKeypair,
     PaillierPublicKey,
+    check_ciphertext,
     decrypt,
     encrypt,
     keygen,
@@ -55,16 +57,17 @@ MODES = (MODE_ALGORITHM0, MODE_ALGORITHM1, MODE_ALGORITHM2)
 DEFAULT_FRACTIONAL_BITS = 48
 
 
-def check_key_bits(key_bits: int, fractional_bits: int) -> None:
+def check_key_bits(key_bits: int, fractional_bits: int, fan_in: int = 1) -> None:
     """Raise ``ConfigError`` unless ``key_bits``-bit Paillier keys can carry
-    shares with ``fractional_bits`` fractional bits."""
+    shares with ``fractional_bits`` fractional bits to a receiver that sums
+    ``fan_in`` of them."""
     if fractional_bits <= 0:
         raise ConfigError("fractional_bits must be positive")
-    smallest = smallest_key_bits(fractional_bits)
+    smallest = smallest_key_bits(fractional_bits, fan_in)
     if key_bits < smallest:
         raise ConfigError(
-            f"key_bits={key_bits} cannot hold fractional_bits="
-            f"{fractional_bits}; the smallest usable key size is {smallest}"
+            f"key_bits={key_bits} cannot hold fractional_bits={fractional_bits} "
+            f"at fan-in {fan_in}; the smallest usable key size is {smallest}"
         )
 
 
@@ -132,7 +135,10 @@ class ExperimentConfig:
             )
         self.params  # triggers WeightParams validation
         if self.mode == MODE_ALGORITHM2:
-            check_key_bits(self.key_bits, self.fractional_bits)
+            # A receiver sums its in-links' pairs, so the graph's largest
+            # in-degree sets the layout's headroom.
+            fan_in = max(1, max_in_degree(self.graph))
+            check_key_bits(self.key_bits, self.fractional_bits, fan_in)
         if isinstance(self.x0, dict):
             if set(self.x0) != {"low", "high"} or not _finite(self.x0.values()):
                 raise ConfigError("x0 range must be {'low': a, 'high': b}, both finite")
@@ -330,20 +336,28 @@ def error_series(trajectory: Trajectory, x0: Sequence[float]) -> MetricsSeries:
 
 class PaillierChannel:
     """Encrypts each link's share pair under the receiver's public key in
-    transit, one round of links per call.
+    transit, and decrypts each receiver's in-links of a round as one sum.
 
     The one share-crypto path for both runs of the protocol: the simulator
     holds every node's keypair, a networked node only its own, next to the
-    directory of public keys it learned.  The receiver's fixed-point codec,
-    built once per key, packs a link's (s, w) pair into one plaintext
-    (``encode_pair``), which is encrypted as one ciphertext, decrypted with
-    the CRT ``decrypt`` and unpacked (``decode_pair``): per link-round one
-    encryption and two half-size exponentiations.  Each node whose keypair
-    is held encrypts with its own seeded blinding stream.
-    Per-ciphertext wall-clock latencies are collected in ``encrypt_seconds``
-    and ``decrypt_seconds``.  A receiver key's blinding table is built on
-    its first use and timed on its own, in ``table_build_seconds``, so that
-    ``encrypt_seconds`` holds single encryptions only.
+    directory of public keys it learned.  Each receiver's fixed-point
+    codec, built once per key with the receiver's in-degree as its fan-in,
+    packs a link's (s, w) pair into one plaintext (``encode_pair``), which
+    is encrypted as one ciphertext.  A receiver multiplies its round's
+    ciphertexts mod n^2, decrypts the product once with the CRT
+    ``decrypt`` and unpacks the exact sum of its in-links' pairs
+    (``decode_sum``): per round one encryption per link and two half-size
+    exponentiations per receiver.  ``in_degrees`` maps each receiver to
+    its fan-in, the most ciphertexts it sums; without it a receiver's
+    fan-in is its number of links in the call at hand, which is its
+    in-degree when one call carries a whole round, as in the simulator.
+    Each node whose keypair is held encrypts with its own seeded blinding
+    stream.
+    Wall-clock latencies are collected per ciphertext in ``encrypt_seconds``
+    and per receiver-round in ``decrypt_seconds``.  A receiver key's
+    blinding table is built on its first use and timed on its own, in
+    ``table_build_seconds``, so that ``encrypt_seconds`` holds single
+    encryptions only.
     """
 
     def __init__(
@@ -352,11 +366,13 @@ class PaillierChannel:
         keypairs: Mapping[int, PaillierKeypair],
         fractional_bits: int,
         seed: int,
+        in_degrees: Mapping[int, int] | None = None,
     ) -> None:
         self.public_keys = public_keys
         self.keypairs = keypairs
         self.fractional_bits = fractional_bits
-        self._codecs: dict[int, FixedPointCodec] = {}
+        self.in_degrees = in_degrees
+        self._codecs: dict[tuple[int, int], FixedPointCodec] = {}
         self._rngs = {
             i: random.Random(derive_seed("encrypt", seed, i)) for i in keypairs
         }
@@ -365,15 +381,17 @@ class PaillierChannel:
         self.table_build_seconds: list[float] = []
         self._tabled: set[int] = set()
 
-    def _codec(self, node: int) -> FixedPointCodec:
-        if node not in self._codecs:
-            self._codecs[node] = FixedPointCodec(
-                self.public_keys[node].n, self.fractional_bits
-            )
-        return self._codecs[node]
+    def _fan_ins(self, receivers: Sequence[int]) -> Mapping[int, int]:
+        return Counter(receivers) if self.in_degrees is None else self.in_degrees
 
-    def _encrypt(self, sender: int, receiver: int, s: float, w: float) -> Ciphertext:
-        plain = self._codec(receiver).encode_pair(s, w)
+    def _codec(self, node: int, fan_in: int) -> FixedPointCodec:
+        if (node, fan_in) not in self._codecs:
+            self._codecs[node, fan_in] = FixedPointCodec(
+                self.public_keys[node].n, self.fractional_bits, fan_in
+            )
+        return self._codecs[node, fan_in]
+
+    def _encrypt(self, sender: int, receiver: int, plain: int) -> Ciphertext:
         public = self.public_keys[receiver]
         if receiver not in self._tabled:
             start = time.perf_counter()
@@ -385,14 +403,12 @@ class PaillierChannel:
         self.encrypt_seconds.append(time.perf_counter() - start)
         return cipher
 
-    def _decrypt(self, receiver: int, cipher: Ciphertext) -> tuple[float, float]:
-        start = time.perf_counter()
-        plain = decrypt(self.keypairs[receiver], cipher)
-        self.decrypt_seconds.append(time.perf_counter() - start)
-        return self._codec(receiver).decode_pair(plain)
-
     def transmit(
-        self, senders: Sequence[int], receivers: Sequence[int], shares: np.ndarray
+        self,
+        senders: Sequence[int],
+        receivers: Sequence[int],
+        shares: np.ndarray,
+        decoded: np.ndarray | None = None,
     ) -> np.ndarray:
         """Encrypt one round's shares for the wire.
 
@@ -400,12 +416,19 @@ class PaillierChannel:
         the link ``senders[i] -> receivers[i]``.  Returns the ``(m,)``
         object array of ciphertexts, one per link, each the link's packed
         pair, encrypted in link order, so each sender's blinding stream is
-        consumed in link order.
+        consumed in link order.  A ``(2, m)`` ``decoded`` array, when
+        given, receives the pair each ciphertext decrypts to: the codec's
+        round trip of the link's pair, without a decryption.
         """
         wire = np.empty(len(senders), dtype=object)
+        fan_ins = self._fan_ins(receivers)
         links = zip(senders, receivers, *shares.tolist())
         for i, (sender, receiver, s, w) in enumerate(links):
-            wire[i] = self._encrypt(sender, receiver, s, w)
+            codec = self._codec(receiver, fan_ins[receiver])
+            plain = codec.encode_pair(s, w)
+            wire[i] = self._encrypt(sender, receiver, plain)
+            if decoded is not None:
+                decoded[:, i] = codec.decode_pair(plain)
         return wire
 
     def receive(
@@ -416,17 +439,43 @@ class PaillierChannel:
         wire: Sequence[Ciphertext],
     ) -> np.ndarray:
         """Decrypt one round's ciphertexts, laid out as in ``transmit``,
-        into the ``(2, m)`` shares the receivers apply.  A ciphertext that
-        is malformed, or whose plaintext is no packed pair, raises
-        ``DecryptFailure``."""
-        shares = np.empty((2, len(wire)))
-        for i, (sender, receiver, cipher) in enumerate(zip(senders, receivers, wire)):
+        into the ``(2, m)`` shares the receivers fold: each receiver's
+        ciphertexts are checked one by one, multiplied and decrypted once,
+        and the sum of their pairs fills the column of its lowest sender,
+        -0.0 its other columns, so the fold adds the sum alone.  A
+        malformed ciphertext raises ``DecryptFailure`` naming its sender;
+        a sum that is no sum of that many packed pairs, or more
+        ciphertexts than the receiver's fan-in, one naming every sender in
+        the sum."""
+        shares = np.full((2, len(wire)), -0.0)
+        fan_ins = self._fan_ins(receivers)
+        columns: dict[int, list[int]] = {}
+        for i, receiver in enumerate(receivers):
+            columns.setdefault(receiver, []).append(i)
+        for receiver, cols in columns.items():
+            keypair = self.keypairs[receiver]
+            public = keypair.public
+            product = 1
+            for i in cols:
+                try:
+                    check_ciphertext(keypair, wire[i])
+                except MalformedCiphertext as exc:
+                    raise DecryptFailure(
+                        f"node {receiver}: round-{round_k} share from {senders[i]}: {exc}"
+                    ) from exc
+                product = product * wire[i].value % public.n_squared
+            start = time.perf_counter()
+            plain = decrypt(keypair, Ciphertext(product, public.key_id))
+            self.decrypt_seconds.append(time.perf_counter() - start)
             try:
-                shares[:, i] = self._decrypt(receiver, cipher)
-            except (MalformedCiphertext, MagnitudeOverflow) as exc:
+                pair = self._codec(receiver, fan_ins[receiver]).decode_sum(plain, len(cols))
+            except MagnitudeOverflow as exc:
+                names = ", ".join(str(senders[i]) for i in cols)
                 raise DecryptFailure(
-                    f"node {receiver}: round-{round_k} share from {sender}: {exc}"
+                    f"node {receiver}: round-{round_k} share{'s' * (len(cols) > 1)} "
+                    f"from {names}: {exc}"
                 ) from exc
+            shares[:, min(cols, key=senders.__getitem__)] = pair
         return shares
 
 
@@ -454,6 +503,8 @@ class ExperimentResult:
     adversary_view: AdversaryView | None
     mean_encrypt_seconds: float | None = None
     mean_decrypt_seconds: float | None = None
+    # Decryptions made, one per receiver-round; None in the clear.
+    decrypts: int | None = None
 
 
 def run_experiment(
@@ -466,7 +517,7 @@ def run_experiment(
     """
     config.validate()
     x0 = resolve_x0(config, target_override)
-    mean_encrypt = mean_decrypt = None
+    mean_encrypt = mean_decrypt = decrypts = None
     if config.mode == MODE_ALGORITHM0:
         record = run_algorithm0(config.graph, x0, rounds=config.max_rounds)
     else:
@@ -478,6 +529,7 @@ def run_experiment(
                 keypairs,
                 config.fractional_bits,
                 config.seed,
+                {i: config.graph.in_degree(i) for i in config.graph.nodes()},
             )
         record = run_algorithm1(
             config.graph, x0, config.params, config.seed, config.max_rounds, channel=channel
@@ -485,6 +537,7 @@ def run_experiment(
         if channel is not None and channel.encrypt_seconds:
             mean_encrypt = float(np.mean(channel.encrypt_seconds))
             mean_decrypt = float(np.mean(channel.decrypt_seconds))
+            decrypts = len(channel.decrypt_seconds)
     metrics = error_series(record.trajectory, x0)
     view = None
     if config.adversary is not None:
@@ -496,6 +549,7 @@ def run_experiment(
         adversary_view=view,
         mean_encrypt_seconds=mean_encrypt,
         mean_decrypt_seconds=mean_decrypt,
+        decrypts=decrypts,
     )
 
 

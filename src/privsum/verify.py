@@ -23,6 +23,7 @@ from .adversary import (
 )
 from .consensus import WeightTable, algorithm1_weights
 from .errors import PrivsumError
+from .graph import max_in_degree
 from .paillier import (
     FixedPointCodec,
     add_ciphertexts,
@@ -283,21 +284,45 @@ def suite_crypto_roundtrip(config: ExperimentConfig) -> SuiteResult:
     top = math.nextafter(bound, 0.0)
     tiny = 2.0**-config.fractional_bits
     edges = [bound, top, top / 2, tiny, 0.0, -tiny, -top / 2, -top, -bound]
-    # As the (s, w) pairs of one round of self-links of a one-node channel,
-    # the share path a run ships; w runs the edges backwards, so the pairs
-    # mix signs and a slot mix-up shows.
-    channel = PaillierChannel({0: kp.public}, {0: kp}, config.fractional_bits, config.seed)
+    # As the (s, w) pairs of self-links of a one-node channel, one link a
+    # round, the share path a run ships; w runs the edges backwards, so the
+    # pairs mix signs and a slot mix-up shows.
+    channel = PaillierChannel(
+        {0: kp.public}, {0: kp}, config.fractional_bits, config.seed, {0: 1}
+    )
     links = [0] * len(edges)
     sent = np.array([edges, edges[::-1]])
-    back = channel.receive(links, links, 0, channel.transmit(links, links, sent))
+    wire = channel.transmit(links, links, sent)
+    back = np.hstack([channel.receive([0], [0], k, wire[k : k + 1]) for k in range(len(wire))])
     for v, got in zip(sent.ravel().tolist(), back.ravel().tolist()):
         if got != codec.decode(codec.encode(v)):
             return SuiteResult("crypto-roundtrip", False, f"share path failed for {v!r}")
+    # Then as the sums a receiver of the graph's largest in-degree
+    # decrypts, the edges scaled by a power of two into its layout.  Each
+    # decoded value is exact, so fsum rounds their sum once, as the exact
+    # sum of the encodings divided by 2^f is rounded.
+    fan_in = max(1, max_in_degree(config.graph))
+    wide = FixedPointCodec(kp.public.n, config.fractional_bits, fan_in)
+    scaled = sent * (wide.max_magnitude / codec.max_magnitude)
+    summing = PaillierChannel(
+        {0: kp.public}, {0: kp}, config.fractional_bits, config.seed, {0: fan_in}
+    )
+    for start in range(0, len(edges), fan_in):
+        pairs = scaled[:, start : start + fan_in]
+        links = [0] * pairs.shape[1]
+        wire = summing.transmit(links, links, pairs)
+        got = summing.receive(links, links, start, wire)[:, 0].tolist()
+        want = [math.fsum(wide.decode(wide.encode(v)) for v in row) for row in pairs.tolist()]
+        if got != want:
+            return SuiteResult(
+                "crypto-roundtrip", False, f"share path failed for the sum of {pairs.tolist()}"
+            )
     return SuiteResult(
         "crypto-roundtrip",
         True,
         f"keygen, roundtrip, homomorphism; {len(edges)} codec-edge pairs "
-        f"through the packed share path; {len(values)} codec values, {margin}",
+        f"through the packed share path, alone and summed {fan_in} at a time; "
+        f"{len(values)} codec values, {margin}",
     )
 
 

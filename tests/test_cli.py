@@ -100,7 +100,7 @@ PRESET_CSV_SHA256 = {
     ("fig2", "series_K5.csv"): "89d065330f59b582093390dd586de97aaad28872b5beb4961e111fbb50604e44",
     ("fig2", "series_K9.csv"): "3d02520b30005e2cc8657b32591a1771214917492f9f7d1a1021b42efe9d779b",
     ("fig3", "series.csv"): "4dc2d14469882ad49fa6ec6175bf335615406b2999a7d667c7ab26ad66a99620",
-    ("fig7", "series.csv"): "4d3bad456ea8bfd10bcdb5241d320f30b872220e1912f0f3287fe566eec54c4c",
+    ("fig7", "series.csv"): "5e23f3d6274023c292141ddd4d37b2fbc423d1dc4b4994600cc53d74931919b1",
 }
 
 
@@ -113,6 +113,16 @@ def test_preset_csvs_match_their_pinned_digests(tmp_path, preset):
     for name in written:
         digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert digest == PRESET_CSV_SHA256[preset, name], name
+
+
+def test_simulate_manifest_counts_one_decryption_per_receiver_round(tmp_path):
+    assert main(["simulate", "--preset", "fig7", "--out-dir", str(tmp_path / "fig7")]) == 0
+    [run] = json.loads((tmp_path / "fig7" / "manifest.json").read_text())["runs"]
+    # 5 receivers, 100 rounds; 8 links encrypt 800 times
+    assert run["decrypts"] == 500
+    assert main(["simulate", "--preset", "fig3", "--out-dir", str(tmp_path / "fig3")]) == 0
+    [run] = json.loads((tmp_path / "fig3" / "manifest.json").read_text())["runs"]
+    assert run["decrypts"] is None
 
 
 def test_simulate_rejects_bad_epsilon(tmp_path, capsys):
@@ -635,7 +645,7 @@ def test_verify_command_passes(tmp_path, capsys):
 def test_crypto_roundtrip_suite_sends_the_codec_edges_through_the_share_path(
     tmp_path, monkeypatch
 ):
-    unpack = FixedPointCodec.decode_pair
+    unpack = FixedPointCodec.decode_sum
     config = ExperimentConfig.from_yaml(write_config(tmp_path / "c.yaml", key_bits=128))
     result = verify.suite_crypto_roundtrip(config)
     assert result.passed
@@ -643,10 +653,19 @@ def test_crypto_roundtrip_suite_sends_the_codec_edges_through_the_share_path(
     # a pair unpacked with its slots swapped breaks every mixed-sign pair
     with monkeypatch.context() as patch:
         patch.setattr(
-            FixedPointCodec, "decode_pair", lambda self, m: unpack(self, m)[::-1]
+            FixedPointCodec, "decode_sum", lambda self, m, count: unpack(self, m, count)[::-1]
         )
         result = verify.suite_crypto_roundtrip(config)
     assert not result.passed and "share path failed" in result.detail
+    # a sum decoded one unit of 2^-f off fails, though single pairs pass
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            FixedPointCodec,
+            "decode_sum",
+            lambda self, m, count: unpack(self, m - (count > 1), count),
+        )
+        result = verify.suite_crypto_roundtrip(config)
+    assert not result.passed and "share path failed for the sum of" in result.detail
     # and the channel's own decryption is the one checked: off by one fails
     monkeypatch.setattr(sim, "decrypt", lambda kp, c: decrypt(kp, c) + 1)
     result = verify.suite_crypto_roundtrip(config)

@@ -15,6 +15,7 @@ from privsum.consensus import (
 )
 from privsum.errors import ConfigError, DivisionByZero, NotStronglyConnected
 from privsum.graph import DirectedGraph, random_strongly_connected_graph
+from privsum.paillier import FixedPointCodec, decrypt
 from privsum.sim import PaillierChannel, node_keypairs
 from privsum.weights import WeightParams, node_rng
 from reference_pushsum import (
@@ -245,8 +246,11 @@ def _message_passing(graph, x0, weight_source, rounds, channel=None):
     ``reference_pushsum``: every node sends through ``outgoing_shares``,
     every node folds its inbox with ``apply_round``; shares travel sender by
     sender, receiver by receiver, in the clear or, with a channel, through
-    one-link ``transmit``/``receive`` calls whose ciphertext values are
-    kept."""
+    one-link ``transmit`` calls whose ciphertext values are kept.  Under a
+    channel each link delivers its ciphertext decrypted alone and unpacked
+    with ``decode_pair``, and each receiver folds what one ``receive`` call
+    over its in-links returns: their sum in its lowest sender's message,
+    -0.0 in the others."""
     states = [initial_state(i, x0[i]) for i in graph.nodes()]
     out = {"states": [states], "weights": [], "retained": [], "delivered": [], "wire": []}
     for k in range(rounds):
@@ -258,12 +262,28 @@ def _message_passing(graph, x0, weight_source, rounds, channel=None):
             for msg in msgs:
                 if channel is not None:
                     link = ([msg.sender], [msg.receiver])
-                    sent = channel.transmit(*link, np.array([[msg.s_share], [msg.w_share]]))
-                    wire.append(sent[0].value)
-                    (s_share,), (w_share,) = channel.receive(*link, msg.round, sent).tolist()
-                    msg = ShareMessage(msg.sender, msg.receiver, msg.round, s_share, w_share)
+                    (sent,) = channel.transmit(*link, np.array([[msg.s_share], [msg.w_share]]))
+                    wire.append(sent)
+                    keypair = channel.keypairs[msg.receiver]
+                    codec = FixedPointCodec(
+                        keypair.public.n,
+                        channel.fractional_bits,
+                        channel.in_degrees[msg.receiver],
+                    )
+                    pair = codec.decode_pair(decrypt(keypair, sent))
+                    msg = ShareMessage(msg.sender, msg.receiver, msg.round, *pair)
                 delivered.append(msg)
                 inboxes[msg.receiver].append(msg)
+        if channel is not None:
+            for i, inbox in inboxes.items():
+                senders = [m.sender for m in inbox]
+                ciphers = [c for c, m in zip(wire, delivered) if m.receiver == i]
+                summed = channel.receive(senders, [i] * len(inbox), k, ciphers)
+                inboxes[i] = [
+                    ShareMessage(m.sender, i, k, s_share, w_share)
+                    for m, (s_share, w_share) in zip(inbox, summed.T.tolist())
+                ]
+            wire = [c.value for c in wire]
         states = [
             apply_round(states[i], inboxes[i], kept[i], graph.in_neighbors(i))
             for i in graph.nodes()
@@ -403,10 +423,15 @@ def test_array_engine_matches_message_passing_encrypted(graph_index):
     graph, x0 = _parity_graphs()[graph_index]
     eps = 0.5 / (max(graph.out_degree(i) for i in graph.nodes()) + 1)
     params = WeightParams(big_k=1, epsilon=eps)
-    keypairs = node_keypairs(graph, 128, 3)
+    # 136-bit keys give the random graph's fan-in-10 layout the range
+    # 2^14 that 128-bit keys give a fan-in-1 layout
+    keypairs = node_keypairs(graph, 136, 3)
 
     def channel():
-        return PaillierChannel({i: kp.public for i, kp in keypairs.items()}, keypairs, 48, 3)
+        in_degrees = {i: graph.in_degree(i) for i in graph.nodes()}
+        return PaillierChannel(
+            {i: kp.public for i, kp in keypairs.items()}, keypairs, 48, 3, in_degrees
+        )
 
     record = run_algorithm1(graph, x0, params, seed=3, rounds=4, channel=channel())
     ref = _message_passing(

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from privsum.consensus import run_algorithm1
 from privsum.errors import ConfigError, DecryptFailure, PeerDisconnected, ProtocolError, Timeout
-from privsum.graph import DirectedGraph, default_demo_graph
+from privsum.graph import DirectedGraph, default_demo_graph, max_in_degree
 from privsum.net import (
     MODE_ENCRYPTED,
     MODE_PLAIN,
@@ -64,11 +64,15 @@ def make_config(**overrides):
         seed=7,
     )
     base.update(overrides)
-    # An encrypted node refuses keys too small for its fractional bits, so
-    # the 64-bit keys that keep key generation fast here get the most they
-    # can carry; keys of 102 bits and up keep the default.
+    # An encrypted node refuses keys too small for its fractional bits and
+    # its graph's fan-in, so the 64-bit keys that keep key generation fast
+    # here get the most they can carry; keys of 102 bits and up (104 at the
+    # demo graph's fan-in 2) keep the default.
     key_bits = base.get("key_bits", 256)
-    base.setdefault("fractional_bits", min(DEFAULT_FRACTIONAL_BITS, key_bits // 2 - 3))
+    fan_in_bits = (max_in_degree(base["graph"]) - 1).bit_length()
+    base.setdefault(
+        "fractional_bits", min(DEFAULT_FRACTIONAL_BITS, key_bits // 2 - 3 - fan_in_bits)
+    )
     return ExperimentConfig(**base)
 
 
@@ -672,6 +676,18 @@ def test_encrypted_node_rejects_keys_too_small_for_its_fractional_bits():
     socket.create_server(peers[0]).close()
 
 
+def test_encrypted_node_rejects_keys_too_small_for_its_graph_fan_in():
+    # 102 bits hold f = 48 for one in-link; the demo graph sums two
+    config = make_config(key_bits=102, fractional_bits=48, mode=MODE_ALGORITHM2)
+    ports = allocate_ports(5)
+    peers = {i: ("127.0.0.1", ports[i]) for i in range(5)}
+    with pytest.raises(ConfigError, match="at fan-in 2; the smallest usable key size is 104"):
+        NodeRuntime(0, peers[0], peers, config)
+    # raised before any socket opened: the listen port is still free
+    socket.create_server(peers[0]).close()
+    NodeRuntime(0, peers[0], peers, replace(config, key_bits=104))
+
+
 @pytest.mark.parametrize(
     "overrides, message",
     [
@@ -931,4 +947,6 @@ def test_fig7_manifests_count_the_frames_and_bytes_each_node_sent(tmp_path):
         assert manifest["frames_sent"] == len(frames) == d_out * (n + config.max_rounds)
         shares = [f for f in frames if f.msg_type == MSG_SHARE_ENC]
         assert len(shares) == d_out * config.max_rounds
+        # one decryption per round, of the sum of its in-links' ciphertexts
+        assert manifest["decrypts"] == config.max_rounds
         assert max(len(encode_frame(f)) for f in shares) <= 18 + 68

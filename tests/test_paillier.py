@@ -373,16 +373,22 @@ def test_smallest_key_bits_is_the_first_size_whose_every_modulus_fits(fractional
         half = 1 << (key_bits // 2 - 1)
         return (half + 1) ** 2
 
-    smallest = smallest_key_bits(fractional_bits)
-    FixedPointCodec(shortest_modulus(smallest), fractional_bits)
-    kp = keygen(smallest, random.Random(fractional_bits))
-    FixedPointCodec(kp.public.n, fractional_bits)
-    if smallest > 16:
-        with pytest.raises(ConfigError):
-            FixedPointCodec(shortest_modulus(smallest - 1), fractional_bits)
-    else:
-        with pytest.raises(ConfigError):
-            keygen(smallest - 1)
+    assert smallest_key_bits(fractional_bits) == smallest_key_bits(fractional_bits, 1)
+    for fan_in in range(1, 9):
+        smallest = smallest_key_bits(fractional_bits, fan_in)
+        FixedPointCodec(shortest_modulus(smallest), fractional_bits, fan_in)
+        kp = keygen(smallest, random.Random(fractional_bits))
+        FixedPointCodec(kp.public.n, fractional_bits, fan_in)
+        if smallest > 16:
+            with pytest.raises(ConfigError):
+                FixedPointCodec(shortest_modulus(smallest - 1), fractional_bits, fan_in)
+        else:
+            with pytest.raises(ConfigError):
+                keygen(smallest - 1)
+        # each doubling of the fan-in costs one bit per value, two per key
+        assert smallest == max(16, smallest_key_bits(fractional_bits) + 2 * math.ceil(
+            math.log2(fan_in)
+        ))
 
 
 # -- the (s, w) pair layout -----------------------------------------------
@@ -480,3 +486,106 @@ def test_every_keygen_modulus_holds_the_pair_layout(bits):
         lengths.add(n.bit_length() % 2)
         assert FixedPointCodec(n, 48)._radix ** 2 <= n
     assert lengths == {0, 1}
+
+
+# -- sums of packed pairs -------------------------------------------------
+
+SUM_FAN_INS = (1, 2, 3, 4, 7, 8, 64)
+# One keygen modulus per size, each with room for 64 summed pairs.
+SUM_KEYS = {bits: keygen(bits, random.Random(bits)) for bits in (64, 128, 256, 512)}
+
+
+def _sum_codec(bits, fan_in):
+    return FixedPointCodec(SUM_KEYS[bits].public.n, 16 if bits == 64 else 48, fan_in)
+
+
+def _signed(codec, v):
+    e = codec.encode(v)
+    return e - codec.modulus if e > codec.modulus // 2 else e
+
+
+@pytest.mark.parametrize("bits", sorted(SUM_KEYS))
+def test_fan_in_one_is_the_plain_pair_layout(bits):
+    """The pair layout before fan-in existed, written out: range
+    R = (bits(n) - 1) // 2 - 1, radix 2^(R+1) + 1, residues offset by 2^R."""
+    codec = _sum_codec(bits, 1)
+    n, f = codec.modulus, codec.fractional_bits
+    range_bits = (n.bit_length() - 1) // 2 - 1
+    radix = 2 ** (range_bits + 1) + 1
+    assert (codec._range_bits, codec._radix) == (range_bits, radix)
+    assert codec.max_magnitude == 2 ** (range_bits - f)
+    assert codec == FixedPointCodec(n, f)
+    rng = random.Random(bits)
+    top = float(codec.max_magnitude)
+    for s, w in [(top, -top), (-top, top), (0.0, -0.0)] + [
+        (rng.uniform(-top, top), rng.uniform(-top, top)) for _ in range(50)
+    ]:
+        packed = ((codec.encode(s) + 2**range_bits) % n) * radix + (
+            codec.encode(w) + 2**range_bits
+        ) % n
+        assert codec.encode_pair(s, w) == packed
+        assert codec.decode_pair(packed) == tuple(codec.decode(codec.encode(v)) for v in (s, w))
+
+
+@pytest.mark.parametrize("bits", sorted(SUM_KEYS))
+@pytest.mark.parametrize("fan_in", SUM_FAN_INS)
+def test_sums_of_up_to_fan_in_pairs_unpack_exactly(bits, fan_in):
+    """Each doubling of the fan-in halves the range; a sum of up to fan_in
+    packed pairs, at the range edges or mixed, unpacks to the exact sum of
+    the encodings over 2^f, and a product of their ciphertexts decrypts to
+    that sum."""
+    codec = _sum_codec(bits, fan_in)
+    wide = _sum_codec(bits, 1)
+    assert codec._range_bits == wide._range_bits - math.ceil(math.log2(fan_in))
+    assert codec._radix == fan_in * 2 ** (codec._range_bits + 1) + 1 <= wide._radix
+    top = float(codec.max_magnitude)
+    rng = random.Random(bits * fan_in)
+    cases = [
+        [(top, top)] * fan_in,
+        [(-top, -top)] * fan_in,
+        [(top, -top)] * fan_in,
+        [(-top, top)] * fan_in,
+        [(top, -top), (-top, top)] * (fan_in // 2) + [(top, top)] * (fan_in % 2),
+        [(rng.uniform(-top, top), rng.choice((top, -top))) for _ in range(fan_in)],
+        [(rng.uniform(-top, top), rng.uniform(-1.0, 1.0)) for _ in range(max(1, fan_in - 1))],
+    ]
+    for pairs in cases:
+        count = len(pairs)
+        total = sum(codec.encode_pair(s, w) for s, w in pairs)
+        assert total < codec._radix**2 <= codec.modulus
+        want = tuple(
+            sum(_signed(codec, pair[side]) for pair in pairs) / 2**codec.fractional_bits
+            for side in (0, 1)
+        )
+        assert codec.decode_sum(total, count) == want
+    public = SUM_KEYS[bits].public
+    ciphers = [encrypt(public, codec.encode_pair(s, w), rng) for s, w in cases[0]]
+    product = ciphers[0]
+    for cipher in ciphers[1:]:
+        product = add_ciphertexts(public, product, cipher)
+    got = codec.decode_sum(decrypt(SUM_KEYS[bits], product), fan_in)
+    assert got == (fan_in * top, fan_in * top)
+
+
+def test_sum_decoder_refuses_what_no_sum_of_count_pairs_makes():
+    codec = _sum_codec(256, 2)
+    edge = 2 ** (codec._range_bits + 1)
+    # two pairs fit the fan-in-2 layout; three are more than it holds
+    both = codec.encode_pair(1.0, -2.0) + codec.encode_pair(3.0, 4.0)
+    assert codec.decode_sum(both, 2) == (4.0, 2.0)
+    with pytest.raises(MagnitudeOverflow, match="pair layout of fan-in 2"):
+        codec.decode_sum(both, 3)
+    with pytest.raises(MagnitudeOverflow, match="pair layout of fan-in 2"):
+        codec.decode_sum(both, 0)
+    # a digit above count * 2^(R+1) is no sum of count pairs
+    with pytest.raises(MagnitudeOverflow, match="outside the pair layout of a sum of 1"):
+        codec.decode_pair((edge + 1) * codec._radix)
+    assert codec.decode_sum((edge + 1) * codec._radix, 2)[0] == (
+        (edge + 1 - edge) / 2**codec.fractional_bits
+    )
+    with pytest.raises(MagnitudeOverflow, match="outside the pair layout"):
+        codec.decode_sum(codec._radix**2, 2)
+    with pytest.raises(ConfigError, match="fan_in=0"):
+        FixedPointCodec(codec.modulus, 48, 0)
+    with pytest.raises(ConfigError, match="at fan-in 2"):
+        FixedPointCodec(_sum_codec(64, 1).modulus, 29, 2)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from privsum.consensus import Trajectory
-from privsum.errors import ConfigError, RangeUncovered
+from privsum.errors import ConfigError, DecryptFailure, RangeUncovered
 from privsum.graph import DirectedGraph, default_demo_graph
-from privsum.paillier import FixedPointCodec, keygen
+from privsum.paillier import Ciphertext, FixedPointCodec, decrypt, encrypt, keygen
 from privsum.sim import (
     MODE_ALGORITHM0,
     MODE_ALGORITHM1,
@@ -181,20 +181,27 @@ def test_config_refuses_non_finite_inputs(overrides, message):
 
 
 def test_encrypted_config_rejects_a_key_too_small_for_its_fractional_bits():
+    # the demo graph's largest in-degree is 2: one bit of headroom per value
     with pytest.raises(
         ConfigError,
-        match="key_bits=64 cannot hold fractional_bits=48; the smallest usable key size is 102",
+        match="key_bits=64 cannot hold fractional_bits=48 at fan-in 2; "
+        "the smallest usable key size is 104",
     ):
         make_config(mode=MODE_ALGORITHM2, key_bits=64).validate()
-    with pytest.raises(ConfigError, match="smallest usable key size is 70"):
-        make_config(mode=MODE_ALGORITHM2, key_bits=69, fractional_bits=32).validate()
+    with pytest.raises(ConfigError, match="smallest usable key size is 72"):
+        make_config(mode=MODE_ALGORITHM2, key_bits=71, fractional_bits=32).validate()
     with pytest.raises(ConfigError, match="fractional_bits must be positive"):
         make_config(mode=MODE_ALGORITHM2, fractional_bits=0).validate()
     make_config(key_bits=64).validate()  # unencrypted: the key size is unused
-    config = make_config(mode=MODE_ALGORITHM2, key_bits=102)
+    # 102 bits hold f = 48 at fan-in 1 only
+    with pytest.raises(ConfigError, match="smallest usable key size is 104"):
+        make_config(mode=MODE_ALGORITHM2, key_bits=102).validate()
+    ring = DirectedGraph.from_edge_list(3, [[1, 0], [2, 1], [0, 2]])
+    make_config(graph=ring, x0=[1.0, 2.0, 3.0], mode=MODE_ALGORITHM2, key_bits=102).validate()
+    config = make_config(mode=MODE_ALGORITHM2, key_bits=104)
     config.validate()
     for kp in node_keypairs(config.graph, config.key_bits, config.seed).values():
-        assert FixedPointCodec(kp.public.n, 48).max_magnitude == 2
+        assert FixedPointCodec(kp.public.n, 48, fan_in=2).max_magnitude == 2
 
 
 def test_run_experiment_checks_strong_connectivity_once(monkeypatch):
@@ -315,11 +322,71 @@ def test_channel_times_each_receiver_table_apart_from_the_encryptions():
     )
     senders, receivers = [0, 1, 2, 0], [1, 2, 0, 2]
     shares = np.array([[1.0, -2.0, 3.5, 4.0], [0.5, 0.25, 0.125, 1.0]])
+    # node 2's two shares come back as one sum, in the column of its lowest
+    # sender, 0; its other column holds -0.0
+    folded = np.array([[1.0, -0.0, 3.5, 2.0], [0.5, -0.0, 0.125, 1.25]])
     for round_k in range(2):
         wire = channel.transmit(senders, receivers, shares)
-        assert np.array_equal(channel.receive(senders, receivers, round_k, wire), shares)
-    # one encryption and one decryption per link-round
-    assert len(channel.encrypt_seconds) == len(channel.decrypt_seconds) == 2 * len(senders)
+        got = channel.receive(senders, receivers, round_k, wire)
+        assert got.tobytes() == folded.tobytes()
+    # one encryption per link-round, one decryption per receiver-round
+    assert len(channel.encrypt_seconds) == 2 * len(senders)
+    assert len(channel.decrypt_seconds) == 2 * len(set(receivers))
     # one build per receiver key, in its first round, kept by the key object
     assert len(channel.table_build_seconds) == 3
     assert all("blinding_table" in vars(kp.public) for kp in keypairs.values())
+
+
+def _three_key_channel(in_degrees):
+    keypairs = {i: keygen(64, random.Random(i)) for i in range(3)}
+    public = {i: kp.public for i, kp in keypairs.items()}
+    return PaillierChannel(public, keypairs, 16, 1, in_degrees), keypairs
+
+
+def test_channel_refuses_more_ciphertexts_than_the_receiver_fan_in():
+    """Two links into a fan-in-1 layout would carry one slot into the
+    other (s = -2 + 4 came back as 2.00001526, w as -32767.5); the receive
+    names the receiver, the round and both senders instead."""
+    channel, _ = _three_key_channel({1: 1})
+    senders, receivers = [0, 2], [1, 1]
+    wire = channel.transmit(senders, receivers, np.array([[-2.0, 4.0], [0.5, 0.25]]))
+    with pytest.raises(
+        DecryptFailure,
+        match="node 1: round-3 shares from 0, 2: a sum of 2 pairs is outside the "
+        "pair layout of fan-in 1",
+    ):
+        channel.receive(senders, receivers, 3, wire)
+
+
+def test_channel_names_every_sender_of_a_sum_outside_the_layout():
+    channel, keypairs = _three_key_channel({1: 2})
+    public = keypairs[1].public
+    # each plaintext alone is a residue, not a packed pair: their sum's
+    # digits are no sum of two pairs
+    wire = [encrypt(public, public.n - 1, random.Random(k)) for k in range(2)]
+    with pytest.raises(
+        DecryptFailure, match="node 1: round-0 shares from 0, 2: .*outside the pair layout"
+    ):
+        channel.receive([0, 2], [1, 1], 0, wire)
+    # a malformed ciphertext is named by its own sender, before any decryption
+    wire[1] = Ciphertext(0, public.key_id)
+    with pytest.raises(DecryptFailure, match="node 1: round-0 share from 2: "):
+        channel.receive([0, 2], [1, 1], 0, wire)
+    assert len(channel.decrypt_seconds) == 1
+
+
+def test_record_decoded_is_what_each_ciphertext_decrypts_to_alone():
+    """The record keeps, per link-round, the pair its ciphertext decrypts
+    to, though each receiver decrypts only the sum of its links."""
+    config = make_config(mode=MODE_ALGORITHM2, key_bits=128, max_rounds=6)
+    record = run_experiment(config).record
+    keypairs = node_keypairs(config.graph, config.key_bits, config.seed)
+    layout = record.weights.layout
+    assert config.graph.in_degree(4) == 2
+    decrypted = np.empty_like(record.decoded)
+    for e, receiver in enumerate(layout.receivers.tolist()):
+        kp = keypairs[receiver]
+        codec = FixedPointCodec(kp.public.n, 48, config.graph.in_degree(receiver))
+        for k in range(record.n_rounds):
+            decrypted[k, :, e] = codec.decode_pair(decrypt(kp, record.wire[k, e]))
+    assert decrypted.tobytes() == record.decoded.tobytes()
