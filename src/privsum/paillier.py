@@ -458,9 +458,13 @@ class FixedPointCodec:
         """The (s, w) sums of the ``count`` packed pairs whose plaintexts
         add up to m: each slot's digit minus count * 2^R, the exact sum of
         the encodings, divided by 2^f with one rounding.  A count above
-        the fan-in, a plaintext outside [0, B^2) or a digit above
-        count * 2^(R+1), which no sum of ``count`` pairs makes, raises
-        ``MagnitudeOverflow``."""
+        the fan-in or a plaintext outside [0, B^2) raises
+        ``MagnitudeOverflow``, and so does a digit above count * 2^(R+1),
+        which no sum of ``count`` pairs makes; that digit check can fire
+        only for a count below the fan-in, since every digit is below B.
+        The checks see the sum, not its terms: at a count of 2 or more, a
+        term whose plaintext is no packed pair (say n - 1) can shift a sum
+        that still lies in the layout, and the shifted sum decodes."""
         if not 1 <= count <= self.fan_in:
             raise MagnitudeOverflow(
                 f"a sum of {count} pairs is outside the pair layout of fan-in {self.fan_in}"

@@ -13,7 +13,6 @@ import json
 import math
 import random
 import time
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -57,7 +56,13 @@ MODES = (MODE_ALGORITHM0, MODE_ALGORITHM1, MODE_ALGORITHM2)
 DEFAULT_FRACTIONAL_BITS = 48
 
 
-def check_key_bits(key_bits: int, fractional_bits: int, fan_in: int = 1) -> None:
+def graph_fan_in(graph: DirectedGraph) -> int:
+    """The most share pairs one receiver of ``graph`` sums in a round: its
+    largest in-degree, and at least 1, the least fan-in a codec takes."""
+    return max(1, max_in_degree(graph))
+
+
+def check_key_bits(key_bits: int, fractional_bits: int, fan_in: int) -> None:
     """Raise ``ConfigError`` unless ``key_bits``-bit Paillier keys can carry
     shares with ``fractional_bits`` fractional bits to a receiver that sums
     ``fan_in`` of them."""
@@ -137,8 +142,7 @@ class ExperimentConfig:
         if self.mode == MODE_ALGORITHM2:
             # A receiver sums its in-links' pairs, so the graph's largest
             # in-degree sets the layout's headroom.
-            fan_in = max(1, max_in_degree(self.graph))
-            check_key_bits(self.key_bits, self.fractional_bits, fan_in)
+            check_key_bits(self.key_bits, self.fractional_bits, graph_fan_in(self.graph))
         if isinstance(self.x0, dict):
             if set(self.x0) != {"low", "high"} or not _finite(self.x0.values()):
                 raise ConfigError("x0 range must be {'low': a, 'high': b}, both finite")
@@ -348,9 +352,7 @@ class PaillierChannel:
     ``decrypt`` and unpacks the exact sum of its in-links' pairs
     (``decode_sum``): per round one encryption per link and two half-size
     exponentiations per receiver.  ``in_degrees`` maps each receiver to
-    its fan-in, the most ciphertexts it sums; without it a receiver's
-    fan-in is its number of links in the call at hand, which is its
-    in-degree when one call carries a whole round, as in the simulator.
+    its fan-in, the most ciphertexts it sums: its in-degree.
     Each node whose keypair is held encrypts with its own seeded blinding
     stream.
     Wall-clock latencies are collected per ciphertext in ``encrypt_seconds``
@@ -366,13 +368,13 @@ class PaillierChannel:
         keypairs: Mapping[int, PaillierKeypair],
         fractional_bits: int,
         seed: int,
-        in_degrees: Mapping[int, int] | None = None,
+        in_degrees: Mapping[int, int],
     ) -> None:
         self.public_keys = public_keys
         self.keypairs = keypairs
         self.fractional_bits = fractional_bits
         self.in_degrees = in_degrees
-        self._codecs: dict[tuple[int, int], FixedPointCodec] = {}
+        self._codecs: dict[int, FixedPointCodec] = {}
         self._rngs = {
             i: random.Random(derive_seed("encrypt", seed, i)) for i in keypairs
         }
@@ -381,15 +383,12 @@ class PaillierChannel:
         self.table_build_seconds: list[float] = []
         self._tabled: set[int] = set()
 
-    def _fan_ins(self, receivers: Sequence[int]) -> Mapping[int, int]:
-        return Counter(receivers) if self.in_degrees is None else self.in_degrees
-
-    def _codec(self, node: int, fan_in: int) -> FixedPointCodec:
-        if (node, fan_in) not in self._codecs:
-            self._codecs[node, fan_in] = FixedPointCodec(
-                self.public_keys[node].n, self.fractional_bits, fan_in
+    def _codec(self, node: int) -> FixedPointCodec:
+        if node not in self._codecs:
+            self._codecs[node] = FixedPointCodec(
+                self.public_keys[node].n, self.fractional_bits, self.in_degrees[node]
             )
-        return self._codecs[node, fan_in]
+        return self._codecs[node]
 
     def _encrypt(self, sender: int, receiver: int, plain: int) -> Ciphertext:
         public = self.public_keys[receiver]
@@ -421,10 +420,9 @@ class PaillierChannel:
         round trip of the link's pair, without a decryption.
         """
         wire = np.empty(len(senders), dtype=object)
-        fan_ins = self._fan_ins(receivers)
         links = zip(senders, receivers, *shares.tolist())
         for i, (sender, receiver, s, w) in enumerate(links):
-            codec = self._codec(receiver, fan_ins[receiver])
+            codec = self._codec(receiver)
             plain = codec.encode_pair(s, w)
             wire[i] = self._encrypt(sender, receiver, plain)
             if decoded is not None:
@@ -448,7 +446,6 @@ class PaillierChannel:
         ciphertexts than the receiver's fan-in, one naming every sender in
         the sum."""
         shares = np.full((2, len(wire)), -0.0)
-        fan_ins = self._fan_ins(receivers)
         columns: dict[int, list[int]] = {}
         for i, receiver in enumerate(receivers):
             columns.setdefault(receiver, []).append(i)
@@ -468,7 +465,7 @@ class PaillierChannel:
             plain = decrypt(keypair, Ciphertext(product, public.key_id))
             self.decrypt_seconds.append(time.perf_counter() - start)
             try:
-                pair = self._codec(receiver, fan_ins[receiver]).decode_sum(plain, len(cols))
+                pair = self._codec(receiver).decode_sum(plain, len(cols))
             except MagnitudeOverflow as exc:
                 names = ", ".join(str(senders[i]) for i in cols)
                 raise DecryptFailure(

@@ -23,7 +23,6 @@ from .adversary import (
 )
 from .consensus import WeightTable, algorithm1_weights
 from .errors import PrivsumError
-from .graph import max_in_degree
 from .paillier import (
     FixedPointCodec,
     add_ciphertexts,
@@ -38,6 +37,7 @@ from .sim import (
     MODE_ALGORITHM1,
     MODE_ALGORITHM2,
     PaillierChannel,
+    graph_fan_in,
     run_experiment,
     transition_product,
 )
@@ -301,7 +301,7 @@ def suite_crypto_roundtrip(config: ExperimentConfig) -> SuiteResult:
     # decrypts, the edges scaled by a power of two into its layout.  Each
     # decoded value is exact, so fsum rounds their sum once, as the exact
     # sum of the encodings divided by 2^f is rounded.
-    fan_in = max(1, max_in_degree(config.graph))
+    fan_in = graph_fan_in(config.graph)
     wide = FixedPointCodec(kp.public.n, config.fractional_bits, fan_in)
     scaled = sent * (wide.max_magnitude / codec.max_magnitude)
     summing = PaillierChannel(

@@ -480,7 +480,10 @@ def test_every_record_keeps_its_shares_right(demo_graph, demo_x0):
     # under a channel the receivers fold the decoded shares, which the
     # record stores: they are not the products of weights and states
     keypairs = node_keypairs(demo_graph, 128, 3)
-    channel = PaillierChannel({i: kp.public for i, kp in keypairs.items()}, keypairs, 48, 3)
+    in_degrees = {i: demo_graph.in_degree(i) for i in demo_graph.nodes()}
+    channel = PaillierChannel(
+        {i: kp.public for i, kp in keypairs.items()}, keypairs, 48, 3, in_degrees
+    )
     encrypted = run_algorithm1(demo_graph, demo_x0, params, seed=9, rounds=6, channel=channel)
     assert encrypted.shares is encrypted.decoded
     assert encrypted.wire is encrypted.ciphertexts

@@ -318,7 +318,7 @@ def test_2048_bit_run_matches_256_bit_bitwise():
 def test_channel_times_each_receiver_table_apart_from_the_encryptions():
     keypairs = {i: keygen(64, random.Random(i)) for i in range(3)}
     channel = PaillierChannel(
-        {i: kp.public for i, kp in keypairs.items()}, keypairs, 16, seed=1
+        {i: kp.public for i, kp in keypairs.items()}, keypairs, 16, 1, {0: 1, 1: 1, 2: 2}
     )
     senders, receivers = [0, 1, 2, 0], [1, 2, 0, 2]
     shares = np.array([[1.0, -2.0, 3.5, 4.0], [0.5, 0.25, 0.125, 1.0]])
@@ -373,6 +373,20 @@ def test_channel_names_every_sender_of_a_sum_outside_the_layout():
     with pytest.raises(DecryptFailure, match="node 1: round-0 share from 2: "):
         channel.receive([0, 2], [1, 1], 0, wire)
     assert len(channel.decrypt_seconds) == 1
+
+
+def test_channel_checks_a_sum_not_its_terms():
+    """At fan-in 2, a valid ciphertext of n - 1, no packed pair, next to an
+    honest pair leaves a sum inside the layout: it decodes, shifted by the
+    missing pair's slot offsets and the -1, and no sender is named."""
+    channel, keypairs = _three_key_channel({1: 2})
+    public = keypairs[1].public
+    honest = channel.transmit([0], [1], np.array([[-2.0], [0.25]]))[0]
+    wire = [honest, encrypt(public, public.n - 1, random.Random(0))]
+    got = channel.receive([0, 2], [1, 1], 0, wire)
+    bound = FixedPointCodec(public.n, 16, 2).max_magnitude
+    assert got[:, 0].tolist() == [-2.0 - bound, 0.25 - bound - 2.0**-16]
+    assert got[:, 1].tobytes() == np.array([-0.0, -0.0]).tobytes()
 
 
 def test_record_decoded_is_what_each_ciphertext_decrypts_to_alone():
