@@ -30,6 +30,7 @@ from .consensus import (
     default_pushsum_matrix,
     run_algorithm0,
     run_algorithm1,
+    split_shares,
 )
 from .paillier import (
     Ciphertext,

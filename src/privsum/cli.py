@@ -65,6 +65,8 @@ def _expand_big_k(raw: dict) -> list[tuple[str, ExperimentConfig]]:
     ks = raw.get("big_k")
     if not isinstance(ks, (list, tuple)):
         return [("", ExperimentConfig.from_dict(raw))]
+    if not ks:
+        raise ConfigError("big_k=[]: an empty list gives no run")
     out = []
     for k in ks:
         one = dict(raw)

@@ -7,17 +7,16 @@ out-neighbors, then folds the received shares in.  Because each node's
 outgoing weights sum to 1, the total of ``s`` over the network never
 changes, which is what makes the final agreement the exact average.
 
-Every share a node adds up goes through one function, ``fold_shares``: a
-column's retained share first, then its in-shares by ascending sender,
-summed slot by slot from -0.0.  ``run_rounds`` folds all n columns of a
-simulated network in one call per round; a networked node
-(``net.NodeRuntime``) folds its own column through ``apply_round``.  Both
-multiply each share as weight times state, and both draw their weights
-with ``weights.generate_round_weights`` (the simulator per out-degree
-class, a node for a class of one) into the w half of their table, class
-after class, and place them with ``weights.place_round_weights``, one
-gather per block of rounds; so a deployed node and the simulator agree
-bit for bit because they run the same draw, placement and fold.
+Every share is computed by one function, ``split_shares`` (weight times
+state), and summed by one, ``fold_shares``: a column's retained share
+first, then its in-shares by ascending sender, slot by slot from -0.0.
+``run_rounds`` splits and folds all n columns of a simulated network once
+per round; a networked node (``net.NodeRuntime``) splits its own column
+and folds it through ``apply_round``.  Both draw their weights with
+``weights.generate_round_weights`` (the simulator per out-degree class, a
+node for a class of one) and place them with
+``weights.place_round_weights``, so a deployed node and the simulator
+agree bit for bit: they run the same draw, placement, split and fold.
 ``run_rounds`` serves the baseline fixed-weight protocol, the two-phase
 random-weight protocol, replays with rewritten weights and (through a
 channel) the encrypted transport.
@@ -27,17 +26,15 @@ last axis is the node or edge.  The state is ``(rounds + 1, 2, n)``, the
 kept self-shares ``(rounds, 2, n)``, the link shares ``(rounds, 2, E)``;
 a colluders' view selects columns of these.  What crossed the links is
 the shares themselves in the clear, and under a channel ``(rounds, E)``
-ciphertexts, one per link-round holding both shares.  The
-weight table is ``(rounds, 2, E + n)``, edge first: the E edge weights in
-edge order, then the n self-weights, so the engine reads both blocks as
-views.  ``graph.SenderLayout`` fixes these columns; each graph object
-builds its layout once (``DirectedGraph.layout``).  A run keeps only the
-table and the states: in the clear every share is weight times state, so
-the record recomputes the shares with the engine's multiply when they are
-read, only the columns asked for.
-Only a channel's decoded shares and its ciphertexts, which no multiply
-gives back, are stored.  Under a channel a receiver folds the decrypted
-sum of its in-links' pairs, not each pair.
+ciphertexts, one per link-round holding both shares.  The weight table
+is ``(rounds, 2, E + n)``, edge first: the E edge weights in edge order,
+then the n self-weights, so the engine reads both blocks as views.
+``graph.SenderLayout`` fixes these columns; each graph object builds its
+layout once (``DirectedGraph.layout``).  A run keeps only the table and
+the states: the record recomputes the shares in the clear with
+``split_shares``, only the columns read.  Only a channel's decoded shares
+and its ciphertexts, which no multiply gives back, are stored.  Under a
+channel a receiver folds the decrypted sum of its in-links' pairs.
 """
 from __future__ import annotations
 
@@ -93,24 +90,27 @@ def _check_weight_sums(w: np.ndarray, first_round: int, nodes: Sequence[int]) ->
     )
 
 
+def split_shares(
+    weights: np.ndarray, states: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Each weight times its holder's (s, w) state, broadcast, into ``out``
+    when given: the one place a share is computed, so the engine, a node
+    and the record's recomputed shares agree bit for bit."""
+    return np.multiply(weights, states, out=out)
+
+
 def apply_round(
-    state: np.ndarray,
-    self_weights: np.ndarray,
+    kept: np.ndarray,
     received: np.ndarray,
     round_k: int,
     nodes: Sequence[int],
 ) -> np.ndarray:
-    """One synchronous round for a set of nodes, one column each.
-
-    ``state`` and ``self_weights`` are ``(2, c)`` arrays with rows (s, w).
-    ``received`` is ``(slots, 2, c)``: each column's in-shares in ascending
-    sender order, a column with fewer in-neighbors padded with -0.0 shares.
-    The next state is ``fold_shares`` of the retained share
-    ``self_weights * state`` followed by the received shares, the sum
-    ``run_rounds`` takes for every column.  ``nodes[c]`` names column c in
-    the ``DivisionByZero`` raised when a weight sum is 0.
+    """The next ``(2, c)`` state of a set of nodes, one column each:
+    ``fold_shares`` of the kept shares (rows (s, w), from ``split_shares``)
+    then the ``(slots, 2, c)`` received ones, each column's by ascending
+    sender, padded with -0.0 shares.  ``nodes[c]`` names column c in the
+    ``DivisionByZero`` raised when a weight sum after round ``round_k`` is 0.
     """
-    kept = self_weights * state
     nxt = fold_shares(np.concatenate((kept[None], received)))
     _check_weight_sums(nxt[1:], round_k, nodes)
     return nxt
@@ -196,13 +196,13 @@ class RunRecord:
 
     ``shares`` is the ``(rounds, 2, E)`` array of the share pair each
     link delivered, rows (s, w), one column per edge in ``SenderLayout``
-    order.  In the clear it is computed on first read, with the engine's
-    multiply (edge weight times sender state), so bit-equal to what each
-    round folded.  Under a channel it is the stored ``decoded`` array, the
-    pair each link's ciphertext decrypts to; the receiver held each
-    ciphertext but folded the one decrypted sum of its in-links.  ``wire``
-    is what crossed each link: in the clear ``shares`` itself, under a
-    channel its ``(rounds, E)`` ``ciphertexts``, one per link-round.
+    order.  In the clear it is computed on first read with
+    ``split_shares``, so bit-equal to what each round folded.  Under a
+    channel it is the stored ``decoded`` array, the pair each link's
+    ciphertext decrypts to; the receiver held each ciphertext but folded
+    the one decrypted sum of its in-links.  ``wire`` is what crossed each
+    link: in the clear ``shares`` itself, under a channel its
+    ``(rounds, E)`` ``ciphertexts``, one per link-round.
     """
 
     params: WeightParams | None
@@ -232,7 +232,7 @@ class RunRecord:
             return self.decoded[:, :, edges]
         layout = self.weights.layout
         sent = self.trajectory.states[: self.n_rounds].take(layout.senders[edges], axis=2)
-        return self.weights.table[:, :, : layout.n_edges][:, :, edges] * sent
+        return split_shares(self.weights.table[:, :, : layout.n_edges][:, :, edges], sent)
 
     @property
     def wire(self) -> np.ndarray:
@@ -245,11 +245,12 @@ class RunRecord:
 
     def retained(self, nodes=slice(None)) -> np.ndarray:
         """The kept (s, w) self-share of the given nodes (all by default),
-        a ``(rounds, 2, len(nodes))`` array, recomputed with the engine's
-        multiply (self-weight times state), so bit-equal to the retained
-        share each round folded."""
+        a ``(rounds, 2, len(nodes))`` array, recomputed with
+        ``split_shares`` (self-weight times state), so bit-equal to the
+        retained share each round folded."""
         self_weights = self.weights.table[:, :, self.weights.layout.n_edges :]
-        return self_weights[:, :, nodes] * self.trajectory.states[: self.n_rounds, :, nodes]
+        states = self.trajectory.states[: self.n_rounds, :, nodes]
+        return split_shares(self_weights[:, :, nodes], states)
 
     def final_pi(self) -> np.ndarray:
         return self.trajectory.pi[-1].copy()
@@ -264,17 +265,16 @@ def run_rounds(
     """Drive all nodes of ``weights.graph`` through one synchronous
     round per row of the weight table.
 
-    Per round, one product writes every edge share and every retained share
-    (weight times the holder's state) into a scratch row laid out as in
-    ``SenderLayout``, and one ``fold_shares`` call sums each node's retained
-    share and in-shares into its next state.  With a channel, each round's
-    edge shares are encrypted in one ``transmit`` call, which also stores
-    the pair each ciphertext decrypts to, since in the clear the record
-    recomputes them.  One ``receive`` call decrypts each receiver's sum
-    into the slot of its lowest sender, -0.0 into its other slots, and the
-    receivers fold that.  A weight sum
-    of zero raises ``DivisionByZero`` naming the first such round and
-    node.
+    Per round, one ``split_shares`` call writes every edge share and every
+    retained share into a scratch row laid out as in ``SenderLayout``, and
+    one ``fold_shares`` call sums each node's retained share and in-shares
+    into its next state.  With a channel, each round's edge shares are
+    encrypted in one ``transmit`` call, which also stores the pair each
+    ciphertext decrypts to, since in the clear the record recomputes them.
+    One ``receive`` call decrypts each receiver's sum into the slot of its
+    lowest sender, -0.0 into its other slots, and the receivers fold that.
+    A weight sum of zero raises ``DivisionByZero`` naming the first such
+    round and node.
     """
     layout = weights.layout
     n = weights.graph.n_nodes
@@ -298,7 +298,7 @@ def run_rounds(
         senders, receivers = layout.senders.tolist(), layout.receivers.tolist()
     per_round = zip(weights.table, state[:-1], state[1:])
     for k, (row, now, nxt) in enumerate(per_round):
-        np.multiply(row, now.take(holders, axis=1), out=products)
+        split_shares(row, now.take(holders, axis=1), out=products)
         if channel is not None:
             wire[k] = channel.transmit(senders, receivers, sent, decoded[k])
             # Each receiver's decrypted sum sits in its lowest sender's

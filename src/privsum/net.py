@@ -49,7 +49,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .consensus import NodeState, apply_round
+from .consensus import NodeState, Trajectory, apply_round, split_shares
 from .errors import ConfigError, PeerDisconnected, ProtocolError, Timeout
 from .paillier import (
     Ciphertext,
@@ -154,10 +154,10 @@ def unpack_cipher_share(payload: bytes) -> int:
 
 
 def share_frame(
-    sender: int, round_k: int, share: tuple[float, float] | Ciphertext
+    sender: int, round_k: int, share: tuple[float, float] | np.ndarray | Ciphertext
 ) -> WireFrame:
-    """The frame carrying one share pair: two floats in the clear, or the
-    one ciphertext of the packed pair."""
+    """The frame carrying one share pair: its two floats (s, w) in the
+    clear, or the one ciphertext of the packed pair."""
     if isinstance(share, Ciphertext):
         return WireFrame(MSG_SHARE_ENC, sender, round_k, pack_uint(share.value))
     return WireFrame(MSG_SHARE_PLAIN, sender, round_k, pack_plain_shares(*share))
@@ -189,22 +189,21 @@ class _Inbound:
 class NodeRuntime:
     """One protocol node bound to a listening TCP socket.
 
-    Runs its own column of the simulator's round engine: one
-    ``generate_round_weights`` call draws every round's value rows into
-    the w half of the node's own ``(rounds, 2, targets)`` block, as the
-    simulator draws an out-degree class, from the stream derived from
-    (seed, node id), and ``place_round_weights`` finishes the block as it
-    finishes the simulator's table; each out-share is its weight times the
-    node's state, and ``apply_round`` sums the retained share and the
-    received shares, by ascending sender, with ``consensus.fold_shares``,
-    the one fold ``run_rounds`` applies to every column.  Under encryption
-    the out-shares pass through one ``PaillierChannel.transmit`` call, and
-    one ``receive`` call multiplies the in-links' ciphertexts and decrypts
-    their sum once; the fold then adds that sum in the lowest sender's
-    slot and -0.0 in the others, as the simulator folds it.  A
-    round is applied only when every in-neighbor's share for it has
-    arrived; there is no other synchronization, at startup or at the end.
-    ``channel`` is None exactly on the plain transport.
+    Runs its own column of the simulator's round engine with the engine's
+    functions: one ``generate_round_weights`` call draws every round's
+    value rows into the w half of its ``(rounds, 2, targets)`` block, from
+    the stream of (seed, node id), and ``place_round_weights`` finishes the
+    block.  Each round one ``consensus.split_shares`` call gives the
+    out-shares and the retained share, and ``apply_round`` folds the
+    retained share and the received ones, by ascending sender.  The states
+    sit in the engine's ``(rounds + 1, 2, 1)`` layout; the CSV rows and the
+    final state are read off their ``Trajectory``.  Under encryption the
+    out-shares pass through one ``PaillierChannel.transmit`` call, and one
+    ``receive`` call multiplies the in-links' ciphertexts and decrypts
+    their sum once, which the fold adds in the lowest sender's slot, -0.0
+    in the others.  A round is applied only when every in-neighbor's share
+    for it has arrived; there is no other synchronization, at startup or at
+    the end.  ``channel`` is None exactly on the plain transport.
 
     Its one selector covers the listener, every accepted connection and
     every out-socket with queued bytes; ``_wait`` runs it until what the
@@ -390,6 +389,12 @@ class NodeRuntime:
         the in-neighbor its connection is bound to."""
         if frame.msg_type == MSG_KEY_ANNOUNCE:
             origin, key = unpack_key_announce(frame.payload)
+            if self.channel is None or not 0 <= origin < self.graph.n_nodes:
+                raise ProtocolError(
+                    f"key announcement from node {frame.sender_id} for origin {origin}: "
+                    + ("the plain transport carries no keys" if self.channel is None
+                       else f"not a node of the {self.graph.n_nodes}-node graph")
+                )
             self._key_directory.setdefault(origin, key)
         elif frame.msg_type in (MSG_SHARE_PLAIN, MSG_SHARE_ENC):
             wire = self._wire_share(frame)
@@ -570,23 +575,21 @@ class NodeRuntime:
             stream = [(self.node_id, node_rng(self.config.seed, self.node_id))]
             generate_round_weights(stream, params, 0, weights[:, 1, None])
             place_round_weights(weights, np.arange(m), 1, params.masking_rounds(0, rounds))
-            x0 = resolve_x0(self.config)[self.node_id]
-            state = np.array([[x0], [1.0]])
-            rows = [(0, x0, 1.0, x0)]
+            states = np.empty((rounds + 1, 2, 1))
+            states[0] = [[resolve_x0(self.config)[self.node_id]], [1.0]]
             senders = [self.node_id] * len(self.out_ids)
 
             for k, row in enumerate(weights):
-                shares = row[:, :-1] * state
+                shares = split_shares(row, states[k])
+                outgoing = shares[:, :-1]
                 if self.channel is None:
-                    wire = zip(*shares.tolist())
+                    wire = outgoing.T
                 else:
-                    wire = self.channel.transmit(senders, self.out_ids, shares)
+                    wire = self.channel.transmit(senders, self.out_ids, outgoing)
                 for peer, share in zip(self.out_ids, wire):
                     self._send(peer, share_frame(self.node_id, k, share))
                 received = self._receive_round(k).reshape(-1, 2, 1)
-                state = apply_round(state, row[:, -1:], received, k, (self.node_id,))
-                s, w = state[:, 0].tolist()
-                rows.append((k + 1, s, w, s / w))
+                states[k + 1] = apply_round(shares[:, -1:], received, k, (self.node_id,))
 
             # No end-of-run handshake is needed.  The last round took every
             # in-neighbor's last share, and on each link their keys and
@@ -595,13 +598,13 @@ class NodeRuntime:
             # connection.  Once the outboxes are empty the kernel holds
             # every frame this node sends, so no peer is left waiting.
             self._drain()
-            final = NodeState(self.node_id, *rows[-1][1:], round=rounds)
-            manifest = self._finish(final, rows)
-            return final, manifest
+            trajectory = Trajectory(states)
+            final = replace(trajectory.final()[0], node_id=self.node_id)
+            return final, self._finish(final, trajectory)
         finally:
             self._shutdown()
 
-    def _finish(self, state, rows) -> dict:
+    def _finish(self, state: NodeState, trajectory: Trajectory) -> dict:
         enc = dec = tables = []
         if (channel := self.channel) is not None:
             enc, dec = channel.encrypt_seconds, channel.decrypt_seconds
@@ -631,8 +634,9 @@ class NodeRuntime:
             with open(csv_path, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["round", "s", "w", "pi"])
-                for row in rows:
-                    writer.writerow([row[0]] + [repr(v) for v in row[1:]])
+                columns = (trajectory.s, trajectory.w, trajectory.pi)
+                for k, values in enumerate(zip(*(c[:, 0].tolist() for c in columns))):
+                    writer.writerow([k, *map(repr, values)])
             frames_path = self.out_dir / f"node{self.node_id}.frames"
             frames_path.write_bytes(b"".join(self._sent_frames))
             manifest["outputs"] += [str(csv_path), str(frames_path)]

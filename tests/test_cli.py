@@ -369,6 +369,19 @@ def test_verify_fans_out_a_list_valued_big_k(capsys):
     assert not any(line.startswith("FAIL") for line in lines)
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_an_empty_big_k_list_exits_2_with_one_error_line(tmp_path, capsys, command):
+    # an empty list used to pass verify without running a suite, and crash
+    # simulate after it had made its output directory
+    cfg = write_config(tmp_path / "empty.yaml", big_k=[])
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.err == "error: big_k=[]: an empty list gives no run\n", captured.err
+    assert "passed" not in captured.out
+
+
 @pytest.mark.parametrize("preset", ["fig3", "fig7"])
 def test_verify_passes_every_suite_on_a_preset(capsys, preset):
     assert main(["verify", "--preset", preset]) == 0

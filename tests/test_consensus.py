@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from privsum import consensus
 from privsum.adversary import build_indistinguishability_witness, replay_with_witness
 from privsum.consensus import (
     WeightTable,
@@ -214,6 +215,32 @@ def test_fold_shares_is_a_left_fold_that_keeps_zero_signs():
         assert fold_shares(stack).tobytes() == want
         out = np.empty((2, cols))
         assert fold_shares(stack, out=out) is out and out.tobytes() == want
+
+
+def test_engine_apply_round_folds_the_kept_share_then_the_received_ones():
+    """``consensus.apply_round`` is ``fold_shares`` of the kept share and
+    then the received shares, bit for bit; -0.0 pad slots change no bit; a
+    zero weight sum names the column's node and the round."""
+    rng = np.random.default_rng(32)
+    for _ in range(200):
+        slots, cols = int(rng.integers(0, 6)), int(rng.integers(1, 5))
+        stack = rng.standard_normal((slots + 1, 2, cols))
+        # signed zeros on the s side only, so no weight sum is 0
+        zeros = rng.random((slots + 1, cols)) < 0.5
+        stack[:, 0][zeros] = np.where(rng.random(zeros.shape) < 0.5, 0.0, -0.0)[zeros]
+        kept, received = stack[0], stack[1:]
+        want = fold_shares(stack).tobytes()
+        assert consensus.apply_round(kept, received, 3, range(cols)).tobytes() == want
+        padded = np.concatenate((received, np.full((2, 2, cols), -0.0)))
+        assert consensus.apply_round(kept, padded, 3, range(cols)).tobytes() == want
+    # a column of -0.0 s-shares stays -0.0 under the pad
+    kept = np.array([[-0.0], [1.0]])
+    got = consensus.apply_round(kept, np.full((3, 2, 1), -0.0), 0, [0])
+    assert np.signbit(got[0, 0]) and got[1, 0] == 1.0
+    kept = np.array([[1.0, 2.0], [0.5, -0.25]])
+    received = np.array([[[0.5, 0.5], [0.25, 0.25]]])
+    with pytest.raises(DivisionByZero, match="node 7: weight sum hit zero at round 4"):
+        consensus.apply_round(kept, received, 4, (6, 7))
 
 
 def _random_support_matrix(graph, rng):

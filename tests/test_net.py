@@ -519,6 +519,29 @@ def test_key_directory_idempotent_under_redelivery():
     assert len(rt._key_directory) == 2  # own key + node 3
 
 
+@pytest.mark.parametrize(
+    "mode, origin, reason",
+    [
+        (MODE_ALGORITHM2, 99, "not a node of the 5-node graph"),
+        (MODE_ALGORITHM1, 3, "the plain transport carries no keys"),
+        (MODE_ALGORITHM1, 99, "the plain transport carries no keys"),
+    ],
+    ids=["encrypted-outside-graph", "plain-in-graph", "plain-outside-graph"],
+)
+def test_key_announcement_a_node_cannot_use_is_a_protocol_error(mode, origin, reason):
+    config = make_config(key_bits=64, mode=mode)
+    ports = allocate_ports(5)
+    peers = {i: ("127.0.0.1", ports[i]) for i in range(5)}
+    rt = NodeRuntime(1, peers[1], peers, config)
+    known = dict(rt._key_directory)
+    payload = pack_key_announce(origin, keygen(64, random.Random(1)).public)
+    with pytest.raises(
+        ProtocolError, match=f"from node 0 for origin {origin}: {reason}"
+    ):
+        rt._dispatch(WireFrame(MSG_KEY_ANNOUNCE, 0, 0, payload))
+    assert rt._key_directory == known
+
+
 def _two_node_runtime(mode, key_bits=64):
     g = DirectedGraph.from_edge_list(2, [[0, 1], [1, 0]])
     config = make_config(graph=g, x0=[1.0, 2.0], key_bits=key_bits, mode=CONFIG_MODE[mode])
