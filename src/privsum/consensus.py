@@ -30,11 +30,11 @@ ciphertexts, one per link-round holding both shares.  The weight table
 is ``(rounds, 2, E + n)``, edge first: the E edge weights in edge order,
 then the n self-weights, so the engine reads both blocks as views.
 ``graph.SenderLayout`` fixes these columns; each graph object builds its
-layout once (``DirectedGraph.layout``).  A run keeps only the table and
-the states: the record recomputes the shares in the clear with
-``split_shares``, only the columns read.  Only a channel's decoded shares
-and its ciphertexts, which no multiply gives back, are stored.  Under a
-channel a receiver folds the decrypted sum of its in-links' pairs.
+layout once (``DirectedGraph.layout``).  A run keeps the table, the
+states and a channel's ciphertexts: the record recomputes the shares with
+``split_shares``, only the columns read, on the codec's grid under a
+channel.  Under a channel a receiver folds the decrypted sum of its
+in-links' pairs.
 """
 from __future__ import annotations
 
@@ -45,8 +45,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, DivisionByZero, NotStronglyConnected
+from .errors import ConfigError, DivisionByZero, MagnitudeOverflow, NotStronglyConnected
 from .graph import DirectedGraph, SenderLayout, is_strongly_connected
+from .paillier import to_codec_grid
 from .weights import WeightParams, generate_round_weights, node_rng, place_round_weights
 
 if TYPE_CHECKING:
@@ -78,16 +79,21 @@ def fold_shares(stack: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.add.reduce(stack, axis=0, out=out, initial=-0.0)
 
 
-def _check_weight_sums(w: np.ndarray, first_round: int, nodes: Sequence[int]) -> None:
-    """Raise ``DivisionByZero`` for the first zero in ``w``, whose row r
-    holds the weight sums after round ``first_round + r`` and whose column
-    c is node ``nodes[c]``."""
-    if w.all():
+def _check_states(states: np.ndarray, first_round: int, nodes: Sequence[int]) -> None:
+    """Raise for the first bad state in ``states``, whose row r holds the
+    (s, w) states after round ``first_round + r`` and whose column c is
+    node ``nodes[c]``: ``DivisionByZero`` for a weight sum of 0,
+    ``MagnitudeOverflow`` for an s or w that is not finite."""
+    w = states[:, 1]
+    if w.all() and np.isfinite(states).all():
         return
-    r, c = np.argwhere(w == 0.0)[0]
-    raise DivisionByZero(
-        f"node {nodes[c]}: weight sum hit zero at round {first_round + int(r)}"
-    )
+    finite = np.isfinite(states).all(axis=1)
+    r, c = np.argwhere((w == 0.0) | ~finite)[0]
+    node, k = nodes[c], first_round + int(r)
+    if not finite[r, c]:
+        s_w = tuple(states[r, :, c].tolist())
+        raise MagnitudeOverflow(f"node {node}: state (s, w) = {s_w} is not finite at round {k}")
+    raise DivisionByZero(f"node {node}: weight sum hit zero at round {k}")
 
 
 def split_shares(
@@ -109,10 +115,12 @@ def apply_round(
     ``fold_shares`` of the kept shares (rows (s, w), from ``split_shares``)
     then the ``(slots, 2, c)`` received ones, each column's by ascending
     sender, padded with -0.0 shares.  ``nodes[c]`` names column c in the
-    ``DivisionByZero`` raised when a weight sum after round ``round_k`` is 0.
+    error raised when a state after round ``round_k`` has a weight sum of
+    0 (``DivisionByZero``) or an s or w that is not finite
+    (``MagnitudeOverflow``).
     """
     nxt = fold_shares(np.concatenate((kept[None], received)))
-    _check_weight_sums(nxt[1:], round_k, nodes)
+    _check_states(nxt[None], round_k, nodes)
     return nxt
 
 
@@ -196,21 +204,20 @@ class RunRecord:
 
     ``shares`` is the ``(rounds, 2, E)`` array of the share pair each
     link delivered, rows (s, w), one column per edge in ``SenderLayout``
-    order.  In the clear it is computed on first read with
-    ``split_shares``, so bit-equal to what each round folded.  Under a
-    channel it is the stored ``decoded`` array, the pair each link's
-    ciphertext decrypts to; the receiver held each ciphertext but folded
-    the one decrypted sum of its in-links.  ``wire`` is what crossed each
-    link: in the clear ``shares`` itself, under a channel its
-    ``(rounds, E)`` ``ciphertexts``, one per link-round.
+    order, computed on first read with ``split_shares``: in the clear what
+    each round folded, under a channel on the codec's grid of
+    ``fractional_bits`` (``paillier.to_codec_grid``), what each link's
+    ciphertext decrypts to, though the receiver folded the one decrypted
+    sum of its in-links.  ``wire`` is what crossed each link: in the clear
+    ``shares`` itself, under a channel its ``(rounds, E)`` ``ciphertexts``.
     """
 
     params: WeightParams | None
     trajectory: Trajectory
     weights: WeightTable
-    # Under a channel, what each link's ciphertext decrypts to and what
-    # crossed the links; None in the clear.
-    decoded: np.ndarray | None = None
+    # Under a channel, its codec's fractional bits and what crossed the
+    # links; None in the clear.
+    fractional_bits: int | None = None
     ciphertexts: np.ndarray | None = None
 
     @property
@@ -223,16 +230,16 @@ class RunRecord:
 
     @cached_property
     def shares(self) -> np.ndarray:
-        return self.decoded if self.decoded is not None else self.edge_shares(slice(None))
+        return self.edge_shares(slice(None))
 
     def edge_shares(self, edges) -> np.ndarray:
-        """``shares[:, :, edges]``, computing (in the clear) only those
-        columns and caching nothing."""
-        if self.decoded is not None:
-            return self.decoded[:, :, edges]
+        """``shares[:, :, edges]``, computing only those columns and
+        caching nothing."""
         layout = self.weights.layout
         sent = self.trajectory.states[: self.n_rounds].take(layout.senders[edges], axis=2)
-        return split_shares(self.weights.table[:, :, : layout.n_edges][:, :, edges], sent)
+        shares = split_shares(self.weights.table[:, :, : layout.n_edges][:, :, edges], sent)
+        bits = self.fractional_bits
+        return shares if bits is None else to_codec_grid(shares, bits)
 
     @property
     def wire(self) -> np.ndarray:
@@ -269,12 +276,11 @@ def run_rounds(
     retained share into a scratch row laid out as in ``SenderLayout``, and
     one ``fold_shares`` call sums each node's retained share and in-shares
     into its next state.  With a channel, each round's edge shares are
-    encrypted in one ``transmit`` call, which also stores the pair each
-    ciphertext decrypts to, since in the clear the record recomputes them.
-    One ``receive`` call decrypts each receiver's sum into the slot of its
-    lowest sender, -0.0 into its other slots, and the receivers fold that.
-    A weight sum of zero raises ``DivisionByZero`` naming the first such
-    round and node.
+    encrypted in one ``transmit`` call, and one ``receive`` call decrypts
+    each receiver's sum into the slot of its lowest sender, -0.0 into its
+    other slots, and the receivers fold that.  A weight sum of zero raises
+    ``DivisionByZero``, and an s or w that is not finite
+    ``MagnitudeOverflow``, naming the first such round and node.
     """
     layout = weights.layout
     n = weights.graph.n_nodes
@@ -293,24 +299,23 @@ def run_rounds(
     sent = products[:, :n_edges]
     holders, order = layout.holders, layout.fold_order
     if channel is not None:
-        decoded = np.empty((rounds, 2, n_edges))
         wire = np.empty((rounds, n_edges), dtype=object)
         senders, receivers = layout.senders.tolist(), layout.receivers.tolist()
     per_round = zip(weights.table, state[:-1], state[1:])
     for k, (row, now, nxt) in enumerate(per_round):
         split_shares(row, now.take(holders, axis=1), out=products)
         if channel is not None:
-            wire[k] = channel.transmit(senders, receivers, sent, decoded[k])
+            wire[k] = channel.transmit(senders, receivers, sent)
             # Each receiver's decrypted sum sits in its lowest sender's
             # slot, -0.0 in its other slots, so the fold adds the sum alone.
             sent[:] = channel.receive(senders, receivers, k, wire[k])
         fold_shares(every.take(order), out=nxt)
-    _check_weight_sums(state[1:, 1], 0, nodes)
+    _check_states(state[1:], 0, nodes)
     return RunRecord(
         params=params,
         trajectory=Trajectory(state),
         weights=weights,
-        decoded=None if channel is None else decoded,
+        fractional_bits=None if channel is None else channel.fractional_bits,
         ciphertexts=None if channel is None else wire,
     )
 

@@ -31,7 +31,8 @@ class MalformedCiphertext(PrivsumError):
 
 
 class MagnitudeOverflow(PrivsumError):
-    """A real value exceeds the fixed-point codec's representable range."""
+    """A real value exceeds the fixed-point codec's representable range, or
+    a run's state (s, w) is no longer finite."""
 
 
 class TraceIncomplete(PrivsumError):
@@ -59,6 +60,12 @@ class ProtocolError(PrivsumError):
 
 class PeerDisconnected(PrivsumError):
     """A peer became unreachable; fatal for the synchronous protocol."""
+
+
+class FaultyShare(PrivsumError):
+    """A received share pair no honest peer sends: not finite, or with a
+    w-share other than 0.0 in a masking round or not above 0 in a mixing
+    round."""
 
 
 class DecryptFailure(PrivsumError):

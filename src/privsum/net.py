@@ -35,6 +35,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import math
 import os
 import selectors
 import socket
@@ -50,7 +51,7 @@ import numpy as np
 import yaml
 
 from .consensus import NodeState, Trajectory, apply_round, split_shares
-from .errors import ConfigError, PeerDisconnected, ProtocolError, Timeout
+from .errors import ConfigError, FaultyShare, PeerDisconnected, ProtocolError, Timeout
 from .paillier import (
     Ciphertext,
     PaillierKeypair,
@@ -61,7 +62,7 @@ from .paillier import (
 )
 from .sim import (
     MODE_ALGORITHM0, MODE_ALGORITHM1, MODE_ALGORITHM2, ExperimentConfig, PaillierChannel,
-    node_keypair, resolve_x0,
+    node_keys, resolve_x0,
 )
 from .weights import generate_round_weights, node_rng, place_round_weights
 
@@ -192,8 +193,10 @@ class NodeRuntime:
     Runs its own column of the simulator's round engine with the engine's
     functions: one ``generate_round_weights`` call draws every round's
     value rows into the w half of its ``(rounds, 2, targets)`` block, from
-    the stream of (seed, node id), and ``place_round_weights`` finishes the
-    block.  Each round one ``consensus.split_shares`` call gives the
+    its weight stream, and ``place_round_weights`` finishes the block.
+    One block of ``__init__`` makes what the node derives from the config:
+    its ``sim.node_keys`` (keypair and blinding stream), weight stream and
+    value.  Each round one ``consensus.split_shares`` call gives the
     out-shares and the retained share, and ``apply_round`` folds the
     retained share and the received ones, by ascending sender.  The states
     sit in the engine's ``(rounds + 1, 2, 1)`` layout; the CSV rows and the
@@ -202,8 +205,10 @@ class NodeRuntime:
     ``receive`` call multiplies the in-links' ciphertexts and decrypts
     their sum once, which the fold adds in the lowest sender's slot, -0.0
     in the others.  A round is applied only when every in-neighbor's share
-    for it has arrived; there is no other synchronization, at startup or at
-    the end.  ``channel`` is None exactly on the plain transport.
+    for it has arrived, and is refused with ``FaultyShare`` if one holds
+    values no honest peer sends (``_check_shares``); there is no other
+    synchronization, at startup or at the end.  ``channel`` is None
+    exactly on the plain transport.
 
     Its one selector covers the listener, every accepted connection and
     every out-socket with queued bytes; ``_wait`` runs it until what the
@@ -271,19 +276,21 @@ class NodeRuntime:
         self._frames_sent = self._bytes_sent = 0
         self._wait_seconds: list[float] = []
 
+        # What this node derives from the config: its keys, its weight
+        # stream and its value.
         self.keypair: PaillierKeypair | None = None
         self.channel: PaillierChannel | None = None
         if config.mode == MODE_ALGORITHM2:
-            self.keypair = node_keypair(config.key_bits, config.seed, node_id)
+            keys = node_keys(config.key_bits, config.seed, node_id)
+            self.keypair = keys.keypair
             self._key_directory[node_id] = self.keypair.public
             # Reads the live directory: every key is in it before round 0.
+            in_degrees = {j: self.graph.in_degree(j) for j in self.graph.nodes()}
             self.channel = PaillierChannel(
-                self._key_directory,
-                {node_id: self.keypair},
-                config.fractional_bits,
-                config.seed,
-                {j: self.graph.in_degree(j) for j in self.graph.nodes()},
+                self._key_directory, {node_id: keys}, config.fractional_bits, in_degrees
             )
+        self._weight_stream = node_rng(config.seed, node_id)
+        self._x0 = resolve_x0(config)[node_id]
         self.mode = MODE_PLAIN if self.channel is None else MODE_ENCRYPTED
         self._max_payload = max_payload(self.mode, config.key_bits)
 
@@ -389,11 +396,19 @@ class NodeRuntime:
         the in-neighbor its connection is bound to."""
         if frame.msg_type == MSG_KEY_ANNOUNCE:
             origin, key = unpack_key_announce(frame.payload)
-            if self.channel is None or not 0 <= origin < self.graph.n_nodes:
+            # keygen(k) makes a modulus of 2 * (k // 2) bits or one fewer.
+            size, bits = key.n.bit_length(), 2 * (self.config.key_bits // 2)
+            if self.channel is None:
+                fault = "the plain transport carries no keys"
+            elif not 0 <= origin < self.graph.n_nodes:
+                fault = f"not a node of the {self.graph.n_nodes}-node graph"
+            elif size not in (bits - 1, bits):
+                fault = f"a {size}-bit modulus, not one of {bits - 1} or {bits} bits"
+            else:
+                fault = None
+            if fault is not None:
                 raise ProtocolError(
-                    f"key announcement from node {frame.sender_id} for origin {origin}: "
-                    + ("the plain transport carries no keys" if self.channel is None
-                       else f"not a node of the {self.graph.n_nodes}-node graph")
+                    f"key announcement from node {frame.sender_id} for origin {origin}: {fault}"
                 )
             self._key_directory.setdefault(origin, key)
         elif frame.msg_type in (MSG_SHARE_PLAIN, MSG_SHARE_ENC):
@@ -556,6 +571,33 @@ class NodeRuntime:
         receivers = [self.node_id] * len(self.in_ids)
         return self.channel.receive(self.in_ids, receivers, round_k, wire).T
 
+    def _check_shares(self, round_k: int, received: np.ndarray) -> None:
+        """Raise ``FaultyShare`` unless what ``_receive_round`` returned
+        could come from honest peers: each sender's (s, w) pair in the
+        clear, under encryption the decrypted sum, named by every sender in
+        it (the -0.0 pad rows are no shares).  s and w must be finite, and
+        w exactly 0.0 in a masking round, where the w side is the identity,
+        and above 0 in a mixing round, a weight in (epsilon, 1) times a
+        positive w."""
+        masking = round_k <= self.config.big_k
+        if self.channel is None:
+            pairs = zip(([j] for j in self.in_ids), received.tolist())
+        else:
+            pairs = zip([self.in_ids], received[:1].tolist())
+        for senders, (s, w) in pairs:
+            if not (math.isfinite(s) and math.isfinite(w)):
+                fault = "is not finite"
+            elif masking and w != 0.0:
+                fault = "has w != 0 in a masking round"
+            elif not masking and not w > 0.0:
+                fault = "has w <= 0 in a mixing round"
+            else:
+                continue
+            raise FaultyShare(
+                f"node {self.node_id}: round-{round_k} share{'s' * (len(senders) > 1)} "
+                f"from {', '.join(map(str, senders))}: (s, w) = ({s!r}, {w!r}) {fault}"
+            )
+
     # -- main driver -------------------------------------------------------
 
     def run(self) -> tuple[NodeState, dict]:
@@ -572,11 +614,11 @@ class NodeRuntime:
             # Per round a (2, targets) row: (s, w) weights, self last.
             weights = np.empty((rounds, 2, m))
             params = self.config.params
-            stream = [(self.node_id, node_rng(self.config.seed, self.node_id))]
+            stream = [(self.node_id, self._weight_stream)]
             generate_round_weights(stream, params, 0, weights[:, 1, None])
             place_round_weights(weights, np.arange(m), 1, params.masking_rounds(0, rounds))
             states = np.empty((rounds + 1, 2, 1))
-            states[0] = [[resolve_x0(self.config)[self.node_id]], [1.0]]
+            states[0] = [[self._x0], [1.0]]
             senders = [self.node_id] * len(self.out_ids)
 
             for k, row in enumerate(weights):
@@ -589,6 +631,7 @@ class NodeRuntime:
                 for peer, share in zip(self.out_ids, wire):
                     self._send(peer, share_frame(self.node_id, k, share))
                 received = self._receive_round(k).reshape(-1, 2, 1)
+                self._check_shares(k, received[..., 0])
                 states[k + 1] = apply_round(shares[:, -1:], received, k, (self.node_id,))
 
             # No end-of-run handshake is needed.  The last round took every

@@ -36,6 +36,8 @@ import math
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import (
     ConfigError,
     MagnitudeOverflow,
@@ -448,12 +450,6 @@ class FixedPointCodec:
         high, low = ((self.encode(v) + offset) % n for v in (s, w))
         return high * self._radix + low
 
-    def decode_pair(self, m: int) -> tuple[float, float]:
-        """The (s, w) pair that ``encode_pair`` packed into m, each slot
-        decoded as ``decode`` decodes its residue: ``decode_sum`` of a sum
-        of one pair."""
-        return self.decode_sum(m, 1)
-
     def decode_sum(self, m: int, count: int) -> tuple[float, float]:
         """The (s, w) sums of the ``count`` packed pairs whose plaintexts
         add up to m: each slot's digit minus count * 2^R, the exact sum of
@@ -480,6 +476,14 @@ class FixedPointCodec:
         offset, scale = count << self._range_bits, 2**self.fractional_bits
         high, low = ((digit - offset) / scale for digit in digits)
         return high, low
+
+
+def to_codec_grid(values: np.ndarray, fractional_bits: int) -> np.ndarray:
+    """Each value rounded half to even to a multiple of 2^-f, -0.0 made
+    +0.0: bit for bit what ``decode_sum(encode_pair(s, w), 1)`` returns
+    for a pair in the codec's range."""
+    scale = float(2**fractional_bits)
+    return np.rint(values * scale) / scale + 0.0
 
 
 def smallest_key_bits(fractional_bits: int, fan_in: int = 1) -> int:

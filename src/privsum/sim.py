@@ -14,7 +14,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 import yaml
@@ -338,13 +338,30 @@ def error_series(trajectory: Trajectory, x0: Sequence[float]) -> MetricsSeries:
     return MetricsSeries(e=e, alpha=alpha)
 
 
+class NodeKeys(NamedTuple):
+    """A node's Paillier keypair and its encryptions' blinding stream."""
+
+    keypair: PaillierKeypair
+    blinding: random.Random
+
+
+def node_keys(key_bits: int, seed: int, node_id: int) -> NodeKeys:
+    """A node's keys, derived from the run seed so the simulator and the
+    networked runtime agree."""
+    return NodeKeys(
+        keygen(key_bits, random.Random(derive_seed("keygen", seed, node_id))),
+        random.Random(derive_seed("encrypt", seed, node_id)),
+    )
+
+
 class PaillierChannel:
     """Encrypts each link's share pair under the receiver's public key in
     transit, and decrypts each receiver's in-links of a round as one sum.
 
-    The one share-crypto path for both runs of the protocol: the simulator
-    holds every node's keypair, a networked node only its own, next to the
-    directory of public keys it learned.  Each receiver's fixed-point
+    The one share-crypto path for both runs of the protocol, which only
+    encrypts and decrypts.  ``keys`` holds the ``NodeKeys`` it acts for,
+    every node's in the simulator, a networked node's own next to the
+    public keys it learned.  Each receiver's fixed-point
     codec, built once per key with the receiver's in-degree as its fan-in,
     packs a link's (s, w) pair into one plaintext (``encode_pair``), which
     is encrypted as one ciphertext.  A receiver multiplies its round's
@@ -353,8 +370,6 @@ class PaillierChannel:
     (``decode_sum``): per round one encryption per link and two half-size
     exponentiations per receiver.  ``in_degrees`` maps each receiver to
     its fan-in, the most ciphertexts it sums: its in-degree.
-    Each node whose keypair is held encrypts with its own seeded blinding
-    stream.
     Wall-clock latencies are collected per ciphertext in ``encrypt_seconds``
     and per receiver-round in ``decrypt_seconds``.  A receiver key's
     blinding table is built on its first use and timed on its own, in
@@ -365,19 +380,15 @@ class PaillierChannel:
     def __init__(
         self,
         public_keys: Mapping[int, PaillierPublicKey],
-        keypairs: Mapping[int, PaillierKeypair],
+        keys: Mapping[int, NodeKeys],
         fractional_bits: int,
-        seed: int,
         in_degrees: Mapping[int, int],
     ) -> None:
         self.public_keys = public_keys
-        self.keypairs = keypairs
+        self.keys = keys
         self.fractional_bits = fractional_bits
         self.in_degrees = in_degrees
         self._codecs: dict[int, FixedPointCodec] = {}
-        self._rngs = {
-            i: random.Random(derive_seed("encrypt", seed, i)) for i in keypairs
-        }
         self.encrypt_seconds: list[float] = []
         self.decrypt_seconds: list[float] = []
         self.table_build_seconds: list[float] = []
@@ -398,16 +409,12 @@ class PaillierChannel:
             self.table_build_seconds.append(time.perf_counter() - start)
             self._tabled.add(receiver)
         start = time.perf_counter()
-        cipher = encrypt(public, plain, self._rngs[sender])
+        cipher = encrypt(public, plain, self.keys[sender].blinding)
         self.encrypt_seconds.append(time.perf_counter() - start)
         return cipher
 
     def transmit(
-        self,
-        senders: Sequence[int],
-        receivers: Sequence[int],
-        shares: np.ndarray,
-        decoded: np.ndarray | None = None,
+        self, senders: Sequence[int], receivers: Sequence[int], shares: np.ndarray
     ) -> np.ndarray:
         """Encrypt one round's shares for the wire.
 
@@ -415,18 +422,13 @@ class PaillierChannel:
         the link ``senders[i] -> receivers[i]``.  Returns the ``(m,)``
         object array of ciphertexts, one per link, each the link's packed
         pair, encrypted in link order, so each sender's blinding stream is
-        consumed in link order.  A ``(2, m)`` ``decoded`` array, when
-        given, receives the pair each ciphertext decrypts to: the codec's
-        round trip of the link's pair, without a decryption.
+        consumed in link order.
         """
         wire = np.empty(len(senders), dtype=object)
         links = zip(senders, receivers, *shares.tolist())
         for i, (sender, receiver, s, w) in enumerate(links):
-            codec = self._codec(receiver)
-            plain = codec.encode_pair(s, w)
+            plain = self._codec(receiver).encode_pair(s, w)
             wire[i] = self._encrypt(sender, receiver, plain)
-            if decoded is not None:
-                decoded[:, i] = codec.decode_pair(plain)
         return wire
 
     def receive(
@@ -450,7 +452,7 @@ class PaillierChannel:
         for i, receiver in enumerate(receivers):
             columns.setdefault(receiver, []).append(i)
         for receiver, cols in columns.items():
-            keypair = self.keypairs[receiver]
+            keypair = self.keys[receiver].keypair
             public = keypair.public
             product = 1
             for i in cols:
@@ -476,16 +478,10 @@ class PaillierChannel:
         return shares
 
 
-def node_keypair(key_bits: int, seed: int, node_id: int) -> PaillierKeypair:
-    """A node's keypair, deterministically derived from the run seed so the
-    simulator and the networked runtime agree."""
-    return keygen(key_bits, random.Random(derive_seed("keygen", seed, node_id)))
-
-
 def node_keypairs(
     graph: DirectedGraph, key_bits: int, seed: int
 ) -> dict[int, PaillierKeypair]:
-    return {i: node_keypair(key_bits, seed, i) for i in graph.nodes()}
+    return {i: node_keys(key_bits, seed, i).keypair for i in graph.nodes()}
 
 
 @dataclass
@@ -520,14 +516,11 @@ def run_experiment(
     else:
         channel = None
         if config.mode == MODE_ALGORITHM2:
-            keypairs = node_keypairs(config.graph, config.key_bits, config.seed)
-            channel = PaillierChannel(
-                {i: kp.public for i, kp in keypairs.items()},
-                keypairs,
-                config.fractional_bits,
-                config.seed,
-                {i: config.graph.in_degree(i) for i in config.graph.nodes()},
-            )
+            graph = config.graph
+            keys = {i: node_keys(config.key_bits, config.seed, i) for i in graph.nodes()}
+            public = {i: k.keypair.public for i, k in keys.items()}
+            in_degrees = {i: graph.in_degree(i) for i in graph.nodes()}
+            channel = PaillierChannel(public, keys, config.fractional_bits, in_degrees)
         record = run_algorithm1(
             config.graph, x0, config.params, config.seed, config.max_rounds, channel=channel
         )

@@ -36,6 +36,7 @@ from .sim import (
     MODE_ALGORITHM0,
     MODE_ALGORITHM1,
     MODE_ALGORITHM2,
+    NodeKeys,
     PaillierChannel,
     graph_fan_in,
     run_experiment,
@@ -287,9 +288,8 @@ def suite_crypto_roundtrip(config: ExperimentConfig) -> SuiteResult:
     # As the (s, w) pairs of self-links of a one-node channel, one link a
     # round, the share path a run ships; w runs the edges backwards, so the
     # pairs mix signs and a slot mix-up shows.
-    channel = PaillierChannel(
-        {0: kp.public}, {0: kp}, config.fractional_bits, config.seed, {0: 1}
-    )
+    keys = {0: NodeKeys(kp, rng)}
+    channel = PaillierChannel({0: kp.public}, keys, config.fractional_bits, {0: 1})
     links = [0] * len(edges)
     sent = np.array([edges, edges[::-1]])
     wire = channel.transmit(links, links, sent)
@@ -304,9 +304,7 @@ def suite_crypto_roundtrip(config: ExperimentConfig) -> SuiteResult:
     fan_in = graph_fan_in(config.graph)
     wide = FixedPointCodec(kp.public.n, config.fractional_bits, fan_in)
     scaled = sent * (wide.max_magnitude / codec.max_magnitude)
-    summing = PaillierChannel(
-        {0: kp.public}, {0: kp}, config.fractional_bits, config.seed, {0: fan_in}
-    )
+    summing = PaillierChannel({0: kp.public}, keys, config.fractional_bits, {0: fan_in})
     for start in range(0, len(edges), fan_in):
         pairs = scaled[:, start : start + fan_in]
         links = [0] * pairs.shape[1]

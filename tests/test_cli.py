@@ -12,6 +12,7 @@ from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -223,6 +224,18 @@ def test_a_config_that_asks_for_an_early_stop_exits_2_with_one_error_line(tmp_pa
     assert not out.exists()
     err = capsys.readouterr().err
     assert re.match("error: stop_tol=1e-09: .*cannot stop early; set stop_tol to 0", err), err
+    assert err.count("\n") == 1, err
+
+
+def test_a_run_whose_state_overflows_exits_2_with_one_error_line(tmp_path, capsys):
+    """The validator accepts B = 1e308, whose masking weights are not
+    finite; the run fails instead of writing a CSV of nan."""
+    cfg = write_config(tmp_path / "huge.yaml", phase_a_range=1.0e308, max_rounds=20)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert re.match(r"error: node \d: state \(s, w\) = .* is not finite at round 0", err), err
     assert err.count("\n") == 1, err
 
 

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import numpy as np
@@ -14,10 +15,10 @@ from privsum.consensus import (
     run_algorithm1,
     run_rounds,
 )
-from privsum.errors import ConfigError, DivisionByZero, NotStronglyConnected
+from privsum.errors import ConfigError, DivisionByZero, MagnitudeOverflow, NotStronglyConnected
 from privsum.graph import DirectedGraph, random_strongly_connected_graph
 from privsum.paillier import FixedPointCodec, decrypt
-from privsum.sim import PaillierChannel, node_keypairs
+from privsum.sim import NodeKeys, PaillierChannel, node_keys
 from privsum.weights import WeightParams, node_rng
 from reference_pushsum import (
     MissingShare,
@@ -243,6 +244,16 @@ def test_engine_apply_round_folds_the_kept_share_then_the_received_ones():
         consensus.apply_round(kept, received, 4, (6, 7))
 
 
+def test_apply_round_refuses_a_state_that_is_not_finite():
+    kept = np.array([[1e308], [0.5]])
+    received = np.array([[[1e308], [0.5]]])
+    with np.errstate(over="ignore"):
+        with pytest.raises(
+            MagnitudeOverflow, match=r"node 3: state \(s, w\) = \(inf, 1\.0\) is not finite at round 5"
+        ):
+            consensus.apply_round(kept, received, 5, (3,))
+
+
 def _random_support_matrix(graph, rng):
     """A column-stochastic matrix with random positive weights on the
     graph's edges and diagonal."""
@@ -275,7 +286,7 @@ def _message_passing(graph, x0, weight_source, rounds, channel=None):
     sender, receiver by receiver, in the clear or, with a channel, through
     one-link ``transmit`` calls whose ciphertext values are kept.  Under a
     channel each link delivers its ciphertext decrypted alone and unpacked
-    with ``decode_pair``, and each receiver folds what one ``receive`` call
+    with ``decode_sum`` of one pair, and each receiver folds what one ``receive`` call
     over its in-links returns: their sum in its lowest sender's message,
     -0.0 in the others."""
     states = [initial_state(i, x0[i]) for i in graph.nodes()]
@@ -291,13 +302,13 @@ def _message_passing(graph, x0, weight_source, rounds, channel=None):
                     link = ([msg.sender], [msg.receiver])
                     (sent,) = channel.transmit(*link, np.array([[msg.s_share], [msg.w_share]]))
                     wire.append(sent)
-                    keypair = channel.keypairs[msg.receiver]
+                    keypair = channel.keys[msg.receiver].keypair
                     codec = FixedPointCodec(
                         keypair.public.n,
                         channel.fractional_bits,
                         channel.in_degrees[msg.receiver],
                     )
-                    pair = codec.decode_pair(decrypt(keypair, sent))
+                    pair = codec.decode_sum(decrypt(keypair, sent), 1)
                     msg = ShareMessage(msg.sender, msg.receiver, msg.round, *pair)
                 delivered.append(msg)
                 inboxes[msg.receiver].append(msg)
@@ -452,12 +463,14 @@ def test_array_engine_matches_message_passing_encrypted(graph_index):
     params = WeightParams(big_k=1, epsilon=eps)
     # 136-bit keys give the random graph's fan-in-10 layout the range
     # 2^14 that 128-bit keys give a fan-in-1 layout
-    keypairs = node_keypairs(graph, 136, 3)
+    keypairs = {i: node_keys(136, 3, i).keypair for i in graph.nodes()}
 
     def channel():
+        # the same keypairs, each sender's blinding stream from its start
+        keys = {i: NodeKeys(kp, random.Random(i)) for i, kp in keypairs.items()}
         in_degrees = {i: graph.in_degree(i) for i in graph.nodes()}
         return PaillierChannel(
-            {i: kp.public for i, kp in keypairs.items()}, keypairs, 48, 3, in_degrees
+            {i: kp.public for i, kp in keypairs.items()}, keys, 48, in_degrees
         )
 
     record = run_algorithm1(graph, x0, params, seed=3, rounds=4, channel=channel())
@@ -505,14 +518,13 @@ def test_plain_trace_holds_only_the_weight_table_and_the_states():
 def test_every_record_keeps_its_shares_right(demo_graph, demo_x0):
     params = WeightParams(big_k=2, epsilon=0.05)
     # under a channel the receivers fold the decoded shares, which the
-    # record stores: they are not the products of weights and states
-    keypairs = node_keypairs(demo_graph, 128, 3)
+    # record recomputes: they are not the products of weights and states
+    keys = {i: node_keys(128, 3, i) for i in demo_graph.nodes()}
     in_degrees = {i: demo_graph.in_degree(i) for i in demo_graph.nodes()}
     channel = PaillierChannel(
-        {i: kp.public for i, kp in keypairs.items()}, keypairs, 48, 3, in_degrees
+        {i: k.keypair.public for i, k in keys.items()}, keys, 48, in_degrees
     )
     encrypted = run_algorithm1(demo_graph, demo_x0, params, seed=9, rounds=6, channel=channel)
-    assert encrypted.shares is encrypted.decoded
     assert encrypted.wire is encrypted.ciphertexts
     assert encrypted.shares.tobytes() != _products(encrypted).tobytes()
     np.testing.assert_allclose(encrypted.shares, _products(encrypted), rtol=0, atol=1e-12)

@@ -17,7 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privsum.consensus import run_algorithm1
-from privsum.errors import ConfigError, DecryptFailure, PeerDisconnected, ProtocolError, Timeout
+from privsum.errors import (
+    ConfigError, DecryptFailure, FaultyShare, PeerDisconnected, ProtocolError, Timeout,
+)
 from privsum.graph import DirectedGraph, default_demo_graph, max_in_degree
 from privsum.net import (
     MODE_ENCRYPTED,
@@ -520,21 +522,25 @@ def test_key_directory_idempotent_under_redelivery():
 
 
 @pytest.mark.parametrize(
-    "mode, origin, reason",
+    "mode, origin, announced_bits, reason",
     [
-        (MODE_ALGORITHM2, 99, "not a node of the 5-node graph"),
-        (MODE_ALGORITHM1, 3, "the plain transport carries no keys"),
-        (MODE_ALGORITHM1, 99, "the plain transport carries no keys"),
+        (MODE_ALGORITHM2, 99, 64, "not a node of the 5-node graph"),
+        (MODE_ALGORITHM1, 3, 64, "the plain transport carries no keys"),
+        (MODE_ALGORITHM1, 99, 64, "the plain transport carries no keys"),
+        # a node of 64-bit keys would use a larger key without a word
+        (MODE_ALGORITHM2, 3, 96, "a 96-bit modulus, not one of 63 or 64 bits"),
     ],
-    ids=["encrypted-outside-graph", "plain-in-graph", "plain-outside-graph"],
+    ids=["encrypted-outside-graph", "plain-in-graph", "plain-outside-graph", "wrong-size"],
 )
-def test_key_announcement_a_node_cannot_use_is_a_protocol_error(mode, origin, reason):
+def test_key_announcement_a_node_cannot_use_is_a_protocol_error(
+    mode, origin, announced_bits, reason
+):
     config = make_config(key_bits=64, mode=mode)
     ports = allocate_ports(5)
     peers = {i: ("127.0.0.1", ports[i]) for i in range(5)}
     rt = NodeRuntime(1, peers[1], peers, config)
     known = dict(rt._key_directory)
-    payload = pack_key_announce(origin, keygen(64, random.Random(1)).public)
+    payload = pack_key_announce(origin, keygen(announced_bits, random.Random(1)).public)
     with pytest.raises(
         ProtocolError, match=f"from node 0 for origin {origin}: {reason}"
     ):
@@ -798,13 +804,14 @@ def test_local_cluster_frames_are_the_simulators_wire(tmp_path):
 # -- live fault injection ------------------------------------------------------
 
 
-def _run_against_a_hand_rolled_peer(data, close=False):
-    """Run node 0 of a two-node cycle (round_timeout 10 s) against a test
-    peer playing node 1: it accepts node 0's connection, sends ``data`` on
-    its own connection to node 0 and, with ``close``, then closes that
-    connection.  Returns the error ``run()`` raised and its seconds."""
+def _run_against_a_hand_rolled_peer(data, close=False, big_k=1):
+    """Run node 0 of a two-node cycle (round_timeout 10 s, K = ``big_k``)
+    against a test peer playing node 1: it accepts node 0's connection,
+    sends ``data`` on its own connection to node 0 and, with ``close``,
+    then closes that connection.  Returns the error ``run()`` raised and
+    its seconds."""
     g = DirectedGraph.from_edge_list(2, [[0, 1], [1, 0]])
-    config = make_config(graph=g, x0=[1.0, 2.0])
+    config = make_config(graph=g, x0=[1.0, 2.0], big_k=big_k)
     ports = allocate_ports(2)
     peers = {i: ("127.0.0.1", ports[i]) for i in range(2)}
     rt = NodeRuntime(0, peers[0], peers, config)
@@ -836,8 +843,12 @@ def _frames(*frames):
     return b"".join(encode_frame(f) for f in frames)
 
 
-def _share(round_k, sender=1):
-    return WireFrame(MSG_SHARE_PLAIN, sender, round_k, pack_plain_shares(1.0, 0.5))
+def _share(round_k, sender=1, pair=None):
+    """A plain share frame, by default an honest pair for K = 1: w is 0.0
+    in the masking rounds 0 and 1."""
+    if pair is None:
+        pair = (1.0, 0.0 if round_k <= 1 else 0.5)
+    return WireFrame(MSG_SHARE_PLAIN, sender, round_k, pack_plain_shares(*pair))
 
 
 @pytest.mark.parametrize(
@@ -856,6 +867,50 @@ def test_live_node_fails_fast_with_protocol_error_on_a_faulty_peer(data, message
     assert isinstance(error, ProtocolError), error
     assert re.search(message, str(error)), error
     assert seconds < 2.0
+
+
+@pytest.mark.parametrize(
+    "pair, fault",
+    [
+        ((float("nan"), 0.5), r"\(nan, 0\.5\) is not finite"),
+        ((float("inf"), 0.5), r"\(inf, 0\.5\) is not finite"),
+        ((1.0, -0.75), r"\(1\.0, -0\.75\) has w != 0 in a masking round"),
+        ((1e308, 1e-300), r"\(1e\+308, 1e-300\) has w != 0 in a masking round"),
+    ],
+    ids=["nan", "inf", "negative-w", "huge-s"],
+)
+def test_live_node_fails_fast_with_faulty_share_on_a_share_no_honest_peer_sends(pair, fault):
+    error, seconds = _run_against_a_hand_rolled_peer(_frames(_share(0, pair=pair)))
+    assert isinstance(error, FaultyShare), error
+    assert re.search(f"node 0: round-0 share from 1: .*{fault}", str(error)), error
+    assert seconds < 2.0
+
+
+def test_live_node_refuses_a_mixing_share_of_negative_w():
+    # at K = 0 round 1 mixes; on the two-node cycle node 1 may run one round ahead
+    data = _frames(_share(0), _share(1, pair=(1.0, -0.75)))
+    error, seconds = _run_against_a_hand_rolled_peer(data, big_k=0)
+    assert isinstance(error, FaultyShare), error
+    assert "node 0: round-1 share from 1: (s, w) = (1.0, -0.75) has w <= 0" in str(error)
+    assert seconds < 2.0
+
+
+def test_encrypted_node_checks_the_decrypted_sum_and_names_its_senders():
+    rt = _demo_runtime(node=4, key_bits=128, mode=MODE_ALGORITHM2)
+    assert rt.in_ids == [0, 2]
+    public = rt.keypair.public
+    codec = FixedPointCodec(public.n, rt.config.fractional_bits, 2)
+    # node 0's masking share is honest, node 2's is not: their sum is checked
+    for j, pair in zip(rt.in_ids, [(1.0, 0.0), (1.0, 0.5)]):
+        cipher = encrypt(public, codec.encode_pair(*pair), random.Random(j))
+        rt._dispatch(WireFrame(MSG_SHARE_ENC, j, 0, pack_uint(cipher.value)))
+    received = rt._receive_round(0)
+    assert received.tolist() == [[2.0, 0.5], [-0.0, -0.0]]
+    with pytest.raises(
+        FaultyShare,
+        match=r"node 4: round-0 shares from 0, 2: \(s, w\) = \(2\.0, 0\.5\) has w != 0",
+    ):
+        rt._check_shares(0, received)
 
 
 def test_live_node_fails_fast_when_a_peer_dies_mid_round():

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,7 @@ from privsum.paillier import (
     public_key_from_bytes,
     public_key_to_bytes,
     smallest_key_bits,
+    to_codec_grid,
 )
 
 TOY = keypair_from_primes(5, 7)
@@ -421,8 +423,8 @@ def test_the_largest_value_below_the_bound_encodes_to_the_slot_edge():
         assert codec.encode(codec.decode(edge)) == edge
         m = codec.encode_pair(top, top)
         assert m == codec._radix**2 - 1 < kp.public.n
-        assert codec.decode_pair(m) == (2.0, 2.0)
-        assert codec.decode_pair(codec.encode_pair(-top, top)) == (-2.0, 2.0)
+        assert codec.decode_sum(m, 1) == (2.0, 2.0)
+        assert codec.decode_sum(codec.encode_pair(-top, top), 1) == (-2.0, 2.0)
 
 
 def _codec_value(q, codec):
@@ -448,12 +450,31 @@ def test_pair_layout_holds_every_pair_encode_can_return(data):
     # each slot is the signed encoding offset by 2^R
     signed = [e - n if e > n // 2 else e for e in (codec.encode(s), codec.encode(w))]
     assert divmod(m, codec._radix) == (signed[0] + edge, signed[1] + edge)
-    assert codec.decode_pair(m) == (codec.decode(codec.encode(s)), codec.decode(codec.encode(w)))
+    assert codec.decode_sum(m, 1) == (codec.decode(codec.encode(s)), codec.decode(codec.encode(w)))
     # a decoded value encodes again unchanged, the edges +-2^R included
     for e in (codec.encode(s), codec.encode(w)):
         assert codec.encode(codec.decode(e)) == e
     c = encrypt(kp.public, m, random.Random(m))
     assert decrypt(kp, c) == m
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_codec_grid_is_the_round_trip_of_a_packed_pair(data):
+    """``to_codec_grid`` gives, bit for bit, what a pair's packed plaintext
+    decodes to: signed zeros, the range edges, one unit of 2^-f, ties
+    halfway between two units and values anywhere in the range."""
+    f = data.draw(st.sampled_from([16, 48]))
+    codec = FixedPointCodec(KP256.public.n, f)
+    top, unit = float(codec.max_magnitude), 2.0**-f
+    values = (
+        st.sampled_from([0.0, -0.0, top, -top, unit, -unit])
+        | st.integers(-(2**40), 2**40).map(lambda j: (2 * j + 1) * unit / 2)
+        | st.floats(-top, top)
+    )
+    pairs = data.draw(st.lists(st.tuples(values, values), min_size=1, max_size=8))
+    want = np.array([codec.decode_sum(codec.encode_pair(s, w), 1) for s, w in pairs]).T
+    assert to_codec_grid(np.array(pairs).T, f).tobytes() == want.tobytes()
 
 
 def test_pair_layout_checks_both_values_and_the_packed_plaintext():
@@ -464,7 +485,7 @@ def test_pair_layout_checks_both_values_and_the_packed_plaintext():
             codec.encode_pair(*pair)
     for m in (-1, codec._radix**2, KP256.public.n - 1):
         with pytest.raises(MagnitudeOverflow, match="outside the pair layout"):
-            codec.decode_pair(m)
+            codec.decode_sum(m, 1)
 
 
 def test_codec_refuses_a_modulus_below_the_pair_layout():
@@ -524,7 +545,7 @@ def test_fan_in_one_is_the_plain_pair_layout(bits):
             codec.encode(w) + 2**range_bits
         ) % n
         assert codec.encode_pair(s, w) == packed
-        assert codec.decode_pair(packed) == tuple(codec.decode(codec.encode(v)) for v in (s, w))
+        assert codec.decode_sum(packed, 1) == tuple(codec.decode(codec.encode(v)) for v in (s, w))
 
 
 @pytest.mark.parametrize("bits", sorted(SUM_KEYS))
@@ -579,7 +600,7 @@ def test_sum_decoder_refuses_what_no_sum_of_count_pairs_makes():
         codec.decode_sum(both, 0)
     # a digit above count * 2^(R+1) is no sum of count pairs
     with pytest.raises(MagnitudeOverflow, match="outside the pair layout of a sum of 1"):
-        codec.decode_pair((edge + 1) * codec._radix)
+        codec.decode_sum((edge + 1) * codec._radix, 1)
     assert codec.decode_sum((edge + 1) * codec._radix, 2)[0] == (
         (edge + 1 - edge) / 2**codec.fractional_bits
     )

@@ -15,6 +15,7 @@ from privsum.sim import (
     MODE_ALGORITHM2,
     AdversarySpec,
     ExperimentConfig,
+    NodeKeys,
     PaillierChannel,
     config_hash,
     error_series,
@@ -315,11 +316,15 @@ def test_2048_bit_run_matches_256_bit_bitwise():
     assert elapsed < 10.0, f"2048-bit run took {elapsed:.1f} s"
 
 
-def test_channel_times_each_receiver_table_apart_from_the_encryptions():
+def _three_key_channel(in_degrees):
     keypairs = {i: keygen(64, random.Random(i)) for i in range(3)}
-    channel = PaillierChannel(
-        {i: kp.public for i, kp in keypairs.items()}, keypairs, 16, 1, {0: 1, 1: 1, 2: 2}
-    )
+    keys = {i: NodeKeys(kp, random.Random(i)) for i, kp in keypairs.items()}
+    public = {i: kp.public for i, kp in keypairs.items()}
+    return PaillierChannel(public, keys, 16, in_degrees), keypairs
+
+
+def test_channel_times_each_receiver_table_apart_from_the_encryptions():
+    channel, keypairs = _three_key_channel({0: 1, 1: 1, 2: 2})
     senders, receivers = [0, 1, 2, 0], [1, 2, 0, 2]
     shares = np.array([[1.0, -2.0, 3.5, 4.0], [0.5, 0.25, 0.125, 1.0]])
     # node 2's two shares come back as one sum, in the column of its lowest
@@ -335,12 +340,6 @@ def test_channel_times_each_receiver_table_apart_from_the_encryptions():
     # one build per receiver key, in its first round, kept by the key object
     assert len(channel.table_build_seconds) == 3
     assert all("blinding_table" in vars(kp.public) for kp in keypairs.values())
-
-
-def _three_key_channel(in_degrees):
-    keypairs = {i: keygen(64, random.Random(i)) for i in range(3)}
-    public = {i: kp.public for i, kp in keypairs.items()}
-    return PaillierChannel(public, keypairs, 16, 1, in_degrees), keypairs
 
 
 def test_channel_refuses_more_ciphertexts_than_the_receiver_fan_in():
@@ -389,18 +388,18 @@ def test_channel_checks_a_sum_not_its_terms():
     assert got[:, 1].tobytes() == np.array([-0.0, -0.0]).tobytes()
 
 
-def test_record_decoded_is_what_each_ciphertext_decrypts_to_alone():
-    """The record keeps, per link-round, the pair its ciphertext decrypts
-    to, though each receiver decrypts only the sum of its links."""
+def test_record_shares_are_what_each_ciphertext_decrypts_to_alone():
+    """The record's shares are, per link-round, the pair its ciphertext
+    decrypts to, though each receiver decrypts only the sum of its links."""
     config = make_config(mode=MODE_ALGORITHM2, key_bits=128, max_rounds=6)
     record = run_experiment(config).record
     keypairs = node_keypairs(config.graph, config.key_bits, config.seed)
     layout = record.weights.layout
     assert config.graph.in_degree(4) == 2
-    decrypted = np.empty_like(record.decoded)
+    decrypted = np.empty_like(record.shares)
     for e, receiver in enumerate(layout.receivers.tolist()):
         kp = keypairs[receiver]
         codec = FixedPointCodec(kp.public.n, 48, config.graph.in_degree(receiver))
         for k in range(record.n_rounds):
-            decrypted[k, :, e] = codec.decode_pair(decrypt(kp, record.wire[k, e]))
-    assert decrypted.tobytes() == record.decoded.tobytes()
+            decrypted[k, :, e] = codec.decode_sum(decrypt(kp, record.wire[k, e]), 1)
+    assert decrypted.tobytes() == record.shares.tobytes()
