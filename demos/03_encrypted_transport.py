@@ -39,7 +39,7 @@ print("plain final estimates:    ", np.round(plain.record.final_pi(), 9))
 print("encrypted final estimates:", np.round(enc.record.final_pi(), 9))
 worst = np.abs(plain.record.shares - enc.record.shares).max()
 print(f"worst share deviation plain vs encrypted: {worst:.2e} (codec quantization)")
-print(f"mean encryption latency: {enc.mean_encrypt_seconds * 1e3:.3f} ms per share pair")
+print(f"mean encryption latency: {enc.crypto['mean_encrypt_ms']:.3f} ms per share pair")
 print()
 
 # The wire holds what crossed each link, one ciphertext of the packed

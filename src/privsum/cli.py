@@ -95,13 +95,8 @@ def cmd_simulate(args) -> int:
             "alpha": result.metrics.alpha,
             "final_e": float(result.metrics.e[-1]),
             "final_pi": result.record.final_pi().tolist(),
-            "decrypts": result.decrypts,
+            **result.crypto,
         }
-        for name, seconds in (
-            ("mean_encrypt_ms", result.mean_encrypt_seconds),
-            ("mean_decrypt_ms", result.mean_decrypt_seconds),
-        ):
-            summary[name] = None if seconds is None else seconds * 1e3
         summaries.append(summary)
         print(
             f"simulate big_k={config.big_k}: rounds={summary['rounds_run']} "

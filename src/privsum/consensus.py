@@ -105,6 +105,7 @@ def split_shares(
     return np.multiply(weights, states, out=out)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # ``_check_states`` names an overflow
 def apply_round(
     kept: np.ndarray,
     received: np.ndarray,
@@ -302,14 +303,16 @@ def run_rounds(
         wire = np.empty((rounds, n_edges), dtype=object)
         senders, receivers = layout.senders.tolist(), layout.receivers.tolist()
     per_round = zip(weights.table, state[:-1], state[1:])
-    for k, (row, now, nxt) in enumerate(per_round):
-        split_shares(row, now.take(holders, axis=1), out=products)
-        if channel is not None:
-            wire[k] = channel.transmit(senders, receivers, sent)
-            # Each receiver's decrypted sum sits in its lowest sender's
-            # slot, -0.0 in its other slots, so the fold adds the sum alone.
-            sent[:] = channel.receive(senders, receivers, k, wire[k])
-        fold_shares(every.take(order), out=nxt)
+    # ``_check_states`` names an overflow; numpy's warning would only precede it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (row, now, nxt) in enumerate(per_round):
+            split_shares(row, now.take(holders, axis=1), out=products)
+            if channel is not None:
+                wire[k] = channel.transmit(senders, receivers, sent)
+                # Each receiver's decrypted sum sits in its lowest sender's
+                # slot, -0.0 in its other slots, so the fold adds the sum alone.
+                sent[:] = channel.receive(senders, receivers, k, wire[k])
+            fold_shares(every.take(order), out=nxt)
     _check_states(state[1:], 0, nodes)
     return RunRecord(
         params=params,

@@ -62,7 +62,7 @@ from .paillier import (
 )
 from .sim import (
     MODE_ALGORITHM0, MODE_ALGORITHM1, MODE_ALGORITHM2, ExperimentConfig, PaillierChannel,
-    node_keys, resolve_x0,
+    crypto_report, node_keys, resolve_x0,
 )
 from .weights import generate_round_weights, node_rng, place_round_weights
 
@@ -621,18 +621,20 @@ class NodeRuntime:
             states[0] = [[self._x0], [1.0]]
             senders = [self.node_id] * len(self.out_ids)
 
-            for k, row in enumerate(weights):
-                shares = split_shares(row, states[k])
-                outgoing = shares[:, :-1]
-                if self.channel is None:
-                    wire = outgoing.T
-                else:
-                    wire = self.channel.transmit(senders, self.out_ids, outgoing)
-                for peer, share in zip(self.out_ids, wire):
-                    self._send(peer, share_frame(self.node_id, k, share))
-                received = self._receive_round(k).reshape(-1, 2, 1)
-                self._check_shares(k, received[..., 0])
-                states[k + 1] = apply_round(shares[:, -1:], received, k, (self.node_id,))
+            # ``apply_round`` names an overflow; numpy's warning would only precede it.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for k, row in enumerate(weights):
+                    shares = split_shares(row, states[k])
+                    outgoing = shares[:, :-1]
+                    if self.channel is None:
+                        wire = outgoing.T
+                    else:
+                        wire = self.channel.transmit(senders, self.out_ids, outgoing)
+                    for peer, share in zip(self.out_ids, wire):
+                        self._send(peer, share_frame(self.node_id, k, share))
+                    received = self._receive_round(k).reshape(-1, 2, 1)
+                    self._check_shares(k, received[..., 0])
+                    states[k + 1] = apply_round(shares[:, -1:], received, k, (self.node_id,))
 
             # No end-of-run handshake is needed.  The last round took every
             # in-neighbor's last share, and on each link their keys and
@@ -648,10 +650,6 @@ class NodeRuntime:
             self._shutdown()
 
     def _finish(self, state: NodeState, trajectory: Trajectory) -> dict:
-        enc = dec = tables = []
-        if (channel := self.channel) is not None:
-            enc, dec = channel.encrypt_seconds, channel.decrypt_seconds
-            tables = channel.table_build_seconds
         manifest = {
             "node_id": self.node_id,
             "mode": self.mode,
@@ -659,12 +657,7 @@ class NodeRuntime:
             "final_s": state.s,
             "final_w": state.w,
             "final_pi": state.pi,
-            "mean_encrypt_ms": float(np.mean(enc)) * 1e3 if enc else None,
-            "max_encrypt_ms": float(np.max(enc)) * 1e3 if enc else None,
-            "blinding_table_ms": sum(tables) * 1e3 if tables else None,
-            "mean_decrypt_ms": float(np.mean(dec)) * 1e3 if dec else None,
-            "max_decrypt_ms": float(np.max(dec)) * 1e3 if dec else None,
-            "decrypts": len(dec),
+            **crypto_report(self.channel),
             "mean_wait_ms": float(np.mean(self._wait_seconds)) * 1e3,
             "max_wait_ms": float(np.max(self._wait_seconds)) * 1e3,
             "frames_sent": self._frames_sent,

@@ -14,6 +14,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from functools import partial, reduce
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -40,6 +41,7 @@ from .paillier import (
     FixedPointCodec,
     PaillierKeypair,
     PaillierPublicKey,
+    add_ciphertexts,
     check_ciphertext,
     decrypt,
     encrypt,
@@ -60,20 +62,6 @@ def graph_fan_in(graph: DirectedGraph) -> int:
     """The most share pairs one receiver of ``graph`` sums in a round: its
     largest in-degree, and at least 1, the least fan-in a codec takes."""
     return max(1, max_in_degree(graph))
-
-
-def check_key_bits(key_bits: int, fractional_bits: int, fan_in: int) -> None:
-    """Raise ``ConfigError`` unless ``key_bits``-bit Paillier keys can carry
-    shares with ``fractional_bits`` fractional bits to a receiver that sums
-    ``fan_in`` of them."""
-    if fractional_bits <= 0:
-        raise ConfigError("fractional_bits must be positive")
-    smallest = smallest_key_bits(fractional_bits, fan_in)
-    if key_bits < smallest:
-        raise ConfigError(
-            f"key_bits={key_bits} cannot hold fractional_bits={fractional_bits} "
-            f"at fan-in {fan_in}; the smallest usable key size is {smallest}"
-        )
 
 
 @dataclass(frozen=True)
@@ -123,10 +111,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if not is_strongly_connected(self.graph):
             raise ConfigError("graph must be strongly connected")
-        bound = 1.0 / (max_out_degree(self.graph) + 1)
-        if not 0.0 < self.epsilon < bound:
+        fan_out = max_out_degree(self.graph) + 1  # a node's targets, itself included
+        if not 0.0 < self.epsilon < 1.0 / fan_out:
             raise ConfigError(
-                f"epsilon={self.epsilon} must lie in (0, {bound}) "
+                f"epsilon={self.epsilon} must lie in (0, {1.0 / fan_out}) "
                 f"(1 / (max out-degree + 1)) for this graph"
             )
         if self.max_rounds < self.big_k + 2:
@@ -139,10 +127,23 @@ class ExperimentConfig:
                 f"rounds and cannot stop early; set stop_tol to 0"
             )
         self.params  # triggers WeightParams validation
+        # 2B * fan_out bounds every intermediate of a masking draw (``weights._value_rows``).
+        if not math.isfinite(2.0 * self.phase_a_range * fan_out):
+            raise ConfigError(
+                f"phase_a_range={self.phase_a_range}: 2 * B * (max out-degree + 1) overflows"
+            )
         if self.mode == MODE_ALGORITHM2:
+            if self.fractional_bits <= 0:
+                raise ConfigError("fractional_bits must be positive")
             # A receiver sums its in-links' pairs, so the graph's largest
             # in-degree sets the layout's headroom.
-            check_key_bits(self.key_bits, self.fractional_bits, graph_fan_in(self.graph))
+            fan_in = graph_fan_in(self.graph)
+            smallest = smallest_key_bits(self.fractional_bits, fan_in)
+            if self.key_bits < smallest:
+                raise ConfigError(
+                    f"key_bits={self.key_bits} cannot hold fractional_bits={self.fractional_bits} "
+                    f"at fan-in {fan_in}; the smallest usable key size is {smallest}"
+                )
         if isinstance(self.x0, dict):
             if set(self.x0) != {"low", "high"} or not _finite(self.x0.values()):
                 raise ConfigError("x0 range must be {'low': a, 'high': b}, both finite")
@@ -365,8 +366,8 @@ class PaillierChannel:
     codec, built once per key with the receiver's in-degree as its fan-in,
     packs a link's (s, w) pair into one plaintext (``encode_pair``), which
     is encrypted as one ciphertext.  A receiver multiplies its round's
-    ciphertexts mod n^2, decrypts the product once with the CRT
-    ``decrypt`` and unpacks the exact sum of its in-links' pairs
+    ciphertexts mod n^2 (``add_ciphertexts``), decrypts the product once
+    with the CRT ``decrypt`` and unpacks the exact sum of its in-links' pairs
     (``decode_sum``): per round one encryption per link and two half-size
     exponentiations per receiver.  ``in_degrees`` maps each receiver to
     its fan-in, the most ciphertexts it sums: its in-degree.
@@ -374,7 +375,7 @@ class PaillierChannel:
     and per receiver-round in ``decrypt_seconds``.  A receiver key's
     blinding table is built on its first use and timed on its own, in
     ``table_build_seconds``, so that ``encrypt_seconds`` holds single
-    encryptions only.
+    encryptions only; ``crypto_report`` reduces the three for a manifest.
     """
 
     def __init__(
@@ -440,11 +441,11 @@ class PaillierChannel:
     ) -> np.ndarray:
         """Decrypt one round's ciphertexts, laid out as in ``transmit``,
         into the ``(2, m)`` shares the receivers fold: each receiver's
-        ciphertexts are checked one by one, multiplied and decrypted once,
-        and the sum of their pairs fills the column of its lowest sender,
-        -0.0 its other columns, so the fold adds the sum alone.  A
-        malformed ciphertext raises ``DecryptFailure`` naming its sender;
-        a sum that is no sum of that many packed pairs, or more
+        ciphertexts are checked one by one, summed with ``add_ciphertexts``
+        and decrypted once, and the sum of their pairs fills the column of
+        its lowest sender, -0.0 its other columns, so the fold adds the sum
+        alone.  A malformed ciphertext raises ``DecryptFailure`` naming its
+        sender; a sum that is no sum of that many packed pairs, or more
         ciphertexts than the receiver's fan-in, one naming every sender in
         the sum."""
         shares = np.full((2, len(wire)), -0.0)
@@ -453,8 +454,6 @@ class PaillierChannel:
             columns.setdefault(receiver, []).append(i)
         for receiver, cols in columns.items():
             keypair = self.keys[receiver].keypair
-            public = keypair.public
-            product = 1
             for i in cols:
                 try:
                     check_ciphertext(keypair, wire[i])
@@ -462,9 +461,9 @@ class PaillierChannel:
                     raise DecryptFailure(
                         f"node {receiver}: round-{round_k} share from {senders[i]}: {exc}"
                     ) from exc
-                product = product * wire[i].value % public.n_squared
+            total = reduce(partial(add_ciphertexts, keypair.public), [wire[i] for i in cols])
             start = time.perf_counter()
-            plain = decrypt(keypair, Ciphertext(product, public.key_id))
+            plain = decrypt(keypair, total)
             self.decrypt_seconds.append(time.perf_counter() - start)
             try:
                 pair = self._codec(receiver).decode_sum(plain, len(cols))
@@ -478,6 +477,26 @@ class PaillierChannel:
         return shares
 
 
+def crypto_report(channel: PaillierChannel | None) -> dict:
+    """A run's crypto work as both manifests report it: mean and max
+    latency in ms of one encryption and of one receiver-round's decryption,
+    the blinding-table build time, which the encryptions leave out, and the
+    decryptions made; every field None without a channel."""
+
+    def ms(stat, timings: str) -> float | None:
+        seconds = getattr(channel, timings, None)
+        return float(stat(seconds)) * 1e3 if seconds else None
+
+    return {
+        "mean_encrypt_ms": ms(np.mean, "encrypt_seconds"),
+        "max_encrypt_ms": ms(np.max, "encrypt_seconds"),
+        "blinding_table_ms": ms(sum, "table_build_seconds"),
+        "mean_decrypt_ms": ms(np.mean, "decrypt_seconds"),
+        "max_decrypt_ms": ms(np.max, "decrypt_seconds"),
+        "decrypts": None if channel is None else len(channel.decrypt_seconds),
+    }
+
+
 def node_keypairs(
     graph: DirectedGraph, key_bits: int, seed: int
 ) -> dict[int, PaillierKeypair]:
@@ -488,16 +507,13 @@ def node_keypairs(
 class ExperimentResult:
     """One run: its record (``record.x0`` holds the initial values and
     ``record.wire`` what a wiretapper of every link saw), its error series,
-    and the adversary view when the config names colluders."""
+    the adversary view when the config names colluders, and its ``crypto_report``."""
 
     config: ExperimentConfig
     record: RunRecord
     metrics: MetricsSeries
     adversary_view: AdversaryView | None
-    mean_encrypt_seconds: float | None = None
-    mean_decrypt_seconds: float | None = None
-    # Decryptions made, one per receiver-round; None in the clear.
-    decrypts: int | None = None
+    crypto: dict
 
 
 def run_experiment(
@@ -510,24 +526,18 @@ def run_experiment(
     """
     config.validate()
     x0 = resolve_x0(config, target_override)
-    mean_encrypt = mean_decrypt = decrypts = None
+    channel = None
+    if config.mode == MODE_ALGORITHM2:
+        keys = {i: node_keys(config.key_bits, config.seed, i) for i in config.graph.nodes()}
+        public = {i: k.keypair.public for i, k in keys.items()}
+        in_degrees = {i: config.graph.in_degree(i) for i in config.graph.nodes()}
+        channel = PaillierChannel(public, keys, config.fractional_bits, in_degrees)
     if config.mode == MODE_ALGORITHM0:
         record = run_algorithm0(config.graph, x0, rounds=config.max_rounds)
     else:
-        channel = None
-        if config.mode == MODE_ALGORITHM2:
-            graph = config.graph
-            keys = {i: node_keys(config.key_bits, config.seed, i) for i in graph.nodes()}
-            public = {i: k.keypair.public for i, k in keys.items()}
-            in_degrees = {i: graph.in_degree(i) for i in graph.nodes()}
-            channel = PaillierChannel(public, keys, config.fractional_bits, in_degrees)
         record = run_algorithm1(
             config.graph, x0, config.params, config.seed, config.max_rounds, channel=channel
         )
-        if channel is not None and channel.encrypt_seconds:
-            mean_encrypt = float(np.mean(channel.encrypt_seconds))
-            mean_decrypt = float(np.mean(channel.decrypt_seconds))
-            decrypts = len(channel.decrypt_seconds)
     metrics = error_series(record.trajectory, x0)
     view = None
     if config.adversary is not None:
@@ -537,9 +547,7 @@ def run_experiment(
         record=record,
         metrics=metrics,
         adversary_view=view,
-        mean_encrypt_seconds=mean_encrypt,
-        mean_decrypt_seconds=mean_decrypt,
-        decrypts=decrypts,
+        crypto=crypto_report(channel),
     )
 
 

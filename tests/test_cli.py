@@ -12,7 +12,6 @@ from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
 import pytest
 import yaml
 
@@ -228,15 +227,29 @@ def test_a_config_that_asks_for_an_early_stop_exits_2_with_one_error_line(tmp_pa
 
 
 def test_a_run_whose_state_overflows_exits_2_with_one_error_line(tmp_path, capsys):
-    """The validator accepts B = 1e308, whose masking weights are not
-    finite; the run fails instead of writing a CSV of nan."""
-    cfg = write_config(tmp_path / "huge.yaml", phase_a_range=1.0e308, max_rounds=20)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    """The validator accepts an x0 near the float maximum, whose masking
+    shares are not finite; the run fails with the named error alone, no
+    numpy warning before it, instead of writing a CSV of nan."""
+    cfg = write_config(tmp_path / "huge.yaml", x0=[1.7e308] * 5, max_rounds=20)
+    rc = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err
     assert re.match(r"error: node \d: state \(s, w\) = .* is not finite at round 0", err), err
     assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_a_phase_a_range_whose_weights_overflow_exits_2_with_one_error_line(
+    tmp_path, capsys, command
+):
+    """B = 1e308 is finite, but 2B, the masking draw's scale, is not: the
+    validator refuses it before a weight is drawn."""
+    cfg = write_config(tmp_path / "huge.yaml", phase_a_range=1.0e308)
+    rc = main([command, "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert re.fullmatch(r"error: phase_a_range=1e\+308: .* overflows\n", err), err
+    assert out == ""
 
 
 def test_non_finite_x0_range_exits_2_naming_the_key(tmp_path, capsys):
@@ -853,6 +866,34 @@ print(len(run_local_cluster(config, out_dir=sys.argv[1], timeout=120)))
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "5\n"
+
+
+CRYPTO_KEYS = (
+    "mean_encrypt_ms", "max_encrypt_ms", "blinding_table_ms",
+    "mean_decrypt_ms", "max_decrypt_ms", "decrypts",
+)
+
+
+@pytest.mark.parametrize("preset", ["fig7", "fig3"])
+def test_simulate_and_node_manifests_report_the_same_crypto_fields(tmp_path, preset):
+    """A simulate run entry and each node manifest carry the same six crypto
+    fields and no other: all positive under encryption, with one decryption
+    per receiver-round, and all None in the clear."""
+    assert main(["simulate", "--preset", preset, "--out-dir", str(tmp_path / "sim")]) == 0
+    [run] = json.loads((tmp_path / "sim" / "manifest.json").read_text())["runs"]
+    path = resources.files("privsum") / "presets" / f"{preset}.yaml"
+    nodes = run_local_cluster(ExperimentConfig.from_yaml(path), tmp_path / "nodes", timeout=120)
+    # fig7: 5 receivers and 100 rounds
+    for manifest, decrypts in [(run, 500), *((node, 100) for node in nodes)]:
+        crypto = {k for k in manifest if "crypt" in k or "blinding" in k}
+        assert crypto == set(CRYPTO_KEYS)
+        values = [manifest[k] for k in CRYPTO_KEYS]
+        if preset == "fig3":
+            assert values == [None] * 6
+        else:
+            assert all(v > 0 for v in values) and manifest["decrypts"] == decrypts
+            assert manifest["mean_encrypt_ms"] <= manifest["max_encrypt_ms"]
+            assert manifest["mean_decrypt_ms"] <= manifest["max_decrypt_ms"]
 
 
 @pytest.mark.parametrize("case", ["fig7", "fig3", "config-file"])

@@ -1,4 +1,6 @@
-"""Each demo script runs to completion from a scratch working directory."""
+"""Each demo script runs to completion from a scratch working directory,
+with every warning an error, as pytest's ``filterwarnings`` makes it for
+the tests."""
 import os
 import subprocess
 import sys
@@ -17,7 +19,7 @@ def test_demo_runs(demo, tmp_path):
     package_root = str(Path(privsum.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         cwd=tmp_path,
         env=env,
         capture_output=True,

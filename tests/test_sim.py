@@ -1,13 +1,15 @@
+import math
 import random
+import sys
 import time
 from importlib import resources
 
 import numpy as np
 import pytest
 
-from privsum.consensus import Trajectory
+from privsum.consensus import Trajectory, algorithm1_weights
 from privsum.errors import ConfigError, DecryptFailure, RangeUncovered
-from privsum.graph import DirectedGraph, default_demo_graph
+from privsum.graph import DirectedGraph, default_demo_graph, max_out_degree
 from privsum.paillier import Ciphertext, FixedPointCodec, decrypt, encrypt, keygen
 from privsum.sim import (
     MODE_ALGORITHM0,
@@ -181,6 +183,21 @@ def test_config_refuses_non_finite_inputs(overrides, message):
         make_config(**overrides).validate()
 
 
+def test_config_refuses_a_phase_a_range_whose_masking_weights_overflow():
+    """The largest B with 2B(max out-degree + 1) finite draws finite masking
+    weights; the next float up is refused, naming the key."""
+    m = max_out_degree(default_demo_graph()) + 1
+    b = math.nextafter(sys.float_info.max / (2.0 * m), math.inf)
+    while not math.isfinite(2.0 * b * m):
+        b = math.nextafter(b, 0.0)
+    config = make_config(phase_a_range=b, max_rounds=4)
+    config.validate()
+    table = algorithm1_weights(config.graph, config.params, config.seed, config.max_rounds)
+    assert np.isfinite(table.table).all()
+    with pytest.raises(ConfigError, match=r"phase_a_range=.*: 2 \* B \* \(max out-degree \+ 1\)"):
+        make_config(phase_a_range=math.nextafter(b, math.inf)).validate()
+
+
 def test_encrypted_config_rejects_a_key_too_small_for_its_fractional_bits():
     # the demo graph's largest in-degree is 2: one bit of headroom per value
     with pytest.raises(
@@ -284,7 +301,7 @@ def test_encrypted_mode_close_to_plain():
     enc = run_experiment(
         make_config(max_rounds=40, mode=MODE_ALGORITHM2, key_bits=128)
     )
-    assert enc.mean_encrypt_seconds is not None
+    assert enc.crypto["mean_encrypt_ms"] is not None
     np.testing.assert_allclose(
         enc.record.trajectory.pi,
         plain.record.trajectory.pi,
