@@ -229,12 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_mode=True):
+    def add_common(p, runs_protocol=True):
         p.add_argument("--config", help="YAML config file")
         p.add_argument("--preset", help=f"packaged preset: {', '.join(PRESETS)}")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--out-dir", default=".", help="directory for outputs")
-        if with_mode:
+        if runs_protocol:
+            p.add_argument("--out-dir", default=".", help="directory for outputs")
             p.add_argument("--mode", choices=MODES, default=None, help="override the mode")
 
     p_sim = sub.add_parser("simulate", help="run the protocol in-process")
@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_node.set_defaults(func=cmd_node)
 
     p_ver = sub.add_parser("verify", help="run the invariant suites")
-    add_common(p_ver, with_mode=False)
+    add_common(p_ver, runs_protocol=False)
     p_ver.set_defaults(func=cmd_verify)
 
     return parser

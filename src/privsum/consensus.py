@@ -308,7 +308,7 @@ def run_rounds(
         for k, (row, now, nxt) in enumerate(per_round):
             split_shares(row, now.take(holders, axis=1), out=products)
             if channel is not None:
-                wire[k] = channel.transmit(senders, receivers, sent)
+                wire[k] = channel.transmit(senders, receivers, k, sent)
                 # Each receiver's decrypted sum sits in its lowest sender's
                 # slot, -0.0 in its other slots, so the fold adds the sum alone.
                 sent[:] = channel.receive(senders, receivers, k, wire[k])

@@ -13,11 +13,12 @@ Share payloads are either two raw float64s (plain transport, an
 ``algorithm1`` config) or one length-prefixed Paillier ciphertext under
 the receiver's public key, of the (s, w) pair packed into one plaintext
 (encrypted transport, an ``algorithm2-simulated`` config).  The packing
-leaves headroom for the receiver's in-degree: a receiver multiplies a
-round's ciphertexts and decrypts their sum once.  A node draws and folds
-with the simulator's own functions (see ``NodeRuntime``), so with
-identical seeds the plain-transport trajectory is bit-for-bit the
-simulator's, and the encrypted one the encrypted simulation's.
+leaves headroom for the run's fan-in: a receiver checks each ciphertext
+as it parses the frame and decrypts the product of a round's ciphertexts
+once.  A node draws and folds with the simulator's own functions (see
+``NodeRuntime``), so with identical seeds the plain-transport trajectory
+is bit-for-bit the simulator's, and the encrypted one the encrypted
+simulation's.
 
 A node runs one ``selectors`` loop on the thread that calls ``run``, and
 only while the driver waits.  The loop accepts connections, reads each into a buffer that
@@ -51,10 +52,12 @@ import numpy as np
 import yaml
 
 from .consensus import NodeState, Trajectory, apply_round, split_shares
-from .errors import ConfigError, FaultyShare, PeerDisconnected, ProtocolError, Timeout
+from .errors import ConfigError, DecryptFailure, FaultyShare, MalformedCiphertext
+from .errors import PeerDisconnected, ProtocolError, Timeout
 from .paillier import (
     Ciphertext,
     PaillierKeypair,
+    check_ciphertext,
     pack_uint,
     public_key_from_bytes,
     public_key_to_bytes,
@@ -62,14 +65,14 @@ from .paillier import (
 )
 from .sim import (
     MODE_ALGORITHM0, MODE_ALGORITHM1, MODE_ALGORITHM2, ExperimentConfig, PaillierChannel,
-    crypto_report, node_keys, resolve_x0,
+    crypto_report, graph_fan_in, node_keys, resolve_x0,
 )
 from .weights import generate_round_weights, node_rng, place_round_weights
 
 MAGIC = b"PSUM"
-# 4: a receiver of more than one in-link decodes its links' pairs as one
-# sum, in a layout with headroom for its in-degree.
-VERSION = 4
+# 5: every receiver's pair layout has headroom for the run's fan-in, the
+# graph's largest in-degree.
+VERSION = 5
 # Seconds between refused connection attempts: peers start at about the
 # same time, so most listeners are up within milliseconds of the first try.
 CONNECT_RETRY_FIRST = 0.001
@@ -285,9 +288,9 @@ class NodeRuntime:
             self.keypair = keys.keypair
             self._key_directory[node_id] = self.keypair.public
             # Reads the live directory: every key is in it before round 0.
-            in_degrees = {j: self.graph.in_degree(j) for j in self.graph.nodes()}
             self.channel = PaillierChannel(
-                self._key_directory, {node_id: keys}, config.fractional_bits, in_degrees
+                self._key_directory, {node_id: keys}, config.fractional_bits,
+                graph_fan_in(self.graph),
             )
         self._weight_stream = node_rng(config.seed, node_id)
         self._x0 = resolve_x0(config)[node_id]
@@ -440,7 +443,8 @@ class NodeRuntime:
             raise ProtocolError(f"unknown message type {frame.msg_type}")
 
     def _wire_share(self, frame: WireFrame) -> tuple[float, float] | Ciphertext:
-        """Inverse of ``share_frame`` for a share addressed to this node."""
+        """Inverse of ``share_frame`` for a share addressed to this node; a
+        malformed ciphertext is a ``DecryptFailure``."""
         expected = MSG_SHARE_PLAIN if self.channel is None else MSG_SHARE_ENC
         if frame.msg_type != expected:
             raise ProtocolError(
@@ -448,7 +452,14 @@ class NodeRuntime:
             )
         if self.channel is None:
             return unpack_plain_shares(frame.payload)
-        return Ciphertext(unpack_cipher_share(frame.payload), self.keypair.public.key_id)
+        cipher = Ciphertext(unpack_cipher_share(frame.payload), self.keypair.public.key_id)
+        try:
+            check_ciphertext(self.keypair, cipher)
+        except MalformedCiphertext as exc:
+            raise DecryptFailure(
+                f"node {self.node_id}: round-{frame.round} share from {frame.sender_id}: {exc}"
+            ) from exc
+        return cipher
 
     def _send(self, peer: int, frame: WireFrame) -> None:
         """Queue a frame behind the peer's unsent bytes and write what the
@@ -629,7 +640,7 @@ class NodeRuntime:
                     if self.channel is None:
                         wire = outgoing.T
                     else:
-                        wire = self.channel.transmit(senders, self.out_ids, outgoing)
+                        wire = self.channel.transmit(senders, self.out_ids, k, outgoing)
                     for peer, share in zip(self.out_ids, wire):
                         self._send(peer, share_frame(self.node_id, k, share))
                     received = self._receive_round(k).reshape(-1, 2, 1)

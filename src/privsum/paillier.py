@@ -367,7 +367,7 @@ class FixedPointCodec:
     decode treats residues above n/2 as negative.  Values must satisfy
     |v| <= 2^(R - f) with R = (bits(n) - 1) // 2 - 1 - c and
     c = ceil(log2(fan_in)), so every encoding lies in [-2^R, 2^R]; a sender
-    who knows only n and the receiver's fan-in checks that.  The bound is
+    who knows only n and the run's fan-in checks that.  The bound is
     inclusive because decode can return it: below about 205-bit keys the
     largest float under 2^(R - f) encodes to 2^R, which decodes to the
     bound itself, and a decoded share must encode again unchanged.

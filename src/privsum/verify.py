@@ -289,10 +289,10 @@ def suite_crypto_roundtrip(config: ExperimentConfig) -> SuiteResult:
     # round, the share path a run ships; w runs the edges backwards, so the
     # pairs mix signs and a slot mix-up shows.
     keys = {0: NodeKeys(kp, rng)}
-    channel = PaillierChannel({0: kp.public}, keys, config.fractional_bits, {0: 1})
+    channel = PaillierChannel({0: kp.public}, keys, config.fractional_bits, 1)
     links = [0] * len(edges)
     sent = np.array([edges, edges[::-1]])
-    wire = channel.transmit(links, links, sent)
+    wire = channel.transmit(links, links, 0, sent)
     back = np.hstack([channel.receive([0], [0], k, wire[k : k + 1]) for k in range(len(wire))])
     for v, got in zip(sent.ravel().tolist(), back.ravel().tolist()):
         if got != codec.decode(codec.encode(v)):
@@ -304,11 +304,11 @@ def suite_crypto_roundtrip(config: ExperimentConfig) -> SuiteResult:
     fan_in = graph_fan_in(config.graph)
     wide = FixedPointCodec(kp.public.n, config.fractional_bits, fan_in)
     scaled = sent * (wide.max_magnitude / codec.max_magnitude)
-    summing = PaillierChannel({0: kp.public}, keys, config.fractional_bits, {0: fan_in})
+    summing = PaillierChannel({0: kp.public}, keys, config.fractional_bits, fan_in)
     for start in range(0, len(edges), fan_in):
         pairs = scaled[:, start : start + fan_in]
         links = [0] * pairs.shape[1]
-        wire = summing.transmit(links, links, pairs)
+        wire = summing.transmit(links, links, start, pairs)
         got = summing.receive(links, links, start, wire)[:, 0].tolist()
         want = [math.fsum(wide.decode(wide.encode(v)) for v in row) for row in pairs.tolist()]
         if got != want:

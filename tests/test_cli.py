@@ -238,6 +238,34 @@ def test_a_run_whose_state_overflows_exits_2_with_one_error_line(tmp_path, capsy
     assert err.count("\n") == 1, err
 
 
+def test_an_encrypted_share_outside_the_codec_range_exits_2_naming_its_link(
+    tmp_path, capsys
+):
+    """x0 = 1e307 is finite, but its shares are far outside the codec
+    range: the one error line names the link and round the share crosses."""
+    cfg = write_config(tmp_path / "huge.yaml", x0=[1e307] * 5, mode="algorithm2-simulated")
+    rc = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"error: node \d: round-0 share to \d: value \S+ outside the codec range\n", err
+    ), err
+
+
+def test_verify_of_a_state_that_overflows_reports_each_suite(tmp_path, capsys):
+    """x0 = 1e307 overflows a run's state: each suite that runs the protocol
+    fails naming it, and no error series squares a deviation into an
+    overflow warning, which the tests make an error."""
+    cfg = write_config(tmp_path / "huge.yaml", x0=[1e307] * 5)
+    assert main(["verify", "--config", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    results = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
+    assert len(results) == 6, out
+    overflows = [r for r in results if re.search(r"state \(s, w\) = .* is not finite", r)]
+    assert len(overflows) == 4, out
+    assert err == ""
+
+
 @pytest.mark.parametrize("command", ["simulate", "verify"])
 def test_a_phase_a_range_whose_weights_overflow_exits_2_with_one_error_line(
     tmp_path, capsys, command
@@ -245,7 +273,8 @@ def test_a_phase_a_range_whose_weights_overflow_exits_2_with_one_error_line(
     """B = 1e308 is finite, but 2B, the masking draw's scale, is not: the
     validator refuses it before a weight is drawn."""
     cfg = write_config(tmp_path / "huge.yaml", phase_a_range=1.0e308)
-    rc = main([command, "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    out_dir = ["--out-dir", str(tmp_path / "out")] if command == "simulate" else []
+    rc = main([command, "--config", str(cfg), *out_dir])
     assert rc == 2
     out, err = capsys.readouterr()
     assert re.fullmatch(r"error: phase_a_range=1e\+308: .* overflows\n", err), err
@@ -386,6 +415,14 @@ def test_node_manifest_and_summary_record_decrypt_latency(tmp_path, capsys, mode
             assert f"max decrypt {fields[1]:.2f} ms" in summary
 
 
+def test_verify_takes_no_out_dir(capsys):
+    # verify writes no file, so it has no output directory to be given
+    with pytest.raises(SystemExit) as exited:
+        main(["verify", "--preset", "fig7", "--out-dir", "out"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --out-dir out" in capsys.readouterr().err
+
+
 def test_verify_fans_out_a_list_valued_big_k(capsys):
     # the fig2 preset sweeps big_k: [1, 5, 9]; every suite runs once per value
     assert main(["verify", "--preset", "fig2"]) == 0
@@ -401,7 +438,8 @@ def test_an_empty_big_k_list_exits_2_with_one_error_line(tmp_path, capsys, comma
     # simulate after it had made its output directory
     cfg = write_config(tmp_path / "empty.yaml", big_k=[])
     out = tmp_path / "out"
-    assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == 2
+    out_dir = ["--out-dir", str(out)] if command == "simulate" else []
+    assert main([command, "--config", str(cfg), *out_dir]) == 2
     assert not out.exists()
     captured = capsys.readouterr()
     assert captured.err == "error: big_k=[]: an empty list gives no run\n", captured.err

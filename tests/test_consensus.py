@@ -18,7 +18,7 @@ from privsum.consensus import (
 from privsum.errors import ConfigError, DivisionByZero, MagnitudeOverflow, NotStronglyConnected
 from privsum.graph import DirectedGraph, random_strongly_connected_graph
 from privsum.paillier import FixedPointCodec, decrypt
-from privsum.sim import NodeKeys, PaillierChannel, node_keys
+from privsum.sim import NodeKeys, PaillierChannel, graph_fan_in, node_keys
 from privsum.weights import WeightParams, node_rng
 from reference_pushsum import (
     MissingShare,
@@ -300,13 +300,11 @@ def _message_passing(graph, x0, weight_source, rounds, channel=None):
             for msg in msgs:
                 if channel is not None:
                     link = ([msg.sender], [msg.receiver])
-                    (sent,) = channel.transmit(*link, np.array([[msg.s_share], [msg.w_share]]))
+                    (sent,) = channel.transmit(*link, k, np.array([[msg.s_share], [msg.w_share]]))
                     wire.append(sent)
                     keypair = channel.keys[msg.receiver].keypair
                     codec = FixedPointCodec(
-                        keypair.public.n,
-                        channel.fractional_bits,
-                        channel.in_degrees[msg.receiver],
+                        keypair.public.n, channel.fractional_bits, channel.fan_in
                     )
                     pair = codec.decode_sum(decrypt(keypair, sent), 1)
                     msg = ShareMessage(msg.sender, msg.receiver, msg.round, *pair)
@@ -468,9 +466,8 @@ def test_array_engine_matches_message_passing_encrypted(graph_index):
     def channel():
         # the same keypairs, each sender's blinding stream from its start
         keys = {i: NodeKeys(kp, random.Random(i)) for i, kp in keypairs.items()}
-        in_degrees = {i: graph.in_degree(i) for i in graph.nodes()}
         return PaillierChannel(
-            {i: kp.public for i, kp in keypairs.items()}, keys, 48, in_degrees
+            {i: kp.public for i, kp in keypairs.items()}, keys, 48, graph_fan_in(graph)
         )
 
     record = run_algorithm1(graph, x0, params, seed=3, rounds=4, channel=channel())
@@ -520,9 +517,8 @@ def test_every_record_keeps_its_shares_right(demo_graph, demo_x0):
     # under a channel the receivers fold the decoded shares, which the
     # record recomputes: they are not the products of weights and states
     keys = {i: node_keys(128, 3, i) for i in demo_graph.nodes()}
-    in_degrees = {i: demo_graph.in_degree(i) for i in demo_graph.nodes()}
     channel = PaillierChannel(
-        {i: k.keypair.public for i, k in keys.items()}, keys, 48, in_degrees
+        {i: k.keypair.public for i, k in keys.items()}, keys, 48, graph_fan_in(demo_graph)
     )
     encrypted = run_algorithm1(demo_graph, demo_x0, params, seed=9, rounds=6, channel=channel)
     assert encrypted.wire is encrypted.ciphertexts

@@ -561,9 +561,9 @@ def _two_node_runtime(mode, key_bits=64):
 def test_malformed_share_ciphertext_raises_decrypt_failure():
     rt = _two_node_runtime(MODE_ENCRYPTED, key_bits=128)
     assert isinstance(rt.channel, PaillierChannel)
-    rt._dispatch(WireFrame(MSG_SHARE_ENC, 1, 0, pack_uint(0)))
-    with pytest.raises(DecryptFailure, match="round-0 share from 1"):
-        rt._receive_round(0)
+    with pytest.raises(DecryptFailure, match="node 0: round-0 share from 1: "):
+        rt._dispatch(WireFrame(MSG_SHARE_ENC, 1, 0, pack_uint(0)))
+    assert not rt._shares
     # a valid ciphertext of a plaintext above the pair layout is refused,
     # not decoded into garbage shares
     public = rt.keypair.public
@@ -779,26 +779,40 @@ def test_a_local_cluster_runs_the_config_it_was_given(tmp_path):
 
 
 def test_local_cluster_frames_are_the_simulators_wire(tmp_path):
-    """Each plain node's ``node<i>.frames`` holds one share frame per round
-    and out-link, in sending order, each payload the (s, w) pair the
-    simulator's run puts on that link, bit for bit."""
-    preset = resources.files("privsum") / "presets" / "fig3.yaml"
-    config = replace(ExperimentConfig.from_yaml(preset), max_rounds=20)
-    manifests = net.run_local_cluster(config, out_dir=tmp_path, timeout=120.0)
-    wire = run_experiment(config).record.wire
-    edge_start = config.graph.layout.edge_start
-    for i, manifest in enumerate(manifests):
-        path = tmp_path / f"node{i}.frames"
-        assert str(path) in manifest["outputs"]
-        buffer = bytearray(path.read_bytes())
-        frames = list(iter(lambda: read_frame(buffer, 16), None))
-        assert not buffer
-        assert len(frames) == config.max_rounds * config.graph.out_degree(i)
-        edges = range(edge_start[i], edge_start[i + 1])
-        sends = itertools.product(range(config.max_rounds), edges)
-        for frame, (k, edge) in zip(frames, sends):
-            assert (frame.msg_type, frame.sender_id, frame.round) == (MSG_SHARE_PLAIN, i, k)
-            assert frame.payload == pack_plain_shares(*wire[k, :, edge].tolist()), (i, k, edge)
+    """Each node's ``node<i>.frames`` holds, after its n * d_out key frames
+    when encrypted, one share frame per round and out-link, in sending
+    order, each payload what the simulator's run puts on that link, bit for
+    bit: the (s, w) pair on fig3's plain transport, the ciphertext of the
+    packed pair on fig7's encrypted one, so a node and the simulator use
+    the same pair layout and the same blinding order."""
+    for preset, rounds in (("fig3", 20), ("fig7", 6)):
+        path = resources.files("privsum") / "presets" / f"{preset}.yaml"
+        config = replace(ExperimentConfig.from_yaml(path), max_rounds=rounds)
+        out_dir = tmp_path / preset
+        manifests = net.run_local_cluster(config, out_dir=out_dir, timeout=120.0)
+        record = run_experiment(config).record
+        encrypted = config.mode == MODE_ALGORITHM2
+        limit = max_payload(MODE_ENCRYPTED if encrypted else MODE_PLAIN, config.key_bits)
+        edge_start = config.graph.layout.edge_start
+        for i, manifest in enumerate(manifests):
+            path = out_dir / f"node{i}.frames"
+            assert str(path) in manifest["outputs"]
+            buffer = bytearray(path.read_bytes())
+            frames = list(iter(lambda: read_frame(buffer, limit), None))
+            assert not buffer
+            d_out = config.graph.out_degree(i)
+            n_keys = config.graph.n_nodes * d_out if encrypted else 0
+            assert len(frames) == n_keys + config.max_rounds * d_out
+            assert {frame.msg_type for frame in frames[:n_keys]} <= {MSG_KEY_ANNOUNCE}
+            edges = range(edge_start[i], edge_start[i + 1])
+            sends = itertools.product(range(config.max_rounds), edges)
+            for frame, (k, edge) in zip(frames[n_keys:], sends):
+                if encrypted:
+                    want = (MSG_SHARE_ENC, pack_uint(record.ciphertexts[k, edge].value))
+                else:
+                    want = (MSG_SHARE_PLAIN, pack_plain_shares(*record.wire[k, :, edge].tolist()))
+                assert (frame.sender_id, frame.round) == (i, k)
+                assert (frame.msg_type, frame.payload) == want, (preset, i, k, edge)
 
 
 # -- live fault injection ------------------------------------------------------

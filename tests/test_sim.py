@@ -10,7 +10,7 @@ import pytest
 from privsum.consensus import Trajectory, algorithm1_weights
 from privsum.errors import ConfigError, DecryptFailure, RangeUncovered
 from privsum.graph import DirectedGraph, default_demo_graph, max_out_degree
-from privsum.paillier import Ciphertext, FixedPointCodec, decrypt, encrypt, keygen
+from privsum.paillier import FixedPointCodec, decrypt, encrypt, keygen
 from privsum.sim import (
     MODE_ALGORITHM0,
     MODE_ALGORITHM1,
@@ -22,6 +22,7 @@ from privsum.sim import (
     config_hash,
     error_series,
     fitted_contraction,
+    graph_fan_in,
     node_keypairs,
     resolve_x0,
     run_experiment,
@@ -57,6 +58,16 @@ def test_error_series_direct_values():
     assert m.e[0] == pytest.approx(np.sqrt(2.0), abs=1e-15)
     flat = Trajectory(np.array([[[40.0, 10.0], [2.0, 0.5]]]))
     assert error_series(flat, [25.0, 15.0]).e[0] == 0.0
+
+
+def test_error_series_scales_a_row_whose_squares_would_overflow():
+    """(1e200)^2 is not a float: that row is scaled by its largest
+    deviation, and the row below it keeps the plain norm bit for bit."""
+    s = np.array([[1e200, -1e200, 3.0, 4.0], [3.0, 4.0, 0.0, 0.0]])
+    traj = Trajectory(np.stack((s, np.ones_like(s)), axis=1))
+    e = error_series(traj, [0.0] * 4).e
+    assert e[0] == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+    assert e[1] == np.linalg.norm(s[1]) == 5.0
 
 
 def test_constant_input_modes():
@@ -333,22 +344,22 @@ def test_2048_bit_run_matches_256_bit_bitwise():
     assert elapsed < 10.0, f"2048-bit run took {elapsed:.1f} s"
 
 
-def _three_key_channel(in_degrees):
+def _three_key_channel(fan_in):
     keypairs = {i: keygen(64, random.Random(i)) for i in range(3)}
     keys = {i: NodeKeys(kp, random.Random(i)) for i, kp in keypairs.items()}
     public = {i: kp.public for i, kp in keypairs.items()}
-    return PaillierChannel(public, keys, 16, in_degrees), keypairs
+    return PaillierChannel(public, keys, 16, fan_in), keypairs
 
 
 def test_channel_times_each_receiver_table_apart_from_the_encryptions():
-    channel, keypairs = _three_key_channel({0: 1, 1: 1, 2: 2})
+    channel, keypairs = _three_key_channel(2)
     senders, receivers = [0, 1, 2, 0], [1, 2, 0, 2]
     shares = np.array([[1.0, -2.0, 3.5, 4.0], [0.5, 0.25, 0.125, 1.0]])
     # node 2's two shares come back as one sum, in the column of its lowest
     # sender, 0; its other column holds -0.0
     folded = np.array([[1.0, -0.0, 3.5, 2.0], [0.5, -0.0, 0.125, 1.25]])
     for round_k in range(2):
-        wire = channel.transmit(senders, receivers, shares)
+        wire = channel.transmit(senders, receivers, round_k, shares)
         got = channel.receive(senders, receivers, round_k, wire)
         assert got.tobytes() == folded.tobytes()
     # one encryption per link-round, one decryption per receiver-round
@@ -363,9 +374,9 @@ def test_channel_refuses_more_ciphertexts_than_the_receiver_fan_in():
     """Two links into a fan-in-1 layout would carry one slot into the
     other (s = -2 + 4 came back as 2.00001526, w as -32767.5); the receive
     names the receiver, the round and both senders instead."""
-    channel, _ = _three_key_channel({1: 1})
+    channel, _ = _three_key_channel(1)
     senders, receivers = [0, 2], [1, 1]
-    wire = channel.transmit(senders, receivers, np.array([[-2.0, 4.0], [0.5, 0.25]]))
+    wire = channel.transmit(senders, receivers, 3, np.array([[-2.0, 4.0], [0.5, 0.25]]))
     with pytest.raises(
         DecryptFailure,
         match="node 1: round-3 shares from 0, 2: a sum of 2 pairs is outside the "
@@ -375,7 +386,7 @@ def test_channel_refuses_more_ciphertexts_than_the_receiver_fan_in():
 
 
 def test_channel_names_every_sender_of_a_sum_outside_the_layout():
-    channel, keypairs = _three_key_channel({1: 2})
+    channel, keypairs = _three_key_channel(2)
     public = keypairs[1].public
     # each plaintext alone is a residue, not a packed pair: their sum's
     # digits are no sum of two pairs
@@ -384,20 +395,15 @@ def test_channel_names_every_sender_of_a_sum_outside_the_layout():
         DecryptFailure, match="node 1: round-0 shares from 0, 2: .*outside the pair layout"
     ):
         channel.receive([0, 2], [1, 1], 0, wire)
-    # a malformed ciphertext is named by its own sender, before any decryption
-    wire[1] = Ciphertext(0, public.key_id)
-    with pytest.raises(DecryptFailure, match="node 1: round-0 share from 2: "):
-        channel.receive([0, 2], [1, 1], 0, wire)
-    assert len(channel.decrypt_seconds) == 1
 
 
 def test_channel_checks_a_sum_not_its_terms():
     """At fan-in 2, a valid ciphertext of n - 1, no packed pair, next to an
     honest pair leaves a sum inside the layout: it decodes, shifted by the
     missing pair's slot offsets and the -1, and no sender is named."""
-    channel, keypairs = _three_key_channel({1: 2})
+    channel, keypairs = _three_key_channel(2)
     public = keypairs[1].public
-    honest = channel.transmit([0], [1], np.array([[-2.0], [0.25]]))[0]
+    honest = channel.transmit([0], [1], 0, np.array([[-2.0], [0.25]]))[0]
     wire = [honest, encrypt(public, public.n - 1, random.Random(0))]
     got = channel.receive([0, 2], [1, 1], 0, wire)
     bound = FixedPointCodec(public.n, 16, 2).max_magnitude
@@ -416,7 +422,7 @@ def test_record_shares_are_what_each_ciphertext_decrypts_to_alone():
     decrypted = np.empty_like(record.shares)
     for e, receiver in enumerate(layout.receivers.tolist()):
         kp = keypairs[receiver]
-        codec = FixedPointCodec(kp.public.n, 48, config.graph.in_degree(receiver))
+        codec = FixedPointCodec(kp.public.n, 48, graph_fan_in(config.graph))
         for k in range(record.n_rounds):
             decrypted[k, :, e] = codec.decode_sum(decrypt(kp, record.wire[k, e]), 1)
     assert decrypted.tobytes() == record.shares.tobytes()
