@@ -65,7 +65,7 @@ from .paillier import (
 )
 from .sim import (
     MODE_ALGORITHM0, MODE_ALGORITHM1, MODE_ALGORITHM2, ExperimentConfig, PaillierChannel,
-    crypto_report, graph_fan_in, node_keys, resolve_x0,
+    crypto_report, node_keys, resolve_x0,
 )
 from .weights import generate_round_weights, node_rng, place_round_weights
 
@@ -230,7 +230,7 @@ class NodeRuntime:
         config: ExperimentConfig,
         out_dir: str | Path | None = None,
     ) -> None:
-        config.validate()
+        plan = config.validate()
         # A node runs the two-phase protocol; a config asking for the
         # baseline is refused rather than run differently from the simulator.
         if config.mode == MODE_ALGORITHM0:
@@ -289,8 +289,7 @@ class NodeRuntime:
             self._key_directory[node_id] = self.keypair.public
             # Reads the live directory: every key is in it before round 0.
             self.channel = PaillierChannel(
-                self._key_directory, {node_id: keys}, config.fractional_bits,
-                graph_fan_in(self.graph),
+                self._key_directory, {node_id: keys}, config.fractional_bits, plan.fan_in
             )
         self._weight_stream = node_rng(config.seed, node_id)
         self._x0 = resolve_x0(config)[node_id]

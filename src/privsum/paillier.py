@@ -486,15 +486,17 @@ def to_codec_grid(values: np.ndarray, fractional_bits: int) -> np.ndarray:
     return np.rint(values * scale) / scale + 0.0
 
 
-def smallest_key_bits(fractional_bits: int, fan_in: int = 1) -> int:
+def smallest_key_bits(fractional_bits: int, fan_in: int, peak_bits: int) -> int:
     """Smallest ``keygen`` size whose every modulus admits a codec with
-    ``fractional_bits`` fractional bits and fan-in ``fan_in``.
+    ``fractional_bits`` fractional bits and fan-in ``fan_in`` that carries
+    every value up to 2^``peak_bits``.
 
     keygen multiplies two (key_bits // 2)-bit primes, so n has
-    2 * (key_bits // 2) bits or one fewer; the codec needs
-    (bits(n) - 1) // 2 - 1 - ceil(log2(fan_in)) > fractional_bits, which
-    the shorter n meets exactly from
-    key_bits // 2 = fractional_bits + 3 + ceil(log2(fan_in)) on.  The pair
-    layout fits every such n (see ``FixedPointCodec``).
+    2 * (key_bits // 2) bits or one fewer; the codec's bound
+    2^((bits(n) - 1) // 2 - 1 - ceil(log2(fan_in)) - fractional_bits)
+    reaches 2^peak_bits on the shorter n exactly from
+    key_bits // 2 = fractional_bits + peak_bits + 2 + ceil(log2(fan_in)) on.
+    The pair layout fits every such n (see ``FixedPointCodec``).
     """
-    return max(MIN_KEY_BITS, 2 * (fractional_bits + 3 + (fan_in - 1).bit_length()))
+    half = fractional_bits + peak_bits + 2 + (fan_in - 1).bit_length()
+    return max(MIN_KEY_BITS, 2 * half)

@@ -51,10 +51,21 @@ MODES = (MODE_ALGORITHM0, MODE_ALGORITHM1, MODE_ALGORITHM2)
 DEFAULT_FRACTIONAL_BITS = 48
 
 
-def graph_fan_in(graph: DirectedGraph) -> int:
-    """The most share pairs one receiver of ``graph`` sums in a round: its
-    largest in-degree, and at least 1, the least fan-in a codec takes."""
-    return max(1, max_in_degree(graph))
+@dataclass(frozen=True)
+class RunPlan:
+    """The numbers a run is sized by, decided once by
+    ``ExperimentConfig.validate`` for the simulator, a node and ``verify``.
+
+    ``fan_in`` is the most share pairs one receiver sums in a round: the
+    graph's largest in-degree, and at least 1, the least fan-in a codec
+    takes.  Every |s|, |w| and |share| of the run is at most
+    2^``peak_bits``.  ``key_bits`` is the smallest key whose codec carries
+    that bound at the config's fractional bits and ``fan_in``.
+    """
+
+    fan_in: int
+    peak_bits: int
+    key_bits: int
 
 
 @dataclass(frozen=True)
@@ -99,7 +110,9 @@ class ExperimentConfig:
             phase_a_range=self.phase_a_range,
         )
 
-    def validate(self) -> None:
+    def validate(self) -> RunPlan:
+        """Check the config and return its ``RunPlan``; a config no run can
+        carry out is a ``ConfigError``."""
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if not is_strongly_connected(self.graph):
@@ -120,23 +133,8 @@ class ExperimentConfig:
                 f"rounds and cannot stop early; set stop_tol to 0"
             )
         self.params  # triggers WeightParams validation
-        # 2B * fan_out bounds every intermediate of a masking draw (``weights._value_rows``).
-        if not math.isfinite(2.0 * self.phase_a_range * fan_out):
-            raise ConfigError(
-                f"phase_a_range={self.phase_a_range}: 2 * B * (max out-degree + 1) overflows"
-            )
-        if self.mode == MODE_ALGORITHM2:
-            if self.fractional_bits <= 0:
-                raise ConfigError("fractional_bits must be positive")
-            # A receiver sums its in-links' pairs, so the graph's largest
-            # in-degree sets the layout's headroom.
-            fan_in = graph_fan_in(self.graph)
-            smallest = smallest_key_bits(self.fractional_bits, fan_in)
-            if self.key_bits < smallest:
-                raise ConfigError(
-                    f"key_bits={self.key_bits} cannot hold fractional_bits={self.fractional_bits} "
-                    f"at fan-in {fan_in}; the smallest usable key size is {smallest}"
-                )
+        if self.mode == MODE_ALGORITHM2 and self.fractional_bits <= 0:
+            raise ConfigError("fractional_bits must be positive")
         if isinstance(self.x0, dict):
             if set(self.x0) != {"low", "high"} or not _finite(self.x0.values()):
                 raise ConfigError("x0 range must be {'low': a, 'high': b}, both finite")
@@ -166,6 +164,14 @@ class ExperimentConfig:
                 )
             if not _finite(self.adversary.target_x0):
                 raise ConfigError("adversary target_x0 entries must be finite numbers")
+        plan = _run_plan(self, fan_out)
+        if self.mode == MODE_ALGORITHM2 and self.key_bits < plan.key_bits:
+            raise ConfigError(
+                f"key_bits={self.key_bits} cannot carry this run's values, up to "
+                f"2^{plan.peak_bits} at fractional_bits={self.fractional_bits} and "
+                f"fan-in {plan.fan_in}; it needs {plan.key_bits} bits"
+            )
+        return plan
 
     def to_dict(self) -> dict:
         d: dict = {
@@ -235,6 +241,52 @@ def read_config_file(path) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} does not contain a mapping")
     return raw
+
+
+def _run_plan(config: ExperimentConfig, fan_out: int) -> RunPlan:
+    """The ``RunPlan`` of a config whose every other field is checked;
+    ``fan_out`` is m_max, the most targets a node has, itself included.
+
+    A masking column is m uniforms on (-B, B), each less their mean, plus
+    1/m, so its l1 norm is at most 1 + 2B(m - 1); a mixing column's is 1.
+    So no ||s(k)||_1, and no share, exceeds
+    ||x0||_1 (1 + 2B(m_max - 1))^(K+1), and w, 1 through round K+1 and
+    then positive with sum n, never exceeds n.  The bound is taken in
+    log2, so a huge B or K cannot overflow it.
+    """
+    b = config.phase_a_range
+    # 2B * fan_out bounds every intermediate of a masking draw (``weights._value_rows``).
+    if not math.isfinite(2.0 * b * fan_out):
+        raise ConfigError(f"phase_a_range={b}: 2 * B * (max out-degree + 1) overflows")
+    peak_bits = config.graph.n_nodes.bit_length()
+    x0_bits = _log2_x0_norm(config)
+    if x0_bits > -math.inf:
+        growth = (config.big_k + 1) * math.log2(1.0 + 2.0 * b * (fan_out - 1))
+        peak_bits = max(peak_bits, math.ceil(x0_bits + growth))
+    # A receiver sums its in-links' pairs, so the graph's largest
+    # in-degree sets the layout's headroom.
+    fan_in = max(1, max_in_degree(config.graph))
+    key_bits = smallest_key_bits(config.fractional_bits, fan_in, peak_bits)
+    return RunPlan(fan_in=fan_in, peak_bits=peak_bits, key_bits=key_bits)
+
+
+def _log2_x0_norm(config: ExperimentConfig) -> float:
+    """log2 of a bound on ||x0||_1 over every value the config gives a
+    node: sum |x| for a list, n * max(|low|, |high|) for a range, and the
+    target's term widened to the adversary's ``target_x0``.  -inf when
+    every value is 0."""
+    if isinstance(config.x0, dict):
+        bounds = [max(abs(config.x0["low"]), abs(config.x0["high"]))] * config.graph.n_nodes
+    else:
+        bounds = [abs(float(v)) for v in config.x0]
+    if config.adversary is not None:
+        target = config.adversary.target
+        bounds[target] = max([bounds[target], *map(abs, config.adversary.target_x0)])
+    top = max(bounds)
+    if top == 0.0:
+        return -math.inf
+    # Scaled by the largest term, so a sum of huge values cannot overflow.
+    return math.log2(top) + math.log2(math.fsum(v / top for v in bounds))
 
 
 def _int(value) -> int:
@@ -370,7 +422,7 @@ class PaillierChannel:
     encrypts and decrypts.  ``keys`` holds the ``NodeKeys`` it acts for,
     every node's in the simulator, a networked node's own next to the
     public keys it learned.  Each receiver's fixed-point codec, built once
-    per key at the run's ``fan_in`` (``graph_fan_in``), packs a link's
+    per key at the run's ``fan_in`` (``RunPlan.fan_in``), packs a link's
     (s, w) pair into one plaintext (``encode_pair``), which is encrypted as
     one ciphertext.  A receiver multiplies its round's ciphertexts mod n^2
     (``add_ciphertexts``), decrypts the product once with the CRT
@@ -532,14 +584,13 @@ def run_experiment(
     Deterministic per seed; the adversary view is populated when the config
     carries an adversary spec.
     """
-    config.validate()
+    plan = config.validate()
     x0 = resolve_x0(config, target_override)
     channel = None
     if config.mode == MODE_ALGORITHM2:
         keys = {i: node_keys(config.key_bits, config.seed, i) for i in config.graph.nodes()}
         public = {i: k.keypair.public for i, k in keys.items()}
-        fan_in = graph_fan_in(config.graph)
-        channel = PaillierChannel(public, keys, config.fractional_bits, fan_in)
+        channel = PaillierChannel(public, keys, config.fractional_bits, plan.fan_in)
     if config.mode == MODE_ALGORITHM0:
         record = run_algorithm0(config.graph, x0, rounds=config.max_rounds)
     else:

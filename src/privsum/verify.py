@@ -38,7 +38,6 @@ from .sim import (
     MODE_ALGORITHM2,
     NodeKeys,
     PaillierChannel,
-    graph_fan_in,
     run_experiment,
     transition_product,
 )
@@ -57,10 +56,14 @@ MASS_DRIFT_TOL = 1e-9
 
 
 def suite_mass_conservation(config: ExperimentConfig) -> SuiteResult:
-    """sum_i s_i(k) stays at sum_i x_i for every round of every mode."""
+    """sum_i s_i(k) stays at sum_i x_i for every round of every mode; the
+    encrypted run takes the plan's key size where the config's is smaller."""
+    key_bits = max(config.key_bits, config.validate().key_bits)
     worst = 0.0
     for mode in (MODE_ALGORITHM0, MODE_ALGORITHM1, MODE_ALGORITHM2):
-        cfg = replace(config, mode=mode, max_rounds=min(config.max_rounds, 40))
+        cfg = replace(
+            config, mode=mode, max_rounds=min(config.max_rounds, 40), key_bits=key_bits
+        )
         res = run_experiment(cfg)
         s = res.record.trajectory.s
         total0 = sum(res.record.x0)
@@ -250,6 +253,7 @@ def suite_crypto_roundtrip(config: ExperimentConfig) -> SuiteResult:
     small reference key vector, codec roundtrips, and pairs of the edges
     of the codec range sent through a ``PaillierChannel``, the packed
     share path that runs use."""
+    plan = config.validate()
     toy = keypair_from_primes(5, 7)
     if (toy.public.n, toy.public.g, toy.lam, toy.mu) != (35, 36, 24, 19):
         return SuiteResult("crypto-roundtrip", False, "reference key vector mismatch")
@@ -301,7 +305,7 @@ def suite_crypto_roundtrip(config: ExperimentConfig) -> SuiteResult:
     # decrypts, the edges scaled by a power of two into its layout.  Each
     # decoded value is exact, so fsum rounds their sum once, as the exact
     # sum of the encodings divided by 2^f is rounded.
-    fan_in = graph_fan_in(config.graph)
+    fan_in = plan.fan_in
     wide = FixedPointCodec(kp.public.n, config.fractional_bits, fan_in)
     scaled = sent * (wide.max_magnitude / codec.max_magnitude)
     summing = PaillierChannel({0: kp.public}, keys, config.fractional_bits, fan_in)
@@ -318,9 +322,10 @@ def suite_crypto_roundtrip(config: ExperimentConfig) -> SuiteResult:
     return SuiteResult(
         "crypto-roundtrip",
         True,
-        f"keygen, roundtrip, homomorphism; {len(edges)} codec-edge pairs "
-        f"through the packed share path, alone and summed {fan_in} at a time; "
-        f"{len(values)} codec values, {margin}",
+        f"keygen, roundtrip, homomorphism at key_bits={config.key_bits} (the run "
+        f"needs {plan.key_bits} for values up to 2^{plan.peak_bits}); {len(edges)} "
+        f"codec-edge pairs through the packed share path, alone and summed {fan_in} "
+        f"at a time; {len(values)} codec values, {margin}",
     )
 
 

@@ -43,6 +43,10 @@ def write_config(path, **overrides):
         "mode": "algorithm1",
     }
     raw.update(overrides)
+    if raw["mode"] == "algorithm2-simulated" and "key_bits" not in raw:
+        # An encrypted config without a key size gets the smallest its run plan allows.
+        plain = ExperimentConfig.from_dict({**raw, "mode": "algorithm1"})
+        raw["key_bits"] = plain.validate().key_bits
     with open(path, "w") as fh:
         yaml.safe_dump(raw, fh)
     return path
@@ -185,7 +189,7 @@ def test_libyaml_and_pure_python_parsers_read_every_config_alike(tmp_path, monke
         *PRESET_FILES,
         exponent,
         write_config(tmp_path / "run.yaml"),
-        write_config(tmp_path / "enc.yaml", mode="algorithm2-simulated", key_bits=128),
+        write_config(tmp_path / "enc.yaml", mode="algorithm2-simulated"),
         write_config(
             tmp_path / "atk.yaml",
             graph=CHAIN,
@@ -238,18 +242,31 @@ def test_a_run_whose_state_overflows_exits_2_with_one_error_line(tmp_path, capsy
     assert err.count("\n") == 1, err
 
 
-def test_an_encrypted_share_outside_the_codec_range_exits_2_naming_its_link(
+def test_an_encrypted_config_whose_values_its_keys_cannot_carry_exits_2_before_round_0(
     tmp_path, capsys
 ):
-    """x0 = 1e307 is finite, but its shares are far outside the codec
-    range: the one error line names the link and round the share crosses."""
-    cfg = write_config(tmp_path / "huge.yaml", x0=[1e307] * 5, mode="algorithm2-simulated")
-    rc = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert re.fullmatch(
-        r"error: node \d: round-0 share to \d: value \S+ outside the codec range\n", err
-    ), err
+    """The run plan bounds every value a run carries, so keys too small for
+    them are refused with one line naming key_bits and the bits the run
+    needs, before round 0 and before any output.  At K = 2 and B = 100 the
+    demo graph's values reach 2^35 (128-bit keys let this run fail at round
+    1); x0 = 1e307 is finite, but its shares reach 2^1033."""
+    cases = [
+        (
+            dict(x0=[60.0, -60.0, 60.0, -60.0, 60.0], big_k=2, phase_a_range=100.0,
+                 key_bits=128, fractional_bits=48),
+            r"key_bits=128 cannot carry this run's values, up to 2\^35 at "
+            r"fractional_bits=48 and fan-in 2; it needs 172 bits",
+        ),
+        (dict(x0=[1e307] * 5, key_bits=256), r"key_bits=256 .* up to 2\^1033 .* 2168 bits"),
+    ]
+    for overrides, message in cases:
+        cfg = write_config(tmp_path / "small.yaml", mode="algorithm2-simulated", **overrides)
+        rc = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert re.fullmatch(f"error: {message}\n", err), err
+        assert out == ""
+        assert not (tmp_path / "out").exists()
 
 
 def test_verify_of_a_state_that_overflows_reports_each_suite(tmp_path, capsys):
@@ -354,7 +371,7 @@ def test_exponent_floats_in_x0_run_as_the_same_config_built_in_python(tmp_path, 
 
 def test_simulate_manifest_records_crypto_latency(tmp_path):
     for mode in ("algorithm1", "algorithm2-simulated"):
-        cfg = write_config(tmp_path / f"{mode}.yaml", mode=mode, max_rounds=5, key_bits=128)
+        cfg = write_config(tmp_path / f"{mode}.yaml", mode=mode, max_rounds=5)
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / mode)]) == 0
         run = json.loads((tmp_path / mode / "manifest.json").read_text())["runs"][0]
         for key in ("mean_encrypt_ms", "mean_decrypt_ms"):
@@ -373,7 +390,6 @@ def test_node_manifest_and_summary_record_decrypt_latency(tmp_path, capsys, mode
         graph={"n_nodes": 2, "edges": [[0, 1], [1, 0]]},
         x0=[10.0, 30.0],
         max_rounds=4,
-        key_bits=128,
         mode={"plain": "algorithm1", "encrypted": "algorithm2-simulated"}[mode],
     )
     ports = allocate_ports(2)

@@ -16,9 +16,9 @@ from privsum.consensus import (
     run_rounds,
 )
 from privsum.errors import ConfigError, DivisionByZero, MagnitudeOverflow, NotStronglyConnected
-from privsum.graph import DirectedGraph, random_strongly_connected_graph
+from privsum.graph import DirectedGraph, max_in_degree, random_strongly_connected_graph
 from privsum.paillier import FixedPointCodec, decrypt
-from privsum.sim import NodeKeys, PaillierChannel, graph_fan_in, node_keys
+from privsum.sim import NodeKeys, PaillierChannel, node_keys
 from privsum.weights import WeightParams, node_rng
 from reference_pushsum import (
     MissingShare,
@@ -467,7 +467,7 @@ def test_array_engine_matches_message_passing_encrypted(graph_index):
         # the same keypairs, each sender's blinding stream from its start
         keys = {i: NodeKeys(kp, random.Random(i)) for i, kp in keypairs.items()}
         return PaillierChannel(
-            {i: kp.public for i, kp in keypairs.items()}, keys, 48, graph_fan_in(graph)
+            {i: kp.public for i, kp in keypairs.items()}, keys, 48, max_in_degree(graph)
         )
 
     record = run_algorithm1(graph, x0, params, seed=3, rounds=4, channel=channel())
@@ -518,7 +518,7 @@ def test_every_record_keeps_its_shares_right(demo_graph, demo_x0):
     # record recomputes: they are not the products of weights and states
     keys = {i: node_keys(128, 3, i) for i in demo_graph.nodes()}
     channel = PaillierChannel(
-        {i: k.keypair.public for i, k in keys.items()}, keys, 48, graph_fan_in(demo_graph)
+        {i: k.keypair.public for i, k in keys.items()}, keys, 48, max_in_degree(demo_graph)
     )
     encrypted = run_algorithm1(demo_graph, demo_x0, params, seed=9, rounds=6, channel=channel)
     assert encrypted.wire is encrypted.ciphertexts

@@ -20,7 +20,7 @@ from privsum.consensus import run_algorithm1
 from privsum.errors import (
     ConfigError, DecryptFailure, FaultyShare, PeerDisconnected, ProtocolError, Timeout,
 )
-from privsum.graph import DirectedGraph, default_demo_graph, max_in_degree
+from privsum.graph import DirectedGraph, default_demo_graph
 from privsum.net import (
     MODE_ENCRYPTED,
     MODE_PLAIN,
@@ -43,7 +43,6 @@ from privsum.net import (
 from privsum import net
 from privsum.paillier import FixedPointCodec, PaillierPublicKey, encrypt, keygen, pack_uint
 from privsum.sim import (
-    DEFAULT_FRACTIONAL_BITS,
     ExperimentConfig,
     MODE_ALGORITHM1,
     MODE_ALGORITHM2,
@@ -66,16 +65,17 @@ def make_config(**overrides):
         seed=7,
     )
     base.update(overrides)
-    # An encrypted node refuses keys too small for its fractional bits and
-    # its graph's fan-in, so the 64-bit keys that keep key generation fast
-    # here get the most they can carry; keys of 102 bits and up (104 at the
-    # demo graph's fan-in 2) keep the default.
-    key_bits = base.get("key_bits", 256)
-    fan_in_bits = (max_in_degree(base["graph"]) - 1).bit_length()
-    base.setdefault(
-        "fractional_bits", min(DEFAULT_FRACTIONAL_BITS, key_bits // 2 - 3 - fan_in_bits)
-    )
-    return ExperimentConfig(**base)
+    config = ExperimentConfig(**base)
+    if "key_bits" in overrides:
+        return config
+    # Without a key size, the smallest the run plan allows, which keeps key
+    # generation fast whichever transport the config runs on.  A config the
+    # validator refuses keeps the default, for its test to see the refusal.
+    try:
+        plan = replace(config, mode=MODE_ALGORITHM1).validate()
+    except ConfigError:
+        return config
+    return replace(config, key_bits=plan.key_bits)
 
 
 # A node takes its transport from the config's mode.
@@ -264,9 +264,9 @@ def test_plain_cluster_matches_simulator_bitwise():
 
 
 def test_encrypted_cluster_matches_simulated_encrypted_mode():
-    config = make_config(key_bits=128)
+    config = make_config()
     results = run_cluster_in_threads(config, MODE_ENCRYPTED)
-    sim = run_experiment(make_config(key_bits=128, mode=MODE_ALGORITHM2))
+    sim = run_experiment(make_config(mode=MODE_ALGORITHM2))
     final = sim.record.trajectory.final()
     for i in range(5):
         assert results[i][0].s == final[i].s
@@ -275,7 +275,7 @@ def test_encrypted_cluster_matches_simulated_encrypted_mode():
 
 @pytest.mark.parametrize("mode", [MODE_PLAIN, MODE_ENCRYPTED])
 def test_every_node_csv_row_matches_the_simulator_trajectory_bitwise(mode, tmp_path):
-    config = make_config(key_bits=128)
+    config = make_config()
     run_cluster_in_threads(config, mode, out_dir=tmp_path)
     if mode == MODE_PLAIN:
         trajectory = run_algorithm1(
@@ -283,7 +283,7 @@ def test_every_node_csv_row_matches_the_simulator_trajectory_bitwise(mode, tmp_p
         ).trajectory
     else:
         trajectory = run_experiment(
-            make_config(key_bits=128, mode=MODE_ALGORITHM2)
+            make_config(mode=MODE_ALGORITHM2)
         ).record.trajectory
     for i in range(5):
         with open(tmp_path / f"node{i}.csv", newline="") as fh:
@@ -323,7 +323,7 @@ def test_node_draws_its_weights_once_then_applies_once_per_round(monkeypatch):
 
 
 def test_encrypted_wire_carries_no_plaintext_encodings(tmp_path):
-    config = make_config(key_bits=128, max_rounds=6)
+    config = make_config(max_rounds=6)
     results = run_cluster_in_threads(config, MODE_ENCRYPTED, out_dir=tmp_path)
     # ground truth shares from the bit-identical plaintext run
     rec = run_algorithm1(
@@ -356,7 +356,7 @@ def test_encrypted_wire_carries_no_plaintext_encodings(tmp_path):
 
 
 def test_encrypted_cluster_sends_the_same_bytes_in_every_run(tmp_path):
-    config = make_config(key_bits=128, max_rounds=3)
+    config = make_config(max_rounds=3)
     runs = {
         run: run_cluster_in_threads(config, MODE_ENCRYPTED, out_dir=tmp_path / run)
         for run in ("a", "b")
@@ -372,7 +372,7 @@ def test_encrypted_cluster_sends_the_same_bytes_in_every_run(tmp_path):
 def test_a_node_sends_only_key_and_share_frames(tmp_path):
     """Rounds are the only synchronization: on each out-link a node sends
     the n keys, then one share per round, and nothing else."""
-    config = make_config(key_bits=128, max_rounds=4)
+    config = make_config(max_rounds=4)
     results = run_cluster_in_threads(config, MODE_ENCRYPTED, out_dir=tmp_path)
     n = config.graph.n_nodes
     for i in range(n):
@@ -386,7 +386,7 @@ def test_a_node_sends_only_key_and_share_frames(tmp_path):
 
 def test_an_algorithm2_config_alone_puts_only_ciphertexts_on_the_wire(tmp_path):
     """No transport argument: the config's mode picks encryption."""
-    config = make_config(key_bits=128, max_rounds=4, mode=MODE_ALGORITHM2)
+    config = make_config(max_rounds=4, mode=MODE_ALGORITHM2)
     results = run_cluster_in_threads(config, out_dir=tmp_path)
     for i in range(5):
         _, manifest, rt = results[i]
@@ -490,7 +490,7 @@ def test_refused_connect_still_ends_at_the_deadline(monkeypatch):
 
 def test_key_flood_timeout_names_missing_node():
     g = DirectedGraph.from_edge_list(2, [[0, 1], [1, 0]])
-    config = make_config(graph=g, x0=[1.0, 2.0], key_bits=64, mode=MODE_ALGORITHM2)
+    config = make_config(graph=g, x0=[1.0, 2.0], mode=MODE_ALGORITHM2)
     ports = allocate_ports(2)
     peers = {i: ("127.0.0.1", ports[i]) for i in range(2)}
     # peer 1 accepts the connection but never announces a key
@@ -508,11 +508,11 @@ def test_key_flood_timeout_names_missing_node():
 
 
 def test_key_directory_idempotent_under_redelivery():
-    config = make_config(key_bits=64, mode=MODE_ALGORITHM2)
+    config = make_config(mode=MODE_ALGORITHM2)
     ports = allocate_ports(5)
     peers = {i: ("127.0.0.1", ports[i]) for i in range(5)}
     rt = NodeRuntime(1, peers[1], peers, config)
-    other = keygen(64, random.Random(1))
+    other = keygen(config.key_bits, random.Random(1))
     payload = pack_key_announce(3, other.public)
     frame = WireFrame(MSG_KEY_ANNOUNCE, 0, 0, payload)
     rt._dispatch(frame)
@@ -524,18 +524,18 @@ def test_key_directory_idempotent_under_redelivery():
 @pytest.mark.parametrize(
     "mode, origin, announced_bits, reason",
     [
-        (MODE_ALGORITHM2, 99, 64, "not a node of the 5-node graph"),
-        (MODE_ALGORITHM1, 3, 64, "the plain transport carries no keys"),
-        (MODE_ALGORITHM1, 99, 64, "the plain transport carries no keys"),
-        # a node of 64-bit keys would use a larger key without a word
-        (MODE_ALGORITHM2, 3, 96, "a 96-bit modulus, not one of 63 or 64 bits"),
+        (MODE_ALGORITHM2, 99, 138, "not a node of the 5-node graph"),
+        (MODE_ALGORITHM1, 3, 138, "the plain transport carries no keys"),
+        (MODE_ALGORITHM1, 99, 138, "the plain transport carries no keys"),
+        # a node of 138-bit keys would use a larger key without a word
+        (MODE_ALGORITHM2, 3, 160, "a 160-bit modulus, not one of 137 or 138 bits"),
     ],
     ids=["encrypted-outside-graph", "plain-in-graph", "plain-outside-graph", "wrong-size"],
 )
 def test_key_announcement_a_node_cannot_use_is_a_protocol_error(
     mode, origin, announced_bits, reason
 ):
-    config = make_config(key_bits=64, mode=mode)
+    config = make_config(mode=mode)
     ports = allocate_ports(5)
     peers = {i: ("127.0.0.1", ports[i]) for i in range(5)}
     rt = NodeRuntime(1, peers[1], peers, config)
@@ -548,9 +548,9 @@ def test_key_announcement_a_node_cannot_use_is_a_protocol_error(
     assert rt._key_directory == known
 
 
-def _two_node_runtime(mode, key_bits=64):
+def _two_node_runtime(mode):
     g = DirectedGraph.from_edge_list(2, [[0, 1], [1, 0]])
-    config = make_config(graph=g, x0=[1.0, 2.0], key_bits=key_bits, mode=CONFIG_MODE[mode])
+    config = make_config(graph=g, x0=[1.0, 2.0], mode=CONFIG_MODE[mode])
     ports = allocate_ports(2)
     peers = {i: ("127.0.0.1", ports[i]) for i in range(2)}
     rt = NodeRuntime(0, peers[0], peers, config)
@@ -559,7 +559,7 @@ def _two_node_runtime(mode, key_bits=64):
 
 
 def test_malformed_share_ciphertext_raises_decrypt_failure():
-    rt = _two_node_runtime(MODE_ENCRYPTED, key_bits=128)
+    rt = _two_node_runtime(MODE_ENCRYPTED)
     assert isinstance(rt.channel, PaillierChannel)
     with pytest.raises(DecryptFailure, match="node 0: round-0 share from 1: "):
         rt._dispatch(WireFrame(MSG_SHARE_ENC, 1, 0, pack_uint(0)))
@@ -699,22 +699,22 @@ def test_encrypted_node_rejects_keys_too_small_for_its_fractional_bits():
     ports = allocate_ports(2)
     peers = {i: ("127.0.0.1", ports[i]) for i in range(2)}
     NodeRuntime(0, peers[0], peers, config)  # algorithm1, plain: keys unused
-    with pytest.raises(ConfigError, match="the smallest usable key size is 102"):
+    with pytest.raises(ConfigError, match="key_bits=64 cannot carry .*; it needs 122 bits"):
         NodeRuntime(0, peers[0], peers, replace(config, mode=MODE_ALGORITHM2))
     # raised before any socket opened: the listen port is still free
     socket.create_server(peers[0]).close()
 
 
 def test_encrypted_node_rejects_keys_too_small_for_its_graph_fan_in():
-    # 102 bits hold f = 48 for one in-link; the demo graph sums two
-    config = make_config(key_bits=102, fractional_bits=48, mode=MODE_ALGORITHM2)
+    # 136 bits hold this run's values for one in-link; the demo graph sums two
+    config = make_config(key_bits=136, fractional_bits=48, mode=MODE_ALGORITHM2)
     ports = allocate_ports(5)
     peers = {i: ("127.0.0.1", ports[i]) for i in range(5)}
-    with pytest.raises(ConfigError, match="at fan-in 2; the smallest usable key size is 104"):
+    with pytest.raises(ConfigError, match="and fan-in 2; it needs 138 bits"):
         NodeRuntime(0, peers[0], peers, config)
     # raised before any socket opened: the listen port is still free
     socket.create_server(peers[0]).close()
-    NodeRuntime(0, peers[0], peers, replace(config, key_bits=104))
+    NodeRuntime(0, peers[0], peers, replace(config, key_bits=138))
 
 
 @pytest.mark.parametrize(
@@ -910,7 +910,7 @@ def test_live_node_refuses_a_mixing_share_of_negative_w():
 
 
 def test_encrypted_node_checks_the_decrypted_sum_and_names_its_senders():
-    rt = _demo_runtime(node=4, key_bits=128, mode=MODE_ALGORITHM2)
+    rt = _demo_runtime(node=4, mode=MODE_ALGORITHM2)
     assert rt.in_ids == [0, 2]
     public = rt.keypair.public
     codec = FixedPointCodec(public.n, rt.config.fractional_bits, 2)

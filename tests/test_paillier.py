@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -375,22 +376,26 @@ def test_smallest_key_bits_is_the_first_size_whose_every_modulus_fits(fractional
         half = 1 << (key_bits // 2 - 1)
         return (half + 1) ** 2
 
-    assert smallest_key_bits(fractional_bits) == smallest_key_bits(fractional_bits, 1)
-    for fan_in in range(1, 9):
-        smallest = smallest_key_bits(fractional_bits, fan_in)
-        FixedPointCodec(shortest_modulus(smallest), fractional_bits, fan_in)
+    for fan_in, peak_bits in itertools.product(range(1, 9), (1, 2, 18)):
+        smallest = smallest_key_bits(fractional_bits, fan_in, peak_bits)
+        codec = FixedPointCodec(shortest_modulus(smallest), fractional_bits, fan_in)
+        assert codec.max_magnitude >= 2**peak_bits
         kp = keygen(smallest, random.Random(fractional_bits))
-        FixedPointCodec(kp.public.n, fractional_bits, fan_in)
-        if smallest > 16:
+        assert FixedPointCodec(kp.public.n, fractional_bits, fan_in).max_magnitude >= 2**peak_bits
+        if smallest > 16 and peak_bits == 1:
             with pytest.raises(ConfigError):
                 FixedPointCodec(shortest_modulus(smallest - 1), fractional_bits, fan_in)
+        elif smallest > 16:
+            shorter = FixedPointCodec(shortest_modulus(smallest - 1), fractional_bits, fan_in)
+            assert shorter.max_magnitude < 2**peak_bits
         else:
             with pytest.raises(ConfigError):
                 keygen(smallest - 1)
-        # each doubling of the fan-in costs one bit per value, two per key
-        assert smallest == max(16, smallest_key_bits(fractional_bits) + 2 * math.ceil(
+        # each doubling of the fan-in, and of the values carried, costs one
+        # bit per value, two per key
+        assert smallest == max(16, 2 * (fractional_bits + 3) + 2 * math.ceil(
             math.log2(fan_in)
-        ))
+        ) + 2 * (peak_bits - 1))
 
 
 # -- the (s, w) pair layout -----------------------------------------------

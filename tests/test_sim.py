@@ -2,14 +2,22 @@ import math
 import random
 import sys
 import time
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privsum.consensus import Trajectory, algorithm1_weights
-from privsum.errors import ConfigError, DecryptFailure, RangeUncovered
-from privsum.graph import DirectedGraph, default_demo_graph, max_out_degree
+from privsum.errors import ConfigError, DecryptFailure, MagnitudeOverflow, RangeUncovered
+from privsum.graph import (
+    DirectedGraph,
+    default_demo_graph,
+    max_out_degree,
+    random_strongly_connected_graph,
+)
 from privsum.paillier import FixedPointCodec, decrypt, encrypt, keygen
 from privsum.sim import (
     MODE_ALGORITHM0,
@@ -19,10 +27,10 @@ from privsum.sim import (
     ExperimentConfig,
     NodeKeys,
     PaillierChannel,
+    RunPlan,
     config_hash,
     error_series,
     fitted_contraction,
-    graph_fan_in,
     node_keypairs,
     resolve_x0,
     run_experiment,
@@ -41,7 +49,12 @@ def make_config(**overrides):
         seed=4,
     )
     base.update(overrides)
-    return ExperimentConfig(**base)
+    config = ExperimentConfig(**base)
+    if config.mode != MODE_ALGORITHM2 or "key_bits" in overrides:
+        return config
+    # An encrypted config without a key size gets the smallest its run plan allows.
+    plan = replace(config, mode=MODE_ALGORITHM1).validate()
+    return replace(config, key_bits=plan.key_bits)
 
 
 def test_run_experiment_converges():
@@ -213,24 +226,94 @@ def test_encrypted_config_rejects_a_key_too_small_for_its_fractional_bits():
     # the demo graph's largest in-degree is 2: one bit of headroom per value
     with pytest.raises(
         ConfigError,
-        match="key_bits=64 cannot hold fractional_bits=48 at fan-in 2; "
-        "the smallest usable key size is 104",
+        match=r"key_bits=64 cannot carry this run's values, up to 2\^18 at "
+        "fractional_bits=48 and fan-in 2; it needs 138 bits",
     ):
         make_config(mode=MODE_ALGORITHM2, key_bits=64).validate()
-    with pytest.raises(ConfigError, match="smallest usable key size is 72"):
-        make_config(mode=MODE_ALGORITHM2, key_bits=71, fractional_bits=32).validate()
+    with pytest.raises(ConfigError, match="it needs 106 bits"):
+        make_config(mode=MODE_ALGORITHM2, key_bits=105, fractional_bits=32).validate()
     with pytest.raises(ConfigError, match="fractional_bits must be positive"):
         make_config(mode=MODE_ALGORITHM2, fractional_bits=0).validate()
     make_config(key_bits=64).validate()  # unencrypted: the key size is unused
-    # 102 bits hold f = 48 at fan-in 1 only
-    with pytest.raises(ConfigError, match="smallest usable key size is 104"):
-        make_config(mode=MODE_ALGORITHM2, key_bits=102).validate()
+    # 136 bits hold these values at fan-in 1 only
+    with pytest.raises(ConfigError, match="it needs 138 bits"):
+        make_config(mode=MODE_ALGORITHM2, key_bits=136).validate()
     ring = DirectedGraph.from_edge_list(3, [[1, 0], [2, 1], [0, 2]])
-    make_config(graph=ring, x0=[1.0, 2.0, 3.0], mode=MODE_ALGORITHM2, key_bits=102).validate()
-    config = make_config(mode=MODE_ALGORITHM2, key_bits=104)
-    config.validate()
+    make_config(graph=ring, x0=[1.0, 2.0, 3.0], mode=MODE_ALGORITHM2, key_bits=136).validate()
+    config = make_config(mode=MODE_ALGORITHM2, key_bits=138)
+    assert config.validate() == RunPlan(fan_in=2, peak_bits=18, key_bits=138)
     for kp in node_keypairs(config.graph, config.key_bits, config.seed).values():
-        assert FixedPointCodec(kp.public.n, 48, fan_in=2).max_magnitude == 2
+        assert FixedPointCodec(kp.public.n, 48, fan_in=2).max_magnitude == 2**18
+
+
+def test_validate_refuses_keys_too_small_for_the_values_the_run_carries():
+    """At K = 2 and B = 100 the demo graph's values reach 2^35: 128-bit keys
+    hold f = 48 at fan-in 2, but the run would end at round 1 with a share
+    outside the codec range.  The validator refuses it, naming the 172 bits
+    that carry the run, and at 172 bits the run completes."""
+    config = make_config(
+        x0=[60.0, -60.0, 60.0, -60.0, 60.0], big_k=2, phase_a_range=100.0,
+        mode=MODE_ALGORITHM2, key_bits=128, fractional_bits=48, max_rounds=6,
+    )
+    with pytest.raises(
+        ConfigError,
+        match=r"^key_bits=128 cannot carry this run's values, up to 2\^35 at "
+        r"fractional_bits=48 and fan-in 2; it needs 172 bits$",
+    ):
+        config.validate()
+    config = replace(config, key_bits=172)
+    assert config.validate() == RunPlan(fan_in=2, peak_bits=35, key_bits=172)
+    assert run_experiment(config).record.n_rounds == 6
+
+
+def test_the_plan_bounds_the_adversary_target_values():
+    """target_x0 values widen the target's term of ||x0||_1; a
+    target_override past them is left to the codec's own check, which
+    names the link."""
+    spec = AdversarySpec(members=(1, 2, 3), target=0, target_x0=(4000.0,))
+    config = make_config(mode=MODE_ALGORITHM2, adversary=spec, max_rounds=4)
+    assert config.validate().peak_bits == 23 > make_config().validate().peak_bits == 18
+    run_experiment(config, target_override=-4000.0)
+    with pytest.raises(MagnitudeOverflow, match=r"^node 0: round-0 share to \d: value "):
+        run_experiment(config, target_override=1e30)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    n=st.integers(2, 7),
+    graph_seed=st.integers(0, 2**32 - 1),
+    big_k=st.integers(0, 4),
+    phase_a_range=st.sampled_from([0.5, 2.0, 10.0, 100.0]),
+    fractional_bits=st.sampled_from([16, 32, 48]),
+    data=st.data(),
+)
+def test_every_accepted_encrypted_config_runs_within_its_plan(
+    n, graph_seed, big_k, phase_a_range, fractional_bits, data
+):
+    """At exactly the plan's key size a generated encrypted config runs to
+    its end, no |s|, |w| or |share| exceeds 2^peak_bits, and one key step
+    smaller is refused."""
+    graph = random_strongly_connected_graph(n, np.random.default_rng(graph_seed))
+    value = st.floats(-60.0, 60.0)
+    x0 = data.draw(
+        st.lists(value, min_size=n, max_size=n)
+        | st.tuples(value, value).filter(lambda r: r[0] < r[1]).map(
+            lambda r: {"low": r[0], "high": r[1]}
+        )
+    )
+    config = ExperimentConfig(
+        graph=graph, x0=x0, big_k=big_k, epsilon=0.5 / (max_out_degree(graph) + 1),
+        phase_a_range=phase_a_range, max_rounds=big_k + 3, seed=graph_seed,
+        mode=MODE_ALGORITHM2, fractional_bits=fractional_bits,
+    )
+    plan = replace(config, mode=MODE_ALGORITHM1).validate()
+    config = replace(config, key_bits=plan.key_bits)
+    assert config.validate() == plan
+    record = run_experiment(config).record
+    assert np.abs(record.trajectory.states).max() <= 2.0**plan.peak_bits
+    assert np.abs(record.shares).max() <= 2.0**plan.peak_bits
+    with pytest.raises(ConfigError, match=f"it needs {plan.key_bits} bits"):
+        replace(config, key_bits=plan.key_bits - 2).validate()
 
 
 def test_run_experiment_checks_strong_connectivity_once(monkeypatch):
@@ -310,7 +393,7 @@ def test_fitted_contraction_bounds():
 def test_encrypted_mode_close_to_plain():
     plain = run_experiment(make_config(max_rounds=40, mode=MODE_ALGORITHM1))
     enc = run_experiment(
-        make_config(max_rounds=40, mode=MODE_ALGORITHM2, key_bits=128)
+        make_config(max_rounds=40, mode=MODE_ALGORITHM2)
     )
     assert enc.crypto["mean_encrypt_ms"] is not None
     np.testing.assert_allclose(
@@ -342,6 +425,16 @@ def test_2048_bit_run_matches_256_bit_bitwise():
     assert np.array_equal(large.s, small.s)
     assert np.array_equal(large.w, small.w)
     assert elapsed < 10.0, f"2048-bit run took {elapsed:.1f} s"
+
+
+def test_a_share_outside_the_codec_range_names_its_link():
+    channel, _ = _three_key_channel(2)
+    bound = FixedPointCodec(channel.public_keys[2].n, 16, 2).max_magnitude
+    shares = np.array([[1.0, math.nextafter(bound, math.inf)], [0.5, 0.25]])
+    with pytest.raises(
+        MagnitudeOverflow, match=r"^node 1: round-4 share to 2: value \S+ outside the codec range$"
+    ):
+        channel.transmit([0, 1], [1, 2], 4, shares)
 
 
 def _three_key_channel(fan_in):
@@ -414,7 +507,7 @@ def test_channel_checks_a_sum_not_its_terms():
 def test_record_shares_are_what_each_ciphertext_decrypts_to_alone():
     """The record's shares are, per link-round, the pair its ciphertext
     decrypts to, though each receiver decrypts only the sum of its links."""
-    config = make_config(mode=MODE_ALGORITHM2, key_bits=128, max_rounds=6)
+    config = make_config(mode=MODE_ALGORITHM2, max_rounds=6)
     record = run_experiment(config).record
     keypairs = node_keypairs(config.graph, config.key_bits, config.seed)
     layout = record.weights.layout
@@ -422,7 +515,7 @@ def test_record_shares_are_what_each_ciphertext_decrypts_to_alone():
     decrypted = np.empty_like(record.shares)
     for e, receiver in enumerate(layout.receivers.tolist()):
         kp = keypairs[receiver]
-        codec = FixedPointCodec(kp.public.n, 48, graph_fan_in(config.graph))
+        codec = FixedPointCodec(kp.public.n, 48, config.validate().fan_in)
         for k in range(record.n_rounds):
             decrypted[k, :, e] = codec.decode_sum(decrypt(kp, record.wire[k, e]), 1)
     assert decrypted.tobytes() == record.shares.tobytes()
